@@ -1,38 +1,24 @@
 //! `repro compare` — cross-run regression diffing of telemetry JSON
-//! reports — and `repro bench-trajectory`, the `BENCH_*.json` speed
-//! history check.
+//! reports.
 //!
 //! `compare` walks two reports produced by `repro <id> --json <dir>` (or
 //! any [`Json`] documents) key by key and reports every leaf that
-//! differs beyond the configured tolerances. Machine-dependent keys
-//! (`wall_ms`, `events_per_sec`, `allocations`, `peak_pending_events`)
-//! are ignored by default so two snapshots of the *same simulated work*
-//! taken on different machines self-compare clean; everything else in a
-//! report is deterministic and diffs exact by default. Exit status: 0
-//! when the reports match within tolerance, 1 when they differ — made
-//! for CI gates (`repro compare old.json new.json || fail`).
-//!
-//! `bench-trajectory` reads every `BENCH_<label>.json` snapshot in a
-//! directory (see [`crate::bench_core`]), orders them by label, and
-//! warns when a consecutive pair that timed identical work (matching
-//! `quick` flag and per-scenario checksums) lost more than 10% of its
-//! `events_per_sec`. With `--strict` a warning is an error.
+//! differs beyond the configured tolerances. Everything in a default
+//! build's report is deterministic and diffs exact by default. A
+//! `--features profile` build adds a `profile` section; its
+//! `peak_pending_events` is a property of the event-queue implementation
+//! rather than of the simulated work and is ignored by default, and its
+//! host-clock fields (`wall_us`, `run_wall_us`) differ on every run, so
+//! compare such reports with `--ignore profile`. Exit status: 0 when the
+//! reports match within tolerance, 1 when they differ — made for CI
+//! gates (`repro compare old.json new.json || fail`) — and 2 on a usage
+//! error or a file that cannot be read or parsed.
 
 use netsim::telemetry::Json;
-use std::path::Path;
 
-/// Keys whose values are machine-dependent in otherwise-deterministic
-/// reports; ignored by default so self-comparison across machines holds.
-pub const DEFAULT_IGNORE: [&str; 4] = [
-    "wall_ms",
-    "events_per_sec",
-    "allocations",
-    "peak_pending_events",
-];
-
-/// Fractional `events_per_sec` drop between consecutive comparable
-/// snapshots that triggers a trajectory warning.
-const TRAJECTORY_DROP: f64 = 0.10;
+/// Keys ignored by default wherever they appear: values that depend on
+/// the simulator's implementation, not on the simulated work.
+pub const DEFAULT_IGNORE: [&str; 1] = ["peak_pending_events"];
 
 /// Numeric and key-ignore tolerances for [`diff`].
 pub struct Tolerances {
@@ -224,166 +210,6 @@ pub fn cli(args: &[String]) -> i32 {
     }
 }
 
-/// Splits a label into digit/non-digit runs so `pr10` orders after
-/// `pr9`.
-fn natural_key(label: &str) -> Vec<(bool, String)> {
-    let mut parts: Vec<(bool, String)> = Vec::new();
-    for c in label.chars() {
-        let digit = c.is_ascii_digit();
-        match parts.last_mut() {
-            Some((d, run)) if *d == digit => run.push(c),
-            _ => parts.push((digit, c.to_string())),
-        }
-    }
-    // Left-pad digit runs so lexicographic comparison is numeric.
-    for (d, run) in &mut parts {
-        if *d {
-            *run = format!("{run:0>20}");
-        }
-    }
-    parts
-}
-
-struct Snapshot {
-    label: String,
-    quick: bool,
-    /// Per-scenario `(name, checksum, events_per_sec)`.
-    scenarios: Vec<(String, f64, f64)>,
-}
-
-fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
-    let doc = load(&path.display().to_string())?;
-    let label = doc
-        .get("label")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{}: no label", path.display()))?
-        .to_string();
-    let quick = matches!(doc.get("quick"), Some(Json::Bool(true)));
-    let scenarios = doc
-        .get("scenarios")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|s| {
-            Some((
-                s.get("name")?.as_str()?.to_string(),
-                num(s.get("checksum")?)?,
-                num(s.get("events_per_sec")?)?,
-            ))
-        })
-        .collect();
-    Ok(Snapshot {
-        label,
-        quick,
-        scenarios,
-    })
-}
-
-/// Checks the `BENCH_*.json` speed history in `dir`: consecutive
-/// label-ordered snapshots that timed identical work (same `quick`, same
-/// per-scenario checksum) must not lose more than 10% `events_per_sec`.
-/// Returns the number of warnings (prints them as it goes).
-pub fn bench_trajectory(dir: &Path) -> Result<usize, String> {
-    let mut snaps: Vec<Snapshot> = Vec::new();
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    for entry in entries {
-        let path = entry.map_err(|e| e.to_string())?.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.starts_with("BENCH_") && name.ends_with(".json") {
-            snaps.push(read_snapshot(&path)?);
-        }
-    }
-    snaps.sort_by_key(|s| natural_key(&s.label));
-    if snaps.len() < 2 {
-        println!(
-            "bench-trajectory: {} snapshot(s) in {} — nothing to compare",
-            snaps.len(),
-            dir.display()
-        );
-        return Ok(0);
-    }
-    let mut warnings = 0;
-    for pair in snaps.windows(2) {
-        let (prev, next) = (&pair[0], &pair[1]);
-        if prev.quick != next.quick {
-            println!(
-                "bench-trajectory: {} -> {}: quick flags differ, skipping",
-                prev.label, next.label
-            );
-            continue;
-        }
-        for (name, checksum, rate) in &next.scenarios {
-            let Some((_, prev_sum, prev_rate)) = prev.scenarios.iter().find(|(n, _, _)| n == name)
-            else {
-                continue;
-            };
-            if prev_sum != checksum {
-                println!(
-                    "bench-trajectory: {} -> {} {name}: checksums differ ({prev_sum} vs {checksum}), not comparable",
-                    prev.label, next.label
-                );
-                continue;
-            }
-            if *prev_rate > 0.0 && (prev_rate - rate) / prev_rate > TRAJECTORY_DROP {
-                println!(
-                    "WARN {} -> {} {name}: events_per_sec fell {:.1}% ({:.0} -> {:.0})",
-                    prev.label,
-                    next.label,
-                    (prev_rate - rate) / prev_rate * 100.0,
-                    prev_rate,
-                    rate
-                );
-                warnings += 1;
-            } else {
-                println!(
-                    "ok   {} -> {} {name}: {:.0} -> {:.0} events/sec",
-                    prev.label, next.label, prev_rate, rate
-                );
-            }
-        }
-    }
-    Ok(warnings)
-}
-
-/// `repro bench-trajectory <dir> [--strict]`: exit 1 on a warning only
-/// under `--strict` (wall-clock noise across CI machines makes warnings
-/// advisory by default).
-pub fn trajectory_cli(args: &[String]) -> i32 {
-    let mut strict = false;
-    let mut dir: Option<&str> = None;
-    for a in args {
-        match a.as_str() {
-            "--strict" => strict = true,
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag '{flag}'");
-                return 2;
-            }
-            d if dir.is_none() => dir = Some(d),
-            _ => {
-                eprintln!("usage: repro bench-trajectory <dir> [--strict]");
-                return 2;
-            }
-        }
-    }
-    let dir = dir.unwrap_or(".");
-    match bench_trajectory(Path::new(dir)) {
-        Ok(0) => 0,
-        Ok(n) => {
-            println!("bench-trajectory: {n} warning(s)");
-            if strict {
-                1
-            } else {
-                0
-            }
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            2
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,7 +222,7 @@ mod tests {
     fn self_diff_is_empty() {
         let a = obj(vec![
             ("x", Json::Float(1.5)),
-            ("wall_ms", Json::Float(100.0)),
+            ("peak_pending_events", Json::UInt(100)),
             ("arr", Json::Arr(vec![Json::UInt(1), Json::UInt(2)])),
         ]);
         assert!(diff(&a, &a, &Tolerances::default()).is_empty());
@@ -404,8 +230,14 @@ mod tests {
 
     #[test]
     fn ignored_keys_do_not_diff() {
-        let a = obj(vec![("x", Json::UInt(1)), ("wall_ms", Json::Float(1.0))]);
-        let b = obj(vec![("x", Json::UInt(1)), ("wall_ms", Json::Float(999.0))]);
+        let a = obj(vec![
+            ("x", Json::UInt(1)),
+            ("peak_pending_events", Json::UInt(1)),
+        ]);
+        let b = obj(vec![
+            ("x", Json::UInt(1)),
+            ("peak_pending_events", Json::UInt(999)),
+        ]);
         assert!(diff(&a, &b, &Tolerances::default()).is_empty());
     }
 
@@ -451,12 +283,5 @@ mod tests {
         let d = diff(&a, &b, &Tolerances::default());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].path, "scenarios[0].checksum");
-    }
-
-    #[test]
-    fn natural_label_order() {
-        let mut labels = ["pr10", "pr9", "pr100", "local"];
-        labels.sort_by_key(|l| natural_key(l));
-        assert_eq!(labels, ["local", "pr9", "pr10", "pr100"]);
     }
 }

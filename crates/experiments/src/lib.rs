@@ -10,7 +10,6 @@
 //! cargo run -p experiments --release -- all [--quick]
 //! ```
 
-pub mod bench_core;
 pub mod chaos;
 pub mod common;
 pub mod compare;

@@ -4,9 +4,7 @@
 //! repro <id>... [--quick] [--json <dir>] [--trace <dir>] [--dash <dir>]
 //! repro all [--quick]                    run every experiment
 //! repro list                             list experiment ids
-//! repro bench-core [--quick] [--label <name>]   event-core speed snapshot
 //! repro compare <a.json> <b.json> [..]   diff two telemetry reports
-//! repro bench-trajectory <dir>           check BENCH_*.json for slowdowns
 //! ```
 //!
 //! Several positional ids run in order: `repro fig3 fig4 fig9`. Unknown
@@ -29,11 +27,9 @@ fn usage() {
     eprintln!(
         "usage: repro <id>...|all|list [--quick] [--json <dir>] [--trace <dir>] [--dash <dir>]"
     );
-    eprintln!("       repro bench-core [--quick] [--label <name>]");
     eprintln!(
         "       repro compare <a.json> <b.json> [--rel-pct <p>] [--abs <v>] [--ignore <key>]"
     );
-    eprintln!("       repro bench-trajectory <dir> [--strict]");
     eprintln!("       repro chaos [--seed <n>] [--cases <n>] [--quick] [--out <dir>]");
     eprintln!("       repro chaos --replay <file>");
     eprintln!("ids: {}", experiments::ALL.join(" "));
@@ -47,34 +43,19 @@ fn main() {
     if args.first().map(String::as_str) == Some("chaos") {
         std::process::exit(experiments::chaos::cli(&args[1..]));
     }
-    // `compare` and `bench-trajectory` likewise own their flags.
+    // `compare` likewise owns its flags.
     if args.first().map(String::as_str) == Some("compare") {
         std::process::exit(experiments::compare::cli(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("bench-trajectory") {
-        std::process::exit(experiments::compare::trajectory_cli(&args[1..]));
     }
     let mut quick = false;
     let mut ids: Vec<&str> = Vec::new();
     let mut json_dir: Option<&str> = None;
     let mut trace_dir: Option<&str> = None;
     let mut dash_dir: Option<&str> = None;
-    let mut label: Option<&str> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--label" => match it.next() {
-                Some(l) if experiments::bench_core::label_ok(l) => label = Some(l.as_str()),
-                Some(l) => {
-                    eprintln!("--label '{l}' must be [A-Za-z0-9._-]+ (it names a file)");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("--label requires a name");
-                    std::process::exit(2);
-                }
-            },
             "--json" => match it.next() {
                 Some(d) => json_dir = Some(d.as_str()),
                 None => {
@@ -120,7 +101,6 @@ fn main() {
     for id in &ids {
         let known = *id == "all"
             || *id == "ext"
-            || *id == "bench-core"
             || experiments::ALL.contains(id)
             || experiments::EXT.contains(id);
         if !known {
@@ -158,13 +138,6 @@ fn main() {
                     let t = Instant::now();
                     experiments::dispatch(id, quick);
                     eprintln!("[{id} took {:.1}s]", t.elapsed().as_secs_f64());
-                }
-            }
-            "bench-core" => {
-                let t = Instant::now();
-                experiments::bench_core::run(quick, label.unwrap_or("local"));
-                if many {
-                    eprintln!("[bench-core took {:.1}s]", t.elapsed().as_secs_f64());
                 }
             }
             id => {

@@ -1,7 +1,9 @@
-//! The `repro compare` / `repro bench-trajectory` exit-code contract,
-//! driven through the real binary: self-diff is clean (exit 0), an
-//! injected counter regression fails (exit 1), tolerances forgive small
-//! drift, and the bench trajectory flags >10% events/sec drops.
+//! The `repro compare` exit-code contract, driven through the real
+//! binary: self-diff is clean (exit 0), an injected counter regression
+//! fails (exit 1), tolerances forgive small drift, and unreadable or
+//! hostile input is a usage error (exit 2), never a crash. Also pins
+//! that the retired `bench-core` / `bench-trajectory` ids are rejected
+//! like any other unknown experiment.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -29,7 +31,7 @@ const BASE: &str = r#"{
       "ecn_marks": 1200,
       "pause_tx": 40
     },
-    "wall_ms": 917
+    "peak_pending_events": 917
   },
   "quick": true
 }
@@ -60,10 +62,11 @@ fn injected_counter_regression_exits_nonzero() {
 }
 
 #[test]
-fn wall_clock_noise_is_ignored_and_tolerances_forgive() {
+fn default_ignored_keys_are_skipped_and_tolerances_forgive() {
     let dir = tmp_dir("tol");
     let a = write(&dir, "a.json", BASE);
-    // wall_ms is in the default ignore list; pause_tx drifts by 2.5%.
+    // peak_pending_events is in the default ignore list; pause_tx
+    // drifts by 2.5%.
     let b = write(
         &dir,
         "b.json",
@@ -97,69 +100,52 @@ fn missing_file_is_a_usage_error() {
     assert_eq!(status.code(), Some(2));
 }
 
-fn bench_snapshot(label: &str, events_per_sec: u64) -> String {
-    format!(
-        r#"{{
-  "label": "{label}",
-  "profile": "release",
-  "quick": false,
-  "schema": "bench-core-v1",
-  "scenarios": [
-    {{
-      "allocations": 10,
-      "checksum": 12345,
-      "events_executed": 1000000,
-      "events_per_sec": {events_per_sec},
-      "name": "queue_churn",
-      "peak_pending_events": 64,
-      "sim_time_us": 1000.0,
-      "wall_ms": 50.0
-    }}
-  ]
-}}
-"#
-    )
+fn assert_one_line_usage_error(out: &std::process::Output, what: &str) {
+    assert_eq!(out.status.code(), Some(2), "{what}: exit 2, not a crash");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{what}: one line:\n{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{what}: {stderr}");
 }
 
 #[test]
-fn trajectory_warns_on_drop_and_strict_fails() {
-    let dir = tmp_dir("traj");
-    write(&dir, "BENCH_pr1.json", &bench_snapshot("pr1", 10_000_000));
-    write(&dir, "BENCH_pr2.json", &bench_snapshot("pr2", 8_000_000));
-    // 20% drop: plain run reports it but exits 0; --strict exits 1.
-    let out = repro().arg("bench-trajectory").arg(&dir).output().unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        text.contains("queue_churn"),
-        "warning names the scenario:\n{text}"
-    );
-    let strict = repro()
-        .arg("bench-trajectory")
-        .arg(&dir)
-        .arg("--strict")
-        .status()
+fn deeply_nested_input_is_a_usage_error_not_a_stack_overflow() {
+    let dir = tmp_dir("deep");
+    // 300 KB of `[`: deeper than any recursive-descent parser's stack.
+    let deep = write(&dir, "deep.json", &"[".repeat(300_000));
+    let good = write(&dir, "a.json", BASE);
+    let out = repro()
+        .arg("compare")
+        .arg(&good)
+        .arg(&deep)
+        .output()
         .unwrap();
-    assert_eq!(
-        strict.code(),
-        Some(1),
-        "--strict turns warnings into failure"
-    );
+    assert_one_line_usage_error(&out, "compare");
+    let out = repro()
+        .args(["chaos", "--replay"])
+        .arg(&deep)
+        .output()
+        .unwrap();
+    assert_one_line_usage_error(&out, "chaos --replay");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn trajectory_is_quiet_when_throughput_holds() {
-    let dir = tmp_dir("flat");
-    write(&dir, "BENCH_pr1.json", &bench_snapshot("pr1", 10_000_000));
-    write(&dir, "BENCH_pr2.json", &bench_snapshot("pr2", 9_500_000));
-    // 5% is within the 10% tolerance band.
-    let status = repro()
-        .arg("bench-trajectory")
-        .arg(&dir)
-        .arg("--strict")
-        .status()
-        .unwrap();
-    assert_eq!(status.code(), Some(0));
-    std::fs::remove_dir_all(&dir).ok();
+fn retired_bench_subcommands_are_unknown_experiments() {
+    for args in [&["bench-core"][..], &["bench-trajectory", "."]] {
+        let out = repro().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown experiment '{}'", args[0])),
+            "{args:?}:\n{stderr}"
+        );
+        assert_eq!(
+            stderr.matches("bench-").count(),
+            1,
+            "only the error line names the id; the usage text does not:\n{stderr}"
+        );
+        for gone in ["--label", "--strict"] {
+            assert!(!stderr.contains(gone), "usage lists {gone}:\n{stderr}");
+        }
+    }
 }

@@ -22,7 +22,6 @@ use crate::telemetry::timeline::{Timeline, TimelineSet, TrackId, TrackKind, DEFA
 use crate::telemetry::{Dashboard, Json, Metrics, Series};
 use crate::trace::{TraceEvent, TraceKind, Tracer};
 use crate::units::{Bandwidth, Duration, Time};
-use std::collections::HashMap;
 
 /// Trace-ring capacity per node when the flight recorder is enabled
 /// automatically alongside the sanitize auditor.
@@ -251,9 +250,7 @@ impl NetworkBuilder {
             edges,
             dests,
             faults: FaultEngine::inactive(num_links),
-            flow_locator: HashMap::new(),
-            flow_order: Vec::new(),
-            next_flow_id: 0,
+            flows: Vec::new(),
             sampler: Sampler::default(),
             sample_interval: None,
             timelines: TimelineSet::new(),
@@ -318,12 +315,11 @@ pub struct Network {
     /// Fault-injection engine. Inactive (one dead branch on the Deliver
     /// path) unless a fault plan is installed or a link is toggled.
     faults: FaultEngine,
-    flow_locator: HashMap<FlowId, (NodeId, usize)>,
-    /// Flow ids in registration order. Ids are handed out sequentially,
-    /// so this is always sorted — `take_sample` iterates it instead of
-    /// collecting and sorting `flow_stats` keys every tick.
-    flow_order: Vec<FlowId>,
-    next_flow_id: u64,
+    /// The flow table: each flow's source host and its slot in that
+    /// host's `flows`, indexed by flow id. Ids are handed out
+    /// sequentially from 0, so `0..flows.len()` is also registration
+    /// order — the order reports, dashboards and the sampler walk flows.
+    flows: Vec<(NodeId, usize)>,
     sampler: Sampler,
     sample_interval: Option<Duration>,
     hooks: Vec<Option<Hook>>,
@@ -385,6 +381,11 @@ impl Network {
         self.host(host).line_rate()
     }
 
+    /// Every registered flow id, in registration order.
+    fn flow_ids(&self) -> impl Iterator<Item = FlowId> {
+        (0..self.flows.len() as u64).map(FlowId)
+    }
+
     /// Registers a flow from `src` to `dst`; `make_cc` receives the NIC
     /// line rate and returns the flow's congestion-control instance.
     pub fn add_flow(
@@ -394,14 +395,12 @@ impl Network {
         priority: Priority,
         make_cc: impl FnOnce(Bandwidth) -> Box<dyn CongestionControl>,
     ) -> FlowId {
-        let id = FlowId(self.next_flow_id);
-        self.next_flow_id += 1;
+        let id = FlowId(self.flows.len() as u64);
         let line = self.line_rate(src);
         let idx = self
             .host_mut(src)
             .add_flow(id, dst, priority, make_cc(line));
-        self.flow_locator.insert(id, (src, idx));
-        self.flow_order.push(id);
+        self.flows.push((src, idx));
         self.ctx.stats(id); // materialize the flow's counters
         if self.sample_interval.is_some() && self.sampler.all {
             // Sampling all flows: bind the newcomer to its bytes track
@@ -415,7 +414,7 @@ impl Network {
     /// Schedules `bytes` to be handed to `flow` at time `at` (clamped to
     /// now). Use `u64::MAX` for a greedy, never-ending flow.
     pub fn send_message(&mut self, flow: FlowId, bytes: u64, at: Time) {
-        let (host, idx) = self.flow_locator[&flow];
+        let (host, idx) = self.flows[flow.0 as usize];
         let at = at.max(self.ctx.queue.now());
         self.ctx.queue.schedule(
             at,
@@ -433,7 +432,7 @@ impl Network {
 
     /// A flow's current CC rate.
     pub fn flow_rate(&self, flow: FlowId) -> Bandwidth {
-        let (host, idx) = self.flow_locator[&flow];
+        let (host, idx) = self.flows[flow.0 as usize];
         self.host(host).flows[idx].current_rate()
     }
 
@@ -557,7 +556,8 @@ impl Network {
     /// flow and counter named by `config` becomes a bounded-memory
     /// track in [`Network::timelines`]. Registration (name formatting,
     /// track allocation) happens here, once; the per-tick sample is
-    /// index arithmetic only.
+    /// index arithmetic only. Calling it again replaces what is sampled
+    /// and the interval (from the next tick on); tracks keep their data.
     ///
     /// # Panics
     /// Panics when `config.counters` names a counter that is not
@@ -578,7 +578,7 @@ impl Network {
             sampler.queues.push((node, port, track));
         }
         for &id in &config.rate_flows {
-            let (host, slot) = self.flow_locator[&id];
+            let (host, slot) = self.flows[id.0 as usize];
             let track = self.timelines.track(
                 &format!("flow_rate_gbps/{}", id.0),
                 TrackKind::Gauge,
@@ -613,7 +613,7 @@ impl Network {
         }
         self.sampler = sampler;
         let byte_flows: Vec<FlowId> = if use_all {
-            self.flow_order.clone()
+            self.flow_ids().collect()
         } else {
             config.flows.clone()
         };
@@ -621,9 +621,13 @@ impl Network {
             let track = self.bytes_track(id);
             self.set_bytes_track(id, track);
         }
-        self.sample_interval = Some(interval);
-        let at = self.ctx.queue.now() + interval;
-        self.ctx.queue.schedule(at, Event::Sample);
+        // One self-rescheduling `Event::Sample` chain per network: a
+        // second call swaps what the running chain records and how often,
+        // it must not start another (every tick would record twice).
+        if self.sample_interval.replace(interval).is_none() {
+            let at = self.ctx.queue.now() + interval;
+            self.ctx.queue.schedule(at, Event::Sample);
+        }
     }
 
     /// Installs a fault plan: activates the fault engine (with `config`'s
@@ -1068,14 +1072,9 @@ impl Network {
         self.ctx.queue.events_executed()
     }
 
-    /// High-water mark of pending events, tracked under
-    /// `--features profile` (0 otherwise).
-    pub fn peak_pending_events(&self) -> usize {
-        self.ctx.queue.peak_pending()
-    }
-
     /// Enables the per-node flight recorder with `capacity` events per
     /// node (on by default when the `sanitize` feature is compiled in).
+    /// A `capacity` of 0 turns it off.
     pub fn enable_flight_recorder(&mut self, capacity: usize) {
         self.ctx.flight.enable(capacity);
     }
@@ -1141,9 +1140,8 @@ impl Network {
 
         let secs = now.as_secs_f64();
         let flows = Json::Arr(
-            self.flow_order
-                .iter()
-                .map(|&id| {
+            self.flow_ids()
+                .map(|id| {
                     let st = &self.ctx.flow_stats[id.0 as usize];
                     let goodput = if secs > 0.0 {
                         st.delivered_bytes as f64 * 8.0 / secs / 1e9
@@ -1211,7 +1209,7 @@ impl Network {
         let mut d = Dashboard::new(title);
         d.fact("sim time", &format!("{:.1} \u{b5}s", now.as_micros_f64()));
         d.fact("events", &self.events_executed().to_string());
-        d.fact("flows", &self.flow_order.len().to_string());
+        d.fact("flows", &self.flows.len().to_string());
 
         // Queue depth in KB. Plotted at the per-bucket max: the peaks
         // are what PFC/ECN thresholds react to (Fig. 13-class plots).
@@ -1317,7 +1315,7 @@ impl Network {
                 .map(|s| s.name().to_string())
                 .collect();
             let mut rows = Vec::new();
-            for &id in &self.flow_order {
+            for id in self.flow_ids() {
                 if rows.len() >= 8 {
                     break;
                 }
@@ -1451,8 +1449,7 @@ impl Network {
             };
             timelines.record(track, now, depth);
         }
-        // `bytes` is indexed by flow id, ascending — same deterministic
-        // order the sorted `flow_order` walk used to give.
+        // `bytes` is indexed by flow id, ascending: registration order.
         for i in 0..sampler.bytes.len() {
             if let Some(track) = sampler.bytes[i] {
                 let bytes = ctx.flow_stats.get(i).map_or(0, |s| s.delivered_bytes);
@@ -1514,6 +1511,14 @@ mod tests {
         );
         assert_eq!(net.flow_rate(f0), Bandwidth::gbps(40));
         assert_eq!(net.flow_stats(f1).sent_pkts, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "the index is 7")]
+    fn unknown_flow_ids_fail_loudly() {
+        let (mut net, h1, h2) = tiny();
+        net.add_flow(h1, h2, DATA_PRIORITY, |l| Box::new(NoCc::new(l)));
+        net.send_message(crate::packet::FlowId(7), 1000, Time::ZERO);
     }
 
     #[test]

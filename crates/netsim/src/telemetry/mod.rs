@@ -15,9 +15,10 @@
 //! * [`recorder`] — the [`FlightRecorder`]: a bounded ring of recent
 //!   trace events per node, snapshotted automatically when the sanitize
 //!   auditor records a violation or a QP is torn down.
-//! * [`json`] — a small deterministic JSON renderer (sorted keys, fixed
-//!   float formatting) used for the experiments binary's `--json` run
-//!   reports; no external crates.
+//! * [`Json`] — the workspace's one deterministic JSON value, renderer
+//!   (sorted keys, fixed float formatting) and parser, re-exported from
+//!   the dependency-free `simjson` leaf crate that `simlint` shares;
+//!   used for the experiments binary's `--json` run reports.
 //! * [`profile`] — the event-loop self-profiler behind
 //!   `--features profile`; every call is an inlined no-op without it.
 //! * [`spans`] — span-based causal tracing: per-flow latency
@@ -50,7 +51,6 @@
 
 pub mod dash;
 pub mod hist;
-pub mod json;
 pub mod profile;
 pub mod recorder;
 pub mod registry;
@@ -59,10 +59,10 @@ pub mod timeline;
 
 pub use dash::{Dashboard, Series};
 pub use hist::Histogram;
-pub use json::{fmt_f64, Json};
 pub use profile::{ProfMark, Profiler};
 pub use recorder::{FlightDump, FlightRecorder};
 pub use registry::{CounterId, GaugeId, HistId, Metrics, Registry, WellKnown};
+pub use simjson::{fmt_f64, Json};
 pub use spans::{
     CongestionTree, FlowSpan, HopSpan, PauseEdge, SpanCompletion, SpanState, Spans, TreeEdge,
     TreeRoot, TreeVictim, NUM_SPAN_STATES,

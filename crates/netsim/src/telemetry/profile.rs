@@ -12,7 +12,7 @@
 //! checks must run without (the CI byte-diff job builds without this
 //! feature).
 
-use super::json::Json;
+use super::Json;
 #[cfg(feature = "profile")]
 use crate::event::EVENT_KIND_NAMES;
 

@@ -13,35 +13,12 @@
 //! storm cannot allocate without bound.
 
 use crate::event::NodeId;
-use crate::trace::TraceEvent;
+use crate::trace::{Ring, TraceEvent};
 use crate::units::Time;
 
 /// Maximum number of dumps retained per run. Violation storms beyond
 /// this keep counting in the auditor but stop snapshotting.
 pub const MAX_DUMPS: usize = 8;
-
-#[derive(Debug, Clone, Default)]
-struct NodeRing {
-    events: Vec<TraceEvent>,
-    head: usize,
-}
-
-impl NodeRing {
-    fn record(&mut self, capacity: usize, ev: TraceEvent) {
-        if self.events.len() < capacity {
-            self.events.push(ev);
-        } else {
-            self.events[self.head] = ev;
-            self.head = (self.head + 1) % capacity;
-        }
-    }
-
-    /// Events oldest-first.
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        let (older, newer) = self.events.split_at(self.head);
-        newer.iter().chain(older.iter()).copied().collect()
-    }
-}
 
 /// One snapshot of a node's recent history, taken at a trigger point.
 #[derive(Debug, Clone)]
@@ -61,8 +38,7 @@ pub struct FlightDump {
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     enabled: bool,
-    capacity: usize,
-    rings: Vec<NodeRing>,
+    rings: Vec<Ring>,
     dumps: Vec<FlightDump>,
 }
 
@@ -72,26 +48,18 @@ impl FlightRecorder {
     pub fn new(n_nodes: usize) -> FlightRecorder {
         FlightRecorder {
             enabled: false,
-            capacity: 0,
-            rings: vec![NodeRing::default(); n_nodes],
+            rings: vec![Ring::default(); n_nodes],
             dumps: Vec::new(),
         }
     }
 
     /// Enables recording with a ring of `capacity` events per node.
-    /// Re-enabling clears previously buffered events (same contract as
-    /// [`crate::trace::Tracer`] re-enable).
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
+    /// Re-enabling clears previously buffered events, and a `capacity`
+    /// of 0 turns the recorder off (same contract as
+    /// [`crate::trace::Tracer::enable`]).
     pub fn enable(&mut self, capacity: usize) {
-        assert!(capacity > 0, "flight recorder capacity must be positive");
-        self.enabled = true;
-        self.capacity = capacity;
-        for ring in &mut self.rings {
-            ring.events.clear();
-            ring.head = 0;
-        }
+        self.enabled = capacity > 0;
+        self.rings.fill(Ring::new(capacity));
     }
 
     /// Whether the recorder is currently buffering events.
@@ -106,7 +74,7 @@ impl FlightRecorder {
             return;
         }
         if let Some(ring) = self.rings.get_mut(ev.node.0) {
-            ring.record(self.capacity, ev);
+            ring.push(ev);
         }
     }
 
@@ -117,7 +85,7 @@ impl FlightRecorder {
             return;
         }
         let events = match self.rings.get(node.0) {
-            Some(ring) => ring.snapshot(),
+            Some(ring) => ring.iter().copied().collect(),
             None => Vec::new(),
         };
         self.dumps.push(FlightDump {
@@ -193,6 +161,18 @@ mod tests {
         fr.enable(4);
         fr.dump(NodeId(0), Time::ZERO, "after re-enable");
         assert!(fr.dumps()[0].events.is_empty());
+    }
+
+    #[test]
+    fn zero_capacity_means_disabled() {
+        let mut fr = FlightRecorder::new(1);
+        fr.enable(4);
+        fr.record(ev(0, 1));
+        fr.enable(0);
+        assert!(!fr.is_enabled());
+        fr.record(ev(0, 2));
+        fr.dump(NodeId(0), Time::ZERO, "off");
+        assert!(fr.dumps().is_empty(), "a disabled recorder takes no dumps");
     }
 
     #[test]

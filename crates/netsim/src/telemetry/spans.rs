@@ -46,7 +46,7 @@
 
 use crate::event::{NodeId, PortId};
 use crate::packet::FlowId;
-use crate::telemetry::json::Json;
+use crate::telemetry::Json;
 use crate::units::{Duration, Time};
 use std::collections::BTreeMap;
 
@@ -783,7 +783,7 @@ impl Spans {
     /// (cold).  One process (`pid` 0) holds one thread per flow; each
     /// node gets a process (`pid = node + 1`) with one thread per port
     /// carrying hop spans and PAUSE/RESUME instants.  Output is
-    /// deterministic: it reuses `telemetry::json` and depends only on
+    /// deterministic: it reuses `telemetry::Json` and depends only on
     /// the simulation, never on wall clock or thread count.
     pub fn chrome_trace(&self, now: Time) -> Json {
         let mut events: Vec<Json> = Vec::new();

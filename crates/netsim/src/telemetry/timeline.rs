@@ -35,7 +35,7 @@
 //! array index plus integer adds.
 
 use crate::stats::TimeSeries;
-use crate::telemetry::json::Json;
+use crate::telemetry::Json;
 use crate::units::{Duration, Time};
 
 /// Default per-track point budget: the bucket vector never exceeds this

@@ -81,47 +81,31 @@ pub struct TraceEvent {
     pub detail: u64,
 }
 
-/// A bounded ring of trace events (oldest evicted first).
-#[derive(Debug, Default)]
-pub struct Tracer {
+/// A bounded ring of trace events, oldest evicted first: the one ring
+/// behind both the [`Tracer`] and each node of the flight recorder
+/// (`telemetry::recorder`). A ring of capacity 0 retains nothing, at
+/// the cost of one branch per push.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Ring {
     events: Vec<TraceEvent>,
     capacity: usize,
     head: usize,
-    enabled: bool,
 }
 
-impl Tracer {
-    /// A disabled tracer (records nothing).
-    pub fn disabled() -> Tracer {
-        Tracer::default()
-    }
-
-    /// Enables tracing with space for `capacity` events.
-    ///
-    /// A `capacity` of 0 means "no tracing": the tracer is reset to its
-    /// disabled state. (It used to become an always-empty "enabled"
-    /// ring, which recorded nothing yet still paid the enabled-path cost
-    /// on every record.)
-    pub fn enable(&mut self, capacity: usize) {
-        if capacity == 0 {
-            *self = Tracer::default();
-            return;
+impl Ring {
+    /// An empty ring that retains the last `capacity` events. Allocates
+    /// nothing until the first push.
+    pub(crate) fn new(capacity: usize) -> Ring {
+        Ring {
+            events: Vec::new(),
+            capacity,
+            head: 0,
         }
-        self.events = Vec::with_capacity(capacity.min(1 << 20));
-        self.capacity = capacity;
-        self.head = 0;
-        self.enabled = true;
     }
 
-    /// Is tracing on?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records an event (no-op when disabled).
     #[inline]
-    pub fn record(&mut self, event: TraceEvent) {
-        if !self.enabled {
+    pub(crate) fn push(&mut self, event: TraceEvent) {
+        if self.capacity == 0 {
             return;
         }
         if self.events.len() < self.capacity {
@@ -132,20 +116,57 @@ impl Tracer {
         }
     }
 
-    /// The recorded events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
+    /// The retained events, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
         let (newer, older) = self.events.split_at(self.head);
         older.iter().chain(newer.iter())
+    }
+}
+
+/// A bounded ring of trace events (oldest evicted first).
+#[derive(Debug, Default)]
+pub struct Tracer {
+    ring: Ring,
+}
+
+impl Tracer {
+    /// A disabled tracer (records nothing).
+    pub fn disabled() -> Tracer {
+        Tracer::default()
+    }
+
+    /// Enables tracing with space for `capacity` events, discarding
+    /// anything recorded so far. A `capacity` of 0 means "no tracing":
+    /// the tracer is reset to its disabled state.
+    pub fn enable(&mut self, capacity: usize) {
+        self.ring = Ring::new(capacity);
+        self.ring.events.reserve(capacity.min(1 << 20));
+    }
+
+    /// Is tracing on?
+    pub fn is_enabled(&self) -> bool {
+        self.ring.capacity > 0
+    }
+
+    /// Records an event (no-op when disabled).
+    #[inline]
+    pub fn record(&mut self, event: TraceEvent) {
+        self.ring.push(event);
+    }
+
+    /// The recorded events, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
+        self.ring.iter()
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.ring.events.len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.ring.events.is_empty()
     }
 
     /// Events of one kind, oldest first.

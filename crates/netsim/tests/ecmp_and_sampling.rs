@@ -116,6 +116,43 @@ fn sampler_series_are_well_formed() {
     }
 }
 
+/// Calling `enable_sampling` again reconfigures the one running tick
+/// chain; it must not start a second one (every tick would then record
+/// twice: bucket counts double and counter-delta tracks gain a zero).
+#[test]
+fn enabling_sampling_twice_keeps_one_sample_per_tick() {
+    let mut s = star(
+        3,
+        LinkParams::default(),
+        host_cfg(),
+        SwitchConfig::paper_default(),
+        1,
+    );
+    let f = s.net.add_flow(s.hosts[0], s.hosts[2], DATA_PRIORITY, |l| {
+        Box::new(NoCc::new(l))
+    });
+    s.net.send_message(f, u64::MAX, Time::ZERO);
+    let config = SamplerConfig {
+        all_flows: true,
+        queues: vec![(s.switch, PortId(2))],
+        rate_flows: vec![f],
+        counters: vec!["forwarded"],
+        ..SamplerConfig::default()
+    };
+    s.net
+        .enable_sampling(Duration::from_micros(100), config.clone());
+    s.net.enable_sampling(Duration::from_micros(100), config);
+    const TICKS: u64 = 50;
+    s.net.run_until(Time::from_micros(100 * TICKS));
+
+    assert_eq!(s.net.timelines.len(), 4, "bytes, queue, rate, counter");
+    for (name, track) in s.net.timelines.iter() {
+        assert_eq!(track.count(), TICKS, "{name}: one sample per tick");
+    }
+    let forwarded = s.net.timelines.by_name("rate/forwarded").unwrap();
+    assert!(forwarded.min() > 0.0, "no spurious zero-delta samples");
+}
+
 /// Hooks fire at their scheduled time and can mutate the network
 /// (starting a flow mid-run).
 #[test]

@@ -1,8 +1,16 @@
-//! Deterministic JSON rendering, no external crates.
+#![warn(missing_docs)]
+
+//! # simjson — the workspace's one JSON
+//!
+//! A JSON value, a deterministic renderer and a parser, with no
+//! dependencies. `netsim::telemetry` re-exports it as
+//! `netsim::telemetry::{Json, fmt_f64}` and `simlint` reads and writes
+//! its ratchet baseline through it, so a fix to either direction lands
+//! once.
 //!
 //! The run reports written by the experiments binary must be
-//! byte-identical across `REPRO_THREADS`, machines, and reruns, so this
-//! module makes every formatting decision explicit:
+//! byte-identical across `REPRO_THREADS`, machines, and reruns, so the
+//! renderer makes every formatting decision explicit:
 //!
 //! * object keys are rendered in sorted order regardless of insertion
 //!   order;
@@ -12,8 +20,18 @@
 //!   `null` (JSON has no NaN/Inf);
 //! * output is pretty-printed with two-space indentation and `\n` line
 //!   endings only.
+//!
+//! The parser reads files a user hands to the tools (`repro compare`,
+//! `repro chaos --replay`, simlint's baseline), so it never panics and
+//! bounds its recursion at [`MAX_DEPTH`].
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
+/// recursive-descent; without a bound a file of `[` bytes overflows the
+/// stack instead of returning an error. Every document this workspace
+/// writes nests less than ten deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,11 +91,13 @@ impl Json {
     /// Numbers without `.`/exponent parse as [`Json::UInt`] (or
     /// [`Json::Int`] when negative), everything else as [`Json::Float`] —
     /// matching what the renderer emits so case files round-trip exactly.
-    /// Errors carry the byte offset of the first offending character.
+    /// Errors carry the byte offset of the first offending character;
+    /// nesting deeper than [`MAX_DEPTH`] is an error, not a stack overflow.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -192,6 +212,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -233,8 +255,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected character at byte {}", self.pos)),
         }
@@ -537,10 +573,22 @@ mod tests {
             ("s", Json::Str("a\"b\\c\nd\u{1}tab\t".to_string())),
             ("u", Json::UInt(u64::MAX)),
         ]);
-        let parsed = Json::parse(&j.render()).unwrap();
-        assert_eq!(parsed, j);
-        // Render → parse → render is a fixpoint.
-        assert_eq!(parsed.render(), j.render());
+        // The shape of simlint's baseline: strings, counts and null
+        // inside an array inside an object.
+        let baseline_like = Json::obj(vec![
+            ("a", Json::UInt(3)),
+            (
+                "b",
+                Json::Arr(vec![Json::Str("x\"y".to_string()), Json::Null]),
+            ),
+            ("c", Json::Bool(true)),
+        ]);
+        for doc in [j, baseline_like] {
+            let parsed = Json::parse(&doc.render()).unwrap();
+            assert_eq!(parsed, doc);
+            // Render → parse → render is a fixpoint.
+            assert_eq!(parsed.render(), doc.render());
+        }
     }
 
     #[test]
@@ -566,13 +614,47 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_input() {
-        assert!(Json::parse("{\"a\": 1} trailing").is_err());
-        assert!(Json::parse("{\"a\"").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-        assert!(Json::parse("\"bad \\x escape\"").is_err());
-        assert!(Json::parse("nul").is_err());
-        assert!(Json::parse("").is_err());
+        // Files handed to `repro compare`, `repro chaos --replay` and
+        // simlint's baseline loader: every one must come back as `Err`,
+        // never a panic or a stack overflow.
+        let deep_arrays = "[".repeat(300_000);
+        let deep_objects = "{\"a\":".repeat(100_000);
+        let just_too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let cases: &[(&str, &str)] = &[
+            ("deep arrays", &deep_arrays),
+            ("deep objects", &deep_objects),
+            ("one past the depth cap", &just_too_deep),
+            ("trailing data", "{\"a\": 1} trailing"),
+            ("trailing data after object", "{} x"),
+            ("truncated object", "{\"a\""),
+            ("missing value", "{\"a\": }"),
+            ("trailing comma", "[1,]"),
+            ("truncated string", "\"unterminated"),
+            ("bad escape", "\"bad \\x escape\""),
+            ("truncated escape", "\"\\"),
+            ("truncated \\u escape", "\"\\u00"),
+            ("lone minus", "-"),
+            ("two minuses", "--1"),
+            ("bad literal", "nul"),
+            ("empty input", ""),
+        ];
+        for &(name, input) in cases {
+            assert!(Json::parse(input).is_err(), "{name} must be rejected");
+        }
+        let err = Json::parse(&deep_arrays).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+    }
+
+    #[test]
+    fn parse_accepts_nesting_up_to_the_cap() {
+        let doc = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&doc).is_ok());
+        // Siblings do not accumulate depth.
+        let wide = format!("[{}]", vec!["[[]]"; 1000].join(","));
+        assert_eq!(Json::parse(&wide).unwrap().as_arr().unwrap().len(), 1000);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! unrelated edits: a suppressed finding may drift lines freely, but a
 //! *new* finding in the same file trips the ratchet.
 
-use crate::json::{parse, Json};
 use crate::rules::Finding;
+use simjson::Json;
 use std::collections::BTreeMap;
 
 /// One baseline entry.
@@ -50,7 +50,7 @@ pub struct RatchetResult {
 impl Baseline {
     /// Parses a baseline JSON document.
     pub fn from_json(text: &str) -> Result<Baseline, String> {
-        let doc = parse(text)?;
+        let doc = Json::parse(text)?;
         let schema = doc
             .get("schema")
             .and_then(Json::as_str)
@@ -108,7 +108,7 @@ impl Baseline {
             ("entries".into(), Json::Arr(entries)),
             ("schema".into(), Json::Str("simlint-baseline-v1".into())),
         ])
-        .pretty()
+        .render()
     }
 
     /// Builds a baseline covering exactly `findings`, carrying over

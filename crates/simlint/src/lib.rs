@@ -15,7 +15,6 @@
 pub mod baseline;
 pub mod callgraph;
 pub mod items;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 
@@ -23,7 +22,7 @@ pub use baseline::{Baseline, RatchetResult};
 pub use callgraph::RootSpec;
 pub use rules::Finding;
 
-use json::Json;
+use simjson::Json;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -288,5 +287,5 @@ pub fn render_report(analysis: &Analysis, ratchet: &RatchetResult) -> String {
             ]),
         ),
     ])
-    .pretty()
+    .render()
 }

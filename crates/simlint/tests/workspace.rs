@@ -1,6 +1,7 @@
 //! Whole-workspace checks: the computed hot set covers the legacy
-//! hard-coded lists, the checked-in baseline covers every finding, and
-//! JSON output is byte-stable.
+//! hard-coded lists, the checked-in baseline covers every finding, JSON
+//! output is byte-stable, and the CLI reads and rewrites the baseline
+//! through the shared `simjson` parser and renderer.
 
 use simlint::{analyze_sources, collect_workspace_sources, render_report};
 use simlint::{Baseline, Config};
@@ -115,7 +116,7 @@ fn json_report_is_byte_stable_across_runs() {
 fn shard_report_lists_ctx_threading_functions() {
     let sources = collect_workspace_sources(&workspace_root()).expect("collect");
     let a = analyze_sources(&sources, &Config::default());
-    let report = a.shard_report.pretty();
+    let report = a.shard_report.render();
     // The dispatch loop threads &mut Ctx through node handlers — the
     // sharding work-list must see it.
     assert!(
@@ -126,4 +127,50 @@ fn shard_report_lists_ctx_threading_functions() {
         report.contains("Host::receive"),
         "Host::receive threads &mut Ctx: {report}"
     );
+}
+
+fn simlint() -> std::process::Command {
+    std::process::Command::new(env!("CARGO_BIN_EXE_simlint"))
+}
+
+fn tmp_file(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("simlint-{tag}-{}.json", std::process::id()))
+}
+
+/// `--write-baseline` on an unchanged tree is a no-op on the bytes: the
+/// shared renderer's key order, escaping and indentation are exactly
+/// what the checked-in file was written with.
+#[test]
+fn write_baseline_on_an_unchanged_tree_is_byte_identical() {
+    let checked_in = std::fs::read(workspace_root().join("simlint_baseline.json")).unwrap();
+    let copy = tmp_file("rewrite");
+    std::fs::write(&copy, &checked_in).unwrap();
+    let status = simlint()
+        .arg("--baseline")
+        .arg(&copy)
+        .arg("--write-baseline")
+        .status()
+        .unwrap();
+    assert_eq!(status.code(), Some(0));
+    let rewritten = std::fs::read(&copy).unwrap();
+    std::fs::remove_file(&copy).ok();
+    assert!(
+        rewritten == checked_in,
+        "rewritten baseline differs from the checked-in one:\n{}",
+        String::from_utf8_lossy(&rewritten)
+    );
+}
+
+/// A baseline of 300 KB of `[` is a bad baseline (exit 2, one line), not
+/// a stack overflow in the loader.
+#[test]
+fn deeply_nested_baseline_is_rejected_not_a_crash() {
+    let deep = tmp_file("deep");
+    std::fs::write(&deep, "[".repeat(300_000)).unwrap();
+    let out = simlint().arg("--baseline").arg(&deep).output().unwrap();
+    std::fs::remove_file(&deep).ok();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
 }
