@@ -6,8 +6,9 @@
 //! differs beyond the configured tolerances. Everything in a default
 //! build's report is deterministic and diffs exact by default. A
 //! `--features profile` build adds a `profile` section; its
-//! `peak_pending_events` is a property of the event-queue implementation
-//! rather than of the simulated work and is ignored by default, and its
+//! `peak_pending_events` and `peak_inflight_packets` are properties of the
+//! event-queue and packet-pool implementations rather than of the
+//! simulated work and are ignored by default, and its
 //! host-clock fields (`wall_us`, `run_wall_us`) differ on every run, so
 //! compare such reports with `--ignore profile`. Exit status: 0 when the
 //! reports match within tolerance, 1 when they differ — made for CI
@@ -18,7 +19,7 @@ use netsim::telemetry::Json;
 
 /// Keys ignored by default wherever they appear: values that depend on
 /// the simulator's implementation, not on the simulated work.
-pub const DEFAULT_IGNORE: [&str; 1] = ["peak_pending_events"];
+pub const DEFAULT_IGNORE: [&str; 2] = ["peak_pending_events", "peak_inflight_packets"];
 
 /// Numeric and key-ignore tolerances for [`diff`].
 pub struct Tolerances {
@@ -233,10 +234,12 @@ mod tests {
         let a = obj(vec![
             ("x", Json::UInt(1)),
             ("peak_pending_events", Json::UInt(1)),
+            ("peak_inflight_packets", Json::UInt(1)),
         ]);
         let b = obj(vec![
             ("x", Json::UInt(1)),
             ("peak_pending_events", Json::UInt(999)),
+            ("peak_inflight_packets", Json::UInt(999)),
         ]);
         assert!(diff(&a, &b, &Tolerances::default()).is_empty());
     }

@@ -6,13 +6,16 @@
 //! function of the network configuration and the RNG seed.
 //!
 //! Internally the queue is a calendar queue (hierarchical timing wheel with
-//! a single level plus an overflow heap) rather than one big binary heap:
-//! the common case — scheduling a few microseconds ahead — is an O(1) push
-//! into an unsorted bucket, and only events inside the current ~1 µs bucket
-//! ever touch a comparison-sorted heap. Far-future timers (retransmission
-//! backoff, watchdog restores) land in the overflow heap and migrate into
-//! the wheel as the cursor approaches them. Pop order is exactly the old
-//! heap's `(time, insertion-seq)` order; see DESIGN.md for the argument.
+//! a single level plus an overflow heap) rather than one big binary heap.
+//! Every pending event lives in one recycled slab; the common case —
+//! scheduling a few microseconds ahead — is an O(1) link onto an unsorted
+//! bucket list of slab indices, and only events inside the current bucket
+//! (one `BUCKET_SHIFT` tick wide) are ever comparison-sorted, as 24-byte keys.
+//! Far-future timers (retransmission backoff, watchdog restores) land in
+//! the overflow heap and migrate into the wheel as the cursor approaches
+//! them. Queue memory is the pending-event high-water mark, whatever the
+//! bucket count. Pop order is exactly the old heap's `(time,
+//! insertion-seq)` order; see DESIGN.md for the argument.
 
 use crate::slab::PacketRef;
 use crate::units::Time;
@@ -141,38 +144,31 @@ impl Event {
     }
 }
 
-struct Scheduled {
+/// One slab entry: a pending event, or a free slot (its contents are then
+/// stale).
+struct Slot {
     at: Time,
     seq: u64,
     event: Event,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
+/// End-of-list marker for the slot lists threaded through `next`.
+const NIL: u32 = u32::MAX;
 
-/// Bucket width as a power-of-two of picoseconds: 2^17 ps ≈ 131 ns,
-/// finer than one packet serialization at 40 G, so consecutive link
-/// events usually land in *different* buckets and each bucket drains as
-/// one small sorted cohort.
+/// What `near` and `overflow` order: `(time, insertion seq, slab slot)`.
+/// Seqs are unique, so the slot index never decides a comparison.
+type Key = (Time, u64, u32);
+
+/// Bucket width as a power-of-two of picoseconds: one tick is 2^17 ps ≈
+/// 131 ns, finer than one packet serialization at 40 G, so on the testbed
+/// consecutive link events usually land in *different* buckets and each
+/// bucket drains as one small sorted cohort.
 const BUCKET_SHIFT: u32 = 17;
-/// Number of wheel buckets (must be a power of two). 4096 buckets at
-/// ~131 ns each give a ~537 µs horizon; CC timers (≤ 55 µs), PFC pause
-/// timeouts and sampling ticks all fit, while RTO backoff (≥ 16 ms) and
-/// watchdog restores overflow — exactly what the overflow heap is for.
+/// Number of wheel buckets (must be a power of two). The wheel horizon is
+/// `NUM_BUCKETS << BUCKET_SHIFT` = 2^29 ps ≈ 537 µs; CC timers (≤ 55 µs),
+/// PFC pause timeouts and sampling ticks all fit, while RTO backoff
+/// (≥ 16 ms) and watchdog restores overflow — exactly what the overflow
+/// heap is for.
 const NUM_BUCKETS: u64 = 4096;
 const BUCKET_MASK: u64 = NUM_BUCKETS - 1;
 /// Occupancy bitmap words (64 buckets per `u64`).
@@ -185,29 +181,41 @@ fn tick_of(at: Time) -> u64 {
 
 /// Deterministic event queue. Pops events in `(time, insertion order)` order.
 pub struct EventQueue {
+    /// Every pending event, plus the free slots. Grows only when the free
+    /// list is empty, so its length is the pending-event high-water mark.
+    slots: Vec<Slot>,
+    /// `next[i]` links slot `i` to the next slot of its wheel bucket or of
+    /// the free list (`NIL` ends a list; unused while `near` or `overflow`
+    /// holds the slot). Kept apart from the 56-byte slots so that walking
+    /// a bucket chases 4-byte links in a dense array and the loads of the
+    /// slots themselves are independent of one another.
+    next: Vec<u32>,
+    /// Head of the free list, which is LIFO: a slot just popped is the
+    /// next one reused, while it is still in L1.
+    free_head: u32,
     /// The due cohort: every pending event whose bucket tick is ≤
     /// `cursor_tick`, sorted *descending* by `(time, seq)` so the global
     /// minimum is at the back and `pop` is a plain `Vec::pop`.
-    near: Vec<Scheduled>,
-    /// Unsorted buckets for ticks in `(cursor_tick, cursor_tick + NUM_BUCKETS)`,
-    /// indexed by `tick & BUCKET_MASK`.
-    wheel: Vec<Vec<Scheduled>>,
+    near: Vec<Key>,
+    /// Heads of the unsorted bucket lists for ticks in
+    /// `(cursor_tick, cursor_tick + NUM_BUCKETS)`, indexed by
+    /// `tick & BUCKET_MASK`. Boxed: the queue sits by value in `Ctx` and
+    /// `Network`, and 16 KB inline made every move of those a 16 KB copy.
+    heads: Box<[u32; NUM_BUCKETS as usize]>,
     /// Bitmap of non-empty wheel buckets, so advancing the cursor skips
     /// runs of empty buckets with a couple of word scans.
     occupied: [u64; NUM_WORDS],
-    /// Total events parked in `wheel` (kept so `pop` can jump the cursor
-    /// straight to the overflow heap when the wheel is empty).
+    /// Total events linked into the wheel (kept so `pop` can jump the
+    /// cursor straight to the overflow heap when the wheel is empty).
     wheel_len: usize,
     /// Events beyond the wheel horizon, ordered; migrated inward as the
     /// cursor advances.
-    overflow: BinaryHeap<Reverse<Scheduled>>,
+    overflow: BinaryHeap<Reverse<Key>>,
     /// Highest bucket tick whose events have been promoted into `near`.
     cursor_tick: u64,
     seq: u64,
     now: Time,
     popped: u64,
-    #[cfg(feature = "profile")]
-    peak_pending: usize,
 }
 
 impl Default for EventQueue {
@@ -220,8 +228,11 @@ impl EventQueue {
     /// Creates an empty queue at time zero.
     pub fn new() -> EventQueue {
         EventQueue {
+            slots: Vec::new(),
+            next: Vec::new(),
+            free_head: NIL,
             near: Vec::new(),
-            wheel: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            heads: Box::new([NIL; NUM_BUCKETS as usize]),
             occupied: [0; NUM_WORDS],
             wheel_len: 0,
             overflow: BinaryHeap::new(),
@@ -229,8 +240,6 @@ impl EventQueue {
             seq: 0,
             now: Time::ZERO,
             popped: 0,
-            #[cfg(feature = "profile")]
-            peak_pending: 0,
         }
     }
 
@@ -254,6 +263,46 @@ impl EventQueue {
         self.len() == 0
     }
 
+    /// High-water mark of pending events: the slab's slot count.
+    pub fn peak_pending(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Parks a pending event in the slab, reusing the most recently freed
+    /// slot if there is one.
+    #[inline]
+    fn park(&mut self, slot: Slot) -> u32 {
+        let i = self.free_head;
+        if i == NIL {
+            // > 4 billion pending events cannot happen on any simulable
+            // topology; the debug assert documents the limit.
+            debug_assert!(self.slots.len() < NIL as usize, "slab exceeds u32 slots");
+            self.slots.push(slot);
+            self.next.push(NIL);
+            return (self.slots.len() - 1) as u32;
+        }
+        self.free_head = self.next[i as usize];
+        self.slots[i as usize] = slot;
+        i
+    }
+
+    /// Takes the event out of slot `i` and puts the slot on the free list.
+    #[inline]
+    fn unpark(&mut self, i: u32) -> Event {
+        self.next[i as usize] = self.free_head;
+        self.free_head = i;
+        std::mem::replace(&mut self.slots[i as usize].event, Event::Sample)
+    }
+
+    /// Links slot `i` onto the wheel bucket of `tick` (inside the horizon).
+    #[inline]
+    fn link(&mut self, tick: u64, i: u32) {
+        let bucket = (tick & BUCKET_MASK) as usize;
+        self.occupied[bucket / 64] |= 1 << (bucket % 64);
+        self.next[i as usize] = std::mem::replace(&mut self.heads[bucket], i);
+        self.wheel_len += 1;
+    }
+
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
@@ -266,39 +315,19 @@ impl EventQueue {
         );
         let seq = self.seq;
         self.seq += 1;
-        let s = Scheduled { at, seq, event };
+        let i = self.park(Slot { at, seq, event });
         let tick = tick_of(at);
         if tick <= self.cursor_tick {
             // Into the due cohort, keeping it sorted. New events carry the
             // highest seq, so among equal times they belong closest to the
             // front-of-equal-run in the descending layout — which is where
             // `partition_point` on strict `>` lands them.
-            let idx = self.near.partition_point(|x| (x.at, x.seq) > (at, seq));
-            self.near.insert(idx, s);
+            let idx = self.near.partition_point(|k| (k.0, k.1) > (at, seq));
+            self.near.insert(idx, (at, seq, i));
         } else if tick < self.cursor_tick + NUM_BUCKETS {
-            let slot = (tick & BUCKET_MASK) as usize;
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-            self.wheel[slot].push(s);
-            self.wheel_len += 1;
+            self.link(tick, i);
         } else {
-            self.overflow.push(Reverse(s));
-        }
-        #[cfg(feature = "profile")]
-        {
-            self.peak_pending = self.peak_pending.max(self.len());
-        }
-    }
-
-    /// High-water mark of pending events, tracked under
-    /// `--features profile` (0 otherwise).
-    pub fn peak_pending(&self) -> usize {
-        #[cfg(feature = "profile")]
-        {
-            self.peak_pending
-        }
-        #[cfg(not(feature = "profile"))]
-        {
-            0
+            self.overflow.push(Reverse((at, seq, i)));
         }
     }
 
@@ -307,22 +336,16 @@ impl EventQueue {
     /// already due).
     fn migrate_overflow(&mut self) {
         let horizon = self.cursor_tick + NUM_BUCKETS;
-        while let Some(Reverse(s)) = self.overflow.peek() {
-            let tick = tick_of(s.at);
+        while let Some(&Reverse(key)) = self.overflow.peek() {
+            let tick = tick_of(key.0);
             if tick >= horizon {
                 break;
             }
-            let Some(Reverse(s)) = self.overflow.pop() else {
-                debug_assert!(false, "peek saw an overflow event");
-                break;
-            };
+            self.overflow.pop();
             if tick <= self.cursor_tick {
-                self.near.push(s);
+                self.near.push(key);
             } else {
-                let slot = (tick & BUCKET_MASK) as usize;
-                self.occupied[slot / 64] |= 1 << (slot % 64);
-                self.wheel[slot].push(s);
-                self.wheel_len += 1;
+                self.link(tick, key.2);
             }
         }
     }
@@ -356,27 +379,32 @@ impl EventQueue {
             if self.wheel_len == 0 {
                 // Nothing inside the horizon: jump straight to the first
                 // overflow tick (if any) and pull its cohort in.
-                let Some(Reverse(s)) = self.overflow.peek() else {
+                let Some(Reverse(key)) = self.overflow.peek() else {
                     return false;
                 };
-                self.cursor_tick = tick_of(s.at);
+                self.cursor_tick = tick_of(key.0);
                 self.migrate_overflow();
             } else {
                 // Skip straight to the next occupied bucket. No overflow
                 // event can be earlier: occupied ticks are < cursor +
                 // NUM_BUCKETS ≤ every overflow tick.
                 self.cursor_tick = self.next_occupied_tick();
-                let slot = (self.cursor_tick & BUCKET_MASK) as usize;
-                self.occupied[slot / 64] &= !(1 << (slot % 64));
-                // Swap the bucket's allocation into `near` (empty here),
-                // so bucket capacity is recycled instead of reallocated.
-                std::mem::swap(&mut self.near, &mut self.wheel[slot]);
+                let bucket = (self.cursor_tick & BUCKET_MASK) as usize;
+                self.occupied[bucket / 64] &= !(1 << (bucket % 64));
+                // Unlink the whole bucket into `near` (empty here) as keys;
+                // the events stay where they are in the slab.
+                let mut i = std::mem::replace(&mut self.heads[bucket], NIL);
+                while i != NIL {
+                    let slot = &self.slots[i as usize];
+                    self.near.push((slot.at, slot.seq, i));
+                    i = self.next[i as usize];
+                }
                 self.wheel_len -= self.near.len();
                 // The cursor moved: newly in-horizon overflow events must
                 // enter the wheel before anything else is scheduled.
                 self.migrate_overflow();
             }
-            self.near.sort_unstable_by_key(|s| Reverse((s.at, s.seq)));
+            self.near.sort_unstable_by_key(|&k| Reverse(k));
         }
         true
     }
@@ -386,14 +414,14 @@ impl EventQueue {
         if !self.promote() {
             return None;
         }
-        let Some(s) = self.near.pop() else {
+        let Some((at, _, i)) = self.near.pop() else {
             debug_assert!(false, "promote() returned true on an empty queue");
             return None;
         };
-        debug_assert!(s.at >= self.now);
-        self.now = s.at;
+        debug_assert!(at >= self.now);
+        self.now = at;
         self.popped += 1;
-        Some((s.at, s.event))
+        Some((at, self.unpark(i)))
     }
 
     /// Pops the entire cohort of events sharing the earliest pending
@@ -407,7 +435,7 @@ impl EventQueue {
         if !self.promote() {
             return None;
         }
-        let Some(t) = self.near.last().map(|s| s.at) else {
+        let Some(&(t, ..)) = self.near.last() else {
             debug_assert!(false, "promote() returned true on an empty queue");
             return None;
         };
@@ -415,26 +443,34 @@ impl EventQueue {
             return None;
         }
         self.now = t;
-        while self.near.last().is_some_and(|s| s.at == t) {
-            let Some(s) = self.near.pop() else { break };
+        while let Some(&(at, _, i)) = self.near.last() {
+            if at != t {
+                break;
+            }
+            self.near.pop();
             self.popped += 1;
-            out.push(s.event);
+            out.push(self.unpark(i));
         }
         Some(t)
     }
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        if let Some(s) = self.near.last() {
-            return Some(s.at);
+        if let Some(&(at, ..)) = self.near.last() {
+            return Some(at);
         }
         if self.wheel_len > 0 {
             // The first occupied bucket holds the earliest tick; every
             // event in it shares that tick, so its min is the global min.
-            let slot = (self.next_occupied_tick() & BUCKET_MASK) as usize;
-            return self.wheel[slot].iter().map(|s| s.at).min();
+            let mut i = self.heads[(self.next_occupied_tick() & BUCKET_MASK) as usize];
+            let mut min = Time::NEVER;
+            while i != NIL {
+                min = min.min(self.slots[i as usize].at);
+                i = self.next[i as usize];
+            }
+            return Some(min);
         }
-        self.overflow.peek().map(|Reverse(s)| s.at)
+        self.overflow.peek().map(|Reverse(key)| key.0)
     }
 
     /// Advances the clock to `to` without popping anything, so a drained
@@ -527,8 +563,8 @@ mod tests {
     #[test]
     fn far_future_events_take_the_overflow_path() {
         let mut q = EventQueue::new();
-        // Well beyond the ~2.1 ms wheel horizon: a 16 ms RTO and a 320 ms
-        // watchdog restore, interleaved with near events.
+        // Well beyond the wheel horizon (see `NUM_BUCKETS`): a 16 ms RTO and
+        // a 320 ms watchdog restore, interleaved with near events.
         q.schedule(Time::from_millis(320), hook(3));
         q.schedule(Time::from_micros(2), hook(0));
         q.schedule(Time::from_millis(16), hook(2));

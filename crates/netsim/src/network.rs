@@ -1192,7 +1192,10 @@ impl Network {
             ("sim_time_us", Json::Float(now.as_micros_f64())),
             ("timelines", self.timelines.summary_json()),
         ]);
-        if let Some(profile) = self.profiler.report(self.ctx.queue.peak_pending()) {
+        if let Some(profile) = self
+            .profiler
+            .report(self.ctx.queue.peak_pending(), self.ctx.pool.capacity())
+        {
             report.push("profile", profile);
         }
         report

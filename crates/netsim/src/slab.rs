@@ -26,8 +26,6 @@ pub struct PacketRef(u32);
 pub struct PacketPool {
     slots: Vec<Packet>,
     free: Vec<u32>,
-    #[cfg(feature = "profile")]
-    peak_live: usize,
 }
 
 impl PacketPool {
@@ -38,7 +36,7 @@ impl PacketPool {
 
     /// Parks `pkt` in the pool, returning its handle.
     pub fn insert(&mut self, pkt: Packet) -> PacketRef {
-        let r = match self.free.pop() {
+        match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = pkt;
                 PacketRef(i)
@@ -55,12 +53,7 @@ impl PacketPool {
                 self.slots.push(pkt);
                 PacketRef(i)
             }
-        };
-        #[cfg(feature = "profile")]
-        {
-            self.peak_live = self.peak_live.max(self.live());
         }
-        r
     }
 
     /// Takes the packet back out, recycling its slot.
@@ -88,19 +81,6 @@ impl PacketPool {
     /// Total slots ever allocated (the in-flight high-water mark).
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// High-water mark of simultaneously parked packets, tracked under
-    /// `--features profile` (0 otherwise).
-    pub fn peak_live(&self) -> usize {
-        #[cfg(feature = "profile")]
-        {
-            self.peak_live
-        }
-        #[cfg(not(feature = "profile"))]
-        {
-            0
-        }
     }
 }
 

@@ -95,9 +95,9 @@ impl Profiler {
     }
 
     /// The profile report as JSON, or `None` when compiled out.
-    /// `peak_pending` is the event queue's high-water mark (tracked by
-    /// [`crate::event::EventQueue`] under the same feature).
-    pub fn report(&self, peak_pending: usize) -> Option<Json> {
+    /// `peak_pending` and `peak_inflight` are the high-water marks the
+    /// event queue's and the packet pool's slabs grew to.
+    pub fn report(&self, peak_pending: usize, peak_inflight: usize) -> Option<Json> {
         #[cfg(feature = "profile")]
         {
             let s = self.state.as_ref()?;
@@ -116,6 +116,7 @@ impl Profiler {
             }
             Some(Json::obj(vec![
                 ("events_by_kind", by_kind),
+                ("peak_inflight_packets", Json::UInt(peak_inflight as u64)),
                 ("peak_pending_events", Json::UInt(peak_pending as u64)),
                 (
                     "run_wall_us",
@@ -125,7 +126,7 @@ impl Profiler {
         }
         #[cfg(not(feature = "profile"))]
         {
-            let _ = peak_pending;
+            let _ = (peak_pending, peak_inflight);
             None
         }
     }
@@ -143,12 +144,13 @@ mod tests {
         let m = p.mark();
         p.on_event(0, m);
         if Profiler::enabled() {
-            let r = p.report(3).expect("report present with feature");
+            let r = p.report(3, 2).expect("report present with feature");
             let text = r.render();
             assert!(text.contains("\"peak_pending_events\": 3"));
+            assert!(text.contains("\"peak_inflight_packets\": 2"));
             assert!(text.contains("\"events_by_kind\""));
         } else {
-            assert!(p.report(3).is_none());
+            assert!(p.report(3, 2).is_none());
         }
     }
 }

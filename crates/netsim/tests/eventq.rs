@@ -4,7 +4,8 @@
 //! order contract the simulator's determinism rests on.
 
 use netsim::event::{Event, EventQueue};
-use netsim::units::Time;
+use netsim::rng::SplitMix64;
+use netsim::units::{Duration, Time};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -16,7 +17,14 @@ struct HeapModel {
     heap: BinaryHeap<Reverse<(Time, u64)>>,
     seq: u64,
     now: Time,
+    /// Most events ever pending at once.
+    max_pending: usize,
 }
+
+/// One wheel bucket and one wheel lap in picoseconds (`BUCKET_SHIFT` = 17
+/// and `NUM_BUCKETS` = 4096 in `netsim::event`).
+const TICK_PS: u64 = 1 << 17;
+const LAP_PS: u64 = TICK_PS * 4096;
 
 impl HeapModel {
     fn schedule(&mut self, at: Time) -> u64 {
@@ -24,6 +32,7 @@ impl HeapModel {
         let s = self.seq;
         self.seq += 1;
         self.heap.push(Reverse((at, s)));
+        self.max_pending = self.max_pending.max(self.heap.len());
         s
     }
     fn pop(&mut self) -> Option<(Time, u64)> {
@@ -52,6 +61,130 @@ fn check_pop(q: &mut EventQueue, m: &mut HeapModel) {
     }
 }
 
+/// The read-only views agree with the model too.
+fn check_views(q: &EventQueue, m: &HeapModel) {
+    assert_eq!(q.len(), m.heap.len());
+    assert_eq!(q.is_empty(), m.heap.is_empty());
+    assert_eq!(q.peek_time(), m.heap.peek().map(|&Reverse((at, _))| at));
+}
+
+/// Hundreds of events inside one bucket tick, with ties, and more
+/// scheduled at `now` and later in the same tick while the cohort drains:
+/// the regime where a bucket is a long list and `near` a long sorted run.
+#[test]
+fn dense_tick_with_ties_and_schedule_at_now() {
+    let mut rng = SplitMix64::new(0xD15E);
+    let (mut q, mut m) = (EventQueue::new(), HeapModel::default());
+    let tick_start = Time(1000 * TICK_PS);
+    for _ in 0..600 {
+        // 40 distinct instants inside the tick: ~15-way ties.
+        let at = tick_start + Duration(rng.below(40) * (TICK_PS / 40));
+        apply_schedule(&mut q, &mut m, at);
+    }
+    check_views(&q, &m);
+    let mut extra = 400;
+    while !m.heap.is_empty() {
+        check_pop(&mut q, &mut m);
+        let now = q.now();
+        if extra > 0 && rng.chance(0.5) {
+            extra -= 1;
+            let left_in_tick = TICK_PS - now.0 % TICK_PS;
+            let dt = if rng.chance(0.5) {
+                0
+            } else {
+                rng.below(left_in_tick)
+            };
+            apply_schedule(&mut q, &mut m, now + Duration(dt));
+        }
+        check_views(&q, &m);
+    }
+    check_pop(&mut q, &mut m);
+    assert_eq!(q.peak_pending(), m.max_pending);
+}
+
+/// Several wheel laps at bounded pending: bucket lists are relinked lap
+/// after lap, overflow events migrate inward as the cursor advances, and
+/// the slab never grows past the model's own pending high-water mark
+/// (every popped slot is recycled, none leak).
+#[test]
+fn multi_lap_recycles_slots_and_migrates_overflow() {
+    let mut rng = SplitMix64::new(0x1A95);
+    let (mut q, mut m) = (EventQueue::new(), HeapModel::default());
+    while q.now() < Time(4 * LAP_PS) {
+        while m.heap.len() < 48 {
+            let dt = match rng.below(8) {
+                0 => 0,
+                1 => rng.below(TICK_PS),
+                // Past the horizon: parked in the overflow heap first.
+                2 => LAP_PS + rng.below(LAP_PS),
+                _ => rng.below(LAP_PS),
+            };
+            let at = q.now() + Duration(dt);
+            apply_schedule(&mut q, &mut m, at);
+        }
+        for _ in 0..=rng.below(40) {
+            check_pop(&mut q, &mut m);
+        }
+        check_views(&q, &m);
+        assert!(q.peak_pending() <= m.max_pending);
+    }
+    while !m.heap.is_empty() {
+        check_pop(&mut q, &mut m);
+    }
+    // Cursor jump: with the wheel and `near` empty the cursor leaps to the
+    // first overflow tick; its cohort, a same-tick tie, a later in-horizon
+    // event and one still past the new horizon must pop in model order.
+    let base = q.now() + Duration(3 * LAP_PS);
+    for dt in [5, 5, TICK_PS / 2, 100 * TICK_PS, LAP_PS + 7, 0] {
+        apply_schedule(&mut q, &mut m, base + Duration(dt));
+    }
+    check_views(&q, &m);
+    while !m.heap.is_empty() {
+        check_pop(&mut q, &mut m);
+        check_views(&q, &m);
+    }
+    assert_eq!(q.peak_pending(), m.max_pending);
+}
+
+/// A fresh queue holds nothing (not even a preallocated slot), and a
+/// fully drained one is order-exact when reused: the free list then holds
+/// every slot, which chaos cases hit on each settle phase.
+#[test]
+fn fresh_and_drained_queues_start_clean() {
+    let (mut q, mut m) = (EventQueue::new(), HeapModel::default());
+    check_views(&q, &m);
+    assert_eq!(q.peak_pending(), 0);
+    check_pop(&mut q, &mut m);
+    for round in 0..3 {
+        let now = q.now();
+        let tick_end = Duration(TICK_PS - 1 - now.0 % TICK_PS);
+        for dt in [
+            Duration(LAP_PS + LAP_PS / 2), // past the horizon
+            Duration(LAP_PS - TICK_PS),    // one lap ahead, last bucket
+            tick_end,                      // in the current tick
+            Duration::ZERO,                // at now
+            Duration::ZERO,
+            tick_end,
+        ] {
+            apply_schedule(&mut q, &mut m, now + dt);
+        }
+        check_views(&q, &m);
+        assert_eq!(q.peak_pending(), 6, "round {round} reuses round 0's slots");
+        while !m.heap.is_empty() {
+            check_pop(&mut q, &mut m);
+            check_views(&q, &m);
+        }
+        check_pop(&mut q, &mut m);
+    }
+    // Dropping a queue with events in `near`, the wheel and the overflow
+    // heap needs no draining.
+    let now = q.now();
+    for dt in [0, TICK_PS * 9, LAP_PS * 2] {
+        apply_schedule(&mut q, &mut m, now + Duration(dt));
+    }
+    assert_eq!(q.len(), 3);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
     /// Random schedule/pop interleavings — same-timestamp bursts,
@@ -67,10 +200,10 @@ proptest! {
             let now = q.now();
             match op {
                 // Near/wheel range: within a few µs of now.
-                0 | 1 => apply_schedule(&mut q, &mut m, now + netsim::units::Duration(dt)),
+                0 | 1 => apply_schedule(&mut q, &mut m, now + Duration(dt)),
                 // Same-timestamp burst: three events, one instant.
                 2 => {
-                    let at = now + netsim::units::Duration(dt);
+                    let at = now + Duration(dt);
                     for _ in 0..3 {
                         apply_schedule(&mut q, &mut m, at);
                     }
@@ -79,13 +212,14 @@ proptest! {
                 3 => apply_schedule(
                     &mut q,
                     &mut m,
-                    now + netsim::units::Duration(3_000_000_000 + dt * 1000),
+                    now + Duration(3_000_000_000 + dt * 1000),
                 ),
                 // Exactly now (allowed; must sort after everything
                 // already popped, in seq order).
                 4 => apply_schedule(&mut q, &mut m, now),
                 _ => check_pop(&mut q, &mut m),
             }
+            check_views(&q, &m);
         }
         // Drain both to the end: every remaining event pops identically.
         loop {
@@ -110,9 +244,9 @@ proptest! {
         for &(op, dt) in &ops {
             let now = q.now();
             let at = match op {
-                0 => now + netsim::units::Duration(dt),
-                1 => now + netsim::units::Duration(dt / 1000), // dense ties
-                2 => now + netsim::units::Duration(3_000_000_000 + dt), // overflow
+                0 => now + Duration(dt),
+                1 => now + Duration(dt / 1000), // dense ties
+                2 => now + Duration(3_000_000_000 + dt), // overflow
                 _ => now,
             };
             apply_schedule(&mut q, &mut m, at);
