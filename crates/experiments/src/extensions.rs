@@ -65,7 +65,7 @@ pub fn rai_scaling(quick: bool) {
             .iter()
             .map(|&fl| s.net.goodput_gbps(fl, from, end))
             .sum();
-        let tl = s.net.queue_timeline(s.switch, port).expect("sampled port");
+        let tl = s.net.sampler().queue(s.switch, port).expect("sampled port");
         (
             total,
             tl.weighted_percentile(50.0, from) / 1000.0,

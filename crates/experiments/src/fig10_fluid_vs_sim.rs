@@ -49,7 +49,7 @@ pub fn run(quick: bool) {
     if report::dash_enabled() {
         report::put_dash(&s.net.dashboard("fig10: joining sender (packet sim)"));
     }
-    let sim = s.net.flow_rate_timeline(f2).expect("sampled").series();
+    let sim = s.net.sampler().flow_rate(f2).expect("sampled").series();
 
     // --- fluid model ---
     let params = FluidParams::paper_40g();

@@ -80,7 +80,7 @@ fn run_one(params: DcqcnParams, red: RedConfig, end: Duration, seed: u64) -> [(f
     let (s, [f1, f2]) = sim_run(params, red, end, seed);
     let cutoff = end.as_secs_f64() / 2.0;
     [f1, f2].map(|fl| {
-        let series = s.net.flow_rate_timeline(fl).expect("sampled").series();
+        let series = s.net.sampler().flow_rate(fl).expect("sampled").series();
         let tail: Vec<f64> = series
             .times
             .iter()

@@ -51,7 +51,7 @@ fn queue_stats(cc: CcChoice, n: usize, duration: Duration, seed: u64) -> [f64; 4
     let (s, port) = incast_sim(cc, n, duration, seed);
     // Skip the line-rate-start transient.
     let cut = Time::ZERO + duration / 4;
-    let tl = s.net.queue_timeline(s.switch, port).expect("sampled port");
+    let tl = s.net.sampler().queue(s.switch, port).expect("sampled port");
     [
         tl.weighted_percentile(50.0, cut) / 1000.0,
         tl.weighted_percentile(90.0, cut) / 1000.0,

@@ -7,7 +7,7 @@
 //! float formatting makes a report a pure function of the run results —
 //! and the runs themselves are pure functions of config + seed, so a
 //! report is byte-identical across `REPRO_THREADS` settings (pinned by
-//! `tests/json_report.rs` and the CI `json-determinism` job).
+//! `tests/json_report.rs` and the CI `artifact-determinism` job).
 //!
 //! With no sink active every call here is a cheap no-op, so experiment
 //! code calls [`put`] unconditionally.
@@ -73,7 +73,7 @@ pub fn trace_enabled() -> bool {
 /// `<trace dir>/<id>.trace.json` (no-op without a trace sink). The
 /// render is a pure function of the run results and experiments export
 /// from the dispatch thread, so the file is byte-identical across
-/// `REPRO_THREADS` settings (the CI `trace-determinism` job pins this).
+/// `REPRO_THREADS` settings (the CI `artifact-determinism` job pins this).
 pub fn put_trace(trace: &Json) {
     let s = STATE.lock().unwrap();
     let (Some(dir), Some(id)) = (&s.trace_dir, &s.current_id) else {
@@ -104,7 +104,7 @@ pub fn dash_enabled() -> bool {
 /// (no-op without a dashboard sink). The render is a pure function of the
 /// run results and experiments render from the dispatch thread, so the
 /// file is byte-identical across `REPRO_THREADS` settings (the CI
-/// `dash-determinism` job pins this).
+/// `artifact-determinism` job pins this).
 pub fn put_dash(dash: &netsim::telemetry::Dashboard) {
     let s = STATE.lock().unwrap();
     let (Some(dir), Some(id)) = (&s.dash_dir, &s.current_id) else {

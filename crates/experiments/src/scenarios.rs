@@ -36,7 +36,8 @@ pub fn testbed(
 /// send greedily to R under T4. Returns per-host goodput (Gbps) measured
 /// over `[warmup, duration]`.
 pub fn unfairness_run(cc: CcChoice, seed: u64, duration: Duration, warmup: Duration) -> Vec<f64> {
-    unfairness_run_full(cc, seed, duration, warmup).0
+    let (tb, flows) = unfairness_scenario(cc, seed, duration);
+    flow_goodputs(&tb.net, &flows, Time::ZERO + warmup, Time::ZERO + duration)
 }
 
 /// [`unfairness_run`] plus the run's full telemetry report (counters,
@@ -48,11 +49,7 @@ pub fn unfairness_run_full(
     warmup: Duration,
 ) -> (Vec<f64>, Json) {
     let (tb, flows) = unfairness_scenario(cc, seed, duration);
-    let end = Time::ZERO + duration;
-    let goodputs = flows
-        .iter()
-        .map(|&fl| tb.net.goodput_gbps(fl, Time::ZERO + warmup, end))
-        .collect();
+    let goodputs = flow_goodputs(&tb.net, &flows, Time::ZERO + warmup, Time::ZERO + duration);
     (goodputs, tb.net.telemetry_report())
 }
 
@@ -101,21 +98,9 @@ pub fn victim_run(
     duration: Duration,
     warmup: Duration,
 ) -> f64 {
-    victim_run_full(cc, t3_senders, seed, duration, warmup).0
-}
-
-/// [`victim_run`] plus the run's full telemetry report for `--json`.
-pub fn victim_run_full(
-    cc: CcChoice,
-    t3_senders: usize,
-    seed: u64,
-    duration: Duration,
-    warmup: Duration,
-) -> (f64, Json) {
     let (tb, victim) = victim_scenario(cc, t3_senders, seed, duration);
-    let end = Time::ZERO + duration;
-    let goodput = tb.net.goodput_gbps(victim, Time::ZERO + warmup, end);
-    (goodput, tb.net.telemetry_report())
+    tb.net
+        .goodput_gbps(victim, Time::ZERO + warmup, Time::ZERO + duration)
 }
 
 /// Builds and runs one victim-flow scenario to `duration`, returning the

@@ -142,3 +142,88 @@ fn replay_reproduces_a_case_bit_for_bit() {
     assert_eq!(a.events, b.events);
     assert_eq!(a.describe(), b.describe());
 }
+
+/// Hostile replay files, through the real binary: a fault naming a link,
+/// host, port, class or switch the star-4 fabric does not have, or a
+/// field too wide for its type, is a usage error (exit 2, one line
+/// naming the fault and the bound) — never an index panic when the fault
+/// fires, a silently ignored fault, or a value wrapped onto some other
+/// link or class.
+#[test]
+fn hostile_replay_files_exit_2_with_one_line() {
+    let wedge = |switch: u64, port: u64| {
+        format!(
+            r#"{{"at_us": 1000, "class": 3, "kind": "wedge", "port": {port}, "switch": {switch}}}"#
+        )
+    };
+    let storm = |host: u64, class: u64| {
+        format!(
+            r#"{{"class": {class}, "from_us": 1000, "host": {host}, "kind": "storm", "refresh_us": 10, "until_us": 2000}}"#
+        )
+    };
+    let flap = |link: u64| {
+        format!(
+            r#"{{"at_us": 1000, "down_us": 400, "kind": "flap", "link": {link}, "period_us": 1000, "times": 1}}"#
+        )
+    };
+    let bit_error = |link: u64| {
+        format!(
+            r#"{{"from_us": 1000, "kind": "bit_error", "link": {link}, "prob_ppm": 5000, "until_us": 3000}}"#
+        )
+    };
+    let table: [(&str, String, &str); 9] = [
+        ("flap-link", flap(99), "link 99 but the fabric has 4 links"),
+        (
+            "biterr-link",
+            bit_error(99),
+            "link 99 but the fabric has 4 links",
+        ),
+        (
+            "storm-host",
+            storm(50, 3),
+            "host 51 but the fabric has 5 nodes",
+        ),
+        ("storm-class", storm(1, 9), "class 9 but PFC has 8 classes"),
+        (
+            "wedge-port",
+            wedge(0, 77),
+            "port 77 but switch 0 has 4 ports",
+        ),
+        (
+            "wedge-switch",
+            wedge(200, 1),
+            "switch 200 but the fabric has 5 nodes",
+        ),
+        ("wedge-host", wedge(2, 0), "switch 2 but node 2 is a host"),
+        (
+            "wide-link",
+            flap(4_294_967_297),
+            "field 'link' out of range",
+        ),
+        ("wide-class", storm(1, 259), "field 'class' out of range"),
+    ];
+    let dir = std::env::temp_dir().join(format!("chaos-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (tag, fault, needle) in &table {
+        let text = format!(
+            r#"{{"cc": "dcqcn", "duration_us": 10000, "faults": [{fault}],
+                "flows": [{{"bytes": 65536, "dst": 1, "src": 0, "start_us": 0}}],
+                "queue_threshold": 65536, "seed": 7, "settle_us": 20000,
+                "topo": {{"hosts": 4, "kind": "star"}}}}"#
+        );
+        let path = dir.join(format!("{tag}.json"));
+        std::fs::write(&path, text).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["chaos", "--replay"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{tag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{tag}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{tag}: {stderr}");
+        assert!(stderr.contains(needle), "{tag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{tag}: nothing ran, nothing printed");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

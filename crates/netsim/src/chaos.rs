@@ -452,6 +452,15 @@ impl ChaosCase {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("missing or non-integer field '{key}'"))
         }
+        /// A field narrower than `u64`: out-of-range values are an error,
+        /// never a silent wrap onto some other link or class.
+        fn narrow<T: TryFrom<u64>>(j: &Json, key: &str) -> Result<T, String> {
+            let v = u(j, key)?;
+            T::try_from(v).map_err(|_| {
+                let bits = 8 * std::mem::size_of::<T>();
+                format!("field '{key}' out of range ({v} does not fit in {bits} bits)")
+            })
+        }
         fn kind(j: &Json) -> Result<&str, String> {
             j.get("kind")
                 .and_then(Json::as_str)
@@ -460,10 +469,10 @@ impl ChaosCase {
         let topo_j = j.get("topo").ok_or("missing 'topo'")?;
         let topo = match kind(topo_j)? {
             "star" => TopoPick::Star {
-                hosts: u(topo_j, "hosts")? as u32,
+                hosts: narrow(topo_j, "hosts")?,
             },
             "clos" => TopoPick::Clos {
-                hosts_per_tor: u(topo_j, "hosts_per_tor")? as u32,
+                hosts_per_tor: narrow(topo_j, "hosts_per_tor")?,
             },
             "parking_lot" => TopoPick::ParkingLot,
             k => return Err(format!("unknown topo kind '{k}'")),
@@ -477,8 +486,8 @@ impl ChaosCase {
             .iter()
             .map(|f| {
                 Ok(ChaosFlow {
-                    src: u(f, "src")? as u32,
-                    dst: u(f, "dst")? as u32,
+                    src: narrow(f, "src")?,
+                    dst: narrow(f, "dst")?,
                     bytes: u(f, "bytes")?,
                     start_us: u(f, "start_us")?,
                 })
@@ -492,29 +501,29 @@ impl ChaosCase {
             .map(|f| {
                 Ok(match kind(f)? {
                     "flap" => FaultSpec::Flap {
-                        link: u(f, "link")? as u32,
+                        link: narrow(f, "link")?,
                         at_us: u(f, "at_us")?,
                         down_us: u(f, "down_us")?,
-                        times: u(f, "times")? as u32,
+                        times: narrow(f, "times")?,
                         period_us: u(f, "period_us")?,
                     },
                     "bit_error" => FaultSpec::BitError {
-                        link: u(f, "link")? as u32,
+                        link: narrow(f, "link")?,
                         from_us: u(f, "from_us")?,
                         until_us: u(f, "until_us")?,
-                        prob_ppm: u(f, "prob_ppm")? as u32,
+                        prob_ppm: narrow(f, "prob_ppm")?,
                     },
                     "storm" => FaultSpec::Storm {
-                        host: u(f, "host")? as u32,
-                        class: u(f, "class")? as u8,
+                        host: narrow(f, "host")?,
+                        class: narrow(f, "class")?,
                         from_us: u(f, "from_us")?,
                         until_us: u(f, "until_us")?,
                         refresh_us: u(f, "refresh_us")?,
                     },
                     "wedge" => FaultSpec::Wedge {
-                        switch: u(f, "switch")? as u32,
-                        port: u(f, "port")? as u32,
-                        class: u(f, "class")? as u8,
+                        switch: narrow(f, "switch")?,
+                        port: narrow(f, "port")?,
+                        class: narrow(f, "class")?,
                         at_us: u(f, "at_us")?,
                     },
                     k => return Err(format!("unknown fault kind '{k}'")),
@@ -717,7 +726,9 @@ impl CaseReport {
 /// watchdog is forced on (the convergence auditor assumes storms are
 /// survivable). `make_cc` builds one CC instance per flow from the NIC
 /// line rate. Returns `Err` if the expanded fault schedule fails
-/// [`FaultPlan::validate`].
+/// [`Network::check_faults`] (an invalid plan, or a fault naming a link,
+/// node, port or class the topology does not have) or a flow names a
+/// host it does not have.
 pub fn run_case(
     case: &ChaosCase,
     host_cfg: HostConfig,
@@ -725,13 +736,12 @@ pub fn run_case(
     make_cc: &dyn Fn(Bandwidth) -> Box<dyn CongestionControl>,
 ) -> Result<CaseReport, String> {
     let plan = case.plan();
-    plan.validate()?;
-
     let mut switch_cfg = switch_cfg;
     if switch_cfg.watchdog.is_none() {
         switch_cfg = switch_cfg.with_watchdog(PfcWatchdogConfig::default());
     }
     let (mut net, hosts) = case.topo.build(host_cfg, switch_cfg, case.seed);
+    net.check_faults(&plan)?;
     net.enable_flight_recorder(64);
 
     let shape = case.topo.shape();

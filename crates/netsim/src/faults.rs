@@ -23,6 +23,7 @@ use crate::event::{LinkId, NodeId, PortId};
 use crate::port::Attachment;
 use crate::rng::SplitMix64;
 use crate::telemetry::spans::PauseEdge;
+use crate::telemetry::Json;
 use crate::units::{Duration, Time};
 
 /// The causal-tracing edge describing one malfunctioning-NIC storm tick:
@@ -355,6 +356,19 @@ pub struct FaultStats {
     pub storm_pauses: u64,
 }
 
+impl FaultStats {
+    /// The `faults` section of the run report.
+    pub fn report(&self) -> Json {
+        Json::obj(vec![
+            ("crc_drops", Json::UInt(self.crc_drops)),
+            ("link_drops", Json::UInt(self.link_drops)),
+            ("reroutes", Json::UInt(self.reroutes)),
+            ("storm_pauses", Json::UInt(self.storm_pauses)),
+            ("transitions", Json::UInt(self.transitions)),
+        ])
+    }
+}
+
 /// Per-link fault state.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkState {
@@ -386,18 +400,16 @@ pub enum WireFate {
 
 /// The network's fault state: link health, the bit-error RNG stream and
 /// the fault counters. Inert (one `active` branch on the delivery path)
-/// until a fault plan is installed or a link is forced down.
+/// until a fault plan is installed or a link is forced down. Every state
+/// transition goes through a method here; the node-side reactions (PFC
+/// reset, reroute) are `Network`'s.
 #[derive(Debug)]
 pub struct FaultEngine {
-    /// Reaction knobs (failover on/off, RNG seed).
-    pub config: FaultConfig,
-    /// Fault counters.
-    pub stats: FaultStats,
+    config: FaultConfig,
+    stats: FaultStats,
     /// Per-link health, indexed by `LinkId.0`.
-    pub links: Vec<LinkState>,
-    /// Hot-path guard: when false, the delivery path skips the fault
-    /// layer entirely and a run is byte-identical to pre-fault builds.
-    pub active: bool,
+    links: Vec<LinkState>,
+    active: bool,
     rng: SplitMix64,
 }
 
@@ -420,9 +432,59 @@ impl FaultEngine {
         self.active = true;
     }
 
+    /// Hot-path guard: when false, the delivery path skips the fault
+    /// layer entirely and a run is byte-identical to pre-fault builds.
+    #[inline(always)]
+    pub fn active(&self) -> bool {
+        self.active
+    }
+
+    /// Should routes be recomputed on a link transition?
+    pub fn failover(&self) -> bool {
+        self.config.failover
+    }
+
+    /// Fault counters.
+    pub fn stats(&self) -> FaultStats {
+        self.stats
+    }
+
+    /// Per-link health, indexed by `LinkId.0`.
+    pub fn links(&self) -> &[LinkState] {
+        &self.links
+    }
+
     /// Is `link` up?
     pub fn link_up(&self, link: LinkId) -> bool {
         self.links[link.0].up
+    }
+
+    /// Sets `link` up or down. Returns false (and changes nothing) when it
+    /// already is; a real transition activates the engine and is counted.
+    pub fn set_link(&mut self, link: LinkId, up: bool) -> bool {
+        if self.links[link.0].up == up {
+            return false;
+        }
+        self.active = true;
+        self.links[link.0].up = up;
+        self.stats.transitions += 1;
+        true
+    }
+
+    /// Sets `link`'s per-frame corruption probability (0 heals).
+    pub fn set_bit_error(&mut self, link: LinkId, drop_prob: f64) {
+        self.active = true;
+        self.links[link.0].drop_prob = drop_prob;
+    }
+
+    /// Counts one route recomputation.
+    pub fn count_reroute(&mut self) {
+        self.stats.reroutes += 1;
+    }
+
+    /// Counts one storm-injected PAUSE frame.
+    pub fn count_storm_pause(&mut self) {
+        self.stats.storm_pauses += 1;
     }
 
     /// Decides the fate of one frame crossing `link`, updating counters.
@@ -658,17 +720,21 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(eng.wire_fate(LinkId(0)), WireFate::Deliver);
         }
-        assert_eq!(eng.stats.link_drops + eng.stats.crc_drops, 0);
+        assert_eq!(eng.stats().link_drops + eng.stats().crc_drops, 0);
+        assert!(!eng.active());
     }
 
     #[test]
     fn wire_fate_on_down_link_drops_everything() {
         let mut eng = FaultEngine::inactive(2);
-        eng.links[1].up = false;
+        assert!(eng.set_link(LinkId(1), false));
+        assert!(!eng.set_link(LinkId(1), false), "already down");
         for _ in 0..10 {
             assert_eq!(eng.wire_fate(LinkId(1)), WireFate::DownDrop);
         }
-        assert_eq!(eng.stats.link_drops, 10);
+        assert_eq!(eng.stats().link_drops, 10);
+        assert_eq!(eng.stats().transitions, 1);
+        assert!(eng.active(), "a forced-down link activates the engine");
         assert!(eng.link_up(LinkId(0)) && !eng.link_up(LinkId(1)));
     }
 
@@ -679,9 +745,9 @@ mod tests {
             failover: true,
             seed: 99,
         });
-        a.links[0].drop_prob = 0.05;
+        a.set_bit_error(LinkId(0), 0.05);
         let fates_a: Vec<WireFate> = (0..10_000).map(|_| a.wire_fate(LinkId(0))).collect();
-        let drops = a.stats.crc_drops;
+        let drops = a.stats().crc_drops;
         let rate = drops as f64 / 10_000.0;
         assert!((rate - 0.05).abs() < 0.01, "crc rate {rate}");
 
@@ -690,7 +756,7 @@ mod tests {
             failover: true,
             seed: 99,
         });
-        b.links[0].drop_prob = 0.05;
+        b.set_bit_error(LinkId(0), 0.05);
         let fates_b: Vec<WireFate> = (0..10_000).map(|_| b.wire_fate(LinkId(0))).collect();
         assert_eq!(fates_a, fates_b, "same seed, same corruption pattern");
     }

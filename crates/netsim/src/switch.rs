@@ -440,19 +440,7 @@ impl Switch {
             return;
         }
         // Trip: ignore PAUSE, resume transmitting, schedule recovery.
-        port.wd_armed[class] = false;
-        port.pfc_ignore[class] = true;
-        port.rx_paused[class] = false;
-        port.rx_paused_since[class] = Time::NEVER;
-        self.stats.watchdog_trips += 1;
-        ctx.metrics.inc(ctx.metrics.h.watchdog_trips);
-        ctx.record_trace(TraceEvent {
-            at: now,
-            node: self.id,
-            flow: crate::packet::FlowId(u64::MAX),
-            kind: TraceKind::WatchdogTrip,
-            detail: class as u64,
-        });
+        self.trip_watchdog(ctx, pid, class);
         ctx.queue.schedule(
             now + wd.recovery,
             Event::Watchdog {
@@ -472,6 +460,13 @@ impl Switch {
     /// never schedules the recovery event, leaving the class wedged. The
     /// convergence auditor must catch the stuck `pfc_ignore`.
     pub fn wedge_watchdog(&mut self, ctx: &mut Ctx, pid: PortId, class: usize) {
+        self.trip_watchdog(ctx, pid, class);
+        self.try_transmit(ctx, pid);
+    }
+
+    /// The state change of a watchdog trip: `(pid, class)` stops honoring
+    /// PAUSE, and the trip is counted and traced.
+    fn trip_watchdog(&mut self, ctx: &mut Ctx, pid: PortId, class: usize) {
         let port = &mut self.ports[pid.0];
         port.wd_armed[class] = false;
         port.pfc_ignore[class] = true;
@@ -486,7 +481,6 @@ impl Switch {
             kind: TraceKind::WatchdogTrip,
             detail: class as u64,
         });
-        self.try_transmit(ctx, pid);
     }
 
     /// Injects a switch-originated control packet (QCN feedback) toward its

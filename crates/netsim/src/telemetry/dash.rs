@@ -9,7 +9,7 @@
 //! The render is a **pure function** of the panel data with fixed
 //! decimal formatting everywhere, so a dashboard built from a
 //! deterministic run is byte-identical across machines and
-//! `REPRO_THREADS` settings — the CI `dash-determinism` job double-runs
+//! `REPRO_THREADS` settings — the CI `artifact-determinism` job double-runs
 //! `repro <id> --dash` and `cmp`s the output, and a golden-file test
 //! pins the exact bytes for a small fixture (`tests/timeline.rs`).
 

@@ -11,6 +11,8 @@
 //! construction, which is plenty for queue-depth CDFs and latency
 //! tails).
 
+use super::Json;
+
 /// Number of log2 buckets: one for zero plus one per bit of a `u64`.
 pub const NUM_BUCKETS: usize = 65;
 
@@ -157,6 +159,31 @@ impl Histogram {
         };
         let mid = lo as f64 + (hi - lo) as f64 / 2.0;
         mid.clamp(self.min() as f64, self.max() as f64)
+    }
+
+    /// Deterministic JSON summary (one entry of the `histograms` section
+    /// of `Network::telemetry_report`; schema in DESIGN.md).
+    pub fn summary_json(&self) -> Json {
+        let buckets = self
+            .nonzero_buckets()
+            .map(|(floor, count)| {
+                Json::obj(vec![
+                    ("count", Json::UInt(count)),
+                    ("ge", Json::UInt(floor)),
+                ])
+            })
+            .collect();
+        Json::obj(vec![
+            ("buckets", Json::Arr(buckets)),
+            ("count", Json::UInt(self.count())),
+            ("max", Json::UInt(self.max())),
+            ("mean", Json::Float(self.mean())),
+            ("min", Json::UInt(self.min())),
+            ("p50", Json::UInt(self.percentile(50.0))),
+            ("p50_mid", Json::Float(self.percentile_midpoint(50.0))),
+            ("p99", Json::UInt(self.percentile(99.0))),
+            ("p99_mid", Json::Float(self.percentile_midpoint(99.0))),
+        ])
     }
 
     /// The non-empty buckets, as `(lower_bound, count)` pairs in

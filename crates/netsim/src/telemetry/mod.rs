@@ -28,8 +28,10 @@
 //! * [`timeline`] — bounded-memory time-series tracks with
 //!   hierarchical downsampling: when a track fills its point budget,
 //!   adjacent buckets merge and resolution halves, so memory is
-//!   `O(budget)` for any horizon. Backs the periodic sampler
-//!   (`Network::enable_sampling`).
+//!   `O(budget)` for any horizon.
+//! * [`sampler`] — the periodic [`Sampler`] behind
+//!   `Network::enable_sampling`: taps bound to timeline tracks, the tick
+//!   that records them, and the look-ups and charts that read them back.
 //! * [`dash`] — a dependency-free HTML + inline-SVG dashboard emitter
 //!   rendering timelines and span attribution to a single
 //!   deterministic file (`repro <id> --dash <dir>`).
@@ -54,6 +56,7 @@ pub mod hist;
 pub mod profile;
 pub mod recorder;
 pub mod registry;
+pub mod sampler;
 pub mod spans;
 pub mod timeline;
 
@@ -62,6 +65,7 @@ pub use hist::Histogram;
 pub use profile::{ProfMark, Profiler};
 pub use recorder::{FlightDump, FlightRecorder};
 pub use registry::{CounterId, GaugeId, HistId, Metrics, Registry, WellKnown};
+pub use sampler::{Sampler, SamplerConfig};
 pub use simjson::{fmt_f64, Json};
 pub use spans::{
     CongestionTree, FlowSpan, HopSpan, PauseEdge, SpanCompletion, SpanState, Spans, TreeEdge,

@@ -10,6 +10,7 @@
 //! vector linearly and is reserved for cold report-building code.
 
 use super::hist::Histogram;
+use super::Json;
 
 /// Handle to a registered counter. One array index to update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,6 +167,25 @@ impl Registry {
     /// All histograms as `(name, histogram)` in registration order.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.hist_names.iter().copied().zip(self.hists.iter())
+    }
+
+    /// The `counters` section of the run report, keyed by name.
+    pub fn counters_json(&self) -> Json {
+        Json::obj(self.counters().map(|(n, v)| (n, Json::UInt(v))).collect())
+    }
+
+    /// The `gauges` section of the run report, keyed by name.
+    pub fn gauges_json(&self) -> Json {
+        Json::obj(self.gauges().map(|(n, v)| (n, Json::UInt(v))).collect())
+    }
+
+    /// The `histograms` section of the run report, keyed by name.
+    pub fn histograms_json(&self) -> Json {
+        Json::obj(
+            self.histograms()
+                .map(|(n, h)| (n, h.summary_json()))
+                .collect(),
+        )
     }
 }
 

@@ -93,7 +93,7 @@ fn sampler_series_are_well_formed() {
     let end = Time::from_millis(10);
     s.net.run_until(end);
 
-    let series = s.net.flow_bytes_timeline(f).expect("sampled").series();
+    let series = s.net.sampler().flow_bytes(f).expect("sampled").series();
     assert!(series.times.windows(2).all(|w| w[0] < w[1]));
     assert!(series.values.windows(2).all(|w| w[0] <= w[1]));
     assert!(series.times.len() > 90, "one sample per 100 µs");
@@ -104,12 +104,12 @@ fn sampler_series_are_well_formed() {
     assert!((g - direct).abs() < 0.5, "goodput {g:.2} vs {direct:.2}");
 
     // Queue track exists and stays tiny for a single flow.
-    let q = s.net.queue_timeline(s.switch, PortId(2)).expect("sampled");
+    let q = s.net.sampler().queue(s.switch, PortId(2)).expect("sampled");
     assert!(q.count() > 0);
     assert!(q.max() < 20_000.0);
 
     // Rate track reports the line rate for an uncontrolled flow.
-    let r = s.net.flow_rate_timeline(f).expect("sampled");
+    let r = s.net.sampler().flow_rate(f).expect("sampled");
     for b in r.buckets() {
         let v = r.representative(&b);
         assert!((v - 40.0).abs() < 1e-6, "line rate, got {v}");
@@ -145,11 +145,20 @@ fn enabling_sampling_twice_keeps_one_sample_per_tick() {
     const TICKS: u64 = 50;
     s.net.run_until(Time::from_micros(100 * TICKS));
 
-    assert_eq!(s.net.timelines.len(), 4, "bytes, queue, rate, counter");
-    for (name, track) in s.net.timelines.iter() {
+    assert_eq!(
+        s.net.sampler().timelines().len(),
+        4,
+        "bytes, queue, rate, counter"
+    );
+    for (name, track) in s.net.sampler().timelines().iter() {
         assert_eq!(track.count(), TICKS, "{name}: one sample per tick");
     }
-    let forwarded = s.net.timelines.by_name("rate/forwarded").unwrap();
+    let forwarded = s
+        .net
+        .sampler()
+        .timelines()
+        .by_name("rate/forwarded")
+        .unwrap();
     assert!(forwarded.min() > 0.0, "no spurious zero-delta samples");
 }
 

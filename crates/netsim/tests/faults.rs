@@ -372,6 +372,32 @@ fn link_lookup_and_admin_toggle() {
     assert_eq!(tb.net.fault_stats().transitions, 2);
 }
 
+/// A plan naming something the fabric does not have is rejected when it
+/// is installed, with the checker's one-line message — not as a bare
+/// index panic millions of events later, when the fault fires.
+#[test]
+#[should_panic(expected = "bit_error names link 99 but the fabric has 20 links")]
+fn installing_a_plan_outside_the_fabric_panics_up_front() {
+    let mut tb = clos_testbed(
+        1,
+        LinkParams::default(),
+        host_cfg(),
+        SwitchConfig::paper_default(),
+        1,
+    );
+    let plan = FaultPlan::new().bit_error(Time::from_millis(5), netsim::event::LinkId(99), 0.01);
+    let err = tb.net.check_faults(&plan).unwrap_err();
+    assert_eq!(err.lines().count(), 1, "{err}");
+    let wedge_on_host =
+        FaultPlan::new().wedge_watchdog(Time::ZERO, tb.hosts[0][0], netsim::event::PortId(0), 3);
+    assert!(tb
+        .net
+        .check_faults(&wedge_on_host)
+        .unwrap_err()
+        .contains("is a host"));
+    tb.net.install_faults(&plan, FaultConfig::default());
+}
+
 /// The watchdog is armed by switch-received PAUSE state, so a stray
 /// restore event for an untripped port must be a no-op.
 #[test]

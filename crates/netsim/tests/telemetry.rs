@@ -3,9 +3,11 @@
 //! deterministic, and QP teardown dumps the flight recorder.
 
 use netsim::cc::NoCc;
+use netsim::event::PortId;
 use netsim::host::HostConfig;
 use netsim::packet::DATA_PRIORITY;
 use netsim::prelude::{FaultConfig, FaultPlan};
+use netsim::stats::SamplerConfig;
 use netsim::switch::SwitchConfig;
 use netsim::topology::{star, LinkParams};
 use netsim::trace::TraceKind;
@@ -128,5 +130,72 @@ fn qp_teardown_dumps_the_flight_recorder() {
     assert!(
         d.events.iter().any(|e| e.kind == TraceKind::Timeout),
         "the ring holds the timeout trail"
+    );
+}
+
+/// The run report's exact bytes for one small run with sampling, spans
+/// and a link flap on, so the `faults`, `timelines`, `flows` and
+/// `histograms` sections are pinned. Regenerate with
+/// `UPDATE_GOLDEN=1 cargo test -p netsim --test telemetry`.
+#[test]
+fn report_matches_golden_file() {
+    // The `audit` section counts fault drops only with `sanitize`, and a
+    // `profile` build appends host-clock data: pinned in plain builds.
+    if netsim::audit::Auditor::enabled() || netsim::telemetry::Profiler::enabled() {
+        return;
+    }
+    // Two greedy senders incast onto host 3 (PAUSEs), a third sends two
+    // short messages (completions, FCTs); sender 0's link flaps.
+    let mut s = star(
+        4,
+        LinkParams::default(),
+        host_cfg(),
+        SwitchConfig::paper_default(),
+        11,
+    );
+    let flows: Vec<_> = (0..3)
+        .map(|i| {
+            s.net.add_flow(s.hosts[i], s.hosts[3], DATA_PRIORITY, |l| {
+                Box::new(NoCc::new(l))
+            })
+        })
+        .collect();
+    s.net.send_message(flows[0], u64::MAX, Time::ZERO);
+    s.net.send_message(flows[1], u64::MAX, Time::ZERO);
+    s.net.send_message(flows[2], 200_000, Time::ZERO);
+    s.net.send_message(flows[2], 100_000, Time::from_millis(1));
+    s.net.enable_spans(256);
+    s.net.enable_sampling(
+        Duration::from_micros(50),
+        SamplerConfig {
+            all_flows: true,
+            queues: vec![(s.switch, PortId(3))],
+            rate_flows: vec![flows[0]],
+            counters: vec!["forwarded", "pause_tx", "fault_drops"],
+            ..SamplerConfig::default()
+        },
+    );
+    let link = s.net.link_between(s.switch, s.hosts[0]).expect("link");
+    let plan = FaultPlan::new().link_flap(
+        link,
+        Time::from_micros(300),
+        Duration::from_micros(200),
+        Duration::from_micros(500),
+        1,
+    );
+    s.net.install_faults(&plan, FaultConfig::default());
+    s.net.run_until(Time::from_millis(3));
+
+    let rendered = s.net.telemetry_report().render();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/report.json");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &rendered).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("golden file present");
+    assert_eq!(
+        rendered, golden,
+        "report drifted from tests/golden/report.json; \
+         rerun with UPDATE_GOLDEN=1 if the change is intended"
     );
 }

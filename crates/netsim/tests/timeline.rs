@@ -130,7 +130,12 @@ fn fixture() -> (Star, PortId) {
 #[test]
 fn network_sampling_conserves_counters() {
     let (s, port) = fixture();
-    let fwd = s.net.timelines.by_name("rate/forwarded").expect("track");
+    let fwd = s
+        .net
+        .sampler()
+        .timelines()
+        .by_name("rate/forwarded")
+        .expect("track");
     assert!(fwd.count() > 0, "sampler ran");
     let total = s.net.metric("forwarded");
     // The track holds every delta up to the last sampling tick; packets
@@ -143,7 +148,7 @@ fn network_sampling_conserves_counters() {
         total
     );
 
-    let q = s.net.queue_timeline(s.switch, port).expect("queue track");
+    let q = s.net.sampler().queue(s.switch, port).expect("queue track");
     // ~100 samples at 20 µs over 2 ms; the run's congestion shows up.
     assert!(q.count() >= 99, "one gauge sample per tick");
     assert!(q.max() > 0.0, "the incast queued bytes");

@@ -43,9 +43,10 @@ impl Default for Config {
                 RootSpec::parse("Network::run_until").expect("static root"),
                 RootSpec::parse("EventQueue::pop_batch").expect("static root"),
                 // The chaos campaign's per-case loop: the convergence
-                // audit and everything it reaches (port scans, route
-                // recomputation, drain checks) runs once per generated
-                // case, hundreds of times per campaign.
+                // audit (`network/converge.rs`) and everything it reaches
+                // (port scans, `network/faults.rs` route recomputation,
+                // `audit.rs` drain checks) runs once per generated case,
+                // hundreds of times per campaign.
                 RootSpec::parse("Network::check_convergence").expect("static root"),
             ],
             config_files: Vec::new(),

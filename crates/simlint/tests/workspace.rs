@@ -23,7 +23,7 @@ const LEGACY_HOT_FILES: [&str; 9] = [
 ];
 
 /// Likewise for the legacy metric-lookup file list.
-const LEGACY_METRIC_FILES: [&str; 8] = [
+const LEGACY_METRIC_FILES: [&str; 11] = [
     "crates/netsim/src/event.rs",
     "crates/netsim/src/slab.rs",
     "crates/netsim/src/host.rs",
@@ -31,6 +31,11 @@ const LEGACY_METRIC_FILES: [&str; 8] = [
     "crates/netsim/src/port.rs",
     "crates/netsim/src/faults.rs",
     "crates/netsim/src/network.rs",
+    // Split out of network.rs: `Event::Fault` application, the
+    // convergence audit (a root of its own) and the sampler tick.
+    "crates/netsim/src/network/faults.rs",
+    "crates/netsim/src/network/converge.rs",
+    "crates/netsim/src/telemetry/sampler.rs",
     "crates/netsim/src/telemetry/spans.rs",
 ];
 
@@ -51,17 +56,18 @@ fn computed_hot_set_covers_legacy_lists() {
     }
 }
 
-/// The sampler tick runs inside the dispatch loop: the timeline engine
-/// it records into is hot code, and the hot-path rules (no allocation,
-/// no by-name metric lookups) must keep applying to it. Losing this
-/// file from the reachability set would silently un-lint the sampling
-/// path.
+/// The sampler tick runs inside the dispatch loop: the sampler and the
+/// timeline engine it records into are hot code, and the hot-path rules
+/// (no allocation, no by-name metric lookups) must keep applying to
+/// them. Losing either file from the reachability set would silently
+/// un-lint the sampling path.
 #[test]
 fn sampling_path_is_in_the_hot_set() {
     let sources = collect_workspace_sources(&workspace_root()).expect("collect");
     let a = analyze_sources(&sources, &Config::default());
     for file in [
         "crates/netsim/src/telemetry/timeline.rs",
+        "crates/netsim/src/telemetry/sampler.rs",
         "crates/netsim/src/network.rs",
     ] {
         assert!(

@@ -41,7 +41,7 @@ fn packet_incast(n: usize, millis: u64) -> (Vec<f64>, f64) {
         .iter()
         .map(|&f| s.net.goodput_gbps(f, from, end))
         .collect();
-    let tl = s.net.queue_timeline(s.switch, port).expect("sampled port");
+    let tl = s.net.sampler().queue(s.switch, port).expect("sampled port");
     let q_mean = tl.mean_from(from) / 1000.0;
     (goodputs, q_mean)
 }

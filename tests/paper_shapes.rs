@@ -115,7 +115,7 @@ fn dcqcn_queue_is_shorter_than_dctcp() {
             },
         );
         s.net.run_until(Time::from_millis(120));
-        let tl = s.net.queue_timeline(s.switch, port).expect("sampled port");
+        let tl = s.net.sampler().queue(s.switch, port).expect("sampled port");
         // Skip the first 40 ms line-rate transient, as before.
         tl.weighted_percentile(90.0, Time::from_millis(40)) / 1000.0
     };
