@@ -6,9 +6,10 @@
 //! differs beyond the configured tolerances. Everything in a default
 //! build's report is deterministic and diffs exact by default. A
 //! `--features profile` build adds a `profile` section; its
-//! `peak_pending_events` and `peak_inflight_packets` are properties of the
-//! event-queue and packet-pool implementations rather than of the
-//! simulated work and are ignored by default, and its
+//! `peak_pending_events`, `peak_inflight_packets` and `peak_queued_packets`
+//! are properties of the event-queue, packet-pool and port-queue
+//! implementations rather than of the simulated work and are ignored by
+//! default, and its
 //! host-clock fields (`wall_us`, `run_wall_us`) differ on every run, so
 //! compare such reports with `--ignore profile`. Exit status: 0 when the
 //! reports match within tolerance, 1 when they differ — made for CI
@@ -19,7 +20,11 @@ use netsim::telemetry::Json;
 
 /// Keys ignored by default wherever they appear: values that depend on
 /// the simulator's implementation, not on the simulated work.
-pub const DEFAULT_IGNORE: [&str; 2] = ["peak_pending_events", "peak_inflight_packets"];
+pub const DEFAULT_IGNORE: [&str; 3] = [
+    "peak_pending_events",
+    "peak_inflight_packets",
+    "peak_queued_packets",
+];
 
 /// Numeric and key-ignore tolerances for [`diff`].
 pub struct Tolerances {
@@ -158,8 +163,11 @@ pub fn cli(args: &[String]) -> i32 {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--rel-pct" | "--abs" => {
-                let Some(v) = it.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("{a} requires a number");
+                // NaN or a negative bound makes a report differ from
+                // itself; an infinite one makes every regression match.
+                let v = it.next().and_then(|v| v.parse::<f64>().ok());
+                let Some(v) = v.filter(|v| v.is_finite() && *v >= 0.0) else {
+                    eprintln!("{a} requires a finite number >= 0");
                     return 2;
                 };
                 if a == "--rel-pct" {

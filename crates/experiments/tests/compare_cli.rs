@@ -92,6 +92,37 @@ fn default_ignored_keys_are_skipped_and_tolerances_forgive() {
 }
 
 #[test]
+fn non_finite_or_negative_tolerances_are_usage_errors() {
+    let dir = tmp_dir("badtol");
+    let a = write(&dir, "a.json", BASE);
+    let b = write(&dir, "b.json", &BASE.replace("1200", "1400"));
+    for (flag, value) in [
+        ("--abs", "nan"),
+        ("--abs", "-1"),
+        ("--abs", "1e999"),
+        ("--rel-pct", "nan"),
+        ("--rel-pct", "-5"),
+        ("--rel-pct", "inf"),
+    ] {
+        let out = repro()
+            .arg("compare")
+            .arg(&a)
+            .arg(&b)
+            .args([flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.trim_end(),
+            format!("{flag} requires a finite number >= 0"),
+            "{flag} {value}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn missing_file_is_a_usage_error() {
     let status = repro()
         .args(["compare", "/nonexistent/a.json", "/nonexistent/b.json"])

@@ -5,7 +5,9 @@
 //!
 //! * **byte conservation** — a switch's global [`crate::buffer::SharedBuffer`]
 //!   occupancy always equals the sum of its per-(port, priority) ingress
-//!   counts, and never exceeds the pool (§4's `s ≤ B`),
+//!   counts, and never exceeds the pool (§4's `s ≤ B`); every port's
+//!   `queued_bytes` equals what its queue lists hold, and each of its slab
+//!   slots is on exactly one list ([`crate::port::Port::check_conservation`]),
 //! * **event-time monotonicity** — dispatched event times never regress
 //!   (determinism depends on the `(time, seq)` total order),
 //! * **PFC pairing** — PAUSE/RESUME alternate per ingress (port, priority),
@@ -42,6 +44,9 @@ pub enum ViolationKind {
     /// `SharedBuffer.occupied` disagrees with the per-ingress sum, or
     /// exceeds the configured pool size.
     BufferConservation,
+    /// A port's per-priority lists disagree with its `queued_bytes`, or a
+    /// slot of its slab is on no list or on two.
+    PortConservation,
     /// An event was dispatched at a time earlier than its predecessor.
     TimeRegression,
     /// PAUSE while already paused, or RESUME while not paused.
@@ -115,14 +120,20 @@ impl Auditor {
 
     /// Records a violation (bounded; see `MAX_RECORDED`).
     #[cfg(feature = "sanitize")]
-    fn violate(&mut self, at: Time, kind: ViolationKind, node: Option<NodeId>, context: String) {
+    fn violate(
+        &mut self,
+        at: Time,
+        kind: ViolationKind,
+        node: Option<NodeId>,
+        context: std::fmt::Arguments<'_>,
+    ) {
         self.state.total_violations += 1;
         if self.state.violations.len() < MAX_RECORDED {
             self.state.violations.push(Violation {
                 at,
                 kind,
                 node,
-                context,
+                context: context.to_string(),
             });
         }
     }
@@ -135,7 +146,7 @@ impl Auditor {
     pub fn record_all(&mut self, violations: &[Violation]) {
         #[cfg(feature = "sanitize")]
         for v in violations {
-            self.violate(v.at, v.kind, v.node, v.context.clone());
+            self.violate(v.at, v.kind, v.node, format_args!("{}", v.context));
         }
         #[cfg(not(feature = "sanitize"))]
         let _ = violations;
@@ -152,7 +163,7 @@ impl Auditor {
                     at,
                     ViolationKind::TimeRegression,
                     None,
-                    format!("event at {at} after event at {last}"),
+                    format_args!("event at {at} after event at {last}"),
                 );
             }
             self.state.last_event_time = at;
@@ -195,7 +206,7 @@ impl Auditor {
                     at,
                     ViolationKind::BufferConservation,
                     Some(node),
-                    format!(
+                    format_args!(
                         "switch {}: occupied {occupied} B != ingress sum {ingress_total} B",
                         node.0
                     ),
@@ -206,7 +217,7 @@ impl Auditor {
                     at,
                     ViolationKind::BufferConservation,
                     Some(node),
-                    format!(
+                    format_args!(
                         "switch {}: occupied {occupied} B exceeds pool {pool_bytes} B",
                         node.0
                     ),
@@ -215,6 +226,25 @@ impl Auditor {
         }
         #[cfg(not(feature = "sanitize"))]
         let _ = (node, occupied, ingress_total, pool_bytes, at);
+    }
+
+    /// Records one port's failed [`crate::port::Port::check_conservation`].
+    pub fn on_port_mismatch(
+        &mut self,
+        node: NodeId,
+        port: usize,
+        what: std::fmt::Arguments<'_>,
+        at: Time,
+    ) {
+        #[cfg(feature = "sanitize")]
+        self.violate(
+            at,
+            ViolationKind::PortConservation,
+            Some(node),
+            format_args!("node {} port {port}: {what}", node.0),
+        );
+        #[cfg(not(feature = "sanitize"))]
+        let _ = (node, port, what, at);
     }
 
     /// A switch sent PAUSE for ingress (port, priority).
@@ -227,7 +257,7 @@ impl Auditor {
                     at,
                     ViolationKind::PfcPairing,
                     Some(node),
-                    format!(
+                    format_args!(
                         "switch {} port {port} prio {prio}: PAUSE while already paused",
                         node.0
                     ),
@@ -248,7 +278,7 @@ impl Auditor {
                     at,
                     ViolationKind::PfcPairing,
                     Some(node),
-                    format!(
+                    format_args!(
                         "switch {} port {port} prio {prio}: RESUME while not paused",
                         node.0
                     ),
@@ -271,7 +301,7 @@ impl Auditor {
                     at,
                     ViolationKind::LosslessDrop,
                     Some(node),
-                    format!("switch {}: drop on lossless priority {prio}", node.0),
+                    format_args!("switch {}: drop on lossless priority {prio}", node.0),
                 );
             }
         }
@@ -337,7 +367,7 @@ impl Auditor {
                     at,
                     ViolationKind::SequenceError,
                     Some(node),
-                    format!("flow {}: accepted PSN {psn}, expected {want}", flow.0),
+                    format_args!("flow {}: accepted PSN {psn}, expected {want}", flow.0),
                 );
             }
             self.state.expected_psn.insert(flow.0, psn + 1);
@@ -365,7 +395,7 @@ impl Auditor {
                     at,
                     ViolationKind::SequenceError,
                     Some(node),
-                    format!(
+                    format_args!(
                         "flow {}: PSN order broke (una {una}, send {send}, next {next})",
                         flow.0
                     ),
@@ -394,7 +424,7 @@ impl Auditor {
                         at,
                         ViolationKind::CcDomain,
                         Some(node),
-                        format!("flow {}: alpha {alpha} outside [0, 1]", flow.0),
+                        format_args!("flow {}: alpha {alpha} outside [0, 1]", flow.0),
                     );
                 }
             }
@@ -403,7 +433,7 @@ impl Auditor {
                     at,
                     ViolationKind::CcDomain,
                     Some(node),
-                    format!(
+                    format_args!(
                         "flow {}: rate ordering broke (R_C {} > R_T {} or R_T > line {})",
                         flow.0, info.rate, info.target, info.line
                     ),
@@ -432,7 +462,7 @@ impl Auditor {
                 at,
                 ViolationKind::SpanAccounting,
                 Some(node),
-                format!("flow {}: span sum {sum} != fct {fct} at completion", flow.0),
+                format_args!("flow {}: span sum {sum} != fct {fct} at completion", flow.0),
             );
         }
         #[cfg(not(feature = "sanitize"))]

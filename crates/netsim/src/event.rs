@@ -7,7 +7,7 @@
 //!
 //! Internally the queue is a calendar queue (hierarchical timing wheel with
 //! a single level plus an overflow heap) rather than one big binary heap.
-//! Every pending event lives in one recycled slab; the common case —
+//! Every pending event lives in one recycled `Slab`; the common case —
 //! scheduling a few microseconds ahead — is an O(1) link onto an unsorted
 //! bucket list of slab indices, and only events inside the current bucket
 //! (one `BUCKET_SHIFT` tick wide) are ever comparison-sorted, as 24-byte keys.
@@ -17,7 +17,7 @@
 //! bucket count. Pop order is exactly the old heap's `(time,
 //! insertion-seq)` order; see DESIGN.md for the argument.
 
-use crate::slab::PacketRef;
+use crate::slab::{PacketRef, Slab, NIL};
 use crate::units::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -66,7 +66,7 @@ pub enum TimerKind {
 }
 
 /// A simulation event.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub enum Event {
     /// A packet finishes arriving at `node` (entering through `port`).
     /// The packet body lives in the network's [`crate::slab::PacketPool`]
@@ -144,16 +144,13 @@ impl Event {
     }
 }
 
-/// One slab entry: a pending event, or a free slot (its contents are then
-/// stale).
+/// One slab entry: a pending event.
+#[derive(Clone, Copy)]
 struct Slot {
     at: Time,
     seq: u64,
     event: Event,
 }
-
-/// End-of-list marker for the slot lists threaded through `next`.
-const NIL: u32 = u32::MAX;
 
 /// What `near` and `overflow` order: `(time, insertion seq, slab slot)`.
 /// Seqs are unique, so the slot index never decides a comparison.
@@ -181,18 +178,10 @@ fn tick_of(at: Time) -> u64 {
 
 /// Deterministic event queue. Pops events in `(time, insertion order)` order.
 pub struct EventQueue {
-    /// Every pending event, plus the free slots. Grows only when the free
-    /// list is empty, so its length is the pending-event high-water mark.
-    slots: Vec<Slot>,
-    /// `next[i]` links slot `i` to the next slot of its wheel bucket or of
-    /// the free list (`NIL` ends a list; unused while `near` or `overflow`
-    /// holds the slot). Kept apart from the 56-byte slots so that walking
-    /// a bucket chases 4-byte links in a dense array and the loads of the
-    /// slots themselves are independent of one another.
-    next: Vec<u32>,
-    /// Head of the free list, which is LIFO: a slot just popped is the
-    /// next one reused, while it is still in L1.
-    free_head: u32,
+    /// Every pending event. Its links thread the wheel's bucket lists
+    /// (unused while `near` or `overflow` holds the slot), and its slot
+    /// count is the pending-event high-water mark.
+    slab: Slab<Slot>,
     /// The due cohort: every pending event whose bucket tick is ≤
     /// `cursor_tick`, sorted *descending* by `(time, seq)` so the global
     /// minimum is at the back and `pop` is a plain `Vec::pop`.
@@ -228,9 +217,7 @@ impl EventQueue {
     /// Creates an empty queue at time zero.
     pub fn new() -> EventQueue {
         EventQueue {
-            slots: Vec::new(),
-            next: Vec::new(),
-            free_head: NIL,
+            slab: Slab::new(),
             near: Vec::new(),
             heads: Box::new([NIL; NUM_BUCKETS as usize]),
             occupied: [0; NUM_WORDS],
@@ -265,33 +252,7 @@ impl EventQueue {
 
     /// High-water mark of pending events: the slab's slot count.
     pub fn peak_pending(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Parks a pending event in the slab, reusing the most recently freed
-    /// slot if there is one.
-    #[inline]
-    fn park(&mut self, slot: Slot) -> u32 {
-        let i = self.free_head;
-        if i == NIL {
-            // > 4 billion pending events cannot happen on any simulable
-            // topology; the debug assert documents the limit.
-            debug_assert!(self.slots.len() < NIL as usize, "slab exceeds u32 slots");
-            self.slots.push(slot);
-            self.next.push(NIL);
-            return (self.slots.len() - 1) as u32;
-        }
-        self.free_head = self.next[i as usize];
-        self.slots[i as usize] = slot;
-        i
-    }
-
-    /// Takes the event out of slot `i` and puts the slot on the free list.
-    #[inline]
-    fn unpark(&mut self, i: u32) -> Event {
-        self.next[i as usize] = self.free_head;
-        self.free_head = i;
-        std::mem::replace(&mut self.slots[i as usize].event, Event::Sample)
+        self.slab.peak()
     }
 
     /// Links slot `i` onto the wheel bucket of `tick` (inside the horizon).
@@ -299,7 +260,8 @@ impl EventQueue {
     fn link(&mut self, tick: u64, i: u32) {
         let bucket = (tick & BUCKET_MASK) as usize;
         self.occupied[bucket / 64] |= 1 << (bucket % 64);
-        self.next[i as usize] = std::mem::replace(&mut self.heads[bucket], i);
+        let head = std::mem::replace(&mut self.heads[bucket], i);
+        self.slab.set_next(i, head);
         self.wheel_len += 1;
     }
 
@@ -315,7 +277,7 @@ impl EventQueue {
         );
         let seq = self.seq;
         self.seq += 1;
-        let i = self.park(Slot { at, seq, event });
+        let i = self.slab.insert(Slot { at, seq, event });
         let tick = tick_of(at);
         if tick <= self.cursor_tick {
             // Into the due cohort, keeping it sorted. New events carry the
@@ -395,9 +357,9 @@ impl EventQueue {
                 // the events stay where they are in the slab.
                 let mut i = std::mem::replace(&mut self.heads[bucket], NIL);
                 while i != NIL {
-                    let slot = &self.slots[i as usize];
+                    let slot = self.slab.get(i);
                     self.near.push((slot.at, slot.seq, i));
-                    i = self.next[i as usize];
+                    i = self.slab.next(i);
                 }
                 self.wheel_len -= self.near.len();
                 // The cursor moved: newly in-horizon overflow events must
@@ -421,7 +383,7 @@ impl EventQueue {
         debug_assert!(at >= self.now);
         self.now = at;
         self.popped += 1;
-        Some((at, self.unpark(i)))
+        Some((at, self.slab.take(i).event))
     }
 
     /// Pops the entire cohort of events sharing the earliest pending
@@ -449,7 +411,7 @@ impl EventQueue {
             }
             self.near.pop();
             self.popped += 1;
-            out.push(self.unpark(i));
+            out.push(self.slab.take(i).event);
         }
         Some(t)
     }
@@ -465,8 +427,8 @@ impl EventQueue {
             let mut i = self.heads[(self.next_occupied_tick() & BUCKET_MASK) as usize];
             let mut min = Time::NEVER;
             while i != NIL {
-                min = min.min(self.slots[i as usize].at);
-                i = self.next[i as usize];
+                min = min.min(self.slab.get(i).at);
+                i = self.slab.next(i);
             }
             return Some(min);
         }

@@ -34,6 +34,9 @@ use crate::trace::{TraceEvent, TraceKind, Tracer};
 use crate::units::{Bandwidth, Duration, Time};
 
 /// A node is either a switch or a host.
+// A host carries its one port inline and a switch its ports in a `Vec`;
+// the node table is built once, so the padding costs ~300 B per switch.
+#[allow(clippy::large_enum_variant)]
 pub enum Node {
     /// A shared-buffer switch.
     Switch(Switch),
@@ -417,13 +420,14 @@ impl Network {
         self.dumped_violations = violations.len();
     }
 
-    /// Runs the shared-buffer conservation check on every switch right
-    /// now. The event loop does this periodically on its own; tests call
-    /// it directly to audit a hand-corrupted state.
+    /// Runs the shared-buffer conservation check on every switch and the
+    /// queue conservation check on every port right now. The event loop
+    /// does this periodically on its own; tests call it directly to audit
+    /// a hand-corrupted state.
     pub fn audit_buffers_now(&mut self) {
         let now = self.ctx.queue.now();
         let Network { nodes, ctx, .. } = self;
-        for node in nodes.iter() {
+        for (id, node) in nodes.iter().enumerate() {
             if let Node::Switch(s) = node {
                 ctx.audit.check_buffer(
                     s.id,
@@ -432,6 +436,11 @@ impl Network {
                     s.buffer.config().total_bytes,
                     now,
                 );
+            }
+            for (p, port) in node.ports().iter().enumerate() {
+                port.check_conservation(&mut |what| {
+                    ctx.audit.on_port_mismatch(NodeId(id), p, what, now)
+                });
             }
         }
         // Tests call this directly (outside the event loop), so sweep for

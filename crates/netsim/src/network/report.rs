@@ -2,8 +2,9 @@
 //! dashboard, and the span tracer's derived views. Each section is
 //! rendered by the type that owns the data; this file composes them.
 
-use super::Network;
+use super::{Network, Node};
 use crate::packet::FlowId;
+use crate::port::Port;
 use crate::telemetry::spans::{CongestionTree, SpanState, NUM_SPAN_STATES};
 use crate::telemetry::{Dashboard, Json};
 use crate::units::Duration;
@@ -65,10 +66,12 @@ impl Network {
             ("sim_time_us", Json::Float(now.as_micros_f64())),
             ("timelines", self.sampler.timelines().summary_json()),
         ]);
-        if let Some(profile) = self
-            .profiler
-            .report(self.ctx.queue.peak_pending(), self.ctx.pool.capacity())
-        {
+        let ports = self.nodes.iter().flat_map(Node::ports);
+        if let Some(profile) = self.profiler.report(
+            self.ctx.queue.peak_pending(),
+            self.ctx.pool.capacity(),
+            ports.map(Port::peak_queued).sum(),
+        ) {
             report.push("profile", profile);
         }
         report

@@ -3,6 +3,7 @@
 
 use crate::event::{LinkId, NodeId, PortId};
 use crate::packet::{Packet, NUM_PRIORITIES};
+use crate::slab::{Slab, NIL};
 use crate::units::checked::{checked_accum, checked_drain};
 use crate::units::{Bandwidth, Duration, Time};
 use std::collections::VecDeque;
@@ -25,7 +26,7 @@ pub struct Attachment {
 /// A queued packet plus the ingress attribution needed to release shared
 /// buffer space when it finally leaves the switch. `None` for packets that
 /// never occupied the shared buffer (host-generated, or switch-local PFC).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Queued {
     /// The packet.
     pub pkt: Packet,
@@ -69,8 +70,14 @@ pub struct Port {
     pub busy: bool,
     /// Locally generated PFC frames awaiting transmission.
     pub pfc_queue: VecDeque<Packet>,
-    /// Per-priority FIFO egress queues.
-    pub queues: Vec<VecDeque<Queued>>,
+    /// Every queued entry of all eight classes. One recycled slab per
+    /// port, so queue memory is the port's peak of concurrently queued
+    /// packets and the slot just transmitted is the next one enqueued into.
+    slab: Slab<Queued>,
+    /// Oldest and newest slab slot of each priority's FIFO, threaded
+    /// through the slab's links (`NIL` when the class is empty).
+    heads: [u32; NUM_PRIORITIES],
+    tails: [u32; NUM_PRIORITIES],
     /// Bytes queued per priority (wire bytes, including the in-flight
     /// packet's — a packet counts until its transmission completes).
     pub queued_bytes: [u64; NUM_PRIORITIES],
@@ -106,7 +113,9 @@ impl Port {
             attach: None,
             busy: false,
             pfc_queue: VecDeque::new(),
-            queues: (0..NUM_PRIORITIES).map(|_| VecDeque::new()).collect(),
+            slab: Slab::new(),
+            heads: [NIL; NUM_PRIORITIES],
+            tails: [NIL; NUM_PRIORITIES],
             queued_bytes: [0; NUM_PRIORITIES],
             rx_paused: [false; NUM_PRIORITIES],
             tx_pause_sent: [false; NUM_PRIORITIES],
@@ -123,12 +132,60 @@ impl Port {
         q.counted = true;
         let ok = checked_accum(&mut self.queued_bytes[prio], q.pkt.wire_bytes);
         debug_assert!(ok, "queued_bytes overflow");
-        self.queues[prio].push_back(q);
+        let i = self.slab.insert(q);
+        match std::mem::replace(&mut self.tails[prio], i) {
+            NIL => self.heads[prio] = i,
+            tail => self.slab.set_next(tail, i),
+        }
     }
 
     /// Total bytes across all priority queues.
     pub fn total_queued_bytes(&self) -> u64 {
         self.queued_bytes.iter().sum()
+    }
+
+    /// Slab slots this port ever needed: its high-water mark of
+    /// concurrently queued packets.
+    pub fn peak_queued(&self) -> usize {
+        self.slab.peak()
+    }
+
+    /// The `sanitize` audit of the queue structure: the wire bytes on each
+    /// priority's list, plus the counted frame in flight, equal
+    /// `queued_bytes`, each list ends at its tail, and every slab slot is
+    /// on exactly one priority list or the free list. Each mismatch goes
+    /// to `report` unformatted, so a clean audit allocates nothing.
+    pub fn check_conservation(&self, report: &mut dyn FnMut(std::fmt::Arguments<'_>)) {
+        let mut listed = 0;
+        for prio in 0..NUM_PRIORITIES {
+            let mut bytes = match &self.current {
+                Some(q) if q.counted && q.pkt.priority as usize == prio => q.pkt.wire_bytes,
+                _ => 0,
+            };
+            let (mut i, mut last) = (self.heads[prio], NIL);
+            // The bound turns a (corrupt) cyclic list into a count mismatch.
+            while i != NIL && listed <= self.slab.peak() {
+                bytes += self.slab.get(i).pkt.wire_bytes;
+                listed += 1;
+                last = i;
+                i = self.slab.next(i);
+            }
+            let counted = self.queued_bytes[prio];
+            if bytes != counted {
+                report(format_args!(
+                    "prio {prio}: {bytes} B listed != queued_bytes {counted} B"
+                ));
+            }
+            if last != self.tails[prio] {
+                report(format_args!("prio {prio}: list does not end at its tail"));
+            }
+        }
+        let (live, slots) = (self.slab.live(), self.slab.peak());
+        if listed != live {
+            report(format_args!(
+                "{listed} listed of {live} live entries in {slots} slab slots"
+            ));
+        }
     }
 
     /// Picks the next packet to transmit under strict priority + PFC pause
@@ -144,12 +201,15 @@ impl Port {
             });
         }
         for prio in 0..NUM_PRIORITIES {
-            if self.rx_paused[prio] {
+            let i = self.heads[prio];
+            if i == NIL || self.rx_paused[prio] {
                 continue;
             }
-            if let Some(q) = self.queues[prio].pop_front() {
-                return Some(q);
+            self.heads[prio] = self.slab.next(i);
+            if self.heads[prio] == NIL {
+                self.tails[prio] = NIL;
             }
+            return Some(self.slab.take(i));
         }
         None
     }
@@ -157,7 +217,7 @@ impl Port {
     /// True when some queue holds a transmittable packet right now.
     pub fn has_eligible(&self) -> bool {
         !self.pfc_queue.is_empty()
-            || (0..NUM_PRIORITIES).any(|p| !self.rx_paused[p] && !self.queues[p].is_empty())
+            || (0..NUM_PRIORITIES).any(|p| !self.rx_paused[p] && self.heads[p] != NIL)
     }
 
     /// Called when a packet finishes serializing: drops the byte accounting

@@ -95,9 +95,15 @@ impl Profiler {
     }
 
     /// The profile report as JSON, or `None` when compiled out.
-    /// `peak_pending` and `peak_inflight` are the high-water marks the
-    /// event queue's and the packet pool's slabs grew to.
-    pub fn report(&self, peak_pending: usize, peak_inflight: usize) -> Option<Json> {
+    /// `peak_pending`, `peak_inflight` and `peak_queued` are the high-water
+    /// marks the event queue's, the packet pool's and (summed) the ports'
+    /// slabs grew to.
+    pub fn report(
+        &self,
+        peak_pending: usize,
+        peak_inflight: usize,
+        peak_queued: usize,
+    ) -> Option<Json> {
         #[cfg(feature = "profile")]
         {
             let s = self.state.as_ref()?;
@@ -118,6 +124,7 @@ impl Profiler {
                 ("events_by_kind", by_kind),
                 ("peak_inflight_packets", Json::UInt(peak_inflight as u64)),
                 ("peak_pending_events", Json::UInt(peak_pending as u64)),
+                ("peak_queued_packets", Json::UInt(peak_queued as u64)),
                 (
                     "run_wall_us",
                     Json::Float(s.started.elapsed().as_secs_f64() * 1e6),
@@ -126,7 +133,7 @@ impl Profiler {
         }
         #[cfg(not(feature = "profile"))]
         {
-            let _ = (peak_pending, peak_inflight);
+            let _ = (peak_pending, peak_inflight, peak_queued);
             None
         }
     }
@@ -144,13 +151,14 @@ mod tests {
         let m = p.mark();
         p.on_event(0, m);
         if Profiler::enabled() {
-            let r = p.report(3, 2).expect("report present with feature");
+            let r = p.report(3, 2, 5).expect("report present with feature");
             let text = r.render();
             assert!(text.contains("\"peak_pending_events\": 3"));
             assert!(text.contains("\"peak_inflight_packets\": 2"));
+            assert!(text.contains("\"peak_queued_packets\": 5"));
             assert!(text.contains("\"events_by_kind\""));
         } else {
-            assert!(p.report(3, 2).is_none());
+            assert!(p.report(3, 2, 5).is_none());
         }
     }
 }

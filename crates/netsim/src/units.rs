@@ -211,9 +211,15 @@ impl Bandwidth {
         if self.0 == 0 {
             return Duration(u64::MAX / 4);
         }
-        let bits = bytes as u128 * 8;
-        let ps = (bits * PS_PER_SEC as u128).div_ceil(self.0 as u128);
-        Duration(ps.min(u64::MAX as u128 / 4) as u64)
+        const CAP: u64 = u64::MAX / 4;
+        Duration(match bytes.checked_mul(8 * PS_PER_SEC) {
+            // Every frame below 2.3 MB: the same division in one `div`
+            // instead of a `__udivti3` call per transmitted frame.
+            Some(bit_ps) => bit_ps.div_ceil(self.0).min(CAP),
+            None => (bytes as u128 * 8 * PS_PER_SEC as u128)
+                .div_ceil(self.0 as u128)
+                .min(CAP as u128) as u64,
+        })
     }
     /// Scales the rate by a float factor, saturating at zero.
     pub fn scale(self, f: f64) -> Bandwidth {
@@ -382,6 +388,28 @@ mod tests {
         // 8/3 ns = 2666.66.. ps and must round up.
         let d = Bandwidth(3_000_000_000).serialize(1);
         assert_eq!(d.0, 2667);
+    }
+
+    proptest::proptest! {
+        /// The `u64` fast path and the `u128` path are the same function.
+        #[test]
+        fn serialize_matches_the_u128_formula(
+            rate in 1u64..=u64::MAX,
+            small_rate in 1u64..=400_000_000_000,
+            bytes in 0u64..=u64::MAX,
+            near in 0u64..=2_000,
+        ) {
+            // Largest byte count whose bit-picoseconds still fit in `u64`.
+            let edge = u64::MAX / (8 * PS_PER_SEC);
+            for rate in [rate, small_rate, 1, u64::MAX] {
+                for bytes in [bytes, near, edge - near, edge, edge + 1, edge + near] {
+                    let exact = (bytes as u128 * 8 * PS_PER_SEC as u128)
+                        .div_ceil(rate as u128)
+                        .min(u64::MAX as u128 / 4) as u64;
+                    proptest::prop_assert_eq!(Bandwidth(rate).serialize(bytes), Duration(exact));
+                }
+            }
+        }
     }
 
     #[test]

@@ -71,6 +71,41 @@ fn corrupted_buffer_occupancy_is_caught() {
     assert!(v.iter().any(|v| v.context.contains("exceeds pool")));
 }
 
+/// A port whose byte counter disagrees with what its queue lists hold is
+/// flagged, with the node named, by the same periodic scan.
+#[test]
+fn corrupted_port_accounting_is_caught() {
+    let mut s = star(
+        3,
+        LinkParams::default(),
+        host_cfg(),
+        SwitchConfig::paper_default(),
+        1,
+    );
+    // 2-to-1 incast: the switch's egress port holds a standing queue.
+    for i in 0..2 {
+        let f = s.net.add_flow(s.hosts[i], s.hosts[2], DATA_PRIORITY, |l| {
+            Box::new(NoCc::new(l))
+        });
+        s.net.send_message(f, u64::MAX, Time::ZERO);
+    }
+    s.net.run_until(Time::from_millis(1));
+    s.net.audit().assert_clean();
+
+    let sw = s.switch;
+    s.net.switch_mut(sw).ports[2].queued_bytes[DATA_PRIORITY as usize] += 1;
+    s.net.audit_buffers_now();
+    let v = s.net.audit().violations();
+    assert_eq!(v.len(), 1, "one port, one violation");
+    assert_eq!(v[0].kind, ViolationKind::PortConservation);
+    assert_eq!(v[0].node, Some(sw));
+    assert!(
+        v[0].context.contains("port 2: prio 3") && v[0].context.contains("!= queued_bytes"),
+        "{}",
+        v[0].context
+    );
+}
+
 /// A violation automatically dumps the offending node's flight-recorder
 /// ring: the dump names the switch, carries the violation kind in its
 /// reason, and holds the node's most recent trace events.
