@@ -7,59 +7,19 @@
 //! generate feedback ("no CNPs are generated in the common case of no
 //! congestion").
 //!
-//! This is the same state machine the `netsim` host executes inline (see
-//! `netsim::host::Host::receive`); it is factored out here so the paper's
-//! Figure 6 semantics are unit-testable in isolation and reusable by the
-//! fluid model.
+//! The state machine itself is `netsim::cc::NpState`, the one the
+//! simulated receiving NIC runs (`netsim::host::Host::receive_data`) — so
+//! Figure 6 as printed by `repro fig6`, the `dcqcn.np_on_packet_ns`
+//! kernel and the simulator are one piece of code. It is re-exported here
+//! because it is part of DCQCN, and its Figure 6 semantics are pinned by
+//! the tests below.
 
-use netsim::units::{Duration, Time};
-
-/// Per-flow NP state.
-#[derive(Debug, Clone, Copy)]
-pub struct NpState {
-    interval: Duration,
-    last_cnp: Option<Time>,
-}
-
-impl NpState {
-    /// NP for one flow with CNP pacing interval `N`.
-    pub fn new(interval: Duration) -> NpState {
-        NpState {
-            interval,
-            last_cnp: None,
-        }
-    }
-
-    /// The paper's deployed N = 50 µs.
-    pub fn paper() -> NpState {
-        NpState::new(Duration::from_micros(50))
-    }
-
-    /// A packet for the flow arrived; `marked` is its CE bit. Returns true
-    /// when a CNP must be sent now.
-    pub fn on_packet(&mut self, now: Time, marked: bool) -> bool {
-        if !marked {
-            return false;
-        }
-        let due = match self.last_cnp {
-            None => true,
-            Some(last) => now - last >= self.interval,
-        };
-        if due {
-            self.last_cnp = Some(now);
-        }
-        due
-    }
-
-    /// When the last CNP was generated.
-    pub fn last_cnp(&self) -> Option<Time> {
-        self.last_cnp
-    }
-}
+pub use netsim::cc::NpState;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::units::{Duration, Time};
 
     fn us(u: u64) -> Time {
         Time::from_micros(u)

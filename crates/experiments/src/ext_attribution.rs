@@ -11,7 +11,7 @@
 //! (its own CNP-driven rate limiter, not someone else's PAUSE).
 
 use crate::common::{banner, breakdown_json, print_breakdown, CcChoice, RunScale};
-use crate::report;
+use crate::report::{self, Artifact};
 use crate::scenarios::attribution_run;
 use netsim::telemetry::Json;
 use netsim::units::{Duration, Time};
@@ -70,7 +70,7 @@ pub fn run(quick: bool) {
         // Export the PFC-only run's Chrome trace: it is the one whose
         // per-port PAUSE instants show the congestion spreading.
         if matches!(cc, CcChoice::None) {
-            report::put_trace(&att.trace);
+            report::write(Artifact::Trace, || att.trace.render());
         }
     }
     report::put("schemes", Json::Arr(schemes));

@@ -4,7 +4,7 @@
 //! uplinks depending on the ECMP draw (the parking-lot problem).
 
 use crate::common::{banner, breakdown_json, mmm, print_breakdown, CcChoice, RunScale};
-use crate::report;
+use crate::report::{self, Artifact};
 use crate::runner::par_runs;
 use crate::scenarios::{unfairness_attribution, unfairness_run_full};
 use netsim::telemetry::{Json, SpanState};
@@ -39,7 +39,7 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
                 .collect::<Vec<_>>(),
         ),
     );
-    if report::enabled() {
+    if report::enabled(Artifact::Report) {
         report::put(
             "runs",
             Json::Arr(

@@ -3,7 +3,7 @@
 //! cascade from T4 up through the spines and down to T1's uplinks.
 
 use crate::common::{banner, breakdown_json, mmm, print_breakdown, CcChoice, RunScale};
-use crate::report;
+use crate::report::{self, Artifact};
 use crate::runner::par_map;
 use crate::scenarios::{attribution_run, victim_run};
 use netsim::telemetry::{Json, SpanState};
@@ -87,7 +87,7 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
     report::put("victim_fct_us", Json::from(att.fct.as_micros_f64()));
     report::put("victim_breakdown_us", breakdown_json(&att.breakdown));
     report::put("congestion_tree", att.tree.to_json());
-    report::put_trace(&att.trace);
+    report::write(Artifact::Trace, || att.trace.render());
 }
 
 /// Runs the experiment.

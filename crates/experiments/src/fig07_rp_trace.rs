@@ -2,7 +2,7 @@
 //! cut, fast recovery, and additive increase.
 
 use crate::common::banner;
-use crate::report;
+use crate::report::{self, Artifact};
 use dcqcn::params::DcqcnParams;
 use dcqcn::rp::{DcqcnRp, TIMER_RATE};
 use netsim::cc::{CcActions, CongestionControl};
@@ -56,7 +56,7 @@ pub fn run(_quick: bool) {
         };
         row(&format!("T#{i}"), t, &rp, phase);
     }
-    if report::dash_enabled() {
+    if report::enabled(Artifact::Dash) {
         let mut dash = Dashboard::new("fig7: RP state machine trace");
         dash.fact("events", "13");
         dash.fact("params", "paper");
@@ -78,6 +78,6 @@ pub fn run(_quick: bool) {
             vec![series_of(tls.get(rc), "R_C"), series_of(tls.get(rt), "R_T")],
         );
         dash.chart("alpha", "alpha", vec![series_of(tls.get(al), "alpha")]);
-        report::put_dash(&dash);
+        report::write(Artifact::Dash, || dash.render());
     }
 }

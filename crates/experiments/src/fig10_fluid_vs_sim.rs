@@ -3,7 +3,7 @@
 //! the packet simulator and the DDE model.
 
 use crate::common::{banner, mean, CcChoice};
-use crate::report;
+use crate::report::{self, Artifact};
 use fluid::model::{FlowState, FluidSim};
 use fluid::params::FluidParams;
 use netsim::packet::DATA_PRIORITY;
@@ -46,9 +46,11 @@ pub fn run(quick: bool) {
         },
     );
     s.net.run_until(Time::from_millis(end_ms));
-    if report::dash_enabled() {
-        report::put_dash(&s.net.dashboard("fig10: joining sender (packet sim)"));
-    }
+    report::write(Artifact::Dash, || {
+        s.net
+            .dashboard("fig10: joining sender (packet sim)")
+            .render()
+    });
     let sim = s.net.sampler().flow_rate(f2).expect("sampled").series();
 
     // --- fluid model ---

@@ -9,7 +9,7 @@
 //!   and stable.
 
 use crate::common::{banner, mean, stddev, CcChoice};
-use crate::report;
+use crate::report::{self, Artifact};
 use crate::runner::par_map;
 use dcqcn::params::{red_cutoff_strawman, red_deployed, DcqcnParams};
 use netsim::ecn::RedConfig;
@@ -117,12 +117,14 @@ pub fn run(quick: bool) {
     }
     println!("paper: (a) unfair; (b) fair; (c) fair but unstable (randomness of");
     println!("marking); (d) deployed combination — fair and stable.");
-    if report::dash_enabled() {
+    if report::enabled(Artifact::Dash) {
         // Serial representative rerun of the deployed configuration (d),
         // on the dispatch thread, so the dashboard bytes cannot depend on
         // REPRO_THREADS.
         let d = &configs[3];
         let (s, _) = sim_run(d.params, d.red, end, 31);
-        report::put_dash(&s.net.dashboard("fig13 (d): fast timer + RED-ECN"));
+        report::write(Artifact::Dash, || {
+            s.net.dashboard("fig13 (d): fast timer + RED-ECN").render()
+        });
     }
 }

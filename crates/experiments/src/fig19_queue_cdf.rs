@@ -6,7 +6,7 @@
 //! p* > P_max), so the DCQCN tail grows.
 
 use crate::common::{banner, CcChoice, RunScale};
-use crate::report;
+use crate::report::{self, Artifact};
 use crate::runner::par_map;
 use baselines::dctcp::DctcpParams;
 use netsim::event::PortId;
@@ -100,10 +100,12 @@ pub fn run(quick: bool) {
     );
     println!("DCTCP rides its 160 KB cut-off threshold; DCQCN's hardware pacing");
     println!("permits the shallow 5 KB K_min and a far shorter queue.");
-    if report::dash_enabled() {
+    if report::enabled(Artifact::Dash) {
         // Serial representative rerun (2:1 DCQCN) on the dispatch thread,
         // so the dashboard bytes cannot depend on REPRO_THREADS.
         let (s, _) = incast_sim(CcChoice::dcqcn_paper(), 2, duration, 3);
-        report::put_dash(&s.net.dashboard("fig19: 2:1 incast, DCQCN"));
+        report::write(Artifact::Dash, || {
+            s.net.dashboard("fig19: 2:1 incast, DCQCN").render()
+        });
     }
 }

@@ -8,8 +8,10 @@
 //! ```
 //!
 //! Several positional ids run in order: `repro fig3 fig4 fig9`. Unknown
-//! ids and unknown `--flags` are rejected up front with exit status 2 —
-//! nothing runs.
+//! ids, unknown `--flags` and flags with no id at all are rejected up
+//! front with exit status 2 — nothing runs. Exit status 1 means every
+//! experiment ran but a requested `--json`/`--trace`/`--dash` file could
+//! not be written (one `error:` line each).
 //!
 //! `--json <dir>` additionally writes one machine-readable report per
 //! experiment to `<dir>/<id>.json`; `--trace <dir>` writes a Chrome
@@ -20,6 +22,7 @@
 //! are deterministic byte-for-byte across `REPRO_THREADS` settings
 //! (see DESIGN.md, "Telemetry" and "Causal tracing").
 
+use experiments::report::{self, Artifact};
 use std::path::Path;
 use std::time::Instant;
 
@@ -49,43 +52,35 @@ fn main() {
     }
     let mut quick = false;
     let mut ids: Vec<&str> = Vec::new();
-    let mut json_dir: Option<&str> = None;
-    let mut trace_dir: Option<&str> = None;
-    let mut dash_dir: Option<&str> = None;
+    // Output directory per artifact kind, indexed by `Artifact`.
+    let mut dirs: [Option<&str>; 3] = [None; 3];
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--json" => match it.next() {
-                Some(d) => json_dir = Some(d.as_str()),
-                None => {
-                    eprintln!("--json requires an output directory");
-                    std::process::exit(2);
-                }
-            },
-            "--trace" => match it.next() {
-                Some(d) => trace_dir = Some(d.as_str()),
-                None => {
-                    eprintln!("--trace requires an output directory");
-                    std::process::exit(2);
-                }
-            },
-            "--dash" => match it.next() {
-                Some(d) => dash_dir = Some(d.as_str()),
-                None => {
-                    eprintln!("--dash requires an output directory");
-                    std::process::exit(2);
-                }
-            },
             flag if flag.starts_with("--") => {
-                eprintln!("unknown flag '{flag}'");
-                usage();
-                std::process::exit(2);
+                let Some(kind) = Artifact::from_flag(flag) else {
+                    eprintln!("unknown flag '{flag}'");
+                    usage();
+                    std::process::exit(2);
+                };
+                let Some(dir) = it.next() else {
+                    eprintln!("{flag} requires an output directory");
+                    std::process::exit(2);
+                };
+                dirs[kind as usize] = Some(dir.as_str());
             }
             id => ids.push(id),
         }
     }
 
+    if ids.is_empty() && !args.is_empty() {
+        // Flags but nothing to run: a script whose id list came out
+        // empty must not pass.
+        eprintln!("no experiment id given");
+        usage();
+        std::process::exit(2);
+    }
     if ids.is_empty() || ids.contains(&"help") {
         usage();
         return;
@@ -110,21 +105,12 @@ fn main() {
         }
     }
 
-    if let Some(dir) = json_dir {
-        if let Err(e) = experiments::report::set_dir(Path::new(dir)) {
-            eprintln!("cannot create report directory {dir}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(dir) = trace_dir {
-        if let Err(e) = experiments::report::set_trace_dir(Path::new(dir)) {
-            eprintln!("cannot create trace directory {dir}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(dir) = dash_dir {
-        if let Err(e) = experiments::report::set_dash_dir(Path::new(dir)) {
-            eprintln!("cannot create dashboard directory {dir}: {e}");
+    for kind in [Artifact::Report, Artifact::Trace, Artifact::Dash] {
+        let Some(dir) = dirs[kind as usize] else {
+            continue;
+        };
+        if let Err(e) = report::set_dir(kind, Path::new(dir)) {
+            eprintln!("cannot create output directory {dir}: {e}");
             std::process::exit(1);
         }
     }
@@ -151,5 +137,10 @@ fn main() {
     }
     if many {
         eprintln!("[total {:.1}s]", t0.elapsed().as_secs_f64());
+    }
+    // Each unwritable file was reported as it happened (`error: …`); a
+    // requested artifact that is missing fails the invocation.
+    if report::failed_writes() > 0 {
+        std::process::exit(1);
     }
 }

@@ -1,4 +1,6 @@
-//! Machine-readable run reports — the sink behind `repro --json <dir>`.
+//! Run artifacts — the sinks behind `repro --json|--trace|--dash <dir>`
+//! (one [`Artifact`] each, one [`write`] path) and the collector of the
+//! machine-readable run report.
 //!
 //! When a sink is active, [`crate::dispatch`] opens a report before an
 //! experiment runs and finalizes it afterwards; experiment modules add
@@ -16,13 +18,43 @@ use netsim::telemetry::Json;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+/// The three files a dispatched experiment can leave behind, each with
+/// one `repro` flag naming its output directory and one sink here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Artifact {
+    /// `--json <dir>`: the machine-readable report, `<dir>/<id>.json`,
+    /// finalized after every dispatched experiment.
+    Report,
+    /// `--trace <dir>`: a Chrome trace-event file,
+    /// `<dir>/<id>.trace.json`, from experiments that export one.
+    Trace,
+    /// `--dash <dir>`: a single-file HTML dashboard, `<dir>/<id>.html`,
+    /// from experiments that render one.
+    Dash,
+}
+
+/// Each artifact's flag and file extension, indexed by [`Artifact`].
+const KINDS: [(Artifact, &str, &str); 3] = [
+    (Artifact::Report, "--json", "json"),
+    (Artifact::Trace, "--trace", "trace.json"),
+    (Artifact::Dash, "--dash", "html"),
+];
+
+impl Artifact {
+    /// The artifact whose output directory `flag` names.
+    pub fn from_flag(flag: &str) -> Option<Artifact> {
+        KINDS.iter().find(|k| k.1 == flag).map(|k| k.0)
+    }
+}
+
 /// Collector state behind the process-wide lock. `current` only lives
 /// between `begin` and `finish`, which `dispatch` calls from one thread;
 /// worker threads never touch the collector.
 struct State {
-    dir: Option<PathBuf>,
-    trace_dir: Option<PathBuf>,
-    dash_dir: Option<PathBuf>,
+    /// Output directory of each [`Artifact`], indexed by it.
+    dirs: [Option<PathBuf>; 3],
+    /// Requested files that could not be written.
+    failed_writes: usize,
     capture: bool,
     current: Option<Vec<(String, Json)>>,
     current_id: Option<String>,
@@ -30,99 +62,69 @@ struct State {
 }
 
 static STATE: Mutex<State> = Mutex::new(State {
-    dir: None,
-    trace_dir: None,
-    dash_dir: None,
+    dirs: [None, None, None],
+    failed_writes: 0,
     capture: false,
     current: None,
     current_id: None,
     captured: Vec::new(),
 });
 
-/// Enables report emission: every dispatched experiment writes
-/// `<dir>/<id>.json`. Creates the directory if needed.
-pub fn set_dir(dir: &Path) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    STATE.lock().unwrap().dir = Some(dir.to_path_buf());
-    Ok(())
-}
-
-/// Is any sink (output directory or test capture) active?
-pub fn enabled() -> bool {
-    let s = STATE.lock().unwrap();
-    s.dir.is_some() || s.capture
-}
-
-/// Enables Chrome-trace emission (`repro <id> --trace <dir>`): an
-/// experiment that exports a causal trace writes
-/// `<dir>/<id>.trace.json`. Creates the directory if needed.
-pub fn set_trace_dir(dir: &Path) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    STATE.lock().unwrap().trace_dir = Some(dir.to_path_buf());
-    Ok(())
-}
-
-/// Is a Chrome-trace sink active? Experiments gate their (serial)
-/// trace-producing attribution runs on this where the trace is the only
-/// consumer.
-pub fn trace_enabled() -> bool {
-    STATE.lock().unwrap().trace_dir.is_some()
-}
-
-/// Writes the dispatched experiment's Chrome trace to
-/// `<trace dir>/<id>.trace.json` (no-op without a trace sink). The
-/// render is a pure function of the run results and experiments export
-/// from the dispatch thread, so the file is byte-identical across
-/// `REPRO_THREADS` settings (the CI `artifact-determinism` job pins this).
-pub fn put_trace(trace: &Json) {
-    let s = STATE.lock().unwrap();
-    let (Some(dir), Some(id)) = (&s.trace_dir, &s.current_id) else {
-        return;
-    };
-    let path = dir.join(format!("{id}.trace.json"));
-    if let Err(e) = std::fs::write(&path, trace.render()) {
-        eprintln!("report: cannot write {}: {e}", path.display());
+impl State {
+    /// Writes the dispatched experiment's `kind` artifact if that sink is
+    /// on. A file that cannot be written is an `error:` line on stderr,
+    /// remembered for [`failed_writes`]; the run goes on, so the other
+    /// artifacts are still produced.
+    fn write(&mut self, kind: Artifact, render: impl FnOnce() -> String) {
+        let (Some(dir), Some(id)) = (&self.dirs[kind as usize], &self.current_id) else {
+            return;
+        };
+        let path = dir.join(format!("{id}.{}", KINDS[kind as usize].2));
+        if let Err(e) = std::fs::write(&path, render()) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            self.failed_writes += 1;
+        }
     }
 }
 
-/// Enables dashboard emission (`repro <id> --dash <dir>`): an experiment
-/// that renders a dashboard writes `<dir>/<id>.html`. Creates the
-/// directory if needed.
-pub fn set_dash_dir(dir: &Path) -> std::io::Result<()> {
+/// Turns `kind`'s sink on: every dispatched experiment that produces the
+/// artifact writes it under `dir`. Creates the directory if needed.
+pub fn set_dir(kind: Artifact, dir: &Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    STATE.lock().unwrap().dash_dir = Some(dir.to_path_buf());
+    STATE.lock().unwrap().dirs[kind as usize] = Some(dir.to_path_buf());
     Ok(())
 }
 
-/// Is a dashboard sink active? Experiments gate their (serial)
-/// dashboard-producing representative runs on this.
-pub fn dash_enabled() -> bool {
-    STATE.lock().unwrap().dash_dir.is_some()
+/// Is `kind` wanted? Experiments gate work whose only consumer is that
+/// artifact (a serial representative run for the dashboard, per-run
+/// telemetry for the report) on this. A test capture is a report sink.
+pub fn enabled(kind: Artifact) -> bool {
+    let s = STATE.lock().unwrap();
+    s.dirs[kind as usize].is_some() || (kind == Artifact::Report && s.capture)
 }
 
-/// Writes the dispatched experiment's dashboard to `<dash dir>/<id>.html`
-/// (no-op without a dashboard sink). The render is a pure function of the
-/// run results and experiments render from the dispatch thread, so the
-/// file is byte-identical across `REPRO_THREADS` settings (the CI
+/// Writes the dispatched experiment's trace or dashboard (no-op without
+/// that sink). `render` is a pure function of the run results and
+/// experiments call this from the dispatch thread, so the file is
+/// byte-identical across `REPRO_THREADS` settings (the CI
 /// `artifact-determinism` job pins this).
-pub fn put_dash(dash: &netsim::telemetry::Dashboard) {
-    let s = STATE.lock().unwrap();
-    let (Some(dir), Some(id)) = (&s.dash_dir, &s.current_id) else {
-        return;
-    };
-    let path = dir.join(format!("{id}.html"));
-    if let Err(e) = std::fs::write(&path, dash.render()) {
-        eprintln!("report: cannot write {}: {e}", path.display());
-    }
+pub fn write(kind: Artifact, render: impl FnOnce() -> String) {
+    STATE.lock().unwrap().write(kind, render);
+}
+
+/// How many requested artifacts could not be written so far; `repro`
+/// exits 1 when any was not.
+pub fn failed_writes() -> usize {
+    STATE.lock().unwrap().failed_writes
 }
 
 /// Opens a report for the experiment about to run (no-op without a sink;
-/// the experiment id is remembered either way so [`put_trace`] can name
-/// its output file).
+/// the experiment id is remembered either way so [`write`] can name its
+/// output file).
 pub(crate) fn begin(id: &str) {
     let mut s = STATE.lock().unwrap();
     s.current_id = Some(id.to_string());
-    if s.dir.is_some() || s.capture {
+    if s.dirs[Artifact::Report as usize].is_some() || s.capture {
         s.current = Some(Vec::new());
     }
 }
@@ -144,22 +146,16 @@ pub fn put(key: &str, value: Json) {
 /// writes `<dir>/<id>.json` and/or stores it for [`capture`].
 pub(crate) fn finish(id: &str, quick: bool) {
     let mut s = STATE.lock().unwrap();
-    s.current_id = None;
-    let Some(mut pairs) = s.current.take() else {
-        return;
-    };
-    pairs.push(("id".to_string(), Json::from(id)));
-    pairs.push(("quick".to_string(), Json::from(quick)));
-    let rendered = Json::Obj(pairs).render();
-    if let Some(dir) = &s.dir {
-        let path = dir.join(format!("{id}.json"));
-        if let Err(e) = std::fs::write(&path, &rendered) {
-            eprintln!("report: cannot write {}: {e}", path.display());
+    if let Some(mut pairs) = s.current.take() {
+        pairs.push(("id".to_string(), Json::from(id)));
+        pairs.push(("quick".to_string(), Json::from(quick)));
+        let rendered = Json::Obj(pairs).render();
+        if s.capture {
+            s.captured.push((id.to_string(), rendered.clone()));
         }
+        s.write(Artifact::Report, || rendered);
     }
-    if s.capture {
-        s.captured.push((id.to_string(), rendered));
-    }
+    s.current_id = None;
 }
 
 /// Drops the open report (unknown experiment id).
@@ -204,6 +200,6 @@ mod tests {
         // No sink configured after the capture window closes: put is a
         // no-op and nothing reports as enabled.
         put("orphan", Json::from(1u64));
-        assert!(!enabled());
+        assert!(!enabled(Artifact::Report));
     }
 }

@@ -4,6 +4,7 @@
 //! same property `tests/determinism.rs` pins for raw results, extended
 //! here through the telemetry registry and the JSON renderer.
 
+use experiments::report::Artifact;
 use std::sync::Mutex;
 
 /// Serializes tests that mutate `REPRO_THREADS` / the report sink —
@@ -33,8 +34,8 @@ fn fig3_report_is_byte_identical_across_thread_counts() {
 fn json_dir_writes_one_report_per_dispatch() {
     let _guard = ENV_LOCK.lock().unwrap();
     let dir = std::env::temp_dir().join(format!("repro-json-{}", std::process::id()));
-    experiments::report::set_dir(&dir).unwrap();
-    assert!(experiments::report::enabled());
+    experiments::report::set_dir(Artifact::Report, &dir).unwrap();
+    assert!(experiments::report::enabled(Artifact::Report));
     // A cheap closed-form experiment still produces a stamped report.
     assert!(experiments::dispatch("fig5", true));
     let text = std::fs::read_to_string(dir.join("fig5.json")).unwrap();

@@ -116,6 +116,58 @@ pub trait CongestionControl: Send {
     }
 }
 
+/// The DCQCN notification point (NP) of one flow — the receiver-side CNP
+/// generator of §3.1, Figure 6: a CE-marked arrival triggers a CNP unless
+/// one was sent for the flow within the last `N` microseconds. It sits
+/// beside the RP's interface because the receiving NIC runs it for every
+/// algorithm that wants CNPs; `dcqcn::np` re-exports it with the paper's
+/// semantics spelled out and tested.
+#[derive(Debug, Clone, Copy)]
+pub struct NpState {
+    interval: Duration,
+    last_cnp: Option<Time>,
+}
+
+impl NpState {
+    /// NP for one flow with CNP pacing interval `N`.
+    pub fn new(interval: Duration) -> NpState {
+        NpState {
+            interval,
+            last_cnp: None,
+        }
+    }
+
+    /// The paper's deployed N = 50 µs.
+    pub fn paper() -> NpState {
+        NpState::new(Duration::from_micros(50))
+    }
+
+    /// A packet for the flow arrived; `marked` is its CE bit. Returns true
+    /// when a CNP must be sent now.
+    #[inline]
+    pub fn on_packet(&mut self, now: Time, marked: bool) -> bool {
+        if !marked {
+            return false;
+        }
+        let due = self.since_cnp(now).is_none_or(|gap| gap >= self.interval);
+        if due {
+            self.last_cnp = Some(now);
+        }
+        due
+    }
+
+    /// Time since the last CNP was generated (`None` before the first).
+    #[inline]
+    pub fn since_cnp(&self, now: Time) -> Option<Duration> {
+        self.last_cnp.map(|last| now - last)
+    }
+
+    /// When the last CNP was generated.
+    pub fn last_cnp(&self) -> Option<Time> {
+        self.last_cnp
+    }
+}
+
 /// No congestion control at all: send at line rate forever. This is the
 /// paper's "No DCQCN" / PFC-only configuration.
 #[derive(Debug, Clone)]

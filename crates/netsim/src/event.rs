@@ -58,11 +58,6 @@ pub enum TimerKind {
         /// Message size in bytes.
         bytes: u64,
     },
-    /// Reset an idle flow's congestion state back to line rate.
-    IdleReset {
-        /// Local flow index on the host.
-        flow: usize,
-    },
 }
 
 /// A simulation event.

@@ -10,12 +10,12 @@
 //! algorithms). This mirrors NIC hardware, where rate limiting is "on a
 //! per-packet granularity" (§3.3).
 
-use crate::cc::{CcActions, CongestionControl};
-use crate::event::{Event, NodeId, PortId, TimerKind};
+use crate::cc::{CcActions, CongestionControl, NpState};
+use crate::event::{NodeId, PortId, TimerKind};
 use crate::network::Ctx;
 use crate::packet::{Ecn, FlowId, Packet, PacketKind, Priority, HEADER_BYTES};
 use crate::port::{Port, Queued};
-use crate::trace::{TraceEvent, TraceKind};
+use crate::trace::TraceKind;
 use crate::units::{Bandwidth, Duration, Time};
 use std::collections::{HashMap, VecDeque};
 
@@ -198,8 +198,8 @@ pub struct FlowReceiver {
     pub src: NodeId,
     /// Next PSN expected in order.
     pub expected_psn: u64,
-    /// When the NP last generated a CNP (`None` = never).
-    pub last_cnp: Option<Time>,
+    /// The notification point (`None` when the host generates no CNPs).
+    pub np: Option<NpState>,
     pkts_since_ack: u32,
     marked_since_ack: u32,
     last_nack_psn: u64,
@@ -207,11 +207,11 @@ pub struct FlowReceiver {
 }
 
 impl FlowReceiver {
-    fn new(src: NodeId) -> FlowReceiver {
+    fn new(src: NodeId, cnp_interval: Option<Duration>) -> FlowReceiver {
         FlowReceiver {
             src,
             expected_psn: 0,
-            last_cnp: None,
+            np: cnp_interval.map(NpState::new),
             pkts_since_ack: 0,
             marked_since_ack: 0,
             last_nack_psn: u64::MAX,
@@ -287,16 +287,7 @@ impl Host {
     pub fn receive(&mut self, ctx: &mut Ctx, pkt: Packet) {
         match pkt.kind {
             PacketKind::Pfc { class, pause } => {
-                let now = ctx.queue.now();
-                let paused_since = self.port.rx_paused_since[class as usize];
-                let released = self.port.apply_pfc(class, pause, now);
-                if released {
-                    if paused_since != Time::NEVER {
-                        ctx.metrics.observe(
-                            ctx.metrics.h.pause_duration_us,
-                            now.saturating_since(paused_since).as_micros_f64() as u64,
-                        );
-                    }
+                if self.port.rx_pfc(ctx, class, pause) {
                     self.try_send(ctx);
                 }
             }
@@ -349,37 +340,28 @@ impl Host {
         let rcv = self
             .receivers
             .entry(pkt.flow)
-            .or_insert_with(|| FlowReceiver::new(pkt.src));
+            .or_insert_with(|| FlowReceiver::new(pkt.src, cnp_interval));
 
         // Notification point: CE-marked arrival may trigger a CNP, rate
         // limited to one per `cnp_interval` per flow (§3.1, Figure 6).
         let mut control: Option<Packet> = None;
         let mut cnp: Option<Packet> = None;
-        if pkt.ecn == Ecn::Ce {
+        let ce = pkt.ecn == Ecn::Ce;
+        if ce {
             ctx.stats(pkt.flow).marked_pkts += 1;
-            if let Some(n) = cnp_interval {
-                let due = match rcv.last_cnp {
-                    None => true,
-                    Some(last) => now - last >= n,
-                };
-                if due {
-                    if let Some(last) = rcv.last_cnp {
+            if let Some(np) = &mut rcv.np {
+                let gap = np.since_cnp(now);
+                if np.on_packet(now, ce) {
+                    if let Some(gap) = gap {
                         ctx.metrics.observe(
                             ctx.metrics.h.cnp_interarrival_us,
-                            (now - last).as_micros_f64() as u64,
+                            gap.as_micros_f64() as u64,
                         );
                     }
-                    rcv.last_cnp = Some(now);
                     cnp = Some(Packet::cnp(host_id, rcv.src, pkt.flow));
                     ctx.stats(pkt.flow).cnps_sent += 1;
                     ctx.metrics.inc(ctx.metrics.h.cnps_sent);
-                    ctx.record_trace(TraceEvent {
-                        at: now,
-                        node: host_id,
-                        flow: pkt.flow,
-                        kind: TraceKind::CnpSent,
-                        detail: 0,
-                    });
+                    ctx.record_trace(host_id, pkt.flow, TraceKind::CnpSent, 0);
                 }
             }
         }
@@ -390,19 +372,13 @@ impl Host {
             rcv.expected_psn += 1;
             rcv.last_nack_psn = u64::MAX;
             rcv.pkts_since_ack += 1;
-            if pkt.ecn == Ecn::Ce {
+            if ce {
                 rcv.marked_since_ack += 1;
             }
             let st = ctx.stats(pkt.flow);
             st.delivered_pkts += 1;
             st.delivered_bytes += payload;
-            ctx.record_trace(TraceEvent {
-                at: now,
-                node: host_id,
-                flow: pkt.flow,
-                kind: TraceKind::Delivered,
-                detail: psn,
-            });
+            ctx.record_trace(host_id, pkt.flow, TraceKind::Delivered, psn);
             if eom || rcv.pkts_since_ack >= ack_every {
                 let mut ack = Packet::ack(
                     host_id,
@@ -427,13 +403,7 @@ impl Host {
                 control = Some(Packet::nack(host_id, rcv.src, pkt.flow, expected));
                 ctx.stats(pkt.flow).nacks_sent += 1;
                 ctx.metrics.inc(ctx.metrics.h.nacks_sent);
-                ctx.record_trace(TraceEvent {
-                    at: now,
-                    node: host_id,
-                    flow: pkt.flow,
-                    kind: TraceKind::NackSent,
-                    detail: expected,
-                });
+                ctx.record_trace(host_id, pkt.flow, TraceKind::NackSent, expected);
             }
         } else {
             // Duplicate of an already-delivered packet (post-rewind
@@ -567,13 +537,7 @@ impl Host {
                     // Deadline was pushed out by sends/ACKs since this
                     // event was scheduled: keep the chain alive.
                     let at = f.rto_deadline;
-                    ctx.queue.schedule(
-                        at,
-                        Event::Timer {
-                            node: self.id,
-                            kind: TimerKind::Retransmit { flow },
-                        },
-                    );
+                    ctx.schedule_timer(at, self.id, TimerKind::Retransmit { flow });
                     return;
                 }
                 if f.una_psn < f.next_psn {
@@ -594,13 +558,7 @@ impl Host {
                     f.send_psn = f.una_psn;
                     ctx.stats(f.id).timeouts += 1;
                     ctx.metrics.inc(ctx.metrics.h.timeouts);
-                    ctx.record_trace(TraceEvent {
-                        at: now,
-                        node: self.id,
-                        flow: f.id,
-                        kind: TraceKind::Timeout,
-                        detail: f.una_psn,
-                    });
+                    ctx.record_trace(self.id, f.id, TraceKind::Timeout, f.una_psn);
                     // The stall that just ended was RTO wait: re-attribute
                     // the open interval before the rewind changes state.
                     ctx.spans.on_timeout(f.id, now);
@@ -611,13 +569,7 @@ impl Host {
                     let factor = (1u64 << shift).min(u64::from(self.config.rto_backoff_cap.max(1)));
                     let deadline = now + self.config.rto.saturating_mul(factor);
                     f.rto_deadline = deadline;
-                    ctx.queue.schedule(
-                        deadline,
-                        Event::Timer {
-                            node: self.id,
-                            kind: TimerKind::Retransmit { flow },
-                        },
-                    );
+                    ctx.schedule_timer(deadline, self.id, TimerKind::Retransmit { flow });
                     self.scratch.clear();
                     f.cc.on_loss(now, &mut self.scratch);
                     self.apply_cc_actions(ctx, flow);
@@ -634,18 +586,6 @@ impl Host {
             }
             TimerKind::MessageArrival { flow, bytes } => {
                 self.inject_message(ctx, flow, bytes);
-            }
-            TimerKind::IdleReset { flow } => {
-                // Optional explicit reset hook (unused by default: resets
-                // happen lazily on message arrival).
-                let Some(f) = self.flows.get_mut(flow) else {
-                    return;
-                };
-                if f.is_idle() {
-                    self.scratch.clear();
-                    f.cc.reset(now, &mut self.scratch);
-                    self.apply_cc_actions(ctx, flow);
-                }
             }
         }
         self.update_spans(ctx);
@@ -685,13 +625,7 @@ impl Host {
                 None => f.cc_timers.push((id, at)),
             }
             if at != Time::NEVER {
-                ctx.queue.schedule(
-                    at,
-                    Event::Timer {
-                        node: self.id,
-                        kind: TimerKind::Cc { flow, id },
-                    },
-                );
+                ctx.schedule_timer(at, self.id, TimerKind::Cc { flow, id });
             }
         }
         self.scratch.timers.clear();
@@ -722,14 +656,13 @@ impl Host {
         }
         // Control frames (ACK/NAK/CNP) first — they sit in the port queues.
         if self.port.has_eligible() {
-            self.start_tx(ctx);
+            self.port.start_tx(ctx, self.id, PortId(0));
+            return;
+        }
+        if self.port.attach.is_none() {
             return;
         }
         let now = ctx.queue.now();
-        let line = match self.port.attach {
-            Some(a) => a.bandwidth,
-            None => return,
-        };
         let n = self.flows.len();
         let mut earliest = Time::NEVER;
         for k in 0..n {
@@ -746,23 +679,17 @@ impl Host {
                 continue;
             }
             self.rr_cursor = i + 1;
-            self.send_one(ctx, i, line);
+            self.send_one(ctx, i);
             return;
         }
         if earliest != Time::NEVER && (self.wakeup_at > earliest || self.wakeup_at <= now) {
             self.wakeup_at = earliest;
-            ctx.queue.schedule(
-                earliest,
-                Event::Timer {
-                    node: self.id,
-                    kind: TimerKind::NicWakeup,
-                },
-            );
+            ctx.schedule_timer(earliest, self.id, TimerKind::NicWakeup);
         }
     }
 
     /// Builds and transmits the next packet of flow `i`.
-    fn send_one(&mut self, ctx: &mut Ctx, i: usize, _line: Bandwidth) {
+    fn send_one(&mut self, ctx: &mut Ctx, i: usize) {
         let now = ctx.queue.now();
         let host_id = self.id;
         let mtu = self.config.mtu_payload;
@@ -839,13 +766,7 @@ impl Host {
         if f.rto_deadline == Time::NEVER {
             let deadline = now + rto;
             f.rto_deadline = deadline;
-            ctx.queue.schedule(
-                deadline,
-                Event::Timer {
-                    node: host_id,
-                    kind: TimerKind::Retransmit { flow: i },
-                },
-            );
+            ctx.schedule_timer(deadline, host_id, TimerKind::Retransmit { flow: i });
         }
 
         self.scratch.clear();
@@ -853,67 +774,13 @@ impl Host {
         self.apply_cc_actions(ctx, i);
 
         self.port.enqueue(Queued::new(pkt, None).at(now));
-        self.start_tx(ctx);
+        self.port.start_tx(ctx, self.id, PortId(0));
     }
 
-    /// Starts serialization of the next queued frame if the port is idle.
-    ///
-    /// As in [`crate::switch::Switch::try_transmit`], only `TxDone` is
-    /// scheduled here; [`Host::tx_done`] moves the finished frame out of
-    /// `port.current` and schedules its `Deliver`, avoiding a per-packet
-    /// clone and a second pending event per frame in flight.
-    fn start_tx(&mut self, ctx: &mut Ctx) {
-        let port = &mut self.port;
-        if port.busy {
-            return;
-        }
-        let Some(att) = port.attach else { return };
-        let Some(q) = port.dequeue_next() else { return };
-        let ser = att.bandwidth.serialize(q.pkt.wire_bytes);
-        let now = ctx.queue.now();
-        ctx.queue.schedule(
-            now + ser,
-            Event::TxDone {
-                node: self.id,
-                port: PortId(0),
-            },
-        );
-        port.current = Some(q);
-        port.busy = true;
-    }
-
-    /// The NIC finished serializing a frame: hand it to the wire.
+    /// The NIC finished serializing a frame and it is on the wire: pick
+    /// the next one. (A host frame holds no shared buffer to release.)
     pub fn tx_done(&mut self, ctx: &mut Ctx) {
-        self.port.busy = false;
-        if let Some(done) = self.port.finish_current() {
-            // `start_tx` only goes busy on an attached port; degrade to
-            // dropping the frame rather than panicking the run.
-            let Some(att) = self.port.attach else {
-                debug_assert!(false, "transmitting port must be attached");
-                return;
-            };
-            let now = ctx.queue.now();
-            if ctx.spans.is_enabled() && done.pkt.is_data() {
-                let ser = att.bandwidth.serialize(done.pkt.wire_bytes);
-                ctx.spans.record_hop(crate::telemetry::spans::HopSpan {
-                    flow: done.pkt.flow,
-                    node: self.id,
-                    port: PortId(0),
-                    enqueued: done.enqueued_at,
-                    start: now - ser,
-                    end: now,
-                });
-            }
-            let pkt = ctx.pool.insert(done.pkt);
-            ctx.queue.schedule(
-                now + att.delay,
-                Event::Deliver {
-                    node: att.peer,
-                    port: att.peer_port,
-                    pkt,
-                },
-            );
-        }
+        self.port.tx_done(ctx, self.id, PortId(0));
         self.try_send(ctx);
         self.update_spans(ctx);
     }

@@ -105,10 +105,25 @@ impl Ctx {
         &mut self.flow_stats[i]
     }
 
-    /// Records a trace event to both the packet tracer and the flight
-    /// recorder (each is one branch when disabled).
+    /// Schedules host `node`'s timer `kind` to fire at `at`.
     #[inline]
-    pub fn record_trace(&mut self, event: TraceEvent) {
+    pub fn schedule_timer(&mut self, at: Time, node: NodeId, kind: TimerKind) {
+        self.queue.schedule(at, Event::Timer { node, kind });
+    }
+
+    /// Records that `kind` happened at `node`, now, to both the packet
+    /// tracer and the flight recorder (each is one branch when disabled).
+    /// `flow` is `FlowId(u64::MAX)` when no flow is involved; `detail` is
+    /// per kind (see [`TraceEvent::detail`]).
+    #[inline]
+    pub fn record_trace(&mut self, node: NodeId, flow: FlowId, kind: TraceKind, detail: u64) {
+        let event = TraceEvent {
+            at: self.queue.now(),
+            node,
+            flow,
+            kind,
+            detail,
+        };
         self.tracer.record(event);
         self.flight.record(event);
     }
@@ -251,13 +266,8 @@ impl Network {
     pub fn send_message(&mut self, flow: FlowId, bytes: u64, at: Time) {
         let (host, idx) = self.flows[flow.0 as usize];
         let at = at.max(self.ctx.queue.now());
-        self.ctx.queue.schedule(
-            at,
-            Event::Timer {
-                node: host,
-                kind: TimerKind::MessageArrival { flow: idx, bytes },
-            },
-        );
+        self.ctx
+            .schedule_timer(at, host, TimerKind::MessageArrival { flow: idx, bytes });
     }
 
     /// A flow's counters.
@@ -473,13 +483,12 @@ impl Network {
                             ctx.audit
                                 .on_fault_drop(node, pkt.priority as usize, ctx.queue.now());
                             ctx.metrics.inc(ctx.metrics.h.fault_drops);
-                            ctx.record_trace(TraceEvent {
-                                at: ctx.queue.now(),
+                            ctx.record_trace(
                                 node,
-                                flow: pkt.flow,
-                                kind: TraceKind::FaultDropped,
-                                detail: (fate == WireFate::CrcDrop) as u64,
-                            });
+                                pkt.flow,
+                                TraceKind::FaultDropped,
+                                (fate == WireFate::CrcDrop) as u64,
+                            );
                             return;
                         }
                     }

@@ -9,7 +9,7 @@ use crate::event::{Event, LinkId, NodeId, PortId};
 use crate::faults::{storm_pause_edge, FaultAction, FaultConfig, FaultPlan, FaultStats};
 use crate::packet::{FlowId, Packet, NUM_PRIORITIES};
 use crate::routing::{compute_routes_masked, RouteTable};
-use crate::trace::{TraceEvent, TraceKind};
+use crate::trace::TraceKind;
 use crate::units::Duration;
 
 impl Network {
@@ -133,17 +133,13 @@ impl Network {
         self.reset_pfc_at(a, pa);
         self.reset_pfc_at(b, pb);
         self.ctx.metrics.inc(self.ctx.metrics.h.link_transitions);
-        self.ctx.record_trace(TraceEvent {
-            at: self.ctx.queue.now(),
-            node: a,
-            flow: FlowId(u64::MAX),
-            kind: if up {
-                TraceKind::LinkUp
-            } else {
-                TraceKind::LinkDown
-            },
-            detail: link.0 as u64,
-        });
+        let kind = if up {
+            TraceKind::LinkUp
+        } else {
+            TraceKind::LinkDown
+        };
+        self.ctx
+            .record_trace(a, FlowId(u64::MAX), kind, link.0 as u64);
         if self.faults.failover() {
             self.recompute_routes();
         }

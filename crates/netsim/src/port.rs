@@ -1,9 +1,14 @@
-//! A transmit port: per-priority egress queues, PFC pause state, and the
-//! transmitter itself. Used by both switches and host NICs.
+//! A port is one end of a link: per-priority egress queues, the
+//! transmitter that drains them onto the wire, and the PFC pause state a
+//! received PAUSE/RESUME drives. A switch port and a host NIC run the
+//! same code; what differs (buffer release, flow scheduling) is added by
+//! their callers.
 
-use crate::event::{LinkId, NodeId, PortId};
+use crate::event::{Event, LinkId, NodeId, PortId};
+use crate::network::Ctx;
 use crate::packet::{Packet, NUM_PRIORITIES};
 use crate::slab::{Slab, NIL};
+use crate::telemetry::spans::HopSpan;
 use crate::units::checked::{checked_accum, checked_drain};
 use crate::units::{Bandwidth, Duration, Time};
 use std::collections::VecDeque;
@@ -230,6 +235,92 @@ impl Port {
             debug_assert!(ok, "queued_bytes underflow");
         }
         Some(q)
+    }
+
+    /// Starts serializing the next eligible frame if the transmitter is
+    /// idle and the port is attached; `(node, pid)` is where this port
+    /// sits, for the completion event.
+    ///
+    /// Only `TxDone` is scheduled here; the matching `Deliver` is
+    /// scheduled by [`Port::tx_done`], which *moves* the frame out of
+    /// `current` — one pending event per frame in flight instead of two,
+    /// and no per-packet clone.
+    #[inline]
+    pub fn start_tx(&mut self, ctx: &mut Ctx, node: NodeId, pid: PortId) {
+        if self.busy {
+            return;
+        }
+        let Some(att) = self.attach else { return };
+        let Some(q) = self.dequeue_next() else { return };
+        let ser = att.bandwidth.serialize(q.pkt.wire_bytes);
+        ctx.queue
+            .schedule(ctx.queue.now() + ser, Event::TxDone { node, port: pid });
+        self.current = Some(q);
+        self.busy = true;
+    }
+
+    /// The frame in `current` finished serializing: hand it to the wire
+    /// (its `Deliver` fires one propagation delay later) and record its
+    /// hop span. Returns what a switch must now release to its shared
+    /// buffer — `(ingress port, priority, wire bytes)` — or `None` for a
+    /// frame that never occupied it. The caller restarts the transmitter.
+    #[inline]
+    pub fn tx_done(
+        &mut self,
+        ctx: &mut Ctx,
+        node: NodeId,
+        pid: PortId,
+    ) -> Option<(usize, usize, u64)> {
+        self.busy = false;
+        // `start_tx` only goes busy on attached ports, so a missing
+        // attachment here is unreachable; degrade to dropping the frame
+        // on the floor rather than panicking the whole run.
+        let Some(att) = self.attach else {
+            debug_assert!(false, "transmitting port must be attached");
+            return None;
+        };
+        let done = self.finish_current()?;
+        let wire = done.pkt.wire_bytes;
+        let now = ctx.queue.now();
+        if ctx.spans.is_enabled() && done.pkt.is_data() {
+            let ser = att.bandwidth.serialize(wire);
+            ctx.spans.record_hop(HopSpan {
+                flow: done.pkt.flow,
+                node,
+                port: pid,
+                enqueued: done.enqueued_at,
+                start: now - ser,
+                end: now,
+            });
+        }
+        let pkt = ctx.pool.insert(done.pkt);
+        ctx.queue.schedule(
+            now + att.delay,
+            Event::Deliver {
+                node: att.peer,
+                port: att.peer_port,
+                pkt,
+            },
+        );
+        done.ingress.map(|(port, prio)| (port, prio, wire))
+    }
+
+    /// A PFC frame arrived on this port: applies it ([`Port::apply_pfc`])
+    /// and, when it ends a pause, samples how long the pause lasted.
+    /// Returns true if a paused class was released (caller should retry
+    /// transmission).
+    #[inline]
+    pub fn rx_pfc(&mut self, ctx: &mut Ctx, class: u8, pause: bool) -> bool {
+        let now = ctx.queue.now();
+        let paused_since = self.rx_paused_since[class as usize];
+        let released = self.apply_pfc(class, pause, now);
+        if released && paused_since != Time::NEVER {
+            ctx.metrics.observe(
+                ctx.metrics.h.pause_duration_us,
+                now.saturating_since(paused_since).as_micros_f64() as u64,
+            );
+        }
+        released
     }
 
     /// Applies a received PFC frame to this port's transmit state.

@@ -19,12 +19,13 @@ use crate::buffer::{BufferConfig, SharedBuffer};
 use crate::ecn::RedConfig;
 use crate::event::{Event, NodeId, PortId};
 use crate::network::Ctx;
-use crate::packet::{Packet, PacketKind, NUM_PRIORITIES};
+use crate::packet::{FlowId, Packet, PacketKind, NUM_PRIORITIES};
 use crate::port::{Port, Queued};
 use crate::rng::mix64;
 use crate::routing::RouteTable;
 use crate::stats::SwitchStats;
-use crate::trace::{TraceEvent, TraceKind};
+use crate::telemetry::spans::PauseEdge;
+use crate::trace::TraceKind;
 use crate::units::checked::{bytes_to_f64, checked_accum};
 use crate::units::{Duration, Time};
 
@@ -209,36 +210,21 @@ impl Switch {
             if pause {
                 ctx.metrics.inc(ctx.metrics.h.pause_rx);
             }
-            let wd = self.config.watchdog;
+            let c = class as usize;
             let port = &mut self.ports[in_port.0];
-            let newly_paused = pause && !port.rx_paused[class as usize];
-            let paused_since = port.rx_paused_since[class as usize];
-            let released = port.apply_pfc(class, pause, now);
+            let was_paused = port.rx_paused[c];
+            let released = port.rx_pfc(ctx, class, pause);
             // Arm one watchdog check chain per (port, class) on the
             // false→true pause transition; the chain re-checks the soft
             // `rx_paused_since` deadline when it fires.
-            if let Some(wd) = wd {
-                let c = class as usize;
-                if newly_paused && port.rx_paused[c] && !port.wd_armed[c] {
+            if let Some(wd) = self.config.watchdog {
+                if !was_paused && port.rx_paused[c] && !port.wd_armed[c] {
                     port.wd_armed[c] = true;
-                    ctx.queue.schedule(
-                        now + wd.threshold,
-                        Event::Watchdog {
-                            node: self.id,
-                            port: in_port,
-                            class: c,
-                            restore: false,
-                        },
-                    );
+                    ctx.queue
+                        .schedule(now + wd.threshold, self.watchdog_event(in_port, c, false));
                 }
             }
             if released {
-                if paused_since != Time::NEVER {
-                    ctx.metrics.observe(
-                        ctx.metrics.h.pause_duration_us,
-                        now.saturating_since(paused_since).as_micros_f64() as u64,
-                    );
-                }
                 self.try_transmit(ctx, in_port);
             }
             return;
@@ -249,75 +235,26 @@ impl Switch {
 
         // 1. Shared-pool admission.
         if !self.buffer.admit(in_port.0, prio, wire) {
-            self.stats.drops_pool += 1;
-            ctx.metrics.inc(ctx.metrics.h.drops_pool);
-            ctx.audit
-                .on_drop(self.id, prio, self.is_lossless(prio), now);
-            ctx.record_trace(TraceEvent {
-                at: now,
-                node: self.id,
-                flow: pkt.flow,
-                kind: TraceKind::Dropped,
-                detail: 0,
-            });
+            self.record_drop(ctx, &pkt, 0);
             return;
         }
         ctx.metrics
             .set_max(ctx.metrics.h.peak_buffer_bytes, self.buffer.occupied());
 
         // 2. PFC threshold check on the ingress queue.
-        if self.is_lossless(prio) {
-            let port = &mut self.ports[in_port.0];
-            if !port.tx_pause_sent[prio] && self.buffer.should_pause(in_port.0, prio) {
-                // A delivered packet implies an attached ingress port; if
-                // that ever breaks, skipping the PAUSE (and letting the
-                // auditor flag the eventual drop) beats panicking mid-run.
-                let Some(att) = port.attach else {
-                    debug_assert!(false, "packet arrived on unattached port");
-                    return;
-                };
-                port.tx_pause_sent[prio] = true;
-                self.stats.pause_tx += 1;
-                ctx.metrics.inc(ctx.metrics.h.pause_tx);
-                port.pfc_queue
-                    .push_back(Packet::pfc(self.id, att.peer, prio as u8, true));
-                self.paused_ingress.push((in_port.0, prio));
-                ctx.audit.on_pause(self.id, in_port.0, prio, now);
-                ctx.record_trace(TraceEvent {
-                    at: now,
-                    node: self.id,
-                    flow: pkt.flow,
-                    kind: TraceKind::PauseSent,
-                    detail: prio as u64,
-                });
-                if ctx.spans.is_enabled() {
-                    let (depth, threshold) = self.buffer.pause_detail(in_port.0, prio);
-                    ctx.spans
-                        .record_pause_edge(crate::telemetry::spans::PauseEdge {
-                            at: now,
-                            from: self.id,
-                            from_port: in_port,
-                            to: att.peer,
-                            to_port: att.peer_port,
-                            class: prio as u8,
-                            pause: true,
-                            storm: false,
-                            depth,
-                            threshold,
-                        });
-                }
-                self.try_transmit(ctx, in_port);
-            }
+        if self.is_lossless(prio)
+            && !self.ports[in_port.0].tx_pause_sent[prio]
+            && self.buffer.should_pause(in_port.0, prio)
+        {
+            self.paused_ingress.push((in_port.0, prio));
+            self.send_pfc(ctx, in_port.0, prio, true, pkt.flow);
         }
 
         // 3. Routing.
         let Some(out) = self.route(&pkt, ctx.ecmp_salt) else {
             // Unroutable: release and count as a drop.
             self.buffer.release(in_port.0, prio, wire);
-            self.stats.drops_pool += 1;
-            ctx.metrics.inc(ctx.metrics.h.drops_pool);
-            ctx.audit
-                .on_drop(self.id, prio, self.is_lossless(prio), now);
+            self.record_drop(ctx, &pkt, 2);
             return;
         };
 
@@ -333,13 +270,7 @@ impl Switch {
         {
             self.stats.ecn_marks += 1;
             ctx.metrics.inc(ctx.metrics.h.ecn_marks);
-            ctx.record_trace(TraceEvent {
-                at: now,
-                node: self.id,
-                flow: pkt.flow,
-                kind: TraceKind::Marked,
-                detail: egress_depth,
-            });
+            ctx.record_trace(self.id, pkt.flow, TraceKind::Marked, egress_depth);
         }
 
         // QCN congestion point (baseline): sample and send feedback.
@@ -376,17 +307,7 @@ impl Switch {
             && egress_depth.saturating_add(wire) > self.buffer.lossy_egress_limit()
         {
             self.buffer.release(in_port.0, prio, wire);
-            self.stats.drops_lossy += 1;
-            ctx.metrics.inc(ctx.metrics.h.drops_lossy);
-            ctx.audit
-                .on_drop(self.id, prio, self.is_lossless(prio), now);
-            ctx.record_trace(TraceEvent {
-                at: now,
-                node: self.id,
-                flow: pkt.flow,
-                kind: TraceKind::Dropped,
-                detail: 1,
-            });
+            self.record_drop(ctx, &pkt, 1);
             return;
         }
 
@@ -428,29 +349,26 @@ impl Switch {
         let trip_at = port.rx_paused_since[class] + wd.threshold;
         if trip_at > now {
             // Paused again, but not yet continuously long enough.
-            ctx.queue.schedule(
-                trip_at,
-                Event::Watchdog {
-                    node: self.id,
-                    port: pid,
-                    class,
-                    restore: false,
-                },
-            );
+            ctx.queue
+                .schedule(trip_at, self.watchdog_event(pid, class, false));
             return;
         }
         // Trip: ignore PAUSE, resume transmitting, schedule recovery.
         self.trip_watchdog(ctx, pid, class);
-        ctx.queue.schedule(
-            now + wd.recovery,
-            Event::Watchdog {
-                node: self.id,
-                port: pid,
-                class,
-                restore: true,
-            },
-        );
+        ctx.queue
+            .schedule(now + wd.recovery, self.watchdog_event(pid, class, true));
         self.try_transmit(ctx, pid);
+    }
+
+    /// The check (`restore: false`) or recovery event of `(pid, class)`'s
+    /// watchdog chain.
+    fn watchdog_event(&self, port: PortId, class: usize, restore: bool) -> Event {
+        Event::Watchdog {
+            node: self.id,
+            port,
+            class,
+            restore,
+        }
     }
 
     /// Test-only firmware-bug emulation (see
@@ -474,13 +392,12 @@ impl Switch {
         port.rx_paused_since[class] = Time::NEVER;
         self.stats.watchdog_trips += 1;
         ctx.metrics.inc(ctx.metrics.h.watchdog_trips);
-        ctx.record_trace(TraceEvent {
-            at: ctx.queue.now(),
-            node: self.id,
-            flow: crate::packet::FlowId(u64::MAX),
-            kind: TraceKind::WatchdogTrip,
-            detail: class as u64,
-        });
+        ctx.record_trace(
+            self.id,
+            FlowId(u64::MAX),
+            TraceKind::WatchdogTrip,
+            class as u64,
+        );
     }
 
     /// Injects a switch-originated control packet (QCN feedback) toward its
@@ -493,75 +410,19 @@ impl Switch {
 
     /// Starts transmission on `pid` if the transmitter is idle and a packet
     /// is eligible.
-    ///
-    /// Only the `TxDone` event is scheduled here; the matching `Deliver`
-    /// is scheduled by [`Switch::tx_done`], which *moves* the packet out
-    /// of `port.current` — one pending event per in-flight packet instead
-    /// of two, and no per-packet clone.
     pub fn try_transmit(&mut self, ctx: &mut Ctx, pid: PortId) {
-        let port = &mut self.ports[pid.0];
-        if port.busy {
-            return;
-        }
-        let Some(att) = port.attach else { return };
-        let Some(q) = port.dequeue_next() else { return };
-        let ser = att.bandwidth.serialize(q.pkt.wire_bytes);
-        let now = ctx.queue.now();
-        ctx.queue.schedule(
-            now + ser,
-            Event::TxDone {
-                node: self.id,
-                port: pid,
-            },
-        );
-        port.current = Some(q);
-        port.busy = true;
+        self.ports[pid.0].start_tx(ctx, self.id, pid);
     }
 
-    /// A packet finished serializing on `pid`: hand it to the wire (its
-    /// `Deliver` fires one propagation delay later), release buffer space,
-    /// check RESUMEs, and keep transmitting.
+    /// A packet finished serializing on `pid` and is on the wire: release
+    /// its buffer space, check RESUMEs, and keep transmitting.
     pub fn tx_done(&mut self, ctx: &mut Ctx, pid: PortId) {
-        let port = &mut self.ports[pid.0];
-        port.busy = false;
-        // `try_transmit` only goes busy on attached ports, so a missing
-        // attachment here is unreachable; degrade to dropping the packet
-        // on the floor rather than panicking the whole run.
-        let Some(att) = port.attach else {
-            debug_assert!(false, "transmitting port must be attached");
-            return;
-        };
-        if let Some(done) = port.finish_current() {
-            let ingress = done.ingress;
-            let wire = done.pkt.wire_bytes;
-            let now = ctx.queue.now();
-            if ctx.spans.is_enabled() && done.pkt.is_data() {
-                let ser = att.bandwidth.serialize(done.pkt.wire_bytes);
-                ctx.spans.record_hop(crate::telemetry::spans::HopSpan {
-                    flow: done.pkt.flow,
-                    node: self.id,
-                    port: pid,
-                    enqueued: done.enqueued_at,
-                    start: now - ser,
-                    end: now,
-                });
-            }
-            let pkt = ctx.pool.insert(done.pkt);
-            ctx.queue.schedule(
-                now + att.delay,
-                Event::Deliver {
-                    node: att.peer,
-                    port: att.peer_port,
-                    pkt,
-                },
-            );
-            if let Some((ing_port, prio)) = ingress {
-                self.buffer.release(ing_port, prio, wire);
-                // Any release can make a paused ingress resumable — its
-                // own queue drained, or the pool freed up and the dynamic
-                // threshold rose. Re-check every currently paused pair.
-                self.check_resumes(ctx);
-            }
+        if let Some((ing_port, prio, wire)) = self.ports[pid.0].tx_done(ctx, self.id, pid) {
+            self.buffer.release(ing_port, prio, wire);
+            // Any release can make a paused ingress resumable — its
+            // own queue drained, or the pool freed up and the dynamic
+            // threshold rose. Re-check every currently paused pair.
+            self.check_resumes(ctx);
         }
         self.try_transmit(ctx, pid);
     }
@@ -584,50 +445,77 @@ impl Switch {
         while i < self.paused_ingress.len() {
             let (ing_port, prio) = self.paused_ingress[i];
             if self.buffer.should_resume(ing_port, prio) {
-                // Pauses are only recorded for attached ports; if the
-                // attachment vanished, keep the entry rather than panic.
-                let Some(att) = self.ports[ing_port].attach else {
-                    debug_assert!(false, "paused port must be attached");
-                    i += 1;
-                    continue;
-                };
                 self.paused_ingress.swap_remove(i);
-                let ing = &mut self.ports[ing_port];
-                ing.tx_pause_sent[prio] = false;
-                self.stats.resume_tx += 1;
-                ctx.metrics.inc(ctx.metrics.h.resume_tx);
-                ing.pfc_queue
-                    .push_back(Packet::pfc(self.id, att.peer, prio as u8, false));
-                ctx.audit
-                    .on_resume(self.id, ing_port, prio, ctx.queue.now());
-                ctx.record_trace(TraceEvent {
-                    at: ctx.queue.now(),
-                    node: self.id,
-                    flow: crate::packet::FlowId(u64::MAX),
-                    kind: TraceKind::ResumeSent,
-                    detail: prio as u64,
-                });
-                if ctx.spans.is_enabled() {
-                    let (depth, threshold) = self.buffer.pause_detail(ing_port, prio);
-                    ctx.spans
-                        .record_pause_edge(crate::telemetry::spans::PauseEdge {
-                            at: ctx.queue.now(),
-                            from: self.id,
-                            from_port: PortId(ing_port),
-                            to: att.peer,
-                            to_port: att.peer_port,
-                            class: prio as u8,
-                            pause: false,
-                            storm: false,
-                            depth,
-                            threshold,
-                        });
-                }
-                self.try_transmit(ctx, PortId(ing_port));
+                self.send_pfc(ctx, ing_port, prio, false, FlowId(u64::MAX));
             } else {
                 i += 1;
             }
         }
+    }
+
+    /// Sends PAUSE (`pause`) or RESUME upstream of ingress `(ing_port,
+    /// prio)`: flips the hysteresis bit, queues the frame ahead of all
+    /// data, and tells stats, registry, auditor, tracer and span log —
+    /// the one place either frame is emitted. `flow` is the packet that
+    /// crossed `t_PFC` (a RESUME has none: `FlowId(u64::MAX)`).
+    fn send_pfc(&mut self, ctx: &mut Ctx, ing_port: usize, prio: usize, pause: bool, flow: FlowId) {
+        let port = &mut self.ports[ing_port];
+        // Traffic only arrives on attached ports and pauses are only
+        // recorded for them; if that ever breaks, skipping the frame (and
+        // letting the auditor flag what follows) beats panicking mid-run.
+        let Some(att) = port.attach else {
+            debug_assert!(false, "PFC for an unattached port");
+            return;
+        };
+        let now = ctx.queue.now();
+        port.tx_pause_sent[prio] = pause;
+        port.pfc_queue
+            .push_back(Packet::pfc(self.id, att.peer, prio as u8, pause));
+        let kind = if pause {
+            self.stats.pause_tx += 1;
+            ctx.metrics.inc(ctx.metrics.h.pause_tx);
+            ctx.audit.on_pause(self.id, ing_port, prio, now);
+            TraceKind::PauseSent
+        } else {
+            self.stats.resume_tx += 1;
+            ctx.metrics.inc(ctx.metrics.h.resume_tx);
+            ctx.audit.on_resume(self.id, ing_port, prio, now);
+            TraceKind::ResumeSent
+        };
+        ctx.record_trace(self.id, flow, kind, prio as u64);
+        if ctx.spans.is_enabled() {
+            let (depth, threshold) = self.buffer.pause_detail(ing_port, prio);
+            ctx.spans.record_pause_edge(PauseEdge {
+                at: now,
+                from: self.id,
+                from_port: PortId(ing_port),
+                to: att.peer,
+                to_port: att.peer_port,
+                class: prio as u8,
+                pause,
+                storm: false,
+                depth,
+                threshold,
+            });
+        }
+        self.try_transmit(ctx, PortId(ing_port));
+    }
+
+    /// Counts, audits and traces a packet this switch dropped. `why` is
+    /// the [`TraceKind::Dropped`] detail: 0 shared pool exhausted, 1
+    /// lossy-mode egress cap, 2 no route (counted with the pool drops).
+    fn record_drop(&mut self, ctx: &mut Ctx, pkt: &Packet, why: u64) {
+        if why == 1 {
+            self.stats.drops_lossy += 1;
+            ctx.metrics.inc(ctx.metrics.h.drops_lossy);
+        } else {
+            self.stats.drops_pool += 1;
+            ctx.metrics.inc(ctx.metrics.h.drops_pool);
+        }
+        let prio = pkt.priority as usize;
+        ctx.audit
+            .on_drop(self.id, prio, self.is_lossless(prio), ctx.queue.now());
+        ctx.record_trace(self.id, pkt.flow, TraceKind::Dropped, why);
     }
 }
 

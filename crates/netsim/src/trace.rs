@@ -44,7 +44,8 @@ pub enum TraceKind {
     PauseSent,
     /// A switch sent a RESUME upstream.
     ResumeSent,
-    /// A packet was dropped (pool exhaustion or lossy-mode overflow).
+    /// A switch dropped a packet (detail 0 = shared pool exhausted,
+    /// 1 = lossy-mode egress cap, 2 = no route to the destination).
     Dropped,
     /// An in-order data packet was accepted by its receiver.
     Delivered,
@@ -76,8 +77,11 @@ pub struct TraceEvent {
     pub flow: FlowId,
     /// What happened.
     pub kind: TraceKind,
-    /// Event-specific detail: PSN for Delivered/NackSent, queue depth in
-    /// bytes for Marked, priority class for Pause/Resume, 0 otherwise.
+    /// Event-specific detail: PSN for Delivered/NackSent/Timeout, queue
+    /// depth in bytes for Marked, priority class for Pause/Resume and
+    /// WatchdogTrip, the reason for Dropped (0 pool, 1 lossy cap, 2
+    /// unroutable) and FaultDropped, link index for LinkDown/LinkUp, 0
+    /// otherwise.
     pub detail: u64,
 }
 

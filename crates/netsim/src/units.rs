@@ -197,10 +197,6 @@ impl Bandwidth {
     pub const fn mbps(m: u64) -> Bandwidth {
         Bandwidth(m * 1_000_000)
     }
-    /// Builds a bandwidth from floating-point gigabits per second.
-    pub fn gbps_f64(g: f64) -> Bandwidth {
-        Bandwidth((g * 1e9).round() as u64)
-    }
     /// This bandwidth in floating-point gigabits per second.
     pub fn as_gbps_f64(self) -> f64 {
         self.0 as f64 / 1e9

@@ -1,13 +1,29 @@
-//! Differential test for the slab-backed [`Port`]: random enqueue /
-//! dequeue / finish / PFC sequences against the obviously-correct layout
-//! it replaced (one `VecDeque` per priority and a linear scan), checking
-//! dequeue order, byte accounting and eligibility after every step, plus
-//! the memory contract: slab slots = peak of concurrently queued entries.
+//! Tests of [`Port`], the link endpoint a switch port and a host NIC
+//! share.
+//!
+//! * Queues: a differential test of the slab-backed storage — random
+//!   enqueue / dequeue / finish / PFC sequences against the
+//!   obviously-correct layout it replaced (one `VecDeque` per priority
+//!   and a linear scan), checking dequeue order, byte accounting and
+//!   eligibility after every step, plus the memory contract: slab slots =
+//!   peak of concurrently queued entries.
+//! * Transmitter and PFC receiver: `start_tx` / `tx_done` / `rx_pfc` over
+//!   a hand-built [`Ctx`] (no `Network`), event by event.
+//! * The two things a `Switch` adds around them that have one code path
+//!   each: PAUSE/RESUME emission and the drop record.
 
-use netsim::event::NodeId;
-use netsim::packet::{FlowId, Packet, PacketKind, NUM_PRIORITIES};
-use netsim::port::{Port, Queued};
-use netsim::units::Time;
+use netsim::audit::Auditor;
+use netsim::buffer::PfcThreshold;
+use netsim::event::{Event, EventQueue, LinkId, NodeId, PortId};
+use netsim::network::Ctx;
+use netsim::packet::{FlowId, Packet, PacketKind, DATA_PRIORITY, NUM_PRIORITIES};
+use netsim::port::{Attachment, Port, Queued};
+use netsim::rng::SplitMix64;
+use netsim::slab::PacketPool;
+use netsim::switch::{Switch, SwitchConfig};
+use netsim::telemetry::{FlightRecorder, Metrics, Spans};
+use netsim::trace::{TraceKind, Tracer};
+use netsim::units::{Bandwidth, Duration, Time};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -166,4 +182,291 @@ fn slab_size_is_the_concurrent_peak_not_the_history() {
     }
     assert_eq!(port.peak_queued(), 16);
     port.check_conservation(&mut |what| panic!("{what}"));
+}
+
+// ----------------------------------------------------------------------
+// Transmitter and PFC receiver, over a hand-built `Ctx`
+// ----------------------------------------------------------------------
+
+const LINE: Bandwidth = Bandwidth::gbps(40);
+const DELAY: Duration = Duration::from_micros(2);
+/// Where the port under test sits, and what its link leads to.
+const HERE: (NodeId, PortId) = (NodeId(0), PortId(1));
+const PEER: (NodeId, PortId) = (NodeId(5), PortId(3));
+
+/// What `NetworkBuilder::build` assembles, with every observer off.
+fn bare_ctx(nodes: usize) -> Ctx {
+    Ctx {
+        queue: EventQueue::new(),
+        rng: SplitMix64::new(1),
+        ecmp_salt: 0,
+        flow_stats: Vec::new(),
+        tracer: Tracer::disabled(),
+        audit: Auditor::default(),
+        metrics: Metrics::standard(),
+        flight: FlightRecorder::new(nodes),
+        spans: Spans::disabled(),
+        pool: PacketPool::new(),
+    }
+}
+
+/// Moves `ctx`'s clock to `t` by running a no-op event there.
+fn advance(ctx: &mut Ctx, t: Time) {
+    ctx.queue.schedule(t, Event::Hook { id: 0 });
+    assert!(matches!(ctx.queue.pop(), Some((at, Event::Hook { .. })) if at == t));
+}
+
+fn attached() -> Port {
+    let mut port = Port::new();
+    port.attach = Some(Attachment {
+        link: LinkId(0),
+        peer: PEER.0,
+        peer_port: PEER.1,
+        bandwidth: LINE,
+        delay: DELAY,
+    });
+    port
+}
+
+fn data(psn: u64) -> Packet {
+    Packet::data(NodeId(9), NodeId(5), FlowId(4), DATA_PRIORITY, psn, 1000)
+}
+
+#[test]
+fn start_tx_schedules_one_tx_done_and_only_when_idle() {
+    let mut ctx = bare_ctx(1);
+    let start = Time::from_micros(7);
+    advance(&mut ctx, start);
+    let mut port = attached();
+    port.enqueue(Queued::new(data(0), None));
+    port.enqueue(Queued::new(data(1), None));
+
+    port.start_tx(&mut ctx, HERE.0, HERE.1);
+    assert!(port.busy);
+    assert_eq!(port.current.map(|q| key(&q.pkt)), Some(key(&data(0))));
+    // Busy: the second frame waits, nothing more is scheduled.
+    port.start_tx(&mut ctx, HERE.0, HERE.1);
+    assert_eq!(ctx.queue.len(), 1);
+    let (at, event) = ctx.queue.pop().unwrap();
+    assert_eq!(at, start + LINE.serialize(data(0).wire_bytes));
+    assert!(matches!(event, Event::TxDone { node, port } if (node, port) == HERE));
+}
+
+#[test]
+fn an_unattached_or_fully_paused_port_never_goes_busy() {
+    let mut ctx = bare_ctx(1);
+    let mut unattached = Port::new();
+    unattached.enqueue(Queued::new(data(0), None));
+    unattached.start_tx(&mut ctx, HERE.0, HERE.1);
+    assert!(!unattached.busy && unattached.current.is_none());
+
+    let mut paused = attached();
+    paused.enqueue(Queued::new(data(0), None));
+    paused.apply_pfc(DATA_PRIORITY, true, Time::ZERO);
+    paused.start_tx(&mut ctx, HERE.0, HERE.1);
+    assert!(!paused.busy && paused.current.is_none());
+    assert!(ctx.queue.is_empty(), "neither port scheduled anything");
+
+    // RESUME makes the same frame eligible.
+    paused.apply_pfc(DATA_PRIORITY, false, Time::ZERO);
+    paused.start_tx(&mut ctx, HERE.0, HERE.1);
+    assert!(paused.busy);
+}
+
+#[test]
+fn tx_done_puts_the_frame_on_the_wire_and_returns_the_release_key() {
+    let mut ctx = bare_ctx(1);
+    ctx.spans.enable(16);
+    let mut port = attached();
+    let prio = DATA_PRIORITY as usize;
+    let wire = data(0).wire_bytes;
+    let enqueued = Time::from_micros(1);
+    // A forwarded data frame (ingress port 2), a host-style data frame
+    // with no buffer attribution, and a link-local PFC frame.
+    port.enqueue(Queued::new(data(0), Some((2, prio))).at(enqueued));
+    port.enqueue(Queued::new(data(1), None));
+    assert_eq!(port.queued_bytes[prio], 2 * wire);
+
+    advance(&mut ctx, Time::from_micros(3));
+    port.start_tx(&mut ctx, HERE.0, HERE.1);
+    let (done_at, _) = ctx.queue.pop().unwrap();
+    let released = port.tx_done(&mut ctx, HERE.0, HERE.1);
+    assert_eq!(released, Some((2, prio, wire)));
+    assert!(!port.busy && port.current.is_none());
+    assert_eq!(port.queued_bytes[prio], wire, "the sent frame is drained");
+
+    // Exactly one event: the Deliver, one propagation delay later, with
+    // the same packet in the pool.
+    assert_eq!(ctx.queue.len(), 1);
+    let (at, event) = ctx.queue.pop().unwrap();
+    assert_eq!(at, done_at + DELAY);
+    let Event::Deliver { node, port: p, pkt } = event else {
+        panic!("expected Deliver, got {event:?}");
+    };
+    assert_eq!((node, p), PEER);
+    assert_eq!(key(&ctx.pool.take(pkt)), key(&data(0)));
+
+    // One hop span for the data frame: queued, then serialized.
+    let hops = ctx.spans.hops();
+    assert_eq!(hops.len(), 1);
+    assert_eq!((hops[0].node, hops[0].port), HERE);
+    assert_eq!(hops[0].flow, FlowId(4));
+    assert_eq!(hops[0].enqueued, enqueued);
+    assert_eq!(hops[0].start, Time::from_micros(3));
+    assert_eq!(hops[0].end, done_at);
+
+    // The unattributed frame releases nothing but is a data hop too …
+    port.start_tx(&mut ctx, HERE.0, HERE.1);
+    ctx.queue.pop().unwrap();
+    assert_eq!(port.tx_done(&mut ctx, HERE.0, HERE.1), None);
+    assert_eq!(port.total_queued_bytes(), 0);
+    assert_eq!(ctx.spans.hops().len(), 2);
+    // … and a PFC frame releases nothing and is no hop.
+    port.pfc_queue
+        .push_back(Packet::pfc(HERE.0, PEER.0, DATA_PRIORITY, true));
+    port.start_tx(&mut ctx, HERE.0, HERE.1);
+    ctx.queue.pop().unwrap();
+    ctx.queue.pop().unwrap(); // the previous frame's Deliver
+    assert_eq!(port.tx_done(&mut ctx, HERE.0, HERE.1), None);
+    assert_eq!(ctx.spans.hops().len(), 2);
+    assert_eq!(
+        ctx.queue.len(),
+        1,
+        "the PFC frame is delivered like any other"
+    );
+
+    // With spans off nothing is recorded.
+    let mut quiet = bare_ctx(1);
+    port.enqueue(Queued::new(data(2), None));
+    port.start_tx(&mut quiet, HERE.0, HERE.1);
+    quiet.queue.pop().unwrap();
+    port.tx_done(&mut quiet, HERE.0, HERE.1);
+    assert!(quiet.spans.hops().is_empty());
+}
+
+#[test]
+fn rx_pfc_samples_the_pause_duration_once_per_release() {
+    let mut ctx = bare_ctx(1);
+    let mut port = attached();
+    let samples = |ctx: &Ctx| {
+        let h = ctx
+            .metrics
+            .registry
+            .hist_get(ctx.metrics.h.pause_duration_us);
+        (h.count(), h.max())
+    };
+    // RESUME with no pause outstanding: nothing to release or sample.
+    assert!(!port.rx_pfc(&mut ctx, 3, false));
+    assert_eq!(samples(&ctx), (0, 0));
+
+    advance(&mut ctx, Time::from_micros(10));
+    assert!(!port.rx_pfc(&mut ctx, 3, true));
+    assert!(port.rx_paused[3]);
+    advance(&mut ctx, Time::from_micros(35));
+    assert!(port.rx_pfc(&mut ctx, 3, false), "the class is released");
+    assert_eq!(samples(&ctx), (1, 25), "one sample of the elapsed 25 µs");
+    assert!(!port.rx_pfc(&mut ctx, 3, false), "released only once");
+    assert_eq!(samples(&ctx), (1, 25));
+
+    // While the watchdog ignores the class, PAUSE changes nothing.
+    port.pfc_ignore[3] = true;
+    assert!(!port.rx_pfc(&mut ctx, 3, true));
+    assert!(!port.rx_paused[3]);
+    assert_eq!(port.rx_paused_since[3], Time::NEVER);
+    assert_eq!(samples(&ctx), (1, 25));
+}
+
+// ----------------------------------------------------------------------
+// What a switch adds: PAUSE/RESUME emission and the drop record
+// ----------------------------------------------------------------------
+
+/// A two-port switch: ingress port 0 (from node 1), egress port 1 (to
+/// node 2, the only routable destination), pausing above 4000 B.
+fn small_switch() -> Switch {
+    let mut config = SwitchConfig::paper_default();
+    config.buffer.threshold = PfcThreshold::Static(4000);
+    let mut sw = Switch::new(NodeId(0), 2, config);
+    for p in 0..2 {
+        let mut att = attached().attach.unwrap();
+        (att.link, att.peer, att.peer_port) = (LinkId(p), NodeId(p + 1), PortId(0));
+        sw.ports[p].attach = Some(att);
+    }
+    sw.routes.insert(NodeId(2), vec![PortId(1)]);
+    sw
+}
+
+#[test]
+fn pause_then_resume_are_each_told_once() {
+    let mut sw = small_switch();
+    let mut ctx = bare_ctx(3);
+    ctx.tracer.enable(64);
+    ctx.spans.enable(64);
+    // Three 1500 B frames arrive back to back: 4500 B > t_PFC on the
+    // third, which is the flow the PAUSE is attributed to.
+    for psn in 0..3 {
+        let pkt = Packet::data(NodeId(1), NodeId(2), FlowId(psn), DATA_PRIORITY, psn, 1436);
+        sw.receive(&mut ctx, PortId(0), pkt);
+    }
+    assert_eq!((sw.stats.pause_tx, sw.stats.resume_tx), (1, 0));
+    assert!(sw.ports[0].tx_pause_sent[DATA_PRIORITY as usize]);
+    // Drain: RESUME fires once the ingress queue is two MTUs below t_PFC.
+    while let Some((_, event)) = ctx.queue.pop() {
+        match event {
+            Event::TxDone { port, .. } => sw.tx_done(&mut ctx, port),
+            Event::Deliver { pkt, .. } => drop(ctx.pool.take(pkt)),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert_eq!((sw.stats.pause_tx, sw.stats.resume_tx), (1, 1));
+    assert!(!sw.ports[0].tx_pause_sent[DATA_PRIORITY as usize]);
+    let counter = |id| ctx.metrics.registry.counter_get(id);
+    assert_eq!(counter(ctx.metrics.h.pause_tx), 1);
+    assert_eq!(counter(ctx.metrics.h.resume_tx), 1);
+
+    let told: Vec<_> = ctx.tracer.iter().map(|e| (e.kind, e.flow)).collect();
+    assert_eq!(
+        told,
+        [
+            (TraceKind::PauseSent, FlowId(2)),
+            (TraceKind::ResumeSent, FlowId(u64::MAX)),
+        ]
+    );
+    assert!(ctx.tracer.iter().all(|e| e.detail == DATA_PRIORITY as u64));
+    let edges = ctx.spans.edges();
+    assert_eq!(edges.len(), 2);
+    assert_eq!([edges[0].pause, edges[1].pause], [true, false]);
+    for e in edges {
+        assert_eq!((e.from, e.from_port), (NodeId(0), PortId(0)));
+        assert_eq!((e.to, e.to_port), (NodeId(1), PortId(0)));
+        assert_eq!(
+            (e.class, e.storm, e.threshold),
+            (DATA_PRIORITY, false, 4000)
+        );
+    }
+    assert_eq!((edges[0].depth, edges[1].depth), (4500, 0));
+}
+
+#[test]
+fn an_unroutable_packet_leaves_a_dropped_record() {
+    let mut sw = small_switch();
+    let mut ctx = bare_ctx(3);
+    ctx.tracer.enable(8);
+    ctx.flight.enable(8);
+    let pkt = Packet::data(NodeId(1), NodeId(77), FlowId(6), DATA_PRIORITY, 0, 1000);
+    sw.receive(&mut ctx, PortId(0), pkt);
+    assert_eq!(sw.stats.drops_pool, 1);
+    assert_eq!(sw.buffer.occupied(), 0, "the admitted bytes were released");
+    assert!(ctx.queue.is_empty(), "nothing was forwarded");
+
+    ctx.flight.dump(sw.id, ctx.queue.now(), "test");
+    let ring = &ctx.flight.dumps()[0].events;
+    for events in [ctx.tracer.of_kind(TraceKind::Dropped), ring.clone()] {
+        assert_eq!(events.len(), 1);
+        let e = events[0];
+        assert_eq!(
+            (e.kind, e.node, e.flow),
+            (TraceKind::Dropped, sw.id, FlowId(6))
+        );
+        assert_eq!(e.detail, 2, "detail 2 = no route");
+    }
 }
