@@ -139,12 +139,6 @@ impl RunScale {
     }
 }
 
-/// Prints an experiment banner.
-pub fn banner(id: &str, title: &str) {
-    println!();
-    println!("=== {id}: {title} ===");
-}
-
 /// Formats min/median/max of a sample set. The median is
 /// [`netsim::stats::median`] — the workspace-wide nearest-rank definition
 /// — so tables agree with every percentile the experiments print.

@@ -9,30 +9,21 @@
 //! Under PFC alone the victim's dominant cause is `pause_blocked` —
 //! congestion spreading in one number; DCQCN shifts it to `throttled`
 //! (its own CNP-driven rate limiter, not someone else's PAUSE).
+//!
+//! Nothing is simulated here that Figures 4 and 9 do not simulate: this
+//! is their [`attribution`] pass, printed side by side.
 
-use crate::common::{banner, breakdown_json, print_breakdown, CcChoice, RunScale};
+use crate::common::{breakdown_json, print_breakdown, CcChoice, RunScale};
 use crate::report::{self, Artifact};
-use crate::scenarios::attribution_run;
+use crate::scenarios::attribution;
 use netsim::telemetry::Json;
-use netsim::units::{Duration, Time};
+use netsim::units::Duration;
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner(
-        "ext-attribution",
-        "causal FCT attribution of the Fig. 4 victim",
-    );
-    let scale = RunScale { quick };
-    let seed = 1u64;
     let mut schemes = Vec::new();
     for cc in [CcChoice::None, CcChoice::dcqcn_paper()] {
-        let (extra_dur, extra_warm) = match cc {
-            CcChoice::Dcqcn(_) => (Duration::from_millis(200), Duration::from_millis(150)),
-            _ => (Duration::ZERO, Duration::ZERO),
-        };
-        let start_at = Time::ZERO + Duration::from_millis(scale.pick(50, 80)) + extra_warm;
-        let duration = scale.dur(150, 250) + extra_dur;
-        let att = attribution_run(cc, 2, 1_000_000, seed, start_at, duration);
+        let att = attribution(cc, RunScale { quick });
 
         println!(
             "{}: victim (VS→VR) 1 MB message, 2 senders under T3:",

@@ -2,7 +2,7 @@
 //! break. Neither figure exists in the paper — §6.3's PFC storm anecdote
 //! and the deployment experience in §7 motivate both.
 
-use crate::common::{banner, CcChoice, RunScale};
+use crate::common::{CcChoice, RunScale};
 use crate::report;
 use crate::runner::par_map;
 use crate::scenarios::{link_flap_run, pause_storm_victim_run};
@@ -16,10 +16,6 @@ use netsim::units::{Duration, Time};
 /// the flows hashed onto the dead next-hop back off exponentially and
 /// abort, permanently losing their share.
 pub fn link_flap(quick: bool) {
-    banner(
-        "ext-linkflap",
-        "goodput dip + recovery across a fabric link flap",
-    );
     let scale = RunScale { quick };
     let duration = scale.dur(16, 24);
     let down_at = Time::from_millis(4);
@@ -97,10 +93,6 @@ pub fn link_flap(quick: bool) {
 /// and PFC backpressure spreads hop by hop until a victim flow two pods
 /// away stalls — unless a storm watchdog breaks the chain at its root.
 pub fn pause_storm(quick: bool) {
-    banner(
-        "ext-pausestorm",
-        "malfunctioning-NIC pause storm: watchdog vs victim collapse",
-    );
     let scale = RunScale { quick };
     let duration = scale.dur(12, 20);
     let storm_from = Time::from_millis(2);
@@ -179,10 +171,4 @@ pub fn pause_storm(quick: bool) {
     println!("the storm ends. DCQCN's ECN loop drains the senders and softens");
     println!("the collapse while the storm runs, but only the watchdog breaks");
     println!("the chain at its root and keeps service alive.");
-}
-
-/// Runs both fault experiments.
-pub fn run_all(quick: bool) {
-    link_flap(quick);
-    pause_storm(quick);
 }

@@ -1,7 +1,7 @@
 //! Extensions beyond the paper's figures: the ablations DESIGN.md calls
 //! out and the §5.2/§7 claims that have no figure of their own.
 
-use crate::common::{banner, mean, CcChoice, RunScale};
+use crate::common::{mean, CcChoice, RunScale};
 use crate::runner::par_map;
 use dcqcn::params::DcqcnParams;
 use netsim::buffer::PfcThreshold;
@@ -14,10 +14,6 @@ use netsim::topology::{star, LinkParams};
 /// §5.2's closing claim: the deployed R_AI copes with 16:1 incast;
 /// halving R_AI trades convergence speed for stability at 32:1.
 pub fn rai_scaling(quick: bool) {
-    banner(
-        "ext-rai",
-        "R_AI vs incast depth (§5.2: halve R_AI for 32:1)",
-    );
     let scale = RunScale { quick };
     let duration = scale.dur(150, 400);
     println!(
@@ -53,7 +49,6 @@ pub fn rai_scaling(quick: bool) {
         s.net.enable_sampling(
             Duration::from_micros(20),
             SamplerConfig {
-                all_flows: true,
                 queues: vec![(s.switch, port)],
                 ..SamplerConfig::default()
             },
@@ -82,7 +77,6 @@ pub fn rai_scaling(quick: bool) {
 /// §4 ablation: dynamic-β vs static PFC thresholds under an uncontrolled
 /// incast — the dynamic threshold pauses later when the buffer is empty.
 pub fn beta_ablation(quick: bool) {
-    banner("ext-beta", "dynamic vs static PFC thresholds (pause churn)");
     let scale = RunScale { quick };
     let duration = scale.dur(20, 60);
     let configs: Vec<(&str, PfcThreshold)> = vec![
@@ -145,7 +139,6 @@ pub fn beta_ablation(quick: bool) {
 /// §8 direction: PFC priority classes isolate traffic types even without
 /// congestion control.
 pub fn priority_isolation(quick: bool) {
-    banner("ext-prio", "PFC priority classes isolate traffic");
     let scale = RunScale { quick };
     let duration = scale.dur(20, 50);
     let mut s = star(
@@ -192,10 +185,6 @@ pub fn priority_isolation(quick: bool) {
 /// inflated RTT and throttles; DCQCN does not.
 pub fn reverse_path_sensitivity(quick: bool) {
     use baselines::timely::TimelyParams;
-    banner(
-        "ext-timely",
-        "reverse-path congestion: DCQCN vs TIMELY (§3.3)",
-    );
     let scale = RunScale { quick };
     let duration = scale.dur(60, 150);
     println!(
@@ -228,13 +217,8 @@ pub fn reverse_path_sensitivity(quick: bool) {
             });
             s.net.send_message(rf, u64::MAX, t_rev);
         }
-        s.net.enable_sampling(
-            Duration::from_micros(200),
-            SamplerConfig {
-                all_flows: true,
-                ..SamplerConfig::default()
-            },
-        );
+        s.net
+            .enable_sampling(Duration::from_micros(200), SamplerConfig::default());
         let end = Time::ZERO + duration;
         s.net.run_until(end);
         let before = s.net.goodput_gbps(fwd, Time::ZERO + duration / 4, t_rev);
@@ -254,10 +238,6 @@ pub fn reverse_path_sensitivity(quick: bool) {
 /// completion time on an idle fabric.
 pub fn fast_start(quick: bool) {
     use baselines::dctcp::DctcpParams;
-    banner(
-        "ext-start",
-        "hyper-fast start: transfer latency on an idle fabric",
-    );
     let _ = quick;
     println!(
         "{:>9} | {:>13} {:>13} | {:>7}",
@@ -309,10 +289,6 @@ pub fn fast_start(quick: bool) {
 /// keeps the fabric clean and fair.
 pub fn fat_tree_scale(quick: bool) {
     use netsim::topology::fat_tree;
-    banner(
-        "ext-fattree",
-        "DCQCN on a k=4 fat tree (16 hosts), permutation traffic",
-    );
     let scale = RunScale { quick };
     let duration = scale.dur(60, 200);
     println!(
@@ -340,13 +316,8 @@ pub fn fat_tree_scale(quick: bool) {
                 fl
             })
             .collect();
-        ft.net.enable_sampling(
-            Duration::from_micros(500),
-            SamplerConfig {
-                all_flows: true,
-                ..SamplerConfig::default()
-            },
-        );
+        ft.net
+            .enable_sampling(Duration::from_micros(500), SamplerConfig::default());
         let end = Time::ZERO + duration;
         ft.net.run_until(end);
         let from = Time::ZERO + duration / 2;
@@ -389,10 +360,6 @@ pub fn fat_tree_scale(quick: bool) {
 /// response, across g and incast depth.
 pub fn stability(quick: bool) {
     use fluid::stability::stability_map;
-    banner(
-        "ext-stability",
-        "fluid-model stability map (the paper's future work)",
-    );
     let horizon = if quick { 0.15 } else { 0.3 };
     let gs = [1.0 / 16.0, 1.0 / 256.0, 1.0 / 1024.0];
     let ns = [2usize, 4, 8, 16];
@@ -424,15 +391,4 @@ pub fn stability(quick: bool) {
     println!("— Figure 12's 'smaller g, lower oscillation' claim, formalized. Past");
     println!("~16:1 every g rides the K_max cliff (the regime §5.2's R_AI-halving");
     println!("advice addresses).");
-}
-
-/// Runs all extensions.
-pub fn run_all(quick: bool) {
-    rai_scaling(quick);
-    beta_ablation(quick);
-    priority_isolation(quick);
-    reverse_path_sensitivity(quick);
-    fast_start(quick);
-    fat_tree_scale(quick);
-    stability(quick);
 }

@@ -2,7 +2,6 @@
 //! function of message size — from the host-stack cost model (the
 //! hardware measurement is substituted; see DESIGN.md).
 
-use crate::common::banner;
 use baselines::hostmodel::{
     latency_us, rdma_client_stack, rdma_send_stack, rdma_server_stack, tcp_stack, throughput,
     Machine, FIG1_SIZES,
@@ -10,10 +9,6 @@ use baselines::hostmodel::{
 
 /// Runs the experiment.
 pub fn run(_quick: bool) {
-    banner(
-        "fig1",
-        "TCP vs RDMA: throughput / CPU / latency by message size",
-    );
     let m = Machine::paper_testbed();
     println!("(a,b) throughput and mean CPU utilization:");
     println!(

@@ -2,16 +2,12 @@
 //! plus ECMP route multiplicities (validated further by integration
 //! tests).
 
-use crate::common::{banner, CcChoice};
+use crate::common::CcChoice;
 use crate::scenarios::testbed;
 use netsim::network::Node;
 
 /// Runs the experiment.
 pub fn run(_quick: bool) {
-    banner(
-        "fig2",
-        "3-tier Clos testbed (4 ToRs, 4 leaves, 2 spines, 40G)",
-    );
     let tb = testbed(CcChoice::dcqcn_paper(), true, false, 5, 1);
     let (mut switches, mut hosts) = (0, 0);
     for n in &tb.net.nodes {

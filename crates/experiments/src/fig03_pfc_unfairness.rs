@@ -3,25 +3,22 @@
 //! H4, alone on its ingress port at T4, beats H1–H3, who share T4's two
 //! uplinks depending on the ECMP draw (the parking-lot problem).
 
-use crate::common::{banner, breakdown_json, mmm, print_breakdown, CcChoice, RunScale};
+use crate::common::{breakdown_json, mmm, print_breakdown, CcChoice, RunScale};
 use crate::report::{self, Artifact};
 use crate::runner::par_runs;
-use crate::scenarios::{unfairness_attribution, unfairness_run_full};
+use crate::scenarios::{testbed_window, unfairness_attribution, unfairness_scenario};
 use netsim::telemetry::{Json, SpanState};
-use netsim::units::Duration;
+use netsim::units::Time;
+use workloads::traffic::flow_goodputs;
 
 /// Runs the scenario across seeds and prints per-host min/median/max.
 pub fn run_with(cc: CcChoice, scale: RunScale) {
     let seeds = scale.seeds(3, 9);
-    let duration = scale.dur(150, 250);
-    let warmup = Duration::from_millis(scale.pick(50, 80));
-    let (extra_dur, extra_warm) = match cc {
-        // DCQCN needs time to converge after the line-rate start.
-        CcChoice::Dcqcn(_) => (Duration::from_millis(200), Duration::from_millis(150)),
-        _ => (Duration::ZERO, Duration::ZERO),
-    };
+    let (duration, warmup) = testbed_window(cc, scale);
     let runs = par_runs(&seeds, |seed| {
-        unfairness_run_full(cc, seed, duration + extra_dur, warmup + extra_warm)
+        let (tb, flows) = unfairness_scenario(cc, seed, duration);
+        let goodputs = flow_goodputs(&tb.net, &flows, Time::ZERO + warmup, Time::ZERO + duration);
+        (goodputs, tb.net.telemetry_report())
     });
     let mut per_host: Vec<Vec<f64>> = vec![Vec::new(); 4];
     for (g, _) in &runs {
@@ -84,14 +81,13 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
     // Causal attribution (serial, one seed): where did H1's time go?
     // Under PFC alone a shared-uplink sender is PAUSE-blocked by T1; an
     // end-to-end scheme replaces that with rate-limiter throttling.
-    let att_dur = duration + extra_dur;
-    let bd = unfairness_attribution(cc, seeds[0], att_dur);
+    let bd = unfairness_attribution(cc, seeds[0], duration);
     println!(
         "H1 time attribution over {:.0} ms (seed {}):",
-        att_dur.as_secs_f64() * 1e3,
+        duration.as_secs_f64() * 1e3,
         seeds[0]
     );
-    print_breakdown(&bd, att_dur);
+    print_breakdown(&bd, duration);
     let blocked = bd[SpanState::PauseBlocked as usize];
     let throttled = bd[SpanState::Throttled as usize];
     match cc {
@@ -112,6 +108,5 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner("fig3", "PFC unfairness (no congestion control)");
     run_with(CcChoice::None, RunScale { quick });
 }

@@ -2,23 +2,17 @@
 //! no link with the incast bottleneck still collapses, because PAUSEs
 //! cascade from T4 up through the spines and down to T1's uplinks.
 
-use crate::common::{banner, breakdown_json, mmm, print_breakdown, CcChoice, RunScale};
+use crate::common::{breakdown_json, mmm, print_breakdown, CcChoice, RunScale};
 use crate::report::{self, Artifact};
 use crate::runner::par_map;
-use crate::scenarios::{attribution_run, victim_run};
+use crate::scenarios::{attribution, testbed_window, victim_run};
 use netsim::telemetry::{Json, SpanState};
-use netsim::units::{Duration, Time};
 
 /// Runs the scenario and prints the victim's median goodput per
 /// T3-sender count.
 pub fn run_with(cc: CcChoice, scale: RunScale) {
     let seeds = scale.seeds(3, 15);
-    let duration = scale.dur(150, 250);
-    let warmup = Duration::from_millis(scale.pick(50, 80));
-    let (extra_dur, extra_warm) = match cc {
-        CcChoice::Dcqcn(_) => (Duration::from_millis(200), Duration::from_millis(150)),
-        _ => (Duration::ZERO, Duration::ZERO),
-    };
+    let (duration, warmup) = testbed_window(cc, scale);
     // Fan the whole (t3 × seed) grid out at once so threads stay busy
     // across row boundaries, then print grouped per row.
     let t3_counts = [0usize, 1, 2];
@@ -26,9 +20,7 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
         .iter()
         .flat_map(|&t3| seeds.iter().map(move |&s| (t3, s)))
         .collect();
-    let results = par_map(&grid, |&(t3, s)| {
-        victim_run(cc, t3, s, duration + extra_dur, warmup + extra_warm)
-    });
+    let results = par_map(&grid, |&(t3, s)| victim_run(cc, t3, s, duration, warmup));
     println!("victim (VS→VR) goodput vs number of senders under T3 (Gbps):");
     report::put("scheme", Json::from(cc.label()));
     let mut rows = Vec::new();
@@ -47,14 +39,7 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
     // and check the scheme's signature — PFC alone leaves the victim
     // pause-blocked; an end-to-end scheme shifts that time into
     // rate-limiter throttling.
-    let att = attribution_run(
-        cc,
-        2,
-        1_000_000,
-        seeds[0],
-        Time::ZERO + warmup + extra_warm,
-        duration + extra_dur,
-    );
+    let att = attribution(cc, scale);
     assert!(att.completed, "victim's finite message must complete");
     println!(
         "victim FCT attribution (2 senders under T3, seed {}):",
@@ -92,6 +77,5 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner("fig4", "victim flow (no congestion control)");
     run_with(CcChoice::None, RunScale { quick });
 }

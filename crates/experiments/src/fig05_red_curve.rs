@@ -1,11 +1,9 @@
 //! Figure 5: the switch packet-marking (RED) probability curve.
 
-use crate::common::banner;
 use dcqcn::params::{red_cutoff_strawman, red_deployed};
 
 /// Runs the experiment.
 pub fn run(_quick: bool) {
-    banner("fig5", "switch marking probability vs egress queue");
     let dep = red_deployed();
     let cut = red_cutoff_strawman();
     println!(

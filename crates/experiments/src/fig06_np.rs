@@ -1,13 +1,11 @@
 //! Figure 6: the NP state machine — CNP pacing demonstrated on a
 //! synthetic stream of marked packets.
 
-use crate::common::banner;
 use dcqcn::np::NpState;
 use netsim::units::Time;
 
 /// Runs the experiment.
 pub fn run(_quick: bool) {
-    banner("fig6", "NP state machine: one CNP per flow per 50 µs");
     let mut np = NpState::paper();
     let mut cnps = Vec::new();
     // A congested period: every arriving packet marked, one per µs.

@@ -1,7 +1,6 @@
 //! Figure 7: the RP state machine — a deterministic trace through rate
 //! cut, fast recovery, and additive increase.
 
-use crate::common::banner;
 use crate::report::{self, Artifact};
 use dcqcn::params::DcqcnParams;
 use dcqcn::rp::{DcqcnRp, TIMER_RATE};
@@ -12,10 +11,6 @@ use netsim::units::{Bandwidth, Time};
 
 /// Runs the experiment.
 pub fn run(_quick: bool) {
-    banner(
-        "fig7",
-        "RP state machine trace (cut -> fast recovery -> additive increase)",
-    );
     let params = DcqcnParams::paper();
     let mut rp = DcqcnRp::new(Bandwidth::gbps(40), params);
     let mut a = CcActions::default();

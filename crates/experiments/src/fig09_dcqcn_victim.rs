@@ -1,11 +1,10 @@
 //! Figure 9: DCQCN removes the Figure 4 victim-flow problem — the victim's
 //! throughput no longer collapses as remote senders are added.
 
-use crate::common::{banner, CcChoice, RunScale};
+use crate::common::{CcChoice, RunScale};
 use crate::fig04_victim_flow::run_with;
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner("fig9", "DCQCN fixes the victim flow of Figure 4");
     run_with(CcChoice::dcqcn_paper(), RunScale { quick });
 }

@@ -2,7 +2,7 @@
 //! rate trace of a second sender joining an established flow, from both
 //! the packet simulator and the DDE model.
 
-use crate::common::{banner, mean, CcChoice};
+use crate::common::{mean, CcChoice};
 use crate::report::{self, Artifact};
 use fluid::model::{FlowState, FluidSim};
 use fluid::params::FluidParams;
@@ -18,10 +18,6 @@ const END_MS: u64 = 600;
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner(
-        "fig10",
-        "fluid model vs implementation (rate of the joining sender)",
-    );
     let end_ms = if quick { 300 } else { END_MS };
 
     // --- packet simulator ---

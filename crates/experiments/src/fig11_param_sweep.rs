@@ -3,7 +3,6 @@
 //! paper's surfaces is the two-flow throughput difference over time;
 //! lower is better.
 
-use crate::common::banner;
 use crate::runner::par_map;
 use fluid::sweep::{sweep_byte_counter, sweep_kmax, sweep_pmax, sweep_timer, SweepPoint};
 
@@ -38,10 +37,6 @@ fn print_points(title: &str, unit: &str, pts: &[SweepPoint]) {
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner(
-        "fig11",
-        "parameter sweeps for convergence (fluid model, |R1-R2| in Gbps)",
-    );
     let horizon = if quick { 0.2 } else { 0.3 };
     let bc: &[u64] = if quick {
         &[150, 10_000]

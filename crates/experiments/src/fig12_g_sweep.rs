@@ -1,16 +1,11 @@
 //! Figure 12: choosing g — queue length and stability under 2:1 and 16:1
 //! incast for different α-gains (fluid model).
 
-use crate::common::banner;
 use crate::runner::par_map;
 use fluid::sweep::{g_queue_trace, queue_stats};
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner(
-        "fig12",
-        "g sweep: queue length/stability, 2:1 and 16:1 incast (fluid)",
-    );
     let horizon = if quick { 0.25 } else { 0.5 };
     let gs: &[(f64, &str)] = if quick {
         &[(1.0 / 16.0, "1/16"), (1.0 / 256.0, "1/256")]

@@ -8,7 +8,7 @@
 //! * (d) fast timer + RED-like marking (the deployed combination) — fair
 //!   and stable.
 
-use crate::common::{banner, mean, stddev, CcChoice};
+use crate::common::{mean, stddev, CcChoice};
 use crate::report::{self, Artifact};
 use crate::runner::par_map;
 use dcqcn::params::{red_cutoff_strawman, red_deployed, DcqcnParams};
@@ -94,10 +94,6 @@ fn run_one(params: DcqcnParams, red: RedConfig, end: Duration, seed: u64) -> [(f
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner(
-        "fig13",
-        "validating parameter values (2 flows, packet simulator)",
-    );
     let end = Duration::from_millis(if quick { 300 } else { 600 });
     println!(
         "{:<26} | {:>8} {:>8} | {:>8} | {:>8}",

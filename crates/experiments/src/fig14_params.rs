@@ -1,11 +1,9 @@
 //! Figure 14: the deployed DCQCN parameter table.
 
-use crate::common::banner;
 use dcqcn::params::{red_deployed, DcqcnParams};
 
 /// Runs the experiment.
 pub fn run(_quick: bool) {
-    banner("fig14", "deployed DCQCN parameters");
     let p = DcqcnParams::paper();
     let r = red_deployed();
     println!("  rate-increase timer T : {}", p.rate_timer);

@@ -2,16 +2,12 @@
 //! traffic, with and without DCQCN — DCQCN nearly eliminates
 //! congestion-spreading.
 
-use crate::common::{banner, CcChoice, RunScale};
+use crate::common::{CcChoice, RunScale};
 use crate::runner::par_map;
 use crate::scenarios::{benchmark_run, BenchmarkConfig};
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner(
-        "fig15",
-        "PAUSE frames at spines, 10:1 incast + user traffic",
-    );
     let scale = RunScale { quick };
     let duration = scale.dur(300, 1000);
     let ccs = [CcChoice::None, CcChoice::dcqcn_paper()];

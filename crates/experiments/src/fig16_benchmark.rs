@@ -2,7 +2,7 @@
 //! of user and incast (disk-rebuild) flows as the incast degree grows,
 //! with and without DCQCN.
 
-use crate::common::{banner, CcChoice, RunScale};
+use crate::common::{CcChoice, RunScale};
 use crate::report;
 use crate::runner::par_map;
 use crate::scenarios::{benchmark_run, BenchmarkConfig};
@@ -11,10 +11,6 @@ use netsim::telemetry::Json;
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner(
-        "fig16",
-        "benchmark traffic vs incast degree (user + rebuild flows)",
-    );
     let scale = RunScale { quick };
     let duration = scale.dur(300, 800);
     let seeds = scale.seeds(1, 3);

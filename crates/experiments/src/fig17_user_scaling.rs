@@ -2,7 +2,7 @@
 //! user-transfer goodput distribution with 5 pairs and no DCQCN matches
 //! (or is beaten by) 80 pairs with DCQCN.
 
-use crate::common::{banner, CcChoice, RunScale};
+use crate::common::{CcChoice, RunScale};
 use crate::runner::par_map;
 use crate::scenarios::{benchmark_run, BenchmarkConfig};
 use netsim::stats::percentile;
@@ -21,10 +21,6 @@ fn cdf_row(label: &str, v: &[f64]) {
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner(
-        "fig17",
-        "16x user traffic: (no DCQCN, 5 pairs) vs (DCQCN, 80 pairs)",
-    );
     let scale = RunScale { quick };
     let duration = scale.dur(300, 800);
     let configs = [

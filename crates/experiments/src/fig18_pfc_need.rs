@@ -7,14 +7,13 @@
 //! * DCQCN with misconfigured thresholds (PFC fires before ECN),
 //! * DCQCN proper.
 
-use crate::common::{banner, CcChoice, RunScale};
+use crate::common::{CcChoice, RunScale};
 use crate::runner::par_map;
 use crate::scenarios::{benchmark_run, BenchmarkConfig};
 use netsim::stats::percentile;
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner("fig18", "need for PFC and correct thresholds (8:1 incast)");
     let scale = RunScale { quick };
     let duration = scale.dur(300, 800);
     // (label, cc, pfc, misconfigured, NAK-capable receiver)

@@ -5,7 +5,7 @@
 //! parameters operate at the K_max cliff (the fluid fixed point wants
 //! p* > P_max), so the DCQCN tail grows.
 
-use crate::common::{banner, CcChoice, RunScale};
+use crate::common::{CcChoice, RunScale};
 use crate::report::{self, Artifact};
 use crate::runner::par_map;
 use baselines::dctcp::DctcpParams;
@@ -62,7 +62,6 @@ fn queue_stats(cc: CcChoice, n: usize, duration: Duration, seed: u64) -> [f64; 4
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner("fig19", "queue-length CDF: DCQCN vs DCTCP, 2:1 incast");
     let scale = RunScale { quick };
     let duration = scale.dur(150, 400);
     println!(

@@ -2,7 +2,7 @@
 //! crosses two bottlenecks and gets starved by cut-off marking (it is
 //! twice as likely to be marked); RED-like marking mitigates this.
 
-use crate::common::{banner, CcChoice};
+use crate::common::CcChoice;
 use crate::runner::par_map;
 use dcqcn::params::{red_deployed, DcqcnParams};
 use netsim::ecn::RedConfig;
@@ -26,13 +26,7 @@ fn run_one(red: RedConfig, duration: Duration, seed: u64) -> [f64; 3] {
     for fl in [f1, f2, f3] {
         net.send_message(fl, u64::MAX, Time::ZERO);
     }
-    net.enable_sampling(
-        Duration::from_micros(500),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    net.enable_sampling(Duration::from_micros(500), SamplerConfig::default());
     let end = Time::ZERO + duration;
     net.run_until(end);
     let from = Time::ZERO + duration / 2;
@@ -41,10 +35,6 @@ fn run_one(red: RedConfig, duration: Duration, seed: u64) -> [f64; 3] {
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
-    banner(
-        "fig20",
-        "multi-bottleneck parking lot: cut-off vs RED-like marking",
-    );
     let duration = Duration::from_millis(if quick { 300 } else { 700 });
     println!("f1: one bottleneck (SW1->SW2); f2: BOTH; f3: one (SW2->R2).");
     println!("max-min fair share: 20 Gbps each.");

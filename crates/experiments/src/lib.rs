@@ -42,83 +42,74 @@ pub mod fig19_queue_cdf;
 pub mod fig20_multibottleneck;
 pub mod sec4_thresholds;
 
-/// All experiment ids, in paper order.
-pub const ALL: &[&str] = &[
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-    "fig12", "fig13", "fig14", "sec4", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20",
+/// One experiment: its id, its banner title and its entry point (which
+/// takes `quick`). An experiment is one row of [`ALL`] or [`EXT`] and
+/// nothing else — `repro list`, the usage text, id validation, the banner
+/// and [`dispatch`] all read the row.
+pub type Experiment = (&'static str, &'static str, fn(bool));
+
+/// The paper's tables and figures, in paper order.
+#[rustfmt::skip]
+pub const ALL: &[Experiment] = &[
+    ("fig1", "TCP vs RDMA: throughput / CPU / latency by message size", fig01_tcp_vs_rdma::run),
+    ("fig2", "3-tier Clos testbed (4 ToRs, 4 leaves, 2 spines, 40G)", fig02_testbed::run),
+    ("fig3", "PFC unfairness (no congestion control)", fig03_pfc_unfairness::run),
+    ("fig4", "victim flow (no congestion control)", fig04_victim_flow::run),
+    ("fig5", "switch marking probability vs egress queue", fig05_red_curve::run),
+    ("fig6", "NP state machine: one CNP per flow per 50 µs", fig06_np::run),
+    ("fig7", "RP state machine trace (cut -> fast recovery -> additive increase)", fig07_rp_trace::run),
+    ("fig8", "DCQCN fixes the unfairness of Figure 3", fig08_dcqcn_fairness::run),
+    ("fig9", "DCQCN fixes the victim flow of Figure 4", fig09_dcqcn_victim::run),
+    ("fig10", "fluid model vs implementation (rate of the joining sender)", fig10_fluid_vs_sim::run),
+    ("fig11", "parameter sweeps for convergence (fluid model, |R1-R2| in Gbps)", fig11_param_sweep::run),
+    ("fig12", "g sweep: queue length/stability, 2:1 and 16:1 incast (fluid)", fig12_g_sweep::run),
+    ("fig13", "validating parameter values (2 flows, packet simulator)", fig13_param_validation::run),
+    ("fig14", "deployed DCQCN parameters", fig14_params::run),
+    ("sec4", "PFC/ECN buffer thresholds (Arista 7050QX32 / Trident II)", sec4_thresholds::run),
+    ("fig15", "PAUSE frames at spines, 10:1 incast + user traffic", fig15_pause_count::run),
+    ("fig16", "benchmark traffic vs incast degree (user + rebuild flows)", fig16_benchmark::run),
+    ("fig17", "16x user traffic: (no DCQCN, 5 pairs) vs (DCQCN, 80 pairs)", fig17_user_scaling::run),
+    ("fig18", "need for PFC and correct thresholds (8:1 incast)", fig18_pfc_need::run),
+    ("fig19", "queue-length CDF: DCQCN vs DCTCP, 2:1 incast", fig19_queue_cdf::run),
+    ("fig20", "multi-bottleneck parking lot: cut-off vs RED-like marking", fig20_multibottleneck::run),
 ];
 
-/// Extension experiment ids, in dispatch order (`ext` runs them all).
-pub const EXT: &[&str] = &[
-    "ext-rai",
-    "ext-beta",
-    "ext-prio",
-    "ext-timely",
-    "ext-start",
-    "ext-fattree",
-    "ext-stability",
-    "ext-linkflap",
-    "ext-pausestorm",
-    "ext-attribution",
+/// The extension experiments, in the order `ext` runs them.
+#[rustfmt::skip]
+pub const EXT: &[Experiment] = &[
+    ("ext-rai", "R_AI vs incast depth (§5.2: halve R_AI for 32:1)", extensions::rai_scaling),
+    ("ext-beta", "dynamic vs static PFC thresholds (pause churn)", extensions::beta_ablation),
+    ("ext-prio", "PFC priority classes isolate traffic", extensions::priority_isolation),
+    ("ext-timely", "reverse-path congestion: DCQCN vs TIMELY (§3.3)", extensions::reverse_path_sensitivity),
+    ("ext-start", "hyper-fast start: transfer latency on an idle fabric", extensions::fast_start),
+    ("ext-fattree", "DCQCN on a k=4 fat tree (16 hosts), permutation traffic", extensions::fat_tree_scale),
+    ("ext-stability", "fluid-model stability map (the paper's future work)", extensions::stability),
+    ("ext-linkflap", "goodput dip + recovery across a fabric link flap", ext_faults::link_flap),
+    ("ext-pausestorm", "malfunctioning-NIC pause storm: watchdog vs victim collapse", ext_faults::pause_storm),
+    ("ext-attribution", "causal FCT attribution of the Fig. 4 victim", ext_attribution::run),
 ];
 
-/// Dispatches one experiment by id. Returns false for unknown ids.
+/// Runs one experiment by id: prints its banner, then runs its row.
+/// Returns false for unknown ids.
 ///
 /// When a [`report`] sink is active (the `--json` flag or a test
 /// capture), each dispatched id produces one finalized report; `ext`
 /// re-dispatches its members so every extension gets its own.
 pub fn dispatch(id: &str, quick: bool) -> bool {
     if id == "ext" {
-        for sub in EXT {
+        for (sub, ..) in EXT {
             dispatch(sub, quick);
         }
         return true;
     }
+    let Some(&(_, title, run)) = ALL.iter().chain(EXT).find(|row| row.0 == id) else {
+        return false;
+    };
     report::begin(id);
-    let known = dispatch_inner(id, quick);
-    if known {
-        report::finish(id, quick);
-    } else {
-        report::discard();
-    }
-    known
-}
-
-fn dispatch_inner(id: &str, quick: bool) -> bool {
-    match id {
-        "fig1" => fig01_tcp_vs_rdma::run(quick),
-        "fig2" => fig02_testbed::run(quick),
-        "fig3" => fig03_pfc_unfairness::run(quick),
-        "fig4" => fig04_victim_flow::run(quick),
-        "fig5" => fig05_red_curve::run(quick),
-        "fig6" => fig06_np::run(quick),
-        "fig7" => fig07_rp_trace::run(quick),
-        "fig8" => fig08_dcqcn_fairness::run(quick),
-        "fig9" => fig09_dcqcn_victim::run(quick),
-        "fig10" => fig10_fluid_vs_sim::run(quick),
-        "fig11" => fig11_param_sweep::run(quick),
-        "fig12" => fig12_g_sweep::run(quick),
-        "fig13" => fig13_param_validation::run(quick),
-        "fig14" => fig14_params::run(quick),
-        "sec4" => sec4_thresholds::run(quick),
-        "fig15" => fig15_pause_count::run(quick),
-        "fig16" => fig16_benchmark::run(quick),
-        "fig17" => fig17_user_scaling::run(quick),
-        "fig18" => fig18_pfc_need::run(quick),
-        "fig19" => fig19_queue_cdf::run(quick),
-        "fig20" => fig20_multibottleneck::run(quick),
-        "ext-rai" => extensions::rai_scaling(quick),
-        "ext-beta" => extensions::beta_ablation(quick),
-        "ext-prio" => extensions::priority_isolation(quick),
-        "ext-timely" => extensions::reverse_path_sensitivity(quick),
-        "ext-start" => extensions::fast_start(quick),
-        "ext-fattree" => extensions::fat_tree_scale(quick),
-        "ext-stability" => extensions::stability(quick),
-        "ext-linkflap" => ext_faults::link_flap(quick),
-        "ext-pausestorm" => ext_faults::pause_storm(quick),
-        "ext-attribution" => ext_attribution::run(quick),
-        _ => return false,
-    }
+    println!();
+    println!("=== {id}: {title} ===");
+    run(quick);
+    report::finish(id, quick);
     true
 }
 
@@ -133,41 +124,22 @@ mod tests {
     }
 
     #[test]
-    fn all_ids_are_known() {
-        // Dispatch every id in quick mode for the cheap, closed-form
-        // experiments; the simulation-heavy ones are covered by the
-        // integration suite and the repro binary.
+    fn cheap_ids_dispatch() {
+        // The closed-form experiments; the simulation-heavy ones are
+        // covered by the integration suite and the repro binary.
         for id in ["fig1", "fig2", "fig5", "fig6", "fig7", "fig14", "sec4"] {
             assert!(dispatch(id, true), "{id} should dispatch");
         }
-        for id in ALL {
-            assert!(
-                matches!(
-                    *id,
-                    "fig1"
-                        | "fig2"
-                        | "fig3"
-                        | "fig4"
-                        | "fig5"
-                        | "fig6"
-                        | "fig7"
-                        | "fig8"
-                        | "fig9"
-                        | "fig10"
-                        | "fig11"
-                        | "fig12"
-                        | "fig13"
-                        | "fig14"
-                        | "sec4"
-                        | "fig15"
-                        | "fig16"
-                        | "fig17"
-                        | "fig18"
-                        | "fig19"
-                        | "fig20"
-                ),
-                "{id} is listed"
-            );
+    }
+
+    #[test]
+    fn the_table_is_well_formed() {
+        let rows: Vec<&Experiment> = ALL.iter().chain(EXT).collect();
+        assert_eq!((ALL.len(), EXT.len()), (21, 10));
+        for (i, (id, title, _)) in rows.iter().enumerate() {
+            assert!(!title.is_empty(), "{id} has a title");
+            assert!(rows[..i].iter().all(|r| r.0 != *id), "{id} is listed twice");
         }
+        assert!(EXT.iter().all(|r| r.0.starts_with("ext-")));
     }
 }

@@ -35,8 +35,13 @@ fn usage() {
     );
     eprintln!("       repro chaos [--seed <n>] [--cases <n>] [--quick] [--out <dir>]");
     eprintln!("       repro chaos --replay <file>");
-    eprintln!("ids: {}", experiments::ALL.join(" "));
-    eprintln!("ext: ext {}", experiments::EXT.join(" "));
+    eprintln!("ids: {}", ids_of(experiments::ALL).join(" "));
+    eprintln!("ext: ext {}", ids_of(experiments::EXT).join(" "));
+}
+
+/// The ids of a table of experiments, in table order.
+fn ids_of(table: &[experiments::Experiment]) -> Vec<&'static str> {
+    table.iter().map(|row| row.0).collect()
 }
 
 fn main() {
@@ -85,8 +90,9 @@ fn main() {
         usage();
         return;
     }
+    let known = [ids_of(experiments::ALL), ids_of(experiments::EXT)].concat();
     if ids.contains(&"list") {
-        for id in experiments::ALL.iter().chain(experiments::EXT) {
+        for id in known {
             println!("{id}");
         }
         return;
@@ -94,11 +100,7 @@ fn main() {
     // Validate every id up front so a typo late in the list cannot waste
     // the runs before it.
     for id in &ids {
-        let known = *id == "all"
-            || *id == "ext"
-            || experiments::ALL.contains(id)
-            || experiments::EXT.contains(id);
-        if !known {
+        if !(*id == "all" || *id == "ext" || known.contains(id)) {
             eprintln!("unknown experiment '{id}'");
             usage();
             std::process::exit(2);
@@ -120,7 +122,7 @@ fn main() {
     for id in &ids {
         match *id {
             "all" => {
-                for id in experiments::ALL {
+                for (id, ..) in experiments::ALL {
                     let t = Instant::now();
                     experiments::dispatch(id, quick);
                     eprintln!("[{id} took {:.1}s]", t.elapsed().as_secs_f64());

@@ -158,13 +158,6 @@ pub(crate) fn finish(id: &str, quick: bool) {
     s.current_id = None;
 }
 
-/// Drops the open report (unknown experiment id).
-pub(crate) fn discard() {
-    let mut s = STATE.lock().unwrap();
-    s.current = None;
-    s.current_id = None;
-}
-
 /// Runs experiment `id` with in-memory capture and returns its rendered
 /// report — the hook the determinism tests compare across
 /// `REPRO_THREADS` settings. Returns `None` for unknown ids.

@@ -2,7 +2,7 @@
 //! on the Figure 2 Clos, the §6.2 benchmark-traffic runs, and the fault
 //! injection scenarios (link flap, pause storm).
 
-use crate::common::CcChoice;
+use crate::common::{CcChoice, RunScale};
 use netsim::event::NodeId;
 use netsim::faults::{FaultConfig, FaultPlan};
 use netsim::packet::{FlowId, DATA_PRIORITY};
@@ -32,34 +32,33 @@ pub fn testbed(
     )
 }
 
-/// The Figure 3/8 unfairness scenario: H1–H3 under T1 and H4 under T4 all
-/// send greedily to R under T4. Returns per-host goodput (Gbps) measured
-/// over `[warmup, duration]`.
-pub fn unfairness_run(cc: CcChoice, seed: u64, duration: Duration, warmup: Duration) -> Vec<f64> {
-    let (tb, flows) = unfairness_scenario(cc, seed, duration);
-    flow_goodputs(&tb.net, &flows, Time::ZERO + warmup, Time::ZERO + duration)
+/// Run length and warm-up of the Figure 3/4 scenarios (and of their
+/// DCQCN reruns, Figures 8/9), as `(duration, warmup)`.
+pub fn testbed_window(cc: CcChoice, scale: RunScale) -> (Duration, Duration) {
+    let (duration, warmup) = (scale.dur(150, 250), scale.dur(50, 80));
+    match cc {
+        // DCQCN needs time to converge after the line-rate start.
+        CcChoice::Dcqcn(_) => (
+            duration + Duration::from_millis(200),
+            warmup + Duration::from_millis(150),
+        ),
+        _ => (duration, warmup),
+    }
 }
 
-/// [`unfairness_run`] plus the run's full telemetry report (counters,
-/// histograms, per-flow stats) for `--json` output.
-pub fn unfairness_run_full(
-    cc: CcChoice,
-    seed: u64,
-    duration: Duration,
-    warmup: Duration,
-) -> (Vec<f64>, Json) {
-    let (tb, flows) = unfairness_scenario(cc, seed, duration);
-    let goodputs = flow_goodputs(&tb.net, &flows, Time::ZERO + warmup, Time::ZERO + duration);
-    (goodputs, tb.net.telemetry_report())
+/// Samples every flow's delivered bytes each 500 µs and runs `tb` to
+/// `duration`: the measured variant of a built scenario.
+fn run_sampled(tb: &mut ClosTestbed, duration: Duration) {
+    tb.net
+        .enable_sampling(Duration::from_micros(500), SamplerConfig::default());
+    tb.net.run_until(Time::ZERO + duration);
 }
 
-/// Builds and runs one unfairness scenario to `duration`, returning the
-/// finished testbed and the four flows in H1–H4 order.
-pub fn unfairness_scenario(
-    cc: CcChoice,
-    seed: u64,
-    duration: Duration,
-) -> (ClosTestbed, Vec<FlowId>) {
+/// Builds the Figure 3/8 unfairness scenario, not yet run: H1–H3 under T1
+/// and H4 under T4 all send greedily to R under T4. Returns the testbed
+/// and the four flows in H1–H4 order; the caller attaches sampling or
+/// spans and runs.
+pub fn unfairness_build(cc: CcChoice, seed: u64) -> (ClosTestbed, Vec<FlowId>) {
     let mut tb = testbed(cc, true, false, 5, seed);
     let senders = [
         tb.hosts[0][0],
@@ -76,21 +75,68 @@ pub fn unfairness_scenario(
     for &fl in &flows {
         tb.net.send_message(fl, u64::MAX, Time::ZERO);
     }
-    tb.net.enable_sampling(
-        Duration::from_micros(500),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
-    tb.net.run_until(Time::ZERO + duration);
     (tb, flows)
 }
 
-/// The Figure 4/9 victim-flow scenario: H11–H14 (under T1) plus
-/// `t3_senders` hosts under T3 send greedily to R under T4, while the
-/// victim VS (under T1) sends to VR (under T2). Returns the victim's
-/// goodput in Gbps.
+/// Runs one unfairness scenario to `duration` with every flow sampled,
+/// returning the finished testbed and the four flows in H1–H4 order.
+pub fn unfairness_scenario(
+    cc: CcChoice,
+    seed: u64,
+    duration: Duration,
+) -> (ClosTestbed, Vec<FlowId>) {
+    let (mut tb, flows) = unfairness_build(cc, seed);
+    run_sampled(&mut tb, duration);
+    (tb, flows)
+}
+
+/// The unfairness scenario's per-host goodput (Gbps) measured over
+/// `[warmup, duration]`.
+pub fn unfairness_run(cc: CcChoice, seed: u64, duration: Duration, warmup: Duration) -> Vec<f64> {
+    let (tb, flows) = unfairness_scenario(cc, seed, duration);
+    flow_goodputs(&tb.net, &flows, Time::ZERO + warmup, Time::ZERO + duration)
+}
+
+/// The unfairness scenario with causal tracing: returns H1's (a T1
+/// sender sharing T4's uplinks) span-attributed time breakdown over the
+/// whole run — under PFC alone it is dominated by `pause_blocked`, under
+/// an end-to-end scheme by `throttled`.
+pub fn unfairness_attribution(
+    cc: CcChoice,
+    seed: u64,
+    duration: Duration,
+) -> [Duration; NUM_SPAN_STATES] {
+    let (mut tb, flows) = unfairness_build(cc, seed);
+    tb.net.enable_spans(256);
+    tb.net.run_until(Time::ZERO + duration);
+    tb.net
+        .span_breakdown(flows[0])
+        .unwrap_or([Duration::ZERO; NUM_SPAN_STATES])
+}
+
+/// Builds the Figure 4/9 victim-flow scenario, not yet run: H11–H14
+/// (under T1) plus `t3_senders` hosts under T3 send greedily to R under
+/// T4. Returns the testbed and the victim flow VS (under T1) → VR (under
+/// T2), registered but silent: the caller gives it its message, attaches
+/// sampling or spans and runs.
+pub fn victim_build(cc: CcChoice, t3_senders: usize, seed: u64) -> (ClosTestbed, FlowId) {
+    let mut tb = testbed(cc, true, false, 5, seed);
+    let receiver = tb.hosts[3][0];
+    let f = cc.factory();
+    let t1 = tb.hosts[0][..4].iter();
+    let incast: Vec<NodeId> = t1.chain(&tb.hosts[2][..t3_senders]).copied().collect();
+    for h in incast {
+        let fl = tb.net.add_flow(h, receiver, DATA_PRIORITY, &f);
+        tb.net.send_message(fl, u64::MAX, Time::ZERO);
+    }
+    let victim = tb
+        .net
+        .add_flow(tb.hosts[0][4], tb.hosts[1][0], DATA_PRIORITY, &f);
+    (tb, victim)
+}
+
+/// The victim-flow scenario with a greedy victim: its goodput in Gbps
+/// over `[warmup, duration]`.
 pub fn victim_run(
     cc: CcChoice,
     t3_senders: usize,
@@ -98,48 +144,14 @@ pub fn victim_run(
     duration: Duration,
     warmup: Duration,
 ) -> f64 {
-    let (tb, victim) = victim_scenario(cc, t3_senders, seed, duration);
+    let (mut tb, victim) = victim_build(cc, t3_senders, seed);
+    tb.net.send_message(victim, u64::MAX, Time::ZERO);
+    run_sampled(&mut tb, duration);
     tb.net
         .goodput_gbps(victim, Time::ZERO + warmup, Time::ZERO + duration)
 }
 
-/// Builds and runs one victim-flow scenario to `duration`, returning the
-/// finished testbed and the victim flow.
-pub fn victim_scenario(
-    cc: CcChoice,
-    t3_senders: usize,
-    seed: u64,
-    duration: Duration,
-) -> (ClosTestbed, FlowId) {
-    let mut tb = testbed(cc, true, false, 5, seed);
-    let receiver = tb.hosts[3][0];
-    let vs = tb.hosts[0][4];
-    let vr = tb.hosts[1][0];
-    let f = cc.factory();
-    let mut flows: Vec<FlowId> = Vec::new();
-    for i in 0..4 {
-        flows.push(tb.net.add_flow(tb.hosts[0][i], receiver, DATA_PRIORITY, &f));
-    }
-    for i in 0..t3_senders {
-        flows.push(tb.net.add_flow(tb.hosts[2][i], receiver, DATA_PRIORITY, &f));
-    }
-    let victim = tb.net.add_flow(vs, vr, DATA_PRIORITY, &f);
-    flows.push(victim);
-    for &fl in &flows {
-        tb.net.send_message(fl, u64::MAX, Time::ZERO);
-    }
-    tb.net.enable_sampling(
-        Duration::from_micros(500),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
-    tb.net.run_until(Time::ZERO + duration);
-    (tb, victim)
-}
-
-/// Result of an [`attribution_run`]: the Figure 4 victim's causally
+/// Result of the [`attribution`] pass: the Figure 4 victim's causally
 /// attributed FCT decomposition, the run's congestion tree, and its
 /// Chrome trace.
 #[derive(Debug, Clone)]
@@ -157,39 +169,20 @@ pub struct AttributionResult {
     pub tree: CongestionTree,
     /// The Chrome trace-event export of the whole run.
     pub trace: Json,
-    /// The run's full telemetry report for `--json` output.
-    pub telemetry: Json,
 }
 
-/// The Figure 4 victim-flow scenario with causal tracing: the incast
-/// senders transmit greedily from t = 0 while the victim VS→VR sends one
-/// finite `victim_bytes` message at `start_at` (late enough that a
-/// converging scheme has settled). Returns the victim's span-attributed
-/// FCT decomposition plus the run's congestion tree and Chrome trace.
-pub fn attribution_run(
-    cc: CcChoice,
-    t3_senders: usize,
-    victim_bytes: u64,
-    seed: u64,
-    start_at: Time,
-    duration: Duration,
-) -> AttributionResult {
-    let mut tb = testbed(cc, true, false, 5, seed);
-    let receiver = tb.hosts[3][0];
-    let vs = tb.hosts[0][4];
-    let vr = tb.hosts[1][0];
-    let f = cc.factory();
+/// The attribution pass of Figures 4 and 9 (and of `ext-attribution`,
+/// which prints both side by side): the victim-flow scenario with causal
+/// tracing at the worst-case incast (2 senders under T3), first seed.
+/// The incast senders transmit greedily from t = 0 while the victim
+/// sends one finite 1 MB message once the [`testbed_window`] warm-up is
+/// over (late enough that a converging scheme has settled).
+pub fn attribution(cc: CcChoice, scale: RunScale) -> AttributionResult {
+    let (duration, warmup) = testbed_window(cc, scale);
+    // Seed 1: the first seed of every sweep (`RunScale::seeds`).
+    let (mut tb, victim) = victim_build(cc, 2, 1);
     tb.net.enable_spans(256);
-    for i in 0..4 {
-        let fl = tb.net.add_flow(tb.hosts[0][i], receiver, DATA_PRIORITY, &f);
-        tb.net.send_message(fl, u64::MAX, Time::ZERO);
-    }
-    for i in 0..t3_senders {
-        let fl = tb.net.add_flow(tb.hosts[2][i], receiver, DATA_PRIORITY, &f);
-        tb.net.send_message(fl, u64::MAX, Time::ZERO);
-    }
-    let victim = tb.net.add_flow(vs, vr, DATA_PRIORITY, &f);
-    tb.net.send_message(victim, victim_bytes, start_at);
+    tb.net.send_message(victim, 1_000_000, Time::ZERO + warmup);
     tb.net.run_until(Time::ZERO + duration);
 
     let completion = tb.net.spans().completion(victim);
@@ -203,40 +196,7 @@ pub fn attribution_run(
         breakdown,
         tree: tb.net.congestion_tree(),
         trace: tb.net.chrome_trace(),
-        telemetry: tb.net.telemetry_report(),
     }
-}
-
-/// The Figure 3 unfairness scenario with causal tracing: returns H1's
-/// (a T1 sender sharing T4's uplinks) span-attributed time breakdown
-/// over the whole run — under PFC alone it is dominated by
-/// `pause_blocked`, under an end-to-end scheme by `throttled`.
-pub fn unfairness_attribution(
-    cc: CcChoice,
-    seed: u64,
-    duration: Duration,
-) -> [Duration; NUM_SPAN_STATES] {
-    let mut tb = testbed(cc, true, false, 5, seed);
-    let senders = [
-        tb.hosts[0][0],
-        tb.hosts[0][1],
-        tb.hosts[0][2],
-        tb.hosts[3][0],
-    ];
-    let receiver = tb.hosts[3][1];
-    let f = cc.factory();
-    tb.net.enable_spans(256);
-    let flows: Vec<FlowId> = senders
-        .iter()
-        .map(|&h| tb.net.add_flow(h, receiver, DATA_PRIORITY, &f))
-        .collect();
-    for &fl in &flows {
-        tb.net.send_message(fl, u64::MAX, Time::ZERO);
-    }
-    tb.net.run_until(Time::ZERO + duration);
-    tb.net
-        .span_breakdown(flows[0])
-        .unwrap_or([Duration::ZERO; NUM_SPAN_STATES])
 }
 
 /// Configuration of a §6.2 benchmark run.
@@ -281,8 +241,6 @@ pub struct BenchmarkResult {
     pub aborted: u64,
     /// Total events executed (cost accounting).
     pub events: u64,
-    /// The run's full telemetry report for `--json` output.
-    pub telemetry: Json,
 }
 
 /// Runs the §6.2 benchmark: 20 hosts (5 per rack), `pairs` user pairs
@@ -327,13 +285,8 @@ pub fn benchmark_run(cfg: &BenchmarkConfig) -> BenchmarkResult {
         Vec::new()
     };
 
-    tb.net.enable_sampling(
-        Duration::from_micros(1000),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    tb.net
+        .enable_sampling(Duration::from_micros(1000), SamplerConfig::default());
     let end = Time::ZERO + cfg.duration;
     tb.net.run_until(end);
 
@@ -365,7 +318,6 @@ pub fn benchmark_run(cfg: &BenchmarkConfig) -> BenchmarkResult {
         timeouts,
         aborted,
         events: tb.net.events_executed(),
-        telemetry: tb.net.telemetry_report(),
     }
 }
 
@@ -440,13 +392,8 @@ pub fn link_flap_run(
             ..FaultConfig::default()
         },
     );
-    tb.net.enable_sampling(
-        Duration::from_micros(200),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    tb.net
+        .enable_sampling(Duration::from_micros(200), SamplerConfig::default());
     let end = Time::ZERO + duration;
     tb.net.run_until(end);
 
@@ -536,13 +483,8 @@ pub fn pause_storm_victim_run(
         Duration::from_micros(20),
     );
     tb.net.install_faults(&plan, FaultConfig::default());
-    tb.net.enable_sampling(
-        Duration::from_micros(200),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    tb.net
+        .enable_sampling(Duration::from_micros(200), SamplerConfig::default());
     let end = Time::ZERO + duration;
     tb.net.run_until(end);
 

@@ -1,16 +1,11 @@
 //! §4: buffer-threshold engineering — reproduces the paper's arithmetic
 //! for `t_flight`, `t_PFC` and `t_ECN` on the Trident II switch.
 
-use crate::common::banner;
 use dcqcn::thresholds::{dynamic_ecn_bound, report};
 use netsim::buffer::BufferConfig;
 
 /// Runs the experiment.
 pub fn run(_quick: bool) {
-    banner(
-        "sec4",
-        "PFC/ECN buffer thresholds (Arista 7050QX32 / Trident II)",
-    );
     let cfg = BufferConfig::trident2();
     let r = report(&cfg, 8.0);
     println!(

@@ -4,7 +4,8 @@
 //! same property `tests/determinism.rs` pins for raw results, extended
 //! here through the telemetry registry and the JSON renderer.
 
-use experiments::report::Artifact;
+use experiments::report::{capture, Artifact};
+use netsim::telemetry::Json;
 use std::sync::Mutex;
 
 /// Serializes tests that mutate `REPRO_THREADS` / the report sink —
@@ -44,4 +45,24 @@ fn json_dir_writes_one_report_per_dispatch() {
     assert!(text.contains("\"id\": \"fig5\""));
     assert!(text.contains("\"quick\": true"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One attribution pass, three callers: `ext-attribution` prints what
+/// fig4 (PFC only) and fig9 (DCQCN) already computed, so its two scheme
+/// objects must equal their attribution keys exactly.
+#[test]
+fn ext_attribution_is_the_attribution_pass_of_fig4_and_fig9() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let report = |id| Json::parse(&capture(id, true).expect("known id")).expect("report parses");
+    let ext = report("ext-attribution");
+    let schemes = ext.get("schemes").and_then(Json::as_arr).expect("schemes");
+    assert_eq!(schemes.len(), 2);
+    for (scheme, fig) in schemes.iter().zip(["fig4", "fig9"]) {
+        let fig_report = report(fig);
+        assert_eq!(scheme.get("scheme"), fig_report.get("scheme"), "{fig}");
+        for key in ["victim_fct_us", "victim_breakdown_us", "congestion_tree"] {
+            assert!(scheme.get(key).is_some(), "{key} missing");
+            assert_eq!(scheme.get(key), fig_report.get(key), "{fig} {key}");
+        }
+    }
 }

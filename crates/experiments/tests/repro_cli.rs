@@ -69,3 +69,34 @@ fn asking_for_help_is_not_an_error() {
         assert!(String::from_utf8(out.stderr).unwrap().contains("usage:"));
     }
 }
+
+#[test]
+fn list_prints_the_table_in_order() {
+    let out = repro().arg("list").output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let listed: Vec<&str> = stdout.lines().collect();
+    let table = experiments::ALL.iter().chain(experiments::EXT);
+    let ids: Vec<&str> = table.map(|row| row.0).collect();
+    assert_eq!(listed, ids);
+    assert_eq!(listed.len(), 31);
+}
+
+/// The banner comes from the experiment's table row, not from the
+/// experiment: every cheap (closed-form) id prints its row's title.
+#[test]
+fn cheap_experiments_print_their_banner_from_the_table() {
+    let cheap = ["fig1", "fig2", "fig5", "fig6", "fig7", "fig14", "sec4"];
+    let out = repro().args(cheap).arg("--quick").output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let banners: Vec<&str> = stdout.lines().filter(|l| l.starts_with("=== ")).collect();
+    let expected: Vec<String> = cheap
+        .iter()
+        .map(|id| {
+            let row = experiments::ALL.iter().find(|row| row.0 == *id).unwrap();
+            format!("=== {id}: {} ===", row.1)
+        })
+        .collect();
+    assert_eq!(banners, expected);
+}

@@ -133,6 +133,7 @@ impl Auditor {
                 at,
                 kind,
                 node,
+                // simlint: allow(hot-alloc) the message is built only when an invariant actually fails
                 context: context.to_string(),
             });
         }
@@ -334,6 +335,7 @@ impl Auditor {
         {
             let lo = (node.0, port, 0);
             let hi = (node.0, port, usize::MAX);
+            // simlint: allow(hot-alloc) sanitize builds only, once per link transition
             let stale: Vec<_> = self.state.paused.range(lo..=hi).copied().collect();
             for key in stale {
                 self.state.paused.remove(&key);
@@ -538,6 +540,7 @@ pub fn check_queue_drain(samples: &[(Time, u64)], threshold: u64) -> Option<Viol
         at: last_at,
         kind: ViolationKind::Convergence,
         node: None,
+        // simlint: allow(hot-alloc) built only when the convergence drain check fails
         context: format!(
             "queues not draining: {last} B queued at {last_at} \
              (threshold {threshold} B, {first} B at {first_at})"

@@ -165,11 +165,12 @@ impl Flow {
     }
 
     /// Does this flow have a packet it could send right now (ignoring
-    /// pacing/pause/window)?
+    /// pacing/pause/window)? A queued message always has one: a fully cut
+    /// message is popped at its `eom` packet, and a zero-byte message
+    /// goes out as one header-only `eom` packet (like an InfiniBand
+    /// zero-length write) and completes on its ACK.
     pub fn has_data(&self) -> bool {
-        !self.dead
-            && (self.send_psn < self.next_psn
-                || self.messages.front().is_some_and(|m| m.remaining > 0))
+        !self.dead && (self.send_psn < self.next_psn || !self.messages.is_empty())
     }
 
     /// Nothing outstanding and nothing to send.
@@ -551,6 +552,7 @@ impl Host {
                         ctx.stats(id).aborted = true;
                         ctx.metrics.inc(ctx.metrics.h.qp_teardowns);
                         ctx.flight
+                            // simlint: allow(hot-alloc) only when transport retries are exhausted (QP error)
                             .dump(self.id, now, &format!("qp_teardown flow={}", id.0));
                         self.update_spans(ctx);
                         return;

@@ -284,10 +284,17 @@ impl Network {
     /// Average receiver goodput of a flow over `[from, to]`, in Gbps,
     /// computed from delivered bytes. Requires `from < to`.
     ///
-    /// Uses the flow's sampled delivered-bytes timeline when available
-    /// (exact at the boundaries while the track's bucket width is finer
-    /// than the sampling interval — true for every experiment cadence in
-    /// the harness), else the flow's total counters.
+    /// Uses the flow's sampled delivered-bytes timeline (exact at the
+    /// boundaries while the track's bucket width is finer than the
+    /// sampling interval — true for every experiment cadence in the
+    /// harness). Without a sampled track only the whole run so far,
+    /// `from == Time::ZERO && to == now()`, is answerable, from the
+    /// flow's total counters.
+    ///
+    /// # Panics
+    /// Panics when asked about any other window of an unsampled flow —
+    /// the whole-run average would be a silently wrong figure; call
+    /// [`Network::enable_sampling`] before the run.
     pub fn goodput_gbps(&self, flow: FlowId, from: Time, to: Time) -> f64 {
         let dt = (to - from).as_secs_f64();
         if let Some(tl) = self.sampler.flow_bytes(flow) {
@@ -296,6 +303,12 @@ impl Network {
                 return (at(to) - at(from)) * 8.0 / dt / 1e9;
             }
         }
+        assert!(
+            from == Time::ZERO && to == self.now(),
+            "goodput_gbps: flow {} has no sampled track, so only the whole run \
+             [0, now] is answerable, not [{from}, {to}]; call enable_sampling first",
+            flow.0
+        );
         let st = &self.ctx.flow_stats[flow.0 as usize];
         st.delivered_bytes as f64 * 8.0 / dt / 1e9
     }
@@ -424,6 +437,7 @@ impl Network {
         }
         for v in &violations[self.dumped_violations..] {
             if let Some(node) = v.node {
+                // simlint: allow(hot-alloc) only for a newly recorded violation; per event this fn is one length comparison
                 flight.dump(node, v.at, &format!("{:?}: {}", v.kind, v.context));
             }
         }

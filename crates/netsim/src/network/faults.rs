@@ -148,6 +148,7 @@ impl Network {
     /// Shortest-path ECMP routes over the currently-up links, one table
     /// per node: what every switch should hold right now.
     pub(super) fn live_routes(&self) -> Vec<RouteTable> {
+        // simlint: allow(hot-alloc) per fault-induced topology change and once per convergence check, never per packet
         let down: Vec<bool> = self.faults.links().iter().map(|l| !l.up).collect();
         compute_routes_masked(self.nodes.len(), &self.edges, &down, &self.dests)
     }

@@ -77,6 +77,7 @@ impl Profiler {
     pub fn mark(&self) -> ProfMark {
         #[cfg(feature = "profile")]
         {
+            // simlint: allow(determinism-taint) opt-in `profile` feature; feeds an advisory report excluded from deterministic outputs
             std::time::Instant::now()
         }
     }

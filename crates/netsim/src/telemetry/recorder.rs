@@ -85,12 +85,15 @@ impl FlightRecorder {
             return;
         }
         let events = match self.rings.get(node.0) {
+            // simlint: allow(hot-alloc) a dump is taken only on a violation or QP teardown, at most MAX_DUMPS times
             Some(ring) => ring.iter().copied().collect(),
+            // simlint: allow(hot-alloc) same dump; an empty Vec does not allocate
             None => Vec::new(),
         };
         self.dumps.push(FlightDump {
             at,
             node,
+            // simlint: allow(hot-alloc) same dump, bounded by MAX_DUMPS
             reason: reason.to_string(),
             events,
         });

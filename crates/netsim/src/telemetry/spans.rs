@@ -334,6 +334,7 @@ impl FlowTrack {
             since: now,
             detail,
             accum: [Duration::ZERO; NUM_SPAN_STATES],
+            // simlint: allow(hot-alloc) one empty Vec per flow start, not per event
             log: Vec::new(),
             pause_origin: None,
             retx_pending: false,

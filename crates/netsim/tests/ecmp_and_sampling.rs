@@ -227,3 +227,41 @@ fn mixed_speed_links() {
     assert!(total < 100.0, "sink capped: {total:.1}");
     assert!(total > 85.0, "sink well used: {total:.1}");
 }
+
+/// One greedy flow on a three-host star, run for 2 ms without sampling.
+fn unsampled_run() -> (netsim::topology::Star, FlowId) {
+    let mut s = star(
+        3,
+        LinkParams::default(),
+        host_cfg(),
+        SwitchConfig::paper_default(),
+        1,
+    );
+    let f = s.net.add_flow(s.hosts[0], s.hosts[2], DATA_PRIORITY, |l| {
+        Box::new(NoCc::new(l))
+    });
+    s.net.send_message(f, u64::MAX, Time::ZERO);
+    s.net.run_until(Time::from_millis(2));
+    (s, f)
+}
+
+/// Without a sampled track the flow's counters still answer the one
+/// question they can: the whole run so far.
+#[test]
+fn goodput_of_an_unsampled_flow_over_the_whole_run_is_answered() {
+    let (s, f) = unsampled_run();
+    let g = s.net.goodput_gbps(f, Time::ZERO, s.net.now());
+    let direct = s.net.flow_stats(f).delivered_bytes as f64 * 8.0 / 2e-3 / 1e9;
+    assert_eq!(g, direct);
+    assert!(g > 30.0, "a lone flow runs near line rate: {g:.1}");
+}
+
+/// A windowed question about an unsampled flow used to be answered with
+/// the whole-run average — a silently wrong figure. It now fails loudly.
+#[test]
+#[should_panic(expected = "enable_sampling")]
+fn goodput_of_an_unsampled_flow_over_a_window_panics() {
+    let (s, f) = unsampled_run();
+    s.net
+        .goodput_gbps(f, Time::from_millis(1), Time::from_millis(2));
+}

@@ -40,6 +40,7 @@ use netsim::event::NodeId;
 use netsim::host::HostConfig;
 use netsim::network::Network;
 use netsim::packet::{FlowId, Priority, DATA_PRIORITY};
+use netsim::stats::Completion;
 use netsim::switch::SwitchConfig;
 use netsim::topology::{self, LinkParams};
 use netsim::units::{Bandwidth, Time};
@@ -131,14 +132,16 @@ pub struct WorkCompletion {
 
 impl WorkCompletion {
     /// End-to-end goodput of this operation in Gbps (includes queueing
-    /// behind earlier work requests on the same QP).
+    /// behind earlier work requests on the same QP): the simulator's
+    /// [`Completion::goodput_gbps`], so a zero-duration operation reports
+    /// 0.0 here too and can never poison a mean with an infinity.
     pub fn goodput_gbps(&self) -> f64 {
-        let secs = (self.completed - self.posted).as_secs_f64();
-        if secs <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.bytes as f64 * 8.0 / secs / 1e9
-        }
+        let transfer = Completion {
+            at: self.completed,
+            started: self.posted,
+            bytes: self.bytes,
+        };
+        transfer.goodput_gbps()
     }
 }
 
@@ -456,6 +459,34 @@ mod tests {
         r.net.run_until(Time::from_millis(10));
         let wcs = r.poll_cq(qp);
         assert!(wcs[0].goodput_gbps() > 1.5 * wcs[1].goodput_gbps());
+    }
+
+    #[test]
+    fn zero_length_write_completes_and_does_not_wedge_the_qp() {
+        let mut r = device();
+        let (a, b) = (r.hosts()[0], r.hosts()[1]);
+        let qp = r.create_qp(a, b);
+        let empty = r.post_write(qp, 0, Time::ZERO);
+        let full = r.post_write(qp, 1_000_000, Time::ZERO);
+        r.net.run_until(Time::from_millis(2));
+        let wcs = r.poll_cq(qp);
+        let seen: Vec<(u64, u64)> = wcs.iter().map(|w| (w.wr_id, w.bytes)).collect();
+        assert_eq!(seen, vec![(empty, 0), (full, 1_000_000)], "posting order");
+        assert!(wcs.iter().all(|w| w.status == WcStatus::Success));
+        let mean = wcs.iter().map(|w| w.goodput_gbps()).sum::<f64>() / 2.0;
+        assert!(mean.is_finite() && mean > 5.0, "mean goodput {mean}");
+    }
+
+    #[test]
+    fn zero_duration_completion_reports_zero_goodput_not_infinity() {
+        let wc = WorkCompletion {
+            wr_id: 0,
+            bytes: 4096,
+            posted: Time::from_millis(1),
+            completed: Time::from_millis(1),
+            status: WcStatus::Success,
+        };
+        assert_eq!(wc.goodput_gbps(), 0.0);
     }
 
     #[test]

@@ -3,22 +3,19 @@
 //! A real lexer ([`lexer`]) feeds an item-recovery parser ([`items`])
 //! that rebuilds `fn` definitions, struct fields, and call sites; a call
 //! graph ([`callgraph`]) rooted at the event dispatch loop *computes*
-//! the hot-path function/file set (no hard-coded lists); the passes
-//! ([`rules`]) run over tokens and reachability; and a ratchet baseline
-//! ([`baseline`]) lets reviewed findings persist with a justification
-//! while failing CI on anything new.
+//! the hot-path function/file set (no hard-coded lists); and the passes
+//! ([`rules`]) run over tokens and reachability. A reviewed finding is
+//! tolerated one way: a `// simlint: allow(<rule>) <reason>` comment at
+//! its site ([`rules::Allow`]), listed with its reason in the report.
 //!
 //! The crate is a library so the rules are testable against fixtures;
-//! `src/main.rs` is a thin CLI over [`analyze_sources`] +
-//! [`Baseline::ratchet`].
+//! `src/main.rs` is a thin CLI over [`analyze_sources`].
 
-pub mod baseline;
 pub mod callgraph;
 pub mod items;
 pub mod lexer;
 pub mod rules;
 
-pub use baseline::{Baseline, RatchetResult};
 pub use callgraph::RootSpec;
 pub use rules::Finding;
 
@@ -54,13 +51,26 @@ impl Default for Config {
     }
 }
 
+/// A finding tolerated by an allow comment, with the comment's reason.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Suppressed {
+    /// Workspace-relative file.
+    pub file: String,
+    /// 1-based line of the finding.
+    pub line: u32,
+    /// Rule name.
+    pub rule: &'static str,
+    /// Why it is tolerated.
+    pub reason: String,
+}
+
 /// The outcome of one analysis run.
 pub struct Analysis {
-    /// Findings surviving inline `simlint: allow(…)` suppression, sorted
-    /// by (file, line, rule, msg).
+    /// Findings no allow comment covers, plus one `unused-allow` per
+    /// comment that silenced nothing; sorted by (file, line, rule, msg).
     pub findings: Vec<Finding>,
-    /// Findings silenced by inline allow comments.
-    pub suppressed_inline: usize,
+    /// Findings silenced by allow comments, in the same order.
+    pub suppressed: Vec<Suppressed>,
     /// Computed hot-path files, sorted.
     pub hot_files: Vec<String>,
     /// Computed hot-path function labels (`Type::name (file)`), sorted.
@@ -112,27 +122,56 @@ pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Analysi
     };
     let all = rules::run_all(&ctx);
 
+    // An allow that covers a finding moves it to `suppressed`; one that
+    // covers none (or has no reason) becomes a finding itself, so the
+    // tolerated set can only shrink.
+    let mut allows: BTreeMap<&str, Vec<rules::Allow>> = files
+        .iter()
+        .map(|p| (p.rel.as_str(), rules::collect_allows(&p.raw_lines)))
+        .collect();
     let mut findings = Vec::new();
-    let mut suppressed_inline = 0usize;
+    let mut suppressed = Vec::new();
     for f in all {
-        let raw = &files
-            .iter()
-            .find(|p| p.rel == f.file)
-            .expect("finding refers to an analyzed file")
-            .raw_lines;
-        if rules::allowed(raw, f.line, f.rule) {
-            suppressed_inline += 1;
-        } else {
-            findings.push(f);
+        let allow = allows
+            .get_mut(f.file.as_str())
+            .and_then(|v| v.iter_mut().find(|a| a.covers(f.line, f.rule)));
+        match allow {
+            Some(a) => {
+                a.used = true;
+                suppressed.push(Suppressed {
+                    file: f.file,
+                    line: f.line,
+                    rule: f.rule,
+                    reason: a.reason.clone(),
+                });
+            }
+            None => findings.push(f),
         }
     }
+    for (file, allows) in allows {
+        for a in allows.into_iter().filter(|a| !a.used) {
+            let why = if a.reason.is_empty() {
+                "gives no reason after the `)` and suppresses nothing; say why the finding is tolerated"
+            } else {
+                "silences no finding on its own or the next line; remove it"
+            };
+            findings.push(Finding {
+                rule: "unused-allow",
+                file: file.to_owned(),
+                line: a.line,
+                msg: format!("`simlint: allow({})` {why}", a.rules),
+                chain: None,
+            });
+        }
+    }
+    findings.sort();
 
     let shard_report = shard_report(&files, &graph, &findings);
     let fns = files.iter().map(|f| f.fns.len()).sum();
 
     Analysis {
         findings,
-        suppressed_inline,
+        suppressed,
         hot_files: graph.hot_files.clone(),
         hot_fns: graph.hot_fn_labels(&files),
         shard_report,
@@ -231,12 +270,11 @@ pub fn collect_workspace_sources(root: &Path) -> std::io::Result<Vec<(String, St
 
 /// Renders the full JSON report. Output is byte-stable: sorted findings,
 /// sorted keys, fixed formatting.
-pub fn render_report(analysis: &Analysis, ratchet: &RatchetResult) -> String {
+pub fn render_report(analysis: &Analysis) -> String {
     let findings: Vec<Json> = analysis
         .findings
         .iter()
         .map(|f| {
-            let is_new = ratchet.new.contains(f);
             Json::Obj(vec![
                 (
                     "chain".into(),
@@ -248,8 +286,19 @@ pub fn render_report(analysis: &Analysis, ratchet: &RatchetResult) -> String {
                 ("file".into(), Json::Str(f.file.clone())),
                 ("line".into(), Json::UInt(f.line as u64)),
                 ("msg".into(), Json::Str(f.msg.clone())),
-                ("new".into(), Json::Bool(is_new)),
                 ("rule".into(), Json::Str(f.rule.to_owned())),
+            ])
+        })
+        .collect();
+    let suppressed: Vec<Json> = analysis
+        .suppressed
+        .iter()
+        .map(|s| {
+            Json::Obj(vec![
+                ("file".into(), Json::Str(s.file.clone())),
+                ("line".into(), Json::UInt(s.line as u64)),
+                ("reason".into(), Json::Str(s.reason.clone())),
+                ("rule".into(), Json::Str(s.rule.to_owned())),
             ])
         })
         .collect();
@@ -263,7 +312,7 @@ pub fn render_report(analysis: &Analysis, ratchet: &RatchetResult) -> String {
             "hot_fns".into(),
             Json::Arr(analysis.hot_fns.iter().cloned().map(Json::Str).collect()),
         ),
-        ("schema".into(), Json::Str("simlint-v2".into())),
+        ("schema".into(), Json::Str("simlint-v3".into())),
         ("shard_report".into(), analysis.shard_report.clone()),
         (
             "summary".into(),
@@ -276,17 +325,13 @@ pub fn render_report(analysis: &Analysis, ratchet: &RatchetResult) -> String {
                 ),
                 ("fns".into(), Json::UInt(analysis.fns as u64)),
                 ("hot_fns".into(), Json::UInt(analysis.hot_fns.len() as u64)),
-                ("new".into(), Json::UInt(ratchet.new.len() as u64)),
                 (
-                    "suppressed_baseline".into(),
-                    Json::UInt(ratchet.suppressed as u64),
-                ),
-                (
-                    "suppressed_inline".into(),
-                    Json::UInt(analysis.suppressed_inline as u64),
+                    "suppressed".into(),
+                    Json::UInt(analysis.suppressed.len() as u64),
                 ),
             ]),
         ),
+        ("suppressed".into(), Json::Arr(suppressed)),
     ])
     .render()
 }

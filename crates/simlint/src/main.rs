@@ -1,32 +1,23 @@
 //! Thin CLI over the simlint library.
 //!
 //! ```text
-//! simlint [--format text|json] [--baseline PATH] [--no-baseline]
-//!         [--write-baseline] [--print-hot] [--root Type::method]...
+//! simlint [--format text|json] [--print-hot]
 //! ```
 //!
-//! Exit codes: 0 clean (all findings baselined/suppressed), 1 new
-//! findings beyond the ratchet baseline, 2 usage or I/O error.
+//! Exit codes: 0 no unsuppressed finding, 1 findings, 2 usage or I/O
+//! error.
 
-use simlint::{analyze_sources, collect_workspace_sources, render_report};
-use simlint::{Baseline, Config, RootSpec};
+use simlint::{analyze_sources, collect_workspace_sources, render_report, Config};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const BASELINE_NAME: &str = "simlint_baseline.json";
-
 struct Args {
     format_json: bool,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: bool,
     print_hot: bool,
-    roots: Vec<RootSpec>,
 }
 
 fn usage() -> &'static str {
-    "usage: simlint [--format text|json] [--baseline PATH] [--no-baseline]\n\
-     \x20              [--write-baseline] [--print-hot] [--root Type::method]...\n\
+    "usage: simlint [--format text|json] [--print-hot]\n\
      \n\
      rules:\n"
 }
@@ -34,11 +25,7 @@ fn usage() -> &'static str {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         format_json: false,
-        baseline: None,
-        no_baseline: false,
-        write_baseline: false,
         print_hot: false,
-        roots: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -51,18 +38,7 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown format {other:?}")),
                 }
             }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a path")?;
-                args.baseline = Some(PathBuf::from(v));
-            }
-            "--no-baseline" => args.no_baseline = true,
-            "--write-baseline" => args.write_baseline = true,
             "--print-hot" => args.print_hot = true,
-            "--root" => {
-                let v = it.next().ok_or("--root needs Type::method")?;
-                args.roots
-                    .push(RootSpec::parse(&v).ok_or_else(|| format!("bad root {v:?}"))?);
-            }
             "--help" | "-h" => {
                 let mut help = usage().to_owned();
                 for (rule, desc) in simlint::rules::RULES {
@@ -111,11 +87,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut config = Config::default();
-    if !args.roots.is_empty() {
-        config.roots = args.roots.clone();
-    }
-    let analysis = analyze_sources(&sources, &config);
+    let analysis = analyze_sources(&sources, &Config::default());
 
     if args.print_hot {
         println!("# hot files ({})", analysis.hot_files.len());
@@ -129,53 +101,15 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join(BASELINE_NAME));
-    let baseline = if args.no_baseline {
-        Baseline::default()
+    let status = if analysis.findings.is_empty() {
+        ExitCode::SUCCESS
     } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match Baseline::from_json(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("simlint: bad baseline {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(_) if args.baseline.is_none() => Baseline::default(),
-            Err(e) => {
-                eprintln!("simlint: {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
+        ExitCode::FAILURE
     };
 
-    if args.write_baseline {
-        let new = Baseline::covering(&analysis.findings, &baseline);
-        if let Err(e) = std::fs::write(&baseline_path, new.to_json()) {
-            eprintln!("simlint: write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "simlint: wrote {} ({} entries covering {} findings)",
-            baseline_path.display(),
-            new.entries.len(),
-            analysis.findings.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let ratchet = baseline.ratchet(&analysis.findings);
-
     if args.format_json {
-        print!("{}", render_report(&analysis, &ratchet));
-        return if ratchet.new.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        print!("{}", render_report(&analysis));
+        return status;
     }
 
     // Text output.
@@ -187,32 +121,16 @@ fn main() -> ExitCode {
         analysis.hot_fns.len(),
         analysis.hot_files.len()
     );
-    for f in &ratchet.new {
+    for f in &analysis.findings {
         eprintln!("{}:{} [{}] {}", f.file, f.line, f.rule, f.msg);
         if let Some(chain) = &f.chain {
             eprintln!("    via {chain}");
         }
     }
-    if analysis.suppressed_inline > 0 || ratchet.suppressed > 0 {
-        eprintln!(
-            "simlint: {} finding(s) suppressed inline, {} by baseline",
-            analysis.suppressed_inline, ratchet.suppressed
-        );
-    }
-    for (rule, file, cap, cur) in &ratchet.improved {
-        eprintln!("simlint: baseline can tighten: {rule} in {file}: {cap} -> {cur}");
-    }
-    for (rule, file) in &ratchet.stale {
-        eprintln!("simlint: stale baseline entry: {rule} in {file} (no findings)");
-    }
-    if ratchet.new.is_empty() {
-        eprintln!("simlint: clean");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "simlint: {} new finding(s) beyond baseline (run with --write-baseline only after review)",
-            ratchet.new.len()
-        );
-        ExitCode::FAILURE
-    }
+    eprintln!(
+        "simlint: {} finding(s) suppressed inline, {} unsuppressed",
+        analysis.suppressed.len(),
+        analysis.findings.len()
+    );
+    status
 }

@@ -10,15 +10,16 @@ use crate::items::ParsedFile;
 use crate::lexer::{Tok, TokKind};
 use std::collections::BTreeSet;
 
-/// One diagnostic.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One diagnostic. Findings order by (file, line, rule, message), the
+/// order every report lists them in.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
-    /// Rule name.
-    pub rule: &'static str,
     /// Workspace-relative file.
     pub file: String,
     /// 1-based line.
     pub line: u32,
+    /// Rule name.
+    pub rule: &'static str,
     /// Human-readable message.
     pub msg: String,
     /// Call chain from a dispatch root (hot-path rules only).
@@ -52,7 +53,7 @@ const ITER_METHODS: [&str; 8] = [
 ];
 
 /// Every rule, with a one-line description (used by `--help` and docs).
-pub const RULES: [(&str, &str); 8] = [
+pub const RULES: [(&str, &str); 9] = [
     (
         "map-iter",
         "no iteration over HashMap/HashSet (or aliases) in library code — std hash order is per-process random",
@@ -85,40 +86,60 @@ pub const RULES: [(&str, &str); 8] = [
         "shard-safety",
         "inventory of shared-mutable constructs (Rc, RefCell, Cell, static mut, thread_local!) in hot files",
     ),
+    (
+        "unused-allow",
+        "a `simlint: allow(…)` comment that silences no finding, or gives no reason after the `)`",
+    ),
 ];
 
-/// Is `name` a known rule (or the `all` escape hatch)?
-pub fn is_known_rule(name: &str) -> bool {
-    name == "all" || RULES.iter().any(|(r, _)| *r == name)
+/// One `// simlint: allow(rule[, rule…]) reason` comment: the one way
+/// to tolerate a finding. It covers its own line and the next one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Allow {
+    /// 1-based line of the comment.
+    pub line: u32,
+    /// The text between the parentheses, as written.
+    pub rules: String,
+    /// Why the finding is tolerated: the text after the `)`. An allow
+    /// without one suppresses nothing.
+    pub reason: String,
+    /// Has it silenced a finding yet? One that never does is reported.
+    pub used: bool,
 }
 
-/// Is the finding suppressed by `// simlint: allow(rule[, rule…])` on
-/// the same or the preceding raw line? Rule names match **exactly**
-/// (sharing a prefix with another rule can no longer silence it);
-/// `allow(all)` silences every rule on that line.
-pub fn allowed(raw_lines: &[String], line: u32, rule: &str) -> bool {
-    let check = |l: &str| -> bool {
-        let mut rest = l;
-        while let Some(pos) = rest.find("simlint: allow(") {
-            let inner = &rest[pos + "simlint: allow(".len()..];
-            if let Some(close) = inner.find(')') {
-                if inner[..close]
-                    .split(',')
-                    .map(str::trim)
-                    .any(|r| r == rule || r == "all")
-                {
-                    return true;
-                }
-                rest = &inner[close..];
-            } else {
-                break;
-            }
-        }
-        false
-    };
-    let idx = line as usize;
-    (idx >= 1 && raw_lines.get(idx - 1).is_some_and(|l| check(l)))
-        || (idx >= 2 && raw_lines.get(idx - 2).is_some_and(|l| check(l)))
+impl Allow {
+    /// Does this comment tolerate a `rule` finding on `line`? Rule names
+    /// match **exactly** (sharing a prefix with another rule does not
+    /// count); `allow(all)` names every rule.
+    pub fn covers(&self, line: u32, rule: &str) -> bool {
+        (self.line == line || self.line + 1 == line)
+            && !self.reason.is_empty()
+            && self
+                .rules
+                .split(',')
+                .map(str::trim)
+                .any(|r| r == rule || r == "all")
+    }
+}
+
+/// Every allow comment of a file, in line order (one per line).
+pub fn collect_allows(raw_lines: &[String]) -> Vec<Allow> {
+    const MARKER: &str = "simlint: allow(";
+    let mut out = Vec::new();
+    for (i, l) in raw_lines.iter().enumerate() {
+        let Some(pos) = l.find(MARKER) else { continue };
+        let inner = &l[pos + MARKER.len()..];
+        let Some(close) = inner.find(')') else {
+            continue;
+        };
+        out.push(Allow {
+            line: i as u32 + 1,
+            rules: inner[..close].to_owned(),
+            reason: inner[close + 1..].trim().to_owned(),
+            used: false,
+        });
+    }
+    out
 }
 
 /// Context shared by the passes.
@@ -194,7 +215,7 @@ pub fn run_all(ctx: &PassCtx<'_>) -> Vec<Finding> {
     determinism_taint(ctx, &mut out);
     hot_alloc(ctx, &mut out);
     shard_safety(ctx, &mut out);
-    out.sort_by(|a, b| (&a.file, a.line, a.rule, &a.msg).cmp(&(&b.file, b.line, b.rule, &b.msg)));
+    out.sort();
     out
 }
 

@@ -4,12 +4,12 @@ pub struct Buffer {
 
 impl Buffer {
     pub fn f(&mut self) {
-        self.occupied += 1; // simlint: allow(counter-arith)
-        // simlint: allow(counter)
+        self.occupied += 1; // simlint: allow(counter-arith) fixture
+        // simlint: allow(counter) a prefix is not the rule
         self.occupied += 2;
-        self.occupied += 4; // simlint: allow(map-iter)
-        self.occupied += 3; // simlint: allow(all)
-        // simlint: allow(map-iter, counter-arith)
+        self.occupied += 4; // simlint: allow(map-iter) the wrong rule
+        self.occupied += 3; // simlint: allow(all) fixture
+        // simlint: allow(map-iter, counter-arith) fixture
         self.occupied += 5;
     }
 }

@@ -252,12 +252,52 @@ fn suppression_matches_rule_names_exactly() {
         "suppress_scoping.rs",
         include_str!("fixtures/suppress_scoping.rs"),
     );
-    // += 2 (prefix "counter" no longer matches) and += 4 (wrong rule)
+    let of = |rule: &str| -> Vec<u32> {
+        let hits = a.findings.iter().filter(|f| f.rule == rule);
+        hits.map(|f| f.line).collect()
+    };
+    // += 2 (prefix "counter" is not the rule) and += 4 (wrong rule)
     // survive; += 1 (exact), += 3 (all), += 5 (comma list) are allowed.
-    assert_eq!(a.findings.len(), 2, "{:#?}", a.findings);
-    assert_eq!(a.suppressed_inline, 3);
-    let lines: Vec<u32> = a.findings.iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![9, 10]);
+    assert_eq!(of("counter-arith"), vec![9, 10], "{:#?}", a.findings);
+    let lines: Vec<u32> = a.suppressed.iter().map(|s| s.line).collect();
+    assert_eq!(lines, vec![7, 11, 13]);
+    assert!(a.suppressed.iter().all(|s| s.reason == "fixture"));
+    // The two allows that silenced nothing are findings themselves.
+    assert_eq!(of("unused-allow"), vec![8, 10], "{:#?}", a.findings);
+    assert_eq!(a.findings.len(), 4);
+}
+
+#[test]
+fn allow_without_a_reason_does_not_suppress() {
+    let src = |reason: &str| {
+        format!(
+            "pub struct B {{ occupied: u64 }}\n\
+             impl B {{ pub fn f(&mut self) {{\n\
+             // simlint: allow(counter-arith){reason}\n\
+             self.occupied += 1;\n}} }}\n"
+        )
+    };
+    let with = analyze_one("b.rs", &src(" reviewed: test scaffolding"));
+    assert!(with.findings.is_empty(), "{:#?}", with.findings);
+    assert_eq!(with.suppressed[0].reason, "reviewed: test scaffolding");
+    assert_eq!(with.suppressed[0].line, 4);
+
+    let without = analyze_one("b.rs", &src("  "));
+    let fired: Vec<_> = without.findings.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(fired, vec![("unused-allow", 3), ("counter-arith", 4)]);
+    assert!(without.suppressed.is_empty());
+    assert!(without.findings[0].msg.contains("no reason"));
+}
+
+#[test]
+fn allow_above_clean_code_is_reported_as_unused() {
+    let a = analyze_one(
+        "clean.rs",
+        "// simlint: allow(hot-alloc) nothing here allocates\npub fn f() -> u32 { 1 }\n",
+    );
+    assert_eq!(rules_fired(&a), vec!["unused-allow"], "{:#?}", a.findings);
+    assert_eq!(a.findings[0].line, 1);
+    assert!(a.findings[0].msg.contains("allow(hot-alloc)"));
 }
 
 #[test]

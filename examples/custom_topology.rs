@@ -50,13 +50,7 @@ fn main() {
     net.send_message(f_dcqcn, u64::MAX, Time::ZERO);
     net.send_message(f_dctcp, u64::MAX, Time::ZERO);
 
-    net.enable_sampling(
-        Duration::from_millis(1),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    net.enable_sampling(Duration::from_millis(1), SamplerConfig::default());
     net.run_until(Time::from_millis(50));
 
     for (name, f) in [("DCQCN", f_dcqcn), ("DCTCP", f_dctcp)] {
