@@ -61,7 +61,7 @@ pub fn run(quick: bool) {
         // Export the PFC-only run's Chrome trace: it is the one whose
         // per-port PAUSE instants show the congestion spreading.
         if matches!(cc, CcChoice::None) {
-            report::write(Artifact::Trace, || att.trace.render());
+            report::write(Artifact::Trace, |out| att.chrome_trace().write_to(out));
         }
     }
     report::put("schemes", Json::Arr(schemes));

@@ -72,7 +72,7 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
     report::put("victim_fct_us", Json::from(att.fct.as_micros_f64()));
     report::put("victim_breakdown_us", breakdown_json(&att.breakdown));
     report::put("congestion_tree", att.tree.to_json());
-    report::write(Artifact::Trace, || att.trace.render());
+    report::write(Artifact::Trace, |out| att.chrome_trace().write_to(out));
 }
 
 /// Runs the experiment.

@@ -73,6 +73,6 @@ pub fn run(_quick: bool) {
             vec![series_of(tls.get(rc), "R_C"), series_of(tls.get(rt), "R_T")],
         );
         dash.chart("alpha", "alpha", vec![series_of(tls.get(al), "alpha")]);
-        report::write(Artifact::Dash, || dash.render());
+        report::dashboard(|| dash);
     }
 }

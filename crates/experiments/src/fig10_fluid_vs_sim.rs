@@ -3,7 +3,7 @@
 //! the packet simulator and the DDE model.
 
 use crate::common::{mean, CcChoice};
-use crate::report::{self, Artifact};
+use crate::report;
 use fluid::model::{FlowState, FluidSim};
 use fluid::params::FluidParams;
 use netsim::packet::DATA_PRIORITY;
@@ -42,11 +42,7 @@ pub fn run(quick: bool) {
         },
     );
     s.net.run_until(Time::from_millis(end_ms));
-    report::write(Artifact::Dash, || {
-        s.net
-            .dashboard("fig10: joining sender (packet sim)")
-            .render()
-    });
+    report::dashboard(|| s.net.dashboard("fig10: joining sender (packet sim)"));
     let sim = s.net.sampler().flow_rate(f2).expect("sampled").series();
 
     // --- fluid model ---

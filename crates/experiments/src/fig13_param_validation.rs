@@ -119,8 +119,6 @@ pub fn run(quick: bool) {
         // REPRO_THREADS.
         let d = &configs[3];
         let (s, _) = sim_run(d.params, d.red, end, 31);
-        report::write(Artifact::Dash, || {
-            s.net.dashboard("fig13 (d): fast timer + RED-ECN").render()
-        });
+        report::dashboard(|| s.net.dashboard("fig13 (d): fast timer + RED-ECN"));
     }
 }

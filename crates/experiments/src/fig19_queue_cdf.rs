@@ -103,8 +103,6 @@ pub fn run(quick: bool) {
         // Serial representative rerun (2:1 DCQCN) on the dispatch thread,
         // so the dashboard bytes cannot depend on REPRO_THREADS.
         let (s, _) = incast_sim(CcChoice::dcqcn_paper(), 2, duration, 3);
-        report::write(Artifact::Dash, || {
-            s.net.dashboard("fig19: 2:1 incast, DCQCN").render()
-        });
+        report::dashboard(|| s.net.dashboard("fig19: 2:1 incast, DCQCN"));
     }
 }

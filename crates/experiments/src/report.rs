@@ -1,5 +1,5 @@
 //! Run artifacts — the sinks behind `repro --json|--trace|--dash <dir>`
-//! (one [`Artifact`] each, one [`write`] path) and the collector of the
+//! (one [`Artifact`] each, one [`write()`] path) and the collector of the
 //! machine-readable run report.
 //!
 //! When a sink is active, [`crate::dispatch`] opens a report before an
@@ -14,7 +14,9 @@
 //! With no sink active every call here is a cheap no-op, so experiment
 //! code calls [`put`] unconditionally.
 
-use netsim::telemetry::Json;
+use netsim::telemetry::{Dashboard, Json};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -72,15 +74,23 @@ static STATE: Mutex<State> = Mutex::new(State {
 
 impl State {
     /// Writes the dispatched experiment's `kind` artifact if that sink is
-    /// on. A file that cannot be written is an `error:` line on stderr,
-    /// remembered for [`failed_writes`]; the run goes on, so the other
-    /// artifacts are still produced.
-    fn write(&mut self, kind: Artifact, render: impl FnOnce() -> String) {
+    /// on: `render` gets the buffered file and writes the document into
+    /// it piece by piece, so no copy of it is held. A file that cannot be
+    /// written is an `error:` line on stderr, remembered for
+    /// [`failed_writes`]; the run goes on, so the other artifacts are
+    /// still produced.
+    fn write(&mut self, kind: Artifact, render: impl FnOnce(&mut dyn Write) -> io::Result<()>) {
         let (Some(dir), Some(id)) = (&self.dirs[kind as usize], &self.current_id) else {
             return;
         };
         let path = dir.join(format!("{id}.{}", KINDS[kind as usize].2));
-        if let Err(e) = std::fs::write(&path, render()) {
+        let written = File::create(&path).and_then(|file| {
+            let mut out = BufWriter::new(file);
+            render(&mut out)?;
+            // Dropping a BufWriter swallows the error of its last write.
+            out.flush()
+        });
+        if let Err(e) = written {
             eprintln!("error: cannot write {}: {e}", path.display());
             self.failed_writes += 1;
         }
@@ -104,12 +114,22 @@ pub fn enabled(kind: Artifact) -> bool {
 }
 
 /// Writes the dispatched experiment's trace or dashboard (no-op without
-/// that sink). `render` is a pure function of the run results and
+/// that sink, and then `render` is never called — so whatever only it
+/// needs should be built inside it). `render` writes into the buffered
+/// file it is handed; it is a pure function of the run results and
 /// experiments call this from the dispatch thread, so the file is
 /// byte-identical across `REPRO_THREADS` settings (the CI
 /// `artifact-determinism` job pins this).
-pub fn write(kind: Artifact, render: impl FnOnce() -> String) {
+pub fn write(kind: Artifact, render: impl FnOnce(&mut dyn Write) -> io::Result<()>) {
     STATE.lock().unwrap().write(kind, render);
+}
+
+/// Writes the dispatched experiment's dashboard (no-op without a `--dash`
+/// sink, and then `build` is never called).
+pub fn dashboard(build: impl FnOnce() -> Dashboard) {
+    write(Artifact::Dash, |out| {
+        out.write_all(build().render().as_bytes())
+    });
 }
 
 /// How many requested artifacts could not be written so far; `repro`
@@ -119,7 +139,7 @@ pub fn failed_writes() -> usize {
 }
 
 /// Opens a report for the experiment about to run (no-op without a sink;
-/// the experiment id is remembered either way so [`write`] can name its
+/// the experiment id is remembered either way so [`write()`] can name its
 /// output file).
 pub(crate) fn begin(id: &str) {
     let mut s = STATE.lock().unwrap();
@@ -142,18 +162,18 @@ pub fn put(key: &str, value: Json) {
     }
 }
 
-/// Finalizes the open report: stamps `id` and `quick`, renders it, and
-/// writes `<dir>/<id>.json` and/or stores it for [`capture`].
+/// Finalizes the open report: stamps `id` and `quick`, and streams it to
+/// `<dir>/<id>.json` and/or stores its rendering for [`capture`].
 pub(crate) fn finish(id: &str, quick: bool) {
     let mut s = STATE.lock().unwrap();
     if let Some(mut pairs) = s.current.take() {
         pairs.push(("id".to_string(), Json::from(id)));
         pairs.push(("quick".to_string(), Json::from(quick)));
-        let rendered = Json::Obj(pairs).render();
+        let report = Json::Obj(pairs);
         if s.capture {
-            s.captured.push((id.to_string(), rendered.clone()));
+            s.captured.push((id.to_string(), report.render()));
         }
-        s.write(Artifact::Report, || rendered);
+        s.write(Artifact::Report, |out| report.write_to(out));
     }
     s.current_id = None;
 }

@@ -8,7 +8,7 @@ use netsim::faults::{FaultConfig, FaultPlan};
 use netsim::packet::{FlowId, DATA_PRIORITY};
 use netsim::stats::SamplerConfig;
 use netsim::switch::PfcWatchdogConfig;
-use netsim::telemetry::{CongestionTree, Json, NUM_SPAN_STATES};
+use netsim::telemetry::{ChromeTrace, CongestionTree, Json, Spans, NUM_SPAN_STATES};
 use netsim::topology::{clos_testbed, ClosTestbed, LinkParams};
 use netsim::units::{Duration, Time};
 use workloads::traffic::{
@@ -152,8 +152,8 @@ pub fn victim_run(
 }
 
 /// Result of the [`attribution`] pass: the Figure 4 victim's causally
-/// attributed FCT decomposition, the run's congestion tree, and its
-/// Chrome trace.
+/// attributed FCT decomposition, the run's congestion tree, and what its
+/// Chrome trace is rendered from.
 #[derive(Debug, Clone)]
 pub struct AttributionResult {
     /// Did the victim's finite message complete within the run?
@@ -167,8 +167,17 @@ pub struct AttributionResult {
     /// The pause-propagation graph folded into a congestion tree: root
     /// port(s) and every victim flow.
     pub tree: CongestionTree,
+    /// The run's finished span recorder and end time: the Chrome trace
+    /// is a view of these, rendered only where a `--trace` sink asks.
+    spans: Spans,
+    end: Time,
+}
+
+impl AttributionResult {
     /// The Chrome trace-event export of the whole run.
-    pub trace: Json,
+    pub fn chrome_trace(&self) -> ChromeTrace<'_> {
+        self.spans.chrome_trace(self.end)
+    }
 }
 
 /// The attribution pass of Figures 4 and 9 (and of `ext-attribution`,
@@ -195,7 +204,8 @@ pub fn attribution(cc: CcChoice, scale: RunScale) -> AttributionResult {
         fct: completion.map_or(Duration::ZERO, |c| c.fct),
         breakdown,
         tree: tb.net.congestion_tree(),
-        trace: tb.net.chrome_trace(),
+        end: tb.net.now(),
+        spans: tb.net.take_spans(),
     }
 }
 

@@ -66,3 +66,22 @@ fn ext_attribution_is_the_attribution_pass_of_fig4_and_fig9() {
         }
     }
 }
+
+/// The `--trace` sink only adds a file: the report of an experiment that
+/// exports a trace is the same bytes whether or not the trace is
+/// rendered (the attribution result carries what the trace is rendered
+/// from, not a rendering).
+#[test]
+fn trace_sink_does_not_change_the_report() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let without = capture("fig4", true).expect("fig4 is a known id");
+    let dir = std::env::temp_dir().join(format!("repro-trace-{}", std::process::id()));
+    experiments::report::set_dir(Artifact::Trace, &dir).unwrap();
+    let with = capture("fig4", true).expect("fig4 is a known id");
+    assert!(without == with, "fig4 report differs with a --trace sink");
+    let trace = std::fs::read_to_string(dir.join("fig4.trace.json")).unwrap();
+    assert!(trace.starts_with("{\n  \"displayTimeUnit\": \"ms\",\n"));
+    assert!(trace.ends_with("]\n}\n"), "the file was written to its end");
+    assert!(Json::parse(&trace).is_ok(), "the streamed file is JSON");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -356,6 +356,13 @@ impl Network {
         &self.ctx.spans
     }
 
+    /// Moves the causal-tracing recorder out, leaving tracing disabled:
+    /// for a caller that is done simulating and wants what was recorded
+    /// (to render a Chrome trace later) without keeping the fabric.
+    pub fn take_spans(&mut self) -> Spans {
+        std::mem::take(&mut self.ctx.spans)
+    }
+
     /// Enables the per-node flight recorder with `capacity` events per
     /// node (on by default when the `sanitize` feature is compiled in).
     /// A `capacity` of 0 turns it off.

@@ -5,7 +5,7 @@
 use super::{Network, Node};
 use crate::packet::FlowId;
 use crate::port::Port;
-use crate::telemetry::spans::{CongestionTree, SpanState, NUM_SPAN_STATES};
+use crate::telemetry::spans::{ChromeTrace, CongestionTree, SpanState, NUM_SPAN_STATES};
 use crate::telemetry::{Dashboard, Json};
 use crate::units::Duration;
 
@@ -30,9 +30,10 @@ impl Network {
         self.ctx.spans.congestion_tree(self.now())
     }
 
-    /// Renders everything the span tracer recorded as deterministic
-    /// Chrome trace-event JSON (loads in Perfetto / `about://tracing`).
-    pub fn chrome_trace(&self) -> Json {
+    /// Everything the span tracer recorded as deterministic Chrome
+    /// trace-event JSON (loads in Perfetto / `about://tracing`): a view
+    /// to `render()` or `write_to` a file, borrowed from the recorder.
+    pub fn chrome_trace(&self) -> ChromeTrace<'_> {
         self.ctx.spans.chrome_trace(self.now())
     }
 

@@ -68,7 +68,7 @@ pub use registry::{CounterId, GaugeId, HistId, Metrics, Registry, WellKnown};
 pub use sampler::{Sampler, SamplerConfig};
 pub use simjson::{fmt_f64, Json};
 pub use spans::{
-    CongestionTree, FlowSpan, HopSpan, PauseEdge, SpanCompletion, SpanState, Spans, TreeEdge,
-    TreeRoot, TreeVictim, NUM_SPAN_STATES,
+    ChromeTrace, CongestionTree, FlowSpan, HopSpan, PauseEdge, SpanCompletion, SpanState, Spans,
+    TreeEdge, TreeRoot, TreeVictim, NUM_SPAN_STATES,
 };
 pub use timeline::{BucketView, Timeline, TimelineSet, TrackId, TrackKind, DEFAULT_POINT_BUDGET};

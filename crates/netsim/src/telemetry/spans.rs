@@ -48,7 +48,9 @@ use crate::event::{NodeId, PortId};
 use crate::packet::FlowId;
 use crate::telemetry::Json;
 use crate::units::{Duration, Time};
+use simjson::Writer;
 use std::collections::BTreeMap;
+use std::io;
 
 /// What a flow's send side is doing right now, as attributed by the NIC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -780,133 +782,233 @@ impl Spans {
         }
     }
 
-    /// Renders everything recorded so far as Chrome trace-event JSON
-    /// (cold).  One process (`pid` 0) holds one thread per flow; each
-    /// node gets a process (`pid = node + 1`) with one thread per port
-    /// carrying hop spans and PAUSE/RESUME instants.  Output is
-    /// deterministic: it reuses `telemetry::Json` and depends only on
-    /// the simulation, never on wall clock or thread count.
-    pub fn chrome_trace(&self, now: Time) -> Json {
-        let mut events: Vec<Json> = Vec::new();
-        let meta = |name: &str, pid: usize, tid: u64, value: &str| {
-            Json::obj(vec![
-                ("ph", Json::from("M")),
-                ("name", Json::from(name)),
-                ("pid", Json::from(pid)),
-                ("tid", Json::from(tid)),
-                ("args", Json::obj(vec![("name", Json::from(value))])),
-            ])
-        };
-        events.push(meta("process_name", 0, 0, "flows"));
-        for (idx, slot) in self.flows.iter().enumerate() {
-            if slot.is_some() {
-                events.push(meta("thread_name", 0, idx as u64, &format!("flow {idx}")));
-            }
-        }
+    /// Everything recorded so far as Chrome trace-event JSON (cold): a
+    /// borrowed view that renders straight from the recorder's own logs.
+    pub fn chrome_trace(&self, now: Time) -> ChromeTrace<'_> {
+        ChromeTrace { spans: self, now }
+    }
+}
+
+/// The Chrome trace-event export of a [`Spans`] recorder, as of `now`.
+///
+/// One process (`pid` 0) holds one thread per flow; each node gets a
+/// process (`pid = node + 1`) with one thread per port carrying hop
+/// spans and PAUSE/RESUME instants.  Output is deterministic: it goes
+/// through the workspace's one JSON writer and depends only on the
+/// simulation, never on wall clock or thread count.
+///
+/// Nothing is copied out of the recorder: both outputs walk its flow
+/// logs, hop spans and pause edges and stream one event at a time into
+/// a [`simjson::Writer`], so rendering costs the output and nothing else.
+#[derive(Debug, Clone, Copy)]
+pub struct ChromeTrace<'a> {
+    spans: &'a Spans,
+    now: Time,
+}
+
+/// One trace event: what the walk of `ChromeTrace::for_each_event`
+/// yields, for `emit_event` to render (and for the test-only tree
+/// builder).
+enum ChromeEvent<'a> {
+    /// `ph: "M"` — names process `pid` (`thread: None`) or one of its
+    /// threads. Process 0 is "flows" and its threads "flow N"; process
+    /// `n + 1` is "node n" and its threads "port N".
+    Meta { pid: usize, thread: Option<u64> },
+    /// `ph: "X"` — one closed or still-open interval of a flow's timeline.
+    Flow { flow: usize, span: FlowSpan },
+    /// `ph: "X"` — one frame's serialization at one hop.
+    Hop(&'a HopSpan),
+    /// `ph: "i"` — one PAUSE/RESUME frame.
+    Edge(&'a PauseEdge),
+}
+
+impl ChromeTrace<'_> {
+    /// Renders the trace to a string (pretty-printed, sorted keys, one
+    /// trailing newline), allocated once from the event count.
+    pub fn render(&self) -> String {
+        let mut w = Writer::new(Vec::with_capacity(self.size_hint()));
+        self.emit(&mut w);
+        w.into_string()
+    }
+
+    /// Writes exactly the bytes of [`ChromeTrace::render`] to `sink`,
+    /// one event at a time; hand it a buffered sink.
+    pub fn write_to<W: io::Write + ?Sized>(&self, sink: &mut W) -> io::Result<()> {
+        let mut w = Writer::new(sink);
+        self.emit(&mut w);
+        w.finish().map(drop)
+    }
+
+    fn emit<W: io::Write>(&self, w: &mut Writer<W>) {
+        // Reused for every name built from a number.
+        let mut label = String::new();
+        w.begin_object();
+        w.key("displayTimeUnit");
+        w.str("ms");
+        w.key("dropped_spans");
+        w.u64(self.spans.dropped);
+        w.key("traceEvents");
+        w.begin_array();
+        self.for_each_event(|e| emit_event(w, &mut label, e));
+        w.end_array();
+        w.end_object();
+    }
+
+    /// Bytes to reserve so `render` does not regrow (and so copy) its
+    /// buffer: how many events of each kind there are, times what one
+    /// renders to with timestamps in the tens of milliseconds (measured
+    /// 141–185 / 193–215 / ~330 bytes), plus room for the envelope and
+    /// the port-thread names. A low guess costs one copy of the output,
+    /// never a wrong byte.
+    fn size_hint(&self) -> usize {
+        let s = self.spans;
+        // Per track: its thread name, its closed spans, its open one.
+        let flow_events: usize = s.flows.iter().flatten().map(|t| t.log.len() + 2).sum();
+        4096 + 200 * flow_events + 230 * s.hops.len() + 360 * s.edges.len()
+    }
+
+    /// The ports that carry a hop span or send a PAUSE/RESUME, by node,
+    /// ascending: each becomes a named thread of its node's process.
+    fn port_threads(&self) -> BTreeMap<usize, Vec<usize>> {
+        let s = self.spans;
         let mut node_ports: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for h in &self.hops {
-            let ports = node_ports.entry(h.node.0).or_default();
-            if !ports.contains(&h.port.0) {
-                ports.push(h.port.0);
+        let hop_ports = s.hops.iter().map(|h| (h.node.0, h.port.0));
+        let edge_ports = s.edges.iter().map(|e| (e.from.0, e.from_port.0));
+        for (node, port) in hop_ports.chain(edge_ports) {
+            let ports = node_ports.entry(node).or_default();
+            if !ports.contains(&port) {
+                ports.push(port);
             }
         }
-        for e in &self.edges {
-            let ports = node_ports.entry(e.from.0).or_default();
-            if !ports.contains(&e.from_port.0) {
-                ports.push(e.from_port.0);
+        node_ports
+            .values_mut()
+            .for_each(|ports| ports.sort_unstable());
+        node_ports
+    }
+
+    /// Visits every event in file order: metadata naming the flow
+    /// threads and each node's port threads, then flow spans, hop spans
+    /// and PAUSE/RESUME instants.
+    fn for_each_event(&self, mut visit: impl FnMut(ChromeEvent<'_>)) {
+        let s = self.spans;
+        let meta = |pid, thread| ChromeEvent::Meta { pid, thread };
+        visit(meta(0, None));
+        for (idx, slot) in s.flows.iter().enumerate() {
+            if slot.is_some() {
+                visit(meta(0, Some(idx as u64)));
             }
         }
-        for (node, ports) in &mut node_ports {
-            ports.sort_unstable();
-            events.push(meta("process_name", node + 1, 0, &format!("node {node}")));
-            for &p in ports.iter() {
-                events.push(meta(
-                    "thread_name",
-                    node + 1,
-                    p as u64,
-                    &format!("port {p}"),
-                ));
+        for (node, ports) in self.port_threads() {
+            visit(meta(node + 1, None));
+            for p in ports {
+                visit(meta(node + 1, Some(p as u64)));
             }
         }
-        let complete = |name: &str, pid: usize, tid: u64, start: Time, end: Time, args: Json| {
-            Json::obj(vec![
-                ("ph", Json::from("X")),
-                ("name", Json::from(name)),
-                ("pid", Json::from(pid)),
-                ("tid", Json::from(tid)),
-                ("ts", Json::from(start.as_micros_f64())),
-                (
-                    "dur",
-                    Json::from(end.saturating_since(start).as_micros_f64()),
-                ),
-                ("args", args),
-            ])
-        };
-        for (idx, slot) in self.flows.iter().enumerate() {
+        for (flow, slot) in s.flows.iter().enumerate() {
             let Some(t) = slot.as_ref() else {
                 continue;
             };
-            for s in &t.log {
-                let args = Json::obj(vec![("detail", Json::from(s.detail))]);
-                events.push(complete(
-                    s.state.name(),
-                    0,
-                    idx as u64,
-                    s.start,
-                    s.end,
-                    args,
-                ));
+            for &span in &t.log {
+                visit(ChromeEvent::Flow { flow, span });
             }
-            if now > t.since {
-                let args = Json::obj(vec![("detail", Json::from(t.detail))]);
-                events.push(complete(t.state.name(), 0, idx as u64, t.since, now, args));
+            if self.now > t.since {
+                let span = FlowSpan {
+                    state: t.state,
+                    start: t.since,
+                    end: self.now,
+                    detail: t.detail,
+                };
+                visit(ChromeEvent::Flow { flow, span });
             }
         }
-        for h in &self.hops {
-            let args = Json::obj(vec![
-                ("flow", Json::from(h.flow.0)),
-                (
-                    "queued_us",
-                    Json::from(h.start.saturating_since(h.enqueued).as_micros_f64()),
-                ),
-            ]);
-            events.push(complete(
-                &format!("tx flow {}", h.flow.0),
-                h.node.0 + 1,
-                h.port.0 as u64,
-                h.start,
-                h.end,
-                args,
-            ));
-        }
-        for e in &self.edges {
-            let name = if e.pause { "PAUSE" } else { "RESUME" };
-            events.push(Json::obj(vec![
-                ("ph", Json::from("i")),
-                ("s", Json::from("t")),
-                ("name", Json::from(name)),
-                ("pid", Json::from(e.from.0 + 1)),
-                ("tid", Json::from(e.from_port.0)),
-                ("ts", Json::from(e.at.as_micros_f64())),
-                (
-                    "args",
-                    Json::obj(vec![
-                        ("to_node", Json::from(e.to.0)),
-                        ("to_port", Json::from(e.to_port.0)),
-                        ("class", Json::from(e.class as u64)),
-                        ("depth_bytes", Json::from(e.depth)),
-                        ("threshold_bytes", Json::from(e.threshold)),
-                        ("storm", Json::from(e.storm)),
-                    ]),
-                ),
-            ]));
-        }
-        Json::obj(vec![
-            ("displayTimeUnit", Json::from("ms")),
-            ("dropped_spans", Json::from(self.dropped)),
-            ("traceEvents", Json::Arr(events)),
-        ])
+        s.hops.iter().map(ChromeEvent::Hop).for_each(&mut visit);
+        s.edges.iter().map(ChromeEvent::Edge).for_each(&mut visit);
     }
+}
+
+/// Writes one event object; `label` is scratch for names built from
+/// numbers. Keys go out sorted — the writer asserts it.
+fn emit_event<W: io::Write>(w: &mut Writer<W>, label: &mut String, event: ChromeEvent<'_>) {
+    use std::fmt::Write as _;
+    let uint = |w: &mut Writer<W>, key, v: u64| {
+        w.key(key);
+        w.u64(v);
+    };
+    let float = |w: &mut Writer<W>, key, v: f64| {
+        w.key(key);
+        w.f64(v);
+    };
+    let text = |w: &mut Writer<W>, key, v: &str| {
+        w.key(key);
+        w.str(v);
+    };
+    // The `dur`..`ts` run shared by both `ph: "X"` shapes.
+    let complete = |w: &mut Writer<W>, name: &str, pid: usize, tid: u64, start: Time, end: Time| {
+        float(w, "dur", end.saturating_since(start).as_micros_f64());
+        text(w, "name", name);
+        text(w, "ph", "X");
+        uint(w, "pid", pid as u64);
+        uint(w, "tid", tid);
+        float(w, "ts", start.as_micros_f64());
+    };
+    label.clear();
+    w.begin_object();
+    w.key("args");
+    w.begin_object();
+    match event {
+        ChromeEvent::Meta { pid, thread } => {
+            let _ = match (pid, thread) {
+                (0, None) => write!(label, "flows"),
+                (0, Some(flow)) => write!(label, "flow {flow}"),
+                (_, None) => write!(label, "node {}", pid - 1),
+                (_, Some(port)) => write!(label, "port {port}"),
+            };
+            text(w, "name", label);
+            w.end_object();
+            let names = if thread.is_some() {
+                "thread_name"
+            } else {
+                "process_name"
+            };
+            text(w, "name", names);
+            text(w, "ph", "M");
+            uint(w, "pid", pid as u64);
+            uint(w, "tid", thread.unwrap_or(0));
+        }
+        ChromeEvent::Flow { flow, span } => {
+            uint(w, "detail", span.detail);
+            w.end_object();
+            complete(w, span.state.name(), 0, flow as u64, span.start, span.end);
+        }
+        ChromeEvent::Hop(h) => {
+            uint(w, "flow", h.flow.0);
+            float(
+                w,
+                "queued_us",
+                h.start.saturating_since(h.enqueued).as_micros_f64(),
+            );
+            w.end_object();
+            let _ = write!(label, "tx flow {}", h.flow.0);
+            complete(w, label, h.node.0 + 1, h.port.0 as u64, h.start, h.end);
+        }
+        ChromeEvent::Edge(e) => {
+            uint(w, "class", u64::from(e.class));
+            uint(w, "depth_bytes", e.depth);
+            w.key("storm");
+            w.bool(e.storm);
+            uint(w, "threshold_bytes", e.threshold);
+            uint(w, "to_node", e.to.0 as u64);
+            uint(w, "to_port", e.to_port.0 as u64);
+            w.end_object();
+            text(w, "name", if e.pause { "PAUSE" } else { "RESUME" });
+            text(w, "ph", "i");
+            uint(w, "pid", e.from.0 as u64 + 1);
+            text(w, "s", "t");
+            uint(w, "tid", e.from_port.0 as u64);
+            float(w, "ts", e.at.as_micros_f64());
+        }
+    }
+    w.end_object();
 }
 
 #[cfg(test)]
@@ -1092,6 +1194,166 @@ mod tests {
         let a = tree.to_json().render();
         let b = s.congestion_tree(t(40)).to_json().render();
         assert_eq!(a, b);
+    }
+
+    /// The trace as a `Json` tree, built event by event the way the
+    /// exporter did before it streamed: the reference the streamed bytes
+    /// are held to. Same walk, independent rendering (the tree renderer
+    /// sorts keys itself and knows nothing of `emit_event`'s key order).
+    fn trace_tree(trace: &ChromeTrace<'_>) -> Json {
+        let complete = |name: &str, pid: usize, tid: u64, start: Time, end: Time, args: Json| {
+            Json::obj(vec![
+                ("ph", Json::from("X")),
+                ("name", Json::from(name)),
+                ("pid", Json::from(pid)),
+                ("tid", Json::from(tid)),
+                ("ts", Json::from(start.as_micros_f64())),
+                (
+                    "dur",
+                    Json::from(end.saturating_since(start).as_micros_f64()),
+                ),
+                ("args", args),
+            ])
+        };
+        let mut events = Vec::new();
+        trace.for_each_event(|event| {
+            events.push(match event {
+                ChromeEvent::Meta { pid, thread } => Json::obj(vec![
+                    ("ph", Json::from("M")),
+                    (
+                        "name",
+                        Json::from(if thread.is_some() {
+                            "thread_name"
+                        } else {
+                            "process_name"
+                        }),
+                    ),
+                    ("pid", Json::from(pid)),
+                    ("tid", Json::from(thread.unwrap_or(0))),
+                    (
+                        "args",
+                        Json::obj(vec![(
+                            "name",
+                            Json::from(match (pid, thread) {
+                                (0, None) => "flows".to_string(),
+                                (0, Some(flow)) => format!("flow {flow}"),
+                                (node, None) => format!("node {}", node - 1),
+                                (_, Some(port)) => format!("port {port}"),
+                            }),
+                        )]),
+                    ),
+                ]),
+                ChromeEvent::Flow { flow, span } => complete(
+                    span.state.name(),
+                    0,
+                    flow as u64,
+                    span.start,
+                    span.end,
+                    Json::obj(vec![("detail", Json::from(span.detail))]),
+                ),
+                ChromeEvent::Hop(h) => complete(
+                    &format!("tx flow {}", h.flow.0),
+                    h.node.0 + 1,
+                    h.port.0 as u64,
+                    h.start,
+                    h.end,
+                    Json::obj(vec![
+                        ("flow", Json::from(h.flow.0)),
+                        (
+                            "queued_us",
+                            Json::from(h.start.saturating_since(h.enqueued).as_micros_f64()),
+                        ),
+                    ]),
+                ),
+                ChromeEvent::Edge(e) => Json::obj(vec![
+                    ("ph", Json::from("i")),
+                    ("s", Json::from("t")),
+                    ("name", Json::from(if e.pause { "PAUSE" } else { "RESUME" })),
+                    ("pid", Json::from(e.from.0 + 1)),
+                    ("tid", Json::from(e.from_port.0)),
+                    ("ts", Json::from(e.at.as_micros_f64())),
+                    (
+                        "args",
+                        Json::obj(vec![
+                            ("to_node", Json::from(e.to.0)),
+                            ("to_port", Json::from(e.to_port.0)),
+                            ("class", Json::from(e.class as u64)),
+                            ("depth_bytes", Json::from(e.depth)),
+                            ("threshold_bytes", Json::from(e.threshold)),
+                            ("storm", Json::from(e.storm)),
+                        ]),
+                    ),
+                ]),
+            });
+        });
+        Json::obj(vec![
+            ("displayTimeUnit", Json::from("ms")),
+            ("dropped_spans", Json::from(trace.spans.dropped)),
+            ("traceEvents", Json::Arr(events)),
+        ])
+    }
+
+    /// A recorder holding every kind of event: closed and open flow
+    /// spans on two flows, hops on two nodes, a PAUSE and a RESUME, and
+    /// drops on all three capacity bounds.
+    fn busy_recorder() -> Spans {
+        let mut s = Spans::disabled();
+        s.enable(2);
+        let t = Time::from_micros;
+        for i in 0..6u64 {
+            let st = if i % 2 == 0 {
+                SpanState::Queued
+            } else {
+                SpanState::Throttled
+            };
+            s.set_state(F, st, t(i), i, None);
+        }
+        s.set_state(FlowId(0), SpanState::Serializing, t(1), 0, None);
+        for i in 0..200u64 {
+            s.record_hop(HopSpan {
+                flow: FlowId(i % 2 * 3),
+                node: NodeId(4 + (i % 3) as usize),
+                port: PortId((i % 5) as usize),
+                enqueued: t(i),
+                start: Time(t(i).0 + 333),
+                end: t(i + 1),
+            });
+            s.record_pause_edge(PauseEdge {
+                at: Time(t(i).0 + 1),
+                from: NodeId(9),
+                from_port: PortId(1),
+                to: NodeId(4),
+                to_port: PortId(2),
+                class: 3,
+                pause: i % 2 == 0,
+                storm: i % 7 == 0,
+                depth: 200_000 + i,
+                threshold: 180_000,
+            });
+        }
+        assert!(s.dropped_spans() > 100);
+        s
+    }
+
+    #[test]
+    fn streamed_trace_equals_the_tree_rendering() {
+        for (s, now) in [
+            (busy_recorder(), Time::from_micros(300)),
+            (Spans::disabled(), Time::ZERO),
+        ] {
+            let trace = s.chrome_trace(now);
+            let rendered = trace.render();
+            assert_eq!(rendered, trace_tree(&trace).render());
+            let mut bytes = Vec::new();
+            trace.write_to(&mut bytes).unwrap();
+            assert_eq!(bytes, rendered.as_bytes(), "write_to and render agree");
+            assert!(
+                rendered.len() <= trace.size_hint(),
+                "{} bytes outgrew the {} reserved",
+                rendered.len(),
+                trace.size_hint()
+            );
+        }
     }
 
     #[test]

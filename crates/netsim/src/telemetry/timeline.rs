@@ -146,8 +146,8 @@ pub struct Timeline {
     /// log2 of the bucket width in ps. Starts at 0 (1 ps buckets) and
     /// grows by one per halving.
     width_log2: u32,
-    /// Lazily grown up to `budget` entries; index `i` covers
-    /// `[i·w, (i+1)·w)` where `w = 1 << width_log2` ps.
+    /// Up to `budget` entries, all reserved at the first halving; index
+    /// `i` covers `[i·w, (i+1)·w)` where `w = 1 << width_log2` ps.
     buckets: Vec<Bucket>,
     /// Whole-track aggregate — exact, never degraded by merging.
     total: Bucket,
@@ -211,6 +211,16 @@ impl Timeline {
 
     /// Merges adjacent bucket pairs in place and doubles the width.
     fn halve(&mut self) {
+        // The grid starts at 1 ps buckets, so a track's first sample past
+        // t = 4 ns comes through here before it is stored — and lands in
+        // the upper half of the grid, because this loop stops at the first
+        // width that fits. Every track therefore reaches its budget
+        // anyway: take it now, once, instead of by a dozen doubling
+        // reallocations that each leave a hole the next track cannot
+        // reuse. (Here rather than in `record`, to keep that one small.)
+        if self.buckets.capacity() < self.budget {
+            self.buckets.reserve_exact(self.budget - self.buckets.len());
+        }
         let n = self.buckets.len();
         let half = n.div_ceil(2);
         for i in 0..half {

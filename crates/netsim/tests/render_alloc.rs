@@ -1,0 +1,142 @@
+//! What an observed run's artifacts cost in memory, measured rather than
+//! argued: a counting global allocator tracks live bytes and calls while
+//! a Chrome trace is rendered and while a timeline fills.
+//!
+//! One `#[test]` on purpose — the counters are process-wide, and a second
+//! test running beside it would be counted too.
+
+use netsim::event::{NodeId, PortId};
+use netsim::packet::FlowId;
+use netsim::telemetry::{HopSpan, PauseEdge, SpanState, Spans, Timeline, TrackKind};
+use netsim::units::Time;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+/// The system allocator, counting calls and live bytes (with their
+/// high-water mark). `Relaxed` throughout: statistics, read on the thread
+/// that did the allocating.
+struct Counting;
+
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(by: usize) {
+    CALLS.fetch_add(1, Relaxed);
+    let live = LIVE.fetch_add(by, Relaxed) + by;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters touch no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        // SAFETY: the caller's contract for `alloc`, passed through.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        // SAFETY: the caller's contract for `dealloc`, passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Old and new block coexist while the bytes are copied.
+        grew(new_size);
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        // SAFETY: the caller's contract for `realloc`, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `work` and returns its result, the allocator calls it made, and
+/// how far live bytes rose above where they stood when it started.
+fn measured<T>(work: impl FnOnce() -> T) -> (T, usize, usize) {
+    let (calls, live) = (CALLS.load(Relaxed), LIVE.load(Relaxed));
+    PEAK.store(live, Relaxed);
+    let out = work();
+    (out, CALLS.load(Relaxed) - calls, PEAK.load(Relaxed) - live)
+}
+
+/// A recorder holding `hops` hop spans over 8 switch ports, a PAUSE or
+/// RESUME for every fifth, and a busy timeline for each of 16 flows.
+fn recorded(hops: u64) -> Spans {
+    let mut s = Spans::disabled();
+    s.enable(1 << 12);
+    let t = Time::from_micros;
+    for i in 0..hops {
+        let flow = FlowId(i % 16);
+        let state = [SpanState::Queued, SpanState::Serializing][(i / 16 % 2) as usize];
+        s.set_state(flow, state, t(i), i, None);
+        s.record_hop(HopSpan {
+            flow,
+            node: NodeId(20 + (i % 4) as usize),
+            port: PortId((i % 2) as usize),
+            enqueued: t(i),
+            start: Time(t(i).0 + 123_456),
+            end: t(i + 1),
+        });
+        if i % 5 == 0 {
+            s.record_pause_edge(PauseEdge {
+                at: Time(t(i).0 + 7),
+                from: NodeId(20),
+                from_port: PortId(1),
+                to: NodeId(3),
+                to_port: PortId(0),
+                class: 3,
+                pause: i % 10 == 0,
+                storm: false,
+                depth: 200_000 + i,
+                threshold: 180_000,
+            });
+        }
+    }
+    assert_eq!(s.dropped_spans(), 0);
+    s
+}
+
+#[test]
+fn rendering_costs_its_output_and_a_timeline_takes_its_budget_once() {
+    // --- The Chrome trace: one output buffer, nothing per event. ---
+    let spans = recorded(10_000);
+    let events = spans.hops().len()
+        + spans.edges().len()
+        + (0..16)
+            .map(|f| spans.flow_spans(FlowId(f)).len())
+            .sum::<usize>();
+    assert!(events >= 10_000);
+    let now = Time::from_millis(11);
+    let (rendered, calls, peak) = measured(|| spans.chrome_trace(now).render());
+    assert!(rendered.len() > 190 * events, "every event is in the file");
+    assert!(
+        peak < 2 * rendered.len(),
+        "rendering {} bytes held {peak} live",
+        rendered.len()
+    );
+    assert!(
+        calls < events / 10,
+        "{calls} allocations to render {events} events"
+    );
+
+    // Streamed, not even the output is held: one event's worth of state.
+    let (result, _, peak) = measured(|| spans.chrome_trace(now).write_to(&mut std::io::sink()));
+    result.expect("a sink takes everything");
+    assert!(peak < 16 << 10, "streaming held {peak} bytes live");
+
+    // --- A timeline: the budget, once, however far the horizon moves. ---
+    let mut tl = Timeline::new(TrackKind::Gauge, 1.0);
+    let ((), calls, _) = measured(|| {
+        for i in 1..=100_000u64 {
+            // 10 µs cadence from one interval in, as the sampler ticks;
+            // then sparser and sparser, so the grid halves again and again.
+            tl.record(Time(i * i * 1_000 + i * 10_000_000), i);
+            assert!(tl.capacity_used() <= tl.budget());
+        }
+    });
+    assert_eq!(tl.count(), 100_000);
+    assert!(tl.bucket_width().0 > 1 << 30, "the horizon kept growing");
+    assert_eq!(calls, 1, "one bucket allocation for the track's lifetime");
+}

@@ -3,11 +3,12 @@
 //! Chrome trace (golden file + rebuild determinism).
 
 use netsim::cc::NoCc;
+use netsim::event::NodeId;
 use netsim::host::HostConfig;
 use netsim::network::{Network, NetworkBuilder};
 use netsim::packet::{FlowId, DATA_PRIORITY};
 use netsim::switch::SwitchConfig;
-use netsim::telemetry::SpanState;
+use netsim::telemetry::{Json, SpanState};
 use netsim::units::{Bandwidth, Duration, Time};
 use proptest::prelude::*;
 
@@ -110,10 +111,10 @@ fn chrome_trace_has_expected_tracks() {
     assert!(s.contains("\"tx flow"), "per-hop tx slices present");
 }
 
-/// An incast through a slow sink produces a congestion tree rooted at
-/// the congested switch port, with the pause-blocked senders as victims.
-#[test]
-fn congestion_tree_names_root_and_victims() {
+/// A 3:1 incast of greedy 40 G senders through a 10 G sink port, run
+/// for 10 ms with `cap` closed spans per flow. Returns the network, the
+/// switch, and the flows.
+fn incast(cap: usize) -> (Network, NodeId, Vec<FlowId>) {
     let mut b = NetworkBuilder::new(11);
     let s1 = b.switch(SwitchConfig::paper_default());
     let senders: Vec<_> = (0..3).map(|_| b.host(host_cfg())).collect();
@@ -124,7 +125,7 @@ fn congestion_tree_names_root_and_victims() {
     }
     b.connect(sink, s1, Bandwidth::gbps(10), d);
     let mut net = b.build();
-    net.enable_spans(4096);
+    net.enable_spans(cap);
     let flows: Vec<_> = senders
         .iter()
         .map(|&h| {
@@ -134,6 +135,40 @@ fn congestion_tree_names_root_and_victims() {
         })
         .collect();
     net.run_until(Time::from_millis(10));
+    (net, s1, flows)
+}
+
+/// The streamed trace is already in the tree renderer's canonical form
+/// (keys sorted, same float and indent rules): parsing it and rendering
+/// the tree gives the same bytes back, and `write_to` writes them too.
+/// Checked on the dumbbell and on an incast whose trace carries
+/// PAUSE/RESUME instants and whose logs overflowed their capacity.
+#[test]
+fn chrome_trace_is_a_fixpoint_of_parse_and_render() {
+    let (dumbbell, _, _) = dumbbell(7, 100_000, 100_000);
+    let (incast, _, _) = incast(8);
+    assert!(incast.spans().dropped_spans() > 0, "logs overflowed");
+    assert!(!incast.spans().edges().is_empty(), "PAUSE edges recorded");
+    for net in [&dumbbell, &incast] {
+        let trace = net.chrome_trace();
+        let rendered = trace.render();
+        let tree = Json::parse(&rendered).expect("the trace is JSON");
+        assert!(tree.render() == rendered, "not the canonical rendering");
+        let mut written = Vec::new();
+        trace.write_to(&mut written).unwrap();
+        assert!(written == rendered.as_bytes(), "write_to differs");
+    }
+    let rendered = incast.chrome_trace().render();
+    assert!(rendered.contains("\"name\": \"PAUSE\""));
+    assert!(rendered.contains("\"name\": \"RESUME\""));
+    assert!(!rendered.contains("\"dropped_spans\": 0,"));
+}
+
+/// An incast through a slow sink produces a congestion tree rooted at
+/// the congested switch port, with the pause-blocked senders as victims.
+#[test]
+fn congestion_tree_names_root_and_victims() {
+    let (net, s1, flows) = incast(4096);
 
     let tree = net.congestion_tree();
     assert!(!tree.roots.is_empty(), "a root port is identified");

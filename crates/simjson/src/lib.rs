@@ -2,30 +2,42 @@
 
 //! # simjson — the workspace's one JSON
 //!
-//! A JSON value, a deterministic renderer and a parser, with no
+//! A JSON value, one deterministic renderer and a parser, with no
 //! dependencies. `netsim::telemetry` re-exports it as
-//! `netsim::telemetry::{Json, fmt_f64}` and `simlint` reads and writes
-//! its ratchet baseline through it, so a fix to either direction lands
+//! `netsim::telemetry::{Json, fmt_f64}` and `simlint` writes its
+//! `--format json` output through it, so a fix to either direction lands
 //! once.
 //!
 //! The run reports written by the experiments binary must be
 //! byte-identical across `REPRO_THREADS`, machines, and reruns, so the
-//! renderer makes every formatting decision explicit:
+//! renderer makes every formatting decision explicit, and makes each in
+//! one place — the streaming [`Writer`]:
 //!
-//! * object keys are rendered in sorted order regardless of insertion
-//!   order;
+//! * object keys are rendered in sorted order: [`Json::render`] sorts a
+//!   tree's keys regardless of insertion order, and a caller streaming an
+//!   object through the [`Writer`] must present them sorted — a key that
+//!   is not strictly greater than the previous one at its depth panics;
 //! * floats use Rust's shortest-round-trip `{}` formatting, with `.0`
 //!   appended to integral values (so `3` renders as `3.0`, never `3`),
 //!   `-0.0` normalized to `0.0`, and non-finite values rendered as
 //!   `null` (JSON has no NaN/Inf);
-//! * output is pretty-printed with two-space indentation and `\n` line
-//!   endings only.
+//! * output is pretty-printed with two-space indentation, `": "` between
+//!   key and value, and `\n` line endings only.
+//!
+//! [`Json::render`] and [`Json::write_to`] walk the tree through that
+//! writer; a producer whose document is large and already sits in its own
+//! records (the Chrome trace of `netsim::telemetry::spans`) drives the
+//! writer directly and never builds the tree. Either way the bytes go
+//! straight to an [`io::Write`] sink — a `Vec<u8>` for `render`, a
+//! buffered file for the run artifacts — so the renderer holds no copy
+//! of the document.
 //!
 //! The parser reads files a user hands to the tools (`repro compare`,
-//! `repro chaos --replay`, simlint's baseline), so it never panics and
-//! bounds its recursion at [`MAX_DEPTH`].
+//! `repro chaos --replay`), so it never panics, bounds its recursion at
+//! [`MAX_DEPTH`], and rejects numbers that do not fit a finite `f64`.
 
 use std::fmt::Write as _;
+use std::io;
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser is
 /// recursive-descent; without a bound a file of `[` bytes overflows the
@@ -80,10 +92,18 @@ impl Json {
     /// Renders with sorted keys and 2-space indentation, ending in a
     /// single trailing newline.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
+        let mut w = Writer::new(Vec::new());
+        w.json(self);
+        w.into_string()
+    }
+
+    /// Writes exactly the bytes of [`Json::render`] to `sink` as the walk
+    /// produces them, so a document headed for a file is never held as a
+    /// string. `sink` should be buffered: every token is one write.
+    pub fn write_to<W: io::Write + ?Sized>(&self, sink: &mut W) -> io::Result<()> {
+        let mut w = Writer::new(sink);
+        w.json(self);
+        w.finish().map(drop)
     }
 
     /// Parses a JSON document (the inverse of [`Json::render`], accepting
@@ -141,69 +161,6 @@ impl Json {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
-        }
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Json::Float(f) => out.push_str(&fmt_f64(*f)),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                let mut order: Vec<usize> = (0..pairs.len()).collect();
-                order.sort_by(|&a, &b| pairs[a].0.cmp(&pairs[b].0).then(a.cmp(&b)));
-                out.push('{');
-                let mut first = true;
-                let mut last_key: Option<&str> = None;
-                for &i in &order {
-                    let (key, value) = &pairs[i];
-                    if last_key == Some(key.as_str()) {
-                        continue; // duplicate key: keep first occurrence
-                    }
-                    last_key = Some(key.as_str());
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
         }
     }
 }
@@ -365,18 +322,25 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| {
-                                    format!("truncated \\u escape at byte {}", self.pos)
-                                })?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            self.pos += 4;
-                            // Surrogates are not emitted by the renderer;
-                            // map unpaired ones to U+FFFD rather than err.
+                            let mut code = self.hex4()?;
+                            // An escaped non-BMP character is a high
+                            // surrogate followed by an escaped low one.
+                            // A lone or reversed surrogate becomes
+                            // U+FFFD, never an error.
+                            if (0xd800..0xdc00).contains(&code)
+                                && self.bytes[self.pos..].starts_with(b"\\u")
+                            {
+                                let next_escape = self.pos;
+                                self.pos += 2;
+                                match self.hex4() {
+                                    Ok(low) if (0xdc00..0xe000).contains(&low) => {
+                                        code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                    }
+                                    // Not the other half: the loop's next
+                                    // turn reads (or rejects) it.
+                                    _ => self.pos = next_escape,
+                                }
+                            }
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(format!("unknown escape at byte {}", self.pos - 1)),
@@ -385,6 +349,19 @@ impl Parser<'_> {
                 _ => return Err(format!("unterminated string at byte {}", self.pos)),
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape, as a code unit.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .ok_or_else(|| format!("truncated \\u escape at byte {}", self.pos))?;
+        let code = u32::from_str_radix(hex, 16)
+            .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -406,9 +383,13 @@ impl Parser<'_> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| format!("invalid number at byte {start}"))?;
         if float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| format!("invalid number '{text}' at byte {start}"))
+            // `f64::from_str` saturates (`1e999` is `inf`), and the
+            // renderer writes non-finite floats as `null`: accepting one
+            // would change the document's value on a round trip.
+            match text.parse::<f64>() {
+                Ok(v) if v.is_finite() => Ok(Json::Float(v)),
+                _ => Err(format!("invalid number '{text}' at byte {start}")),
+            }
         } else if text.starts_with('-') {
             text.parse::<i64>()
                 .map(Json::Int)
@@ -421,42 +402,348 @@ impl Parser<'_> {
     }
 }
 
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
+/// One open array or object of a [`Writer`].
+#[derive(Debug)]
+struct Frame {
+    object: bool,
+    /// Nothing written inside it yet (so it closes as `[]` / `{}`).
+    empty: bool,
+    /// An object whose key is written and whose value is due.
+    keyed: bool,
+    /// Where this object's latest key starts in [`Writer::keys`].
+    key_start: usize,
+}
+
+/// The streaming renderer: the one place that decides indentation, the
+/// key/value separator, float and escape formatting (see the module
+/// docs). Tokens go to the sink as they are produced; the writer keeps
+/// only the open containers and the latest key of each, so its memory
+/// does not grow with the document.
+///
+/// Structure is the caller's duty and is asserted: values inside an
+/// object need a [`Writer::key`] first, keys must arrive strictly
+/// ascending (the order [`Json::render`] gets by sorting), containers
+/// must close in order, and a document is one value. A broken rule
+/// panics — it is a bug in the producer, never a property of the data.
+///
+/// I/O errors are sticky: after the first one nothing more is written,
+/// and [`Writer::finish`] returns it.
+///
+/// ```
+/// let mut w = simjson::Writer::new(Vec::new());
+/// w.begin_object();
+/// w.key("a");
+/// w.u64(1);
+/// w.key("b");
+/// w.begin_array();
+/// w.f64(2.0);
+/// w.end_array();
+/// w.end_object();
+/// let bytes = w.finish().unwrap();
+/// assert_eq!(bytes, b"{\n  \"a\": 1,\n  \"b\": [\n    2.0\n  ]\n}\n");
+/// ```
+#[derive(Debug)]
+pub struct Writer<W: io::Write> {
+    sink: W,
+    error: Option<io::Error>,
+    stack: Vec<Frame>,
+    /// The latest key of every open object, back to back, so checking
+    /// key order allocates nothing per object.
+    keys: String,
+    /// Digits of the number being written.
+    scratch: String,
+    /// Whether the top-level value has been written.
+    done: bool,
+}
+
+impl<W: io::Write> Writer<W> {
+    /// A writer at the start of a document.
+    pub fn new(sink: W) -> Writer<W> {
+        Writer {
+            sink,
+            error: None,
+            stack: Vec::new(),
+            keys: String::new(),
+            scratch: String::new(),
+            done: false,
+        }
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        if self.error.is_none() {
+            self.error = self.sink.write_all(bytes).err();
+        }
+    }
+
+    /// `\n` plus the indentation of a line inside `depth` containers.
+    fn newline(&mut self, depth: usize) {
+        const SPACES: &[u8] = &[b' '; 64];
+        self.put(b"\n");
+        let mut indent = 2 * depth;
+        while indent > 0 {
+            let run = indent.min(SPACES.len());
+            self.put(&SPACES[..run]);
+            indent -= run;
+        }
+    }
+
+    fn escaped(&mut self, s: &str) {
+        self.put(b"\"");
+        let bytes = s.as_bytes();
+        // Runs of plain bytes go out whole; only `"`, `\` and control
+        // characters (all single-byte, so the cuts are char boundaries)
+        // need an escape.
+        let mut run = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let hex;
+            let escape: &[u8] = match b {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\r' => b"\\r",
+                b'\t' => b"\\t",
+                0..=0x1f => {
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    let (hi, lo) = (HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]);
+                    hex = [b'\\', b'u', b'0', b'0', hi, lo];
+                    &hex
+                }
+                _ => continue,
+            };
+            self.put(&bytes[run..i]);
+            self.put(escape);
+            run = i + 1;
+        }
+        self.put(&bytes[run..]);
+        self.put(b"\"");
+    }
+
+    /// Positions the sink for a value: after a key nothing is due; in an
+    /// array the separator and the element's line are.
+    fn before_value(&mut self) {
+        let depth = self.stack.len();
+        match self.stack.last_mut() {
+            None => {
+                assert!(!self.done, "a JSON document is one value");
+                self.done = true;
+            }
+            Some(f) if f.object => {
+                assert!(f.keyed, "a value inside an object needs a key first");
+                f.keyed = false;
+            }
+            Some(f) => {
+                let first = std::mem::replace(&mut f.empty, false);
+                if !first {
+                    self.put(b",");
+                }
+                self.newline(depth);
+            }
+        }
+    }
+
+    fn begin(&mut self, object: bool) {
+        self.before_value();
+        self.put(if object { b"{" } else { b"[" });
+        self.stack.push(Frame {
+            object,
+            empty: true,
+            keyed: false,
+            key_start: self.keys.len(),
+        });
+    }
+
+    fn end(&mut self, object: bool) {
+        let f = self.stack.pop().expect("end without a matching begin");
+        assert!(
+            f.object == object && !f.keyed,
+            "containers close in the order they opened, after the last value"
+        );
+        self.keys.truncate(f.key_start);
+        if !f.empty {
+            self.newline(self.stack.len());
+        }
+        self.put(if object { b"}" } else { b"]" });
+    }
+
+    /// Opens an object; follow with [`Writer::key`] / value pairs.
+    pub fn begin_object(&mut self) {
+        self.begin(true);
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) {
+        self.end(true);
+    }
+
+    /// Opens an array; every value until [`Writer::end_array`] is an
+    /// element.
+    pub fn begin_array(&mut self) {
+        self.begin(false);
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) {
+        self.end(false);
+    }
+
+    /// Writes the key of the next value of the innermost object.
+    ///
+    /// # Panics
+    /// Panics if `key` is not strictly greater than the object's previous
+    /// key: streamed objects must keep the sorted-key contract that
+    /// [`Json::render`] keeps by sorting.
+    pub fn key(&mut self, key: &str) {
+        let depth = self.stack.len();
+        let f = self
+            .stack
+            .last_mut()
+            .filter(|f| f.object && !f.keyed)
+            .expect("a key belongs in an object, after the previous value");
+        let previous = &self.keys[f.key_start..];
+        assert!(
+            f.empty || previous < key,
+            "object keys must be written in strictly ascending order: \
+             {key:?} after {previous:?}"
+        );
+        self.keys.truncate(f.key_start);
+        self.keys.push_str(key);
+        f.keyed = true;
+        let first = std::mem::replace(&mut f.empty, false);
+        if !first {
+            self.put(b",");
+        }
+        self.newline(depth);
+        self.escaped(key);
+        self.put(b": ");
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.before_value();
+        self.put(b"null");
+    }
+
+    /// Writes `true` / `false`.
+    pub fn bool(&mut self, v: bool) {
+        self.before_value();
+        self.put(if v { b"true" } else { b"false" });
+    }
+
+    /// Writes an unsigned integer.
+    pub fn u64(&mut self, v: u64) {
+        self.integer(v);
+    }
+
+    /// Writes a signed integer.
+    pub fn i64(&mut self, v: i64) {
+        self.integer(v);
+    }
+
+    fn integer(&mut self, v: impl std::fmt::Display) {
+        self.before_value();
+        self.scratch.clear();
+        let _ = write!(self.scratch, "{v}");
+        self.put_scratch();
+    }
+
+    /// Writes a float per the module contract (see [`fmt_f64`]).
+    pub fn f64(&mut self, v: f64) {
+        self.before_value();
+        self.scratch.clear();
+        push_f64(&mut self.scratch, v);
+        self.put_scratch();
+    }
+
+    fn put_scratch(&mut self) {
+        let scratch = std::mem::take(&mut self.scratch);
+        self.put(scratch.as_bytes());
+        self.scratch = scratch;
+    }
+
+    /// Writes a string, escaped.
+    pub fn str(&mut self, v: &str) {
+        self.before_value();
+        self.escaped(v);
+    }
+
+    /// Writes a whole tree as the next value: keys sorted, the first of
+    /// duplicate keys kept.
+    pub fn json(&mut self, v: &Json) {
+        match v {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Int(i) => self.i64(*i),
+            Json::UInt(u) => self.u64(*u),
+            Json::Float(f) => self.f64(*f),
+            Json::Str(s) => self.str(s),
+            Json::Arr(items) => {
+                self.begin_array();
+                for item in items {
+                    self.json(item);
+                }
+                self.end_array();
+            }
+            Json::Obj(pairs) => {
+                let mut order: Vec<usize> = (0..pairs.len()).collect();
+                order.sort_by(|&a, &b| pairs[a].0.cmp(&pairs[b].0).then(a.cmp(&b)));
+                order.dedup_by(|a, b| pairs[*a].0 == pairs[*b].0);
+                self.begin_object();
+                for i in order {
+                    self.key(&pairs[i].0);
+                    self.json(&pairs[i].1);
+                }
+                self.end_object();
+            }
+        }
+    }
+
+    /// Ends the document with its trailing newline and hands the sink
+    /// back, or the first I/O error met on the way.
+    ///
+    /// # Panics
+    /// Panics if a container is still open or no value was written.
+    pub fn finish(mut self) -> io::Result<W> {
+        assert!(
+            self.done && self.stack.is_empty(),
+            "finish after exactly one complete value"
+        );
+        self.put(b"\n");
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.sink),
+        }
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+impl Writer<Vec<u8>> {
+    /// Finishes a document written to memory and returns it as the
+    /// string it is (size the `Vec` beforehand to avoid regrowth).
+    pub fn into_string(self) -> String {
+        let bytes = self.finish().expect("writing to a Vec<u8> cannot fail");
+        String::from_utf8(bytes).expect("the writer emits UTF-8")
     }
-    out.push('"');
+}
+
+/// Appends `v` to `out`: the float half of the rendering contract.
+fn push_f64(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let v = if v == 0.0 { 0.0 } else { v }; // normalize -0.0
+    let start = out.len();
+    let _ = write!(out, "{v}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
 }
 
 /// Deterministic float formatting: shortest round-trip representation,
 /// forced to contain a `.` or exponent (`3` → `"3.0"`), `-0.0`
 /// normalized to `"0.0"`, non-finite values rendered as `"null"`.
 pub fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    let v = if v == 0.0 { 0.0 } else { v }; // normalize -0.0
-    let mut s = format!("{v}");
-    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-        s.push_str(".0");
-    }
+    let mut s = String::new();
+    push_f64(&mut s, v);
     s
 }
 
@@ -511,6 +798,313 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::TestRng;
+
+    /// The renderer as it was before [`Writer`]: a recursive walk into a
+    /// `String` with its own indent, escape and float code. Kept as the
+    /// obviously-correct reference the streaming writer is tested against.
+    mod reference {
+        use super::Json;
+        use std::fmt::Write as _;
+
+        pub fn render(j: &Json) -> String {
+            let mut out = String::new();
+            write(j, &mut out, 0);
+            out.push('\n');
+            out
+        }
+
+        fn write(j: &Json, out: &mut String, indent: usize) {
+            match j {
+                Json::Null => out.push_str("null"),
+                Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Json::Int(i) => {
+                    let _ = write!(out, "{i}");
+                }
+                Json::UInt(u) => {
+                    let _ = write!(out, "{u}");
+                }
+                Json::Float(f) => out.push_str(&fmt_f64(*f)),
+                Json::Str(s) => write_escaped(out, s),
+                Json::Arr(items) => {
+                    if items.is_empty() {
+                        out.push_str("[]");
+                        return;
+                    }
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        out.push('\n');
+                        push_indent(out, indent + 1);
+                        write(item, out, indent + 1);
+                    }
+                    out.push('\n');
+                    push_indent(out, indent);
+                    out.push(']');
+                }
+                Json::Obj(pairs) => {
+                    if pairs.is_empty() {
+                        out.push_str("{}");
+                        return;
+                    }
+                    let mut order: Vec<usize> = (0..pairs.len()).collect();
+                    order.sort_by(|&a, &b| pairs[a].0.cmp(&pairs[b].0).then(a.cmp(&b)));
+                    out.push('{');
+                    let mut first = true;
+                    let mut last_key: Option<&str> = None;
+                    for &i in &order {
+                        let (key, value) = &pairs[i];
+                        if last_key == Some(key.as_str()) {
+                            continue; // duplicate key: keep first occurrence
+                        }
+                        last_key = Some(key.as_str());
+                        if !first {
+                            out.push(',');
+                        }
+                        first = false;
+                        out.push('\n');
+                        push_indent(out, indent + 1);
+                        write_escaped(out, key);
+                        out.push_str(": ");
+                        write(value, out, indent + 1);
+                    }
+                    out.push('\n');
+                    push_indent(out, indent);
+                    out.push('}');
+                }
+            }
+        }
+
+        fn push_indent(out: &mut String, indent: usize) {
+            for _ in 0..indent {
+                out.push_str("  ");
+            }
+        }
+
+        fn write_escaped(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+
+        fn fmt_f64(v: f64) -> String {
+            if !v.is_finite() {
+                return "null".to_string();
+            }
+            let v = if v == 0.0 { 0.0 } else { v }; // normalize -0.0
+            let mut s = format!("{v}");
+            if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+                s.push_str(".0");
+            }
+            s
+        }
+    }
+
+    /// Random trees at most `depth` containers deep, drawn to hit what
+    /// the renderer has rules for: duplicate and unsorted keys, empty
+    /// containers, non-finite and negative-zero floats, and quotes,
+    /// backslashes, control and non-ASCII characters in keys and strings.
+    #[derive(Debug)]
+    struct Trees {
+        depth: usize,
+    }
+
+    impl Trees {
+        fn text(rng: &mut TestRng) -> String {
+            const ALPHABET: [char; 12] = [
+                'a',
+                'b',
+                'z',
+                '"',
+                '\\',
+                '\n',
+                '\r',
+                '\t',
+                '\u{1}',
+                '\u{1f}',
+                'é',
+                '\u{1F600}',
+            ];
+            (0..rng.below(4))
+                .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+                .collect()
+        }
+
+        fn tree(rng: &mut TestRng, depth: usize) -> Json {
+            const FLOATS: [f64; 8] = [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -0.0,
+                0.0,
+                3.0,
+                1e30,
+                5e-324,
+            ];
+            let kinds = if depth == 0 { 6 } else { 8 };
+            match rng.below(kinds) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.below(2) == 0),
+                2 => Json::Int(rng.next_u64() as i64),
+                3 => Json::UInt(rng.next_u64()),
+                4 => match rng.below(2) {
+                    0 => Json::Float(FLOATS[rng.below(FLOATS.len() as u64) as usize]),
+                    _ => Json::Float(f64::from_bits(rng.next_u64())),
+                },
+                5 => Json::Str(Trees::text(rng)),
+                6 => Json::Arr(
+                    (0..rng.below(4))
+                        .map(|_| Trees::tree(rng, depth - 1))
+                        .collect(),
+                ),
+                _ => Json::Obj(
+                    (0..rng.below(5))
+                        .map(|_| (Trees::text(rng), Trees::tree(rng, depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    impl Strategy for Trees {
+        type Value = Json;
+        fn sample(&self, rng: &mut TestRng) -> Json {
+            Trees::tree(rng, self.depth)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The streaming writer renders every tree to the reference's bytes.
+        #[test]
+        fn render_matches_the_recursive_reference(tree in (Trees { depth: 4 })) {
+            let rendered = tree.render();
+            prop_assert_eq!(&rendered, &reference::render(&tree));
+            let mut streamed = Vec::new();
+            tree.write_to(&mut streamed).unwrap();
+            prop_assert_eq!(streamed, rendered.into_bytes());
+        }
+
+        /// What the renderer writes, the parser reads back to the same
+        /// bytes (non-finite floats excepted: they render as `null`).
+        #[test]
+        fn rendered_trees_reparse_to_the_same_bytes(tree in (Trees { depth: 3 })) {
+            let rendered = tree.render();
+            prop_assert_eq!(Json::parse(&rendered).unwrap().render(), rendered);
+        }
+    }
+
+    fn panics(f: impl FnOnce(&mut Writer<Vec<u8>>)) -> bool {
+        let mut w = Writer::new(Vec::new());
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut w))).is_err()
+    }
+
+    #[test]
+    fn writer_panics_on_unsorted_or_repeated_keys() {
+        let two_keys = |a: &'static str, b: &'static str| {
+            move |w: &mut Writer<Vec<u8>>| {
+                w.begin_object();
+                w.key(a);
+                w.null();
+                w.key(b);
+                w.null();
+                w.end_object();
+            }
+        };
+        assert!(!panics(two_keys("a", "b")));
+        assert!(panics(two_keys("b", "a")), "out of order");
+        assert!(panics(two_keys("a", "a")), "repeated");
+        assert!(!panics(two_keys("", "a")), "the empty key sorts first");
+        assert!(panics(two_keys("", "")), "and cannot repeat either");
+        // Each depth has its own order: a nested object's keys do not
+        // disturb the parent's, and are checked themselves.
+        let nested = |inner: [&'static str; 2], after: &'static str| {
+            move |w: &mut Writer<Vec<u8>>| {
+                w.begin_object();
+                w.key("m");
+                w.begin_object();
+                for k in inner {
+                    w.key(k);
+                    w.u64(1);
+                }
+                w.end_object();
+                w.key(after);
+                w.u64(2);
+                w.end_object();
+            }
+        };
+        assert!(!panics(nested(["y", "z"], "n")));
+        assert!(panics(nested(["z", "y"], "n")), "inner out of order");
+        assert!(panics(nested(["y", "z"], "a")), "outer out of order");
+    }
+
+    #[test]
+    fn writer_panics_on_broken_structure() {
+        assert!(panics(|w| {
+            w.begin_object();
+            w.u64(1); // no key
+        }));
+        assert!(panics(|w| {
+            w.begin_array();
+            w.key("k"); // key in an array
+        }));
+        assert!(panics(|w| {
+            w.begin_object();
+            w.key("k");
+            w.end_object(); // key without a value
+        }));
+        assert!(panics(|w| {
+            w.begin_array();
+            w.end_object(); // wrong closer
+        }));
+        assert!(panics(|w| {
+            w.u64(1);
+            w.u64(2); // two documents
+        }));
+        let mut open = Writer::new(Vec::new());
+        open.begin_array();
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| open.finish())).is_err());
+    }
+
+    #[test]
+    fn writer_reports_the_first_sink_error() {
+        /// Accepts `left` bytes, then fails every write.
+        struct Full {
+            left: usize,
+        }
+        impl io::Write for Full {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if buf.len() > self.left {
+                    return Err(io::Error::other("disk full"));
+                }
+                self.left -= buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let doc = Json::from(vec![1u64, 2, 3]);
+        let err = doc.write_to(&mut Full { left: 4 }).unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert!(doc.write_to(&mut Full { left: 1 << 10 }).is_ok());
+    }
 
     #[test]
     fn keys_render_sorted() {
@@ -633,6 +1227,8 @@ mod tests {
             ("bad escape", "\"bad \\x escape\""),
             ("truncated escape", "\"\\"),
             ("truncated \\u escape", "\"\\u00"),
+            ("float past f64::MAX", "1e999"),
+            ("float past f64::MIN", "-1e999"),
             ("lone minus", "-"),
             ("two minuses", "--1"),
             ("bad literal", "nul"),
@@ -641,6 +1237,14 @@ mod tests {
         for &(name, input) in cases {
             assert!(Json::parse(input).is_err(), "{name} must be rejected");
         }
+        // `f64::from_str` saturates to infinity, which renders as `null`:
+        // rejected like any other bad number, with its location.
+        assert_eq!(
+            Json::parse("[1, 1e999]").unwrap_err(),
+            "invalid number '1e999' at byte 4"
+        );
+        // Underflow is a finite value (zero) and round-trips as one.
+        assert_eq!(Json::parse("1e-999").unwrap(), Json::Float(0.0));
         let err = Json::parse(&deep_arrays).unwrap_err();
         assert_eq!(
             err,
@@ -661,5 +1265,28 @@ mod tests {
     fn parse_unescapes_unicode() {
         let j = Json::parse("\"\\u0041\\u00e9\\n\"").unwrap();
         assert_eq!(j.as_str(), Some("Aé\n"));
+    }
+
+    #[test]
+    fn parse_combines_escaped_surrogate_pairs() {
+        let parsed = |text: &str| Json::parse(text).unwrap().as_str().unwrap().to_string();
+        // The standard escape of U+1F600, alone and between other text.
+        assert_eq!(parsed(r#""\ud83d\ude00""#), "\u{1F600}");
+        assert_eq!(parsed(r#""a\uD83D\uDE00b""#), "a\u{1F600}b");
+        // Lone, reversed or interrupted halves are U+FFFD each — never an
+        // error, never a panic — and what follows them is still read.
+        assert_eq!(parsed(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(parsed(r#""\ude00""#), "\u{fffd}");
+        assert_eq!(parsed(r#""\ude00\ud83d""#), "\u{fffd}\u{fffd}");
+        assert_eq!(parsed(r#""\ud83dx""#), "\u{fffd}x");
+        assert_eq!(parsed(r#""\ud83d\n""#), "\u{fffd}\n");
+        assert_eq!(parsed(r#""\ud83d\u0041""#), "\u{fffd}A");
+        assert_eq!(parsed(r#""\ud83d\ud83d\ude00""#), "\u{fffd}\u{1F600}");
+        // A malformed escape after a high surrogate is still malformed.
+        assert!(Json::parse(r#""\ud83d\u12""#).is_err());
+        assert!(Json::parse(r#""\ud83d\uzzzz""#).is_err());
+        // The renderer writes non-BMP characters raw; they round-trip.
+        let smile = Json::Str("\u{1F600}".to_string());
+        assert_eq!(Json::parse(&smile.render()).unwrap(), smile);
     }
 }
