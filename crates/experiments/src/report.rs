@@ -127,9 +127,7 @@ pub fn write(kind: Artifact, render: impl FnOnce(&mut dyn Write) -> io::Result<(
 /// Writes the dispatched experiment's dashboard (no-op without a `--dash`
 /// sink, and then `build` is never called).
 pub fn dashboard(build: impl FnOnce() -> Dashboard) {
-    write(Artifact::Dash, |out| {
-        out.write_all(build().render().as_bytes())
-    });
+    write(Artifact::Dash, |out| build().write_to(out));
 }
 
 /// How many requested artifacts could not be written so far; `repro`

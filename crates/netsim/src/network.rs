@@ -282,7 +282,7 @@ impl Network {
     }
 
     /// Average receiver goodput of a flow over `[from, to]`, in Gbps,
-    /// computed from delivered bytes. Requires `from < to`.
+    /// computed from delivered bytes.
     ///
     /// Uses the flow's sampled delivered-bytes timeline (exact at the
     /// boundaries while the track's bucket width is finer than the
@@ -292,10 +292,18 @@ impl Network {
     /// flow's total counters.
     ///
     /// # Panics
-    /// Panics when asked about any other window of an unsampled flow —
+    /// Panics unless `from < to`: an empty window has no rate (it would
+    /// read `NaN`) and a reversed one a wrapped duration. Panics when
+    /// asked about any window but the whole run of an unsampled flow —
     /// the whole-run average would be a silently wrong figure; call
     /// [`Network::enable_sampling`] before the run.
     pub fn goodput_gbps(&self, flow: FlowId, from: Time, to: Time) -> f64 {
+        assert!(
+            from < to,
+            "goodput_gbps: flow {} asked about [{from}, {to}], which is empty or \
+             reversed; a rate needs from < to",
+            flow.0
+        );
         let dt = (to - from).as_secs_f64();
         if let Some(tl) = self.sampler.flow_bytes(flow) {
             if tl.count() > 0 {

@@ -3,8 +3,9 @@
 //! A [`Dashboard`] is a title, a few key/value facts, and a list of
 //! panels — line charts over [`timeline`](super::timeline) tracks,
 //! horizontal stacked bars (span attribution), and plain key/value
-//! tables. [`Dashboard::render`] emits one self-contained HTML file:
-//! no scripts, no external assets, loadable from disk offline.
+//! tables. [`Dashboard::write_to`] emits one self-contained HTML file
+//! (no scripts, no external assets, loadable from disk offline) straight
+//! into its sink; [`Dashboard::render`] is that into one sized buffer.
 //!
 //! The render is a **pure function** of the panel data with fixed
 //! decimal formatting everywhere, so a dashboard built from a
@@ -13,7 +14,8 @@
 //! `repro <id> --dash` and `cmp`s the output, and a golden-file test
 //! pins the exact bytes for a small fixture (`tests/timeline.rs`).
 
-use std::fmt::Write as _;
+use std::fmt;
+use std::io::{self, Write};
 
 /// One plotted series: a label and `(x, y)` points. `x` is in
 /// microseconds of simulation time.
@@ -71,41 +73,66 @@ const MR: f64 = 14.0;
 const MT: f64 = 12.0;
 const MB: f64 = 30.0;
 
-/// Fixed-decimal number for labels: up to 3 decimals, trailing zeros
-/// trimmed. Deterministic (no locale, no shortest-round-trip float
-/// formatting).
-fn fnum(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    let mut s = format!("{v:.3}");
-    while s.contains('.') && (s.ends_with('0') || s.ends_with('.')) {
-        s.pop();
-    }
-    if s == "-0" {
-        s = "0".to_string();
-    }
-    s
-}
+/// Bytes one chart needs beyond its series: the `<svg>` head, at most
+/// six gridlines with tick labels per axis, both axes and their labels.
+const CHART_BYTES: usize = 4096;
 
-/// SVG coordinate: two fixed decimals.
-fn coord(v: f64) -> String {
-    format!("{v:.2}")
+/// Bytes one polyline point takes at most: `"746.00,190.00 "` (the plot
+/// area spans x ∈ [ML, W − MR], y ∈ [MT, H − MB]).
+const POINT_BYTES: usize = 14;
+
+/// A label number: up to 3 decimals, trailing zeros trimmed, `-0` and
+/// non-finite values as `0`. Deterministic (no locale, no
+/// shortest-round-trip float formatting), formatted on the stack.
+struct Num(f64);
+
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if !v.is_finite() {
+            return f.write_str("0");
+        }
+        let mut buf = [0u8; 64];
+        let mut cur = io::Cursor::new(&mut buf[..]);
+        if write!(cur, "{v:.3}").is_err() {
+            // Past 1e59 every f64 is whole: no decimals to trim.
+            return write!(f, "{v:.0}");
+        }
+        let len = cur.position() as usize;
+        let mut s = &buf[..len];
+        if s.contains(&b'.') {
+            while let [head @ .., b'0'] = s {
+                s = head;
+            }
+            if let [head @ .., b'.'] = s {
+                s = head;
+            }
+        }
+        if s == b"-0" {
+            s = b"0";
+        }
+        f.write_str(std::str::from_utf8(s).expect("formatted digits are ASCII"))
+    }
 }
 
 /// Minimal HTML/attribute escaping for labels and titles.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
+struct Esc<'a>(&'a str);
+
+impl fmt::Display for Esc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut rest = self.0;
+        while let Some(i) = rest.find(['&', '<', '>', '"']) {
+            f.write_str(&rest[..i])?;
+            f.write_str(match rest.as_bytes()[i] {
+                b'&' => "&amp;",
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                _ => "&quot;",
+            })?;
+            rest = &rest[i + 1..];
         }
+        f.write_str(rest)
     }
-    out
 }
 
 /// A "nice" tick step for a range: 1/2/5 × 10^k covering `range / 5`.
@@ -176,13 +203,50 @@ impl Dashboard {
         self.panels.len()
     }
 
-    /// Renders the complete single-file HTML document.
+    /// Renders the complete single-file HTML document into one buffer
+    /// reserved up front from the panels' contents (see `size_hint`).
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(16 * 1024);
-        out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
-        let _ = writeln!(out, "<title>{}</title>", esc(&self.title));
-        out.push_str(
-            "<style>\n\
+        let mut out = Vec::with_capacity(self.size_hint());
+        self.write_to(&mut out)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("the renderer writes UTF-8")
+    }
+
+    /// An upper bound on the rendered size while labels need no escaping:
+    /// the page head, each panel's fixed part, and [`POINT_BYTES`] per
+    /// chart point.
+    fn size_hint(&self) -> usize {
+        let pairs = |rows: &[(String, String)]| -> usize {
+            rows.iter().map(|(k, v)| 40 + k.len() + v.len()).sum()
+        };
+        let mut n = 1024 + 2 * self.title.len() + pairs(&self.facts);
+        for panel in &self.panels {
+            n += 16 + panel.title.len();
+            n += match &panel.body {
+                Body::Chart { y_label, series } => {
+                    let lines = series
+                        .iter()
+                        .map(|s| 160 + s.label.len() + POINT_BYTES * s.points.len());
+                    CHART_BYTES + y_label.len() + lines.sum::<usize>()
+                }
+                Body::Stacked { categories, rows } => {
+                    let legend = categories.iter().map(|c| 64 + c.len());
+                    let bars = rows.iter().map(|(l, vs)| 128 + l.len() + 96 * vs.len());
+                    256 + legend.sum::<usize>() + bars.sum::<usize>()
+                }
+                Body::Table { rows } => 32 + pairs(rows),
+            };
+        }
+        n
+    }
+
+    /// Writes the complete single-file HTML document to `sink` — the one
+    /// renderer: [`Dashboard::render`] is this into a sized buffer.
+    pub fn write_to<S: io::Write + ?Sized>(&self, sink: &mut S) -> io::Result<()> {
+        sink.write_all(b"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n")?;
+        writeln!(sink, "<title>{}</title>", Esc(&self.title))?;
+        sink.write_all(
+            b"<style>\n\
              body{font:14px/1.45 system-ui,sans-serif;margin:24px;color:#111;background:#fff}\n\
              h1{font-size:20px;margin:0 0 4px}\n\
              h2{font-size:15px;margin:18px 0 6px}\n\
@@ -193,251 +257,236 @@ impl Dashboard {
              td{border:1px solid #e5e7eb;padding:3px 10px}\n\
              .legend span{margin-right:14px;font-size:12px}\n\
              </style>\n</head>\n<body>\n",
-        );
-        let _ = writeln!(out, "<h1>{}</h1>", esc(&self.title));
+        )?;
+        writeln!(sink, "<h1>{}</h1>", Esc(&self.title))?;
         if !self.facts.is_empty() {
-            out.push_str("<p class=\"facts\">");
+            sink.write_all(b"<p class=\"facts\">")?;
             for (k, v) in &self.facts {
-                let _ = write!(out, "<span><b>{}</b>: {}</span>", esc(k), esc(v));
+                write!(sink, "<span><b>{}</b>: {}</span>", Esc(k), Esc(v))?;
             }
-            out.push_str("</p>\n");
+            sink.write_all(b"</p>\n")?;
         }
         for panel in &self.panels {
-            let _ = writeln!(out, "<h2>{}</h2>", esc(&panel.title));
+            writeln!(sink, "<h2>{}</h2>", Esc(&panel.title))?;
             match &panel.body {
-                Body::Chart { y_label, series } => self.render_chart(&mut out, y_label, series),
-                Body::Stacked { categories, rows } => {
-                    self.render_stacked(&mut out, categories, rows)
-                }
+                Body::Chart { y_label, series } => write_chart(sink, y_label, series)?,
+                Body::Stacked { categories, rows } => write_stacked(sink, categories, rows)?,
                 Body::Table { rows } => {
-                    out.push_str("<table>\n");
+                    sink.write_all(b"<table>\n")?;
                     for (k, v) in rows {
-                        let _ = writeln!(out, "<tr><td>{}</td><td>{}</td></tr>", esc(k), esc(v));
+                        writeln!(sink, "<tr><td>{}</td><td>{}</td></tr>", Esc(k), Esc(v))?;
                     }
-                    out.push_str("</table>\n");
+                    sink.write_all(b"</table>\n")?;
                 }
             }
         }
-        out.push_str("</body>\n</html>\n");
-        out
+        sink.write_all(b"</body>\n</html>\n")
     }
+}
 
-    fn render_chart(&self, out: &mut String, y_label: &str, series: &[Series]) {
-        let points: usize = series.iter().map(|s| s.points.len()).sum();
-        if points == 0 {
-            out.push_str("<p><i>no data</i></p>\n");
-            return;
+/// One line chart; SVG coordinates carry two fixed decimals (`{:.2}`).
+fn write_chart<S: io::Write + ?Sized>(
+    out: &mut S,
+    y_label: &str,
+    series: &[Series],
+) -> io::Result<()> {
+    let points: usize = series.iter().map(|s| s.points.len()).sum();
+    if points == 0 {
+        return out.write_all(b"<p><i>no data</i></p>\n");
+    }
+    // Data bounds. x in µs; switch the axis to ms past 100 000 µs.
+    let (mut x0, mut x1) = (f64::INFINITY, f64::NEG_INFINITY);
+    let (mut y0, mut y1) = (0.0f64, f64::NEG_INFINITY);
+    for s in series {
+        for &(x, y) in &s.points {
+            x0 = x0.min(x);
+            x1 = x1.max(x);
+            y0 = y0.min(y);
+            y1 = y1.max(y);
         }
-        // Data bounds. x in µs; switch the axis to ms past 100 000 µs.
-        let (mut x0, mut x1) = (f64::INFINITY, f64::NEG_INFINITY);
-        let (mut y0, mut y1) = (0.0f64, f64::NEG_INFINITY);
-        for s in series {
-            for &(x, y) in &s.points {
-                x0 = x0.min(x);
-                x1 = x1.max(x);
-                y0 = y0.min(y);
-                y1 = y1.max(y);
-            }
-        }
-        // `<=` also catches the NaN/empty case (both bounds infinite).
-        if x1 <= x0 {
-            x1 = x0 + 1.0;
-        }
-        if y1 <= y0 {
-            y1 = y0 + 1.0;
-        }
-        let ms_axis = x1 >= 100_000.0;
-        let (xdiv, x_label) = if ms_axis {
-            (1000.0, "t (ms)")
-        } else {
-            (1.0, "t (\u{b5}s)")
-        };
-        let pw = W - ML - MR;
-        let ph = H - MT - MB;
-        let sx = |x: f64| ML + (x - x0) / (x1 - x0) * pw;
-        let sy = |y: f64| MT + ph - (y - y0) / (y1 - y0) * ph;
-        let _ = writeln!(
+    }
+    // `<=` also catches the NaN/empty case (both bounds infinite).
+    if x1 <= x0 {
+        x1 = x0 + 1.0;
+    }
+    if y1 <= y0 {
+        y1 = y0 + 1.0;
+    }
+    let ms_axis = x1 >= 100_000.0;
+    let (xdiv, x_label) = if ms_axis {
+        (1000.0, "t (ms)")
+    } else {
+        (1.0, "t (\u{b5}s)")
+    };
+    let pw = W - ML - MR;
+    let ph = H - MT - MB;
+    let sx = |x: f64| ML + (x - x0) / (x1 - x0) * pw;
+    let sy = |y: f64| MT + ph - (y - y0) / (y1 - y0) * ph;
+    writeln!(
+        out,
+        "<svg width=\"{W}\" height=\"{H}\" viewBox=\"0 0 {W} {H}\" \
+         xmlns=\"http://www.w3.org/2000/svg\">"
+    )?;
+    // Gridlines + y ticks.
+    let ystep = nice_step(y1 - y0);
+    let mut ty = (y0 / ystep).ceil() * ystep;
+    while ty <= y1 + 1e-9 {
+        let y = sy(ty);
+        writeln!(
             out,
-            "<svg width=\"{W}\" height=\"{H}\" viewBox=\"0 0 {W} {H}\" \
-             xmlns=\"http://www.w3.org/2000/svg\">"
-        );
-        // Gridlines + y ticks.
-        let ystep = nice_step(y1 - y0);
-        let mut ty = (y0 / ystep).ceil() * ystep;
-        while ty <= y1 + 1e-9 {
-            let y = sy(ty);
-            let _ = writeln!(
-                out,
-                "<line x1=\"{}\" y1=\"{}\" x2=\"{}\" y2=\"{}\" stroke=\"#eef0f3\"/>",
-                coord(ML),
-                coord(y),
-                coord(W - MR),
-                coord(y)
-            );
-            let _ = writeln!(
-                out,
-                "<text x=\"{}\" y=\"{}\" font-size=\"11\" fill=\"#555\" \
-                 text-anchor=\"end\">{}</text>",
-                coord(ML - 6.0),
-                coord(y + 4.0),
-                fnum(ty)
-            );
-            ty += ystep;
-        }
-        // X ticks.
-        let xstep = nice_step((x1 - x0) / xdiv) * xdiv;
-        let mut tx = (x0 / xstep).ceil() * xstep;
-        while tx <= x1 + 1e-9 {
-            let x = sx(tx);
-            let _ = writeln!(
-                out,
-                "<line x1=\"{}\" y1=\"{}\" x2=\"{}\" y2=\"{}\" stroke=\"#d7dade\"/>",
-                coord(x),
-                coord(MT + ph),
-                coord(x),
-                coord(MT + ph + 4.0)
-            );
-            let _ = writeln!(
-                out,
-                "<text x=\"{}\" y=\"{}\" font-size=\"11\" fill=\"#555\" \
-                 text-anchor=\"middle\">{}</text>",
-                coord(x),
-                coord(MT + ph + 16.0),
-                fnum(tx / xdiv)
-            );
-            tx += xstep;
-        }
-        // Axes.
-        let _ = writeln!(
+            "<line x1=\"{ML:.2}\" y1=\"{y:.2}\" x2=\"{:.2}\" y2=\"{y:.2}\" stroke=\"#eef0f3\"/>",
+            W - MR
+        )?;
+        writeln!(
             out,
-            "<line x1=\"{}\" y1=\"{}\" x2=\"{}\" y2=\"{}\" stroke=\"#111\"/>",
-            coord(ML),
-            coord(MT),
-            coord(ML),
-            coord(MT + ph)
-        );
-        let _ = writeln!(
+            "<text x=\"{:.2}\" y=\"{:.2}\" font-size=\"11\" fill=\"#555\" \
+             text-anchor=\"end\">{}</text>",
+            ML - 6.0,
+            y + 4.0,
+            Num(ty)
+        )?;
+        ty += ystep;
+    }
+    // X ticks.
+    let xstep = nice_step((x1 - x0) / xdiv) * xdiv;
+    let mut tx = (x0 / xstep).ceil() * xstep;
+    while tx <= x1 + 1e-9 {
+        let x = sx(tx);
+        writeln!(
             out,
-            "<line x1=\"{}\" y1=\"{}\" x2=\"{}\" y2=\"{}\" stroke=\"#111\"/>",
-            coord(ML),
-            coord(MT + ph),
-            coord(W - MR),
-            coord(MT + ph)
-        );
-        // Axis labels.
-        let _ = writeln!(
+            "<line x1=\"{x:.2}\" y1=\"{:.2}\" x2=\"{x:.2}\" y2=\"{:.2}\" stroke=\"#d7dade\"/>",
+            MT + ph,
+            MT + ph + 4.0
+        )?;
+        writeln!(
             out,
-            "<text x=\"{}\" y=\"{}\" font-size=\"11\" fill=\"#333\" \
+            "<text x=\"{x:.2}\" y=\"{:.2}\" font-size=\"11\" fill=\"#555\" \
              text-anchor=\"middle\">{}</text>",
-            coord(ML + pw / 2.0),
-            coord(H - 4.0),
-            esc(x_label)
-        );
-        let _ = writeln!(
-            out,
-            "<text x=\"12\" y=\"{}\" font-size=\"11\" fill=\"#333\" text-anchor=\"middle\" \
-             transform=\"rotate(-90 12 {})\">{}</text>",
-            coord(MT + ph / 2.0),
-            coord(MT + ph / 2.0),
-            esc(y_label)
-        );
-        // Polylines.
-        for (i, s) in series.iter().enumerate() {
-            if s.points.is_empty() {
-                continue;
-            }
-            let color = PALETTE[i % PALETTE.len()];
-            let mut pts = String::new();
-            for &(x, y) in &s.points {
-                let _ = write!(pts, "{},{} ", coord(sx(x)), coord(sy(y)));
-            }
-            let _ = writeln!(
-                out,
-                "<polyline fill=\"none\" stroke=\"{}\" stroke-width=\"1.5\" points=\"{}\"/>",
-                color,
-                pts.trim_end()
-            );
-        }
-        out.push_str("</svg>\n");
-        // Legend under the chart.
-        out.push_str("<p class=\"legend\">");
-        for (i, s) in series.iter().enumerate() {
-            let color = PALETTE[i % PALETTE.len()];
-            let _ = write!(
-                out,
-                "<span style=\"color:{}\">\u{25ac} {}</span>",
-                color,
-                esc(&s.label)
-            );
-        }
-        out.push_str("</p>\n");
+            MT + ph + 16.0,
+            Num(tx / xdiv)
+        )?;
+        tx += xstep;
     }
+    // Axes.
+    writeln!(
+        out,
+        "<line x1=\"{ML:.2}\" y1=\"{MT:.2}\" x2=\"{ML:.2}\" y2=\"{:.2}\" stroke=\"#111\"/>",
+        MT + ph
+    )?;
+    writeln!(
+        out,
+        "<line x1=\"{ML:.2}\" y1=\"{:.2}\" x2=\"{:.2}\" y2=\"{:.2}\" stroke=\"#111\"/>",
+        MT + ph,
+        W - MR,
+        MT + ph
+    )?;
+    // Axis labels.
+    writeln!(
+        out,
+        "<text x=\"{:.2}\" y=\"{:.2}\" font-size=\"11\" fill=\"#333\" \
+         text-anchor=\"middle\">{}</text>",
+        ML + pw / 2.0,
+        H - 4.0,
+        Esc(x_label)
+    )?;
+    let mid = MT + ph / 2.0;
+    writeln!(
+        out,
+        "<text x=\"12\" y=\"{mid:.2}\" font-size=\"11\" fill=\"#333\" text-anchor=\"middle\" \
+         transform=\"rotate(-90 12 {mid:.2})\">{}</text>",
+        Esc(y_label)
+    )?;
+    // Polylines, point by point into the sink.
+    for (i, s) in series.iter().enumerate() {
+        if s.points.is_empty() {
+            continue;
+        }
+        let color = PALETTE[i % PALETTE.len()];
+        write!(
+            out,
+            "<polyline fill=\"none\" stroke=\"{color}\" stroke-width=\"1.5\" points=\""
+        )?;
+        for (j, &(x, y)) in s.points.iter().enumerate() {
+            let sep = if j == 0 { "" } else { " " };
+            write!(out, "{sep}{:.2},{:.2}", sx(x), sy(y))?;
+        }
+        out.write_all(b"\"/>\n")?;
+    }
+    out.write_all(b"</svg>\n")?;
+    // Legend under the chart.
+    out.write_all(b"<p class=\"legend\">")?;
+    for (i, s) in series.iter().enumerate() {
+        let color = PALETTE[i % PALETTE.len()];
+        write!(
+            out,
+            "<span style=\"color:{color}\">\u{25ac} {}</span>",
+            Esc(&s.label)
+        )?;
+    }
+    out.write_all(b"</p>\n")
+}
 
-    fn render_stacked(&self, out: &mut String, categories: &[String], rows: &[(String, Vec<f64>)]) {
-        let rows: Vec<&(String, Vec<f64>)> = rows
-            .iter()
-            .filter(|(_, vs)| vs.iter().sum::<f64>() > 0.0)
-            .collect();
-        if rows.is_empty() {
-            out.push_str("<p><i>no data</i></p>\n");
-            return;
-        }
-        let bar_h = 18.0;
-        let gap = 8.0;
-        let label_w = 110.0;
-        let bar_w = 560.0;
-        let h = rows.len() as f64 * (bar_h + gap) + gap;
-        let w = label_w + bar_w + 20.0;
-        let _ = writeln!(
-            out,
-            "<svg width=\"{}\" height=\"{}\" viewBox=\"0 0 {} {}\" \
-             xmlns=\"http://www.w3.org/2000/svg\">",
-            coord(w),
-            coord(h),
-            coord(w),
-            coord(h)
-        );
-        for (r, (label, vals)) in rows.iter().enumerate() {
-            let y = gap + r as f64 * (bar_h + gap);
-            let total: f64 = vals.iter().sum();
-            let _ = writeln!(
-                out,
-                "<text x=\"{}\" y=\"{}\" font-size=\"11\" fill=\"#333\" \
-                 text-anchor=\"end\">{}</text>",
-                coord(label_w - 6.0),
-                coord(y + bar_h - 5.0),
-                esc(label)
-            );
-            let mut x = label_w;
-            for (c, &v) in vals.iter().enumerate() {
-                let frac = v / total;
-                let seg = frac * bar_w;
-                if seg > 0.0 {
-                    let _ = writeln!(
-                        out,
-                        "<rect x=\"{}\" y=\"{}\" width=\"{}\" height=\"{}\" fill=\"{}\"/>",
-                        coord(x),
-                        coord(y),
-                        coord(seg),
-                        coord(bar_h),
-                        PALETTE[c % PALETTE.len()]
-                    );
-                }
-                x += seg;
-            }
-        }
-        out.push_str("</svg>\n");
-        out.push_str("<p class=\"legend\">");
-        for (c, cat) in categories.iter().enumerate() {
-            let _ = write!(
-                out,
-                "<span style=\"color:{}\">\u{25a0} {}</span>",
-                PALETTE[c % PALETTE.len()],
-                esc(cat)
-            );
-        }
-        out.push_str("</p>\n");
+/// One 100%-stacked horizontal-bar panel.
+fn write_stacked<S: io::Write + ?Sized>(
+    out: &mut S,
+    categories: &[String],
+    rows: &[(String, Vec<f64>)],
+) -> io::Result<()> {
+    let rows: Vec<&(String, Vec<f64>)> = rows
+        .iter()
+        .filter(|(_, vs)| vs.iter().sum::<f64>() > 0.0)
+        .collect();
+    if rows.is_empty() {
+        return out.write_all(b"<p><i>no data</i></p>\n");
     }
+    let bar_h = 18.0;
+    let gap = 8.0;
+    let label_w = 110.0;
+    let bar_w = 560.0;
+    let h = rows.len() as f64 * (bar_h + gap) + gap;
+    let w = label_w + bar_w + 20.0;
+    writeln!(
+        out,
+        "<svg width=\"{w:.2}\" height=\"{h:.2}\" viewBox=\"0 0 {w:.2} {h:.2}\" \
+         xmlns=\"http://www.w3.org/2000/svg\">"
+    )?;
+    for (r, (label, vals)) in rows.iter().enumerate() {
+        let y = gap + r as f64 * (bar_h + gap);
+        let total: f64 = vals.iter().sum();
+        writeln!(
+            out,
+            "<text x=\"{:.2}\" y=\"{:.2}\" font-size=\"11\" fill=\"#333\" \
+             text-anchor=\"end\">{}</text>",
+            label_w - 6.0,
+            y + bar_h - 5.0,
+            Esc(label)
+        )?;
+        let mut x = label_w;
+        for (c, &v) in vals.iter().enumerate() {
+            let frac = v / total;
+            let seg = frac * bar_w;
+            if seg > 0.0 {
+                writeln!(
+                    out,
+                    "<rect x=\"{x:.2}\" y=\"{y:.2}\" width=\"{seg:.2}\" height=\"{bar_h:.2}\" \
+                     fill=\"{}\"/>",
+                    PALETTE[c % PALETTE.len()]
+                )?;
+            }
+            x += seg;
+        }
+    }
+    out.write_all(b"</svg>\n")?;
+    out.write_all(b"<p class=\"legend\">")?;
+    for (c, cat) in categories.iter().enumerate() {
+        write!(
+            out,
+            "<span style=\"color:{}\">\u{25a0} {}</span>",
+            PALETTE[c % PALETTE.len()],
+            Esc(cat)
+        )?;
+    }
+    out.write_all(b"</p>\n")
 }
 
 #[cfg(test)]
@@ -491,13 +540,48 @@ mod tests {
 
     #[test]
     fn number_formatting_is_fixed() {
+        let fnum = |v: f64| Num(v).to_string();
         assert_eq!(fnum(0.0), "0");
         assert_eq!(fnum(-0.0), "0");
+        assert_eq!(fnum(-0.0001), "0");
         assert_eq!(fnum(12.5), "12.5");
         assert_eq!(fnum(1.2345), "1.234");
         assert_eq!(fnum(40.0), "40");
+        assert_eq!(fnum(100.0), "100");
+        assert_eq!(fnum(-2.05), "-2.05");
         assert_eq!(fnum(f64::NAN), "0");
-        assert_eq!(coord(8.12543), "8.13");
+        assert_eq!(
+            fnum(1e300),
+            format!("{:.0}", 1e300),
+            "past the stack buffer"
+        );
+        assert_eq!(
+            Esc("a<b>&\"c\"").to_string(),
+            "a&lt;b&gt;&amp;&quot;c&quot;"
+        );
+    }
+
+    /// `render` reserves once: the hint bounds the output, and not by
+    /// much once points dominate.
+    #[test]
+    fn size_hint_bounds_the_render() {
+        let d = small();
+        assert!(d.render().len() <= d.size_hint());
+        let mut big = Dashboard::new("big");
+        let points = (0..10_000).map(|i| (i as f64, (i % 97) as f64)).collect();
+        big.chart(
+            "q",
+            "B",
+            vec![Series {
+                label: "s".into(),
+                points,
+            }],
+        );
+        let (len, hint) = (big.render().len(), big.size_hint());
+        assert!(
+            len <= hint && hint < len + len / 4,
+            "{len} bytes, {hint} reserved"
+        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! the look-ups and dashboard charts that read them back. Registration
 //! (name formatting, track allocation) is cold; the tick is index
 //! arithmetic plus integer adds — no map lookups, no allocation beyond a
-//! track's one-time, budget-capped bucket growth.
+//! track's budget-capped growth (its sample vector doubling, then the
+//! grid once at the fold).
 
 use super::dash::{Dashboard, Series};
 use super::registry::CounterId;

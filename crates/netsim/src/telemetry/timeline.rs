@@ -1,16 +1,22 @@
 //! Deterministic, bounded-memory time-series tracks.
 //!
-//! A [`Timeline`] records `(time, value)` samples into a uniform grid of
-//! buckets anchored at t = 0 whose width is a power of two picoseconds.
-//! When a sample lands past the track's fixed *point budget* (default
-//! [`DEFAULT_POINT_BUDGET`]), adjacent bucket pairs merge and the width
-//! doubles: resolution halves, but memory stays `O(budget)` for **any**
-//! horizon. Each bucket keeps `count`, `sum`, `min` and `max` — all
-//! commutative aggregates — so the stored state is a pure function of the
-//! *multiset* of recorded samples: record order never changes a bucket,
-//! a merge never changes the track total, and two runs that sample the
-//! same values produce byte-identical summaries (pinned by the proptests
-//! in `tests/timeline.rs`).
+//! A [`Timeline`] is read as a uniform grid of buckets anchored at t = 0
+//! whose width is a power of two picoseconds: the smallest width that
+//! fits the latest sample within the track's fixed *point budget*
+//! (default [`DEFAULT_POINT_BUDGET`]). Each bucket keeps `count`, `sum`,
+//! `min` and `max` — all commutative aggregates — so what a track reads
+//! is a pure function of the *multiset* of recorded samples: record order
+//! never changes a bucket, a merge never changes the track total, and two
+//! runs that sample the same values produce byte-identical summaries
+//! (pinned by the proptests in `tests/timeline.rs`).
+//!
+//! A track stores that grid one of two ways, in one direction. While its
+//! samples fit the budget it keeps them as sorted `(t, v)` pairs (16 B
+//! each) and groups them into buckets as they are read. The sample that
+//! would pass the budget folds them into the dense grid (48 B a slot,
+//! the whole budget at once), where adjacent bucket pairs merge and the
+//! width doubles as the horizon grows: resolution halves, but memory
+//! stays `O(budget)` for **any** horizon.
 //!
 //! Values are recorded as integers (`u64` raw ticks). A per-track `unit`
 //! gives the value of one tick, so fractional quantities (a rate in
@@ -38,8 +44,8 @@ use crate::stats::TimeSeries;
 use crate::telemetry::Json;
 use crate::units::{Duration, Time};
 
-/// Default per-track point budget: the bucket vector never exceeds this
-/// many entries, no matter the horizon.
+/// Default per-track point budget: a track never holds more than this
+/// many samples or buckets, no matter the horizon.
 pub const DEFAULT_POINT_BUDGET: usize = 4096;
 
 /// How merged buckets of a track are summarized. See the module docs.
@@ -135,6 +141,99 @@ impl BucketView {
     }
 }
 
+/// The dense grid a track folds into once its samples outgrow the budget.
+#[derive(Debug, Clone)]
+struct Grid {
+    /// log2 of the bucket width in ps; grows by one per halving.
+    width_log2: u32,
+    /// Up to `budget` entries, all reserved at the fold; index `i` covers
+    /// `[i·w, (i+1)·w)` where `w = 1 << width_log2` ps.
+    buckets: Vec<Bucket>,
+}
+
+impl Grid {
+    /// Index of the bucket covering `t` at the current width.
+    #[inline]
+    fn index_of(&self, t: Time) -> usize {
+        t.0.checked_shr(self.width_log2).unwrap_or(0) as usize
+    }
+
+    /// Records one sample: an index plus integer adds; the halving loop
+    /// only runs when the horizon outgrows the grid, which happens
+    /// `O(log horizon)` times per track lifetime.
+    #[inline]
+    fn record(&mut self, t: Time, v: u64, budget: usize) {
+        let mut idx = self.index_of(t);
+        while idx >= budget {
+            self.halve();
+            idx = self.index_of(t);
+        }
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, Bucket::EMPTY);
+        }
+        self.buckets[idx].observe(t, v);
+    }
+
+    /// Merges adjacent bucket pairs in place and doubles the width.
+    fn halve(&mut self) {
+        let n = self.buckets.len();
+        let half = n.div_ceil(2);
+        for i in 0..half {
+            let mut merged = self.buckets[2 * i];
+            if 2 * i + 1 < n {
+                merged.absorb(self.buckets[2 * i + 1]);
+            }
+            self.buckets[i] = merged;
+        }
+        self.buckets.truncate(half);
+        self.width_log2 += 1;
+    }
+}
+
+/// How a track holds its data (module docs): the samples while they fit
+/// the budget, the grid from the fold on.
+#[derive(Debug, Clone)]
+enum Store {
+    /// Every sample as `(t_ps, v)`, sorted by time; at most `budget`.
+    Samples(Vec<(u64, u64)>),
+    Grid(Grid),
+}
+
+/// The non-empty buckets of a track as `(index, aggregate)` in time
+/// order, whichever way the track stores them.
+enum Slots<'a> {
+    /// Runs of consecutive samples sharing `t >> width_log2`.
+    Samples {
+        rest: &'a [(u64, u64)],
+        width_log2: u32,
+    },
+    Grid(std::iter::Enumerate<std::slice::Iter<'a, Bucket>>),
+}
+
+impl Iterator for Slots<'_> {
+    type Item = (u64, Bucket);
+
+    fn next(&mut self) -> Option<(u64, Bucket)> {
+        match self {
+            Slots::Samples { rest, width_log2 } => {
+                let w = *width_log2;
+                let idx = rest.first()?.0 >> w;
+                let n = rest
+                    .iter()
+                    .position(|&(t, _)| t >> w != idx)
+                    .unwrap_or(rest.len());
+                let mut b = Bucket::EMPTY;
+                for &(t, v) in &rest[..n] {
+                    b.observe(Time(t), v);
+                }
+                *rest = &rest[n..];
+                Some((idx, b))
+            }
+            Slots::Grid(it) => it.find(|(_, b)| b.count > 0).map(|(i, b)| (i as u64, *b)),
+        }
+    }
+}
+
 /// One bounded-memory time-series track. See the module docs.
 #[derive(Debug, Clone)]
 pub struct Timeline {
@@ -143,12 +242,7 @@ pub struct Timeline {
     /// recorded in micro-units via [`Timeline::record_f64`]).
     unit: f64,
     budget: usize,
-    /// log2 of the bucket width in ps. Starts at 0 (1 ps buckets) and
-    /// grows by one per halving.
-    width_log2: u32,
-    /// Up to `budget` entries, all reserved at the first halving; index
-    /// `i` covers `[i·w, (i+1)·w)` where `w = 1 << width_log2` ps.
-    buckets: Vec<Bucket>,
+    store: Store,
     /// Whole-track aggregate — exact, never degraded by merging.
     total: Bucket,
 }
@@ -166,33 +260,46 @@ impl Timeline {
             kind,
             unit,
             budget: budget.max(2),
-            width_log2: 0,
-            buckets: Vec::new(),
+            store: Store::Samples(Vec::new()),
             total: Bucket::EMPTY,
         }
     }
 
-    /// Index of the bucket covering `t` at the current width.
-    #[inline]
-    fn index_of(&self, t: Time) -> usize {
-        t.0.checked_shr(self.width_log2).unwrap_or(0) as usize
-    }
-
-    /// Records one raw-tick sample. Hot path: an index plus integer
-    /// adds; the halving loop only runs when the horizon outgrows the
-    /// grid, which happens `O(log horizon)` times per track lifetime.
+    /// Records one raw-tick sample. Hot path: an append while the
+    /// samples fit the budget (a sampler tick is never earlier than the
+    /// one before it), a grid index plus integer adds after the fold.
     #[inline]
     pub fn record(&mut self, t: Time, v: u64) {
-        let mut idx = self.index_of(t);
-        while idx >= self.budget {
-            self.halve();
-            idx = self.index_of(t);
+        match &mut self.store {
+            Store::Grid(grid) => grid.record(t, v, self.budget),
+            Store::Samples(samples) if samples.len() < self.budget => match samples.last() {
+                Some(&(last, _)) if last > t.0 => {
+                    let at = samples.partition_point(|&(s, _)| s <= t.0);
+                    samples.insert(at, (t.0, v));
+                }
+                _ => samples.push((t.0, v)),
+            },
+            Store::Samples(_) => self.fold(t, v),
         }
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, Bucket::EMPTY);
-        }
-        self.buckets[idx].observe(t, v);
         self.total.observe(t, v);
+    }
+
+    /// Storing one more sample would pass the budget: replays every
+    /// sample and `(t, v)` into the grid the track keeps from now on.
+    #[cold]
+    fn fold(&mut self, t: Time, v: u64) {
+        let mut grid = Grid {
+            width_log2: 0,
+            // simlint: allow(hot-alloc) once per track lifetime: the grid takes its whole budget at the fold
+            buckets: Vec::with_capacity(self.budget),
+        };
+        if let Store::Samples(samples) = &self.store {
+            for &(s, sv) in samples {
+                grid.record(Time(s), sv, self.budget);
+            }
+        }
+        grid.record(t, v, self.budget);
+        self.store = Store::Grid(grid);
     }
 
     /// Records a float sample in track units: quantized to the nearest
@@ -209,39 +316,27 @@ impl Timeline {
         self.record(t, ticks as u64);
     }
 
-    /// Merges adjacent bucket pairs in place and doubles the width.
-    fn halve(&mut self) {
-        // The grid starts at 1 ps buckets, so a track's first sample past
-        // t = 4 ns comes through here before it is stored — and lands in
-        // the upper half of the grid, because this loop stops at the first
-        // width that fits. Every track therefore reaches its budget
-        // anyway: take it now, once, instead of by a dozen doubling
-        // reallocations that each leave a hole the next track cannot
-        // reuse. (Here rather than in `record`, to keep that one small.)
-        if self.buckets.capacity() < self.budget {
-            self.buckets.reserve_exact(self.budget - self.buckets.len());
-        }
-        let n = self.buckets.len();
-        let half = n.div_ceil(2);
-        for i in 0..half {
-            let mut merged = self.buckets[2 * i];
-            if 2 * i + 1 < n {
-                merged.absorb(self.buckets[2 * i + 1]);
-            }
-            self.buckets[i] = merged;
-        }
-        self.buckets.truncate(half);
-        self.width_log2 += 1;
-    }
-
     /// This track's kind.
     pub fn kind(&self) -> TrackKind {
         self.kind
     }
 
+    /// log2 of the bucket width. Before the fold it is what the grid's
+    /// halvings would reach, which depends on the latest sample alone:
+    /// the smallest `w` with `t_max >> w < budget`, i.e. the bit length
+    /// of `t_max / budget`.
+    fn width_log2(&self) -> u32 {
+        match &self.store {
+            Store::Samples(_) => {
+                u64::BITS - (self.total.t_max / self.budget as u64).leading_zeros()
+            }
+            Store::Grid(grid) => grid.width_log2,
+        }
+    }
+
     /// Current bucket width (power of two ps; grows as the run does).
     pub fn bucket_width(&self) -> Duration {
-        Duration(1u64 << self.width_log2)
+        Duration(1u64 << self.width_log2())
     }
 
     /// The track's point budget: `capacity_used` never exceeds it.
@@ -249,15 +344,30 @@ impl Timeline {
         self.budget
     }
 
-    /// Grid slots currently allocated (≤ budget — the bounded-memory
-    /// invariant the long-horizon test asserts).
+    /// Slots held — samples before the fold, grid buckets after it (≤
+    /// budget — the bounded-memory invariant the long-horizon test
+    /// asserts).
     pub fn capacity_used(&self) -> usize {
-        self.buckets.len()
+        match &self.store {
+            Store::Samples(samples) => samples.len(),
+            Store::Grid(grid) => grid.buckets.len(),
+        }
+    }
+
+    /// The non-empty buckets as raw aggregates; builds nothing.
+    fn slots(&self) -> Slots<'_> {
+        match &self.store {
+            Store::Samples(samples) => Slots::Samples {
+                rest: samples,
+                width_log2: self.width_log2(),
+            },
+            Store::Grid(grid) => Slots::Grid(grid.buckets.iter().enumerate()),
+        }
     }
 
     /// Number of non-empty buckets (plotted points).
     pub fn points(&self) -> usize {
-        self.buckets.iter().filter(|b| b.count > 0).count()
+        self.slots().count()
     }
 
     /// Total samples recorded.
@@ -298,26 +408,18 @@ impl Timeline {
         Time(self.total.t_max)
     }
 
-    fn view(&self, i: usize, b: &Bucket) -> BucketView {
-        let w = 1u64 << self.width_log2;
-        BucketView {
-            start: Time(i as u64 * w),
-            end: Time((i as u64 + 1).saturating_mul(w)),
+    /// The non-empty buckets in time order.
+    pub fn buckets(&self) -> impl Iterator<Item = BucketView> + '_ {
+        let w = self.bucket_width().0;
+        self.slots().map(move |(i, b)| BucketView {
+            start: Time(i * w),
+            end: Time((i + 1).saturating_mul(w)),
             last: Time(b.t_max),
             count: b.count,
             sum: b.sum as f64 * self.unit,
             min: b.min as f64 * self.unit,
             max: b.max as f64 * self.unit,
-        }
-    }
-
-    /// The non-empty buckets in time order.
-    pub fn buckets(&self) -> impl Iterator<Item = BucketView> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.count > 0)
-            .map(|(i, b)| self.view(i, b))
+        })
     }
 
     /// A bucket's representative value per the track kind (module docs).
@@ -352,13 +454,10 @@ impl Timeline {
     /// `Network::goodput_gbps` byte-identical to the pre-timeline
     /// implementation at the sampling rates the experiments use.
     pub fn value_at(&self, t: Time) -> Option<f64> {
-        let idx = self.index_of(t).min(self.buckets.len().checked_sub(1)?);
-        self.buckets[..=idx]
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, b)| b.count > 0)
-            .map(|(i, b)| self.representative(&self.view(i, b)))
+        self.buckets()
+            .take_while(|b| b.start <= t)
+            .last()
+            .map(|b| self.representative(&b))
     }
 
     /// Count-weighted nearest-rank percentile of the per-bucket means,
@@ -394,9 +493,10 @@ impl Timeline {
     /// (0.0 when no samples qualify). Exactly the mean of the qualifying
     /// samples — bucket sums and counts are never approximated.
     pub fn mean_from(&self, from: Time) -> f64 {
+        let w = self.bucket_width().0;
         let (mut sum, mut count) = (0u128, 0u64);
-        for (i, b) in self.buckets.iter().enumerate() {
-            if b.count > 0 && Time(i as u64 * (1u64 << self.width_log2)) >= from {
+        for (i, b) in self.slots() {
+            if Time(i * w) >= from {
                 sum += b.sum;
                 count += b.count;
             }

@@ -7,8 +7,9 @@ use netsim::network::NetworkBuilder;
 use netsim::packet::{FlowId, DATA_PRIORITY};
 use netsim::stats::SamplerConfig;
 use netsim::switch::SwitchConfig;
-use netsim::topology::{star, LinkParams};
+use netsim::topology::{star, LinkParams, Star};
 use netsim::units::{Bandwidth, Duration, Time};
+use std::panic::AssertUnwindSafe;
 
 fn host_cfg() -> HostConfig {
     HostConfig {
@@ -228,8 +229,8 @@ fn mixed_speed_links() {
     assert!(total > 85.0, "sink well used: {total:.1}");
 }
 
-/// One greedy flow on a three-host star, run for 2 ms without sampling.
-fn unsampled_run() -> (netsim::topology::Star, FlowId) {
+/// One greedy flow on a three-host star, not yet run.
+fn lone_flow() -> (Star, FlowId) {
     let mut s = star(
         3,
         LinkParams::default(),
@@ -241,6 +242,12 @@ fn unsampled_run() -> (netsim::topology::Star, FlowId) {
         Box::new(NoCc::new(l))
     });
     s.net.send_message(f, u64::MAX, Time::ZERO);
+    (s, f)
+}
+
+/// [`lone_flow`], run for 2 ms without sampling.
+fn unsampled_run() -> (Star, FlowId) {
+    let (mut s, f) = lone_flow();
     s.net.run_until(Time::from_millis(2));
     (s, f)
 }
@@ -264,4 +271,37 @@ fn goodput_of_an_unsampled_flow_over_a_window_panics() {
     let (s, f) = unsampled_run();
     s.net
         .goodput_gbps(f, Time::from_millis(1), Time::from_millis(2));
+}
+
+/// A rate needs a window: an empty or reversed one fails loudly, sampled
+/// or not. It used to read `NaN` (empty) or a wrapped duration (reversed;
+/// a debug build panicked on the subtraction instead).
+#[test]
+fn goodput_over_an_empty_or_reversed_window_panics() {
+    let (before_run, f) = lone_flow();
+    let (unsampled, _) = unsampled_run();
+    let (mut sampled, _) = lone_flow();
+    sampled.net.enable_sampling(
+        Duration::from_micros(100),
+        SamplerConfig {
+            all_flows: true,
+            ..SamplerConfig::default()
+        },
+    );
+    sampled.net.run_until(Time::from_millis(2));
+    let us = Time::from_micros;
+    for (net, from, to) in [
+        (&before_run.net, Time::ZERO, Time::ZERO),
+        (&unsampled.net, us(2_000), Time::ZERO),
+        (&sampled.net, us(500), us(500)),
+        (&sampled.net, us(800), us(200)),
+    ] {
+        let asked = std::panic::catch_unwind(AssertUnwindSafe(|| net.goodput_gbps(f, from, to)));
+        let panic = asked.expect_err("no rate over an empty or reversed window");
+        let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(
+            msg.contains("from < to"),
+            "[{from}, {to}] panicked with: {msg}"
+        );
+    }
 }

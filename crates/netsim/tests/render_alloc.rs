@@ -1,13 +1,16 @@
 //! What an observed run's artifacts cost in memory, measured rather than
 //! argued: a counting global allocator tracks live bytes and calls while
-//! a Chrome trace is rendered and while a timeline fills.
+//! a Chrome trace and a dashboard are rendered and while a timeline
+//! fills.
 //!
 //! One `#[test]` on purpose — the counters are process-wide, and a second
 //! test running beside it would be counted too.
 
 use netsim::event::{NodeId, PortId};
 use netsim::packet::FlowId;
-use netsim::telemetry::{HopSpan, PauseEdge, SpanState, Spans, Timeline, TrackKind};
+use netsim::telemetry::{
+    Dashboard, HopSpan, PauseEdge, Series, SpanState, Spans, Timeline, TrackKind,
+};
 use netsim::units::Time;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -99,7 +102,7 @@ fn recorded(hops: u64) -> Spans {
 }
 
 #[test]
-fn rendering_costs_its_output_and_a_timeline_takes_its_budget_once() {
+fn rendering_costs_its_output_and_a_timeline_holds_its_samples() {
     // --- The Chrome trace: one output buffer, nothing per event. ---
     let spans = recorded(10_000);
     let events = spans.hops().len()
@@ -126,17 +129,73 @@ fn rendering_costs_its_output_and_a_timeline_takes_its_budget_once() {
     result.expect("a sink takes everything");
     assert!(peak < 16 << 10, "streaming held {peak} bytes live");
 
-    // --- A timeline: the budget, once, however far the horizon moves. ---
+    // --- The dashboard: one sized buffer, nothing per point. ---
+    let mut dash = Dashboard::new("100k points");
+    for c in 0..4 {
+        let series = (0..5)
+            .map(|s| Series {
+                label: format!("chart {c} series {s}"),
+                points: (0..5_000u64)
+                    .map(|i| (i as f64 * 100.0, ((i * 7919 + s) % 1_000) as f64))
+                    .collect(),
+            })
+            .collect();
+        dash.chart(&format!("chart {c}"), "KB", series);
+    }
+    dash.table("counters", vec![("forwarded".into(), "100000".into())]);
+    let points = 4 * 5 * 5_000;
+    let (html, calls, peak) = measured(|| dash.render());
+    assert!(html.len() > 10 * points, "every point is in the file");
+    assert!(
+        peak < 2 * html.len(),
+        "rendering {} bytes held {peak} live",
+        html.len()
+    );
+    assert!(
+        calls < points / 100,
+        "{calls} allocations to render {points} points"
+    );
+
+    // --- A timeline: its samples while they fit, then the grid once. ---
     let mut tl = Timeline::new(TrackKind::Gauge, 1.0);
+    // 10 µs cadence from one interval in, as the sampler ticks; then
+    // sparser and sparser, so the grid halves again and again.
+    let t = |i: u64| Time(i * i * 1_000 + i * 10_000_000);
+    let budget = tl.budget() as u64;
+    let live = LIVE.load(Relaxed);
+    for i in 1..=budget {
+        tl.record(t(i), i);
+        let held = LIVE.load(Relaxed) - live;
+        assert!(
+            held <= 2 * 16 * i as usize + 64,
+            "{i} samples held {held} B"
+        );
+    }
+    assert_eq!(
+        tl.capacity_used(),
+        tl.budget(),
+        "still samples, at the budget"
+    );
+    let ((), calls, _) = measured(|| tl.record(t(budget + 1), budget + 1));
+    assert_eq!(calls, 1, "the fold makes the grid, once");
     let ((), calls, _) = measured(|| {
-        for i in 1..=100_000u64 {
-            // 10 µs cadence from one interval in, as the sampler ticks;
-            // then sparser and sparser, so the grid halves again and again.
-            tl.record(Time(i * i * 1_000 + i * 10_000_000), i);
+        for i in budget + 2..=100_000 {
+            tl.record(t(i), i);
             assert!(tl.capacity_used() <= tl.budget());
         }
     });
+    assert_eq!(calls, 0, "the grid never grows past its budget");
     assert_eq!(tl.count(), 100_000);
     assert!(tl.bucket_width().0 > 1 << 30, "the horizon kept growing");
-    assert_eq!(calls, 1, "one bucket allocation for the track's lifetime");
+
+    // Reading builds nothing, in either state.
+    let mut fresh = Timeline::new(TrackKind::Gauge, 1.0);
+    for i in 0..1_000u64 {
+        fresh.record(Time(i * 100_000_000), i);
+    }
+    for track in [&tl, &fresh] {
+        let (points, calls, _) = measured(|| track.buckets().count());
+        assert!(points > 0);
+        assert_eq!(calls, 0, "iterating buckets allocates nothing");
+    }
 }

@@ -9,7 +9,8 @@ use netsim::host::HostConfig;
 use netsim::packet::DATA_PRIORITY;
 use netsim::stats::SamplerConfig;
 use netsim::switch::SwitchConfig;
-use netsim::telemetry::timeline::{Timeline, TrackKind};
+use netsim::telemetry::timeline::{BucketView, Timeline, TrackKind};
+use netsim::telemetry::Json;
 use netsim::topology::{star, LinkParams, Star};
 use netsim::units::{Duration, Time};
 use proptest::prelude::*;
@@ -87,6 +88,252 @@ proptest! {
         let bucket_total: f64 = fwd.buckets().map(|b| b.sum).sum();
         prop_assert_eq!(bucket_total, expected as f64);
         prop_assert!(fwd.capacity_used() <= budget.max(2));
+    }
+}
+
+/// The dense grid every track used to be, kept as the obviously-correct
+/// reference for the samples state: each sample lands in bucket
+/// `t >> width_log2` of a grid that halves whenever a sample would land
+/// past the budget, and every read walks the grid.
+struct Dense {
+    kind: TrackKind,
+    budget: usize,
+    width_log2: u32,
+    /// `(count, sum, min, max, t_max)` per grid slot.
+    buckets: Vec<(u64, u128, u64, u64, u64)>,
+    total: (u64, u128, u64, u64, u64),
+}
+
+const EMPTY: (u64, u128, u64, u64, u64) = (0, 0, u64::MAX, 0, 0);
+
+fn observe(b: &mut (u64, u128, u64, u64, u64), t: u64, v: u64) {
+    *b = (b.0 + 1, b.1 + v as u128, b.2.min(v), b.3.max(v), b.4.max(t));
+}
+
+impl Dense {
+    fn new(kind: TrackKind, budget: usize) -> Dense {
+        Dense {
+            kind,
+            budget: budget.max(2),
+            width_log2: 0,
+            buckets: Vec::new(),
+            total: EMPTY,
+        }
+    }
+
+    fn record(&mut self, t: u64, v: u64) {
+        while (t >> self.width_log2) as usize >= self.budget {
+            let merged = self.buckets.chunks(2).map(|pair| {
+                let mut m = pair[0];
+                if let Some(&(c, s, lo, hi, tm)) = pair.get(1) {
+                    m = (m.0 + c, m.1 + s, m.2.min(lo), m.3.max(hi), m.4.max(tm));
+                }
+                m
+            });
+            self.buckets = merged.collect();
+            self.width_log2 += 1;
+        }
+        let idx = (t >> self.width_log2) as usize;
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, EMPTY);
+        }
+        observe(&mut self.buckets[idx], t, v);
+        observe(&mut self.total, t, v);
+    }
+
+    fn buckets(&self) -> Vec<BucketView> {
+        let w = 1u64 << self.width_log2;
+        let filled = self.buckets.iter().enumerate().filter(|(_, b)| b.0 > 0);
+        filled
+            .map(|(i, &(count, sum, min, max, t_max))| BucketView {
+                start: Time(i as u64 * w),
+                end: Time((i as u64 + 1).saturating_mul(w)),
+                last: Time(t_max),
+                count,
+                sum: sum as f64,
+                min: min as f64,
+                max: max as f64,
+            })
+            .collect()
+    }
+
+    fn representative(&self, b: &BucketView) -> f64 {
+        match self.kind {
+            TrackKind::Counter => b.sum,
+            TrackKind::Gauge => b.mean(),
+            TrackKind::Cumulative => b.max,
+        }
+    }
+
+    fn value_at(&self, t: Time) -> Option<f64> {
+        let last = self.buckets().into_iter().rfind(|b| b.start <= t);
+        last.map(|b| self.representative(&b))
+    }
+
+    fn mean_from(&self, from: Time) -> f64 {
+        let w = 1u64 << self.width_log2;
+        let (mut sum, mut count) = (0u128, 0u64);
+        for (i, b) in self.buckets.iter().enumerate() {
+            if b.0 > 0 && Time(i as u64 * w) >= from {
+                sum += b.1;
+                count += b.0;
+            }
+        }
+        if count == 0 {
+            0.0
+        } else {
+            sum as f64 / count as f64
+        }
+    }
+
+    fn weighted_percentile(&self, p: f64, from: Time) -> f64 {
+        let mut pairs: Vec<(f64, u64)> = self
+            .buckets()
+            .into_iter()
+            .filter(|b| b.start >= from)
+            .map(|b| (b.mean(), b.count))
+            .collect();
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let total: u64 = pairs.iter().map(|&(_, c)| c).sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let rank = ((p.clamp(0.0, 100.0) / 100.0 * total as f64).ceil() as u64).max(1);
+        let mut cum = 0;
+        for &(v, c) in &pairs {
+            cum += c;
+            if cum >= rank {
+                return v;
+            }
+        }
+        pairs.last().map_or(0.0, |&(v, _)| v)
+    }
+
+    fn summary(&self) -> String {
+        let (count, sum, min, max, t_max) = self.total;
+        let mean = if count == 0 {
+            0.0
+        } else {
+            sum as f64 / count as f64
+        };
+        Json::obj(vec![
+            ("bucket_width_ps", Json::UInt(1u64 << self.width_log2)),
+            ("count", Json::UInt(count)),
+            ("kind", Json::from(self.kind.name())),
+            ("last_ps", Json::UInt(t_max)),
+            ("max", Json::Float(max as f64)),
+            ("mean", Json::Float(mean)),
+            (
+                "min",
+                Json::Float(if count == 0 { 0.0 } else { min as f64 }),
+            ),
+            ("points", Json::UInt(self.buckets().len() as u64)),
+            ("sum", Json::Float(sum as f64)),
+        ])
+        .render()
+    }
+}
+
+/// A [`BucketView`], bit for bit.
+fn bits(b: &BucketView) -> (u64, u64, u64, u64, u64, u64, u64) {
+    let f = |v: f64| v.to_bits();
+    let (start, end, last) = (b.start.0, b.end.0, b.last.0);
+    (start, end, last, b.count, f(b.sum), f(b.min), f(b.max))
+}
+
+/// Every read of `tl` equals the reference's, bit for bit, at `probes`.
+fn same_reads(tl: &Timeline, reference: &Dense, probes: &[Time]) {
+    let ours: Vec<_> = tl.buckets().map(|b| bits(&b)).collect();
+    let theirs: Vec<_> = reference.buckets().iter().map(bits).collect();
+    prop_assert_eq!(ours, theirs);
+    prop_assert_eq!(tl.points(), reference.buckets().len());
+    prop_assert_eq!(tl.bucket_width().0, 1u64 << reference.width_log2);
+    prop_assert_eq!(tl.summary_json().render(), reference.summary());
+    let series = tl.series();
+    let want = reference.buckets();
+    prop_assert_eq!(
+        series.times,
+        want.iter().map(|b| b.last).collect::<Vec<_>>()
+    );
+    let values: Vec<u64> = series.values.iter().map(|v| v.to_bits()).collect();
+    let want: Vec<u64> = want
+        .iter()
+        .map(|b| reference.representative(b).to_bits())
+        .collect();
+    prop_assert_eq!(values, want);
+    for (i, &t) in probes.iter().enumerate() {
+        let p = (i * 37 % 101) as f64;
+        prop_assert_eq!(
+            tl.value_at(t).map(f64::to_bits),
+            reference.value_at(t).map(f64::to_bits)
+        );
+        prop_assert_eq!(tl.mean_from(t).to_bits(), reference.mean_from(t).to_bits());
+        prop_assert_eq!(
+            tl.weighted_percentile(p, t).to_bits(),
+            reference.weighted_percentile(p, t).to_bits()
+        );
+    }
+    prop_assert!(tl.capacity_used() <= reference.budget);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Samples below, at and past the fold read exactly like the dense
+    /// grid they stand for: duplicate timestamps, `t = 0`, times near
+    /// `u64::MAX`, values up to `u64::MAX`, recorded in shuffled order.
+    #[test]
+    fn samples_read_like_the_dense_grid(
+        draws in prop::collection::vec(
+            (0u8..8, 0u64..=u64::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX),
+            1..200,
+        ),
+        budget in 2usize..64,
+        kind in 0u8..3,
+        probes in prop::collection::vec((0u8..4, 0u64..=u64::MAX), 6),
+    ) {
+        let kind = [TrackKind::Counter, TrackKind::Gauge, TrackKind::Cumulative][kind as usize];
+        let mut samples: Vec<(u64, u64, u64)> = Vec::new();
+        for &(shape, raw, v, rank) in &draws {
+            let t = match shape {
+                0 => 0,
+                1 => u64::MAX - raw % 1_000,
+                2 => samples.get(raw as usize % samples.len().max(1)).map_or(0, |s| s.0),
+                3 => raw % 5_000,
+                _ => raw % 2_000_000_000,
+            };
+            let v = if v >> 63 == 1 { v } else { v % 1_000_000 };
+            samples.push((t, v, rank));
+        }
+        let probes: Vec<Time> = probes
+            .iter()
+            .map(|&(shape, raw)| {
+                let near = samples[raw as usize % samples.len()].0;
+                Time(match shape {
+                    0 => raw,
+                    1 => near,
+                    2 => near.saturating_add(1),
+                    _ => near.saturating_sub(1),
+                })
+            })
+            .collect();
+        let mut shuffled = samples.clone();
+        shuffled.sort_by_key(|s| s.2);
+        let mut tl = Timeline::with_budget(kind, 1.0, budget);
+        let mut reference = Dense::new(kind, budget);
+        for (&(t, v, _), &(rt, rv, _)) in shuffled.iter().zip(&samples) {
+            tl.record(Time(t), v);
+            reference.record(rt, rv);
+        }
+        same_reads(&tl, &reference, &probes);
+        // And on the way there, with both fed the same order.
+        let mut tl = Timeline::with_budget(kind, 1.0, budget);
+        let mut reference = Dense::new(kind, budget);
+        for &(t, v, _) in &shuffled {
+            tl.record(Time(t), v);
+            reference.record(t, v);
+            same_reads(&tl, &reference, &probes);
+        }
     }
 }
 
