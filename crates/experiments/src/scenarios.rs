@@ -302,31 +302,20 @@ pub fn benchmark_run(cfg: &BenchmarkConfig) -> BenchmarkResult {
 
     let user_flows: Vec<FlowId> = pairs.iter().map(|p| p.flow).collect();
     let warmup = Time::ZERO + cfg.duration / 5;
-    let mut drops = 0;
     let mut pause_rx_spines = 0;
-    for &s in tb.tors.iter().chain(&tb.leaves).chain(&tb.spines) {
-        let st = tb.net.switch_stats(s);
-        drops += st.drops_pool + st.drops_lossy;
-    }
     for &s in &tb.spines {
         pause_rx_spines += tb.net.switch_stats(s).pause_rx;
     }
-    let (mut retx, mut timeouts, mut aborted) = (0, 0, 0);
-    for fl in user_flows.iter().chain(&incast_flows) {
-        let st = tb.net.flow_stats(*fl);
-        retx += st.retx_pkts;
-        timeouts += st.timeouts;
-        aborted += st.aborted as u64;
-    }
-
+    // Fabric-wide totals: sums over every switch and flow.
+    let metric = |name| tb.net.metric(name);
     BenchmarkResult {
         user_goodputs: transfer_goodputs(&tb.net, &user_flows, 1_000_000),
         incast_goodputs: flow_goodputs(&tb.net, &incast_flows, warmup, end),
         spine_pause_rx: pause_rx_spines,
-        drops,
-        retx,
-        timeouts,
-        aborted,
+        drops: metric("drops_pool") + metric("drops_lossy"),
+        retx: metric("retx_pkts"),
+        timeouts: metric("timeouts"),
+        aborted: metric("qp_teardowns"),
         events: tb.net.events_executed(),
     }
 }
@@ -338,13 +327,13 @@ pub struct LinkFlapResult {
     /// Aggregate goodput (Gbps) across all flows, in 1 ms bins.
     pub bins: Vec<f64>,
     /// Flows that exhausted their transport retries and tore down —
-    /// the telemetry registry's `qp_teardowns` counter.
+    /// the `qp_teardowns` counter.
     pub aborts: usize,
     /// Route recomputations triggered by link transitions.
     pub reroutes: u64,
-    /// Fault-tagged wire drops — the telemetry registry's `fault_drops`
-    /// counter (the flap is the only fault installed, so every tagged
-    /// drop is a link-down drop).
+    /// Wire drops — the `fault_drops` counter, the fault engine's link
+    /// and CRC drops (the flap is the only fault installed, so every one
+    /// is a link-down drop).
     pub link_drops: u64,
     /// The run's full telemetry report for `--json` output.
     pub telemetry: Json,
@@ -419,9 +408,8 @@ pub fn link_flap_run(
                 .sum()
         })
         .collect();
-    // Degradation counters come straight from the telemetry registry —
-    // the same numbers any `--json` consumer sees — instead of being
-    // re-derived from per-flow stats or the packet trace.
+    // Degradation counters are the report's `counters` — the same
+    // numbers any `--json` consumer sees.
     let fs = tb.net.fault_stats();
     LinkFlapResult {
         bins,
@@ -441,11 +429,9 @@ pub struct PauseStormResult {
     pub victim_after_gbps: f64,
     /// PAUSE frames received at the two spines (congestion spreading).
     pub spine_pause_rx: u64,
-    /// Watchdog trips — the telemetry registry's `watchdog_trips`
-    /// counter.
+    /// Watchdog trips — the `watchdog_trips` counter.
     pub watchdog_trips: u64,
-    /// Watchdog restores — the telemetry registry's `watchdog_restores`
-    /// counter.
+    /// Watchdog restores — the `watchdog_restores` counter.
     pub watchdog_restores: u64,
     /// The run's full telemetry report for `--json` output.
     pub telemetry: Json,
@@ -499,8 +485,8 @@ pub fn pause_storm_victim_run(
     tb.net.run_until(end);
 
     // Spine PAUSE counts need per-node attribution, so they stay on the
-    // per-switch stats; the fabric-wide watchdog counters come from the
-    // telemetry registry, same as any `--json` consumer sees them.
+    // per-switch stats; the fabric-wide watchdog counters are the
+    // report's, same as any `--json` consumer sees them.
     let mut spine_pause_rx = 0;
     for &s in &tb.spines {
         spine_pause_rx += tb.net.switch_stats(s).pause_rx;

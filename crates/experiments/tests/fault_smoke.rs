@@ -1,8 +1,8 @@
 //! Sanitized fault-injection smoke run: a full Clos run with a mid-run
 //! link flap, bit errors, and a pause storm must finish with zero audit
-//! violations — fault-induced drops are tagged, PFC pairing state is
-//! reset on link transitions, and storm PAUSEs bypass the pairing audit
-//! by construction.
+//! violations — fault-induced drops are the fault engine's, never a
+//! switch drop, PFC pairing state is reset on link transitions, and storm
+//! PAUSEs bypass the pairing audit by construction.
 #![cfg(feature = "sanitize")]
 
 use experiments::common::CcChoice;
@@ -14,7 +14,8 @@ use netsim::units::{Duration, Time};
 
 /// Every fault class at once, under the auditor. The flapped link is a
 /// fabric link (T1–L1) so no destination ever becomes unroutable — the
-/// auditor must see tagged wire drops, not lossless-class violations.
+/// fault engine counts the wire drops and the auditor sees no
+/// lossless-class violation.
 #[test]
 fn faulted_clos_run_is_clean_under_auditor() {
     assert!(netsim::audit::Auditor::enabled());
@@ -74,7 +75,6 @@ fn faulted_clos_run_is_clean_under_auditor() {
         assert!(!tb.net.flow_stats(fl).aborted, "failover kept QPs alive");
     }
     assert!(tb.net.events_executed() > 100_000, "full-scale run");
-    // …and the auditor saw tagged fault drops, zero violations.
-    assert!(tb.net.audit().fault_drops() > 0);
+    // …and the auditor saw zero violations.
     tb.net.audit().assert_clean();
 }

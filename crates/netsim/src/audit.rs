@@ -100,7 +100,6 @@ struct AuditState {
     expected_psn: std::collections::BTreeMap<u64, u64>,
     violations: Vec<Violation>,
     total_violations: u64,
-    fault_drops: u64,
 }
 
 /// The invariant auditor. Lives in [`crate::network::Ctx`] so switches and
@@ -310,21 +309,6 @@ impl Auditor {
         let _ = (node, prio, lossless, at);
     }
 
-    /// A frame was destroyed by an *injected* fault (link down or
-    /// bit-error) on a lossless class. Unlike [`Auditor::on_drop`], this is
-    /// never a violation — the fault engine deliberately breaks the
-    /// lossless contract, and the auditor must not confuse injected damage
-    /// with simulator bugs. Tagged drops are counted separately so tests
-    /// can still assert they happened.
-    #[inline]
-    pub fn on_fault_drop(&mut self, node: NodeId, prio: usize, at: Time) {
-        let _ = (node, prio, at); // context kept for symmetry with on_drop
-        #[cfg(feature = "sanitize")]
-        {
-            self.state.fault_drops += 1;
-        }
-    }
-
     /// A link transition (down *or* up) reset all PFC state on `node`'s
     /// `port`: forget any pause-pairing obligations for that ingress so the
     /// next PAUSE after the reset is not misread as a double-pause (and a
@@ -343,16 +327,6 @@ impl Auditor {
         }
         #[cfg(not(feature = "sanitize"))]
         let _ = (node, port);
-    }
-
-    /// Count of fault-tagged lossless drops (0 without the feature).
-    pub fn fault_drops(&self) -> u64 {
-        #[cfg(feature = "sanitize")]
-        {
-            self.state.fault_drops
-        }
-        #[cfg(not(feature = "sanitize"))]
-        0
     }
 
     /// A receiver on `node` accepted `psn` of `flow` in order. Go-back-N
@@ -689,20 +663,6 @@ mod tests {
             .violations()
             .iter()
             .all(|v| v.kind == ViolationKind::CcDomain));
-    }
-
-    #[test]
-    fn fault_tagged_drops_are_counted_not_violations() {
-        let mut a = Auditor::default();
-        a.on_fault_drop(NodeId(2), 3, Time::ZERO);
-        a.on_fault_drop(NodeId(2), 3, Time::ZERO);
-        assert!(a.is_clean());
-        assert_eq!(a.fault_drops(), 2);
-        // An *untagged* lossless drop must still be caught: tagging is
-        // opt-in per drop, never a blanket exemption.
-        a.on_drop(NodeId(2), 3, true, Time::ZERO);
-        assert_eq!(a.violations()[0].kind, ViolationKind::LosslessDrop);
-        assert_eq!(a.total_violations(), 1);
     }
 
     #[test]

@@ -361,7 +361,6 @@ impl Host {
                     }
                     cnp = Some(Packet::cnp(host_id, rcv.src, pkt.flow));
                     ctx.stats(pkt.flow).cnps_sent += 1;
-                    ctx.metrics.inc(ctx.metrics.h.cnps_sent);
                     ctx.record_trace(host_id, pkt.flow, TraceKind::CnpSent, 0);
                 }
             }
@@ -403,7 +402,6 @@ impl Host {
                 rcv.last_nack_at = now;
                 control = Some(Packet::nack(host_id, rcv.src, pkt.flow, expected));
                 ctx.stats(pkt.flow).nacks_sent += 1;
-                ctx.metrics.inc(ctx.metrics.h.nacks_sent);
                 ctx.record_trace(host_id, pkt.flow, TraceKind::NackSent, expected);
             }
         } else {
@@ -459,7 +457,6 @@ impl Host {
                 started: m.arrived,
                 bytes: m.total,
             });
-            ctx.metrics.inc(ctx.metrics.h.completions);
             ctx.metrics.observe(
                 ctx.metrics.h.fct_us,
                 now.saturating_since(m.arrived).as_micros_f64() as u64,
@@ -550,7 +547,6 @@ impl Host {
                         f.rto_deadline = Time::NEVER;
                         let id = f.id;
                         ctx.stats(id).aborted = true;
-                        ctx.metrics.inc(ctx.metrics.h.qp_teardowns);
                         ctx.flight
                             // simlint: allow(hot-alloc) only when transport retries are exhausted (QP error)
                             .dump(self.id, now, &format!("qp_teardown flow={}", id.0));
@@ -559,7 +555,6 @@ impl Host {
                     }
                     f.send_psn = f.una_psn;
                     ctx.stats(f.id).timeouts += 1;
-                    ctx.metrics.inc(ctx.metrics.h.timeouts);
                     ctx.record_trace(self.id, f.id, TraceKind::Timeout, f.una_psn);
                     // The stall that just ended was RTO wait: re-attribute
                     // the open interval before the rewind changes state.
@@ -736,7 +731,6 @@ impl Host {
 
         if is_retx {
             ctx.stats(f.id).retx_pkts += 1;
-            ctx.metrics.inc(ctx.metrics.h.retx_pkts);
         } else {
             f.unacked.push_back(SentPkt {
                 payload: payload as u32,

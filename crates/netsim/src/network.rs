@@ -13,6 +13,7 @@ mod faults;
 mod report;
 
 pub use build::NetworkBuilder;
+pub use report::counter;
 
 use crate::audit::Auditor;
 use crate::cc::CongestionControl;
@@ -326,8 +327,15 @@ impl Network {
     /// of [`Network::sampler`] (see [`Sampler::configure`], also for what
     /// a second call does and when this panics).
     pub fn enable_sampling(&mut self, interval: Duration, config: SamplerConfig) {
-        self.sampler
-            .configure(interval, config, &self.flows, &mut self.ctx);
+        let faults = self.faults.stats();
+        self.sampler.configure(
+            interval,
+            config,
+            &self.flows,
+            &self.nodes,
+            &faults,
+            &mut self.ctx,
+        );
     }
 
     /// The periodic sampler: its tracks and per-queue / per-flow
@@ -509,9 +517,6 @@ impl Network {
                     if let Some(att) = nodes[node.0].port(port).attach {
                         let fate = faults.wire_fate(att.link);
                         if fate != WireFate::Deliver {
-                            ctx.audit
-                                .on_fault_drop(node, pkt.priority as usize, ctx.queue.now());
-                            ctx.metrics.inc(ctx.metrics.h.fault_drops);
                             ctx.record_trace(
                                 node,
                                 pkt.flow,
@@ -535,7 +540,7 @@ impl Network {
                 Node::Host(h) => h.timer(ctx, kind),
                 Node::Switch(_) => unreachable!("switches have no timers"),
             },
-            Event::Sample => sampler.tick(nodes, ctx),
+            Event::Sample => sampler.tick(nodes, &faults.stats(), ctx),
             Event::Hook { id } => {
                 if let Some(mut hook) = self.hooks[id].take() {
                     hook(self);

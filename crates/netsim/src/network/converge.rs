@@ -163,11 +163,10 @@ impl Network {
             }
         }
 
-        self.ctx.metrics.inc(self.ctx.metrics.h.convergence_checks);
-        self.ctx.metrics.add(
-            self.ctx.metrics.h.convergence_violations,
-            violations.len() as u64,
-        );
+        // The two counters no switch, flow or fault field owns.
+        let metrics = &mut self.ctx.metrics;
+        metrics.inc(metrics.h.convergence_checks);
+        metrics.add(metrics.h.convergence_violations, violations.len() as u64);
         self.ctx.audit.record_all(&violations);
         self.dump_new_violations();
         violations

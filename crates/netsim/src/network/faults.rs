@@ -132,7 +132,6 @@ impl Network {
         let (a, pa, b, pb) = self.edges[link.0];
         self.reset_pfc_at(a, pa);
         self.reset_pfc_at(b, pb);
-        self.ctx.metrics.inc(self.ctx.metrics.h.link_transitions);
         let kind = if up {
             TraceKind::LinkUp
         } else {
@@ -214,7 +213,6 @@ impl Network {
                             .pfc_queue
                             .push_back(Packet::pfc(host, att.peer, class, true));
                         faults.count_storm_pause();
-                        ctx.metrics.inc(ctx.metrics.h.storm_pauses);
                         if ctx.spans.is_enabled() {
                             ctx.spans
                                 .record_pause_edge(storm_pause_edge(host, att, class, now));

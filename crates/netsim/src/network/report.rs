@@ -2,20 +2,77 @@
 //! dashboard, and the span tracer's derived views. Each section is
 //! rendered by the type that owns the data; this file composes them.
 
-use super::{Network, Node};
+use super::{Ctx, Network, Node};
+use crate::faults::FaultStats;
 use crate::packet::FlowId;
 use crate::port::Port;
+use crate::stats::{FlowStats, SwitchStats};
 use crate::telemetry::spans::{ChromeTrace, CongestionTree, SpanState, NUM_SPAN_STATES};
-use crate::telemetry::{Dashboard, Json};
+use crate::telemetry::{CounterId, Dashboard, Json};
 use crate::units::Duration;
 
+/// The run total of counter `id`, and the one place that knows who owns
+/// which count. A standard counter kept by a switch, a flow or the fault
+/// engine is the sum of that field over its owners (its registry slot is
+/// never written); any other counter is its registry slot.
+pub fn counter(nodes: &[Node], ctx: &Ctx, faults: &FaultStats, id: CounterId) -> u64 {
+    let switches = |field: fn(&SwitchStats) -> u64| -> u64 {
+        let stats = nodes.iter().filter_map(|node| match node {
+            Node::Switch(s) => Some(&s.stats),
+            Node::Host(_) => None,
+        });
+        stats.map(field).sum()
+    };
+    let flows = |field: fn(&FlowStats) -> u64| -> u64 { ctx.flow_stats.iter().map(field).sum() };
+    let h = &ctx.metrics.h;
+    match id {
+        _ if id == h.ecn_marks => switches(|s| s.ecn_marks),
+        _ if id == h.pause_tx => switches(|s| s.pause_tx),
+        _ if id == h.pause_rx => switches(|s| s.pause_rx),
+        _ if id == h.resume_tx => switches(|s| s.resume_tx),
+        _ if id == h.drops_pool => switches(|s| s.drops_pool),
+        _ if id == h.drops_lossy => switches(|s| s.drops_lossy),
+        _ if id == h.forwarded => switches(|s| s.forwarded),
+        _ if id == h.watchdog_trips => switches(|s| s.watchdog_trips),
+        _ if id == h.watchdog_restores => switches(|s| s.watchdog_restores),
+        _ if id == h.retx_pkts => flows(|f| f.retx_pkts),
+        _ if id == h.timeouts => flows(|f| f.timeouts),
+        _ if id == h.nacks_sent => flows(|f| f.nacks_sent),
+        _ if id == h.cnps_sent => flows(|f| f.cnps_sent),
+        _ if id == h.completions => flows(|f| f.completions.len() as u64),
+        _ if id == h.qp_teardowns => flows(|f| u64::from(f.aborted)),
+        _ if id == h.fault_drops => faults.link_drops + faults.crc_drops,
+        _ if id == h.link_transitions => faults.transitions,
+        _ if id == h.storm_pauses => faults.storm_pauses,
+        _ => ctx.metrics.registry.counter_get(id),
+    }
+}
+
 impl Network {
-    /// Cold name-based counter lookup (0 for unknown names). The hot path
-    /// never uses this — it updates through `ctx.metrics.h` handles.
+    /// Cold name-based counter lookup: the run total of a registered
+    /// counter (see [`counter`]). The hot path never uses this.
+    ///
+    /// # Panics
+    /// Panics when no counter is registered under `name`: a typo must not
+    /// read as a silently wrong 0.
     pub fn metric(&self, name: &str) -> u64 {
-        // Post-run accessor, never inside the dispatch loop (the call
-        // graph proves it cold, so no suppression is needed).
-        self.ctx.metrics.registry.counter_value(name).unwrap_or(0)
+        let id = self
+            .ctx
+            .metrics
+            .registry
+            .counter_id(name)
+            .unwrap_or_else(|| panic!("metric: unknown counter '{name}'"));
+        counter(&self.nodes, &self.ctx, &self.faults.stats(), id)
+    }
+
+    /// Every registered counter as `(name, run total)`, in registration
+    /// order: the report's `counters` section and the dashboard's table.
+    fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let faults = self.faults.stats();
+        let registry = &self.ctx.metrics.registry;
+        registry
+            .counters()
+            .map(move |(name, id)| (name, counter(&self.nodes, &self.ctx, &faults, id)))
     }
 
     /// A flow's per-state attributed time as of the current simulation
@@ -52,13 +109,13 @@ impl Network {
             .map(|id| self.flow_stats(id).report(id.0, secs))
             .collect();
         let audit = Json::obj(vec![
-            ("fault_drops", Json::UInt(self.ctx.audit.fault_drops())),
             ("flight_dumps", Json::UInt(self.flight_dumps().len() as u64)),
             ("violations", Json::UInt(self.ctx.audit.total_violations())),
         ]);
+        let counters = self.counters().map(|(name, v)| (name, Json::UInt(v)));
         let mut report = Json::obj(vec![
             ("audit", audit),
-            ("counters", reg.counters_json()),
+            ("counters", Json::obj(counters.collect())),
             ("events_executed", Json::UInt(self.events_executed())),
             ("faults", self.faults.stats().report()),
             ("flows", Json::Arr(flows)),
@@ -118,9 +175,6 @@ impl Network {
 
         // End-of-run counter totals (nonzero only, registration order).
         let totals: Vec<(String, String)> = self
-            .ctx
-            .metrics
-            .registry
             .counters()
             .filter(|&(_, v)| v > 0)
             .map(|(name, v)| (name.to_string(), v.to_string()))

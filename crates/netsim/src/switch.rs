@@ -207,9 +207,6 @@ impl Switch {
         // Link-local PFC frames control our transmitter on that port.
         if let PacketKind::Pfc { class, pause } = pkt.kind {
             self.stats.pause_rx += pause as u64;
-            if pause {
-                ctx.metrics.inc(ctx.metrics.h.pause_rx);
-            }
             let c = class as usize;
             let port = &mut self.ports[in_port.0];
             let was_paused = port.rx_paused[c];
@@ -269,7 +266,6 @@ impl Switch {
         if pkt.is_data() && self.config.red.should_mark(egress_depth, &mut ctx.rng) && pkt.mark_ce()
         {
             self.stats.ecn_marks += 1;
-            ctx.metrics.inc(ctx.metrics.h.ecn_marks);
             ctx.record_trace(self.id, pkt.flow, TraceKind::Marked, egress_depth);
         }
 
@@ -313,7 +309,6 @@ impl Switch {
 
         // 6. Enqueue and (maybe) start transmitting.
         self.stats.forwarded += 1;
-        ctx.metrics.inc(ctx.metrics.h.forwarded);
         self.ports[out.0].enqueue(Queued::new(pkt, Some((in_port.0, prio))).at(now));
         self.try_transmit(ctx, out);
     }
@@ -338,7 +333,6 @@ impl Switch {
             if port.pfc_ignore[class] {
                 port.pfc_ignore[class] = false;
                 self.stats.watchdog_restores += 1;
-                ctx.metrics.inc(ctx.metrics.h.watchdog_restores);
             }
             return;
         }
@@ -391,7 +385,6 @@ impl Switch {
         port.rx_paused[class] = false;
         port.rx_paused_since[class] = Time::NEVER;
         self.stats.watchdog_trips += 1;
-        ctx.metrics.inc(ctx.metrics.h.watchdog_trips);
         ctx.record_trace(
             self.id,
             FlowId(u64::MAX),
@@ -455,8 +448,8 @@ impl Switch {
 
     /// Sends PAUSE (`pause`) or RESUME upstream of ingress `(ing_port,
     /// prio)`: flips the hysteresis bit, queues the frame ahead of all
-    /// data, and tells stats, registry, auditor, tracer and span log —
-    /// the one place either frame is emitted. `flow` is the packet that
+    /// data, and tells stats (the one count), auditor, tracer and span
+    /// log — the one place either frame is emitted. `flow` is the packet that
     /// crossed `t_PFC` (a RESUME has none: `FlowId(u64::MAX)`).
     fn send_pfc(&mut self, ctx: &mut Ctx, ing_port: usize, prio: usize, pause: bool, flow: FlowId) {
         let port = &mut self.ports[ing_port];
@@ -473,12 +466,10 @@ impl Switch {
             .push_back(Packet::pfc(self.id, att.peer, prio as u8, pause));
         let kind = if pause {
             self.stats.pause_tx += 1;
-            ctx.metrics.inc(ctx.metrics.h.pause_tx);
             ctx.audit.on_pause(self.id, ing_port, prio, now);
             TraceKind::PauseSent
         } else {
             self.stats.resume_tx += 1;
-            ctx.metrics.inc(ctx.metrics.h.resume_tx);
             ctx.audit.on_resume(self.id, ing_port, prio, now);
             TraceKind::ResumeSent
         };
@@ -507,10 +498,8 @@ impl Switch {
     fn record_drop(&mut self, ctx: &mut Ctx, pkt: &Packet, why: u64) {
         if why == 1 {
             self.stats.drops_lossy += 1;
-            ctx.metrics.inc(ctx.metrics.h.drops_lossy);
         } else {
             self.stats.drops_pool += 1;
-            ctx.metrics.inc(ctx.metrics.h.drops_pool);
         }
         let prio = pkt.priority as usize;
         ctx.audit

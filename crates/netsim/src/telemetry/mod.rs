@@ -37,17 +37,19 @@
 //!   deterministic file (`repro <id> --dash <dir>`).
 //!
 //! The simulator owns one [`Metrics`] per network (see
-//! `Network::telemetry_report`); experiments read it back by handle or
-//! by name when building reports.
+//! `Network::telemetry_report`). A standard counter that a switch, flow
+//! or the fault engine keeps is never stored here a second time:
+//! `Network::metric` and the report read it as the sum over its owners
+//! (`network::counter`).
 //!
 //! ```
 //! use netsim::telemetry::Metrics;
 //!
 //! let mut m = Metrics::standard();
 //! let h = m.h; // Copy handles: capture once, use on the hot path
-//! m.inc(h.ecn_marks);
+//! m.inc(h.convergence_checks);
 //! m.observe(h.queue_depth_bytes, 4096);
-//! assert_eq!(m.registry.counter_value("ecn_marks"), Some(1));
+//! assert_eq!(m.registry.counter_value("convergence_checks"), Some(1));
 //! assert_eq!(m.registry.hist_get(h.queue_depth_bytes).count(), 1);
 //! ```
 

@@ -148,12 +148,13 @@ impl Registry {
         Some(&self.hists[i])
     }
 
-    /// All counters as `(name, value)` in registration order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    /// All counters as `(name, handle)` in registration order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, CounterId)> + '_ {
         self.counter_names
             .iter()
             .copied()
-            .zip(self.counters.iter().copied())
+            .enumerate()
+            .map(|(i, name)| (name, CounterId(i)))
     }
 
     /// All gauges as `(name, value)` in registration order.
@@ -167,11 +168,6 @@ impl Registry {
     /// All histograms as `(name, histogram)` in registration order.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.hist_names.iter().copied().zip(self.hists.iter())
-    }
-
-    /// The `counters` section of the run report, keyed by name.
-    pub fn counters_json(&self) -> Json {
-        Json::obj(self.counters().map(|(n, v)| (n, Json::UInt(v))).collect())
     }
 
     /// The `gauges` section of the run report, keyed by name.
@@ -192,7 +188,11 @@ impl Registry {
 /// Handles for every metric the simulator itself maintains.
 ///
 /// Registered once by [`Metrics::standard`]; the simulator's hot paths
-/// copy these ids out and update through them.
+/// copy these ids out and update through them. Every counter but
+/// `convergence_checks` and `convergence_violations` is owned by a
+/// switch, flow or fault-engine field (`SwitchStats`, `FlowStats`,
+/// `FaultStats`): its registry slot is never written, and
+/// `network::counter` reads it as the sum over its owners.
 #[derive(Debug, Clone, Copy)]
 #[allow(missing_docs)] // field names mirror the metric names one-to-one
 pub struct WellKnown {

@@ -12,7 +12,8 @@ use super::timeline::{
     BucketView, Timeline, TimelineSet, TrackId, TrackKind, DEFAULT_POINT_BUDGET,
 };
 use crate::event::{Event, NodeId, PortId};
-use crate::network::{Ctx, Node};
+use crate::faults::FaultStats;
+use crate::network::{counter, Ctx, Node};
 use crate::packet::FlowId;
 use crate::units::Duration;
 
@@ -33,8 +34,10 @@ pub struct SamplerConfig {
     /// Flows whose instantaneous CC rate (Gbps) to record (Fig 10/13 style
     /// rate traces). Track `flow_rate_gbps/<id>`, kind `Gauge`.
     pub rate_flows: Vec<FlowId>,
-    /// Registry counters to sample as per-interval deltas (PAUSE/ECN/
-    /// drop/CNP rates). Track `rate/<name>`, kind `Counter`; the names
+    /// Counters to sample as per-interval deltas of their run totals
+    /// (PAUSE/ECN/drop/CNP rates), read through `network::counter` — a
+    /// standard counter as the sum over the switches, flows or fault
+    /// engine that own it. Track `rate/<name>`, kind `Counter`; the names
     /// must already be registered (`enable_sampling` panics otherwise).
     pub counters: Vec<&'static str>,
 }
@@ -50,8 +53,8 @@ struct RateTap {
     track: TrackId,
 }
 
-/// A registry counter sampled as per-interval deltas (PAUSE/ECN/CNP/drop
-/// rates). `prev` is the counter value at the previous tick.
+/// A counter sampled as per-interval deltas (PAUSE/ECN/CNP/drop rates).
+/// `prev` is the counter's run total at the previous tick.
 #[derive(Debug, Clone, Copy)]
 struct CounterTap {
     id: CounterId,
@@ -80,7 +83,8 @@ impl Sampler {
     /// Starts sampling every `interval`, or — when already running —
     /// replaces what is sampled and the interval from the next tick on;
     /// tracks keep their data. `flows` is the network's flow table (each
-    /// flow's host and slot, indexed by flow id).
+    /// flow's host and slot, indexed by flow id); `nodes` and `faults`
+    /// give each counter tap its starting value.
     ///
     /// # Panics
     /// Panics when `config.counters` names a counter that is not
@@ -90,6 +94,8 @@ impl Sampler {
         interval: Duration,
         config: SamplerConfig,
         flows: &[(NodeId, usize)],
+        nodes: &[Node],
+        faults: &FaultStats,
         ctx: &mut Ctx,
     ) {
         self.all = config.all_flows || config.flows.is_empty();
@@ -121,7 +127,7 @@ impl Sampler {
             CounterTap {
                 id,
                 track: track(format!("rate/{name}"), TrackKind::Counter, 1.0),
-                prev: registry.counter_get(id),
+                prev: counter(nodes, ctx, faults, id),
             }
         });
         self.counters = counters.collect();
@@ -170,7 +176,7 @@ impl Sampler {
 
     /// One sampler tick (`Event::Sample`): records every tap at the
     /// current time and schedules the next tick.
-    pub fn tick(&mut self, nodes: &[Node], ctx: &mut Ctx) {
+    pub fn tick(&mut self, nodes: &[Node], faults: &FaultStats, ctx: &mut Ctx) {
         let now = ctx.queue.now();
         let timelines = &mut self.timelines;
         for &(node, port, track) in &self.queues {
@@ -192,7 +198,7 @@ impl Sampler {
             timelines.record_f64(tap.track, now, rate);
         }
         for tap in &mut self.counters {
-            let value = ctx.metrics.registry.counter_get(tap.id);
+            let value = counter(nodes, ctx, faults, tap.id);
             timelines.record(tap.track, now, value - tap.prev);
             tap.prev = value;
         }

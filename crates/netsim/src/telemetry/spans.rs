@@ -324,8 +324,6 @@ struct FlowTrack {
     retx_pending: bool,
     /// Snapshot of the latest message completion.
     completion: Option<SpanCompletion>,
-    /// Messages completed so far.
-    completions: u64,
 }
 
 impl FlowTrack {
@@ -341,7 +339,6 @@ impl FlowTrack {
             pause_origin: None,
             retx_pending: false,
             completion: None,
-            completions: 0,
         }
     }
 }
@@ -577,7 +574,6 @@ impl Spans {
         t.since = now;
         let fct = now.saturating_since(t.started);
         let sum: Duration = t.accum.iter().copied().sum();
-        t.completions += 1;
         t.completion = Some(SpanCompletion {
             at: now,
             started: t.started,
@@ -643,16 +639,6 @@ impl Spans {
     pub fn completion(&self, flow: FlowId) -> Option<SpanCompletion> {
         let idx = usize::try_from(flow.0).ok()?;
         self.flows.get(idx)?.as_ref()?.completion
-    }
-
-    /// How many message completions the flow has recorded.
-    pub fn completions(&self, flow: FlowId) -> u64 {
-        usize::try_from(flow.0)
-            .ok()
-            .and_then(|idx| self.flows.get(idx))
-            .and_then(Option::as_ref)
-            .map(|t| t.completions)
-            .unwrap_or(0)
     }
 
     /// Closed spans of one flow's timeline (bounded; see [`Spans::enable`]).

@@ -136,8 +136,8 @@ fn rto_backoff_spaces_out_and_qp_tears_down() {
     let f = net.add_flow(h1, h2, DATA_PRIORITY, |l| Box::new(NoCc::new(l)));
     net.send_message(f, u64::MAX, Time::ZERO);
     // Kill the receiver's access link just after the flow starts; disable
-    // failover so the switch keeps forwarding into the void (the drops
-    // are fault-tagged, so even sanitized runs stay clean).
+    // failover so the switch keeps forwarding into the void (the fault
+    // engine counts those wire drops, so even sanitized runs stay clean).
     let plan = FaultPlan::new().link_down(Time::from_micros(100), access);
     net.install_faults(
         &plan,

@@ -6,6 +6,7 @@
 use netsim::audit::Auditor;
 use netsim::cc::NoCc;
 use netsim::event::{Event, EventQueue, NodeId, PortId};
+use netsim::faults::FaultStats;
 use netsim::host::{Host, HostConfig};
 use netsim::network::{Ctx, Node};
 use netsim::packet::{FlowId, Packet, DATA_PRIORITY};
@@ -51,7 +52,19 @@ fn run_tick(s: &mut Sampler, nodes: &[Node], ctx: &mut Ctx) {
         .pop_batch(Time::NEVER, &mut batch)
         .expect("a tick is pending");
     assert!(matches!(batch[..], [Event::Sample]), "exactly one chain");
-    s.tick(nodes, ctx);
+    s.tick(nodes, &FaultStats::default(), ctx);
+}
+
+/// `Sampler::configure` over the fixture's fabric, which has no faults.
+fn configure(
+    s: &mut Sampler,
+    interval: Duration,
+    config: SamplerConfig,
+    flows: &[(NodeId, usize)],
+    nodes: &[Node],
+    ctx: &mut Ctx,
+) {
+    s.configure(interval, config, flows, nodes, &FaultStats::default(), ctx);
 }
 
 #[test]
@@ -65,7 +78,7 @@ fn tick_records_each_tap_kind() {
         counters: vec!["forwarded"],
         ..SamplerConfig::default()
     };
-    s.configure(TICK, config, &flows, &mut ctx);
+    configure(&mut s, TICK, config, &flows, &nodes, &mut ctx);
     assert_eq!(s.timelines().len(), 4);
 
     let pkt = Packet::data(NodeId(1), NodeId(2), FlowId(0), DATA_PRIORITY, 0, 1000);
@@ -74,10 +87,13 @@ fn tick_records_each_tap_kind() {
         unreachable!("node 0 is the switch")
     };
     sw.ports[1].enqueue(Queued::new(pkt, None));
+    sw.stats.forwarded = 7;
     ctx.stats(FlowId(0)).delivered_bytes = 5_000;
-    ctx.metrics.add(ctx.metrics.h.forwarded, 7);
     run_tick(&mut s, &nodes, &mut ctx);
-    ctx.metrics.add(ctx.metrics.h.forwarded, 2);
+    let Node::Switch(sw) = &mut nodes[0] else {
+        unreachable!("node 0 is the switch")
+    };
+    sw.stats.forwarded += 2;
     run_tick(&mut s, &nodes, &mut ctx);
 
     assert_eq!(ctx.queue.now(), Time::ZERO + TICK * 2);
@@ -88,7 +104,8 @@ fn tick_records_each_tap_kind() {
     assert_eq!(bytes.value_at(ctx.queue.now()), Some(5_000.0));
     let rate = s.flow_rate(FlowId(0)).expect("rate tap");
     assert!((rate.mean() - 40.0).abs() < 1e-6, "NoCc sends at line rate");
-    // Counter taps record per-interval deltas: 7, then 2.
+    // Counter taps record per-interval deltas of the switches' sum: 7,
+    // then 2.
     let fwd = s.timelines().by_name("rate/forwarded").expect("track");
     assert_eq!((fwd.count(), fwd.sum(), fwd.min()), (2, 9.0, 2.0));
 }
@@ -104,7 +121,7 @@ fn flow_added_while_sampling_all_flows_gets_a_track() {
         all_flows: true,
         ..SamplerConfig::default()
     };
-    s.configure(TICK, all, &flows, &mut ctx);
+    configure(&mut s, TICK, all, &flows, &nodes, &mut ctx);
     run_tick(&mut s, &nodes, &mut ctx);
 
     flows.push((NodeId(1), 1));
@@ -120,7 +137,7 @@ fn flow_added_while_sampling_all_flows_gets_a_track() {
         flows: vec![FlowId(0)],
         ..SamplerConfig::default()
     };
-    s.configure(TICK, only_first, &flows, &mut ctx);
+    configure(&mut s, TICK, only_first, &flows, &nodes, &mut ctx);
     s.flow_added(FlowId(2));
     assert!(s.flow_bytes(FlowId(2)).is_none());
     assert!(s.flow_bytes(FlowId(1)).is_none(), "dropped by reconfigure");
@@ -135,11 +152,11 @@ fn reconfiguring_keeps_track_data_and_one_tick_chain() {
         all_flows: true,
         ..SamplerConfig::default()
     };
-    s.configure(TICK, config.clone(), &flows, &mut ctx);
+    configure(&mut s, TICK, config.clone(), &flows, &nodes, &mut ctx);
     run_tick(&mut s, &nodes, &mut ctx);
     // Same taps at a new cadence: tracks are re-found by name, the
     // running chain is reused (`run_tick` asserts a single event).
-    s.configure(TICK * 3, config, &flows, &mut ctx);
+    configure(&mut s, TICK * 3, config, &flows, &nodes, &mut ctx);
     assert_eq!(s.timelines().len(), 2);
     run_tick(&mut s, &nodes, &mut ctx);
     run_tick(&mut s, &nodes, &mut ctx);

@@ -1,6 +1,7 @@
 //! End-to-end telemetry: a real congested run natively produces the
-//! paper's measurables through the metrics registry, the JSON report is
-//! deterministic, and QP teardown dumps the flight recorder.
+//! paper's measurables, read back by name through `Network::metric`, the
+//! JSON report is deterministic, and QP teardown dumps the flight
+//! recorder.
 
 use netsim::cc::NoCc;
 use netsim::event::PortId;
@@ -43,7 +44,6 @@ fn congested_run_populates_the_registry() {
     assert!(s.net.metric("pause_tx") > 0, "the incast paused");
     assert!(s.net.metric("resume_tx") > 0, "and resumed");
     assert_eq!(s.net.metric("drops_pool"), 0, "lossless: nothing dropped");
-    assert_eq!(s.net.metric("no_such_counter"), 0, "unknown names read 0");
 
     let report = s.net.telemetry_report().render();
     for key in [
@@ -60,6 +60,20 @@ fn congested_run_populates_the_registry() {
     if !netsim::telemetry::Profiler::enabled() {
         assert_eq!(report, s.net.telemetry_report().render());
     }
+}
+
+/// A misspelled counter name is an error, not a silently wrong 0.
+#[test]
+#[should_panic(expected = "unknown counter 'no_such_counter'")]
+fn unknown_metric_names_panic() {
+    let s = star(
+        2,
+        LinkParams::default(),
+        host_cfg(),
+        SwitchConfig::paper_default(),
+        1,
+    );
+    s.net.metric("no_such_counter");
 }
 
 /// Message completions feed the completion counter and the FCT histogram.
@@ -139,9 +153,8 @@ fn qp_teardown_dumps_the_flight_recorder() {
 /// `UPDATE_GOLDEN=1 cargo test -p netsim --test telemetry`.
 #[test]
 fn report_matches_golden_file() {
-    // The `audit` section counts fault drops only with `sanitize`, and a
-    // `profile` build appends host-clock data: pinned in plain builds.
-    if netsim::audit::Auditor::enabled() || netsim::telemetry::Profiler::enabled() {
+    // A `profile` build appends host-clock data: pinned without it.
+    if netsim::telemetry::Profiler::enabled() {
         return;
     }
     // Two greedy senders incast onto host 3 (PAUSEs), a third sends two

@@ -3,15 +3,18 @@
 //! order never changing the stored state, sampling integrated with
 //! [`netsim::network::Network`], and the dashboard's golden bytes.
 
+use dcqcn::prelude::{dcqcn, dcqcn_host_config, red_deployed, DcqcnParams};
+use netsim::buffer::PfcThreshold;
 use netsim::cc::NoCc;
 use netsim::event::PortId;
+use netsim::faults::{FaultConfig, FaultPlan};
 use netsim::host::HostConfig;
-use netsim::packet::DATA_PRIORITY;
-use netsim::stats::SamplerConfig;
-use netsim::switch::SwitchConfig;
+use netsim::packet::{FlowId, DATA_PRIORITY};
+use netsim::stats::{FlowStats, SamplerConfig, SwitchStats};
+use netsim::switch::{PfcWatchdogConfig, SwitchConfig};
 use netsim::telemetry::timeline::{BucketView, Timeline, TrackKind};
 use netsim::telemetry::Json;
-use netsim::topology::{star, LinkParams, Star};
+use netsim::topology::{clos_testbed, star, ClosTestbed, LinkParams, Star};
 use netsim::units::{Duration, Time};
 use proptest::prelude::*;
 
@@ -371,9 +374,107 @@ fn fixture() -> (Star, PortId) {
     (s, port)
 }
 
+/// The 18 standard counters a switch, flow or the fault engine owns.
+const OWNED: [&str; 18] = [
+    "ecn_marks",
+    "pause_tx",
+    "pause_rx",
+    "resume_tx",
+    "drops_pool",
+    "drops_lossy",
+    "fault_drops",
+    "forwarded",
+    "retx_pkts",
+    "timeouts",
+    "nacks_sent",
+    "cnps_sent",
+    "watchdog_trips",
+    "watchdog_restores",
+    "qp_teardowns",
+    "completions",
+    "link_transitions",
+    "storm_pauses",
+];
+
+/// A faulted DCQCN run on the Figure 2 Clos with every owned counter
+/// sampled: a fabric link (T1–L1) is down for 3 ms without failover, so
+/// QPs hashed across it exhaust their small retry budget; a spine link
+/// corrupts frames; a receiver pause-storms its access link under the
+/// watchdog. Every message is finite and the run ends idle.
+fn faulted_clos() -> (ClosTestbed, Vec<FlowId>) {
+    let params = DcqcnParams::paper();
+    let host_cfg = HostConfig {
+        rto: Duration::from_micros(300),
+        max_retries: 2,
+        ..dcqcn_host_config(params)
+    };
+    let mut switch_cfg = SwitchConfig::paper_default()
+        .with_red(red_deployed())
+        .with_watchdog(PfcWatchdogConfig::default());
+    // §4's static bound: the incast's line-rate start pauses before
+    // DCQCN has cut the senders.
+    switch_cfg.buffer.threshold = PfcThreshold::Static(24_470);
+    let mut tb = clos_testbed(3, LinkParams::default(), host_cfg, switch_cfg, 5);
+    let h = tb.hosts.clone();
+    // An 8:1 incast onto h[3][1], traffic into the storming h[3][0],
+    // and pairs across T1's uplinks.
+    let incast = h[..3].iter().flatten().take(8).map(|&src| (src, h[3][1]));
+    let others = [
+        (h[2][2], h[3][0]),
+        (h[1][2], h[3][0]),
+        (h[0][1], h[1][2]),
+        (h[0][2], h[2][2]),
+        (h[0][0], h[3][2]),
+    ];
+    let flows: Vec<FlowId> = incast
+        .chain(others)
+        .map(|(src, dst)| {
+            let f = tb.net.add_flow(src, dst, DATA_PRIORITY, dcqcn(params));
+            for k in 0..3 {
+                tb.net
+                    .send_message(f, 1_000_000, Time::from_micros(1_000 * k));
+            }
+            f
+        })
+        .collect();
+    let t1_l1 = tb.net.link_between(tb.tors[0], tb.leaves[0]).expect("link");
+    let l3_s1 = tb
+        .net
+        .link_between(tb.leaves[2], tb.spines[0])
+        .expect("link");
+    let plan = FaultPlan::new()
+        .link_flap(
+            t1_l1,
+            Time::from_micros(500),
+            Duration::from_millis(3),
+            Duration::from_millis(4),
+            1,
+        )
+        .bit_error(Time::from_micros(200), l3_s1, 0.002)
+        .pause_storm(
+            h[3][0],
+            DATA_PRIORITY,
+            Time::from_millis(1),
+            Time::from_millis(3),
+            Duration::from_micros(20),
+        );
+    let no_failover = FaultConfig {
+        failover: false,
+        ..FaultConfig::default()
+    };
+    tb.net.install_faults(&plan, no_failover);
+    let config = SamplerConfig {
+        counters: OWNED.to_vec(),
+        ..SamplerConfig::default()
+    };
+    tb.net.enable_sampling(Duration::from_micros(20), config);
+    tb.net.run_until(Time::from_millis(30));
+    (tb, flows)
+}
+
 /// Counter tracks record per-interval deltas whose sum telescopes back
 /// to the counter itself — nothing double-counted, nothing lost — and
-/// the registry-backed tracks all populate from a real run.
+/// every owned counter's run total is the sum over its owners.
 #[test]
 fn network_sampling_conserves_counters() {
     let (s, port) = fixture();
@@ -406,6 +507,47 @@ fn network_sampling_conserves_counters() {
     assert!(report.contains("\"rate/forwarded\""));
     assert!(report.contains("\"p50_mid\""));
     assert!(report.contains("\"p99_mid\""));
+
+    // A faulted DCQCN Clos run: each owned counter is the hand-written
+    // sum over its owners, and its track sums to that exactly (the run
+    // ends idle, so nothing happens after the last tick).
+    let (tb, flows) = faulted_clos();
+    let net = &tb.net;
+    let switches = tb.tors.iter().chain(&tb.leaves).chain(&tb.spines);
+    let switches: Vec<SwitchStats> = switches.map(|&s| net.switch_stats(s)).collect();
+    let per_switch = |f: fn(&SwitchStats) -> u64| switches.iter().map(f).sum::<u64>();
+    let per_flow = |f: fn(&FlowStats) -> u64| flows.iter().map(|&id| f(net.flow_stats(id))).sum();
+    let fs = net.fault_stats();
+    let owned: [u64; 18] = [
+        per_switch(|s| s.ecn_marks),
+        per_switch(|s| s.pause_tx),
+        per_switch(|s| s.pause_rx),
+        per_switch(|s| s.resume_tx),
+        per_switch(|s| s.drops_pool),
+        per_switch(|s| s.drops_lossy),
+        fs.link_drops + fs.crc_drops,
+        per_switch(|s| s.forwarded),
+        per_flow(|f| f.retx_pkts),
+        per_flow(|f| f.timeouts),
+        per_flow(|f| f.nacks_sent),
+        per_flow(|f| f.cnps_sent),
+        per_switch(|s| s.watchdog_trips),
+        per_switch(|s| s.watchdog_restores),
+        per_flow(|f| u64::from(f.aborted)),
+        per_flow(|f| f.completions.len() as u64),
+        fs.transitions,
+        fs.storm_pauses,
+    ];
+    for (name, want) in OWNED.into_iter().zip(owned) {
+        assert_eq!(net.metric(name), want, "{name}: the owners' sum");
+        let track = net.sampler().timelines().by_name(&format!("rate/{name}"));
+        assert_eq!(track.expect("track").sum(), want as f64, "{name}: sampled");
+    }
+    // Every fault and mechanism fired; the fabric stays lossless, so only
+    // the switches' drop counters read 0.
+    for name in OWNED.iter().filter(|&&n| !n.starts_with("drops_")) {
+        assert!(net.metric(name) > 0, "{name} never counted");
+    }
 }
 
 /// The dashboard fixture's exact bytes. Regenerate with
