@@ -59,6 +59,10 @@ impl NetworkBuilder {
 
     /// Connects two nodes with a full-duplex link and returns its id (for
     /// fault injection; links are numbered in declaration order).
+    ///
+    /// # Panics
+    /// Panics when `a` or `b` was not added to this builder, naming the
+    /// link and the node count.
     pub fn connect(
         &mut self,
         a: NodeId,
@@ -66,6 +70,17 @@ impl NetworkBuilder {
         bandwidth: Bandwidth,
         delay: Duration,
     ) -> LinkId {
+        let nodes = self.nodes.len();
+        for end in [a, b] {
+            assert!(
+                end.0 < nodes,
+                "link {} ({} - {}) names node {}, but the builder has {nodes} nodes",
+                self.links.len(),
+                a.0,
+                b.0,
+                end.0
+            );
+        }
         self.links.push((a, b, bandwidth, delay));
         LinkId(self.links.len() - 1)
     }
@@ -191,5 +206,15 @@ mod tests {
         b.connect(h, sw, Bandwidth::gbps(40), Duration::from_micros(1));
         b.connect(h, sw, Bandwidth::gbps(40), Duration::from_micros(1));
         let _ = b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "link 1 (0 - 2) names node 2, but the builder has 2 nodes")]
+    fn a_link_to_a_missing_node_fails_at_connect() {
+        let mut b = NetworkBuilder::new(1);
+        let sw = b.switch(SwitchConfig::paper_default());
+        let h = b.host(HostConfig::default());
+        b.connect(h, sw, Bandwidth::gbps(40), Duration::from_micros(1));
+        b.connect(sw, NodeId(2), Bandwidth::gbps(40), Duration::from_micros(1));
     }
 }

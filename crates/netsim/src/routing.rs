@@ -2,26 +2,44 @@
 //! multipath.
 //!
 //! The paper's testbed routes with BGP + ECMP over a Clos; in a Clos all
-//! minimal paths are shortest paths, so plain BFS per destination yields
-//! exactly the up/down ECMP route sets the testbed uses. Path selection
-//! among equal-cost ports is done at the switch by hashing the flow id
-//! (standing in for the 5-tuple) with a per-run salt.
+//! minimal paths are shortest paths, so a BFS toward each destination
+//! yields exactly the up/down ECMP route sets the testbed uses. Path
+//! selection among equal-cost ports is done at the switch by hashing the
+//! flow id (standing in for the 5-tuple) with a per-run salt.
+//!
+//! Every host behind a ToR uses that ToR's paths, and the computation
+//! relies on it. A destination with exactly one live link (a *stub*) is
+//! grouped under its neighbour: every shortest path to it ends on that
+//! link, so at every node but the neighbour its next-hop set is the
+//! neighbour's, and at the neighbour it is the port facing the stub. One
+//! BFS from the neighbour serves the whole group (a k=8 fat tree runs 32
+//! BFSes, one per edge switch, not 128), over scratch buffers reused from
+//! group to group.
+//!
+//! A [`RouteTable`] stores each distinct ECMP set at most once, in one
+//! flat port array, and one `(start, len)` range per destination, so a
+//! lookup is two dependent loads. [`compute_routes_masked`] is the only
+//! route path: the initial install, failover after a link transition and
+//! the convergence audit's fresh comparison all run it in full over the
+//! live links.
 
 use crate::event::{NodeId, PortId};
-use std::collections::VecDeque;
 
 /// An undirected edge: (node a, port on a, node b, port on b).
 pub type Edge = (NodeId, PortId, NodeId, PortId);
 
 /// Per-node routing table: destination node → equal-cost egress ports.
 ///
-/// Stored flat, indexed by the (dense) destination node id: the lookup on
-/// every switch hop is one bounds-checked array read instead of a hash.
-/// An empty port list means "no route" — `get` treats both out-of-range
-/// and empty as unroutable.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// `ranges` is indexed by the (dense) destination node id and points into
+/// `ports`, which holds each distinct port set at most once: a set equal
+/// to a run of ports already stored reuses that run. A zero-length range
+/// means "no route" — `get` treats both out-of-range and empty as
+/// unroutable. Equality compares the set toward each destination, not
+/// where it sits in `ports`.
+#[derive(Debug, Clone, Default)]
 pub struct RouteTable {
-    ports: Vec<Vec<PortId>>,
+    ports: Vec<PortId>,
+    ranges: Vec<(u32, u32)>,
 }
 
 impl RouteTable {
@@ -32,16 +50,18 @@ impl RouteTable {
 
     /// Sets the equal-cost egress port set toward `dst`.
     pub fn insert(&mut self, dst: NodeId, ports: Vec<PortId>) {
-        if dst.0 >= self.ports.len() {
-            self.ports.resize_with(dst.0 + 1, Vec::new);
-        }
-        self.ports[dst.0] = ports;
+        let range = self.intern(&ports);
+        self.set(dst, range);
     }
 
     /// The egress port set toward `dst`, or `None` when unroutable.
     #[inline]
-    pub fn get(&self, dst: &NodeId) -> Option<&Vec<PortId>> {
-        self.ports.get(dst.0).filter(|p| !p.is_empty())
+    pub fn get(&self, dst: &NodeId) -> Option<&[PortId]> {
+        let &(start, len) = self.ranges.get(dst.0)?;
+        let start = start as usize;
+        self.ports
+            .get(start..start + len as usize)
+            .filter(|ports| !ports.is_empty())
     }
 
     /// Is `dst` routable from here?
@@ -51,18 +71,56 @@ impl RouteTable {
 
     /// Number of routable destinations.
     pub fn len(&self) -> usize {
-        self.ports.iter().filter(|p| !p.is_empty()).count()
+        self.ranges.iter().filter(|&&(_, len)| len > 0).count()
     }
 
     /// True when no destination is routable.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Points `dst` at `range` (from [`RouteTable::intern`]).
+    fn set(&mut self, dst: NodeId, range: (u32, u32)) {
+        if dst.0 >= self.ranges.len() {
+            self.ranges.resize(dst.0 + 1, (0, 0));
+        }
+        self.ranges[dst.0] = range;
+    }
+
+    /// The range of `ports` that holds `set`, appending `set` only when
+    /// no run of stored ports equals it.
+    fn intern(&mut self, set: &[PortId]) -> (u32, u32) {
+        let len = set.len();
+        if len == 0 {
+            return (0, 0);
+        }
+        let start = match self.ports.windows(len).position(|run| run == set) {
+            Some(start) => start,
+            None => {
+                self.ports.extend_from_slice(set);
+                self.ports.len() - len
+            }
+        };
+        assert!(
+            start + len <= u32::MAX as usize,
+            "a route table holds at most u32::MAX ports"
+        );
+        (start as u32, len as u32)
+    }
 }
 
+impl PartialEq for RouteTable {
+    fn eq(&self, other: &RouteTable) -> bool {
+        let dests = self.ranges.len().max(other.ranges.len());
+        (0..dests).all(|d| self.get(&NodeId(d)) == other.get(&NodeId(d)))
+    }
+}
+
+impl Eq for RouteTable {}
+
 impl std::ops::Index<&NodeId> for RouteTable {
-    type Output = Vec<PortId>;
-    fn index(&self, dst: &NodeId) -> &Vec<PortId> {
+    type Output = [PortId];
+    fn index(&self, dst: &NodeId) -> &[PortId] {
         self.get(dst).expect("no route to destination")
     }
 }
@@ -86,45 +144,97 @@ pub fn compute_routes_masked(
     down: &[bool],
     dests: &[NodeId],
 ) -> Vec<RouteTable> {
-    // adjacency[u] = (neighbor, egress port on u)
-    let mut adjacency: Vec<Vec<(NodeId, PortId)>> = vec![Vec::new(); num_nodes];
+    // A route computation (build, link transition, convergence check)
+    // allocates its tables and scratch buffers once each; nothing here
+    // runs per packet.
+    //
+    // Live links seen from each end, (node, its port, neighbour, the
+    // neighbour's port), sorted so that `adjacency(u)` is one run in port
+    // order.
+    // simlint: allow(hot-alloc) once per route computation, see above
+    let mut half: Vec<Edge> = Vec::with_capacity(2 * edges.len());
     for (i, &(a, pa, b, pb)) in edges.iter().enumerate() {
-        if down.get(i).copied().unwrap_or(false) {
-            continue;
+        if !down.get(i).copied().unwrap_or(false) {
+            half.push((a, pa, b, pb));
+            half.push((b, pb, a, pa));
         }
-        adjacency[a.0].push((b, pa));
-        adjacency[b.0].push((a, pb));
     }
-    for adj in &mut adjacency {
-        adj.sort_by_key(|&(n, p)| (n.0, p.0));
+    half.sort_unstable();
+    // simlint: allow(hot-alloc) once per route computation, see above
+    let mut first = vec![0; num_nodes + 1];
+    for &(u, ..) in &half {
+        first[u.0 + 1] += 1;
     }
+    for u in 0..num_nodes {
+        first[u + 1] += first[u];
+    }
+    let adjacency = |u: NodeId| &half[first[u.0]..first[u.0 + 1]];
 
-    let mut tables: Vec<RouteTable> = vec![RouteTable::new(); num_nodes];
-    for &dst in dests {
-        // BFS from dst; dist[u] = hops from u to dst.
-        let mut dist = vec![usize::MAX; num_nodes];
-        dist[dst.0] = 0;
-        let mut queue = VecDeque::from([dst]);
-        while let Some(u) = queue.pop_front() {
-            for &(v, _) in &adjacency[u.0] {
-                if dist[v.0] == usize::MAX {
+    // (group root, destination, the root's port facing it): a stub is
+    // grouped under its neighbour, any other destination is its own root.
+    let mut groups: Vec<(NodeId, NodeId, Option<PortId>)> = dests
+        .iter()
+        .map(|&d| match adjacency(d) {
+            &[(_, _, root, port)] => (root, d, Some(port)),
+            _ => (d, d, None),
+        })
+        // simlint: allow(hot-alloc) once per route computation, see above
+        .collect();
+    groups.sort_unstable();
+
+    let span = dests.iter().map(|d| d.0 + 1).max().unwrap_or(0);
+    // simlint: allow(hot-alloc) once per route computation, see above
+    let mut tables = vec![RouteTable::new(); num_nodes];
+    for table in &mut tables {
+        table.ranges.resize(span, (0, 0));
+    }
+    // simlint: allow(hot-alloc) once per route computation, see above
+    let mut dist = vec![u32::MAX; num_nodes];
+    // simlint: allow(hot-alloc) once per route computation, see above
+    let mut order: Vec<NodeId> = Vec::with_capacity(num_nodes);
+    // simlint: allow(hot-alloc) once per route computation, see above
+    let mut set: Vec<PortId> = Vec::new();
+    for group in groups.chunk_by(|a, b| a.0 == b.0) {
+        let root = group[0].0;
+        // BFS from the root; dist[u] = hops from u to it, `order` lists
+        // the nodes it reached.
+        dist.fill(u32::MAX);
+        dist[root.0] = 0;
+        order.clear();
+        order.push(root);
+        let mut next = 0;
+        while let Some(&u) = order.get(next) {
+            next += 1;
+            for &(_, _, v, _) in adjacency(u) {
+                if dist[v.0] == u32::MAX {
                     dist[v.0] = dist[u.0] + 1;
-                    queue.push_back(v);
+                    order.push(v);
                 }
             }
         }
-        for u in 0..num_nodes {
-            if u == dst.0 || dist[u] == usize::MAX {
-                continue;
+        for &u in &order[1..] {
+            // In port order, so already sorted.
+            set.clear();
+            set.extend(
+                adjacency(u)
+                    .iter()
+                    .filter(|&&(_, _, v, _)| dist[v.0] + 1 == dist[u.0])
+                    .map(|&(_, p, _, _)| p),
+            );
+            let table = &mut tables[u.0];
+            let range = table.intern(&set);
+            for &(_, dst, _) in group {
+                if dst != u {
+                    table.set(dst, range);
+                }
             }
-            let mut ports: Vec<PortId> = adjacency[u]
-                .iter()
-                .filter(|&&(v, _)| dist[v.0] + 1 == dist[u])
-                .map(|&(_, p)| p)
-                .collect();
-            if !ports.is_empty() {
-                ports.sort_by_key(|p| p.0);
-                tables[u].insert(dst, ports);
+        }
+        // At the root itself, a stub's set is the port facing it.
+        for &(_, dst, port) in group {
+            if let Some(port) = port {
+                let table = &mut tables[root.0];
+                let range = table.intern(&[port]);
+                table.set(dst, range);
             }
         }
     }
@@ -266,5 +376,24 @@ mod tests {
         let t2 = compute_routes(5, &edges2, &[n(1)]);
         assert_eq!(t1[0][&n(1)], t2[0][&n(1)]);
         assert_eq!(t1[2][&n(1)], vec![p(1), p(2)]);
+    }
+
+    /// An equal set is stored once, and where a set sits does not affect
+    /// equality.
+    #[test]
+    fn equal_sets_share_storage() {
+        let mut t = RouteTable::new();
+        t.insert(n(7), vec![p(1), p(2)]);
+        t.insert(n(3), vec![p(1), p(2)]);
+        t.insert(n(5), vec![p(0)]);
+        assert_eq!(t.ports.len(), 3);
+        assert_eq!((t.len(), &t[&n(3)]), (3, &[p(1), p(2)][..]));
+        t.insert(n(5), Vec::new());
+        assert!(!t.contains_key(&n(5)), "an empty set removes the route");
+
+        let mut u = RouteTable::new();
+        u.insert(n(3), vec![p(1), p(2)]);
+        u.insert(n(7), vec![p(1), p(2)]);
+        assert_eq!(t, u);
     }
 }

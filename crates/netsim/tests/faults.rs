@@ -3,10 +3,12 @@
 //! and go-back-N recovery from injected bit errors.
 
 use netsim::cc::NoCc;
+use netsim::event::NodeId;
 use netsim::faults::{FaultConfig, FaultPlan};
 use netsim::host::HostConfig;
 use netsim::network::NetworkBuilder;
 use netsim::packet::DATA_PRIORITY;
+use netsim::routing::RouteTable;
 use netsim::switch::{PfcWatchdogConfig, SwitchConfig};
 use netsim::topology::{clos_testbed, LinkParams};
 use netsim::trace::TraceKind;
@@ -370,6 +372,69 @@ fn link_lookup_and_admin_toggle() {
     tb.net.set_link_state(a, true);
     assert!(tb.net.link_is_up(a));
     assert_eq!(tb.net.fault_stats().transitions, 2);
+}
+
+/// Convergence check 6: after a healed link flap, a switch holding a port
+/// set other than a fresh computation's is reported by name, and a table
+/// equal to the computed one set for set passes, in whatever destination
+/// order it was built.
+#[test]
+fn stale_routes_fail_convergence_and_equal_tables_pass() {
+    let mut tb = clos_testbed(
+        2,
+        LinkParams::default(),
+        host_cfg(),
+        SwitchConfig::paper_default(),
+        7,
+    );
+    let (tor, far) = (tb.tors[0], tb.hosts[3][0]);
+    let f = tb.net.add_flow(tb.hosts[0][0], far, DATA_PRIORITY, |l| {
+        Box::new(NoCc::new(l))
+    });
+    tb.net.send_message(f, 1_000_000, Time::ZERO);
+    let uplink = tb.net.link_between(tor, tb.leaves[0]).unwrap();
+    let plan = FaultPlan::new()
+        .link_down(Time::from_micros(100), uplink)
+        .link_up(Time::from_micros(300), uplink);
+    tb.net.install_faults(&plan, FaultConfig::default());
+    let settle = Time::from_millis(2);
+    tb.net.run_until(settle);
+    let baseline = tb.net.delivered_snapshot();
+    tb.net.run_until(Time::from_millis(3));
+    let samples = [(tb.net.now(), tb.net.total_queued_bytes())];
+    let stale = |net: &mut netsim::network::Network| -> Vec<_> {
+        net.check_convergence(settle, 1, &baseline, &samples)
+            .into_iter()
+            .filter(|v| v.context.contains("routes differ"))
+            .map(|v| (v.node, v.context))
+            .collect()
+    };
+    assert_eq!(stale(&mut tb.net), []);
+
+    let computed = tb.net.switch(tor).routes.clone();
+    let mut rebuilt = RouteTable::new();
+    for d in (0..tb.net.nodes.len()).rev() {
+        if let Some(ports) = computed.get(&NodeId(d)) {
+            rebuilt.insert(NodeId(d), ports.to_vec());
+        }
+    }
+    assert_eq!(rebuilt, computed);
+
+    let uplinks = computed[&far].to_vec();
+    assert_eq!(uplinks.len(), 2, "T1 reaches rack 3 over both leaves");
+    tb.net
+        .switch_mut(tor)
+        .routes
+        .insert(far, uplinks[..1].to_vec());
+    let context = format!(
+        "switch {}: routes differ from a fresh computation over the current topology \
+         (stale failover state)",
+        tor.0
+    );
+    assert_eq!(stale(&mut tb.net), [(Some(tor), context)]);
+
+    tb.net.switch_mut(tor).routes = rebuilt;
+    assert_eq!(stale(&mut tb.net), []);
 }
 
 /// A plan naming something the fabric does not have is rejected when it

@@ -8,11 +8,12 @@ use netsim::ecn::RedConfig;
 use netsim::event::{Event, EventQueue, NodeId, PortId};
 use netsim::host::HostConfig;
 use netsim::packet::DATA_PRIORITY;
-use netsim::routing::compute_routes;
+use netsim::routing::{compute_routes, compute_routes_masked, Edge, RouteTable};
 use netsim::switch::SwitchConfig;
 use netsim::topology::{star, LinkParams};
 use netsim::units::{Bandwidth, Duration, Time};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 proptest! {
     /// The event queue pops in nondecreasing time order for any schedule.
@@ -133,43 +134,45 @@ proptest! {
         }
     }
 
-    /// Routing: on a random two-tier tree plus shortcuts, every node has a
-    /// route to every host and route port lists are non-empty.
+    /// Routing: on a random fabric — a switch chain, one stub link per
+    /// host, then random extra links (parallel links, switch shortcuts,
+    /// multi-homed hosts, host–host links) — every node reaches every
+    /// host, and the grouped computation equals the per-destination BFS
+    /// reference exactly, with every link up and under a random `down`
+    /// mask (which often cuts a stub's only link).
     #[test]
-    fn routing_reaches_all_hosts(nhosts in 2usize..8, nswitches in 1usize..5, extra in 0usize..4) {
+    fn routing_reaches_all_hosts(
+        nhosts in 2usize..8,
+        nswitches in 1usize..5,
+        extra in prop::collection::vec((0usize..12, 0usize..12), 0..6),
+        mask in prop::collection::vec(0u8..4, 0..24),
+    ) {
         // Nodes: switches [0, nswitches), hosts [nswitches, nswitches+nhosts).
+        let num_nodes = nswitches + nhosts;
         let mut edges = Vec::new();
-        let mut port_count = vec![0usize; nswitches + nhosts];
-        let link = |a: usize, b: usize, pc: &mut Vec<usize>| {
-            let (pa, pb) = (pc[a], pc[b]);
-            pc[a] += 1;
-            pc[b] += 1;
+        let mut port_count = vec![0usize; num_nodes];
+        let mut link = |a: usize, b: usize| {
+            let (pa, pb) = (port_count[a], port_count[b]);
+            port_count[a] += 1;
+            port_count[b] += 1;
             (NodeId(a), PortId(pa), NodeId(b), PortId(pb))
         };
         // Chain the switches.
         for s in 1..nswitches {
-            let e = link(s - 1, s, &mut port_count);
-            edges.push(e);
+            edges.push(link(s - 1, s));
         }
         // Attach each host to some switch.
         for h in 0..nhosts {
-            let s = h % nswitches;
-            let e = link(s, nswitches + h, &mut port_count);
-            edges.push(e);
+            edges.push(link(h % nswitches, nswitches + h));
         }
-        // Extra switch-switch shortcuts (parallel paths).
-        for i in 0..extra {
-            if nswitches >= 2 {
-                let a = i % nswitches;
-                let b = (i + 1) % nswitches;
-                if a != b {
-                    let e = link(a, b, &mut port_count);
-                    edges.push(e);
-                }
+        for (a, b) in extra {
+            let (a, b) = (a % num_nodes, b % num_nodes);
+            if a != b {
+                edges.push(link(a, b));
             }
         }
         let hosts: Vec<NodeId> = (0..nhosts).map(|h| NodeId(nswitches + h)).collect();
-        let tables = compute_routes(nswitches + nhosts, &edges, &hosts);
+        let tables = compute_routes(num_nodes, &edges, &hosts);
         for (n, table) in tables.iter().enumerate() {
             for &h in &hosts {
                 if NodeId(n) == h {
@@ -180,7 +183,77 @@ proptest! {
                 prop_assert!(!ports.unwrap().is_empty());
             }
         }
+
+        // Switch 0 as a destination too: a root that is not a stub.
+        let mut dests = hosts.clone();
+        dests.push(NodeId(0));
+        let down: Vec<bool> = mask.iter().map(|&m| m == 0).collect();
+        for down in [&[][..], &down[..]] {
+            let fast = compute_routes_masked(num_nodes, &edges, down, &dests);
+            let reference = reference_routes(num_nodes, &edges, down, &dests);
+            for n in 0..num_nodes {
+                for d in 0..num_nodes {
+                    let d = NodeId(d);
+                    prop_assert_eq!(fast[n].get(&d), reference[n].get(&d), "node {} toward {:?}", n, d);
+                }
+            }
+            prop_assert!(fast == reference);
+        }
     }
+}
+
+/// The per-destination BFS that [`compute_routes_masked`] replaced, kept
+/// as the reference it must equal: one BFS per destination, one port list
+/// per (node, destination).
+fn reference_routes(
+    num_nodes: usize,
+    edges: &[Edge],
+    down: &[bool],
+    dests: &[NodeId],
+) -> Vec<RouteTable> {
+    // adjacency[u] = (neighbor, egress port on u)
+    let mut adjacency: Vec<Vec<(NodeId, PortId)>> = vec![Vec::new(); num_nodes];
+    for (i, &(a, pa, b, pb)) in edges.iter().enumerate() {
+        if down.get(i).copied().unwrap_or(false) {
+            continue;
+        }
+        adjacency[a.0].push((b, pa));
+        adjacency[b.0].push((a, pb));
+    }
+    for adj in &mut adjacency {
+        adj.sort_by_key(|&(n, p)| (n.0, p.0));
+    }
+
+    let mut tables: Vec<RouteTable> = vec![RouteTable::new(); num_nodes];
+    for &dst in dests {
+        // BFS from dst; dist[u] = hops from u to dst.
+        let mut dist = vec![usize::MAX; num_nodes];
+        dist[dst.0] = 0;
+        let mut queue = VecDeque::from([dst]);
+        while let Some(u) = queue.pop_front() {
+            for &(v, _) in &adjacency[u.0] {
+                if dist[v.0] == usize::MAX {
+                    dist[v.0] = dist[u.0] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        for u in 0..num_nodes {
+            if u == dst.0 || dist[u] == usize::MAX {
+                continue;
+            }
+            let mut ports: Vec<PortId> = adjacency[u]
+                .iter()
+                .filter(|&&(v, _)| dist[v.0] + 1 == dist[u])
+                .map(|&(_, p)| p)
+                .collect();
+            if !ports.is_empty() {
+                ports.sort_by_key(|p| p.0);
+                tables[u].insert(dst, ports);
+            }
+        }
+    }
+    tables
 }
 
 proptest! {
