@@ -227,3 +227,42 @@ fn hostile_replay_files_exit_2_with_one_line() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Replay files whose run length, settling window or flow start lies past
+/// the simulated clock (`u64` picoseconds) exit 2 with one line naming the
+/// field. Read unchecked, each wrapped to a short run that printed `PASS`.
+#[test]
+fn replay_files_past_the_clock_exit_2_with_one_line() {
+    const MAX: u64 = u64::MAX;
+    let dir = std::env::temp_dir().join(format!("chaos-clock-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (field, duration_us, settle_us, start_us) in [
+        ("duration_us", MAX, 20_000, 0),
+        ("settle_us", 10_000, MAX, 0),
+        ("start_us", 10_000, 20_000, MAX),
+    ] {
+        let text = format!(
+            r#"{{"cc": "dcqcn", "duration_us": {duration_us}, "faults": [],
+                "flows": [{{"bytes": 65536, "dst": 1, "src": 0, "start_us": {start_us}}}],
+                "queue_threshold": 65536, "seed": 7, "settle_us": {settle_us},
+                "topo": {{"hosts": 4, "kind": "star"}}}}"#
+        );
+        let path = dir.join(format!("{field}.json"));
+        std::fs::write(&path, text).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["chaos", "--replay"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{field}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{field}: {stderr}");
+        assert!(stderr.contains(&format!("field '{field}'")), "{stderr}");
+        assert!(stderr.contains("overflows the simulated clock"), "{stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{field}: nothing ran, nothing printed"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

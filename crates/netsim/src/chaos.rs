@@ -530,7 +530,7 @@ impl ChaosCase {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        Ok(ChaosCase {
+        let case = ChaosCase {
             seed: u(j, "seed")?,
             topo,
             cc,
@@ -539,9 +539,78 @@ impl ChaosCase {
             duration_us: u(j, "duration_us")?,
             settle_us: u(j, "settle_us")?,
             queue_threshold: u(j, "queue_threshold")?,
-        })
+        };
+        case.check_clock()?;
+        Ok(case)
+    }
+
+    /// Every µs time the case names, and every instant derived from them —
+    /// a flap's last transition, the end of the settling window — must fit
+    /// the simulated clock's `u64` picoseconds. The error names the field;
+    /// past the limit the case would run on a wrapped clock.
+    fn check_clock(&self) -> Result<(), String> {
+        fn fits(field: &str, derived: &str, us: Option<u64>) -> Result<u64, String> {
+            us.filter(|&us| us <= MAX_CLOCK_US).ok_or_else(|| {
+                format!(
+                    "field '{field}'{derived} overflows the simulated clock (max {MAX_CLOCK_US} us)"
+                )
+            })
+        }
+        let field = |name: &str, us: u64| fits(name, "", Some(us));
+        for f in &self.flows {
+            field("start_us", f.start_us)?;
+        }
+        let mut end = field("duration_us", self.duration_us)?;
+        for &spec in &self.faults {
+            let last = match spec {
+                FaultSpec::Flap {
+                    at_us,
+                    down_us,
+                    times,
+                    period_us,
+                    ..
+                } => {
+                    field("at_us", at_us)?;
+                    field("down_us", down_us)?;
+                    field("period_us", period_us)?;
+                    let last_down = period_us
+                        .checked_mul(u64::from(times.saturating_sub(1)))
+                        .and_then(|span| span.checked_add(at_us));
+                    fits(
+                        "period_us",
+                        " (in the last flap, at_us + (times - 1) * period_us + down_us)",
+                        last_down.and_then(|t| t.checked_add(down_us)),
+                    )?
+                }
+                FaultSpec::BitError {
+                    from_us, until_us, ..
+                } => field("from_us", from_us)?.max(field("until_us", until_us)?),
+                FaultSpec::Storm {
+                    from_us,
+                    until_us,
+                    refresh_us,
+                    ..
+                } => {
+                    field("refresh_us", refresh_us)?;
+                    field("from_us", from_us)?.max(field("until_us", until_us)?)
+                }
+                FaultSpec::Wedge { at_us, .. } => field("at_us", at_us)?,
+            };
+            end = end.max(last);
+        }
+        field("settle_us", self.settle_us)?;
+        fits(
+            "settle_us",
+            " (at the end of the run, the later of duration_us and the last fault plus settle_us)",
+            end.checked_add(self.settle_us),
+        )?;
+        Ok(())
     }
 }
+
+/// The latest whole microsecond the simulated clock (`u64` picoseconds)
+/// can hold.
+const MAX_CLOCK_US: u64 = u64::MAX / 1_000_000;
 
 /// Generates case `index` of the campaign identified by `campaign_seed`.
 ///
@@ -920,6 +989,51 @@ mod tests {
         assert!(ChaosCase::from_json(&j).is_err());
         let j = Json::parse(&good.replace("\"seed\"", "\"dees\"")).unwrap();
         assert!(ChaosCase::from_json(&j).is_err());
+    }
+
+    /// A µs field or a derived instant past the clock's `u64` picoseconds
+    /// is an error naming the field, not a run on a wrapped clock; the
+    /// last representable microsecond is accepted.
+    #[test]
+    fn from_json_rejects_times_past_the_clock() {
+        let base = generate_case(1, 0, true);
+        let reject = |case: ChaosCase, field: &str| {
+            let j = Json::parse(&case.to_json().render()).unwrap();
+            match ChaosCase::from_json(&j) {
+                Err(e) => assert!(e.contains(&format!("field '{field}'")), "{e}"),
+                Ok(_) => panic!("{field}: accepted"),
+            }
+        };
+        let mut c = base.clone();
+        c.duration_us = u64::MAX;
+        reject(c, "duration_us");
+        let mut c = base.clone();
+        c.settle_us = u64::MAX;
+        reject(c, "settle_us");
+        let mut c = base.clone();
+        c.flows[0].start_us = u64::MAX;
+        reject(c, "start_us");
+        // Each fits on its own; their sum does not.
+        let mut c = base.clone();
+        c.faults.clear();
+        c.duration_us = MAX_CLOCK_US;
+        c.settle_us = 1;
+        reject(c, "settle_us");
+        let mut c = base.clone();
+        c.faults = vec![FaultSpec::Flap {
+            link: 0,
+            at_us: 1_000,
+            down_us: 500,
+            times: 3,
+            period_us: MAX_CLOCK_US / 2,
+        }];
+        reject(c, "period_us");
+        let mut c = base.clone();
+        c.faults.clear();
+        c.duration_us = MAX_CLOCK_US - 7;
+        c.settle_us = 7;
+        let j = Json::parse(&c.to_json().render()).unwrap();
+        assert_eq!(ChaosCase::from_json(&j), Ok(c));
     }
 
     #[test]

@@ -5,17 +5,19 @@
 //! monotonically increasing sequence number breaks ties), so a run is a pure
 //! function of the network configuration and the RNG seed.
 //!
-//! Internally the queue is a calendar queue (hierarchical timing wheel with
-//! a single level plus an overflow heap) rather than one big binary heap.
-//! Every pending event lives in one recycled `Slab`; the common case —
-//! scheduling a few microseconds ahead — is an O(1) link onto an unsorted
-//! bucket list of slab indices, and only events inside the current bucket
-//! (one `BUCKET_SHIFT` tick wide) are ever comparison-sorted, as 24-byte keys.
-//! Far-future timers (retransmission backoff, watchdog restores) land in
-//! the overflow heap and migrate into the wheel as the cursor approaches
-//! them. Queue memory is the pending-event high-water mark, whatever the
-//! bucket count. Pop order is exactly the old heap's `(time,
-//! insertion-seq)` order; see DESIGN.md for the argument.
+//! Internally the queue is a calendar queue (a one-level timing wheel plus
+//! an overflow heap) rather than one big binary heap. Every pending event
+//! lives in one recycled `Slab`; the common case — scheduling a few
+//! microseconds ahead — is an O(1) link onto an unsorted bucket list of
+//! slab indices, and only the events of the current bucket (one
+//! [`TICK_PS`] wide) are ever comparison-sorted, as 16-byte packed keys. A
+//! two-level occupancy bitmap finds the next non-empty bucket in a few word
+//! reads however sparse the wheel is. Far-future timers (retransmission
+//! backoff, watchdog restores) land in the overflow heap and migrate into
+//! the wheel as the cursor approaches them. Queue memory is the
+//! pending-event high-water mark plus a fixed, lazily touched wheel. Pop
+//! order is exactly the old heap's `(time, insertion-seq)` order; see
+//! DESIGN.md for the argument.
 
 use crate::slab::{PacketRef, Slab, NIL};
 use crate::units::Time;
@@ -139,36 +141,107 @@ impl Event {
     }
 }
 
-/// One slab entry: a pending event.
-#[derive(Clone, Copy)]
-struct Slot {
-    at: Time,
-    seq: u64,
-    event: Event,
-}
+/// log2 of [`TICK_PS`].
+const TICK_SHIFT: u32 = 14;
+/// Width of one wheel bucket: 2^14 ps ≈ 16.4 ns. A 40 Gbps frame takes
+/// 12.8 ns (64 B) to 300 ns (1500 B) to serialize, so a port rarely puts
+/// two transmitter events into one bucket. The cohort `pop` sorts per
+/// non-empty bucket averages ≈ 2 events on the Clos testbed and ≈ 17 on
+/// the 128-host fat tree.
+pub const TICK_PS: u64 = 1 << TICK_SHIFT;
+/// Number of wheel buckets (a power of two).
+const NUM_BUCKETS: usize = 1 << 15;
+/// The wheel's span: 2^29 ps ≈ 537 µs. An event whose bucket tick is less
+/// than one span past the cursor's tick is linked into the wheel; later
+/// ones wait in the overflow heap. CC timers (≤ 55 µs), PFC pause timeouts
+/// and sampling ticks fit, while RTO backoff (≥ 16 ms) and watchdog
+/// restores overflow.
+pub const SPAN_PS: u64 = TICK_PS * NUM_BUCKETS as u64;
+const BUCKET_MASK: u64 = NUM_BUCKETS as u64 - 1;
+/// Occupancy bitmap words, 64 buckets each.
+const LEAF_WORDS: usize = NUM_BUCKETS / 64;
+/// Summary words, one bit per occupancy word.
+const SUMMARY_WORDS: usize = LEAF_WORDS / 64;
 
-/// What `near` and `overflow` order: `(time, insertion seq, slab slot)`.
-/// Seqs are unique, so the slot index never decides a comparison.
-type Key = (Time, u64, u32);
-
-/// Bucket width as a power-of-two of picoseconds: one tick is 2^17 ps ≈
-/// 131 ns, finer than one packet serialization at 40 G, so on the testbed
-/// consecutive link events usually land in *different* buckets and each
-/// bucket drains as one small sorted cohort.
-const BUCKET_SHIFT: u32 = 17;
-/// Number of wheel buckets (must be a power of two). The wheel horizon is
-/// `NUM_BUCKETS << BUCKET_SHIFT` = 2^29 ps ≈ 537 µs; CC timers (≤ 55 µs),
-/// PFC pause timeouts and sampling ticks all fit, while RTO backoff
-/// (≥ 16 ms) and watchdog restores overflow — exactly what the overflow
-/// heap is for.
-const NUM_BUCKETS: u64 = 4096;
-const BUCKET_MASK: u64 = NUM_BUCKETS - 1;
-/// Occupancy bitmap words (64 buckets per `u64`).
-const NUM_WORDS: usize = (NUM_BUCKETS / 64) as usize;
+/// Bits of a key's low word that name the slab slot; the seq takes the
+/// rest.
+const SLOT_BITS: u32 = 24;
+/// Most events a queue can hold pending at once: 2^24 ≈ 16.8 M.
+const MAX_SLOTS: u32 = 1 << SLOT_BITS;
+/// Most events a queue can ever be given: 2^40 ≈ 1.1 × 10^12.
+const MAX_SEQ: u64 = 1 << (64 - SLOT_BITS);
 
 #[inline]
 fn tick_of(at: Time) -> u64 {
-    at.0 >> BUCKET_SHIFT
+    at.0 >> TICK_SHIFT
+}
+
+/// The first slot of a bucket list from its entry in `heads` (slot + 1, 0
+/// for an empty bucket), or [`NIL`].
+#[inline]
+fn first_slot(head: u32) -> u32 {
+    head.checked_sub(1).unwrap_or(NIL)
+}
+
+/// The low word of a key: insertion seq above the slab slot. Seqs are
+/// unique, so the slot never decides a comparison.
+///
+/// # Panics
+/// Panics when either field outgrows its bits, rather than wrap into a
+/// key that pops out of order.
+#[inline]
+fn tie_of(seq: u64, slot: u32) -> u64 {
+    assert!(
+        seq < MAX_SEQ && slot < MAX_SLOTS,
+        "event queue key overflow: seq {seq} (limit 2^40) or slot {slot} (limit 2^24)"
+    );
+    seq << SLOT_BITS | slot as u64
+}
+
+/// What `near` and `overflow` order: `(time, insertion seq, slab slot)`
+/// packed into one integer, time in the high word, so one compare orders
+/// two pending events.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(u128);
+
+impl Key {
+    #[inline]
+    fn new(at: Time, tie: u64) -> Key {
+        Key((at.0 as u128) << 64 | tie as u128)
+    }
+
+    #[inline]
+    fn at(self) -> Time {
+        Time((self.0 >> 64) as u64)
+    }
+
+    #[inline]
+    fn slot(self) -> u32 {
+        self.0 as u32 & (MAX_SLOTS - 1)
+    }
+}
+
+/// One slab entry: a pending event and its key.
+#[derive(Clone, Copy)]
+struct Slot {
+    at: Time,
+    /// The key's low word, [`tie_of`].
+    tie: u64,
+    event: Event,
+}
+
+/// How `pop` met its events: the cohorts it sorted. Counted only under
+/// `--features profile` (all zero otherwise), for the `profile` report
+/// section.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CohortStats {
+    /// Times the cursor moved and pulled a bucket (or an overflow cohort)
+    /// into the sorted due run.
+    pub promotions: u64,
+    /// Events those promotions pulled, in total.
+    pub promoted: u64,
+    /// The largest single promotion.
+    pub max_cohort: u64,
 }
 
 /// Deterministic event queue. Pops events in `(time, insertion order)` order.
@@ -178,17 +251,20 @@ pub struct EventQueue {
     /// count is the pending-event high-water mark.
     slab: Slab<Slot>,
     /// The due cohort: every pending event whose bucket tick is ≤
-    /// `cursor_tick`, sorted *descending* by `(time, seq)` so the global
-    /// minimum is at the back and `pop` is a plain `Vec::pop`.
+    /// `cursor_tick`, sorted *descending* so the global minimum is at the
+    /// back and `pop` is a plain `Vec::pop`.
     near: Vec<Key>,
     /// Heads of the unsorted bucket lists for ticks in
     /// `(cursor_tick, cursor_tick + NUM_BUCKETS)`, indexed by
-    /// `tick & BUCKET_MASK`. Boxed: the queue sits by value in `Ctx` and
-    /// `Network`, and 16 KB inline made every move of those a 16 KB copy.
-    heads: Box<[u32; NUM_BUCKETS as usize]>,
-    /// Bitmap of non-empty wheel buckets, so advancing the cursor skips
-    /// runs of empty buckets with a couple of word scans.
-    occupied: [u64; NUM_WORDS],
+    /// `tick & BUCKET_MASK`, as slot + 1 so that 0 marks an empty bucket.
+    /// Boxed and allocated zeroed: the 128 KB are never written at
+    /// construction, and a page is touched only when a bucket on it is.
+    heads: Box<[u32; NUM_BUCKETS]>,
+    /// Bitmap of non-empty buckets (boxed and zeroed like `heads`).
+    leaf: Box<[u64; LEAF_WORDS]>,
+    /// Bitmap of non-zero `leaf` words, so the scan for the next non-empty
+    /// bucket reads at most a few words however sparse the wheel is.
+    summary: [u64; SUMMARY_WORDS],
     /// Total events linked into the wheel (kept so `pop` can jump the
     /// cursor straight to the overflow heap when the wheel is empty).
     wheel_len: usize,
@@ -200,11 +276,22 @@ pub struct EventQueue {
     seq: u64,
     now: Time,
     popped: u64,
+    #[cfg(feature = "profile")]
+    cohorts: CohortStats,
 }
 
 impl Default for EventQueue {
     fn default() -> EventQueue {
         EventQueue::new()
+    }
+}
+
+/// A boxed array of zeros, from the allocator's zeroed pages rather than
+/// a write of every element.
+fn zeroed<T: Copy + Default, const N: usize>() -> Box<[T; N]> {
+    match vec![T::default(); N].into_boxed_slice().try_into() {
+        Ok(array) => array,
+        Err(_) => unreachable!("a Vec of N elements converts to [T; N]"),
     }
 }
 
@@ -214,14 +301,17 @@ impl EventQueue {
         EventQueue {
             slab: Slab::new(),
             near: Vec::new(),
-            heads: Box::new([NIL; NUM_BUCKETS as usize]),
-            occupied: [0; NUM_WORDS],
+            heads: zeroed(),
+            leaf: zeroed(),
+            summary: [0; SUMMARY_WORDS],
             wheel_len: 0,
             overflow: BinaryHeap::new(),
             cursor_tick: 0,
             seq: 0,
             now: Time::ZERO,
             popped: 0,
+            #[cfg(feature = "profile")]
+            cohorts: CohortStats::default(),
         }
     }
 
@@ -250,13 +340,28 @@ impl EventQueue {
         self.slab.peak()
     }
 
+    /// The cohorts `pop` has sorted so far (all zero without `--features
+    /// profile`).
+    pub fn cohort_stats(&self) -> CohortStats {
+        #[cfg(feature = "profile")]
+        {
+            self.cohorts
+        }
+        #[cfg(not(feature = "profile"))]
+        {
+            CohortStats::default()
+        }
+    }
+
     /// Links slot `i` onto the wheel bucket of `tick` (inside the horizon).
     #[inline]
     fn link(&mut self, tick: u64, i: u32) {
         let bucket = (tick & BUCKET_MASK) as usize;
-        self.occupied[bucket / 64] |= 1 << (bucket % 64);
-        let head = std::mem::replace(&mut self.heads[bucket], i);
-        self.slab.set_next(i, head);
+        let word = bucket / 64;
+        self.leaf[word] |= 1 << (bucket % 64);
+        self.summary[word / 64] |= 1 << (word % 64);
+        let head = std::mem::replace(&mut self.heads[bucket], i + 1);
+        self.slab.set_next(i, first_slot(head));
         self.wheel_len += 1;
     }
 
@@ -264,6 +369,11 @@ impl EventQueue {
     ///
     /// # Panics
     /// Panics if `at` is in the past: the simulator never time-travels.
+    // Always inlined: out of line, `schedule` takes the event by reference
+    // to a copy on its caller's stack, and reading that copy back stalls
+    // on store forwarding at every hop (`Port::start_tx`, `Port::tx_done`).
+    // Inlined, the event is stored straight into its slab slot.
+    #[inline(always)]
     pub fn schedule(&mut self, at: Time, event: Event) {
         assert!(
             at >= self.now,
@@ -272,29 +382,43 @@ impl EventQueue {
         );
         let seq = self.seq;
         self.seq += 1;
-        let i = self.slab.insert(Slot { at, seq, event });
+        let tie = tie_of(seq, self.slab.vacant());
+        let i = self.slab.insert(Slot { at, tie, event });
         let tick = tick_of(at);
         if tick <= self.cursor_tick {
-            // Into the due cohort, keeping it sorted. New events carry the
-            // highest seq, so among equal times they belong closest to the
-            // front-of-equal-run in the descending layout — which is where
-            // `partition_point` on strict `>` lands them.
-            let idx = self.near.partition_point(|k| (k.0, k.1) > (at, seq));
-            self.near.insert(idx, (at, seq, i));
-        } else if tick < self.cursor_tick + NUM_BUCKETS {
+            self.insert_near(Key::new(at, tie));
+        } else if tick < self.cursor_tick + NUM_BUCKETS as u64 {
             self.link(tick, i);
         } else {
-            self.overflow.push(Reverse((at, seq, i)));
+            self.push_overflow(Key::new(at, tie));
         }
+    }
+
+    /// Parks `key` in the overflow heap. Out of line, like `insert_near`:
+    /// `schedule` is inlined at every call site, and these are its rare
+    /// branches.
+    #[inline(never)]
+    fn push_overflow(&mut self, key: Key) {
+        self.overflow.push(Reverse(key));
+    }
+
+    /// Inserts `key` into the due cohort, keeping it sorted. A new event
+    /// carries the highest seq, so among equal times it belongs at the
+    /// front of the equal run in the descending layout — which is where
+    /// `partition_point` on strict `>` lands it.
+    #[inline(never)]
+    fn insert_near(&mut self, key: Key) {
+        let idx = self.near.partition_point(|&k| k > key);
+        self.near.insert(idx, key);
     }
 
     /// Moves overflow events that now fall inside the wheel horizon into
     /// their buckets (or into `near` — unsorted; the caller sorts — if
     /// already due).
     fn migrate_overflow(&mut self) {
-        let horizon = self.cursor_tick + NUM_BUCKETS;
+        let horizon = self.cursor_tick + NUM_BUCKETS as u64;
         while let Some(&Reverse(key)) = self.overflow.peek() {
-            let tick = tick_of(key.0);
+            let tick = tick_of(key.at());
             if tick >= horizon {
                 break;
             }
@@ -302,66 +426,107 @@ impl EventQueue {
             if tick <= self.cursor_tick {
                 self.near.push(key);
             } else {
-                self.link(tick, key.2);
+                self.link(tick, key.slot());
             }
+        }
+    }
+
+    /// First non-empty bucket at or after `from`, not wrapping around.
+    #[inline]
+    fn first_occupied_from(&self, from: usize) -> Option<usize> {
+        let word = from / 64;
+        let bits = self.leaf[word] & (!0u64 << (from % 64));
+        if bits != 0 {
+            return Some(word * 64 + bits.trailing_zeros() as usize);
+        }
+        let next = word + 1;
+        if next == LEAF_WORDS {
+            return None;
+        }
+        let mut s = next / 64;
+        let mut words = self.summary[s] & (!0u64 << (next % 64));
+        loop {
+            if words != 0 {
+                let word = s * 64 + words.trailing_zeros() as usize;
+                return Some(word * 64 + self.leaf[word].trailing_zeros() as usize);
+            }
+            s += 1;
+            if s == SUMMARY_WORDS {
+                return None;
+            }
+            words = self.summary[s];
         }
     }
 
     /// First occupied wheel tick after `cursor_tick`. Caller guarantees
-    /// `wheel_len > 0`. Two's-complement word scans over the occupancy
-    /// bitmap: O(NUM_WORDS) worst case, usually one or two reads.
+    /// `wheel_len > 0`. Buckets below the cursor's own in the bitmap hold
+    /// ticks almost a lap ahead, so the scan wraps once.
     fn next_occupied_tick(&self) -> u64 {
         let start = ((self.cursor_tick + 1) & BUCKET_MASK) as usize;
-        let mut word = start / 64;
-        // Bits below `start` in its word belong to already-drained slots
-        // (or slots a full lap ahead); mask them off for the first read.
-        let mut bits = self.occupied[word] & (!0u64 << (start % 64));
-        for _ in 0..=NUM_WORDS {
-            if bits != 0 {
-                let slot = word * 64 + bits.trailing_zeros() as usize;
-                let dist = (slot + NUM_BUCKETS as usize - start) & BUCKET_MASK as usize;
-                return self.cursor_tick + 1 + dist as u64;
-            }
-            word = (word + 1) % NUM_WORDS;
-            bits = self.occupied[word];
-        }
-        unreachable!("wheel_len > 0 but occupancy bitmap is empty");
+        let Some(bucket) = self
+            .first_occupied_from(start)
+            .or_else(|| self.first_occupied_from(0))
+        else {
+            unreachable!("wheel_len > 0 but occupancy bitmap is empty");
+        };
+        let dist = (bucket + NUM_BUCKETS - start) & BUCKET_MASK as usize;
+        self.cursor_tick + 1 + dist as u64
     }
 
-    /// Advances the cursor until `near` holds the earliest pending event,
-    /// or returns `false` when the queue is empty. The cursor is untouched
-    /// in the empty case.
+    /// Unlinks the whole bucket of `cursor_tick` into `near` (empty here)
+    /// as keys; the events stay where they are in the slab.
+    fn take_bucket(&mut self) {
+        let bucket = (self.cursor_tick & BUCKET_MASK) as usize;
+        let word = bucket / 64;
+        self.leaf[word] &= !(1 << (bucket % 64));
+        if self.leaf[word] == 0 {
+            self.summary[word / 64] &= !(1 << (word % 64));
+        }
+        let mut i = first_slot(std::mem::take(&mut self.heads[bucket]));
+        while i != NIL {
+            let slot = self.slab.get(i);
+            self.near.push(Key::new(slot.at, slot.tie));
+            i = self.slab.next(i);
+        }
+        self.wheel_len -= self.near.len();
+    }
+
+    /// True once `near` holds the earliest pending event, false when the
+    /// queue is empty. Inlined: most calls find `near` non-empty.
+    #[inline]
     fn promote(&mut self) -> bool {
+        !self.near.is_empty() || self.refill()
+    }
+
+    /// Advances the cursor until `near` is non-empty, or returns `false`
+    /// when the queue is empty. The cursor is untouched in the empty case.
+    fn refill(&mut self) -> bool {
         while self.near.is_empty() {
             if self.wheel_len == 0 {
                 // Nothing inside the horizon: jump straight to the first
                 // overflow tick (if any) and pull its cohort in.
-                let Some(Reverse(key)) = self.overflow.peek() else {
+                let Some(&Reverse(key)) = self.overflow.peek() else {
                     return false;
                 };
-                self.cursor_tick = tick_of(key.0);
-                self.migrate_overflow();
+                self.cursor_tick = tick_of(key.at());
             } else {
                 // Skip straight to the next occupied bucket. No overflow
                 // event can be earlier: occupied ticks are < cursor +
                 // NUM_BUCKETS ≤ every overflow tick.
                 self.cursor_tick = self.next_occupied_tick();
-                let bucket = (self.cursor_tick & BUCKET_MASK) as usize;
-                self.occupied[bucket / 64] &= !(1 << (bucket % 64));
-                // Unlink the whole bucket into `near` (empty here) as keys;
-                // the events stay where they are in the slab.
-                let mut i = std::mem::replace(&mut self.heads[bucket], NIL);
-                while i != NIL {
-                    let slot = self.slab.get(i);
-                    self.near.push((slot.at, slot.seq, i));
-                    i = self.slab.next(i);
-                }
-                self.wheel_len -= self.near.len();
-                // The cursor moved: newly in-horizon overflow events must
-                // enter the wheel before anything else is scheduled.
-                self.migrate_overflow();
+                self.take_bucket();
             }
-            self.near.sort_unstable_by_key(|&k| Reverse(k));
+            // The cursor moved: newly in-horizon overflow events must
+            // enter the wheel before anything else is scheduled.
+            self.migrate_overflow();
+            self.near.sort_unstable_by(|a, b| b.cmp(a));
+            #[cfg(feature = "profile")]
+            {
+                let c = &mut self.cohorts;
+                c.promotions += 1;
+                c.promoted += self.near.len() as u64;
+                c.max_cohort = c.max_cohort.max(self.near.len() as u64);
+            }
         }
         true
     }
@@ -371,14 +536,15 @@ impl EventQueue {
         if !self.promote() {
             return None;
         }
-        let Some((at, _, i)) = self.near.pop() else {
+        let Some(key) = self.near.pop() else {
             debug_assert!(false, "promote() returned true on an empty queue");
             return None;
         };
+        let at = key.at();
         debug_assert!(at >= self.now);
         self.now = at;
         self.popped += 1;
-        Some((at, self.slab.take(i).event))
+        Some((at, self.slab.take(key.slot()).event))
     }
 
     /// Pops the entire cohort of events sharing the earliest pending
@@ -392,34 +558,36 @@ impl EventQueue {
         if !self.promote() {
             return None;
         }
-        let Some(&(t, ..)) = self.near.last() else {
+        let Some(&head) = self.near.last() else {
             debug_assert!(false, "promote() returned true on an empty queue");
             return None;
         };
+        let t = head.at();
         if t > until {
             return None;
         }
         self.now = t;
-        while let Some(&(at, _, i)) = self.near.last() {
-            if at != t {
+        while let Some(&key) = self.near.last() {
+            if key.at() != t {
                 break;
             }
             self.near.pop();
             self.popped += 1;
-            out.push(self.slab.take(i).event);
+            out.push(self.slab.take(key.slot()).event);
         }
         Some(t)
     }
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        if let Some(&(at, ..)) = self.near.last() {
-            return Some(at);
+        if let Some(&key) = self.near.last() {
+            return Some(key.at());
         }
         if self.wheel_len > 0 {
             // The first occupied bucket holds the earliest tick; every
             // event in it shares that tick, so its min is the global min.
-            let mut i = self.heads[(self.next_occupied_tick() & BUCKET_MASK) as usize];
+            let bucket = (self.next_occupied_tick() & BUCKET_MASK) as usize;
+            let mut i = first_slot(self.heads[bucket]);
             let mut min = Time::NEVER;
             while i != NIL {
                 min = min.min(self.slab.get(i).at);
@@ -427,7 +595,7 @@ impl EventQueue {
             }
             return Some(min);
         }
-        self.overflow.peek().map(|Reverse(key)| key.0)
+        self.overflow.peek().map(|Reverse(key)| key.at())
     }
 
     /// Advances the clock to `to` without popping anything, so a drained
@@ -460,6 +628,33 @@ mod tests {
                 _ => unreachable!(),
             })
             .collect()
+    }
+
+    #[test]
+    fn keys_pack_time_seq_and_slot_in_order() {
+        let a = Key::new(Time(5), tie_of(MAX_SEQ - 1, 3));
+        let b = Key::new(Time(6), tie_of(0, MAX_SLOTS - 1));
+        assert!(a < b, "time decides first");
+        assert!(Key::new(Time(5), tie_of(7, 9)) < Key::new(Time(5), tie_of(8, 0)));
+        assert_eq!((a.at(), a.slot()), (Time(5), 3));
+        assert_eq!((b.at(), b.slot()), (Time(6), MAX_SLOTS - 1));
+        assert_eq!(
+            SPAN_PS,
+            1 << 29,
+            "the span simbench's churn_large kernel documents"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "event queue key overflow: seq 1099511627776")]
+    fn seq_past_its_bits_panics() {
+        tie_of(MAX_SEQ, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "event queue key overflow")]
+    fn slot_past_its_bits_panics() {
+        tie_of(0, MAX_SLOTS);
     }
 
     #[test]

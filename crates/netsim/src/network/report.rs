@@ -129,6 +129,7 @@ impl Network {
             self.ctx.queue.peak_pending(),
             self.ctx.pool.capacity(),
             ports.map(Port::peak_queued).sum(),
+            self.ctx.queue.cohort_stats(),
         ) {
             report.push("profile", profile);
         }

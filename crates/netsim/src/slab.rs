@@ -69,6 +69,15 @@ impl<T: Copy> Slab<T> {
         i
     }
 
+    /// The index the next [`Slab::insert`] will return.
+    #[inline]
+    pub(crate) fn vacant(&self) -> u32 {
+        match self.free_head {
+            NIL => self.slots.len() as u32,
+            i => i,
+        }
+    }
+
     /// Copies the value out of slot `i` and puts the slot on the free list.
     #[inline]
     pub(crate) fn take(&mut self, i: u32) -> T {
@@ -141,6 +150,7 @@ impl PacketPool {
     }
 
     /// Parks `pkt` in the pool, returning its handle.
+    #[inline]
     pub fn insert(&mut self, pkt: Packet) -> PacketRef {
         PacketRef(self.slab.insert(pkt))
     }

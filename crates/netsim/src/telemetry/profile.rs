@@ -13,6 +13,7 @@
 //! feature).
 
 use super::Json;
+use crate::event::CohortStats;
 #[cfg(feature = "profile")]
 use crate::event::EVENT_KIND_NAMES;
 
@@ -98,12 +99,14 @@ impl Profiler {
     /// The profile report as JSON, or `None` when compiled out.
     /// `peak_pending`, `peak_inflight` and `peak_queued` are the high-water
     /// marks the event queue's, the packet pool's and (summed) the ports'
-    /// slabs grew to.
+    /// slabs grew to; `cohorts` is how the queue's wheel handed out its
+    /// events.
     pub fn report(
         &self,
         peak_pending: usize,
         peak_inflight: usize,
         peak_queued: usize,
+        cohorts: CohortStats,
     ) -> Option<Json> {
         #[cfg(feature = "profile")]
         {
@@ -121,11 +124,15 @@ impl Profiler {
                     ]),
                 );
             }
+            let per_promotion = cohorts.promoted as f64 / cohorts.promotions.max(1) as f64;
             Some(Json::obj(vec![
                 ("events_by_kind", by_kind),
+                ("events_per_promotion", Json::Float(per_promotion)),
+                ("max_cohort", Json::UInt(cohorts.max_cohort)),
                 ("peak_inflight_packets", Json::UInt(peak_inflight as u64)),
                 ("peak_pending_events", Json::UInt(peak_pending as u64)),
                 ("peak_queued_packets", Json::UInt(peak_queued as u64)),
+                ("promotions", Json::UInt(cohorts.promotions)),
                 (
                     "run_wall_us",
                     Json::Float(s.started.elapsed().as_secs_f64() * 1e6),
@@ -134,7 +141,7 @@ impl Profiler {
         }
         #[cfg(not(feature = "profile"))]
         {
-            let _ = (peak_pending, peak_inflight, peak_queued);
+            let _ = (peak_pending, peak_inflight, peak_queued, cohorts);
             None
         }
     }
@@ -151,15 +158,52 @@ mod tests {
         #[allow(clippy::let_unit_value)]
         let m = p.mark();
         p.on_event(0, m);
+        let cohorts = CohortStats {
+            promotions: 4,
+            promoted: 10,
+            max_cohort: 6,
+        };
         if Profiler::enabled() {
-            let r = p.report(3, 2, 5).expect("report present with feature");
+            let r = p
+                .report(3, 2, 5, cohorts)
+                .expect("report present with feature");
             let text = r.render();
             assert!(text.contains("\"peak_pending_events\": 3"));
             assert!(text.contains("\"peak_inflight_packets\": 2"));
             assert!(text.contains("\"peak_queued_packets\": 5"));
             assert!(text.contains("\"events_by_kind\""));
+            assert!(text.contains("\"promotions\": 4"));
+            assert!(text.contains("\"events_per_promotion\": 2.5"));
+            assert!(text.contains("\"max_cohort\": 6"));
         } else {
-            assert!(p.report(3, 2, 5).is_none());
+            assert!(p.report(3, 2, 5, cohorts).is_none());
         }
+    }
+
+    /// The queue feeds the report's cohort fields: ten events at one
+    /// instant are one promotion of ten, three events a tick apart are
+    /// three promotions of one. Without the feature nothing is counted.
+    #[test]
+    fn queue_counts_its_cohorts() {
+        use crate::event::{Event, EventQueue, TICK_PS};
+        use crate::units::Time;
+        let mut q = EventQueue::new();
+        for id in 0..10 {
+            q.schedule(Time(TICK_PS), Event::Hook { id });
+        }
+        for k in 2..5 {
+            q.schedule(Time(k * TICK_PS), Event::Hook { id: 0 });
+        }
+        while q.pop().is_some() {}
+        let expect = if Profiler::enabled() {
+            CohortStats {
+                promotions: 4,
+                promoted: 13,
+                max_cohort: 10,
+            }
+        } else {
+            CohortStats::default()
+        };
+        assert_eq!(q.cohort_stats(), expect);
     }
 }

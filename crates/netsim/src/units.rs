@@ -18,6 +18,17 @@ const PS_PER_US: u64 = 1_000_000;
 /// Picoseconds per second.
 const PS_PER_SEC: u64 = 1_000_000_000_000;
 
+/// `n · ps_per_unit` picoseconds. A product past `u64::MAX` (≈ 213 days)
+/// panics — at compile time in a `const` — instead of wrapping onto some
+/// earlier instant.
+#[track_caller]
+const fn picos(n: u64, ps_per_unit: u64) -> u64 {
+    match n.checked_mul(ps_per_unit) {
+        Some(ps) => ps,
+        None => panic!("time overflows u64 picoseconds (about 213 days)"),
+    }
+}
+
 /// An absolute simulation timestamp, in picoseconds since the start of the
 /// run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -34,16 +45,23 @@ impl Time {
     pub const NEVER: Time = Time(u64::MAX);
 
     /// Builds a timestamp from whole nanoseconds.
+    ///
+    /// # Panics
+    /// Panics when the instant does not fit `u64` picoseconds, as every
+    /// `from_*` constructor of `Time` and `Duration` does.
+    #[track_caller]
     pub const fn from_nanos(ns: u64) -> Time {
-        Time(ns * 1_000)
+        Time(picos(ns, 1_000))
     }
     /// Builds a timestamp from whole microseconds.
+    #[track_caller]
     pub const fn from_micros(us: u64) -> Time {
-        Time(us * PS_PER_US)
+        Time(picos(us, PS_PER_US))
     }
     /// Builds a timestamp from whole milliseconds.
+    #[track_caller]
     pub const fn from_millis(ms: u64) -> Time {
-        Time(ms * 1_000 * PS_PER_US)
+        Time(picos(ms, 1_000 * PS_PER_US))
     }
     /// Builds a timestamp from floating-point seconds (test/setup helper).
     pub fn from_secs_f64(s: f64) -> Time {
@@ -72,16 +90,19 @@ impl Duration {
         Duration(ps)
     }
     /// Builds a span from whole nanoseconds.
+    #[track_caller]
     pub const fn from_nanos(ns: u64) -> Duration {
-        Duration(ns * 1_000)
+        Duration(picos(ns, 1_000))
     }
     /// Builds a span from whole microseconds.
+    #[track_caller]
     pub const fn from_micros(us: u64) -> Duration {
-        Duration(us * PS_PER_US)
+        Duration(picos(us, PS_PER_US))
     }
     /// Builds a span from whole milliseconds.
+    #[track_caller]
     pub const fn from_millis(ms: u64) -> Duration {
-        Duration(ms * 1_000 * PS_PER_US)
+        Duration(picos(ms, 1_000 * PS_PER_US))
     }
     /// Builds a span from floating-point seconds.
     pub fn from_secs_f64(s: f64) -> Duration {
@@ -419,6 +440,44 @@ mod tests {
         assert_eq!(t.0, 5_000_000 + 300_000);
         assert_eq!(t - Time::from_micros(5), Duration::from_nanos(300));
         assert_eq!(Time::from_millis(1), Time::from_micros(1000));
+    }
+
+    #[test]
+    fn constructors_reach_the_last_representable_picosecond() {
+        let max_us = u64::MAX / PS_PER_US;
+        assert_eq!(Time::from_micros(max_us).0, max_us * PS_PER_US);
+        assert_eq!(
+            Duration::from_millis(max_us / 1_000).0,
+            max_us / 1_000 * 1_000 * PS_PER_US
+        );
+        assert_eq!(
+            Duration::from_nanos(u64::MAX / 1_000).0,
+            u64::MAX / 1_000 * 1_000
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "time overflows u64 picoseconds")]
+    fn time_from_micros_panics_instead_of_wrapping() {
+        Time::from_micros(u64::MAX / PS_PER_US + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "time overflows u64 picoseconds")]
+    fn time_from_millis_panics_instead_of_wrapping() {
+        Time::from_millis(u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "time overflows u64 picoseconds")]
+    fn duration_from_micros_panics_instead_of_wrapping() {
+        Duration::from_micros(u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "time overflows u64 picoseconds")]
+    fn duration_from_nanos_panics_instead_of_wrapping() {
+        Duration::from_nanos(u64::MAX / 1_000 + 1);
     }
 
     #[test]

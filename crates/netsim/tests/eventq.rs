@@ -3,7 +3,7 @@
 //! binary-heap reference model, checking the exact `(time, seq)` pop
 //! order contract the simulator's determinism rests on.
 
-use netsim::event::{Event, EventQueue};
+use netsim::event::{Event, EventQueue, SPAN_PS, TICK_PS};
 use netsim::rng::SplitMix64;
 use netsim::units::{Duration, Time};
 use proptest::prelude::*;
@@ -21,10 +21,8 @@ struct HeapModel {
     max_pending: usize,
 }
 
-/// One wheel bucket and one wheel lap in picoseconds (`BUCKET_SHIFT` = 17
-/// and `NUM_BUCKETS` = 4096 in `netsim::event`).
-const TICK_PS: u64 = 1 << 17;
-const LAP_PS: u64 = TICK_PS * 4096;
+/// One wheel lap in picoseconds.
+const LAP_PS: u64 = SPAN_PS;
 
 impl HeapModel {
     fn schedule(&mut self, at: Time) -> u64 {
@@ -143,6 +141,38 @@ fn multi_lap_recycles_slots_and_migrates_overflow() {
         check_pop(&mut q, &mut m);
         check_views(&q, &m);
     }
+    assert_eq!(q.peak_pending(), m.max_pending);
+}
+
+/// A sparse wheel: events thousands of empty buckets apart; then, from a
+/// cursor in the middle of a bitmap word, a lone event one tick short of a
+/// span ahead (its bucket is the one just below the cursor's, in the same
+/// word, so the scan for it wraps around the whole wheel) and an overflow
+/// event exactly one span past the cursor's tick (the first tick the wheel
+/// cannot hold). `peak_pending` stays exact.
+#[test]
+fn sparse_wheel_wraps_and_overflows_exactly() {
+    let (mut q, mut m) = (EventQueue::new(), HeapModel::default());
+    for k in [9_000, 3_000, 6_000] {
+        apply_schedule(&mut q, &mut m, Time(k * TICK_PS + k));
+        check_views(&q, &m);
+    }
+    while !m.heap.is_empty() {
+        check_pop(&mut q, &mut m);
+        check_views(&q, &m);
+    }
+    // The cursor stands on tick 9000: bit 40 of its bitmap word.
+    let tick_start = Time(9_000 * TICK_PS);
+    assert_eq!(q.now(), tick_start + Duration(9_000));
+    apply_schedule(&mut q, &mut m, tick_start + Duration(SPAN_PS - TICK_PS));
+    check_views(&q, &m);
+    apply_schedule(&mut q, &mut m, tick_start + Duration(SPAN_PS));
+    check_views(&q, &m);
+    while !m.heap.is_empty() {
+        check_pop(&mut q, &mut m);
+        check_views(&q, &m);
+    }
+    check_pop(&mut q, &mut m);
     assert_eq!(q.peak_pending(), m.max_pending);
 }
 

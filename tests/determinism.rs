@@ -5,8 +5,10 @@ use dcqcn::prelude::*;
 use netsim::prelude::*;
 use netsim::topology::{clos_testbed, star, LinkParams};
 
-/// Runs a 4:1 DCQCN incast on a star and returns a behavioral fingerprint.
-fn star_fingerprint(seed: u64) -> Vec<u64> {
+/// Runs a 4:1 DCQCN incast on a star to 30 ms, one `run_until` call per
+/// entry of `windows` (each an absolute horizon; the last call is always
+/// at 30 ms), and returns a behavioral fingerprint.
+fn star_fingerprint(seed: u64, windows: &[Time]) -> Vec<u64> {
     let params = DcqcnParams::paper();
     let mut s = star(
         5,
@@ -24,6 +26,9 @@ fn star_fingerprint(seed: u64) -> Vec<u64> {
         .collect();
     for &f in &flows {
         s.net.send_message(f, u64::MAX, Time::ZERO);
+    }
+    for &until in windows {
+        s.net.run_until(until);
     }
     s.net.run_until(Time::from_millis(30));
     let mut fp: Vec<u64> = flows
@@ -45,13 +50,49 @@ fn star_fingerprint(seed: u64) -> Vec<u64> {
 
 #[test]
 fn identical_seeds_are_bit_identical() {
-    assert_eq!(star_fingerprint(11), star_fingerprint(11));
+    assert_eq!(star_fingerprint(11, &[]), star_fingerprint(11, &[]));
 }
 
 #[test]
 fn different_seeds_differ() {
     // RED sampling differs, so marks/CNP counts should differ.
-    assert_ne!(star_fingerprint(11), star_fingerprint(12));
+    assert_ne!(star_fingerprint(11, &[]), star_fingerprint(12, &[]));
+}
+
+/// Slicing a run into `run_until` windows changes nothing, not even the
+/// event count. Each window leaves the clock at its horizon while the
+/// queue's cursor may already stand on a later bucket, and what is then
+/// scheduled at or before the cursor must still pop in order: windows
+/// shorter than one wheel tick, a horizon repeated, horizons on odd
+/// picoseconds and one a whole wheel span long all hit that path.
+#[test]
+fn sliced_runs_replay_the_single_call() {
+    use netsim::event::{SPAN_PS, TICK_PS};
+    let whole = star_fingerprint(11, &[]);
+    let mut sub_tick = Vec::new();
+    let mut t = Time::from_micros(50);
+    for _ in 0..200 {
+        t += Duration(TICK_PS / 3 + 7);
+        sub_tick.push(t);
+    }
+    let slicings: [Vec<Time>; 4] = [
+        sub_tick,
+        // The same horizon twice, and a window that ends one picosecond
+        // into a tick.
+        vec![
+            Time::from_micros(100),
+            Time::from_micros(100),
+            Time(Time::from_micros(100).0 + 1),
+        ],
+        (1..=29_999)
+            .step_by(997)
+            .map(|k| Time(k * 1_000_003))
+            .collect(),
+        (1..=50).map(|k| Time(k * SPAN_PS / 2 + k)).collect(),
+    ];
+    for (i, windows) in slicings.iter().enumerate() {
+        assert_eq!(star_fingerprint(11, windows), whole, "slicing {i}");
+    }
 }
 
 /// ECMP path selection is a deterministic function of the seed: the
