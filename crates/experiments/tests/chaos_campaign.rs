@@ -144,11 +144,12 @@ fn replay_reproduces_a_case_bit_for_bit() {
 }
 
 /// Hostile replay files, through the real binary: a fault naming a link,
-/// host, port, class or switch the star-4 fabric does not have, or a
-/// field too wide for its type, is a usage error (exit 2, one line
-/// naming the fault and the bound) — never an index panic when the fault
-/// fires, a silently ignored fault, or a value wrapped onto some other
-/// link or class.
+/// host, port, class or switch the star-4 fabric does not have, a field
+/// too wide for its type, or a flap count or fabric size past the replay
+/// limits, is a usage error (exit 2, one line naming the field and the
+/// bound) — never an index panic when the fault fires, a silently
+/// ignored fault, a value wrapped onto some other link or class, or an
+/// allocation that aborts the process.
 #[test]
 fn hostile_replay_files_exit_2_with_one_line() {
     let wedge = |switch: u64, port: u64| {
@@ -161,9 +162,9 @@ fn hostile_replay_files_exit_2_with_one_line() {
             r#"{{"class": {class}, "from_us": 1000, "host": {host}, "kind": "storm", "refresh_us": 10, "until_us": 2000}}"#
         )
     };
-    let flap = |link: u64| {
+    let flap = |link: u64, times: u64| {
         format!(
-            r#"{{"at_us": 1000, "down_us": 400, "kind": "flap", "link": {link}, "period_us": 1000, "times": 1}}"#
+            r#"{{"at_us": 1000, "down_us": 400, "kind": "flap", "link": {link}, "period_us": 1000, "times": {times}}}"#
         )
     };
     let bit_error = |link: u64| {
@@ -171,45 +172,83 @@ fn hostile_replay_files_exit_2_with_one_line() {
             r#"{{"from_us": 1000, "kind": "bit_error", "link": {link}, "prob_ppm": 5000, "until_us": 3000}}"#
         )
     };
-    let table: [(&str, String, &str); 9] = [
-        ("flap-link", flap(99), "link 99 but the fabric has 4 links"),
+    const STAR4: &str = r#"{"hosts": 4, "kind": "star"}"#;
+    let table: [(&str, String, &str, &str); 11] = [
+        (
+            "flap-link",
+            flap(99, 1),
+            STAR4,
+            "link 99 but the fabric has 4 links",
+        ),
         (
             "biterr-link",
             bit_error(99),
+            STAR4,
             "link 99 but the fabric has 4 links",
         ),
         (
             "storm-host",
             storm(50, 3),
+            STAR4,
             "host 51 but the fabric has 5 nodes",
         ),
-        ("storm-class", storm(1, 9), "class 9 but PFC has 8 classes"),
+        (
+            "storm-class",
+            storm(1, 9),
+            STAR4,
+            "class 9 but PFC has 8 classes",
+        ),
         (
             "wedge-port",
             wedge(0, 77),
+            STAR4,
             "port 77 but switch 0 has 4 ports",
         ),
         (
             "wedge-switch",
             wedge(200, 1),
+            STAR4,
             "switch 200 but the fabric has 5 nodes",
         ),
-        ("wedge-host", wedge(2, 0), "switch 2 but node 2 is a host"),
+        (
+            "wedge-host",
+            wedge(2, 0),
+            STAR4,
+            "switch 2 but node 2 is a host",
+        ),
         (
             "wide-link",
-            flap(4_294_967_297),
+            flap(4_294_967_297, 1),
+            STAR4,
             "field 'link' out of range",
         ),
-        ("wide-class", storm(1, 259), "field 'class' out of range"),
+        (
+            "wide-class",
+            storm(1, 259),
+            STAR4,
+            "field 'class' out of range",
+        ),
+        (
+            "flap-times",
+            flap(0, 4_000_000_000),
+            STAR4,
+            "field 'times' is 4000000000, past the replay limit of 1000",
+        ),
+        (
+            "star-hosts",
+            flap(0, 1),
+            r#"{"hosts": 4000000000, "kind": "star"}"#,
+            "field 'hosts' is 4000000000, past the replay limit of 256",
+        ),
     ];
     let dir = std::env::temp_dir().join(format!("chaos-hostile-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for (tag, fault, needle) in &table {
+    for (tag, fault, topo, needle) in &table {
         let text = format!(
             r#"{{"cc": "dcqcn", "duration_us": 10000, "faults": [{fault}],
                 "flows": [{{"bytes": 65536, "dst": 1, "src": 0, "start_us": 0}}],
                 "queue_threshold": 65536, "seed": 7, "settle_us": 20000,
-                "topo": {{"hosts": 4, "kind": "star"}}}}"#
+                "topo": {topo}}}"#
         );
         let path = dir.join(format!("{tag}.json"));
         std::fs::write(&path, text).unwrap();

@@ -18,10 +18,12 @@
 //!   (Figure 7's state machine keeps these; Equation 2's decay must never
 //!   push α negative).
 //!
-//! With the feature disabled every [`Auditor`] method is an empty `#[inline]`
-//! stub, so call sites stay unconditional at zero cost. With it enabled,
-//! violations are *recorded* (with event context) rather than panicking, so
-//! tests can both assert that deliberate corruption is caught and that real
+//! Every hook opens with `if !Auditor::enabled() { return; }`, and
+//! [`Auditor::enabled`] is `const`: with the feature disabled the checks
+//! fold away, so call sites stay unconditional at zero cost, yet every
+//! build still type-checks them. With it enabled, violations are
+//! *recorded* (with event context) rather than panicking, so tests can
+//! both assert that deliberate corruption is caught and that real
 //! experiment runs finish clean ([`Auditor::assert_clean`]).
 
 use crate::event::NodeId;
@@ -30,12 +32,10 @@ use crate::units::Time;
 
 /// How often (in dispatched events) the expensive whole-buffer conservation
 /// scan runs. Prime so it cannot phase-lock with periodic workloads.
-#[cfg(feature = "sanitize")]
 const BUFFER_CHECK_PERIOD: u64 = 997;
 
 /// Recorded violations are capped so a systematically broken run cannot
 /// allocate without bound; the total count keeps climbing past the cap.
-#[cfg(feature = "sanitize")]
 const MAX_RECORDED: usize = 64;
 
 /// Which invariant a violation broke.
@@ -88,7 +88,6 @@ pub struct Violation {
     pub context: String,
 }
 
-#[cfg(feature = "sanitize")]
 #[derive(Debug, Default)]
 struct AuditState {
     last_event_time: Time,
@@ -106,7 +105,6 @@ struct AuditState {
 /// hosts can report to it from inside event handlers.
 #[derive(Debug, Default)]
 pub struct Auditor {
-    #[cfg(feature = "sanitize")]
     state: AuditState,
 }
 
@@ -118,7 +116,6 @@ impl Auditor {
     }
 
     /// Records a violation (bounded; see `MAX_RECORDED`).
-    #[cfg(feature = "sanitize")]
     fn violate(
         &mut self,
         at: Time,
@@ -143,55 +140,51 @@ impl Auditor {
     /// it; this folds them into the auditor when the feature is on, so
     /// `assert_clean`, the report, and the flight-recorder dump sweep all
     /// see them).
-    pub fn record_all(&mut self, violations: &[Violation]) {
-        #[cfg(feature = "sanitize")]
+    pub(crate) fn record_all(&mut self, violations: &[Violation]) {
+        if !Self::enabled() {
+            return;
+        }
         for v in violations {
             self.violate(v.at, v.kind, v.node, format_args!("{}", v.context));
         }
-        #[cfg(not(feature = "sanitize"))]
-        let _ = violations;
     }
 
     /// An event is about to be dispatched at `at`: check monotonicity.
     #[inline]
-    pub fn on_event(&mut self, at: Time) {
-        #[cfg(feature = "sanitize")]
-        {
-            if at < self.state.last_event_time {
-                let last = self.state.last_event_time;
-                self.violate(
-                    at,
-                    ViolationKind::TimeRegression,
-                    None,
-                    format_args!("event at {at} after event at {last}"),
-                );
-            }
-            self.state.last_event_time = at;
+    pub(crate) fn on_event(&mut self, at: Time) {
+        if !Self::enabled() {
+            return;
         }
-        #[cfg(not(feature = "sanitize"))]
-        let _ = at;
+        if at < self.state.last_event_time {
+            let last = self.state.last_event_time;
+            self.violate(
+                at,
+                ViolationKind::TimeRegression,
+                None,
+                format_args!("event at {at} after event at {last}"),
+            );
+        }
+        self.state.last_event_time = at;
     }
 
     /// Should the (expensive) per-switch buffer conservation scan run now?
     /// Always false without the feature, so the caller's loop is dead code.
     #[inline]
-    pub fn buffer_check_due(&mut self) -> bool {
-        #[cfg(feature = "sanitize")]
-        {
-            self.state.events_since_buffer_check += 1;
-            if self.state.events_since_buffer_check >= BUFFER_CHECK_PERIOD {
-                self.state.events_since_buffer_check = 0;
-                return true;
-            }
-            false
+    pub(crate) fn buffer_check_due(&mut self) -> bool {
+        if !Self::enabled() {
+            return false;
         }
-        #[cfg(not(feature = "sanitize"))]
+        self.state.events_since_buffer_check += 1;
+        if self.state.events_since_buffer_check >= BUFFER_CHECK_PERIOD {
+            self.state.events_since_buffer_check = 0;
+            return true;
+        }
         false
     }
 
     /// Conservation check for one switch's shared buffer.
     #[inline]
-    pub fn check_buffer(
+    pub(crate) fn check_buffer(
         &mut self,
         node: NodeId,
         occupied: u64,
@@ -199,114 +192,106 @@ impl Auditor {
         pool_bytes: u64,
         at: Time,
     ) {
-        #[cfg(feature = "sanitize")]
-        {
-            if occupied != ingress_total {
-                self.violate(
-                    at,
-                    ViolationKind::BufferConservation,
-                    Some(node),
-                    format_args!(
-                        "switch {}: occupied {occupied} B != ingress sum {ingress_total} B",
-                        node.0
-                    ),
-                );
-            }
-            if occupied > pool_bytes {
-                self.violate(
-                    at,
-                    ViolationKind::BufferConservation,
-                    Some(node),
-                    format_args!(
-                        "switch {}: occupied {occupied} B exceeds pool {pool_bytes} B",
-                        node.0
-                    ),
-                );
-            }
+        if !Self::enabled() {
+            return;
         }
-        #[cfg(not(feature = "sanitize"))]
-        let _ = (node, occupied, ingress_total, pool_bytes, at);
+        if occupied != ingress_total {
+            self.violate(
+                at,
+                ViolationKind::BufferConservation,
+                Some(node),
+                format_args!(
+                    "switch {}: occupied {occupied} B != ingress sum {ingress_total} B",
+                    node.0
+                ),
+            );
+        }
+        if occupied > pool_bytes {
+            self.violate(
+                at,
+                ViolationKind::BufferConservation,
+                Some(node),
+                format_args!(
+                    "switch {}: occupied {occupied} B exceeds pool {pool_bytes} B",
+                    node.0
+                ),
+            );
+        }
     }
 
     /// Records one port's failed [`crate::port::Port::check_conservation`].
-    pub fn on_port_mismatch(
+    pub(crate) fn on_port_mismatch(
         &mut self,
         node: NodeId,
         port: usize,
         what: std::fmt::Arguments<'_>,
         at: Time,
     ) {
-        #[cfg(feature = "sanitize")]
+        if !Self::enabled() {
+            return;
+        }
         self.violate(
             at,
             ViolationKind::PortConservation,
             Some(node),
             format_args!("node {} port {port}: {what}", node.0),
         );
-        #[cfg(not(feature = "sanitize"))]
-        let _ = (node, port, what, at);
     }
 
     /// A switch sent PAUSE for ingress (port, priority).
     #[inline]
-    pub fn on_pause(&mut self, node: NodeId, port: usize, prio: usize, at: Time) {
-        #[cfg(feature = "sanitize")]
-        {
-            if !self.state.paused.insert((node.0, port, prio)) {
-                self.violate(
-                    at,
-                    ViolationKind::PfcPairing,
-                    Some(node),
-                    format_args!(
-                        "switch {} port {port} prio {prio}: PAUSE while already paused",
-                        node.0
-                    ),
-                );
-            }
+    pub(crate) fn on_pause(&mut self, node: NodeId, port: usize, prio: usize, at: Time) {
+        if !Self::enabled() {
+            return;
         }
-        #[cfg(not(feature = "sanitize"))]
-        let _ = (node, port, prio, at);
+        if !self.state.paused.insert((node.0, port, prio)) {
+            self.violate(
+                at,
+                ViolationKind::PfcPairing,
+                Some(node),
+                format_args!(
+                    "switch {} port {port} prio {prio}: PAUSE while already paused",
+                    node.0
+                ),
+            );
+        }
     }
 
     /// A switch sent RESUME for ingress (port, priority).
     #[inline]
-    pub fn on_resume(&mut self, node: NodeId, port: usize, prio: usize, at: Time) {
-        #[cfg(feature = "sanitize")]
-        {
-            if !self.state.paused.remove(&(node.0, port, prio)) {
-                self.violate(
-                    at,
-                    ViolationKind::PfcPairing,
-                    Some(node),
-                    format_args!(
-                        "switch {} port {port} prio {prio}: RESUME while not paused",
-                        node.0
-                    ),
-                );
-            }
+    pub(crate) fn on_resume(&mut self, node: NodeId, port: usize, prio: usize, at: Time) {
+        if !Self::enabled() {
+            return;
         }
-        #[cfg(not(feature = "sanitize"))]
-        let _ = (node, port, prio, at);
+        if !self.state.paused.remove(&(node.0, port, prio)) {
+            self.violate(
+                at,
+                ViolationKind::PfcPairing,
+                Some(node),
+                format_args!(
+                    "switch {} port {port} prio {prio}: RESUME while not paused",
+                    node.0
+                ),
+            );
+        }
     }
 
     /// A switch dropped a packet of priority `prio`; `lossless` is whether
     /// that class is PFC-protected there. The paper's premise is that
     /// PFC-protected classes never drop — any such drop is a violation.
     #[inline]
-    pub fn on_drop(&mut self, node: NodeId, prio: usize, lossless: bool, at: Time) {
-        #[cfg(feature = "sanitize")]
-        {
-            if lossless {
-                self.violate(
-                    at,
-                    ViolationKind::LosslessDrop,
-                    Some(node),
-                    format_args!("switch {}: drop on lossless priority {prio}", node.0),
-                );
-            }
+    pub(crate) fn on_drop(&mut self, node: NodeId, prio: usize, lossless: bool, at: Time) {
+        if !Self::enabled() {
+            return;
         }
-        #[cfg(not(feature = "sanitize"))]
-        let _ = (node, prio, lossless, at);
+        if lossless {
+            self.violate(
+                at,
+                ViolationKind::LosslessDrop,
+                Some(node),
+                format_args!("switch {}: drop on lossless priority {prio}", node.0),
+            );
+        }
     }
 
     /// A link transition (down *or* up) reset all PFC state on `node`'s
@@ -314,48 +299,44 @@ impl Auditor {
     /// next PAUSE after the reset is not misread as a double-pause (and a
     /// RESUME that never comes is not misread as missing).
     #[inline]
-    pub fn on_pfc_reset(&mut self, node: NodeId, port: usize) {
-        #[cfg(feature = "sanitize")]
-        {
-            let lo = (node.0, port, 0);
-            let hi = (node.0, port, usize::MAX);
-            // simlint: allow(hot-alloc) sanitize builds only, once per link transition
-            let stale: Vec<_> = self.state.paused.range(lo..=hi).copied().collect();
-            for key in stale {
-                self.state.paused.remove(&key);
-            }
+    pub(crate) fn on_pfc_reset(&mut self, node: NodeId, port: usize) {
+        if !Self::enabled() {
+            return;
         }
-        #[cfg(not(feature = "sanitize"))]
-        let _ = (node, port);
+        let lo = (node.0, port, 0);
+        let hi = (node.0, port, usize::MAX);
+        // simlint: allow(hot-alloc) sanitize builds only, once per link transition
+        let stale: Vec<_> = self.state.paused.range(lo..=hi).copied().collect();
+        for key in stale {
+            self.state.paused.remove(&key);
+        }
     }
 
     /// A receiver on `node` accepted `psn` of `flow` in order. Go-back-N
     /// receivers accept exactly 0, 1, 2, … — anything else is a transport
     /// bug.
     #[inline]
-    pub fn on_in_order_accept(&mut self, node: NodeId, flow: FlowId, psn: u64, at: Time) {
-        #[cfg(feature = "sanitize")]
-        {
-            let expected = self.state.expected_psn.entry(flow.0).or_insert(0);
-            if psn != *expected {
-                let want = *expected;
-                self.violate(
-                    at,
-                    ViolationKind::SequenceError,
-                    Some(node),
-                    format_args!("flow {}: accepted PSN {psn}, expected {want}", flow.0),
-                );
-            }
-            self.state.expected_psn.insert(flow.0, psn + 1);
+    pub(crate) fn on_in_order_accept(&mut self, node: NodeId, flow: FlowId, psn: u64, at: Time) {
+        if !Self::enabled() {
+            return;
         }
-        #[cfg(not(feature = "sanitize"))]
-        let _ = (node, flow, psn, at);
+        let expected = self.state.expected_psn.entry(flow.0).or_insert(0);
+        if psn != *expected {
+            let want = *expected;
+            self.violate(
+                at,
+                ViolationKind::SequenceError,
+                Some(node),
+                format_args!("flow {}: accepted PSN {psn}, expected {want}", flow.0),
+            );
+        }
+        self.state.expected_psn.insert(flow.0, psn + 1);
     }
 
     /// Sender-side go-back-N bookkeeping on `node` must keep
     /// `una ≤ send ≤ next`.
     #[inline]
-    pub fn check_flow_psns(
+    pub(crate) fn check_flow_psns(
         &mut self,
         node: NodeId,
         flow: FlowId,
@@ -364,67 +345,63 @@ impl Auditor {
         next: u64,
         at: Time,
     ) {
-        #[cfg(feature = "sanitize")]
-        {
-            if !(una <= send && send <= next) {
-                self.violate(
-                    at,
-                    ViolationKind::SequenceError,
-                    Some(node),
-                    format_args!(
-                        "flow {}: PSN order broke (una {una}, send {send}, next {next})",
-                        flow.0
-                    ),
-                );
-            }
+        if !Self::enabled() {
+            return;
         }
-        #[cfg(not(feature = "sanitize"))]
-        let _ = (node, flow, una, send, next, at);
+        if !(una <= send && send <= next) {
+            self.violate(
+                at,
+                ViolationKind::SequenceError,
+                Some(node),
+                format_args!(
+                    "flow {}: PSN order broke (una {una}, send {send}, next {next})",
+                    flow.0
+                ),
+            );
+        }
     }
 
     /// Domain check on a congestion-control algorithm's self-reported
     /// state (see [`crate::cc::CcAuditInfo`]); `node` is the sending host.
     #[inline]
-    pub fn check_cc(
+    pub(crate) fn check_cc(
         &mut self,
         node: NodeId,
         flow: FlowId,
         info: &crate::cc::CcAuditInfo,
         at: Time,
     ) {
-        #[cfg(feature = "sanitize")]
-        {
-            if let Some(alpha) = info.alpha {
-                if !(0.0..=1.0 + 1e-9).contains(&alpha) || alpha.is_nan() {
-                    self.violate(
-                        at,
-                        ViolationKind::CcDomain,
-                        Some(node),
-                        format_args!("flow {}: alpha {alpha} outside [0, 1]", flow.0),
-                    );
-                }
-            }
-            if info.rate > info.target || info.target > info.line {
+        if !Self::enabled() {
+            return;
+        }
+        if let Some(alpha) = info.alpha {
+            if !(0.0..=1.0 + 1e-9).contains(&alpha) || alpha.is_nan() {
                 self.violate(
                     at,
                     ViolationKind::CcDomain,
                     Some(node),
-                    format_args!(
-                        "flow {}: rate ordering broke (R_C {} > R_T {} or R_T > line {})",
-                        flow.0, info.rate, info.target, info.line
-                    ),
+                    format_args!("flow {}: alpha {alpha} outside [0, 1]", flow.0),
                 );
             }
         }
-        #[cfg(not(feature = "sanitize"))]
-        let _ = (node, flow, info, at);
+        if info.rate > info.target || info.target > info.line {
+            self.violate(
+                at,
+                ViolationKind::CcDomain,
+                Some(node),
+                format_args!(
+                    "flow {}: rate ordering broke (R_C {} > R_T {} or R_T > line {})",
+                    flow.0, info.rate, info.target, info.line
+                ),
+            );
+        }
     }
 
     /// A flow's span timeline settled at a message completion with
     /// `Σ per-state spans != fct` — the causal tracer lost or
     /// double-counted an interval. `node` is the sending host.
     #[inline]
-    pub fn on_span_mismatch(
+    pub(crate) fn on_span_mismatch(
         &mut self,
         node: NodeId,
         flow: FlowId,
@@ -432,37 +409,25 @@ impl Auditor {
         sum: crate::units::Duration,
         at: Time,
     ) {
-        #[cfg(feature = "sanitize")]
-        {
-            self.violate(
-                at,
-                ViolationKind::SpanAccounting,
-                Some(node),
-                format_args!("flow {}: span sum {sum} != fct {fct} at completion", flow.0),
-            );
+        if !Self::enabled() {
+            return;
         }
-        #[cfg(not(feature = "sanitize"))]
-        let _ = (node, flow, fct, sum, at);
+        self.violate(
+            at,
+            ViolationKind::SpanAccounting,
+            Some(node),
+            format_args!("flow {}: span sum {sum} != fct {fct} at completion", flow.0),
+        );
     }
 
     /// Violations recorded so far (empty without the feature).
     pub fn violations(&self) -> &[Violation] {
-        #[cfg(feature = "sanitize")]
-        {
-            &self.state.violations
-        }
-        #[cfg(not(feature = "sanitize"))]
-        &[]
+        &self.state.violations
     }
 
     /// Total violation count, including any past the recording cap.
-    pub fn total_violations(&self) -> u64 {
-        #[cfg(feature = "sanitize")]
-        {
-            self.state.total_violations
-        }
-        #[cfg(not(feature = "sanitize"))]
-        0
+    pub(crate) fn total_violations(&self) -> u64 {
+        self.state.total_violations
     }
 
     /// True when no invariant violation has been observed.
@@ -505,7 +470,7 @@ impl Auditor {
 ///
 /// Pure so it runs (and is testable) with or without the `sanitize`
 /// feature; the caller attributes no node (it is a fabric-wide check).
-pub fn check_queue_drain(samples: &[(Time, u64)], threshold: u64) -> Option<Violation> {
+pub(crate) fn check_queue_drain(samples: &[(Time, u64)], threshold: u64) -> Option<Violation> {
     let (&(first_at, first), &(last_at, last)) = (samples.first()?, samples.last()?);
     if last <= threshold || (samples.len() > 1 && last < first) {
         return None;

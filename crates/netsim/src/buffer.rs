@@ -111,7 +111,7 @@ impl SharedBuffer {
     }
 
     /// Current ingress occupancy of one (port, priority) queue.
-    pub fn ingress_bytes(&self, port: usize, prio: usize) -> u64 {
+    pub(crate) fn ingress_bytes(&self, port: usize, prio: usize) -> u64 {
         self.ingress[port][prio]
     }
 
@@ -119,7 +119,7 @@ impl SharedBuffer {
     /// decision on ingress `(port, prio)` right now — recorded on the
     /// causal tracer's pause-propagation edges so a congestion tree can
     /// show *how full* the root port was when it first paused.
-    pub fn pause_detail(&self, port: usize, prio: usize) -> (u64, u64) {
+    pub(crate) fn pause_detail(&self, port: usize, prio: usize) -> (u64, u64) {
         (self.ingress_bytes(port, prio), self.pfc_threshold())
     }
 
@@ -138,7 +138,7 @@ impl SharedBuffer {
     /// Sum of every per-(port, priority) ingress count. Conservation
     /// invariant (checked by the `sanitize` auditor): this always equals
     /// [`SharedBuffer::occupied`].
-    pub fn ingress_total(&self) -> u64 {
+    pub(crate) fn ingress_total(&self) -> u64 {
         let mut total = 0u64;
         for port in &self.ingress {
             for &b in port {
@@ -194,14 +194,14 @@ impl SharedBuffer {
     /// Should the switch send RESUME for a currently paused ingress
     /// (port, priority)? The paper: "the switch sends RESUME when the queue
     /// falls below `t_PFC` by two MTU".
-    pub fn should_resume(&self, port: usize, prio: usize) -> bool {
+    pub(crate) fn should_resume(&self, port: usize, prio: usize) -> bool {
         let t = self.pfc_threshold();
         self.ingress[port][prio].saturating_add(2 * self.config.mtu_bytes) <= t
     }
 
     /// Per-egress-queue drop limit when PFC is disabled (lossy mode):
     /// a dynamic-alpha style cap of the remaining free pool.
-    pub fn lossy_egress_limit(&self) -> u64 {
+    pub(crate) fn lossy_egress_limit(&self) -> u64 {
         let free = self.config.total_bytes.saturating_sub(self.occupied);
         scale_bytes(free, self.config.lossy_alpha)
     }

@@ -158,7 +158,7 @@ impl NpState {
 
     /// Time since the last CNP was generated (`None` before the first).
     #[inline]
-    pub fn since_cnp(&self, now: Time) -> Option<Duration> {
+    pub(crate) fn since_cnp(&self, now: Time) -> Option<Duration> {
         self.last_cnp.map(|last| now - last)
     }
 
@@ -195,11 +195,6 @@ impl CongestionControl for NoCc {
 /// the flow's line rate. Lets experiment code configure hosts declaratively.
 pub type CcFactory = Box<dyn Fn(Bandwidth) -> Box<dyn CongestionControl> + Send>;
 
-/// A factory for [`NoCc`].
-pub fn no_cc_factory() -> CcFactory {
-    Box::new(|line| Box::new(NoCc::new(line)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,7 +214,7 @@ mod tests {
 
     #[test]
     fn factory_builds_per_flow_instances() {
-        let f = no_cc_factory();
+        let f: CcFactory = Box::new(|line| Box::new(NoCc::new(line)));
         let cc = f(Bandwidth::gbps(10));
         assert_eq!(cc.rate(), Bandwidth::gbps(10));
     }

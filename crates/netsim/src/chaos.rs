@@ -68,7 +68,7 @@ pub struct TopoShape {
     /// Number of switches (node ids `0..switches`).
     pub switches: usize,
     /// Number of links.
-    pub links: usize,
+    pub(crate) links: usize,
 }
 
 impl TopoPick {
@@ -158,7 +158,7 @@ impl CcName {
     }
 
     /// Parses a [`label`](CcName::label) back.
-    pub fn from_label(s: &str) -> Option<CcName> {
+    pub(crate) fn from_label(s: &str) -> Option<CcName> {
         match s {
             "none" => Some(CcName::None),
             "dcqcn" => Some(CcName::Dcqcn),
@@ -461,6 +461,15 @@ impl ChaosCase {
                 format!("field '{key}' out of range ({v} does not fit in {bits} bits)")
             })
         }
+        /// A count a replay file may not push past `max` (see
+        /// [`MAX_REPLAY_HOSTS`]).
+        fn capped(j: &Json, key: &str, max: u32) -> Result<u32, String> {
+            let v = u(j, key)?;
+            u32::try_from(v)
+                .ok()
+                .filter(|&n| n <= max)
+                .ok_or_else(|| format!("field '{key}' is {v}, past the replay limit of {max}"))
+        }
         fn kind(j: &Json) -> Result<&str, String> {
             j.get("kind")
                 .and_then(Json::as_str)
@@ -469,10 +478,10 @@ impl ChaosCase {
         let topo_j = j.get("topo").ok_or("missing 'topo'")?;
         let topo = match kind(topo_j)? {
             "star" => TopoPick::Star {
-                hosts: narrow(topo_j, "hosts")?,
+                hosts: capped(topo_j, "hosts", MAX_REPLAY_HOSTS)?,
             },
             "clos" => TopoPick::Clos {
-                hosts_per_tor: narrow(topo_j, "hosts_per_tor")?,
+                hosts_per_tor: capped(topo_j, "hosts_per_tor", MAX_REPLAY_HOSTS / 4)?,
             },
             "parking_lot" => TopoPick::ParkingLot,
             k => return Err(format!("unknown topo kind '{k}'")),
@@ -482,7 +491,14 @@ impl ChaosCase {
         let flows = j
             .get("flows")
             .and_then(Json::as_arr)
-            .ok_or("missing 'flows'")?
+            .ok_or("missing 'flows'")?;
+        if flows.len() > MAX_REPLAY_FLOWS {
+            return Err(format!(
+                "field 'flows' lists {} flows, past the replay limit of {MAX_REPLAY_FLOWS}",
+                flows.len()
+            ));
+        }
+        let flows = flows
             .iter()
             .map(|f| {
                 Ok(ChaosFlow {
@@ -504,7 +520,7 @@ impl ChaosCase {
                         link: narrow(f, "link")?,
                         at_us: u(f, "at_us")?,
                         down_us: u(f, "down_us")?,
-                        times: narrow(f, "times")?,
+                        times: capped(f, "times", MAX_REPLAY_FLAPS)?,
                         period_us: u(f, "period_us")?,
                     },
                     "bit_error" => FaultSpec::BitError {
@@ -607,6 +623,17 @@ impl ChaosCase {
         Ok(())
     }
 }
+
+/// Replay-file limits on the sizes that cost memory: hosts of the
+/// fabric, flows of the workload and cycles of one flap (each expands to
+/// two plan events). [`generate_case`] emits at most 12 hosts, 12 flows
+/// and 3 flap cycles; a file past a limit is rejected with the field
+/// named instead of aborting on an allocation.
+const MAX_REPLAY_HOSTS: u32 = 256;
+/// See [`MAX_REPLAY_HOSTS`].
+const MAX_REPLAY_FLOWS: usize = 4096;
+/// See [`MAX_REPLAY_HOSTS`].
+const MAX_REPLAY_FLAPS: u32 = 1000;
 
 /// The latest whole microsecond the simulated clock (`u64` picoseconds)
 /// can hold.
@@ -1046,7 +1073,12 @@ mod tests {
             let shape = topo.shape();
             let (net, hosts) = topo.build(chaos_host_config(), SwitchConfig::paper_default(), 42);
             assert_eq!(hosts.len(), shape.hosts, "{topo:?}");
-            assert_eq!(net.num_links(), shape.links, "{topo:?}");
+            let nodes = shape.switches + shape.hosts;
+            let linked = (0..nodes)
+                .flat_map(|a| (a + 1..nodes).map(move |b| (NodeId(a), NodeId(b))))
+                .filter(|&(a, b)| net.link_between(a, b).is_some())
+                .count();
+            assert_eq!(linked, shape.links, "{topo:?}");
             // Hosts follow switches in the node-id space.
             for (i, h) in hosts.iter().enumerate() {
                 assert_eq!(h.0, shape.switches + i, "{topo:?}");

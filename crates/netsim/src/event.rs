@@ -121,14 +121,15 @@ pub enum Event {
 
 /// Names for [`Event::kind_index`] values, used by the telemetry
 /// profiler's per-kind report.
-pub const EVENT_KIND_NAMES: [&str; 7] = [
+#[cfg(feature = "profile")]
+pub(crate) const EVENT_KIND_NAMES: [&str; 7] = [
     "deliver", "tx_done", "timer", "sample", "hook", "fault", "watchdog",
 ];
 
 impl Event {
     /// Index of this event's kind into [`EVENT_KIND_NAMES`].
     #[inline]
-    pub fn kind_index(&self) -> usize {
+    pub(crate) fn kind_index(&self) -> usize {
         match self {
             Event::Deliver { .. } => 0,
             Event::TxDone { .. } => 1,
@@ -237,11 +238,11 @@ struct Slot {
 pub struct CohortStats {
     /// Times the cursor moved and pulled a bucket (or an overflow cohort)
     /// into the sorted due run.
-    pub promotions: u64,
+    pub(crate) promotions: u64,
     /// Events those promotions pulled, in total.
-    pub promoted: u64,
+    pub(crate) promoted: u64,
     /// The largest single promotion.
-    pub max_cohort: u64,
+    pub(crate) max_cohort: u64,
 }
 
 /// Deterministic event queue. Pops events in `(time, insertion order)` order.
@@ -342,7 +343,7 @@ impl EventQueue {
 
     /// The cohorts `pop` has sorted so far (all zero without `--features
     /// profile`).
-    pub fn cohort_stats(&self) -> CohortStats {
+    pub(crate) fn cohort_stats(&self) -> CohortStats {
         #[cfg(feature = "profile")]
         {
             self.cohorts
@@ -603,7 +604,7 @@ impl EventQueue {
     /// last popped event. Never moves the clock backwards, and must not
     /// jump past a pending event (that would let `pop` run time in
     /// reverse).
-    pub fn advance_clock(&mut self, to: Time) {
+    pub(crate) fn advance_clock(&mut self, to: Time) {
         debug_assert!(
             self.peek_time().is_none_or(|t| t >= to),
             "advance_clock({to}) would skip past a pending event"

@@ -31,7 +31,7 @@ use crate::units::{Duration, Time};
 /// switch, tagged `storm` so the congestion tree can tell fault-injected
 /// roots apart from genuine buffer-pressure PAUSEs (which carry the
 /// occupancy/threshold that justified them; a storm has neither).
-pub fn storm_pause_edge(host: NodeId, att: Attachment, class: u8, at: Time) -> PauseEdge {
+pub(crate) fn storm_pause_edge(host: NodeId, att: Attachment, class: u8, at: Time) -> PauseEdge {
     PauseEdge {
         at,
         from: host,
@@ -371,11 +371,11 @@ impl FaultStats {
 
 /// Per-link fault state.
 #[derive(Debug, Clone, Copy)]
-pub struct LinkState {
+pub(crate) struct LinkState {
     /// Is the link carrying frames?
-    pub up: bool,
+    pub(crate) up: bool,
     /// Per-frame corruption probability (0 = healthy).
-    pub drop_prob: f64,
+    pub(crate) drop_prob: f64,
 }
 
 impl Default for LinkState {
@@ -389,7 +389,7 @@ impl Default for LinkState {
 
 /// What happened to a frame crossing a (possibly faulty) link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireFate {
+pub(crate) enum WireFate {
     /// Delivered intact.
     Deliver,
     /// Lost: the link is down.
@@ -404,7 +404,7 @@ pub enum WireFate {
 /// transition goes through a method here; the node-side reactions (PFC
 /// reset, reroute) are `Network`'s.
 #[derive(Debug)]
-pub struct FaultEngine {
+pub(crate) struct FaultEngine {
     config: FaultConfig,
     stats: FaultStats,
     /// Per-link health, indexed by `LinkId.0`.
@@ -415,7 +415,7 @@ pub struct FaultEngine {
 
 impl FaultEngine {
     /// An inactive engine covering `num_links` healthy links.
-    pub fn inactive(num_links: usize) -> FaultEngine {
+    pub(crate) fn inactive(num_links: usize) -> FaultEngine {
         FaultEngine {
             config: FaultConfig::default(),
             stats: FaultStats::default(),
@@ -426,7 +426,7 @@ impl FaultEngine {
     }
 
     /// Activates the engine with `config` (re-seeds the bit-error stream).
-    pub fn activate(&mut self, config: FaultConfig) {
+    pub(crate) fn activate(&mut self, config: FaultConfig) {
         self.config = config;
         self.rng = SplitMix64::new(config.seed);
         self.active = true;
@@ -435,33 +435,33 @@ impl FaultEngine {
     /// Hot-path guard: when false, the delivery path skips the fault
     /// layer entirely and a run is byte-identical to pre-fault builds.
     #[inline(always)]
-    pub fn active(&self) -> bool {
+    pub(crate) fn active(&self) -> bool {
         self.active
     }
 
     /// Should routes be recomputed on a link transition?
-    pub fn failover(&self) -> bool {
+    pub(crate) fn failover(&self) -> bool {
         self.config.failover
     }
 
     /// Fault counters.
-    pub fn stats(&self) -> FaultStats {
+    pub(crate) fn stats(&self) -> FaultStats {
         self.stats
     }
 
     /// Per-link health, indexed by `LinkId.0`.
-    pub fn links(&self) -> &[LinkState] {
+    pub(crate) fn links(&self) -> &[LinkState] {
         &self.links
     }
 
     /// Is `link` up?
-    pub fn link_up(&self, link: LinkId) -> bool {
+    pub(crate) fn link_up(&self, link: LinkId) -> bool {
         self.links[link.0].up
     }
 
     /// Sets `link` up or down. Returns false (and changes nothing) when it
     /// already is; a real transition activates the engine and is counted.
-    pub fn set_link(&mut self, link: LinkId, up: bool) -> bool {
+    pub(crate) fn set_link(&mut self, link: LinkId, up: bool) -> bool {
         if self.links[link.0].up == up {
             return false;
         }
@@ -472,18 +472,18 @@ impl FaultEngine {
     }
 
     /// Sets `link`'s per-frame corruption probability (0 heals).
-    pub fn set_bit_error(&mut self, link: LinkId, drop_prob: f64) {
+    pub(crate) fn set_bit_error(&mut self, link: LinkId, drop_prob: f64) {
         self.active = true;
         self.links[link.0].drop_prob = drop_prob;
     }
 
     /// Counts one route recomputation.
-    pub fn count_reroute(&mut self) {
+    pub(crate) fn count_reroute(&mut self) {
         self.stats.reroutes += 1;
     }
 
     /// Counts one storm-injected PAUSE frame.
-    pub fn count_storm_pause(&mut self) {
+    pub(crate) fn count_storm_pause(&mut self) {
         self.stats.storm_pauses += 1;
     }
 
@@ -491,7 +491,7 @@ impl FaultEngine {
     /// Bit errors hit every frame kind alike — data, ACKs, even PFC
     /// frames (a corrupted RESUME is one of the stuck-queue stories the
     /// watchdog exists for).
-    pub fn wire_fate(&mut self, link: LinkId) -> WireFate {
+    pub(crate) fn wire_fate(&mut self, link: LinkId) -> WireFate {
         let st = self.links[link.0];
         if !st.up {
             self.stats.link_drops += 1;

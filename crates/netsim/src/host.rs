@@ -76,13 +76,13 @@ impl Default for HostConfig {
 
 /// A message handed to a flow for transmission.
 #[derive(Debug, Clone, Copy)]
-pub struct PendingMessage {
+pub(crate) struct PendingMessage {
     /// Bytes not yet cut into packets.
-    pub remaining: u64,
+    pub(crate) remaining: u64,
     /// Original size.
-    pub total: u64,
+    pub(crate) total: u64,
     /// When the message was handed to the flow.
-    pub arrived: Time,
+    pub(crate) arrived: Time,
 }
 
 /// Metadata for a sent-but-unacknowledged packet (needed for go-back-N
@@ -116,27 +116,27 @@ pub struct Flow {
     /// The congestion-control algorithm (DCQCN RP, DCTCP, ...).
     pub cc: Box<dyn CongestionControl>,
     /// Messages waiting to be packetized.
-    pub messages: VecDeque<PendingMessage>,
+    pub(crate) messages: VecDeque<PendingMessage>,
     /// Lowest unacknowledged PSN.
-    pub una_psn: u64,
+    pub(crate) una_psn: u64,
     /// Next PSN to put on the wire (rewinds on NAK/timeout).
-    pub send_psn: u64,
+    pub(crate) send_psn: u64,
     /// Next never-sent PSN.
-    pub next_psn: u64,
+    pub(crate) next_psn: u64,
     /// Wire bytes in `[una_psn, next_psn)` (window accounting).
-    pub inflight_wire: u64,
+    pub(crate) inflight_wire: u64,
     /// Pacing: earliest time the next packet may start.
-    pub next_eligible: Time,
+    pub(crate) next_eligible: Time,
     /// Armed RTO deadline (`Time::NEVER` = disarmed).
-    pub rto_deadline: Time,
+    pub(crate) rto_deadline: Time,
     /// Armed CC timers: id → deadline.
-    pub cc_timers: Vec<(u32, Time)>,
+    pub(crate) cc_timers: Vec<(u32, Time)>,
     /// Last send or ACK activity (drives idle reset).
-    pub last_activity: Time,
+    pub(crate) last_activity: Time,
     /// Consecutive retransmission timeouts without ACK progress.
-    pub consecutive_timeouts: u32,
+    pub(crate) consecutive_timeouts: u32,
     /// The QP exhausted its retry budget and was torn down.
-    pub dead: bool,
+    pub(crate) dead: bool,
     unacked: VecDeque<SentPkt>,
     unfinished: VecDeque<UnfinishedMsg>,
 }
@@ -169,17 +169,17 @@ impl Flow {
     /// message is popped at its `eom` packet, and a zero-byte message
     /// goes out as one header-only `eom` packet (like an InfiniBand
     /// zero-length write) and completes on its ACK.
-    pub fn has_data(&self) -> bool {
+    pub(crate) fn has_data(&self) -> bool {
         !self.dead && (self.send_psn < self.next_psn || !self.messages.is_empty())
     }
 
     /// Nothing outstanding and nothing to send.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.una_psn == self.next_psn && !self.has_data()
     }
 
     /// Current sending rate as reported by the CC algorithm.
-    pub fn current_rate(&self) -> Bandwidth {
+    pub(crate) fn current_rate(&self) -> Bandwidth {
         self.cc.rate()
     }
 
@@ -194,13 +194,13 @@ impl Flow {
 }
 
 /// Receiver-side state of one flow (transport reassembly point + NP).
-pub struct FlowReceiver {
+pub(crate) struct FlowReceiver {
     /// The sending host (ACKs/CNPs go there).
-    pub src: NodeId,
+    pub(crate) src: NodeId,
     /// Next PSN expected in order.
-    pub expected_psn: u64,
+    pub(crate) expected_psn: u64,
     /// The notification point (`None` when the host generates no CNPs).
-    pub np: Option<NpState>,
+    pub(crate) np: Option<NpState>,
     pkts_since_ack: u32,
     marked_since_ack: u32,
     last_nack_psn: u64,
@@ -232,7 +232,7 @@ pub struct Host {
     /// Sender-side flows originating here.
     pub flows: Vec<Flow>,
     /// Receiver-side state per incoming flow.
-    pub receivers: HashMap<FlowId, FlowReceiver>,
+    pub(crate) receivers: HashMap<FlowId, FlowReceiver>,
     /// Flow id → index in `flows`; keeps per-ACK/CNP lookups O(1).
     flow_ids: HashMap<FlowId, usize>,
     rr_cursor: usize,
@@ -647,7 +647,7 @@ impl Host {
     /// The NIC scheduler: sends one packet if the transmitter is idle and
     /// anything is eligible; otherwise arms a wakeup for the earliest
     /// pacing deadline.
-    pub fn try_send(&mut self, ctx: &mut Ctx) {
+    pub(crate) fn try_send(&mut self, ctx: &mut Ctx) {
         if self.port.busy {
             return;
         }

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crate::faults::{FaultConfig, FaultPlan};
     pub use crate::host::HostConfig;
     pub use crate::network::{Network, NetworkBuilder};
-    pub use crate::packet::{FlowId, CONTROL_PRIORITY, DATA_PRIORITY, HEADER_BYTES};
+    pub use crate::packet::{FlowId, DATA_PRIORITY, HEADER_BYTES};
     pub use crate::stats::{median, percentile, FlowStats, SamplerConfig};
     pub use crate::switch::{PfcWatchdogConfig, SwitchConfig};
     pub use crate::telemetry::{Json, Metrics};

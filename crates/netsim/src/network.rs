@@ -108,7 +108,7 @@ impl Ctx {
 
     /// Schedules host `node`'s timer `kind` to fire at `at`.
     #[inline]
-    pub fn schedule_timer(&mut self, at: Time, node: NodeId, kind: TimerKind) {
+    pub(crate) fn schedule_timer(&mut self, at: Time, node: NodeId, kind: TimerKind) {
         self.queue.schedule(at, Event::Timer { node, kind });
     }
 
@@ -117,7 +117,13 @@ impl Ctx {
     /// `flow` is `FlowId(u64::MAX)` when no flow is involved; `detail` is
     /// per kind (see [`TraceEvent::detail`]).
     #[inline]
-    pub fn record_trace(&mut self, node: NodeId, flow: FlowId, kind: TraceKind, detail: u64) {
+    pub(crate) fn record_trace(
+        &mut self,
+        node: NodeId,
+        flow: FlowId,
+        kind: TraceKind,
+        detail: u64,
+    ) {
         let event = TraceEvent {
             at: self.queue.now(),
             node,
@@ -133,7 +139,7 @@ impl Ctx {
     /// any FCT-decomposition mismatch (`Σ spans != fct`) to the sanitize
     /// auditor. One branch when span tracing is disabled.
     #[inline]
-    pub fn complete_span(&mut self, flow: FlowId, host: NodeId, now: Time) {
+    pub(crate) fn complete_span(&mut self, flow: FlowId, host: NodeId, now: Time) {
         if let Some((fct, sum)) = self.spans.on_complete(flow, now) {
             self.audit.on_span_mismatch(host, flow, fct, sum, now);
         }
@@ -191,7 +197,7 @@ impl Network {
     }
 
     /// Mutably borrow a host.
-    pub fn host_mut(&mut self, id: NodeId) -> &mut Host {
+    pub(crate) fn host_mut(&mut self, id: NodeId) -> &mut Host {
         match &mut self.nodes[id.0] {
             Node::Host(h) => h,
             Node::Switch(_) => panic!("node {} is a switch", id.0),
@@ -222,11 +228,6 @@ impl Network {
     /// Line rate of a host's NIC.
     pub fn line_rate(&self, host: NodeId) -> Bandwidth {
         self.host(host).line_rate()
-    }
-
-    /// Number of links in the fabric (fault injection targets).
-    pub fn num_links(&self) -> usize {
-        self.edges.len()
     }
 
     /// The link connecting `a` and `b` directly (either order), if any.

@@ -14,7 +14,7 @@ pub const HEADER_BYTES: u64 = 64;
 
 /// Wire size of small control frames (ACK/NAK/CNP/PFC): minimum Ethernet
 /// frame.
-pub const CONTROL_BYTES: u64 = 64;
+pub(crate) const CONTROL_BYTES: u64 = 64;
 
 /// Globally unique flow identifier (stands in for the 5-tuple / queue pair).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,7 +29,7 @@ pub const NUM_PRIORITIES: usize = 8;
 
 /// Priority used for control traffic (ACKs and CNPs). The paper sends CNPs
 /// "with high priority, to avoid missing the CNP deadline".
-pub const CONTROL_PRIORITY: Priority = 0;
+pub(crate) const CONTROL_PRIORITY: Priority = 0;
 
 /// Default priority class for RDMA data traffic.
 pub const DATA_PRIORITY: Priority = 3;
@@ -178,7 +178,7 @@ impl Packet {
     }
 
     /// Builds a CNP addressed to the flow's source.
-    pub fn cnp(src: NodeId, dst: NodeId, flow: FlowId) -> Packet {
+    pub(crate) fn cnp(src: NodeId, dst: NodeId, flow: FlowId) -> Packet {
         Packet {
             kind: PacketKind::Cnp,
             src,
@@ -204,7 +204,7 @@ impl Packet {
     }
 
     /// Builds a QCN feedback message (baseline only).
-    pub fn qcn_feedback(src: NodeId, dst: NodeId, flow: FlowId, fb: u8) -> Packet {
+    pub(crate) fn qcn_feedback(src: NodeId, dst: NodeId, flow: FlowId, fb: u8) -> Packet {
         Packet {
             kind: PacketKind::QcnFeedback { fb },
             src,
@@ -217,21 +217,8 @@ impl Packet {
     }
 
     /// True for RoCE data segments.
-    pub fn is_data(&self) -> bool {
+    pub(crate) fn is_data(&self) -> bool {
         matches!(self.kind, PacketKind::Data { .. })
-    }
-
-    /// True for link-local PFC frames.
-    pub fn is_pfc(&self) -> bool {
-        matches!(self.kind, PacketKind::Pfc { .. })
-    }
-
-    /// Payload bytes (0 for control frames).
-    pub fn payload(&self) -> u64 {
-        match self.kind {
-            PacketKind::Data { payload, .. } => payload,
-            _ => 0,
-        }
     }
 
     /// Marks the packet with Congestion Experienced if it is ECN-capable.
@@ -260,7 +247,7 @@ mod tests {
     fn data_wire_size_includes_headers() {
         let p = Packet::data(n(0), n(1), FlowId(7), DATA_PRIORITY, 0, 1436);
         assert_eq!(p.wire_bytes, 1500);
-        assert_eq!(p.payload(), 1436);
+        assert!(matches!(p.kind, PacketKind::Data { payload: 1436, .. }));
         assert!(p.is_data());
         assert_eq!(p.ecn, Ecn::Ect);
     }
@@ -275,7 +262,6 @@ mod tests {
         ] {
             assert_eq!(p.wire_bytes, CONTROL_BYTES);
             assert_eq!(p.ecn, Ecn::NotEct);
-            assert_eq!(p.payload(), 0);
             assert!(!p.is_data());
         }
     }
@@ -283,7 +269,6 @@ mod tests {
     #[test]
     fn pfc_frames_are_recognized() {
         let p = Packet::pfc(n(0), n(1), 3, false);
-        assert!(p.is_pfc());
         match p.kind {
             PacketKind::Pfc { class, pause } => {
                 assert_eq!(class, 3);

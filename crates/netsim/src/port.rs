@@ -36,10 +36,10 @@ pub struct Queued {
     /// The packet.
     pub pkt: Packet,
     /// `(ingress port index, priority)` for buffer release, if attributed.
-    pub ingress: Option<(usize, usize)>,
+    pub(crate) ingress: Option<(usize, usize)>,
     /// When the packet entered this egress queue (`Time::ZERO` when not
     /// stamped). Feeds the causal tracer's per-hop residency spans.
-    pub enqueued_at: Time,
+    pub(crate) enqueued_at: Time,
     /// Whether this entry is counted in `queued_bytes` (PFC frames from
     /// the dedicated queue are not).
     counted: bool,
@@ -100,7 +100,7 @@ pub struct Port {
     pub pfc_ignore: [bool; NUM_PRIORITIES],
     /// Classes with a live watchdog check chain (one chain per class, the
     /// soft-deadline pattern used by host timers).
-    pub wd_armed: [bool; NUM_PRIORITIES],
+    pub(crate) wd_armed: [bool; NUM_PRIORITIES],
     /// The packet currently being serialized.
     pub current: Option<Queued>,
 }

@@ -71,7 +71,7 @@ impl SplitMix64 {
 
 /// A deterministic 64-bit mixer used for ECMP flow hashing. Distinct from the
 /// RNG: the same (flow, salt) pair must always map to the same path.
-pub fn mix64(mut x: u64) -> u64 {
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     x = (x ^ (x >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
     x ^ (x >> 33)

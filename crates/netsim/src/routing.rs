@@ -64,11 +64,6 @@ impl RouteTable {
             .filter(|ports| !ports.is_empty())
     }
 
-    /// Is `dst` routable from here?
-    pub fn contains_key(&self, dst: &NodeId) -> bool {
-        self.get(dst).is_some()
-    }
-
     /// Number of routable destinations.
     pub fn len(&self) -> usize {
         self.ranges.iter().filter(|&&(_, len)| len > 0).count()
@@ -260,7 +255,7 @@ mod tests {
         assert_eq!(t[2][&n(0)], vec![p(0)]);
         assert_eq!(t[2][&n(1)], vec![p(1)]);
         assert_eq!(t[0][&n(1)], vec![p(0)]);
-        assert!(!t[0].contains_key(&n(0)), "no route to self");
+        assert!(t[0].get(&n(0)).is_none(), "no route to self");
     }
 
     /// Two equal-cost middle switches:
@@ -292,16 +287,16 @@ mod tests {
     fn unreachable_destinations_have_no_entry() {
         let edges = vec![(n(0), p(0), n(1), p(0))];
         let t = compute_routes(3, &edges, &[n(2)]);
-        assert!(!t[0].contains_key(&n(2)));
-        assert!(!t[1].contains_key(&n(2)));
+        assert!(t[0].get(&n(2)).is_none());
+        assert!(t[1].get(&n(2)).is_none());
     }
 
     #[test]
     fn routes_only_computed_for_requested_dests() {
         let edges = vec![(n(0), p(0), n(1), p(0))];
         let t = compute_routes(2, &edges, &[n(1)]);
-        assert!(t[0].contains_key(&n(1)));
-        assert!(!t[1].contains_key(&n(0)));
+        assert!(t[0].get(&n(1)).is_some());
+        assert!(t[1].get(&n(0)).is_none());
     }
 
     #[test]
@@ -332,7 +327,7 @@ mod tests {
     fn masking_the_only_path_removes_the_route() {
         let edges = vec![(n(0), p(0), n(1), p(0))];
         let t = compute_routes_masked(2, &edges, &[true], &[n(1)]);
-        assert!(!t[0].contains_key(&n(1)), "no route over a dead link");
+        assert!(t[0].get(&n(1)).is_none(), "no route over a dead link");
     }
 
     /// The convergence auditor compares a switch's live table against a
@@ -389,7 +384,7 @@ mod tests {
         assert_eq!(t.ports.len(), 3);
         assert_eq!((t.len(), &t[&n(3)]), (3, &[p(1), p(2)][..]));
         t.insert(n(5), Vec::new());
-        assert!(!t.contains_key(&n(5)), "an empty set removes the route");
+        assert!(t.get(&n(5)).is_none(), "an empty set removes the route");
 
         let mut u = RouteTable::new();
         u.insert(n(3), vec![p(1), p(2)]);

@@ -171,7 +171,7 @@ impl PacketPool {
     }
 
     /// Total slots ever allocated (the in-flight high-water mark).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slab.peak()
     }
 }

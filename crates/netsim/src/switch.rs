@@ -33,11 +33,11 @@ use crate::units::{Duration, Time};
 #[derive(Debug, Clone, Copy)]
 pub struct QcnCpConfig {
     /// Equilibrium egress queue length in bytes (`Q_eq`).
-    pub q_eq_bytes: u64,
+    pub(crate) q_eq_bytes: u64,
     /// Weight of the queue derivative in Fb.
     pub w: f64,
     /// Sample a packet for feedback every this many egress bytes.
-    pub sample_bytes: u64,
+    pub(crate) sample_bytes: u64,
 }
 
 impl Default for QcnCpConfig {
@@ -89,7 +89,7 @@ pub struct SwitchConfig {
     pub pfc_enabled: bool,
     /// Which priority classes are lossless (PFC-protected). Ignored when
     /// `pfc_enabled` is false.
-    pub lossless: [bool; NUM_PRIORITIES],
+    pub(crate) lossless: [bool; NUM_PRIORITIES],
     /// QCN congestion point (baseline only).
     pub qcn: Option<QcnCpConfig>,
     /// PFC storm watchdog (`None` = no watchdog, the paper-era default).
@@ -137,11 +137,11 @@ impl SwitchConfig {
 
 /// Per-egress-port QCN sampling state.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct QcnPortState {
+pub(crate) struct QcnPortState {
     /// Bytes seen since the last sampled packet.
-    pub bytes_since_sample: u64,
+    pub(crate) bytes_since_sample: u64,
     /// Queue length at the previous sample (for q_delta).
-    pub q_old: u64,
+    pub(crate) q_old: u64,
 }
 
 /// A switch instance.
@@ -188,12 +188,12 @@ impl Switch {
     }
 
     /// Is `prio` PFC-protected on this switch?
-    pub fn is_lossless(&self, prio: usize) -> bool {
+    pub(crate) fn is_lossless(&self, prio: usize) -> bool {
         self.config.pfc_enabled && self.config.lossless[prio]
     }
 
     /// Picks the ECMP egress port for `pkt`, or `None` when unroutable.
-    pub fn route(&self, pkt: &Packet, salt: u64) -> Option<PortId> {
+    pub(crate) fn route(&self, pkt: &Packet, salt: u64) -> Option<PortId> {
         let ports = self.routes.get(&pkt.dst)?;
         debug_assert!(!ports.is_empty());
         let h = mix64(pkt.flow.0 ^ salt);
@@ -403,7 +403,7 @@ impl Switch {
 
     /// Starts transmission on `pid` if the transmitter is idle and a packet
     /// is eligible.
-    pub fn try_transmit(&mut self, ctx: &mut Ctx, pid: PortId) {
+    pub(crate) fn try_transmit(&mut self, ctx: &mut Ctx, pid: PortId) {
         self.ports[pid.0].start_tx(ctx, self.id, pid);
     }
 
@@ -425,7 +425,7 @@ impl Switch {
     /// peer's state is reset in the same transition), and kick the
     /// transmitter in case it was pause-blocked. Without this a dead
     /// link's unanswered PAUSE would freeze the port forever.
-    pub fn reset_link_pfc(&mut self, ctx: &mut Ctx, pid: PortId) {
+    pub(crate) fn reset_link_pfc(&mut self, ctx: &mut Ctx, pid: PortId) {
         self.paused_ingress.retain(|&(p, _)| p != pid.0);
         self.ports[pid.0].reset_pfc();
         self.try_transmit(ctx, pid);

@@ -183,7 +183,12 @@ impl Dashboard {
 
     /// Adds a 100%-stacked horizontal-bar panel: each row is normalized
     /// to its own total (rows with an all-zero total are skipped).
-    pub fn stacked(&mut self, title: &str, categories: Vec<String>, rows: Vec<(String, Vec<f64>)>) {
+    pub(crate) fn stacked(
+        &mut self,
+        title: &str,
+        categories: Vec<String>,
+        rows: Vec<(String, Vec<f64>)>,
+    ) {
         self.panels.push(Panel {
             title: title.to_string(),
             body: Body::Stacked { categories, rows },
@@ -196,11 +201,6 @@ impl Dashboard {
             title: title.to_string(),
             body: Body::Table { rows },
         });
-    }
-
-    /// Number of panels added so far.
-    pub fn panel_count(&self) -> usize {
-        self.panels.len()
     }
 
     /// Renders the complete single-file HTML document into one buffer
@@ -535,7 +535,7 @@ mod tests {
         d.stacked("zeros", vec!["a".into()], vec![("r".into(), vec![0.0])]);
         let html = d.render();
         assert_eq!(html.matches("<i>no data</i>").count(), 2);
-        assert_eq!(d.panel_count(), 2);
+        assert_eq!(d.panels.len(), 2);
     }
 
     #[test]

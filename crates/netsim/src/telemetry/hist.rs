@@ -14,7 +14,7 @@
 use super::Json;
 
 /// Number of log2 buckets: one for zero plus one per bit of a `u64`.
-pub const NUM_BUCKETS: usize = 65;
+pub(crate) const NUM_BUCKETS: usize = 65;
 
 /// A fixed-size log2-bucket histogram of `u64` samples.
 #[derive(Debug, Clone)]
@@ -34,7 +34,7 @@ impl Default for Histogram {
 
 /// Index of the bucket holding `v`: 0 for 0, else `64 − leading_zeros`.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -44,7 +44,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Smallest value bucket `i` can hold (its lower bound).
 #[inline]
-pub fn bucket_floor(i: usize) -> u64 {
+pub(crate) fn bucket_floor(i: usize) -> u64 {
     if i == 0 {
         0
     } else {
@@ -133,7 +133,7 @@ impl Histogram {
     /// histogram reports that value, and `p = 0` / `p = 100` report
     /// `min` / `max` whenever the rank resolves to the extreme buckets.
     /// Bucket 0 (the value 0) has zero width and is always exact.
-    pub fn percentile_midpoint(&self, p: f64) -> f64 {
+    pub(crate) fn percentile_midpoint(&self, p: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -188,7 +188,7 @@ impl Histogram {
 
     /// The non-empty buckets, as `(lower_bound, count)` pairs in
     /// ascending value order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    pub(crate) fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()

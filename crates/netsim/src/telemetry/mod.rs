@@ -53,18 +53,18 @@
 //! assert_eq!(m.registry.hist_get(h.queue_depth_bytes).count(), 1);
 //! ```
 
-pub mod dash;
-pub mod hist;
-pub mod profile;
-pub mod recorder;
-pub mod registry;
-pub mod sampler;
+pub(crate) mod dash;
+pub(crate) mod hist;
+pub(crate) mod profile;
+pub(crate) mod recorder;
+pub(crate) mod registry;
+pub(crate) mod sampler;
 pub mod spans;
 pub mod timeline;
 
 pub use dash::{Dashboard, Series};
 pub use hist::Histogram;
-pub use profile::{ProfMark, Profiler};
+pub use profile::Profiler;
 pub use recorder::{FlightDump, FlightRecorder};
 pub use registry::{CounterId, GaugeId, HistId, Metrics, Registry, WellKnown};
 pub use sampler::{Sampler, SamplerConfig};
@@ -73,4 +73,4 @@ pub use spans::{
     ChromeTrace, CongestionTree, FlowSpan, HopSpan, PauseEdge, SpanCompletion, SpanState, Spans,
     TreeEdge, TreeRoot, TreeVictim, NUM_SPAN_STATES,
 };
-pub use timeline::{BucketView, Timeline, TimelineSet, TrackId, TrackKind, DEFAULT_POINT_BUDGET};
+pub use timeline::{BucketView, Timeline, TimelineSet, TrackId, TrackKind};

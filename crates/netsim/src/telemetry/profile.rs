@@ -25,11 +25,11 @@ const KINDS: usize = EVENT_KIND_NAMES.len();
 /// Opaque timestamp returned by [`Profiler::mark`]. Zero-sized when
 /// profiling is compiled out.
 #[cfg(feature = "profile")]
-pub type ProfMark = std::time::Instant;
+pub(crate) type ProfMark = std::time::Instant;
 /// Opaque timestamp returned by [`Profiler::mark`]. Zero-sized when
 /// profiling is compiled out.
 #[cfg(not(feature = "profile"))]
-pub type ProfMark = ();
+pub(crate) type ProfMark = ();
 
 #[cfg(feature = "profile")]
 #[derive(Debug, Clone)]
@@ -75,7 +75,7 @@ impl Profiler {
 
     /// Takes a timestamp before dispatching an event.
     #[inline]
-    pub fn mark(&self) -> ProfMark {
+    pub(crate) fn mark(&self) -> ProfMark {
         #[cfg(feature = "profile")]
         {
             // simlint: allow(determinism-taint) opt-in `profile` feature; feeds an advisory report excluded from deterministic outputs
@@ -86,7 +86,7 @@ impl Profiler {
     /// Attributes the time since `mark` to event kind `kind`
     /// (an index from [`crate::event::Event::kind_index`]).
     #[inline]
-    pub fn on_event(&mut self, kind: usize, mark: ProfMark) {
+    pub(crate) fn on_event(&mut self, kind: usize, mark: ProfMark) {
         #[cfg(feature = "profile")]
         if let Some(s) = &mut self.state {
             s.events_by_kind[kind] += 1;

@@ -18,7 +18,7 @@ use crate::units::Time;
 
 /// Maximum number of dumps retained per run. Violation storms beyond
 /// this keep counting in the auditor but stop snapshotting.
-pub const MAX_DUMPS: usize = 8;
+pub(crate) const MAX_DUMPS: usize = 8;
 
 /// One snapshot of a node's recent history, taken at a trigger point.
 #[derive(Debug, Clone)]

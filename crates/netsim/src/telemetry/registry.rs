@@ -52,7 +52,7 @@ impl Registry {
     }
 
     /// Registers (or re-finds) a gauge by name. Cold path.
-    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
+    pub(crate) fn gauge(&mut self, name: &'static str) -> GaugeId {
         if let Some(i) = self.gauge_names.iter().position(|&n| n == name) {
             return GaugeId(i);
         }
@@ -62,7 +62,7 @@ impl Registry {
     }
 
     /// Registers (or re-finds) a histogram by name. Cold path.
-    pub fn histogram(&mut self, name: &'static str) -> HistId {
+    pub(crate) fn histogram(&mut self, name: &'static str) -> HistId {
         if let Some(i) = self.hist_names.iter().position(|&n| n == name) {
             return HistId(i);
         }
@@ -79,7 +79,7 @@ impl Registry {
 
     /// Adds `n` to a counter.
     #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
+    pub(crate) fn add(&mut self, id: CounterId, n: u64) {
         self.counters[id.0] += n;
     }
 
@@ -92,7 +92,7 @@ impl Registry {
     /// Raises a gauge to `v` if `v` exceeds its current value
     /// (high-water-mark semantics).
     #[inline]
-    pub fn set_max(&mut self, id: GaugeId, v: u64) {
+    pub(crate) fn set_max(&mut self, id: GaugeId, v: u64) {
         if v > self.gauges[id.0] {
             self.gauges[id.0] = v;
         }
@@ -110,12 +110,6 @@ impl Registry {
         self.counters[id.0]
     }
 
-    /// Current value of a gauge handle.
-    #[inline]
-    pub fn gauge_get(&self, id: GaugeId) -> u64 {
-        self.gauges[id.0]
-    }
-
     /// The histogram behind a handle.
     #[inline]
     pub fn hist_get(&self, id: HistId) -> &Histogram {
@@ -125,7 +119,7 @@ impl Registry {
     /// Cold name-based handle lookup (no registration): the hook for
     /// binding an existing counter to a sampler track once, then reading
     /// it by id on the hot path.
-    pub fn counter_id(&self, name: &str) -> Option<CounterId> {
+    pub(crate) fn counter_id(&self, name: &str) -> Option<CounterId> {
         let i = self.counter_names.iter().position(|&n| n == name)?;
         Some(CounterId(i))
     }
@@ -134,18 +128,6 @@ impl Registry {
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         let i = self.counter_names.iter().position(|&n| n == name)?;
         Some(self.counters[i])
-    }
-
-    /// Cold name-based gauge lookup for report code and tests.
-    pub fn gauge_value(&self, name: &str) -> Option<u64> {
-        let i = self.gauge_names.iter().position(|&n| n == name)?;
-        Some(self.gauges[i])
-    }
-
-    /// Cold name-based histogram lookup for report code and tests.
-    pub fn hist_by_name(&self, name: &str) -> Option<&Histogram> {
-        let i = self.hist_names.iter().position(|&n| n == name)?;
-        Some(&self.hists[i])
     }
 
     /// All counters as `(name, handle)` in registration order.
@@ -158,7 +140,7 @@ impl Registry {
     }
 
     /// All gauges as `(name, value)` in registration order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.gauge_names
             .iter()
             .copied()
@@ -166,17 +148,17 @@ impl Registry {
     }
 
     /// All histograms as `(name, histogram)` in registration order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.hist_names.iter().copied().zip(self.hists.iter())
     }
 
     /// The `gauges` section of the run report, keyed by name.
-    pub fn gauges_json(&self) -> Json {
+    pub(crate) fn gauges_json(&self) -> Json {
         Json::obj(self.gauges().map(|(n, v)| (n, Json::UInt(v))).collect())
     }
 
     /// The `histograms` section of the run report, keyed by name.
-    pub fn histograms_json(&self) -> Json {
+    pub(crate) fn histograms_json(&self) -> Json {
         Json::obj(
             self.histograms()
                 .map(|(n, h)| (n, h.summary_json()))
@@ -202,7 +184,7 @@ pub struct WellKnown {
     pub resume_tx: CounterId,
     pub drops_pool: CounterId,
     pub drops_lossy: CounterId,
-    pub fault_drops: CounterId,
+    pub(crate) fault_drops: CounterId,
     pub forwarded: CounterId,
     pub retx_pkts: CounterId,
     pub timeouts: CounterId,
@@ -210,16 +192,16 @@ pub struct WellKnown {
     pub cnps_sent: CounterId,
     pub watchdog_trips: CounterId,
     pub watchdog_restores: CounterId,
-    pub qp_teardowns: CounterId,
+    pub(crate) qp_teardowns: CounterId,
     pub completions: CounterId,
-    pub link_transitions: CounterId,
+    pub(crate) link_transitions: CounterId,
     pub storm_pauses: CounterId,
     pub convergence_checks: CounterId,
-    pub convergence_violations: CounterId,
-    pub peak_buffer_bytes: GaugeId,
+    pub(crate) convergence_violations: CounterId,
+    pub(crate) peak_buffer_bytes: GaugeId,
     pub queue_depth_bytes: HistId,
-    pub cnp_interarrival_us: HistId,
-    pub fct_us: HistId,
+    pub(crate) cnp_interarrival_us: HistId,
+    pub(crate) fct_us: HistId,
     pub pause_duration_us: HistId,
 }
 
@@ -276,13 +258,13 @@ impl Metrics {
 
     /// Adds `n` to a counter (hot path: one array index).
     #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
+    pub(crate) fn add(&mut self, id: CounterId, n: u64) {
         self.registry.add(id, n);
     }
 
     /// Raises a gauge high-water mark (hot path: one array index).
     #[inline]
-    pub fn set_max(&mut self, id: GaugeId, v: u64) {
+    pub(crate) fn set_max(&mut self, id: GaugeId, v: u64) {
         self.registry.set_max(id, v);
     }
 
@@ -321,9 +303,9 @@ mod tests {
         let g = r.gauge("depth");
         r.set_max(g, 10);
         r.set_max(g, 5);
-        assert_eq!(r.gauge_value("depth"), Some(10));
+        assert_eq!(r.gauges().collect::<Vec<_>>(), [("depth", 10)]);
         r.set(g, 3);
-        assert_eq!(r.gauge_get(g), 3);
+        assert_eq!(r.gauges().collect::<Vec<_>>(), [("depth", 3)]);
     }
 
     #[test]
@@ -335,7 +317,7 @@ mod tests {
         sorted.dedup();
         assert_eq!(names.len(), sorted.len());
         assert_eq!(m.registry.counter_value("ecn_marks"), Some(0));
-        assert!(m.registry.hist_by_name("fct_us").is_some());
+        assert!(m.registry.histograms().any(|(n, _)| n == "fct_us"));
     }
 
     #[test]
@@ -345,6 +327,7 @@ mod tests {
         r.observe(h, 7);
         r.observe(h, 9);
         assert_eq!(r.hist_get(h).count(), 2);
-        assert_eq!(r.hist_by_name("lat").unwrap().max(), 9);
+        let named: Vec<_> = r.histograms().map(|(n, h)| (n, h.max())).collect();
+        assert_eq!(named, [("lat", 9)]);
     }
 }

@@ -239,7 +239,7 @@ impl Sampler {
 
     /// Adds one chart per sampled track family that has taps: queue
     /// depth, CC rate, goodput, counter rates.
-    pub fn charts(&self, d: &mut Dashboard) {
+    pub(crate) fn charts(&self, d: &mut Dashboard) {
         // One line per tap: `y` of each bucket against the bucket's time.
         let line = |label: String, track, y: fn(&BucketView) -> f64| Series {
             label,

@@ -213,7 +213,7 @@ pub struct TreeEdge {
     /// Whether any frame was storm-injected.
     pub storm: bool,
     /// Peak ingress occupancy seen on PAUSE decisions.
-    pub peak_depth: u64,
+    pub(crate) peak_depth: u64,
 }
 
 /// A victim flow: one that spent time pause-blocked, with the last
@@ -223,7 +223,7 @@ pub struct TreeVictim {
     /// The blocked flow.
     pub flow: FlowId,
     /// Total time its class was paused at its NIC.
-    pub pause_blocked: Duration,
+    pub(crate) pause_blocked: Duration,
     /// Origin of the last PAUSE that blocked it, when known.
     pub origin: Option<(NodeId, PortId)>,
 }
@@ -498,7 +498,7 @@ impl Spans {
     /// (`retx = true` for a go-back-N resend), ensuring the track
     /// exists before the end-of-event state observation.
     #[inline]
-    pub fn on_data_tx(&mut self, flow: FlowId, retx: bool, now: Time) {
+    pub(crate) fn on_data_tx(&mut self, flow: FlowId, retx: bool, now: Time) {
         if !self.enabled {
             return;
         }
@@ -516,7 +516,7 @@ impl Spans {
     /// the retransmission timer fires: the stall since the last
     /// transition was RTO wait, whatever label it carried.
     #[inline]
-    pub fn on_timeout(&mut self, flow: FlowId, now: Time) {
+    pub(crate) fn on_timeout(&mut self, flow: FlowId, now: Time) {
         if !self.enabled {
             return;
         }
@@ -550,7 +550,7 @@ impl Spans {
     /// identity `Σ accum == at - started` does **not** hold — the
     /// caller routes that to the sanitize auditor.
     #[inline]
-    pub fn on_complete(&mut self, flow: FlowId, now: Time) -> Option<(Duration, Duration)> {
+    pub(crate) fn on_complete(&mut self, flow: FlowId, now: Time) -> Option<(Duration, Duration)> {
         if !self.enabled {
             return None;
         }

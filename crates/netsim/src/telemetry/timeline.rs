@@ -46,7 +46,7 @@ use crate::units::{Duration, Time};
 
 /// Default per-track point budget: a track never holds more than this
 /// many samples or buckets, no matter the horizon.
-pub const DEFAULT_POINT_BUDGET: usize = 4096;
+pub(crate) const DEFAULT_POINT_BUDGET: usize = 4096;
 
 /// How merged buckets of a track are summarized. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -142,10 +142,6 @@ pub fn clos_testbed(
 pub struct ParkingLot {
     /// The built network.
     pub net: Network,
-    /// First-bottleneck switch (H1/H2 attach here).
-    pub sw1: NodeId,
-    /// Second-bottleneck switch (H3/R1/R2 attach here).
-    pub sw2: NodeId,
     /// Sender of f1 (one bottleneck: SW1→SW2).
     pub h1: NodeId,
     /// Sender of f2 (two bottlenecks: SW1→SW2 and SW2→R2).
@@ -183,8 +179,6 @@ pub fn parking_lot(
     b.connect(r2, sw2, link.bandwidth, link.delay);
     ParkingLot {
         net: b.build(),
-        sw1,
-        sw2,
         h1,
         h2,
         h3,
@@ -341,10 +335,11 @@ mod tests {
             1,
         );
         // f2's path crosses both switches: SW1 routes r2-bound traffic
-        // over the trunk, SW2 delivers it.
-        let sw1 = pl.net.switch(pl.sw1);
+        // over the trunk, SW2 delivers it. The switches are the first
+        // two nodes built.
+        let sw1 = pl.net.switch(NodeId(0));
         assert_eq!(sw1.routes[&pl.r2].len(), 1);
-        let sw2 = pl.net.switch(pl.sw2);
+        let sw2 = pl.net.switch(NodeId(1));
         assert_eq!(sw2.routes[&pl.r2].len(), 1);
         assert_eq!(sw1.ports.len(), 3, "trunk + H1 + H2");
         assert_eq!(sw2.ports.len(), 4, "trunk + H3 + R1 + R2");

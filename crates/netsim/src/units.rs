@@ -76,7 +76,7 @@ impl Time {
         self.0 as f64 / PS_PER_US as f64
     }
     /// Saturating difference `self - earlier`.
-    pub fn saturating_since(self, earlier: Time) -> Duration {
+    pub(crate) fn saturating_since(self, earlier: Time) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
 }
@@ -103,10 +103,6 @@ impl Duration {
     #[track_caller]
     pub const fn from_millis(ms: u64) -> Duration {
         Duration(picos(ms, 1_000 * PS_PER_US))
-    }
-    /// Builds a span from floating-point seconds.
-    pub fn from_secs_f64(s: f64) -> Duration {
-        Duration((s * PS_PER_SEC as f64).round() as u64)
     }
     /// This span expressed in floating-point seconds.
     pub fn as_secs_f64(self) -> f64 {
@@ -207,9 +203,6 @@ impl fmt::Display for Duration {
 pub struct Bandwidth(pub u64);
 
 impl Bandwidth {
-    /// A zero rate (flow fully throttled).
-    pub const ZERO: Bandwidth = Bandwidth(0);
-
     /// Builds a bandwidth from gigabits per second.
     pub const fn gbps(g: u64) -> Bandwidth {
         Bandwidth(g * 1_000_000_000)
@@ -295,13 +288,13 @@ pub mod bytes {
 /// rule forbids bare `+`/`-`/`as` on such counters in
 /// `netsim::{buffer,port,switch}`; these helpers are the sanctioned
 /// replacements.
-pub mod checked {
+pub(crate) mod checked {
     /// Adds `bytes` to `counter`. On overflow the counter is left
     /// untouched and `false` is returned — callers treat that as a failed
     /// admission, never a wrap.
     #[inline]
     #[must_use]
-    pub fn checked_accum(counter: &mut u64, bytes: u64) -> bool {
+    pub(crate) fn checked_accum(counter: &mut u64, bytes: u64) -> bool {
         match counter.checked_add(bytes) {
             Some(v) => {
                 *counter = v;
@@ -317,7 +310,7 @@ pub mod checked {
     /// wrapping into an absurd occupancy.
     #[inline]
     #[must_use]
-    pub fn checked_drain(counter: &mut u64, bytes: u64) -> bool {
+    pub(crate) fn checked_drain(counter: &mut u64, bytes: u64) -> bool {
         match counter.checked_sub(bytes) {
             Some(v) => {
                 *counter = v;
@@ -331,7 +324,7 @@ pub mod checked {
     /// α·free). NaN and negative factors clamp to 0; results beyond
     /// `u64::MAX` saturate. The result is always a sane byte count.
     #[inline]
-    pub fn scale_bytes(bytes: u64, factor: f64) -> u64 {
+    pub(crate) fn scale_bytes(bytes: u64, factor: f64) -> u64 {
         // Plain cast, not `bytes_to_f64`: this helper's contract is to
         // clamp pathological inputs, not assert them away.
         let v = bytes as f64 * factor;
@@ -349,30 +342,12 @@ pub mod checked {
     /// this simulator models; the debug assertion keeps that promise
     /// honest.
     #[inline]
-    pub fn bytes_to_f64(bytes: u64) -> f64 {
+    pub(crate) fn bytes_to_f64(bytes: u64) -> f64 {
         debug_assert!(
             bytes < (1u64 << 53),
             "byte count {bytes} loses precision as f64"
         );
         bytes as f64
-    }
-
-    /// Bytes to bits, saturating instead of wrapping for absurd inputs.
-    #[inline]
-    pub fn bytes_to_bits(bytes: u64) -> u64 {
-        bytes.saturating_mul(8)
-    }
-
-    /// A float Gbps rate as bytes per nanosecond (40 Gbps → 5 B/ns).
-    /// NaN and negative rates clamp to 0.0 so a corrupted rate can never
-    /// poison downstream byte math.
-    #[inline]
-    pub fn gbps_to_bytes_per_ns(gbps: f64) -> f64 {
-        if gbps.is_nan() || gbps <= 0.0 {
-            0.0
-        } else {
-            gbps / 8.0
-        }
     }
 }
 
@@ -431,7 +406,7 @@ mod tests {
 
     #[test]
     fn zero_bandwidth_never_finishes() {
-        assert!(Bandwidth::ZERO.serialize(1).0 > Duration::from_millis(1_000_000).0);
+        assert!(Bandwidth(0).serialize(1).0 > Duration::from_millis(1_000_000).0);
     }
 
     #[test]
@@ -494,7 +469,7 @@ mod tests {
         let b = Bandwidth::gbps(20);
         assert_eq!(a.midpoint(b), Bandwidth::gbps(30));
         assert_eq!(a.scale(0.5), Bandwidth::gbps(20));
-        assert_eq!(a.scale(-1.0), Bandwidth::ZERO);
+        assert_eq!(a.scale(-1.0), Bandwidth(0));
     }
 
     #[test]
@@ -538,12 +513,6 @@ mod tests {
 
     #[test]
     fn conversion_helpers() {
-        use checked::{bytes_to_bits, bytes_to_f64, gbps_to_bytes_per_ns};
-        assert_eq!(bytes_to_bits(1500), 12_000);
-        assert_eq!(bytes_to_bits(u64::MAX), u64::MAX, "saturates");
-        assert_eq!(bytes_to_f64(12_000_000), 12_000_000.0);
-        assert_eq!(gbps_to_bytes_per_ns(40.0), 5.0);
-        assert_eq!(gbps_to_bytes_per_ns(f64::NAN), 0.0);
-        assert_eq!(gbps_to_bytes_per_ns(-1.0), 0.0);
+        assert_eq!(checked::bytes_to_f64(12_000_000), 12_000_000.0);
     }
 }

@@ -64,6 +64,29 @@ pub struct FieldDef {
     pub line: u32,
 }
 
+/// A declaration visible outside its crate: written exactly `pub` (not
+/// `pub(crate)` / `pub(super)`) and outside `#[cfg(test)]`.
+#[derive(Debug, Clone)]
+pub struct PubDecl {
+    /// `fn`, `const`, `static`, `struct`, `enum`, `union`, `type`,
+    /// `trait` or `field`.
+    pub kind: &'static str,
+    /// The declared name.
+    pub name: String,
+    /// The impl type of a method or associated const, the struct of a
+    /// field; `None` for module-level items.
+    pub owner: Option<String>,
+    /// 1-based line of the name.
+    pub line: u32,
+    /// Token range of what the declaration exposes: a fn's parameters,
+    /// return type and bounds; a field's, const's or alias's type; a
+    /// struct's generics (and tuple fields); an enum's or trait's body.
+    pub sig: std::ops::Range<usize>,
+}
+
+/// Declaration kinds that name a type (and can own members).
+pub const TYPE_KINDS: [&str; 5] = ["struct", "enum", "union", "type", "trait"];
+
 /// One parsed source file.
 pub struct ParsedFile {
     /// Workspace-relative path, `/`-separated.
@@ -81,6 +104,8 @@ pub struct ParsedFile {
     pub fields: Vec<FieldDef>,
     /// Names aliased to `HashMap`/`HashSet` in this file.
     pub map_aliases: Vec<String>,
+    /// `pub` declarations outside test code, in source order.
+    pub pub_decls: Vec<PubDecl>,
 }
 
 /// Container types whose first generic argument is the interesting type
@@ -162,6 +187,7 @@ pub fn parse_file(rel: &str, src: &str) -> ParsedFile {
     let mut fns: Vec<FnDef> = Vec::new();
     let mut fields: Vec<FieldDef> = Vec::new();
     let mut map_aliases: Vec<String> = Vec::new();
+    let mut pub_decls: Vec<PubDecl> = Vec::new();
 
     let mut scopes: Vec<Scope> = Vec::new();
     let mut depth = 0usize;
@@ -334,6 +360,12 @@ pub fn parse_file(rel: &str, src: &str) -> ParsedFile {
                 }
             }
             TokKind::Ident => {
+                if t.text == "pub"
+                    && !pending_test
+                    && !scopes.iter().any(|s| matches!(s, Scope::Test(_)))
+                {
+                    pub_decls.extend(pub_decl(&tokens, i, &scopes, depth));
+                }
                 // Field declarations inside a struct body.
                 if let Some(Scope::Struct(sname, sdepth)) = scopes
                     .iter()
@@ -383,7 +415,144 @@ pub fn parse_file(rel: &str, src: &str) -> ParsedFile {
         fns,
         fields,
         map_aliases,
+        pub_decls,
     }
+}
+
+/// Recovers the declaration that the `pub` at `at` introduces. `None`
+/// for `pub(…)`, `pub mod`, `pub use` and tuple-struct fields (those are
+/// part of their struct's signature).
+fn pub_decl(tokens: &[Tok], at: usize, scopes: &[Scope], depth: usize) -> Option<PubDecl> {
+    if tokens.get(at + 1)?.is_punct("(") {
+        return None;
+    }
+    let innermost = scopes.iter().rev().find(|s| !matches!(s, Scope::Test(_)));
+    if let Some(Scope::Struct(owner, sdepth)) = innermost {
+        let name = tokens.get(at + 1).filter(|t| t.kind == TokKind::Ident)?;
+        if depth != sdepth + 1 || !tokens.get(at + 2)?.is_punct(":") {
+            return None;
+        }
+        return Some(PubDecl {
+            kind: "field",
+            name: name.text.clone(),
+            owner: Some(owner.clone()),
+            line: name.line,
+            sig: at + 3..sig_end(tokens, at + 3, &[",", "}"]),
+        });
+    }
+    let mut j = at + 1;
+    while let Some(t) = tokens.get(j) {
+        let qualifier = t.is_ident("unsafe")
+            || t.is_ident("async")
+            || t.is_ident("extern")
+            || t.kind == TokKind::Str
+            || (t.is_ident("const") && tokens.get(j + 1).is_some_and(|n| n.is_ident("fn")));
+        if !qualifier {
+            break;
+        }
+        j += 1;
+    }
+    let kw = tokens.get(j)?;
+    let kind = [
+        "fn", "const", "static", "struct", "enum", "union", "type", "trait",
+    ]
+    .into_iter()
+    .find(|k| kw.is_ident(k))?;
+    let mut n = j + 1;
+    if kind == "static" && tokens.get(n).is_some_and(|t| t.is_ident("mut")) {
+        n += 1;
+    }
+    let name = tokens.get(n).filter(|t| t.kind == TokKind::Ident)?;
+    let owner = match innermost {
+        Some(Scope::Impl(o, _)) => Some(o.clone()),
+        _ => None,
+    };
+    let end = match kind {
+        "fn" | "struct" | "union" => sig_end(tokens, n + 1, &["{", ";"]),
+        "const" | "static" => sig_end(tokens, n + 1, &["=", ";"]),
+        "type" => sig_end(tokens, n + 1, &[";"]),
+        _ => body_end(tokens, n + 1),
+    };
+    Some(PubDecl {
+        kind,
+        name: name.text.clone(),
+        owner,
+        line: name.line,
+        sig: n + 1..end,
+    })
+}
+
+/// Index of the first token in `stops` at bracket depth 0 from `i` on
+/// (or the end of the stream).
+fn sig_end(tokens: &[Tok], mut i: usize, stops: &[&str]) -> usize {
+    let mut depth = 0isize;
+    while let Some(t) = tokens.get(i) {
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                "(" | "[" | "<" => depth += 1,
+                ")" | "]" | ">" => depth -= 1,
+                ">>" => depth -= 2,
+                s if depth <= 0 && stops.contains(&s) => return i,
+                _ => {}
+            }
+        }
+        i += 1;
+    }
+    i
+}
+
+/// Index just past the `}` closing the first `{` from `i` on.
+fn body_end(tokens: &[Tok], i: usize) -> usize {
+    let open = sig_end(tokens, i, &["{"]);
+    let mut depth = 0usize;
+    for (k, t) in tokens.iter().enumerate().skip(open) {
+        if t.is_punct("{") {
+            depth += 1;
+        } else if t.is_punct("}") {
+            depth -= 1;
+            if depth == 0 {
+                return k + 1;
+            }
+        }
+    }
+    tokens.len()
+}
+
+/// The Rust code blocks of a file's `///` and `//!` comments, as one
+/// source: a doctest compiles against the public API like any other
+/// caller. Blocks fenced as `text`, `ignore` or another language are
+/// skipped; rustdoc's hidden `# ` lines are kept.
+pub fn doc_code(src: &str) -> String {
+    let mut out = String::new();
+    // `Some(is_rust)` inside a fence.
+    let mut fence: Option<bool> = None;
+    for line in src.lines() {
+        let t = line.trim_start();
+        let Some(doc) = t.strip_prefix("///").or_else(|| t.strip_prefix("//!")) else {
+            fence = None;
+            continue;
+        };
+        let doc = doc.strip_prefix(' ').unwrap_or(doc);
+        if let Some(info) = doc.trim_start().strip_prefix("```") {
+            fence = match fence {
+                Some(_) => None,
+                None => Some(info.split(',').map(str::trim).all(|w| {
+                    matches!(w, "" | "rust" | "no_run" | "should_panic") || w.starts_with("edition")
+                })),
+            };
+            continue;
+        }
+        if fence == Some(true) {
+            let code = if doc == "#" {
+                ""
+            } else {
+                doc.strip_prefix("# ").unwrap_or(doc)
+            };
+            out.push_str(code);
+            out.push('\n');
+        }
+    }
+    out
 }
 
 /// Parses an `impl` header starting after the `impl` keyword. Returns the
@@ -692,7 +861,7 @@ pub fn type_calls(
 /// Resolves the type of the receiver chain ending at the `.` before the
 /// method ident at `i`. Handles `self.m(`, `self.field.m(`, `param.m(`,
 /// `param.field.m(`, and one trailing index (`self.field[i].m(`).
-fn receiver_type(
+pub(crate) fn receiver_type(
     tokens: &[Tok],
     i: usize,
     owner: &Option<String>,

@@ -4,7 +4,9 @@
 //! that rebuilds `fn` definitions, struct fields, and call sites; a call
 //! graph ([`callgraph`]) rooted at the event dispatch loop *computes*
 //! the hot-path function/file set (no hard-coded lists); and the passes
-//! ([`rules`]) run over tokens and reachability. A reviewed finding is
+//! ([`rules`]) run over tokens and reachability. Integration tests,
+//! examples, benches and doc-comment code blocks are read only as
+//! callers, by `unused-pub`. A reviewed finding is
 //! tolerated one way: a `// simlint: allow(<rule>) <reason>` comment at
 //! its site ([`rules::Allow`]), listed with its reason in the report.
 //!
@@ -87,15 +89,28 @@ pub struct Analysis {
 
 /// Runs the full analysis over `(relative path, source)` pairs.
 pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Analysis {
-    let mut files: Vec<items::ParsedFile> = sources
+    let (caller_only, linted): (Vec<_>, Vec<_>) =
+        sources.iter().partition(|(rel, _)| is_caller_only(rel));
+    let mut files: Vec<items::ParsedFile> = linted
         .iter()
         .map(|(rel, src)| items::parse_file(rel, src))
+        .collect();
+    // Caller-only files and every doc comment's code blocks are read by
+    // `unused-pub` alone.
+    let docs = sources
+        .iter()
+        .map(|(rel, src)| (format!("{rel} (doc)"), items::doc_code(src)))
+        .filter(|(_, code)| !code.is_empty());
+    let callers: Vec<items::ParsedFile> = caller_only
+        .iter()
+        .map(|(rel, src)| items::parse_file(rel, src))
+        .chain(docs.map(|(rel, code)| items::parse_file(&rel, &code)))
         .collect();
 
     // Workspace-wide receiver-typing tables.
     let mut field_ty: BTreeMap<(String, String), String> = BTreeMap::new();
     let mut methods_of: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for f in &files {
+    for f in files.iter().chain(&callers) {
         for fd in &f.fields {
             field_ty.insert((fd.owner.clone(), fd.name.clone()), fd.ty.clone());
         }
@@ -116,9 +131,12 @@ pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Analysi
     let map_names = rules::collect_map_names(&files);
     let ctx = rules::PassCtx {
         files: &files,
+        callers: &callers,
         graph: &graph,
         map_names: &map_names,
         config_files: &config.config_files,
+        field_ty: &field_ty,
+        methods_of: &methods_of,
     };
     let all = rules::run_all(&ctx);
 
@@ -229,18 +247,28 @@ fn shard_report(
     ])
 }
 
-/// Directories never scanned (mirrors the legacy scanner, plus simlint
-/// itself — its fixtures *contain* findings).
-pub const SKIP_DIRS: [&str; 7] = [
-    "simlint", "target", ".git", "tests", "benches", "examples", "fuzz",
-];
+/// Directories never scanned: build output, and simlint itself — its
+/// fixtures *contain* findings.
+pub const SKIP_DIRS: [&str; 3] = ["simlint", "target", ".git"];
+
+/// Is `rel` in a directory whose files only call the libraries
+/// (integration tests, examples, benches)? `unused-pub` reads such files
+/// for what they name; no other rule lints them.
+fn is_caller_only(rel: &str) -> bool {
+    rel.split('/')
+        .any(|c| ["tests", "examples", "benches"].contains(&c))
+}
 
 /// Collects `(relative path, source)` for every workspace `.rs` file
-/// under `<root>/crates`, sorted by path (`crates/…`-prefixed) for
-/// deterministic output.
+/// under `<root>/crates` and the root package's `src`, `tests` and
+/// `examples`, sorted by path for deterministic output.
 pub fn collect_workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut out: Vec<(String, String)> = Vec::new();
-    let mut stack = vec![root.join("crates")];
+    let mut stack: Vec<_> = ["crates", "src", "tests", "examples"]
+        .iter()
+        .map(|d| root.join(d))
+        .filter(|d| d.is_dir())
+        .collect();
     while let Some(dir) = stack.pop() {
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;

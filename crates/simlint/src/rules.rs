@@ -1,14 +1,15 @@
 //! The passes. Five legacy rules (map-iter, counter-arith, float-cmp,
 //! hot-unwrap, metric-lookup) reimplemented on the lexer + call-graph
-//! engine, plus the three scale-arc passes (determinism-taint, hot-alloc,
-//! shard-safety). Hot-path-scoped rules consult the computed reachable
-//! set — no hard-coded file lists — and carry an example call chain from
-//! the dispatch root in their message.
+//! engine, the three scale-arc passes (determinism-taint, hot-alloc,
+//! shard-safety), and unused-pub, which reads every other file of the
+//! workspace as a caller of netsim. Hot-path-scoped rules consult the
+//! computed reachable set — no hard-coded file lists — and carry an
+//! example call chain from the dispatch root in their message.
 
 use crate::callgraph::{CallGraph, FnId};
-use crate::items::ParsedFile;
+use crate::items::{receiver_type, ParsedFile, PubDecl, TYPE_KINDS};
 use crate::lexer::{Tok, TokKind};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One diagnostic. Findings order by (file, line, rule, message), the
 /// order every report lists them in.
@@ -52,8 +53,11 @@ const ITER_METHODS: [&str; 8] = [
     "retain",
 ];
 
+/// The crate whose public surface `unused-pub` audits.
+pub const SURFACE: &str = "crates/netsim/src/";
+
 /// Every rule, with a one-line description (used by `--help` and docs).
-pub const RULES: [(&str, &str); 9] = [
+pub const RULES: [(&str, &str); 10] = [
     (
         "map-iter",
         "no iteration over HashMap/HashSet (or aliases) in library code — std hash order is per-process random",
@@ -85,6 +89,10 @@ pub const RULES: [(&str, &str); 9] = [
     (
         "shard-safety",
         "inventory of shared-mutable constructs (Rc, RefCell, Cell, static mut, thread_local!) in hot files",
+    ),
+    (
+        "unused-pub",
+        "a `pub` item or field of netsim that no other crate, test, example or doctest names; make it `pub(crate)`",
     ),
     (
         "unused-allow",
@@ -144,14 +152,21 @@ pub fn collect_allows(raw_lines: &[String]) -> Vec<Allow> {
 
 /// Context shared by the passes.
 pub struct PassCtx<'a> {
-    /// All parsed files.
+    /// All linted files.
     pub files: &'a [ParsedFile],
+    /// Files read only for what they name (`unused-pub`): integration
+    /// tests, examples, benches, and the code blocks of doc comments.
+    pub callers: &'a [ParsedFile],
     /// The computed call graph.
     pub graph: &'a CallGraph,
     /// Identifiers bound to map types anywhere in non-test code.
     pub map_names: &'a BTreeSet<String>,
     /// Files exempt from determinism-taint (the config layer).
     pub config_files: &'a [String],
+    /// Workspace-wide `(struct, field) → type head` table.
+    pub field_ty: &'a BTreeMap<(String, String), String>,
+    /// Workspace-wide `type → method names` table.
+    pub methods_of: &'a BTreeMap<String, Vec<String>>,
 }
 
 /// Collects identifiers bound to `HashMap`/`HashSet` (or an alias of
@@ -215,6 +230,7 @@ pub fn run_all(ctx: &PassCtx<'_>) -> Vec<Finding> {
     determinism_taint(ctx, &mut out);
     hot_alloc(ctx, &mut out);
     shard_safety(ctx, &mut out);
+    unused_pub(ctx, &mut out);
     out.sort();
     out
 }
@@ -672,6 +688,149 @@ fn shard_safety(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
                 });
             }
         }
+    }
+}
+
+// ---- unused-pub ---------------------------------------------------------
+
+/// What the callers name: bare identifiers, `Type::member` pairs (paths,
+/// and method calls or field reads whose receiver types), and the
+/// structs they build by literal.
+#[derive(Default)]
+struct Named {
+    bare: BTreeSet<String>,
+    members: BTreeSet<(String, String)>,
+    literals: BTreeSet<String>,
+}
+
+/// Tokens that make a following `Name {` a declaration or a type rather
+/// than a struct literal.
+const NOT_LITERAL: [&str; 9] = [
+    "struct", "enum", "union", "trait", "impl", "for", "->", "dyn", "mod",
+];
+
+/// A type-like path segment: capitalized, and not `Self`.
+fn is_type_name(t: &Tok) -> bool {
+    t.kind == TokKind::Ident
+        && t.text != "Self"
+        && t.text.starts_with(|c: char| c.is_ascii_uppercase())
+}
+
+impl Named {
+    fn read(&mut self, file: &ParsedFile, ctx: &PassCtx<'_>) {
+        let toks = &file.tokens;
+        // The innermost fn around each token, for receiver typing (fns
+        // are in source order, so a nested fn overwrites its parent).
+        let mut enclosing = vec![None; toks.len()];
+        for (k, f) in file.fns.iter().enumerate() {
+            enclosing[f.body.clone()].fill(Some(k));
+        }
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != TokKind::Ident {
+                continue;
+            }
+            let prev = i.checked_sub(1).map(|p| &toks[p]);
+            if prev.is_some_and(|p| p.is_punct("::")) && i >= 2 && is_type_name(&toks[i - 2]) {
+                self.members
+                    .insert((toks[i - 2].text.clone(), t.text.clone()));
+                continue;
+            }
+            if prev.is_some_and(|p| p.is_punct(".")) {
+                let is_member = |ty: &String| {
+                    ctx.methods_of
+                        .get(ty)
+                        .is_some_and(|ms| ms.contains(&t.text))
+                        || ctx.field_ty.contains_key(&(ty.clone(), t.text.clone()))
+                };
+                let typed = enclosing[i]
+                    .map(|k| &file.fns[k])
+                    .and_then(|f| receiver_type(toks, i, &f.owner, &f.params, ctx.field_ty))
+                    .filter(is_member);
+                if let Some(ty) = typed {
+                    self.members.insert((ty, t.text.clone()));
+                    continue;
+                }
+            }
+            if is_type_name(t)
+                && toks.get(i + 1).is_some_and(|n| n.is_punct("{"))
+                && !prev.is_some_and(|p| NOT_LITERAL.contains(&p.text.as_str()))
+            {
+                self.literals.insert(t.text.clone());
+            }
+            self.bare.insert(t.text.clone());
+        }
+    }
+}
+
+fn unused_pub(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
+    let mut named = Named::default();
+    let outside = ctx.files.iter().filter(|f| !f.rel.starts_with(SURFACE));
+    for f in ctx.callers.iter().chain(outside) {
+        named.read(f, ctx);
+    }
+    let decls: Vec<(&ParsedFile, &PubDecl)> = ctx
+        .files
+        .iter()
+        .filter(|f| f.rel.starts_with(SURFACE))
+        .flat_map(|f| f.pub_decls.iter().map(move |d| (f, d)))
+        .collect();
+
+    // Grow the used set to a fixpoint. A type is public when a caller
+    // names it or a used declaration's signature exposes it; a member
+    // counts only once its owner is public.
+    let mut used = vec![false; decls.len()];
+    let mut exposed: BTreeSet<&str> = BTreeSet::new();
+    let mut public_types: BTreeSet<&str> = BTreeSet::new();
+    loop {
+        let mut grew = false;
+        for (k, &(file, d)) in decls.iter().enumerate() {
+            let name = d.name.as_str();
+            let is_type = TYPE_KINDS.contains(&d.kind);
+            let hit = match &d.owner {
+                None => named.bare.contains(name) || (is_type && exposed.contains(name)),
+                Some(o) => {
+                    public_types.contains(o.as_str())
+                        && (named.bare.contains(name)
+                            || named.members.contains(&(o.clone(), d.name.clone()))
+                            || (d.kind == "field" && named.literals.contains(o)))
+                }
+            };
+            if used[k] || !hit {
+                continue;
+            }
+            used[k] = true;
+            grew = true;
+            if is_type {
+                public_types.insert(name);
+            }
+            let sig = &file.tokens[d.sig.clone()];
+            exposed.extend(
+                sig.iter()
+                    .filter(|t| is_type_name(t))
+                    .map(|t| t.text.as_str()),
+            );
+        }
+        if !grew {
+            break;
+        }
+    }
+
+    for (&(file, d), _) in decls.iter().zip(&used).filter(|(_, &u)| !u) {
+        let what = match &d.owner {
+            Some(o) => format!("{o}::{}", d.name),
+            None => d.name.clone(),
+        };
+        out.push(Finding {
+            rule: "unused-pub",
+            file: file.rel.clone(),
+            line: d.line,
+            msg: format!(
+                "`pub {} {what}` is named by no other crate, test, example or \
+                 doctest; make it `pub(crate)`, or delete it if nothing uses it",
+                d.kind
+            ),
+            chain: None,
+        });
     }
 }
 

@@ -312,3 +312,100 @@ fn cfg_test_exemption_ends_at_module_close() {
         "only the post-test-module production code fires"
     );
 }
+
+const UNUSED_PUB_SURFACE: &str = include_str!("fixtures/unused_pub_surface.rs");
+
+/// The `unused_pub_surface.rs` fixture as netsim's `lib.rs` (with
+/// `surface` substituted when given), called from another crate, an
+/// integration test and an example; `drop` leaves one caller out.
+fn unused_pub_workspace(surface: Option<&str>, drop: Option<&str>) -> Analysis {
+    let sources = [
+        (
+            "crates/netsim/src/lib.rs",
+            surface.unwrap_or(UNUSED_PUB_SURFACE),
+        ),
+        (
+            "crates/other/src/lib.rs",
+            include_str!("fixtures/unused_pub_callers.rs"),
+        ),
+        (
+            "crates/netsim/tests/it.rs",
+            "#[test]\nfn t() { netsim::from_test(); }\n",
+        ),
+        (
+            "examples/demo.rs",
+            "fn main() { println!(\"{}\", netsim::FROM_EXAMPLE); }\n",
+        ),
+    ];
+    let kept: Vec<(String, String)> = sources
+        .iter()
+        .filter(|(rel, _)| Some(*rel) != drop)
+        .map(|(rel, src)| (rel.to_string(), src.to_string()))
+        .collect();
+    analyze_sources(&kept, &Config::default())
+}
+
+/// `pub <kind> <Owner::name>` of every unused-pub finding, in line order.
+fn unused_pub_items(a: &Analysis) -> Vec<&str> {
+    let hits = a.findings.iter().filter(|f| f.rule == "unused-pub");
+    hits.map(|f| f.msg.split('`').nth(1).unwrap()).collect()
+}
+
+#[test]
+fn unused_pub_fires_where_no_caller_names_the_item() {
+    let a = unused_pub_workspace(None, None);
+    // Silent: uses from another crate, an integration test, an example
+    // and a doctest; `Report`, named only in a used signature; both
+    // fields of the struct literal; the allowed, `pub(crate)` and test
+    // items.
+    assert_eq!(
+        unused_pub_items(&a),
+        [
+            "pub fn in_a_text_block",
+            "pub field Queue::depth",
+            "pub fn Queue::enable",
+            "pub field Report::unread",
+            "pub struct Orphan",
+            "pub field Orphan::x",
+        ],
+        "{:#?}",
+        a.findings
+    );
+    assert_eq!(a.findings.len(), 6, "{:#?}", a.findings);
+    let tolerated = UNUSED_PUB_SURFACE
+        .lines()
+        .position(|l| l.contains("pub fn tolerated"))
+        .unwrap() as u32
+        + 1;
+    let suppressed: Vec<_> = a.suppressed.iter().map(|s| (s.rule, s.line)).collect();
+    assert_eq!(suppressed, [("unused-pub", tolerated)]);
+}
+
+#[test]
+fn unused_pub_fires_once_the_only_caller_is_gone() {
+    for (caller, item) in [
+        ("crates/other/src/lib.rs", "pub fn from_crate"),
+        ("crates/netsim/tests/it.rs", "pub fn from_test"),
+        ("examples/demo.rs", "pub const FROM_EXAMPLE"),
+    ] {
+        let a = unused_pub_workspace(None, Some(caller));
+        assert!(
+            unused_pub_items(&a).contains(&item),
+            "{caller}: {a:#?}",
+            a = a.findings
+        );
+    }
+    let undocumented = UNUSED_PUB_SURFACE.replace("//! let q = netsim::Queue::new();\n", "");
+    let a = unused_pub_workspace(Some(&undocumented), None);
+    assert!(
+        unused_pub_items(&a).contains(&"pub fn Queue::new"),
+        "{:#?}",
+        a.findings
+    );
+}
+
+#[test]
+fn unused_pub_only_audits_netsim() {
+    let a = analyze_one("crates/other/src/lib.rs", "pub fn nobody_calls_me() {}\n");
+    assert!(a.findings.is_empty(), "{:#?}", a.findings);
+}

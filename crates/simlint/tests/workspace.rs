@@ -124,3 +124,46 @@ fn shard_report_lists_ctx_threading_functions() {
         "Host::receive threads &mut Ctx: {report}"
     );
 }
+
+/// netsim's public surface is what its callers use: no `pub` item
+/// without an outside caller, and at most eight tolerated at their site.
+#[test]
+fn netsim_surface_has_a_caller_for_every_pub_item() {
+    let sources = collect_workspace_sources(&workspace_root()).expect("collect");
+    let a = analyze_sources(&sources, &Config::default());
+    let unused: Vec<_> = a
+        .findings
+        .iter()
+        .filter(|f| f.rule == "unused-pub")
+        .collect();
+    assert!(unused.is_empty(), "{unused:#?}");
+    let tolerated = a.suppressed.iter().filter(|s| s.rule == "unused-pub");
+    assert!(tolerated.count() <= 8);
+}
+
+/// Mutation check on the real tree: `Network::schedule_hook` stays `pub`
+/// for one integration test; delete that caller and the rule fires.
+#[test]
+fn deleting_the_only_caller_of_a_kept_item_makes_unused_pub_fire() {
+    const CALLER: &str = "crates/netsim/tests/ecmp_and_sampling.rs";
+    let mut sources = collect_workspace_sources(&workspace_root()).expect("collect");
+    let outside = |sources: &[(String, String)]| {
+        let callers = sources
+            .iter()
+            .filter(|(rel, _)| !rel.starts_with("crates/netsim/src/"));
+        callers
+            .filter(|(_, src)| src.contains("schedule_hook"))
+            .map(|(rel, _)| rel.clone())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(outside(&sources), [CALLER], "the precondition: one caller");
+    let fires = |sources: &[(String, String)]| {
+        let a = analyze_sources(sources, &Config::default());
+        a.findings
+            .iter()
+            .any(|f| f.rule == "unused-pub" && f.msg.contains("Network::schedule_hook"))
+    };
+    assert!(!fires(&sources));
+    sources.retain(|(rel, _)| rel != CALLER);
+    assert!(fires(&sources));
+}
