@@ -6,11 +6,9 @@
 
 use std::sync::Mutex;
 
-use experiments::chaos::{campaign, execute, replay};
+use experiments::chaos::{campaign, case_json, execute, replay, shrink_case};
 use netsim::audit::ViolationKind;
-use netsim::chaos::{
-    generate_case, shrink_case, CcName, ChaosCase, ChaosFlow, FaultSpec, TopoPick,
-};
+use netsim::chaos::{generate_case, CcName, ChaosCase, ChaosFlow, FaultSpec, TopoPick};
 use netsim::packet::DATA_PRIORITY;
 
 /// Serializes tests that mutate `REPRO_THREADS` — the test harness runs
@@ -76,7 +74,11 @@ fn campaign_summary_is_byte_identical_across_thread_counts() {
         serial.summary, parallel.summary,
         "summary must not depend on REPRO_THREADS"
     );
-    assert!(serial.summary.contains("12/12 cases converged"));
+    assert_eq!(
+        serial.summary,
+        include_str!("golden/chaos_seed1_quick12.txt"),
+        "the generator or executor changed a case"
+    );
     assert!(serial.repro_files.is_empty(), "no failures, no repro files");
 }
 
@@ -96,10 +98,7 @@ fn wedged_watchdog_fails_convergence_and_shrinks_to_a_replayable_file() {
 
     // Shrink with the real oracle: re-run each candidate and keep the
     // reduction only if it still fails to converge.
-    let minimal = shrink_case(&case, &mut |c| match execute(c) {
-        Ok(r) => !r.converged(),
-        Err(_) => true,
-    });
+    let minimal = shrink_case(&case, |c| execute(c).map_or(true, |r| !r.converged()));
     assert_eq!(
         minimal.faults,
         vec![FaultSpec::Wedge {
@@ -122,7 +121,7 @@ fn wedged_watchdog_fails_convergence_and_shrinks_to_a_replayable_file() {
     let dir = std::env::temp_dir().join("chaos_campaign_test_repro");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("CHAOS_REPRO_{:016x}.json", minimal.seed));
-    std::fs::write(&path, minimal.to_json().render()).unwrap();
+    std::fs::write(&path, case_json(&minimal).render()).unwrap();
     let (replayed_case, replayed_report) = replay(&path).expect("repro file replays");
     assert_eq!(replayed_case, minimal, "the file round-trips exactly");
     assert!(!replayed_report.converged());
@@ -139,41 +138,44 @@ fn replay_reproduces_a_case_bit_for_bit() {
     let case = generate_case(3, 1, true);
     let a = execute(&case).unwrap();
     let b = execute(&case).unwrap();
-    assert_eq!(a.events, b.events);
-    assert_eq!(a.describe(), b.describe());
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
 /// Hostile replay files, through the real binary: a fault naming a link,
 /// host, port, class or switch the star-4 fabric does not have, a field
-/// too wide for its type, or a flap count or fabric size past the replay
-/// limits, is a usage error (exit 2, one line naming the field and the
-/// bound) — never an index panic when the fault fires, a silently
-/// ignored fault, a value wrapped onto some other link or class, or an
-/// allocation that aborts the process.
+/// too wide for its type, a flap count or fabric size past the replay
+/// limits, or a fault window no schedule can mean, is a usage error
+/// (exit 2, one line naming the field and the bound) — never an index
+/// panic when the fault fires, a silently ignored or altered fault, a
+/// value wrapped onto some other link or class, or an allocation that
+/// aborts the process.
 #[test]
 fn hostile_replay_files_exit_2_with_one_line() {
-    let wedge = |switch: u64, port: u64| {
+    let wedge = |switch: u64, port: u64, class: u64| {
         format!(
-            r#"{{"at_us": 1000, "class": 3, "kind": "wedge", "port": {port}, "switch": {switch}}}"#
+            r#"{{"at_us": 1000, "class": {class}, "kind": "wedge", "port": {port}, "switch": {switch}}}"#
         )
     };
-    let storm = |host: u64, class: u64| {
+    let storm_window = |host: u64, class: u64, until: u64, refresh: u64| {
         format!(
-            r#"{{"class": {class}, "from_us": 1000, "host": {host}, "kind": "storm", "refresh_us": 10, "until_us": 2000}}"#
+            r#"{{"class": {class}, "from_us": 1000, "host": {host}, "kind": "storm", "refresh_us": {refresh}, "until_us": {until}}}"#
         )
     };
-    let flap = |link: u64, times: u64| {
+    let storm = |host, class| storm_window(host, class, 2000, 10);
+    let flap_down = |link: u64, times: u64, down: u64| {
         format!(
-            r#"{{"at_us": 1000, "down_us": 400, "kind": "flap", "link": {link}, "period_us": 1000, "times": {times}}}"#
+            r#"{{"at_us": 1000, "down_us": {down}, "kind": "flap", "link": {link}, "period_us": 1000, "times": {times}}}"#
         )
     };
-    let bit_error = |link: u64| {
+    let flap = |link, times| flap_down(link, times, 400);
+    let bit_error_window = |link: u64, ppm: u64, until: u64| {
         format!(
-            r#"{{"from_us": 1000, "kind": "bit_error", "link": {link}, "prob_ppm": 5000, "until_us": 3000}}"#
+            r#"{{"from_us": 1000, "kind": "bit_error", "link": {link}, "prob_ppm": {ppm}, "until_us": {until}}}"#
         )
     };
+    let bit_error = |link| bit_error_window(link, 5000, 3000);
     const STAR4: &str = r#"{"hosts": 4, "kind": "star"}"#;
-    let table: [(&str, String, &str, &str); 11] = [
+    let table: [(&str, String, &str, &str); 18] = [
         (
             "flap-link",
             flap(99, 1),
@@ -200,19 +202,25 @@ fn hostile_replay_files_exit_2_with_one_line() {
         ),
         (
             "wedge-port",
-            wedge(0, 77),
+            wedge(0, 77, 3),
             STAR4,
             "port 77 but switch 0 has 4 ports",
         ),
         (
+            "wedge-class",
+            wedge(0, 1, 9),
+            STAR4,
+            "wedge_watchdog names class 9 but PFC has 8 classes",
+        ),
+        (
             "wedge-switch",
-            wedge(200, 1),
+            wedge(200, 1, 3),
             STAR4,
             "switch 200 but the fabric has 5 nodes",
         ),
         (
             "wedge-host",
-            wedge(2, 0),
+            wedge(2, 0, 3),
             STAR4,
             "switch 2 but node 2 is a host",
         ),
@@ -227,6 +235,42 @@ fn hostile_replay_files_exit_2_with_one_line() {
             storm(1, 259),
             STAR4,
             "field 'class' out of range",
+        ),
+        (
+            "wide-host",
+            storm(4_294_967_297, 3),
+            STAR4,
+            "field 'host' out of range",
+        ),
+        (
+            "storm-refresh",
+            storm_window(1, 3, 2000, 0),
+            STAR4,
+            "host 2 class 3 storm has a zero refresh interval",
+        ),
+        (
+            "storm-order",
+            storm_window(1, 3, 500, 10),
+            STAR4,
+            "host 2 class 3 storm ends at 0.000500s, before it starts at 0.001000s",
+        ),
+        (
+            "flap-outage",
+            flap_down(0, 1, 1000),
+            STAR4,
+            "field 'down_us' is 1000, not shorter than period_us (1000)",
+        ),
+        (
+            "biterr-prob",
+            bit_error_window(0, 2_000_000, 3000),
+            STAR4,
+            "link 0 bit-error probability 2 is outside [0, 1]",
+        ),
+        (
+            "biterr-order",
+            bit_error_window(0, 5000, 1000),
+            STAR4,
+            "field 'until_us' is 1000, not after from_us (1000)",
         ),
         (
             "flap-times",

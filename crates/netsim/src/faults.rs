@@ -184,7 +184,6 @@ impl FaultPlan {
         until: Time,
         refresh: Duration,
     ) -> FaultPlan {
-        debug_assert!(refresh > Duration::ZERO, "storm refresh must be positive");
         self.actions.push((
             from,
             FaultAction::PauseStormTick {
@@ -248,6 +247,10 @@ impl FaultPlan {
     /// * two pause storms on the same (host, class) with overlapping
     ///   windows (their refresh chains would interleave unpredictably).
     ///
+    /// It also rejects values no schedule can mean: a storm with a zero
+    /// refresh or one that ends before it starts, and a bit-error
+    /// probability that is not a number in `[0, 1]`.
+    ///
     /// Bit errors, ECN-off and watchdog wedges are level-set operations
     /// (the last write wins) and may appear anywhere — including during a
     /// down window, which is well-defined: a down link drops everything
@@ -268,13 +271,30 @@ impl FaultPlan {
                     transitions.entry(link.0).or_default().push((at, true));
                 }
                 FaultAction::PauseStormTick {
-                    host, class, until, ..
+                    host,
+                    class,
+                    until,
+                    refresh,
                 } => {
+                    let storm = format!("fault plan invalid: host {} class {class} storm", host.0);
+                    if refresh == Duration::ZERO {
+                        return Err(format!("{storm} has a zero refresh interval"));
+                    }
+                    if until < at {
+                        return Err(format!("{storm} ends at {until}, before it starts at {at}"));
+                    }
                     storms.entry((host.0, class)).or_default().push((at, until));
                 }
-                FaultAction::SetBitError { .. }
-                | FaultAction::EcnOff { .. }
-                | FaultAction::WedgeWatchdog { .. } => {}
+                FaultAction::SetBitError { link, drop_prob } => {
+                    if !(0.0..=1.0).contains(&drop_prob) {
+                        return Err(format!(
+                            "fault plan invalid: link {} bit-error probability {drop_prob} \
+                             is outside [0, 1]",
+                            link.0
+                        ));
+                    }
+                }
+                FaultAction::EcnOff { .. } | FaultAction::WedgeWatchdog { .. } => {}
             }
         }
         for (link, events) in &mut transitions {

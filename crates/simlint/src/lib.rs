@@ -77,8 +77,6 @@ pub struct Analysis {
     pub hot_files: Vec<String>,
     /// Computed hot-path function labels (`Type::name (file)`), sorted.
     pub hot_fns: Vec<String>,
-    /// The shard-safety report for ROADMAP 2b planning.
-    pub shard_report: Json,
     /// Files analyzed.
     pub files: usize,
     /// Functions recovered.
@@ -184,7 +182,6 @@ pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Analysi
     }
     findings.sort();
 
-    let shard_report = shard_report(&files, &graph, &findings);
     let fns = files.iter().map(|f| f.fns.len()).sum();
 
     Analysis {
@@ -192,59 +189,10 @@ pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Analysi
         suppressed,
         hot_files: graph.hot_files.clone(),
         hot_fns: graph.hot_fn_labels(&files),
-        shard_report,
         files: files.len(),
         fns,
         edges: graph.edges,
     }
-}
-
-/// The machine-readable shard-safety report: the work-list for sharded
-/// execution (ROADMAP 2b). `ctx_mut_fns` is every hot function threading
-/// `&mut Ctx` (state a sharded executor must split or fence);
-/// `shared_constructs` counts unsuppressed shard-safety findings.
-fn shard_report(
-    files: &[items::ParsedFile],
-    graph: &callgraph::CallGraph,
-    findings: &[Finding],
-) -> Json {
-    let mut ctx_mut: Vec<String> = Vec::new();
-    let mut per_file: BTreeMap<String, u64> = BTreeMap::new();
-    for &(fi, gi) in &graph.hot {
-        let file = &files[fi];
-        let f = &file.fns[gi];
-        if f.is_test {
-            continue;
-        }
-        *per_file.entry(file.rel.clone()).or_insert(0) += 1;
-        if f.params.iter().any(|(_, ty)| ty == "Ctx") || f.owner.as_deref() == Some("Ctx") {
-            let label = match &f.owner {
-                Some(o) => format!("{o}::{} ({})", f.name, file.rel),
-                None => format!("{} ({})", f.name, file.rel),
-            };
-            ctx_mut.push(label);
-        }
-    }
-    ctx_mut.sort();
-    ctx_mut.dedup();
-    let shared = findings.iter().filter(|f| f.rule == "shard-safety").count() as u64;
-    let files_arr: Vec<Json> = per_file
-        .into_iter()
-        .map(|(rel, n)| {
-            Json::Obj(vec![
-                ("file".into(), Json::Str(rel)),
-                ("hot_fns".into(), Json::UInt(n)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        (
-            "ctx_mut_fns".into(),
-            Json::Arr(ctx_mut.into_iter().map(Json::Str).collect()),
-        ),
-        ("files".into(), Json::Arr(files_arr)),
-        ("shared_constructs".into(), Json::UInt(shared)),
-    ])
 }
 
 /// Directories never scanned: build output, and simlint itself — its
@@ -340,8 +288,7 @@ pub fn render_report(analysis: &Analysis) -> String {
             "hot_fns".into(),
             Json::Arr(analysis.hot_fns.iter().cloned().map(Json::Str).collect()),
         ),
-        ("schema".into(), Json::Str("simlint-v3".into())),
-        ("shard_report".into(), analysis.shard_report.clone()),
+        ("schema".into(), Json::Str("simlint-v4".into())),
         (
             "summary".into(),
             Json::Obj(vec![

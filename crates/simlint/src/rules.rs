@@ -681,7 +681,7 @@ fn shard_safety(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
                     line: t.line,
                     msg: format!(
                         "{what} in a hot-path module would poison deterministic \
-                         sharded execution (ROADMAP 2b); use per-shard state or a \
+                         sharded execution; use per-shard state or a \
                          message-passing boundary"
                     ),
                     chain: None,

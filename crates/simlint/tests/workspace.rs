@@ -88,7 +88,7 @@ fn json_report_lists_every_tolerated_site_and_is_byte_stable() {
     let first = render_report(&a);
     let second = render_report(&analyze_sources(&sources, &Config::default()));
     assert_eq!(first, second, "report must be byte-identical across runs");
-    assert!(first.contains("\"schema\": \"simlint-v3\""));
+    assert!(first.contains("\"schema\": \"simlint-v4\""));
 
     let report = simjson::Json::parse(&first).expect("report parses");
     let listed = report
@@ -106,23 +106,6 @@ fn json_report_lists_every_tolerated_site_and_is_byte_stable() {
         assert_eq!(text("rule"), Some(s.rule));
         assert_eq!(text("reason"), Some(s.reason.as_str()));
     }
-}
-
-#[test]
-fn shard_report_lists_ctx_threading_functions() {
-    let sources = collect_workspace_sources(&workspace_root()).expect("collect");
-    let a = analyze_sources(&sources, &Config::default());
-    let report = a.shard_report.render();
-    // The dispatch loop threads &mut Ctx through node handlers — the
-    // sharding work-list must see it.
-    assert!(
-        report.contains("ctx_mut_fns"),
-        "shard report missing ctx_mut_fns: {report}"
-    );
-    assert!(
-        report.contains("Host::receive"),
-        "Host::receive threads &mut Ctx: {report}"
-    );
 }
 
 /// netsim's public surface is what its callers use: no `pub` item
