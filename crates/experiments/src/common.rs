@@ -62,10 +62,7 @@ impl CcChoice {
     /// DCTCP delayed-ACK style echoing, etc.).
     pub fn host_config(&self) -> HostConfig {
         match self {
-            CcChoice::Dcqcn(p) => HostConfig {
-                cnp_interval: Some(p.cnp_interval),
-                ..HostConfig::default()
-            },
+            CcChoice::Dcqcn(p) => dcqcn::dcqcn_host_config(*p),
             CcChoice::Dctcp(_) => HostConfig {
                 cnp_interval: None,
                 ack_every: 2, // DCTCP's delayed-ACK echo granularity

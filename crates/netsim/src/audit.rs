@@ -340,9 +340,7 @@ impl Auditor {
         &mut self,
         node: NodeId,
         flow: FlowId,
-        una: u64,
-        send: u64,
-        next: u64,
+        (una, send, next): (u64, u64, u64),
         at: Time,
     ) {
         if !Self::enabled() {
@@ -594,9 +592,9 @@ mod tests {
     #[test]
     fn psn_order_is_checked() {
         let mut a = Auditor::default();
-        a.check_flow_psns(NodeId(0), FlowId(1), 5, 7, 9, Time::ZERO);
+        a.check_flow_psns(NodeId(0), FlowId(1), (5, 7, 9), Time::ZERO);
         assert!(a.is_clean());
-        a.check_flow_psns(NodeId(0), FlowId(1), 8, 7, 9, Time::ZERO);
+        a.check_flow_psns(NodeId(0), FlowId(1), (8, 7, 9), Time::ZERO);
         assert_eq!(a.violations()[0].kind, ViolationKind::SequenceError);
     }
 

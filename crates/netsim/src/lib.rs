@@ -12,8 +12,8 @@
 //!   accounting, static/dynamic (β) PAUSE thresholds, RED/ECN marking on
 //!   instantaneous egress queues, strict-priority scheduling, and ECMP,
 //! * **hosts**: NICs with per-flow hardware-style rate limiters, a RoCE-like
-//!   go-back-N reliable transport, the DCQCN notification point (CNP
-//!   generation), and pluggable per-flow congestion control via the
+//!   go-back-N reliable transport ([`qp`]), the DCQCN notification point
+//!   (CNP generation), and pluggable per-flow congestion control via the
 //!   [`cc::CongestionControl`] trait,
 //! * **measurement**: per-flow goodput counters, queue-depth samplers,
 //!   PAUSE/drop/mark counters.
@@ -55,6 +55,7 @@ pub mod host;
 pub mod network;
 pub mod packet;
 pub mod port;
+pub mod qp;
 pub mod rng;
 pub mod routing;
 pub mod slab;

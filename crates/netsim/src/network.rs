@@ -134,16 +134,6 @@ impl Ctx {
         self.tracer.record(event);
         self.flight.record(event);
     }
-
-    /// Settles a flow's span timeline at a message completion and routes
-    /// any FCT-decomposition mismatch (`Σ spans != fct`) to the sanitize
-    /// auditor. One branch when span tracing is disabled.
-    #[inline]
-    pub(crate) fn complete_span(&mut self, flow: FlowId, host: NodeId, now: Time) {
-        if let Some((fct, sum)) = self.spans.on_complete(flow, now) {
-            self.audit.on_span_mismatch(host, flow, fct, sum, now);
-        }
-    }
 }
 
 /// One-shot mutation executed at a scheduled time (start flows, flip
@@ -280,7 +270,7 @@ impl Network {
     /// A flow's current CC rate.
     pub fn flow_rate(&self, flow: FlowId) -> Bandwidth {
         let (host, idx) = self.flows[flow.0 as usize];
-        self.host(host).flows[idx].current_rate()
+        self.host(host).flows[idx].cc.rate()
     }
 
     /// Average receiver goodput of a flow over `[from, to]`, in Gbps,

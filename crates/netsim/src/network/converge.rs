@@ -127,7 +127,7 @@ impl Network {
         for node in &self.nodes {
             if let Node::Host(h) = node {
                 for f in &h.flows {
-                    if f.dead || f.is_idle() {
+                    if f.tx.is_dead() || f.tx.is_idle() {
                         continue;
                     }
                     let i = f.id.0 as usize;

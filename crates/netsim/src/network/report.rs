@@ -8,7 +8,7 @@ use crate::packet::FlowId;
 use crate::port::Port;
 use crate::stats::{FlowStats, SwitchStats};
 use crate::telemetry::spans::{ChromeTrace, CongestionTree, SpanState, NUM_SPAN_STATES};
-use crate::telemetry::{CounterId, Dashboard, Json};
+use crate::telemetry::{CounterId, Dashboard, Histogram, Json};
 use crate::units::Duration;
 
 /// The run total of counter `id`, and the one place that knows who owns
@@ -120,7 +120,7 @@ impl Network {
             ("faults", self.faults.stats().report()),
             ("flows", Json::Arr(flows)),
             ("gauges", reg.gauges_json()),
-            ("histograms", reg.histograms_json()),
+            ("histograms", self.histograms_json()),
             ("sim_time_us", Json::Float(now.as_micros_f64())),
             ("timelines", self.sampler.timelines().summary_json()),
         ]);
@@ -134,6 +134,23 @@ impl Network {
             report.push("profile", profile);
         }
         report
+    }
+
+    /// The report's `histograms` section: each registry slot, except that
+    /// `fct_us` is folded from its owner, every flow's `completions` (a
+    /// log2 histogram does not depend on sample order).
+    fn histograms_json(&self) -> Json {
+        let mut fct = Histogram::new();
+        for c in self.ctx.flow_stats.iter().flat_map(|s| &s.completions) {
+            fct.observe(c.at.saturating_since(c.started).as_micros_f64() as u64);
+        }
+        let reg = &self.ctx.metrics.registry;
+        let fct_slot = reg.hist_get(self.ctx.metrics.h.fct_us);
+        let hists = reg.histograms().map(|(name, h)| {
+            let h = if std::ptr::eq(h, fct_slot) { &fct } else { h };
+            (name, h.summary_json())
+        });
+        Json::obj(hists.collect())
     }
 
     /// Builds the run's dashboard: one chart per sampled track family

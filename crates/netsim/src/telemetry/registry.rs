@@ -156,15 +156,6 @@ impl Registry {
     pub(crate) fn gauges_json(&self) -> Json {
         Json::obj(self.gauges().map(|(n, v)| (n, Json::UInt(v))).collect())
     }
-
-    /// The `histograms` section of the run report, keyed by name.
-    pub(crate) fn histograms_json(&self) -> Json {
-        Json::obj(
-            self.histograms()
-                .map(|(n, h)| (n, h.summary_json()))
-                .collect(),
-        )
-    }
 }
 
 /// Handles for every metric the simulator itself maintains.
@@ -174,7 +165,9 @@ impl Registry {
 /// `convergence_checks` and `convergence_violations` is owned by a
 /// switch, flow or fault-engine field (`SwitchStats`, `FlowStats`,
 /// `FaultStats`): its registry slot is never written, and
-/// `network::counter` reads it as the sum over its owners.
+/// `network::counter` reads it as the sum over its owners. Likewise the
+/// `fct_us` histogram is folded from `FlowStats::completions` by the run
+/// report.
 #[derive(Debug, Clone, Copy)]
 #[allow(missing_docs)] // field names mirror the metric names one-to-one
 pub struct WellKnown {

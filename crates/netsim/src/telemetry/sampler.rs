@@ -192,7 +192,7 @@ impl Sampler {
         }
         for tap in &self.rates {
             let rate = match &nodes[tap.host.0] {
-                Node::Host(h) => h.flows[tap.slot].current_rate().as_gbps_f64(),
+                Node::Host(h) => h.flows[tap.slot].cc.rate().as_gbps_f64(),
                 Node::Switch(_) => 0.0,
             };
             timelines.record_f64(tap.track, now, rate);

@@ -24,5 +24,4 @@ pub use dcqcn;
 pub use experiments;
 pub use fluid;
 pub use netsim;
-pub use roce;
 pub use workloads;
