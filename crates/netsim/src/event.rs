@@ -164,6 +164,13 @@ const LEAF_WORDS: usize = NUM_BUCKETS / 64;
 /// Summary words, one bit per occupancy word.
 const SUMMARY_WORDS: usize = LEAF_WORDS / 64;
 
+/// Pending events a new queue has room for before its slab and overflow
+/// heap reallocate (152 KB, untouched until used). Set-up schedules every
+/// message arrival up front; from empty, the slab would reach a testbed
+/// workload's size through nine reallocations, each copying it into
+/// fresh memory and leaving the old copy behind as a hole.
+const INITIAL_EVENTS: usize = 2048;
+
 /// Bits of a key's low word that name the slab slot; the seq takes the
 /// rest.
 const SLOT_BITS: u32 = 24;
@@ -300,13 +307,13 @@ impl EventQueue {
     /// Creates an empty queue at time zero.
     pub fn new() -> EventQueue {
         EventQueue {
-            slab: Slab::new(),
+            slab: Slab::with_capacity(INITIAL_EVENTS),
             near: Vec::new(),
             heads: zeroed(),
             leaf: zeroed(),
             summary: [0; SUMMARY_WORDS],
             wheel_len: 0,
-            overflow: BinaryHeap::new(),
+            overflow: BinaryHeap::with_capacity(INITIAL_EVENTS),
             cursor_tick: 0,
             seq: 0,
             now: Time::ZERO,

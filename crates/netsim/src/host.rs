@@ -53,6 +53,8 @@ pub struct Host {
     pub port: Port,
     /// Configuration.
     pub config: HostConfig,
+    /// `config.mtu_payload` as checked by [`Host::new`].
+    mtu: u32,
     /// Sender-side flows originating here.
     pub flows: Vec<Flow>,
     /// The go-back-N receiver (and NP) of each incoming flow.
@@ -68,10 +70,15 @@ pub struct Host {
 
 impl Host {
     /// Creates a host.
+    ///
+    /// # Panics
+    /// Panics on a `config` whose MTU or `ack_every` packets cannot
+    /// carry, naming the field and its value.
     pub fn new(id: NodeId, config: HostConfig) -> Host {
         Host {
             id,
             port: Port::new(),
+            mtu: config.checked_mtu(),
             config,
             flows: Vec::new(),
             receivers: HashMap::new(),
@@ -137,7 +144,7 @@ impl Host {
         self.update_spans(ctx);
     }
 
-    fn receive_data(&mut self, ctx: &mut Ctx, pkt: &Packet, psn: u64, payload: u64, eom: bool) {
+    fn receive_data(&mut self, ctx: &mut Ctx, pkt: &Packet, psn: u64, payload: u32, eom: bool) {
         let now = ctx.queue.now();
         let (host, flow, src) = (self.id, pkt.flow, pkt.src);
         let cnp_interval = self.config.cnp_interval;
@@ -165,7 +172,7 @@ impl Host {
             ctx.audit.on_in_order_accept(host, flow, psn, now);
             let st = ctx.stats(flow);
             st.delivered_pkts += 1;
-            st.delivered_bytes += payload;
+            st.delivered_bytes += u64::from(payload);
             ctx.record_trace(host, flow, TraceKind::Delivered, psn);
         }
         let reply = match out.reply {
@@ -217,6 +224,7 @@ impl Host {
             }
         }
         if acked > 0 || bytes > 0 {
+            let (acked, marked) = (u32::from(acked), u32::from(marked));
             self.cc_call(ctx, i, |cc, a| cc.on_ack(now, bytes, acked, marked, rtt, a));
         }
         self.try_send(ctx);
@@ -376,7 +384,7 @@ impl Host {
     /// Builds and transmits the next packet of flow `i`.
     fn send_one(&mut self, ctx: &mut Ctx, i: usize) {
         let now = ctx.queue.now();
-        let (mtu, rto) = (self.config.mtu_payload, self.config.rto);
+        let (mtu, rto) = (self.mtu, self.config.rto);
         let f = &mut self.flows[i];
         // `has_data` was checked by the scheduler, so `None` is
         // unreachable; bail (no packet this round) instead of panicking.
@@ -384,11 +392,12 @@ impl Host {
             debug_assert!(false, "send_one without data");
             return;
         };
-        let mut pkt = Packet::data(self.id, f.dst, f.id, f.priority, p.psn, p.payload);
+        let payload = u64::from(p.payload);
+        let mut pkt = Packet::data(self.id, f.dst, f.id, f.priority, p.psn, payload);
         if let PacketKind::Data { eom, .. } = &mut pkt.kind {
             *eom = p.eom;
         }
-        let wire = pkt.wire_bytes;
+        let wire = pkt.wire();
         ctx.spans.on_data_tx(f.id, p.retx, now);
         let st = ctx.stats(f.id);
         st.retx_pkts += u64::from(p.retx);

@@ -46,7 +46,12 @@ impl NetworkBuilder {
     }
 
     /// Adds a host.
+    ///
+    /// # Panics
+    /// Panics on a `config` whose MTU or `ack_every` packets cannot
+    /// carry, naming the field and its value (as [`Host::new`] does).
     pub fn host(&mut self, config: HostConfig) -> NodeId {
+        config.checked_mtu();
         self.nodes.push(NodeSpec::Host(config));
         NodeId(self.nodes.len() - 1)
     }
@@ -195,6 +200,48 @@ mod tests {
         let host = net.host(h1);
         assert_eq!(host.port.attach.unwrap().peer, NodeId(0));
         assert_eq!(host.line_rate(), Bandwidth::gbps(40));
+    }
+
+    /// A host config whose values packets cannot carry is refused at both
+    /// doors, `NetworkBuilder::host` and `Host::new`, with one line naming
+    /// the field and the value; the largest values packets can carry pass.
+    #[test]
+    fn host_configs_packets_cannot_carry_fail_at_the_door() {
+        let with = |mtu_payload, ack_every| HostConfig {
+            mtu_payload,
+            ack_every,
+            ..HostConfig::default()
+        };
+        let largest = u64::from(u32::MAX) - crate::packet::HEADER_BYTES;
+        let rows = [
+            (with(0, 4), "mtu_payload 0 is outside 1..=4294967231"),
+            (with(largest + 1, 4), "mtu_payload 4294967232 is outside"),
+            (with(1436, 0), "ack_every 0 is outside 1..=65535"),
+            (with(1436, 65_536), "ack_every 65536 is outside 1..=65535"),
+        ];
+        for (config, want) in rows {
+            let doors: [&dyn Fn(); 2] = [
+                &|| {
+                    NetworkBuilder::new(1).host(config);
+                },
+                &|| {
+                    Host::new(NodeId(0), config);
+                },
+            ];
+            for door in doors {
+                let err =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(door)).expect_err(want);
+                let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+                let one_line = !msg.contains('\n');
+                assert!(
+                    one_line && msg.starts_with(&format!("host config: {want}")),
+                    "{msg}"
+                );
+            }
+        }
+        let edge = with(largest, u32::from(u16::MAX));
+        NetworkBuilder::new(1).host(edge);
+        Host::new(NodeId(0), edge);
     }
 
     #[test]

@@ -10,11 +10,18 @@ use crate::event::NodeId;
 
 /// Per-data-packet protocol overhead in bytes: Ethernet (18, header + FCS),
 /// IPv4 (20), UDP (8), IB BTH (12) and ICRC + padding (6).
-pub const HEADER_BYTES: u64 = 64;
+pub const HEADER_BYTES: u64 = HEADER_WIRE as u64;
+
+/// [`HEADER_BYTES`] as a [`Packet::wire_bytes`] value.
+const HEADER_WIRE: u32 = 64;
+
+/// The largest data payload whose frame fits [`Packet::wire_bytes`]: the
+/// largest `mtu_payload` a `HostConfig` may carry.
+pub(crate) const MAX_PAYLOAD: u32 = u32::MAX - HEADER_WIRE;
 
 /// Wire size of small control frames (ACK/NAK/CNP/PFC): minimum Ethernet
 /// frame.
-pub(crate) const CONTROL_BYTES: u64 = 64;
+const CONTROL_WIRE: u32 = 64;
 
 /// Globally unique flow identifier (stands in for the 5-tuple / queue pair).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,7 +62,7 @@ pub enum PacketKind {
         /// Packet sequence number.
         psn: u64,
         /// Payload bytes carried.
-        payload: u64,
+        payload: u32,
         /// Last packet of its message.
         eom: bool,
     },
@@ -65,10 +72,11 @@ pub enum PacketKind {
     Ack {
         /// Next PSN the receiver expects (everything below is delivered).
         cum_psn: u64,
-        /// Data packets newly covered by this ACK.
-        acked: u32,
+        /// Data packets newly covered by this ACK (at most a host's
+        /// `ack_every`, which `HostConfig` keeps within `u16`).
+        acked: u16,
         /// How many of those carried CE.
-        marked: u32,
+        marked: u16,
     },
     /// Out-of-sequence NAK (go-back-N): receiver expected `expected_psn`.
     Nack {
@@ -94,7 +102,8 @@ pub enum PacketKind {
 }
 
 /// A packet in flight or queued. All-POD and `Copy`: moving packets
-/// between pool slots and the wire is a memcpy, never an allocation.
+/// between pool slots and the wire is a memcpy, never an allocation. It is
+/// copied several times per hop, so it is kept at 48 bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct Packet {
     /// What this packet is.
@@ -108,14 +117,19 @@ pub struct Packet {
     pub flow: FlowId,
     /// PFC / scheduling class.
     pub priority: Priority,
-    /// Total bytes occupied on the wire and in switch buffers.
-    pub wire_bytes: u64,
+    /// Total bytes occupied on the wire and in switch buffers; byte
+    /// counters read it widened, through [`Packet::wire`].
+    pub wire_bytes: u32,
     /// ECN codepoint.
     pub ecn: Ecn,
 }
 
 impl Packet {
     /// Builds a data segment of `payload` bytes.
+    ///
+    /// A host never asks for more than its `mtu_payload`, whose frame
+    /// `HostConfig` checks fits a `u32`; a larger `payload` saturates the
+    /// frame fields instead of wrapping them.
     pub fn data(
         src: NodeId,
         dst: NodeId,
@@ -124,6 +138,11 @@ impl Packet {
         psn: u64,
         payload: u64,
     ) -> Packet {
+        debug_assert!(
+            payload <= u64::from(MAX_PAYLOAD),
+            "a {payload} B payload does not fit a frame"
+        );
+        let payload = u32::try_from(payload).unwrap_or(u32::MAX);
         Packet {
             kind: PacketKind::Data {
                 psn,
@@ -134,7 +153,7 @@ impl Packet {
             dst,
             flow,
             priority,
-            wire_bytes: payload + HEADER_BYTES,
+            wire_bytes: payload.saturating_add(HEADER_WIRE),
             ecn: Ecn::Ect,
         }
     }
@@ -146,8 +165,8 @@ impl Packet {
         dst: NodeId,
         flow: FlowId,
         cum_psn: u64,
-        acked: u32,
-        marked: u32,
+        acked: u16,
+        marked: u16,
     ) -> Packet {
         Packet {
             kind: PacketKind::Ack {
@@ -159,7 +178,7 @@ impl Packet {
             dst,
             flow,
             priority: CONTROL_PRIORITY,
-            wire_bytes: CONTROL_BYTES,
+            wire_bytes: CONTROL_WIRE,
             ecn: Ecn::NotEct,
         }
     }
@@ -172,7 +191,7 @@ impl Packet {
             dst,
             flow,
             priority: CONTROL_PRIORITY,
-            wire_bytes: CONTROL_BYTES,
+            wire_bytes: CONTROL_WIRE,
             ecn: Ecn::NotEct,
         }
     }
@@ -185,7 +204,7 @@ impl Packet {
             dst,
             flow,
             priority: CONTROL_PRIORITY,
-            wire_bytes: CONTROL_BYTES,
+            wire_bytes: CONTROL_WIRE,
             ecn: Ecn::NotEct,
         }
     }
@@ -198,7 +217,7 @@ impl Packet {
             dst,
             flow: FlowId(u64::MAX),
             priority: CONTROL_PRIORITY,
-            wire_bytes: CONTROL_BYTES,
+            wire_bytes: CONTROL_WIRE,
             ecn: Ecn::NotEct,
         }
     }
@@ -211,9 +230,16 @@ impl Packet {
             dst,
             flow,
             priority: CONTROL_PRIORITY,
-            wire_bytes: CONTROL_BYTES,
+            wire_bytes: CONTROL_WIRE,
             ecn: Ecn::NotEct,
         }
+    }
+
+    /// Bytes this frame occupies on the wire and in buffers, widened for
+    /// the `u64` byte counters: the one way they read [`Packet::wire_bytes`].
+    #[inline]
+    pub fn wire(&self) -> u64 {
+        u64::from(self.wire_bytes)
     }
 
     /// True for RoCE data segments.
@@ -246,10 +272,64 @@ mod tests {
     #[test]
     fn data_wire_size_includes_headers() {
         let p = Packet::data(n(0), n(1), FlowId(7), DATA_PRIORITY, 0, 1436);
-        assert_eq!(p.wire_bytes, 1500);
+        assert_eq!(p.wire(), 1500);
         assert!(matches!(p.kind, PacketKind::Data { payload: 1436, .. }));
         assert!(p.is_data());
         assert_eq!(p.ecn, Ecn::Ect);
+    }
+
+    /// Every constructor reads back its inputs at the edges of the
+    /// narrowed fields: an empty and a largest-MTU payload, the last PSN,
+    /// and ACK counts at `u16::MAX`.
+    #[test]
+    fn constructors_round_trip_at_the_range_edges() {
+        let (src, dst, flow) = (n(usize::MAX), n(0), FlowId(u64::MAX));
+        let largest = u64::from(MAX_PAYLOAD);
+        for (psn, payload) in [(0, 0), (u64::MAX, largest), (u64::MAX, 0), (0, largest)] {
+            let p = Packet::data(src, dst, flow, 7, psn, payload);
+            let PacketKind::Data {
+                psn: got,
+                payload: carried,
+                eom,
+            } = p.kind
+            else {
+                panic!("{:?}", p.kind);
+            };
+            assert_eq!((got, u64::from(carried), eom), (psn, payload, false));
+            assert_eq!(p.wire(), payload + HEADER_BYTES);
+            assert_eq!((p.src, p.dst, p.flow, p.priority), (src, dst, flow, 7));
+        }
+        assert_eq!(
+            Packet::data(src, dst, flow, 0, 0, largest).wire_bytes,
+            u32::MAX
+        );
+
+        for (cum_psn, acked, marked) in [(0, 0, 0), (u64::MAX, u16::MAX, u16::MAX)] {
+            let p = Packet::ack(src, dst, flow, cum_psn, acked, marked);
+            let want = PacketKind::Ack {
+                cum_psn,
+                acked,
+                marked,
+            };
+            assert_eq!((p.kind, p.src, p.dst, p.flow), (want, src, dst, flow));
+        }
+        for expected_psn in [0, u64::MAX] {
+            let p = Packet::nack(src, dst, flow, expected_psn);
+            assert_eq!(p.kind, PacketKind::Nack { expected_psn });
+        }
+        let p = Packet::cnp(src, dst, flow);
+        assert_eq!(
+            (p.kind, p.src, p.dst, p.flow),
+            (PacketKind::Cnp, src, dst, flow)
+        );
+        let p = Packet::pfc(src, dst, u8::MAX, true);
+        let want = PacketKind::Pfc {
+            class: u8::MAX,
+            pause: true,
+        };
+        assert_eq!((p.kind, p.src, p.dst), (want, src, dst));
+        let p = Packet::qcn_feedback(src, dst, flow, u8::MAX);
+        assert_eq!(p.kind, PacketKind::QcnFeedback { fb: u8::MAX });
     }
 
     #[test]
@@ -260,7 +340,7 @@ mod tests {
             Packet::cnp(n(0), n(1), FlowId(1)),
             Packet::pfc(n(0), n(1), 3, true),
         ] {
-            assert_eq!(p.wire_bytes, CONTROL_BYTES);
+            assert_eq!(p.wire_bytes, CONTROL_WIRE);
             assert_eq!(p.ecn, Ecn::NotEct);
             assert!(!p.is_data());
         }

@@ -28,15 +28,29 @@ pub struct Attachment {
     pub delay: Duration,
 }
 
+/// Priority bits below the ingress port in a [`Queued`] release key.
+const PRIO_BITS: u32 = NUM_PRIORITIES.trailing_zeros();
+
+/// The release key of a frame that never occupied the shared buffer.
+const NO_RELEASE: u32 = u32::MAX;
+
+/// Ports one switch may have: a queued frame's release key packs its
+/// ingress port above the priority bits of a `u32`, and the all-ones key
+/// means "nothing to release". `Switch::new` rejects wider switches.
+pub const MAX_PORTS: usize = (NO_RELEASE >> PRIO_BITS) as usize;
+
 /// A queued packet plus the ingress attribution needed to release shared
-/// buffer space when it finally leaves the switch. `None` for packets that
-/// never occupied the shared buffer (host-generated, or switch-local PFC).
+/// buffer space when it finally leaves the switch. It is copied into the
+/// port's slab, into `current` and out again on every hop, so it is kept
+/// at one 64-byte cache line.
 #[derive(Debug, Clone, Copy)]
 pub struct Queued {
     /// The packet.
     pub pkt: Packet,
-    /// `(ingress port index, priority)` for buffer release, if attributed.
-    pub(crate) ingress: Option<(usize, usize)>,
+    /// `ingress port << PRIO_BITS | priority` for the buffer release, or
+    /// [`NO_RELEASE`] for packets that never occupied the shared buffer
+    /// (host-generated, or switch-local control).
+    release: u32,
     /// When the packet entered this egress queue (`Time::ZERO` when not
     /// stamped). Feeds the causal tracer's per-hop residency spans.
     pub(crate) enqueued_at: Time,
@@ -46,11 +60,18 @@ pub struct Queued {
 }
 
 impl Queued {
-    /// A packet destined for the per-priority queues.
+    /// A packet destined for the per-priority queues; `ingress` is the
+    /// `(ingress port, priority)` whose shared-buffer bytes it holds.
+    /// The port is below [`MAX_PORTS`] because no switch is wider.
+    #[inline]
     pub fn new(pkt: Packet, ingress: Option<(usize, usize)>) -> Queued {
+        let release = ingress.map_or(NO_RELEASE, |(port, prio)| {
+            debug_assert!(port < MAX_PORTS && prio < NUM_PRIORITIES);
+            u32::try_from(port << PRIO_BITS | prio).unwrap_or(NO_RELEASE)
+        });
         Queued {
             pkt,
-            ingress,
+            release,
             enqueued_at: Time::ZERO,
             counted: false,
         }
@@ -61,6 +82,16 @@ impl Queued {
     pub fn at(mut self, now: Time) -> Queued {
         self.enqueued_at = now;
         self
+    }
+
+    /// The `(ingress port, priority)` given to [`Queued::new`], if any.
+    #[inline]
+    fn release_to(&self) -> Option<(usize, usize)> {
+        if self.release == NO_RELEASE {
+            return None;
+        }
+        let key = self.release as usize;
+        Some((key >> PRIO_BITS, key & (NUM_PRIORITIES - 1)))
     }
 }
 
@@ -135,7 +166,7 @@ impl Port {
     pub fn enqueue(&mut self, mut q: Queued) {
         let prio = q.pkt.priority as usize;
         q.counted = true;
-        let ok = checked_accum(&mut self.queued_bytes[prio], q.pkt.wire_bytes);
+        let ok = checked_accum(&mut self.queued_bytes[prio], q.pkt.wire());
         debug_assert!(ok, "queued_bytes overflow");
         let i = self.slab.insert(q);
         match std::mem::replace(&mut self.tails[prio], i) {
@@ -164,13 +195,13 @@ impl Port {
         let mut listed = 0;
         for prio in 0..NUM_PRIORITIES {
             let mut bytes = match &self.current {
-                Some(q) if q.counted && q.pkt.priority as usize == prio => q.pkt.wire_bytes,
+                Some(q) if q.counted && usize::from(q.pkt.priority) == prio => q.pkt.wire(),
                 _ => 0,
             };
             let (mut i, mut last) = (self.heads[prio], NIL);
             // The bound turns a (corrupt) cyclic list into a count mismatch.
             while i != NIL && listed <= self.slab.peak() {
-                bytes += self.slab.get(i).pkt.wire_bytes;
+                bytes = bytes.saturating_add(self.slab.get(i).pkt.wire());
                 listed += 1;
                 last = i;
                 i = self.slab.next(i);
@@ -198,12 +229,7 @@ impl Port {
     /// are never paused.
     pub fn dequeue_next(&mut self) -> Option<Queued> {
         if let Some(pkt) = self.pfc_queue.pop_front() {
-            return Some(Queued {
-                pkt,
-                ingress: None,
-                enqueued_at: Time::ZERO,
-                counted: false,
-            });
+            return Some(Queued::new(pkt, None));
         }
         for prio in 0..NUM_PRIORITIES {
             let i = self.heads[prio];
@@ -231,7 +257,7 @@ impl Port {
         let q = self.current.take()?;
         if q.counted {
             let prio = q.pkt.priority as usize;
-            let ok = checked_drain(&mut self.queued_bytes[prio], q.pkt.wire_bytes);
+            let ok = checked_drain(&mut self.queued_bytes[prio], q.pkt.wire());
             debug_assert!(ok, "queued_bytes underflow");
         }
         Some(q)
@@ -252,7 +278,7 @@ impl Port {
         }
         let Some(att) = self.attach else { return };
         let Some(q) = self.dequeue_next() else { return };
-        let ser = att.bandwidth.serialize(q.pkt.wire_bytes);
+        let ser = att.bandwidth.serialize(q.pkt.wire());
         ctx.queue
             .schedule(ctx.queue.now() + ser, Event::TxDone { node, port: pid });
         self.current = Some(q);
@@ -280,7 +306,7 @@ impl Port {
             return None;
         };
         let done = self.finish_current()?;
-        let wire = done.pkt.wire_bytes;
+        let wire = done.pkt.wire();
         let now = ctx.queue.now();
         if ctx.spans.is_enabled() && done.pkt.is_data() {
             let ser = att.bandwidth.serialize(wire);
@@ -302,7 +328,7 @@ impl Port {
                 pkt,
             },
         );
-        done.ingress.map(|(port, prio)| (port, prio, wire))
+        done.release_to().map(|(port, prio)| (port, prio, wire))
     }
 
     /// A PFC frame arrived on this port: applies it ([`Port::apply_pfc`])
@@ -367,9 +393,18 @@ mod tests {
     use crate::packet::{FlowId, PacketKind};
 
     fn data(prio: u8, bytes: u64) -> Queued {
-        let mut p = Packet::data(NodeId(0), NodeId(1), FlowId(1), prio, 0, bytes - 64);
-        p.wire_bytes = bytes;
+        let p = Packet::data(NodeId(0), NodeId(1), FlowId(1), prio, 0, bytes - 64);
         Queued::new(p, Some((2, prio as usize)))
+    }
+
+    /// Each hop copies a `Packet` and a `Queued` several times (port slab,
+    /// `current`, packet pool), so every byte added here is copied on
+    /// every hop of every packet.
+    #[test]
+    fn a_hop_moves_a_48_byte_packet_in_a_64_byte_entry() {
+        assert_eq!(std::mem::size_of::<Packet>(), 48);
+        assert_eq!(std::mem::size_of::<Queued>(), 64);
+        assert_eq!(std::mem::size_of::<Option<Queued>>(), 64);
     }
 
     #[test]
@@ -387,12 +422,10 @@ mod tests {
     #[test]
     fn fifo_within_priority() {
         let mut port = Port::new();
-        let mut a = data(3, 1000);
-        a.pkt.wire_bytes = 1000;
-        port.enqueue(a);
+        port.enqueue(data(3, 1000));
         port.enqueue(data(3, 1500));
-        assert_eq!(port.dequeue_next().unwrap().pkt.wire_bytes, 1000);
-        assert_eq!(port.dequeue_next().unwrap().pkt.wire_bytes, 1500);
+        assert_eq!(port.dequeue_next().unwrap().pkt.wire(), 1000);
+        assert_eq!(port.dequeue_next().unwrap().pkt.wire(), 1500);
     }
 
     #[test]
@@ -430,7 +463,7 @@ mod tests {
         // Still accounted while in flight.
         assert_eq!(port.queued_bytes[3], 1500);
         let done = port.finish_current().unwrap();
-        assert_eq!(done.pkt.wire_bytes, 1500);
+        assert_eq!(done.pkt.wire(), 1500);
         assert_eq!(port.queued_bytes[3], 0);
         assert_eq!(port.total_queued_bytes(), 0);
     }

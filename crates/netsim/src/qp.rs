@@ -7,7 +7,7 @@
 //! records; nothing here schedules, sends or counts.
 
 use crate::cc::NpState;
-use crate::packet::{Priority, CONTROL_PRIORITY, HEADER_BYTES};
+use crate::packet::{Priority, CONTROL_PRIORITY, HEADER_BYTES, MAX_PAYLOAD};
 use crate::stats::Completion;
 use crate::units::{Duration, Time};
 use std::collections::VecDeque;
@@ -20,7 +20,8 @@ const NACK_MIN_INTERVAL: Duration = Duration::from_micros(100);
 #[derive(Debug, Clone, Copy)]
 pub struct HostConfig {
     /// Generate a cumulative ACK every this many in-order data packets
-    /// (message tails are always ACKed immediately).
+    /// (message tails are always ACKed immediately); `1..=u16::MAX`, the
+    /// range of an ACK's packet count.
     pub ack_every: u32,
     /// Go-back-N retransmission timeout.
     pub rto: Duration,
@@ -40,7 +41,8 @@ pub struct HostConfig {
     /// effectively recovered only via the retransmission timeout; disable
     /// this to model that (used by the Figure 18 loss study).
     pub nack_enabled: bool,
-    /// Data payload bytes per packet (MTU minus headers).
+    /// Data payload bytes per packet (MTU minus headers); at least 1, and
+    /// with the headers a frame must fit a packet's `u32` wire size.
     pub mtu_payload: u64,
     /// Priority class for ACKs/NAKs. RoCE deployments ride them on the
     /// control class (the default); RTT-based schemes like TIMELY measure
@@ -59,6 +61,34 @@ impl Default for HostConfig {
             nack_enabled: true,
             mtu_payload: 1500 - HEADER_BYTES,
             ack_priority: CONTROL_PRIORITY,
+        }
+    }
+}
+
+impl HostConfig {
+    /// Checks the knobs that packets carry in narrow fields, where a config
+    /// enters (`NetworkBuilder::host`, `Host::new`), and returns
+    /// `mtu_payload` as a frame field.
+    ///
+    /// # Panics
+    /// With one line naming the field and its value when `mtu_payload` is
+    /// 0 (every packet would be header-only and no message would finish)
+    /// or its frame does not fit a packet's `u32` wire size, or when
+    /// `ack_every` is outside `1..=u16::MAX` (an ACK's `u16` count).
+    pub(crate) fn checked_mtu(&self) -> u32 {
+        let ack_every = self.ack_every;
+        assert!(
+            (1..=u32::from(u16::MAX)).contains(&ack_every),
+            "host config: ack_every {ack_every} is outside 1..={}",
+            u16::MAX
+        );
+        match u32::try_from(self.mtu_payload) {
+            Ok(mtu @ 1..=MAX_PAYLOAD) => mtu,
+            _ => panic!(
+                "host config: mtu_payload {} is outside 1..={MAX_PAYLOAD} \
+                 (with {HEADER_BYTES} header bytes a frame must fit a u32)",
+                self.mtu_payload
+            ),
         }
     }
 }
@@ -82,13 +112,21 @@ struct SentPkt {
     retransmitted: bool,
 }
 
+impl SentPkt {
+    /// Its bytes on the wire, widened for the window accounting.
+    #[inline]
+    fn wire(&self) -> u64 {
+        u64::from(self.payload) + HEADER_BYTES
+    }
+}
+
 /// One data packet to put on the wire, from [`QpTx::next_packet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxPacket {
     /// Its sequence number.
     pub psn: u64,
     /// Payload bytes.
-    pub payload: u64,
+    pub payload: u32,
     /// Last packet of its message.
     pub eom: bool,
     /// A go-back-N resend of an already-sent PSN.
@@ -195,28 +233,29 @@ impl QpTx {
     /// deadline at `now + rto`: a sender that keeps transmitting but gets
     /// no ACK back does time out — the black hole go-back-N must cover.
     #[inline]
-    pub fn next_packet(&mut self, now: Time, mtu: u64, rto: Duration) -> Option<TxPacket> {
+    pub fn next_packet(&mut self, now: Time, mtu: u32, rto: Duration) -> Option<TxPacket> {
         let (psn, payload, eom, retx) = if self.send < self.next {
             let meta = &mut self.unacked[(self.send - self.una) as usize];
             meta.retransmitted = true;
-            (self.send, u64::from(meta.payload), meta.eom, true)
+            (self.send, meta.payload, meta.eom, true)
         } else {
             let msg = self.messages.front_mut()?;
-            let payload = msg.remaining.min(mtu);
-            msg.remaining -= payload;
+            let payload = u32::try_from(msg.remaining).map_or(mtu, |rest| rest.min(mtu));
+            msg.remaining -= u64::from(payload);
             let eom = msg.remaining == 0;
             if eom {
                 self.unfinished.push_back((self.next, *msg));
                 self.messages.pop_front();
             }
-            self.unacked.push_back(SentPkt {
-                payload: payload as u32,
+            let sent = SentPkt {
+                payload,
                 eom,
                 sent_at: now,
                 retransmitted: false,
-            });
+            };
+            self.unacked.push_back(sent);
             self.next += 1;
-            self.inflight_wire += payload + HEADER_BYTES;
+            self.inflight_wire += sent.wire();
             (self.next - 1, payload, eom, false)
         };
         self.send += 1;
@@ -246,7 +285,7 @@ impl QpTx {
             let Some(meta) = self.unacked.pop_front() else {
                 break;
             };
-            let wire = u64::from(meta.payload) + HEADER_BYTES;
+            let wire = meta.wire();
             debug_assert!(self.inflight_wire >= wire);
             self.inflight_wire -= wire;
             bytes += wire;
@@ -333,9 +372,9 @@ pub enum Reply {
         /// First PSN not yet received in order.
         cum_psn: u64,
         /// In-order packets this ACK reports (0 when re-ACKing a duplicate).
-        acked: u32,
+        acked: u16,
         /// How many of them were CE-marked (DCTCP's echo).
-        marked: u32,
+        marked: u16,
     },
     /// Out-of-sequence NAK for the expected PSN.
     Nack(u64),
@@ -360,8 +399,9 @@ pub struct QpRx {
     expected: u64,
     /// `None` when the host generates no CNPs.
     np: Option<NpState>,
-    pkts_since_ack: u32,
-    marked_since_ack: u32,
+    /// Below `ack_every`, which `HostConfig` keeps within `u16`.
+    pkts_since_ack: u16,
+    marked_since_ack: u16,
     /// The PSN the last NAK asked for and when, until in-order progress.
     last_nack: Option<(u64, Time)>,
 }
@@ -403,8 +443,8 @@ impl QpRx {
             self.expected += 1;
             self.last_nack = None;
             self.pkts_since_ack += 1;
-            self.marked_since_ack += u32::from(ce);
-            if eom || self.pkts_since_ack >= config.ack_every {
+            self.marked_since_ack += u16::from(ce);
+            if eom || u32::from(self.pkts_since_ack) >= config.ack_every {
                 let (acked, marked) = (self.pkts_since_ack, self.marked_since_ack);
                 (self.pkts_since_ack, self.marked_since_ack) = (0, 0);
                 let cum_psn = self.expected;

@@ -50,6 +50,15 @@ impl<T: Copy> Slab<T> {
         }
     }
 
+    /// An empty slab with room for `n` entries before it reallocates.
+    pub(crate) fn with_capacity(n: usize) -> Slab<T> {
+        Slab {
+            slots: Vec::with_capacity(n),
+            next: Vec::with_capacity(n),
+            free_head: NIL,
+        }
+    }
+
     /// Stores `value` in the most recently released slot (or a new one)
     /// and returns its index; the slot's link starts as [`NIL`].
     #[inline]

@@ -20,7 +20,7 @@ use crate::ecn::RedConfig;
 use crate::event::{Event, NodeId, PortId};
 use crate::network::Ctx;
 use crate::packet::{FlowId, Packet, PacketKind, NUM_PRIORITIES};
-use crate::port::{Port, Queued};
+use crate::port::{Port, Queued, MAX_PORTS};
 use crate::rng::mix64;
 use crate::routing::RouteTable;
 use crate::stats::SwitchStats;
@@ -172,7 +172,15 @@ impl Switch {
     /// needs more ports than the buffer profile's nominal count, the
     /// profile is widened so per-port accounting (and headroom
     /// reservation) covers every real port.
+    ///
+    /// # Panics
+    /// Panics when `nports` exceeds [`MAX_PORTS`], naming the switch.
     pub fn new(id: NodeId, nports: usize, config: SwitchConfig) -> Switch {
+        assert!(
+            nports <= MAX_PORTS,
+            "switch {} has {nports} ports; a switch has at most {MAX_PORTS}",
+            id.0
+        );
         let mut buf_cfg = config.buffer;
         buf_cfg.num_ports = buf_cfg.num_ports.max(nports);
         Switch {
@@ -228,7 +236,7 @@ impl Switch {
         }
 
         let prio = pkt.priority as usize;
-        let wire = pkt.wire_bytes;
+        let wire = pkt.wire();
 
         // 1. Shared-pool admission.
         if !self.buffer.admit(in_port.0, prio, wire) {
@@ -577,6 +585,12 @@ mod tests {
         // Narrow ones keep the paper's 32-port arithmetic.
         let sw2 = Switch::new(NodeId(0), 4, SwitchConfig::paper_default());
         assert_eq!(sw2.buffer.config().num_ports, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "switch 3 has 536870912 ports; a switch has at most 536870911")]
+    fn a_switch_wider_than_the_release_key_fails_at_new() {
+        let _ = Switch::new(NodeId(3), MAX_PORTS + 1, SwitchConfig::paper_default());
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! share.
 //!
 //! * Queues: a differential test of the slab-backed storage — random
-//!   enqueue / dequeue / finish / PFC sequences against the
+//!   enqueue / dequeue / `tx_done` / PFC sequences against the
 //!   obviously-correct layout it replaced (one `VecDeque` per priority
-//!   and a linear scan), checking dequeue order, byte accounting and
-//!   eligibility after every step, plus the memory contract: slab slots =
-//!   peak of concurrently queued entries.
+//!   and a linear scan), checking dequeue order, release keys, byte
+//!   accounting and eligibility after every step, plus the memory
+//!   contract: slab slots = peak of concurrently queued entries.
 //! * Transmitter and PFC receiver: `start_tx` / `tx_done` / `rx_pfc` over
 //!   a hand-built [`Ctx`] (no `Network`), event by event.
 //! * The two things a `Switch` adds around them that have one code path
@@ -17,7 +17,7 @@ use netsim::buffer::PfcThreshold;
 use netsim::event::{Event, EventQueue, LinkId, NodeId, PortId};
 use netsim::network::Ctx;
 use netsim::packet::{FlowId, Packet, PacketKind, DATA_PRIORITY, NUM_PRIORITIES};
-use netsim::port::{Attachment, Port, Queued};
+use netsim::port::{Attachment, Port, Queued, MAX_PORTS};
 use netsim::rng::SplitMix64;
 use netsim::slab::PacketPool;
 use netsim::switch::{Switch, SwitchConfig};
@@ -27,36 +27,45 @@ use netsim::units::{Bandwidth, Duration, Time};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
+/// Where a frame's shared-buffer bytes go back when it leaves:
+/// `(ingress port, priority)`, as given to `Queued::new`.
+type Ingress = Option<(usize, usize)>;
+
+/// What `Port::tx_done` returns: the `(ingress port, priority, wire
+/// bytes)` a switch must release, if any.
+type Release = Option<(usize, usize, u64)>;
+
 /// The reference model: the old `Port` storage and scan.
 #[derive(Default)]
 struct RefPort {
     pfc_queue: VecDeque<Packet>,
-    queues: [VecDeque<Queued>; NUM_PRIORITIES],
+    queues: [VecDeque<(Packet, Ingress)>; NUM_PRIORITIES],
     queued_bytes: [u64; NUM_PRIORITIES],
     rx_paused: [bool; NUM_PRIORITIES],
-    /// The frame in flight, and whether `queued_bytes` counts it.
-    current: Option<(Packet, bool)>,
+    /// The frame in flight, its release, and whether `queued_bytes`
+    /// counts it.
+    current: Option<(Packet, Ingress, bool)>,
     /// Most entries ever held in `queues` at once.
     max_queued: usize,
 }
 
 impl RefPort {
-    fn enqueue(&mut self, q: Queued) {
-        let prio = q.pkt.priority as usize;
-        self.queued_bytes[prio] += q.pkt.wire_bytes;
-        self.queues[prio].push_back(q);
+    fn enqueue(&mut self, pkt: Packet, ingress: Ingress) {
+        let prio = pkt.priority as usize;
+        self.queued_bytes[prio] += pkt.wire();
+        self.queues[prio].push_back((pkt, ingress));
         let queued = self.queues.iter().map(VecDeque::len).sum();
         self.max_queued = self.max_queued.max(queued);
     }
 
-    fn dequeue_next(&mut self) -> Option<(Packet, bool)> {
+    fn dequeue_next(&mut self) -> Option<(Packet, Ingress, bool)> {
         if let Some(pkt) = self.pfc_queue.pop_front() {
-            return Some((pkt, false));
+            return Some((pkt, None, false));
         }
         (0..NUM_PRIORITIES)
             .filter(|&p| !self.rx_paused[p])
             .find_map(|p| self.queues[p].pop_front())
-            .map(|q| (q.pkt, true))
+            .map(|(pkt, ingress)| (pkt, ingress, true))
     }
 
     fn has_eligible(&self) -> bool {
@@ -64,12 +73,13 @@ impl RefPort {
             || (0..NUM_PRIORITIES).any(|p| !self.rx_paused[p] && !self.queues[p].is_empty())
     }
 
-    fn finish_current(&mut self) -> Option<Packet> {
-        let (pkt, counted) = self.current.take()?;
+    /// The frame in flight leaves: returns it with its release.
+    fn tx_done(&mut self) -> Option<(Packet, Release)> {
+        let (pkt, ingress, counted) = self.current.take()?;
         if counted {
-            self.queued_bytes[pkt.priority as usize] -= pkt.wire_bytes;
+            self.queued_bytes[pkt.priority as usize] -= pkt.wire();
         }
-        Some(pkt)
+        Some((pkt, ingress.map(|(port, prio)| (port, prio, pkt.wire()))))
     }
 }
 
@@ -80,7 +90,7 @@ fn key(pkt: &Packet) -> (Option<u64>, u8, u64) {
         PacketKind::Data { psn, .. } => Some(psn),
         _ => None,
     };
-    (psn, pkt.priority, pkt.wire_bytes)
+    (psn, pkt.priority, pkt.wire())
 }
 
 fn check_views(port: &Port, model: &RefPort) {
@@ -94,17 +104,23 @@ fn check_views(port: &Port, model: &RefPort) {
     port.check_conservation(&mut |what| panic!("{what}"));
 }
 
+/// One generated step: `(op, class, wire bytes, ingress)`, where ingress
+/// 0 is none, 1 is port 0 and 2 the widest port a switch can have.
+type Op = (u8, u8, u32, u8);
+
 /// Applies one generated op to both ports. `psn` numbers the data frames
 /// so that dequeue order is compared exactly.
-fn apply(port: &mut Port, model: &mut RefPort, (op, class, bytes): (u8, u8, u64), psn: u64) {
+fn apply(port: &mut Port, model: &mut RefPort, ctx: &mut Ctx, op: Op, psn: u64) {
+    let (op, class, bytes, ingress) = op;
     match op {
         // Enqueue is the most common op so that queues build up.
         0..=3 => {
             let mut pkt = Packet::data(NodeId(0), NodeId(1), FlowId(0), class, psn, 0);
             pkt.wire_bytes = bytes;
-            let q = Queued::new(pkt, Some((1, class as usize))).at(Time(psn));
-            port.enqueue(q);
-            model.enqueue(q);
+            let c = class as usize;
+            let ingress = [None, Some((0, c)), Some((MAX_PORTS - 1, c))][ingress as usize];
+            port.enqueue(Queued::new(pkt, ingress).at(Time(psn)));
+            model.enqueue(pkt, ingress);
         }
         // Start the next frame if the transmitter is idle.
         4..=5 => {
@@ -113,9 +129,17 @@ fn apply(port: &mut Port, model: &mut RefPort, (op, class, bytes): (u8, u8, u64)
                 model.current = model.dequeue_next();
             }
         }
+        // The frame in flight leaves: the same release key, and its
+        // `Deliver` carries the same frame.
         6 => {
-            let done = port.finish_current().map(|q| key(&q.pkt));
-            assert_eq!(done, model.finish_current().map(|p| key(&p)));
+            let left = model.tx_done();
+            let released = port.tx_done(ctx, HERE.0, HERE.1);
+            assert_eq!(released, left.and_then(|(_, release)| release));
+            let delivered = ctx.queue.pop().map(|(_, event)| match event {
+                Event::Deliver { pkt, .. } => key(&ctx.pool.take(pkt)),
+                other => panic!("expected Deliver, got {other:?}"),
+            });
+            assert_eq!(delivered, left.map(|(pkt, _)| key(&pkt)));
         }
         7 => {
             let pause = bytes % 2 == 0;
@@ -134,25 +158,28 @@ fn apply(port: &mut Port, model: &mut RefPort, (op, class, bytes): (u8, u8, u64)
         }
     }
     let in_flight = port.current.as_ref().map(|q| key(&q.pkt));
-    assert_eq!(in_flight, model.current.as_ref().map(|(p, _)| key(p)));
+    assert_eq!(in_flight, model.current.as_ref().map(|(p, ..)| key(p)));
 }
 
 proptest! {
     #[test]
     fn port_matches_the_vecdeque_reference(
-        ops in prop::collection::vec((0u8..10, 0u8..NUM_PRIORITIES as u8, 64u64..9000), 1..400),
+        ops in prop::collection::vec(
+            (0u8..10, 0u8..NUM_PRIORITIES as u8, 64u32..9000, 0u8..3),
+            1..400,
+        ),
     ) {
-        let (mut port, mut model) = (Port::new(), RefPort::default());
+        let (mut port, mut model, mut ctx) = (attached(), RefPort::default(), bare_ctx(1));
         for (psn, &op) in ops.iter().enumerate() {
-            apply(&mut port, &mut model, op, psn as u64);
+            apply(&mut port, &mut model, &mut ctx, op, psn as u64);
             check_views(&port, &model);
         }
         // Drain with every class released: both sides empty in the same
         // order and the accounting returns to zero.
-        apply(&mut port, &mut model, (9, 0, 0), 0);
+        apply(&mut port, &mut model, &mut ctx, (9, 0, 0, 0), 0);
         while port.has_eligible() || port.current.is_some() {
-            apply(&mut port, &mut model, (6, 0, 0), 0);
-            apply(&mut port, &mut model, (4, 0, 0), 0);
+            apply(&mut port, &mut model, &mut ctx, (6, 0, 0, 0), 0);
+            apply(&mut port, &mut model, &mut ctx, (4, 0, 0, 0), 0);
             check_views(&port, &model);
         }
         prop_assert_eq!(port.total_queued_bytes(), 0);
@@ -248,7 +275,7 @@ fn start_tx_schedules_one_tx_done_and_only_when_idle() {
     port.start_tx(&mut ctx, HERE.0, HERE.1);
     assert_eq!(ctx.queue.len(), 1);
     let (at, event) = ctx.queue.pop().unwrap();
-    assert_eq!(at, start + LINE.serialize(data(0).wire_bytes));
+    assert_eq!(at, start + LINE.serialize(data(0).wire()));
     assert!(matches!(event, Event::TxDone { node, port } if (node, port) == HERE));
 }
 
@@ -279,7 +306,7 @@ fn tx_done_puts_the_frame_on_the_wire_and_returns_the_release_key() {
     ctx.spans.enable(16);
     let mut port = attached();
     let prio = DATA_PRIORITY as usize;
-    let wire = data(0).wire_bytes;
+    let wire = data(0).wire();
     let enqueued = Time::from_micros(1);
     // A forwarded data frame (ingress port 2), a host-style data frame
     // with no buffer attribution, and a link-local PFC frame.

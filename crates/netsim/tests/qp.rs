@@ -8,7 +8,12 @@ use netsim::packet::HEADER_BYTES;
 use netsim::qp::{QpRx, QpTx, Reply, Rto, RxOutcome, TxPacket};
 use netsim::units::{Duration, Time};
 
-const MTU: u64 = 1000;
+const MTU: u32 = 1000;
+
+/// `n` full packets' worth of payload bytes.
+fn mtus(n: u64) -> u64 {
+    n * u64::from(MTU)
+}
 
 fn us(n: u64) -> Time {
     Time::from_micros(n)
@@ -69,7 +74,7 @@ fn queued_message_makes_qp_sendable() {
 
 #[test]
 fn rewound_qp_has_data_even_with_empty_messages() {
-    let mut tx = qp_with(10 * MTU);
+    let mut tx = qp_with(mtus(10));
     send(&mut tx, 10);
     assert!(!tx.has_data(), "every packet is out");
     tx.on_ack(5, us(1), Duration::from_millis(16));
@@ -81,16 +86,16 @@ fn rewound_qp_has_data_even_with_empty_messages() {
 #[test]
 fn dead_qp_never_has_data() {
     let config = HostConfig::default();
-    let mut tx = qp_with(MTU);
+    let mut tx = qp_with(mtus(1));
     let first = send(&mut tx, 1)[0].arm_rto.unwrap();
     assert_eq!(black_hole(&mut tx, first, &config).1, Rto::Teardown);
-    tx.push_message(MTU, us(1));
+    tx.push_message(mtus(1), us(1));
     assert!(tx.is_dead() && !tx.has_data() && !tx.is_idle());
 }
 
 #[test]
 fn outstanding_data_is_not_idle() {
-    let mut tx = qp_with(3 * MTU);
+    let mut tx = qp_with(mtus(3));
     send(&mut tx, 3);
     tx.on_ack(1, us(1), Duration::from_millis(16));
     assert_eq!(tx.psns(), (1, 3, 3));
@@ -100,9 +105,9 @@ fn outstanding_data_is_not_idle() {
 
 #[test]
 fn window_counts_wire_bytes_in_flight() {
-    let mut tx = qp_with(2 * MTU);
+    let mut tx = qp_with(mtus(2));
     send(&mut tx, 1);
-    let one = MTU + HEADER_BYTES;
+    let one = mtus(1) + HEADER_BYTES;
     assert!(tx.fits(None), "rate-based: no window");
     assert!(tx.fits(Some(one + 1)));
     assert!(!tx.fits(Some(one)));
@@ -124,7 +129,7 @@ enum Ev {
 fn run_lossy(config: &HostConfig, drop_once: &[u64]) -> (u64, Time) {
     const GAP: Duration = Duration::from_micros(1);
     const DELAY: Duration = Duration::from_micros(5);
-    let (mut tx, mut rx) = (qp_with(20 * MTU), QpRx::new(None));
+    let (mut tx, mut rx) = (qp_with(mtus(20)), QpRx::new(None));
     let mut queue = vec![(Time::ZERO, 0u64, Ev::Send)];
     let mut seq = 1;
     let mut push = |q: &mut Vec<(Time, u64, Ev)>, at: Time, ev: Ev| {
@@ -160,7 +165,7 @@ fn run_lossy(config: &HostConfig, drop_once: &[u64]) -> (u64, Time) {
             Ev::Reply(Reply::Ack { cum_psn, .. }) => {
                 tx.on_ack(cum_psn, now, config.rto);
                 if let Some(done) = tx.pop_completed(now) {
-                    assert_eq!(done.bytes, 20 * MTU);
+                    assert_eq!(done.bytes, mtus(20));
                     return (resent, now);
                 }
             }
@@ -212,7 +217,7 @@ fn nak_recovery_resends_less_than_timeout_only() {
 #[test]
 fn backoff_schedule_then_teardown() {
     let config = HostConfig::default();
-    let mut tx = qp_with(MTU);
+    let mut tx = qp_with(mtus(1));
     let mut at = send(&mut tx, 1)[0].arm_rto.unwrap();
     assert_eq!(at, Time::ZERO + config.rto);
     let mut waits_ms = Vec::new();
@@ -238,7 +243,7 @@ fn edge_inputs() {
     let rows: [(&str, Row); 7] = [
         ("ack beyond next_psn", |config, mut tx| {
             let (bytes, rtt) = tx.on_ack(10, us(10), config.rto);
-            assert_eq!(bytes, 3 * (MTU + HEADER_BYTES));
+            assert_eq!(bytes, 3 * (mtus(1) + HEADER_BYTES));
             assert_eq!(rtt, Some(Duration::from_micros(10)));
             assert_eq!(tx.psns(), (3, 3, 3), "una stops at next");
             assert!(tx.is_idle());
@@ -260,7 +265,7 @@ fn edge_inputs() {
                 black_hole(&mut tx, Time::ZERO + config.rto, config).1,
                 Rto::Teardown
             );
-            assert_eq!(tx.on_ack(1, us(1), config.rto).0, MTU + HEADER_BYTES);
+            assert_eq!(tx.on_ack(1, us(1), config.rto).0, mtus(1) + HEADER_BYTES);
             assert!(tx.rewind(1), "the window still rewinds");
             assert!(tx.is_dead() && !tx.has_data(), "a dead QP sends nothing");
         }),
@@ -319,7 +324,7 @@ fn edge_inputs() {
     let config = HostConfig::default();
     for (name, row) in rows {
         eprintln!("row: {name}");
-        let mut tx = qp_with(3 * MTU);
+        let mut tx = qp_with(mtus(3));
         send(&mut tx, 3);
         row(&config, tx);
     }
