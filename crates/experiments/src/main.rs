@@ -46,6 +46,12 @@ fn ids_of(table: &[experiments::Experiment]) -> Vec<&'static str> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // A bad thread count fails the invocation before any id or campaign
+    // runs, not at the first experiment that fans out.
+    if let Err(msg) = experiments::runner::threads_from_env() {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    }
     // `chaos` owns its flag vocabulary (--seed, --cases, --replay, …),
     // so it parses its own arguments instead of the shared loop below.
     if args.first().map(String::as_str) == Some("chaos") {

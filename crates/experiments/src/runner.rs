@@ -30,7 +30,7 @@ use std::sync::Mutex;
 /// `REPRO_THREADS=0` while chasing a determinism bug means "serial", and
 /// granting them 32 threads instead is the worst possible surprise.
 pub fn thread_count(runs: usize) -> usize {
-    let cores = match parse_repro_threads(std::env::var("REPRO_THREADS").ok().as_deref()) {
+    let cores = match threads_from_env() {
         Ok(Some(n)) => n,
         Ok(None) => std::thread::available_parallelism()
             .map(|n| n.get())
@@ -41,6 +41,12 @@ pub fn thread_count(runs: usize) -> usize {
         }
     };
     cores.min(runs.max(1))
+}
+
+/// The `REPRO_THREADS` override: `None` when unset, `Err` with a
+/// one-line message when invalid. `repro` checks it before anything runs.
+pub fn threads_from_env() -> Result<Option<usize>, String> {
+    parse_repro_threads(std::env::var("REPRO_THREADS").ok().as_deref())
 }
 
 /// Parses a `REPRO_THREADS` value: `None` when unset (use detected

@@ -1,7 +1,8 @@
 //! The `repro <id>...` exit-code contract, driven through the real
 //! binary: 0 when every experiment ran and every requested artifact was
 //! written, 1 when an artifact could not be written (the rest still
-//! are), 2 for an invocation that names nothing to run.
+//! are), 2 for an invocation that names nothing to run or sets a bad
+//! `REPRO_THREADS`.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -99,4 +100,23 @@ fn cheap_experiments_print_their_banner_from_the_table() {
         })
         .collect();
     assert_eq!(banners, expected);
+}
+
+/// A bad `REPRO_THREADS` is rejected before anything runs: by an id that
+/// never fans out, ahead of one that does, and by the chaos campaign.
+#[test]
+fn a_bad_thread_count_fails_before_anything_runs() {
+    for args in [&["fig1"][..], &["fig1", "fig3"], &["chaos", "--cases", "1"]] {
+        let out = repro()
+            .args(args)
+            .arg("--quick")
+            .env("REPRO_THREADS", "abc")
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}");
+        assert!(out.stdout.is_empty(), "repro {args:?} ran something");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.starts_with("error: REPRO_THREADS"), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "one line: {stderr}");
+    }
 }

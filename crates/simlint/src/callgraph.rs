@@ -2,9 +2,8 @@
 //!
 //! The hot-path file/function set is **computed** here instead of being
 //! a hard-coded file list: every function reachable from the roots
-//! (`Network::run_until`, `EventQueue::pop_batch` by default) is hot,
-//! and each hot function carries one example call chain from a root for
-//! diagnostics.
+//! ([`crate::DISPATCH_ROOTS`]) is hot, and each hot function carries one
+//! example call chain from a root for diagnostics.
 //!
 //! Resolution is deliberately over-approximate where types are unknown —
 //! a lint would rather check a cold function than miss a hot one — but
@@ -36,33 +35,9 @@ pub struct CallGraph {
     pub edges: usize,
 }
 
-/// A dispatch root: `Type::method` (owner required — roots are methods
-/// on the simulator's core types).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RootSpec {
-    /// The owning type.
-    pub owner: String,
-    /// The method name.
-    pub method: String,
-}
-
-impl RootSpec {
-    /// Parses `"Type::method"`.
-    pub fn parse(s: &str) -> Option<RootSpec> {
-        let (owner, method) = s.split_once("::")?;
-        if owner.is_empty() || method.is_empty() {
-            return None;
-        }
-        Some(RootSpec {
-            owner: owner.to_owned(),
-            method: method.to_owned(),
-        })
-    }
-}
-
 /// Builds the call graph over all parsed files and computes reachability
-/// from `roots`.
-pub fn build(files: &[ParsedFile], roots: &[RootSpec]) -> CallGraph {
+/// from `roots`, each a `(type, method)` pair.
+pub fn build(files: &[ParsedFile], roots: &[(&str, &str)]) -> CallGraph {
     // Index non-test defs three ways.
     let mut by_owner: BTreeMap<(String, String), Vec<FnId>> = BTreeMap::new();
     let mut by_method: BTreeMap<String, Vec<FnId>> = BTreeMap::new();
@@ -139,8 +114,8 @@ pub fn build(files: &[ParsedFile], roots: &[RootSpec]) -> CallGraph {
     let mut queue: VecDeque<FnId> = VecDeque::new();
     let mut hot: BTreeSet<FnId> = BTreeSet::new();
     let mut parent: BTreeMap<FnId, FnId> = BTreeMap::new();
-    for r in roots {
-        if let Some(ids) = by_owner.get(&(r.owner.clone(), r.method.clone())) {
+    for &(owner, method) in roots {
+        if let Some(ids) = by_owner.get(&(owner.to_owned(), method.to_owned())) {
             for &id in ids {
                 if hot.insert(id) {
                     parent.insert(id, id);
@@ -189,13 +164,7 @@ impl CallGraph {
     /// One example call chain from a root to `id`, rendered as
     /// `Network::run_until → Host::receive → …`.
     pub fn chain(&self, files: &[ParsedFile], id: FnId) -> String {
-        let label = |id: FnId| -> String {
-            let f = &files[id.0].fns[id.1];
-            match &f.owner {
-                Some(o) => format!("{o}::{}", f.name),
-                None => f.name.clone(),
-            }
-        };
+        let label = |id: FnId| files[id.0].fns[id.1].label();
         let mut parts = vec![label(id)];
         let mut cur = id;
         // Bounded walk (cycles map roots to themselves).
@@ -217,13 +186,7 @@ impl CallGraph {
         let mut v: Vec<String> = self
             .hot
             .iter()
-            .map(|&(fi, gi)| {
-                let f = &files[fi].fns[gi];
-                match &f.owner {
-                    Some(o) => format!("{}::{} ({})", o, f.name, files[fi].rel),
-                    None => format!("{} ({})", f.name, files[fi].rel),
-                }
-            })
+            .map(|&(fi, gi)| format!("{} ({})", files[fi].fns[gi].label(), files[fi].rel))
             .collect();
         v.sort();
         v.dedup();
@@ -236,7 +199,7 @@ mod tests {
     use super::*;
     use crate::items::parse_file;
 
-    fn graph(srcs: &[(&str, &str)], roots: &[&str]) -> (Vec<ParsedFile>, CallGraph) {
+    fn graph(srcs: &[(&str, &str)], root: (&str, &str)) -> (Vec<ParsedFile>, CallGraph) {
         let mut files: Vec<ParsedFile> = srcs.iter().map(|(rel, s)| parse_file(rel, s)).collect();
         let mut field_ty = BTreeMap::new();
         let mut methods_of: BTreeMap<String, Vec<String>> = BTreeMap::new();
@@ -256,8 +219,7 @@ mod tests {
         for f in &mut files {
             crate::items::type_calls(f, &field_ty, &methods_of);
         }
-        let roots: Vec<RootSpec> = roots.iter().filter_map(|r| RootSpec::parse(r)).collect();
-        let g = build(&files, &roots);
+        let g = build(&files, &[root]);
         (files, g)
     }
 
@@ -286,7 +248,7 @@ mod tests {
                      impl Cold { pub fn never(&mut self) {} }\n",
                 ),
             ],
-            &["Network::run_until"],
+            ("Network", "run_until"),
         );
         let labels = g.hot_fn_labels(&files);
         let names: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
@@ -311,7 +273,7 @@ mod tests {
                  pub struct Json;\n\
                  impl Json { pub fn push(&mut self) { } }\n",
             )],
-            &["Q::pop_batch"],
+            ("Q", "pop_batch"),
         );
         let labels = g.hot_fn_labels(&files);
         assert_eq!(labels.len(), 1, "only the root is hot: {labels:?}");
@@ -329,7 +291,7 @@ mod tests {
                  pub struct Timely;\n\
                  impl CongestionControl for Timely { fn on_ecn(&mut self) {} }\n",
             )],
-            &["Host::run_until"],
+            ("Host", "run_until"),
         );
         let labels = g.hot_fn_labels(&files);
         assert!(labels.iter().any(|s| s.starts_with("Dcqcn::on_ecn")));
@@ -348,7 +310,7 @@ mod tests {
                  }\n\
                  fn leaf() {}\n",
             )],
-            &["N::run_until"],
+            ("N", "run_until"),
         );
         let leaf = g
             .hot
@@ -372,7 +334,7 @@ mod tests {
                      fn horror() {}\n\
                  }\n",
             )],
-            &["N::run_until"],
+            ("N", "run_until"),
         );
         assert_eq!(g.hot.len(), 1);
         let _ = files;

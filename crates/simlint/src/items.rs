@@ -47,6 +47,16 @@ pub struct FnDef {
     pub calls: Vec<Call>,
 }
 
+impl FnDef {
+    /// `Type::name` for a method, `name` for a free function.
+    pub fn label(&self) -> String {
+        match &self.owner {
+            Some(o) => format!("{o}::{}", self.name),
+            None => self.name.clone(),
+        }
+    }
+}
+
 /// A struct field: `(struct, field, type-head)`. Container heads
 /// (`Vec<Node>`) record the *element* type (`Node`), since calls through
 /// an index expression dispatch on the element.

@@ -18,40 +18,23 @@ pub mod items;
 pub mod lexer;
 pub mod rules;
 
-pub use callgraph::RootSpec;
 pub use rules::Finding;
 
 use simjson::Json;
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Analysis configuration.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Dispatch roots for hot-path reachability.
-    pub roots: Vec<RootSpec>,
-    /// Files exempt from determinism-taint (the config-loading layer is
-    /// allowed to read the environment).
-    pub config_files: Vec<String>,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            roots: vec![
-                RootSpec::parse("Network::run_until").expect("static root"),
-                RootSpec::parse("EventQueue::pop_batch").expect("static root"),
-                // The chaos campaign's per-case loop: the convergence
-                // audit (`network/converge.rs`) and everything it reaches
-                // (port scans, `network/faults.rs` route recomputation,
-                // `audit.rs` drain checks) runs once per generated case,
-                // hundreds of times per campaign.
-                RootSpec::parse("Network::check_convergence").expect("static root"),
-            ],
-            config_files: Vec::new(),
-        }
-    }
-}
+/// The dispatch roots hot-path reachability starts from, as `(type,
+/// method)`.
+pub const DISPATCH_ROOTS: [(&str, &str); 3] = [
+    ("Network", "run_until"),
+    ("EventQueue", "pop_batch"),
+    // The chaos campaign's per-case loop: the convergence audit
+    // (`network/converge.rs`) and everything it reaches (port scans,
+    // `network/faults.rs` route recomputation, `audit.rs` drain checks)
+    // runs once per generated case, hundreds of times per campaign.
+    ("Network", "check_convergence"),
+];
 
 /// A finding tolerated by an allow comment, with the comment's reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +69,7 @@ pub struct Analysis {
 }
 
 /// Runs the full analysis over `(relative path, source)` pairs.
-pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Analysis {
+pub fn analyze_sources(sources: &[(String, String)]) -> Analysis {
     let (caller_only, linted): (Vec<_>, Vec<_>) =
         sources.iter().partition(|(rel, _)| is_caller_only(rel));
     let mut files: Vec<items::ParsedFile> = linted
@@ -125,14 +108,13 @@ pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Analysi
         items::type_calls(f, &field_ty, &methods_of);
     }
 
-    let graph = callgraph::build(&files, &config.roots);
+    let graph = callgraph::build(&files, &DISPATCH_ROOTS);
     let map_names = rules::collect_map_names(&files);
     let ctx = rules::PassCtx {
         files: &files,
         callers: &callers,
         graph: &graph,
         map_names: &map_names,
-        config_files: &config.config_files,
         field_ty: &field_ty,
         methods_of: &methods_of,
     };

@@ -7,7 +7,7 @@
 //! Exit codes: 0 no unsuppressed finding, 1 findings, 2 usage or I/O
 //! error.
 
-use simlint::{analyze_sources, collect_workspace_sources, render_report, Config};
+use simlint::{analyze_sources, collect_workspace_sources, render_report};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -87,7 +87,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let analysis = analyze_sources(&sources, &Config::default());
+    let analysis = analyze_sources(&sources);
 
     if args.print_hot {
         println!("# hot files ({})", analysis.hot_files.len());

@@ -1,10 +1,12 @@
 //! The passes. Five legacy rules (map-iter, counter-arith, float-cmp,
 //! hot-unwrap, metric-lookup) reimplemented on the lexer + call-graph
 //! engine, the three scale-arc passes (determinism-taint, hot-alloc,
-//! shard-safety), and unused-pub, which reads every other file of the
-//! workspace as a caller of netsim. Hot-path-scoped rules consult the
-//! computed reachable set — no hard-coded file lists — and carry an
-//! example call chain from the dispatch root in their message.
+//! shard-safety), unused-pub, which reads every other file of the
+//! workspace as a caller of netsim, and owner, which keeps each
+//! mechanism of the [`OWNERS`] table in its one home. Hot-path-scoped
+//! rules consult the computed reachable set — no hard-coded file lists —
+//! and carry an example call chain from the dispatch root in their
+//! message.
 
 use crate::callgraph::{CallGraph, FnId};
 use crate::items::{receiver_type, ParsedFile, PubDecl, TYPE_KINDS};
@@ -57,7 +59,7 @@ const ITER_METHODS: [&str; 8] = [
 pub const SURFACE: &str = "crates/netsim/src/";
 
 /// Every rule, with a one-line description (used by `--help` and docs).
-pub const RULES: [(&str, &str); 10] = [
+pub const RULES: [(&str, &str); 11] = [
     (
         "map-iter",
         "no iteration over HashMap/HashSet (or aliases) in library code — std hash order is per-process random",
@@ -93,6 +95,10 @@ pub const RULES: [(&str, &str); 10] = [
     (
         "unused-pub",
         "a `pub` item or field of netsim that no other crate, test, example or doctest names; make it `pub(crate)`",
+    ),
+    (
+        "owner",
+        "a construct of the `OWNERS` table (transmitter, trace record, NP, go-back-N state, registry count, …) outside its one home",
     ),
     (
         "unused-allow",
@@ -161,8 +167,6 @@ pub struct PassCtx<'a> {
     pub graph: &'a CallGraph,
     /// Identifiers bound to map types anywhere in non-test code.
     pub map_names: &'a BTreeSet<String>,
-    /// Files exempt from determinism-taint (the config layer).
-    pub config_files: &'a [String],
     /// Workspace-wide `(struct, field) → type head` table.
     pub field_ty: &'a BTreeMap<(String, String), String>,
     /// Workspace-wide `type → method names` table.
@@ -231,6 +235,7 @@ pub fn run_all(ctx: &PassCtx<'_>) -> Vec<Finding> {
     hot_alloc(ctx, &mut out);
     shard_safety(ctx, &mut out);
     unused_pub(ctx, &mut out);
+    owner(ctx, &mut out);
     out.sort();
     out
 }
@@ -531,9 +536,6 @@ fn metric_lookup(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
 
 fn determinism_taint(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
     for_hot_fns(ctx, |file, id, chain| {
-        if ctx.config_files.iter().any(|c| c == &file.rel) {
-            return;
-        }
         let body = &file.fns[id.1].body;
         let toks = &file.tokens;
         for i in body.clone() {
@@ -719,12 +721,7 @@ fn is_type_name(t: &Tok) -> bool {
 impl Named {
     fn read(&mut self, file: &ParsedFile, ctx: &PassCtx<'_>) {
         let toks = &file.tokens;
-        // The innermost fn around each token, for receiver typing (fns
-        // are in source order, so a nested fn overwrites its parent).
-        let mut enclosing = vec![None; toks.len()];
-        for (k, f) in file.fns.iter().enumerate() {
-            enclosing[f.body.clone()].fill(Some(k));
-        }
+        let enclosing = enclosing_fns(file);
         for (i, t) in toks.iter().enumerate() {
             if t.kind != TokKind::Ident {
                 continue;
@@ -832,6 +829,185 @@ fn unused_pub(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
             chain: None,
         });
     }
+}
+
+// ---- owner --------------------------------------------------------------
+
+/// A construct with one home. `pattern` is matched on the non-test tokens
+/// of every file under `scope`; a match outside `owners` is a finding.
+pub struct Owner {
+    /// Space-separated elements, each matching one token (`a|b`: either
+    /// text; `!a|b`: neither) or a balanced `{…}` group. String and char
+    /// literals never match, and comments are not tokens.
+    pub pattern: &'static str,
+    /// Path prefix of the files searched.
+    pub scope: &'static str,
+    /// Where the construct may appear: a file, or one function written
+    /// as in the report's `hot_fns` (`Type::name (file)`). Empty when it
+    /// has no place under `scope`.
+    pub owners: &'static [&'static str],
+    /// The one-line reason.
+    pub why: &'static str,
+}
+
+/// One copy of each mechanism: where each one lives, and why.
+pub const OWNERS: [Owner; 10] = [
+    Owner {
+        pattern: "Event :: TxDone|Deliver {…} !=>",
+        scope: SURFACE,
+        owners: &["crates/netsim/src/port.rs"],
+        why: "one transmitter: only Port schedules a frame's TxDone and Deliver",
+    },
+    Owner {
+        pattern: "Event :: TxDone|Deliver {…} =>",
+        scope: SURFACE,
+        owners: &["crates/netsim/src/event.rs", "crates/netsim/src/network.rs"],
+        why: "TxDone and Deliver are matched only by Event::kind_index and Network::dispatch",
+    },
+    Owner {
+        pattern: "!struct|impl|-> TraceEvent {",
+        scope: SURFACE,
+        owners: &["Ctx::record_trace (crates/netsim/src/network.rs)"],
+        why: "one trace record: Ctx::record_trace feeds the tracer and the flight recorder",
+    },
+    Owner {
+        pattern: "last_cnp",
+        scope: SURFACE,
+        owners: &["crates/netsim/src/cc.rs"],
+        why: "one NP: its state lives in cc.rs",
+    },
+    Owner {
+        pattern: "unacked|last_nack|consecutive_timeouts",
+        scope: SURFACE,
+        owners: &["crates/netsim/src/qp.rs"],
+        why: "one go-back-N transport: its state lives in qp.rs, not in Host",
+    },
+    Owner {
+        pattern: "metrics . inc|add (",
+        scope: SURFACE,
+        owners: &["Network::check_convergence (crates/netsim/src/network/converge.rs)"],
+        why: "one count per event: a switch, flow or fault field owns every other counter, \
+              so the registry stores only the two convergence counters",
+    },
+    Owner {
+        pattern: "fault_drops",
+        scope: "crates/netsim/src/audit.rs",
+        owners: &[],
+        why: "the auditor keeps no fault count: FaultStats owns it",
+    },
+    Owner {
+        pattern: "fn dispatch_inner|banner|run_all",
+        scope: "crates/experiments/src/",
+        owners: &[],
+        why: "an experiment is one row of experiments::{ALL, EXT}, and dispatch reads the row",
+    },
+    Owner {
+        pattern: "Vec < Json",
+        scope: "crates/netsim/src/telemetry/spans.rs",
+        owners: &[],
+        why: "the Chrome trace streams from the recorder through simjson::Writer, \
+              not through a vector of per-event trees",
+    },
+    Owner {
+        pattern: "Network|Json|shrink_case|run_case|chaos_host_config",
+        scope: "crates/netsim/src/chaos.rs",
+        owners: &[],
+        why: "a chaos case is data in netsim: experiments::chaos executes, shrinks and files it",
+    },
+];
+
+fn owner(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
+    for f in ctx.files {
+        let rows = OWNERS.iter().filter(|r| f.rel.starts_with(r.scope));
+        let enclosing = enclosing_fns(f);
+        for row in rows {
+            let elems: Vec<&str> = row.pattern.split(' ').collect();
+            for i in (0..f.tokens.len()).filter(|&i| !f.test_tok[i]) {
+                let Some(at) = match_at(&f.tokens, i, &elems) else {
+                    continue;
+                };
+                let home = enclosing[at].map(|k| format!("{} ({})", f.fns[k].label(), f.rel));
+                if row
+                    .owners
+                    .iter()
+                    .any(|o| *o == f.rel || Some(*o) == home.as_deref())
+                {
+                    continue;
+                }
+                let msg = match row.owners {
+                    [] => format!(
+                        "`{}` has no place under {}: {}",
+                        row.pattern, row.scope, row.why
+                    ),
+                    homes => format!(
+                        "`{}` belongs in {} only: {}",
+                        row.pattern,
+                        homes.join(", "),
+                        row.why
+                    ),
+                };
+                out.push(Finding {
+                    rule: "owner",
+                    file: f.rel.clone(),
+                    line: f.tokens[at].line,
+                    msg,
+                    chain: None,
+                });
+            }
+        }
+    }
+}
+
+/// Matches an [`Owner::pattern`]'s elements starting at token `i`, and
+/// returns the index of the first token a positive element matched.
+fn match_at(toks: &[Tok], mut i: usize, elems: &[&str]) -> Option<usize> {
+    let mut first = None;
+    for e in elems {
+        let t = toks.get(i)?;
+        if !e.starts_with('!') {
+            first.get_or_insert(i);
+        }
+        let is = |alts: &str| {
+            matches!(t.kind, TokKind::Ident | TokKind::Punct)
+                && alts.split('|').any(|a| a == t.text)
+        };
+        if *e == "{…}" {
+            if !t.is_punct("{") {
+                return None;
+            }
+            let mut depth = 0usize;
+            loop {
+                let t = toks.get(i)?;
+                if t.is_punct("{") {
+                    depth += 1;
+                } else if t.is_punct("}") {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                i += 1;
+            }
+        } else if let Some(alts) = e.strip_prefix('!') {
+            if is(alts) {
+                return None;
+            }
+        } else if !is(e) {
+            return None;
+        }
+        i += 1;
+    }
+    first
+}
+
+/// The innermost fn around each token of `file` (fns are in source
+/// order, so a nested fn overwrites its parent).
+fn enclosing_fns(file: &ParsedFile) -> Vec<Option<usize>> {
+    let mut enclosing = vec![None; file.tokens.len()];
+    for (k, f) in file.fns.iter().enumerate() {
+        enclosing[f.body.clone()].fill(Some(k));
+    }
+    enclosing
 }
 
 /// `Rc`/`Cell` only count when used as a type or constructor (`Rc<`,

@@ -3,10 +3,11 @@
 //! for string/raw-string literals, suppression scoping, and
 //! `#[cfg(test)]` region tracking.
 
-use simlint::{analyze_sources, Analysis, Config};
+use simlint::rules::OWNERS;
+use simlint::{analyze_sources, Analysis};
 
 fn analyze_one(rel: &str, src: &str) -> Analysis {
-    analyze_sources(&[(rel.to_owned(), src.to_owned())], &Config::default())
+    analyze_sources(&[(rel.to_owned(), src.to_owned())])
 }
 
 fn rules_fired(a: &Analysis) -> Vec<&'static str> {
@@ -342,7 +343,7 @@ fn unused_pub_workspace(surface: Option<&str>, drop: Option<&str>) -> Analysis {
         .filter(|(rel, _)| Some(*rel) != drop)
         .map(|(rel, src)| (rel.to_string(), src.to_string()))
         .collect();
-    analyze_sources(&kept, &Config::default())
+    analyze_sources(&kept)
 }
 
 /// `pub <kind> <Owner::name>` of every unused-pub finding, in line order.
@@ -407,5 +408,141 @@ fn unused_pub_fires_once_the_only_caller_is_gone() {
 #[test]
 fn unused_pub_only_audits_netsim() {
     let a = analyze_one("crates/other/src/lib.rs", "pub fn nobody_calls_me() {}\n");
+    assert!(a.findings.is_empty(), "{:#?}", a.findings);
+}
+
+/// One `(file, source)` case where the row fires and one where it stays
+/// quiet, for each row of `OWNERS`, in table order.
+type OwnerCase = ((&'static str, &'static str), (&'static str, &'static str));
+const OWNER_CASES: [OwnerCase; 10] = [
+    (
+        (
+            "crates/netsim/src/switch.rs",
+            "fn tx(q: &mut Q) { q.schedule(t, Event::TxDone { node, port }); }\n",
+        ),
+        (
+            "crates/netsim/src/port.rs",
+            "fn tx(q: &mut Q) { q.schedule(t, Event::TxDone { node, port }); }\n",
+        ),
+    ),
+    (
+        (
+            "crates/netsim/src/host.rs",
+            "fn d(e: Event) { match e { Event::Deliver { pkt, .. } => drop(pkt), _ => {} } }\n",
+        ),
+        (
+            "crates/netsim/src/network.rs",
+            "fn d(e: Event) { match e { Event::Deliver { pkt, .. } => drop(pkt), _ => {} } }\n",
+        ),
+    ),
+    (
+        (
+            "crates/netsim/src/network.rs",
+            "fn other() -> TraceEvent { TraceEvent { at, node } }\n",
+        ),
+        (
+            "crates/netsim/src/network.rs",
+            "struct Ctx;\nimpl Ctx { fn record_trace(&mut self) { let e = TraceEvent { at, node }; } }\n",
+        ),
+    ),
+    (
+        (
+            "crates/netsim/src/host.rs",
+            "struct Host { last_cnp: Option<Time> }\n",
+        ),
+        (
+            "crates/netsim/src/cc.rs",
+            "struct Np { last_cnp: Option<Time> }\n",
+        ),
+    ),
+    (
+        (
+            "crates/netsim/src/host.rs",
+            "fn f(q: &Qp) -> u32 { q.consecutive_timeouts }\n",
+        ),
+        (
+            "crates/netsim/src/qp.rs",
+            "fn f(q: &Qp) -> u32 { q.consecutive_timeouts }\n",
+        ),
+    ),
+    (
+        (
+            "crates/netsim/src/switch.rs",
+            "fn f(metrics: &mut M) { metrics.inc(metrics.h.forwarded); }\n",
+        ),
+        (
+            "crates/netsim/src/network/converge.rs",
+            "impl Network { fn check_convergence(&mut self) { metrics.inc(metrics.h.convergence_checks); } }\n",
+        ),
+    ),
+    (
+        (
+            "crates/netsim/src/audit.rs",
+            "struct Auditor { fault_drops: u64 }\n",
+        ),
+        (
+            "crates/netsim/src/network/report.rs",
+            "fn f(h: &H, id: u32) -> bool { id == h.fault_drops }\n",
+        ),
+    ),
+    (
+        ("crates/experiments/src/lib.rs", "fn banner(id: &str) {}\n"),
+        ("crates/experiments/src/lib.rs", "fn main() { let banner = 1; }\n"),
+    ),
+    (
+        (
+            "crates/netsim/src/telemetry/spans.rs",
+            "fn f(out: &mut Vec<Json>) {}\n",
+        ),
+        (
+            "crates/netsim/src/network/report.rs",
+            "fn f(out: &mut Vec<Json>) {}\n",
+        ),
+    ),
+    (
+        ("crates/netsim/src/chaos.rs", "fn shrink_case(case: &Case) {}\n"),
+        (
+            "crates/experiments/src/chaos.rs",
+            "fn shrink_case(case: &Case) {}\n",
+        ),
+    ),
+];
+
+#[test]
+fn owner_fires_outside_each_home_and_not_inside_it() {
+    assert_eq!(OWNER_CASES.len(), OWNERS.len(), "one case pair per row");
+    for (row, (fires, quiet)) in OWNERS.iter().zip(OWNER_CASES) {
+        let a = analyze_one(fires.0, fires.1);
+        let hits: Vec<_> = a.findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(hits, [("owner", 1)], "{}: {:#?}", row.pattern, a.findings);
+        assert!(a.findings[0].msg.contains(row.pattern), "{:#?}", a.findings);
+        assert!(a.findings[0].msg.contains(row.why), "{:#?}", a.findings);
+        let q = analyze_one(quiet.0, quiet.1);
+        assert!(q.findings.is_empty(), "{}: {:#?}", row.pattern, q.findings);
+    }
+}
+
+/// A `#[cfg(test)]` helper mid-file exempts only itself: the field after
+/// it is still checked (a scan that stops at the first `#[cfg(test)]`
+/// missed it).
+#[test]
+fn owner_reads_past_a_test_helper_in_the_middle_of_a_file() {
+    let a = analyze_one(
+        "crates/netsim/src/host.rs",
+        include_str!("fixtures/owner_cfg_test_midfile.rs"),
+    );
+    let hits: Vec<_> = a.findings.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(hits, [("owner", 15)], "{:#?}", a.findings);
+    assert!(a.findings[0].msg.contains("`last_cnp`"));
+}
+
+/// A guarded name that appears only in a comment or a string is not a
+/// second copy (a text search fired on it).
+#[test]
+fn owner_ignores_comments_and_strings() {
+    let a = analyze_one(
+        "crates/netsim/src/host.rs",
+        include_str!("fixtures/owner_comment_string.rs"),
+    );
     assert!(a.findings.is_empty(), "{:#?}", a.findings);
 }

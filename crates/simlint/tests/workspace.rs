@@ -2,7 +2,7 @@
 //! path, every finding in the tree is tolerated at its site with a
 //! reason, and the JSON report lists those sites and is byte-stable.
 
-use simlint::{analyze_sources, collect_workspace_sources, render_report, Config};
+use simlint::{analyze_sources, collect_workspace_sources, render_report};
 use std::path::PathBuf;
 
 /// The dispatch path is hot: the files the pre-engine scanner hard-coded
@@ -34,7 +34,7 @@ fn workspace_root() -> PathBuf {
 #[test]
 fn computed_hot_set_covers_legacy_lists() {
     let sources = collect_workspace_sources(&workspace_root()).expect("collect");
-    let a = analyze_sources(&sources, &Config::default());
+    let a = analyze_sources(&sources);
     for legacy in DISPATCH_PATH_FILES {
         assert!(
             a.hot_files.iter().any(|f| f == legacy),
@@ -52,7 +52,7 @@ fn computed_hot_set_covers_legacy_lists() {
 #[test]
 fn sampling_path_is_in_the_hot_set() {
     let sources = collect_workspace_sources(&workspace_root()).expect("collect");
-    let a = analyze_sources(&sources, &Config::default());
+    let a = analyze_sources(&sources);
     for file in [
         "crates/netsim/src/telemetry/timeline.rs",
         "crates/netsim/src/telemetry/sampler.rs",
@@ -71,7 +71,7 @@ fn sampling_path_is_in_the_hot_set() {
 #[test]
 fn workspace_is_clean() {
     let sources = collect_workspace_sources(&workspace_root()).expect("collect");
-    let a = analyze_sources(&sources, &Config::default());
+    let a = analyze_sources(&sources);
     assert!(
         a.findings.is_empty(),
         "unsuppressed findings:\n{:#?}",
@@ -84,9 +84,9 @@ fn workspace_is_clean() {
 #[test]
 fn json_report_lists_every_tolerated_site_and_is_byte_stable() {
     let sources = collect_workspace_sources(&workspace_root()).expect("collect");
-    let a = analyze_sources(&sources, &Config::default());
+    let a = analyze_sources(&sources);
     let first = render_report(&a);
-    let second = render_report(&analyze_sources(&sources, &Config::default()));
+    let second = render_report(&analyze_sources(&sources));
     assert_eq!(first, second, "report must be byte-identical across runs");
     assert!(first.contains("\"schema\": \"simlint-v4\""));
 
@@ -113,7 +113,7 @@ fn json_report_lists_every_tolerated_site_and_is_byte_stable() {
 #[test]
 fn netsim_surface_has_a_caller_for_every_pub_item() {
     let sources = collect_workspace_sources(&workspace_root()).expect("collect");
-    let a = analyze_sources(&sources, &Config::default());
+    let a = analyze_sources(&sources);
     let unused: Vec<_> = a
         .findings
         .iter()
@@ -141,7 +141,7 @@ fn deleting_the_only_caller_of_a_kept_item_makes_unused_pub_fire() {
     };
     assert_eq!(outside(&sources), [CALLER], "the precondition: one caller");
     let fires = |sources: &[(String, String)]| {
-        let a = analyze_sources(sources, &Config::default());
+        let a = analyze_sources(sources);
         a.findings
             .iter()
             .any(|f| f.rule == "unused-pub" && f.msg.contains("Network::schedule_hook"))
@@ -149,4 +149,20 @@ fn deleting_the_only_caller_of_a_kept_item_makes_unused_pub_fire() {
     assert!(!fires(&sources));
     sources.retain(|(rel, _)| rel != CALLER);
     assert!(fires(&sources));
+}
+
+/// One way to tolerate a finding: the allow comment at its site. The
+/// baseline file and its ratchet stay gone. simlint skips its own
+/// directory, so this is checked here rather than by a rule.
+#[test]
+fn no_baseline_file_and_no_ratchet() {
+    let root = workspace_root();
+    assert!(!root.join("simlint_baseline.json").exists());
+    for entry in std::fs::read_dir(root.join("crates/simlint/src")).expect("read src") {
+        let path = entry.expect("entry").path();
+        let src = std::fs::read_to_string(&path).expect("read");
+        for word in ["Baseline", "ratchet"] {
+            assert!(!src.contains(word), "{} mentions {word}", path.display());
+        }
+    }
 }
