@@ -19,7 +19,7 @@ pub struct DcqcnParams {
     /// EWMA gain `g` for α (Equation 1). Deployed: 1/256.
     pub g: f64,
     /// NP CNP generation interval `N` (one CNP per flow per interval at
-    /// most). Deployed: 50 µs.
+    /// most). Deployed: [`netsim::cc::CNP_INTERVAL`].
     pub cnp_interval: Duration,
     /// RP α-decay timer `K` (Equation 2 fires when no CNP arrives for this
     /// long). Must exceed `cnp_interval`. Deployed: 55 µs.
@@ -46,7 +46,7 @@ impl DcqcnParams {
     pub fn paper() -> DcqcnParams {
         DcqcnParams {
             g: 1.0 / 256.0,
-            cnp_interval: Duration::from_micros(50),
+            cnp_interval: netsim::cc::CNP_INTERVAL,
             alpha_timer: Duration::from_micros(55),
             rate_timer: Duration::from_micros(55),
             byte_counter: bytes::mb(10),
@@ -112,21 +112,6 @@ pub fn red_cutoff_dctcp_40g() -> RedConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Figure 14 — assert the deployed parameter table verbatim.
-    #[test]
-    fn figure_14_table() {
-        let p = DcqcnParams::paper();
-        assert_eq!(p.rate_timer, Duration::from_micros(55));
-        assert_eq!(p.byte_counter, 10_000_000);
-        assert_eq!(p.g, 1.0 / 256.0);
-        assert_eq!(p.fast_recovery_steps, 5);
-        assert_eq!(p.rai, Bandwidth::mbps(40));
-        let red = red_deployed();
-        assert_eq!(red.kmin_bytes, 5_000);
-        assert_eq!(red.kmax_bytes, 200_000);
-        assert_eq!(red.pmax, 0.01);
-    }
 
     #[test]
     fn alpha_timer_exceeds_cnp_interval() {

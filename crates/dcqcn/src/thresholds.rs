@@ -29,9 +29,6 @@ pub fn headroom_bytes(bandwidth: Bandwidth, one_way_delay: Duration, mtu: u64) -
     rtt_bytes + 2 * mtu + 64 + quanta_bytes
 }
 
-/// The paper's quoted per-(port, priority) headroom for its 40 G testbed.
-pub const PAPER_HEADROOM_BYTES: u64 = 22_400;
-
 /// The static upper bound on `t_PFC`:
 /// `(B − 8·n·t_flight) / (8·n)` — every (port, priority) pair must be able
 /// to sit at the threshold simultaneously without exhausting the pool.
@@ -88,28 +85,6 @@ pub fn report(cfg: &BufferConfig, beta: f64) -> ThresholdReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_static_bound_is_24_47_kb() {
-        let r = report(&BufferConfig::trident2(), 8.0);
-        assert_eq!(r.t_pfc_static, 24_475);
-    }
-
-    #[test]
-    fn paper_naive_ecn_bound_is_under_one_mtu() {
-        // §4: "we get t_ECN < 0.8 KB. This is less than one MTU and hence
-        // infeasible."
-        let b = naive_ecn_bound(&BufferConfig::trident2());
-        assert_eq!(b, 764);
-        assert!(b < 1500);
-    }
-
-    #[test]
-    fn paper_dynamic_ecn_bound_with_beta_8() {
-        // §4: "we use β = 8, which leads to t_ECN < 21.7 KB" (2 s.f.).
-        let b = dynamic_ecn_bound(&BufferConfig::trident2(), 8.0);
-        assert!((21_000..22_100).contains(&b), "t_ECN bound = {b}");
-    }
 
     #[test]
     fn larger_beta_leaves_more_ecn_room() {

@@ -89,8 +89,9 @@ impl CcChoice {
             cfg = cfg.without_pfc();
         }
         if misconfigured {
-            cfg.buffer.threshold = netsim::buffer::PfcThreshold::Static(24_470);
-            cfg.red = RedConfig::cutoff(5 * 24_470);
+            let t_pfc = dcqcn::thresholds::static_pfc_bound(&cfg.buffer);
+            cfg.buffer.threshold = netsim::buffer::PfcThreshold::Static(t_pfc);
+            cfg.red = RedConfig::cutoff(5 * t_pfc);
         }
         cfg
     }

@@ -79,8 +79,9 @@ pub fn rai_scaling(quick: bool) {
 pub fn beta_ablation(quick: bool) {
     let scale = RunScale { quick };
     let duration = scale.dur(20, 60);
+    let t_pfc = dcqcn::thresholds::static_pfc_bound(&BufferConfig::trident2());
     let configs: Vec<(&str, PfcThreshold)> = vec![
-        ("static 24.47KB", PfcThreshold::Static(24_470)),
+        ("static 24.47KB", PfcThreshold::Static(t_pfc)),
         ("dynamic beta=1", PfcThreshold::Dynamic { beta: 1.0 }),
         ("dynamic beta=8", PfcThreshold::Dynamic { beta: 8.0 }),
         ("dynamic beta=64", PfcThreshold::Dynamic { beta: 64.0 }),

@@ -26,6 +26,7 @@ struct Config {
 }
 
 fn configs() -> Vec<Config> {
+    let paper = DcqcnParams::paper();
     vec![
         Config {
             label: "(a) strawman + cutoff",
@@ -35,8 +36,8 @@ fn configs() -> Vec<Config> {
         Config {
             label: "(b) fast timer + cutoff",
             params: DcqcnParams::strawman()
-                .with_byte_counter(10_000_000)
-                .with_timer(Duration::from_micros(55)),
+                .with_byte_counter(paper.byte_counter)
+                .with_timer(paper.rate_timer),
             red: red_cutoff_strawman(),
         },
         Config {
@@ -46,7 +47,7 @@ fn configs() -> Vec<Config> {
         },
         Config {
             label: "(d) fast timer + RED-ECN",
-            params: DcqcnParams::paper(),
+            params: paper,
             red: red_deployed(),
         },
     ]

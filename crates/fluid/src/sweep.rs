@@ -9,7 +9,7 @@
 
 use crate::model::{FlowState, FluidSim, FluidTrace};
 use crate::params::FluidParams;
-use dcqcn::params::DcqcnParams;
+use dcqcn::params::{red_deployed, DcqcnParams};
 use netsim::ecn::RedConfig;
 use netsim::units::{Bandwidth, Duration};
 
@@ -73,48 +73,46 @@ pub fn sweep_byte_counter(values_kb: &[u64], horizon_s: f64) -> Vec<SweepPoint> 
         .collect()
 }
 
-/// Figure 11(b): sweep the rate-increase timer (µs) with a 10 MB byte
-/// counter (so the timer dominates).
+/// Figure 11(b): sweep the rate-increase timer (µs) with the deployed
+/// byte counter B (so the timer dominates).
 pub fn sweep_timer(values_us: &[u64], horizon_s: f64) -> Vec<SweepPoint> {
     let red = dcqcn::params::red_cutoff_strawman();
     values_us
         .iter()
         .map(|&us| {
             let proto = DcqcnParams::strawman()
-                .with_byte_counter(10_000_000)
+                .with_byte_counter(DcqcnParams::paper().byte_counter)
                 .with_timer(Duration::from_micros(us));
             point(&proto, &red, us as f64, horizon_s)
         })
         .collect()
 }
 
-/// Figure 11(c): sweep K_max (KB) with strawman rate parameters and
-/// P_max = 1%.
+/// Figure 11(c): sweep K_max (KB) with strawman rate parameters and the
+/// deployed K_min and P_max.
 pub fn sweep_kmax(values_kb: &[u64], horizon_s: f64) -> Vec<SweepPoint> {
     values_kb
         .iter()
         .map(|&kb| {
             let proto = DcqcnParams::strawman();
             let red = RedConfig {
-                kmin_bytes: 5_000,
                 kmax_bytes: kb * 1000,
-                pmax: 0.01,
+                ..red_deployed()
             };
             point(&proto, &red, kb as f64, horizon_s)
         })
         .collect()
 }
 
-/// Figure 11(d): sweep P_max with K_max = 200 KB.
+/// Figure 11(d): sweep P_max with the deployed K_min and K_max.
 pub fn sweep_pmax(values: &[f64], horizon_s: f64) -> Vec<SweepPoint> {
     values
         .iter()
         .map(|&pmax| {
             let proto = DcqcnParams::strawman();
             let red = RedConfig {
-                kmin_bytes: 5_000,
-                kmax_bytes: 200_000,
                 pmax,
+                ..red_deployed()
             };
             point(&proto, &red, pmax, horizon_s)
         })
@@ -124,12 +122,7 @@ pub fn sweep_pmax(values: &[f64], horizon_s: f64) -> Vec<SweepPoint> {
 /// Figure 12: queue trace of an `n`:1 incast under gain `g`.
 pub fn g_queue_trace(g: f64, n: usize, horizon_s: f64) -> FluidTrace {
     let proto = DcqcnParams::paper().with_g(g);
-    let params = FluidParams::from_protocol(
-        &proto,
-        &dcqcn::params::red_deployed(),
-        Bandwidth::gbps(40),
-        1500,
-    );
+    let params = FluidParams::from_protocol(&proto, &red_deployed(), Bandwidth::gbps(40), 1500);
     let mut sim = FluidSim::incast(params, n, SWEEP_DT);
     sim.run(horizon_s, 1e-3)
 }
@@ -163,9 +156,10 @@ mod tests {
         let red = dcqcn::params::red_cutoff_strawman();
         let (_, strawman_diff) =
             two_flow_convergence(&DcqcnParams::strawman(), &red, Bandwidth::gbps(40), 0.2);
+        let paper = DcqcnParams::paper();
         let fast = DcqcnParams::strawman()
-            .with_byte_counter(10_000_000)
-            .with_timer(Duration::from_micros(55));
+            .with_byte_counter(paper.byte_counter)
+            .with_timer(paper.rate_timer);
         let (_, fast_diff) = two_flow_convergence(&fast, &red, Bandwidth::gbps(40), 0.2);
         assert!(
             strawman_diff > 2.0 * fast_diff,
@@ -181,11 +175,7 @@ mod tests {
     #[test]
     fn red_like_marking_improves_convergence() {
         let cutoff = dcqcn::params::red_cutoff_strawman();
-        let red = RedConfig {
-            kmin_bytes: 5_000,
-            kmax_bytes: 200_000,
-            pmax: 0.01,
-        };
+        let red = red_deployed();
         let proto = DcqcnParams::strawman();
         let (_, cutoff_diff) = two_flow_convergence(&proto, &cutoff, Bandwidth::gbps(40), 0.4);
         let (_, red_diff) = two_flow_convergence(&proto, &red, Bandwidth::gbps(40), 0.4);

@@ -223,14 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_static_upper_bound_is_24_47_kb() {
-        // §4: t_PFC ≤ (B − 8·n·t_flight)/(8·n) ≈ 24.47 KB.
-        let c = BufferConfig::trident2();
-        let bound = c.shared_pool() as f64 / (8.0 * c.num_ports as f64) / 1000.0;
-        assert!((bound - 24.47).abs() < 0.01, "bound = {bound:.2} KB");
-    }
-
-    #[test]
     fn dynamic_threshold_shrinks_with_occupancy() {
         let mut b = SharedBuffer::new(BufferConfig::trident2());
         let empty = b.pfc_threshold();

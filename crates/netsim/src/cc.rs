@@ -116,6 +116,10 @@ pub trait CongestionControl: Send {
     }
 }
 
+/// The paper's deployed CNP interval `N` (Fig. 14), read by the NP,
+/// `HostConfig::default` and `dcqcn::params::DcqcnParams::paper`.
+pub const CNP_INTERVAL: Duration = Duration::from_micros(50);
+
 /// The DCQCN notification point (NP) of one flow — the receiver-side CNP
 /// generator of §3.1, Figure 6: a CE-marked arrival triggers a CNP unless
 /// one was sent for the flow within the last `N` microseconds. It sits
@@ -137,9 +141,9 @@ impl NpState {
         }
     }
 
-    /// The paper's deployed N = 50 µs.
+    /// NP with the paper's deployed [`CNP_INTERVAL`].
     pub fn paper() -> NpState {
-        NpState::new(Duration::from_micros(50))
+        NpState::new(CNP_INTERVAL)
     }
 
     /// A packet for the flow arrived; `marked` is its CE bit. Returns true

@@ -6,7 +6,7 @@
 //! `Copy` outcome. The host turns outcomes into packets, timers and
 //! records; nothing here schedules, sends or counts.
 
-use crate::cc::NpState;
+use crate::cc::{NpState, CNP_INTERVAL};
 use crate::packet::{Priority, CONTROL_PRIORITY, HEADER_BYTES, MAX_PAYLOAD};
 use crate::stats::Completion;
 use crate::units::{Duration, Time};
@@ -34,8 +34,8 @@ pub struct HostConfig {
     /// retrying again, so a black-holed flow stops hammering the fabric
     /// with go-back-N bursts. 1 disables backoff.
     pub rto_backoff_cap: u32,
-    /// NP CNP pacing interval (`N` in the paper, 50 µs); `None` disables
-    /// CNP generation entirely (e.g. DCTCP hosts).
+    /// NP CNP pacing interval (`N` in the paper, [`CNP_INTERVAL`] by
+    /// default); `None` disables CNP generation entirely (e.g. DCTCP hosts).
     pub cnp_interval: Option<Duration>,
     /// Generate out-of-sequence NAKs at all. ConnectX-3-era NICs
     /// effectively recovered only via the retransmission timeout; disable
@@ -57,7 +57,7 @@ impl Default for HostConfig {
             rto: Duration::from_millis(16),
             max_retries: 7,
             rto_backoff_cap: 8,
-            cnp_interval: Some(Duration::from_micros(50)),
+            cnp_interval: Some(CNP_INTERVAL),
             nack_enabled: true,
             mtu_payload: 1500 - HEADER_BYTES,
             ack_priority: CONTROL_PRIORITY,

@@ -4,6 +4,7 @@
 //! [`netsim::network::Network`], and the dashboard's golden bytes.
 
 use dcqcn::prelude::{dcqcn, dcqcn_host_config, red_deployed, DcqcnParams};
+use dcqcn::thresholds::static_pfc_bound;
 use netsim::buffer::PfcThreshold;
 use netsim::cc::NoCc;
 use netsim::event::PortId;
@@ -413,7 +414,7 @@ fn faulted_clos() -> (ClosTestbed, Vec<FlowId>) {
         .with_watchdog(PfcWatchdogConfig::default());
     // §4's static bound: the incast's line-rate start pauses before
     // DCQCN has cut the senders.
-    switch_cfg.buffer.threshold = PfcThreshold::Static(24_470);
+    switch_cfg.buffer.threshold = PfcThreshold::Static(static_pfc_bound(&switch_cfg.buffer));
     let mut tb = clos_testbed(3, LinkParams::default(), host_cfg, switch_cfg, 5);
     let h = tb.hosts.clone();
     // An 8:1 incast onto h[3][1], traffic into the storming h[3][0],

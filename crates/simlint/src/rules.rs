@@ -98,7 +98,7 @@ pub const RULES: [(&str, &str); 11] = [
     ),
     (
         "owner",
-        "a construct of the `OWNERS` table (transmitter, trace record, NP, go-back-N state, registry count, …) outside its one home",
+        "a construct of the `OWNERS` table (transmitter, trace record, NP, go-back-N state, registry count, paper formula, …) outside its one home",
     ),
     (
         "unused-allow",
@@ -837,10 +837,10 @@ fn unused_pub(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
 /// of every file under `scope`; a match outside `owners` is a finding.
 pub struct Owner {
     /// Space-separated elements, each matching one token (`a|b`: either
-    /// text; `!a|b`: neither) or a balanced `{…}` group. String and char
-    /// literals never match, and comments are not tokens.
+    /// text; `!a|b`: neither; `#`: any number) or a balanced `{…}` group.
+    /// String and char literals never match, and comments are not tokens.
     pub pattern: &'static str,
-    /// Path prefix of the files searched.
+    /// Path prefixes of the files searched, `|`-separated.
     pub scope: &'static str,
     /// Where the construct may appear: a file, or one function written
     /// as in the report's `hot_fns` (`Type::name (file)`). Empty when it
@@ -850,8 +850,13 @@ pub struct Owner {
     pub why: &'static str,
 }
 
+/// The library sources that model the paper (simbench's frozen kernels
+/// are not among them).
+const PAPER: &str = "src/|crates/netsim/src/|crates/dcqcn/src/|crates/fluid/src/|\
+                     crates/baselines/src/|crates/experiments/src/|crates/workloads/src/";
+
 /// One copy of each mechanism: where each one lives, and why.
-pub const OWNERS: [Owner; 10] = [
+pub const OWNERS: [Owner; 14] = [
     Owner {
         pattern: "Event :: TxDone|Deliver {…} !=>",
         scope: SURFACE,
@@ -914,11 +919,47 @@ pub const OWNERS: [Owner; 10] = [
         owners: &[],
         why: "a chaos case is data in netsim: experiments::chaos executes, shrinks and files it",
     },
+    Owner {
+        pattern: "kmax_bytes|kmax_pkts -",
+        scope: PAPER,
+        owners: &[
+            "crates/netsim/src/ecn.rs",
+            "crates/fluid/src/params.rs",
+            "crates/fluid/src/fixedpoint.rs",
+        ],
+        why: "Eq. 5's ramp is RedConfig::mark_probability; fluid's transcription of the §5 DDEs \
+              is the one declared second copy",
+    },
+    Owner {
+        pattern: "1.0 - self . alpha|params /|. 2.0|g",
+        scope: PAPER,
+        owners: &["crates/dcqcn/src/rp.rs", "crates/baselines/src/dctcp.rs"],
+        why: "DCQCN's 1 − α/2 cut and α's EWMA live in dcqcn::rp; dctcp.rs is DCTCP's own \
+              W(1 − α/2), a separate algorithm",
+    },
+    Owner {
+        pattern: "Duration :: from_micros ( 50 )",
+        scope: PAPER,
+        owners: &["crates/netsim/src/cc.rs"],
+        why: "N = 50 µs is written once, as netsim::cc::CNP_INTERVAL, beside the NP",
+    },
+    Owner {
+        pattern: "shared_pool|Static ( )|#",
+        scope: PAPER,
+        owners: &[
+            "crates/dcqcn/src/thresholds.rs",
+            "SharedBuffer::pfc_threshold (crates/netsim/src/buffer.rs)",
+        ],
+        why: "§4's arithmetic divides the shared pool only in dcqcn::thresholds (and the dynamic \
+              t_PFC in SharedBuffer), and a static t_PFC is its call, not a typed number",
+    },
 ];
 
 fn owner(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
     for f in ctx.files {
-        let rows = OWNERS.iter().filter(|r| f.rel.starts_with(r.scope));
+        let rows = OWNERS
+            .iter()
+            .filter(|r| r.scope.split('|').any(|p| f.rel.starts_with(p)));
         let enclosing = enclosing_fns(f);
         for row in rows {
             let elems: Vec<&str> = row.pattern.split(' ').collect();
@@ -968,8 +1009,11 @@ fn match_at(toks: &[Tok], mut i: usize, elems: &[&str]) -> Option<usize> {
             first.get_or_insert(i);
         }
         let is = |alts: &str| {
-            matches!(t.kind, TokKind::Ident | TokKind::Punct)
-                && alts.split('|').any(|a| a == t.text)
+            alts.split('|').any(|a| match t.kind {
+                TokKind::Num => a == "#" || a == t.text,
+                TokKind::Ident | TokKind::Punct => a == t.text,
+                _ => false,
+            })
         };
         if *e == "{…}" {
             if !t.is_punct("{") {

@@ -414,7 +414,7 @@ fn unused_pub_only_audits_netsim() {
 /// One `(file, source)` case where the row fires and one where it stays
 /// quiet, for each row of `OWNERS`, in table order.
 type OwnerCase = ((&'static str, &'static str), (&'static str, &'static str));
-const OWNER_CASES: [OwnerCase; 10] = [
+const OWNER_CASES: [OwnerCase; 14] = [
     (
         (
             "crates/netsim/src/switch.rs",
@@ -506,7 +506,83 @@ const OWNER_CASES: [OwnerCase; 10] = [
             "fn shrink_case(case: &Case) {}\n",
         ),
     ),
+    (
+        (
+            "crates/experiments/src/fig05_red_curve.rs",
+            "fn p(r: &Red, q: u64) -> f64 { (q - r.kmin_bytes) as f64 / (r.kmax_bytes - r.kmin_bytes) as f64 }\n",
+        ),
+        (
+            "crates/netsim/src/ecn.rs",
+            "fn p(r: &Red, q: u64) -> f64 { (q - r.kmin_bytes) as f64 / (r.kmax_bytes - r.kmin_bytes) as f64 }\n",
+        ),
+    ),
+    (
+        (
+            "crates/experiments/src/fig07_rp_trace.rs",
+            "fn cut(&mut self) { self.rc *= 1.0 - self.alpha / 2.0; }\n",
+        ),
+        (
+            "crates/dcqcn/src/rp.rs",
+            "fn cut(&mut self) { self.rc *= 1.0 - self.alpha / 2.0; }\n",
+        ),
+    ),
+    (
+        (
+            "crates/dcqcn/src/params.rs",
+            "fn paper() -> P { P { cnp_interval: Duration::from_micros(50) } }\n",
+        ),
+        (
+            "crates/netsim/src/cc.rs",
+            "const CNP_INTERVAL: Duration = Duration::from_micros(50);\n",
+        ),
+    ),
+    (
+        (
+            "crates/experiments/src/common.rs",
+            "fn f(cfg: &mut C) { cfg.buffer.threshold = PfcThreshold::Static(25_000); }\n",
+        ),
+        (
+            "crates/experiments/src/common.rs",
+            "fn f(cfg: &mut C) { cfg.buffer.threshold = PfcThreshold::Static(static_pfc_bound(&cfg.buffer)); }\n",
+        ),
+    ),
 ];
+
+/// The paper rows stay quiet at their declared second copies, in a
+/// label string, and in simbench's frozen kernels, which type 50 µs as a
+/// loop step.
+#[test]
+fn owner_paper_rows_are_quiet_where_declared() {
+    for (file, src) in [
+        (
+            "crates/fluid/src/params.rs",
+            "fn p(&self, q: f64) -> f64 { self.pmax * (q - self.kmin_pkts) / (self.kmax_pkts - self.kmin_pkts) }\n",
+        ),
+        (
+            "crates/fluid/src/fixedpoint.rs",
+            "fn q(params: &P, p: f64) -> f64 { params.kmin_pkts + p / params.pmax * (params.kmax_pkts - params.kmin_pkts) }\n",
+        ),
+        (
+            "crates/baselines/src/dctcp.rs",
+            "fn on_ack(&mut self) { self.alpha = (1.0 - self.params.g) * self.alpha; self.cwnd *= 1.0 - self.alpha / 2.0; }\n",
+        ),
+        (
+            "crates/experiments/src/fig07_rp_trace.rs",
+            "fn run() { row(\"CNP\", Time::ZERO, &rp, \"cut: R_T=R_C_old, R_C*=(1-alpha/2)\"); }\n",
+        ),
+        (
+            "crates/netsim/src/buffer.rs",
+            "impl SharedBuffer { fn pfc_threshold(&self) -> u64 { self.config.shared_pool() } }\n",
+        ),
+        (
+            "crates/bench/src/bin/simbench/kernels.rs",
+            "fn np() { now += Duration::from_micros(50); b.threshold = PfcThreshold::Static(25_000); }\n",
+        ),
+    ] {
+        let a = analyze_one(file, src);
+        assert!(a.findings.is_empty(), "{file}: {:#?}", a.findings);
+    }
+}
 
 #[test]
 fn owner_fires_outside_each_home_and_not_inside_it() {

@@ -2,6 +2,7 @@
 //! end on the packet simulator.
 
 use dcqcn::prelude::*;
+use experiments::common::CcChoice;
 use netsim::prelude::*;
 use netsim::topology::{clos_testbed, star, LinkParams};
 
@@ -109,9 +110,7 @@ fn deployed_thresholds_mark_before_pausing() {
 #[test]
 fn misconfigured_thresholds_pause_before_marking() {
     let params = DcqcnParams::paper();
-    let mut sw = SwitchConfig::paper_default();
-    sw.buffer.threshold = PfcThreshold::Static(24_470);
-    sw.red = RedConfig::cutoff(5 * 24_470);
+    let sw = CcChoice::dcqcn_paper().switch_config(true, true);
     let mut s = star(9, LinkParams::default(), dcqcn_host_config(params), sw, 3);
     let dst = s.hosts[8];
     for i in 0..8 {
