@@ -126,7 +126,7 @@ pub fn write(kind: Artifact, render: impl FnOnce(&mut dyn Write) -> io::Result<(
 
 /// Writes the dispatched experiment's dashboard (no-op without a `--dash`
 /// sink, and then `build` is never called).
-pub fn dashboard(build: impl FnOnce() -> Dashboard) {
+pub fn dashboard<'a>(build: impl FnOnce() -> Dashboard<'a>) {
     write(Artifact::Dash, |out| build().write_to(out));
 }
 

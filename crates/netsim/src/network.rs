@@ -31,7 +31,7 @@ use crate::telemetry::profile::Profiler;
 use crate::telemetry::recorder::{FlightDump, FlightRecorder};
 use crate::telemetry::spans::Spans;
 use crate::telemetry::{Metrics, Sampler};
-use crate::trace::{TraceEvent, TraceKind, Tracer};
+use crate::trace::{check_flow_id, TraceEvent, TraceKind, Tracer};
 use crate::units::{Bandwidth, Duration, Time};
 
 /// A node is either a switch or a host.
@@ -235,6 +235,9 @@ impl Network {
 
     /// Registers a flow from `src` to `dst`; `make_cc` receives the NIC
     /// line rate and returns the flow's congestion-control instance.
+    ///
+    /// # Panics
+    /// Panics when the new flow's id would not fit a trace record's `u32`.
     pub fn add_flow(
         &mut self,
         src: NodeId,
@@ -243,6 +246,7 @@ impl Network {
         make_cc: impl FnOnce(Bandwidth) -> Box<dyn CongestionControl>,
     ) -> FlowId {
         let id = FlowId(self.flows.len() as u64);
+        check_flow_id(id);
         let line = self.line_rate(src);
         let idx = self
             .host_mut(src)

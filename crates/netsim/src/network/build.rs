@@ -15,7 +15,7 @@ use crate::telemetry::profile::Profiler;
 use crate::telemetry::recorder::FlightRecorder;
 use crate::telemetry::spans::Spans;
 use crate::telemetry::{Metrics, Sampler};
-use crate::trace::Tracer;
+use crate::trace::{check_node_count, Tracer};
 use crate::units::{Bandwidth, Duration};
 
 /// Trace-ring capacity per node when the flight recorder is enabled
@@ -92,8 +92,12 @@ impl NetworkBuilder {
 
     /// Materializes the network: allocates ports, attaches links, computes
     /// shortest-path ECMP routes toward every host.
+    ///
+    /// # Panics
+    /// Panics when a node id would not fit a trace record's `u32`.
     pub fn build(self) -> Network {
         let n = self.nodes.len();
+        check_node_count(n);
         // Assign port indices per node in link-declaration order.
         let mut port_count = vec![0usize; n];
         let mut edges: Vec<Edge> = Vec::with_capacity(self.links.len());

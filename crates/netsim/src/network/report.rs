@@ -159,7 +159,7 @@ impl Network {
     /// function of the run state, so the rendered file is byte-identical
     /// across machines and `REPRO_THREADS` settings (the CI
     /// `artifact-determinism` job pins this).
-    pub fn dashboard(&self, title: &str) -> Dashboard {
+    pub fn dashboard(&self, title: &str) -> Dashboard<'_> {
         let now = self.now();
         let mut d = Dashboard::new(title);
         d.fact("sim time", &format!("{:.1} \u{b5}s", now.as_micros_f64()));

@@ -407,6 +407,12 @@ mod tests {
         assert_eq!(std::mem::size_of::<Option<Queued>>(), 64);
     }
 
+    /// The tracer and every flight-recorder ring store this record.
+    #[test]
+    fn a_trace_record_is_32_bytes() {
+        assert!(std::mem::size_of::<crate::trace::Record>() <= 32);
+    }
+
     #[test]
     fn strict_priority_ordering() {
         let mut port = Port::new();

@@ -3,7 +3,9 @@
 //! A [`Dashboard`] is a title, a few key/value facts, and a list of
 //! panels — line charts over [`timeline`](super::timeline) tracks,
 //! horizontal stacked bars (span attribution), and plain key/value
-//! tables. [`Dashboard::write_to`] emits one self-contained HTML file
+//! tables. A chart line is an owned [`Series`] or a sampled track the
+//! dashboard borrows and draws in place, so building one copies no
+//! point. [`Dashboard::write_to`] emits one self-contained HTML file
 //! (no scripts, no external assets, loadable from disk offline) straight
 //! into its sink; [`Dashboard::render`] is that into one sized buffer.
 //!
@@ -14,6 +16,8 @@
 //! `repro <id> --dash` and `cmp`s the output, and a golden-file test
 //! pins the exact bytes for a small fixture (`tests/timeline.rs`).
 
+use super::timeline::{BucketView, Timeline};
+use crate::stats::rate_gbps;
 use std::fmt;
 use std::io::{self, Write};
 
@@ -27,13 +31,83 @@ pub struct Series {
     pub points: Vec<(f64, f64)>,
 }
 
+/// Where a chart line's points come from.
+#[derive(Debug, Clone)]
+enum Points<'a> {
+    /// A [`Series`]'s `(t_us, value)` pairs.
+    Owned(Vec<(f64, f64)>),
+    /// A sampled track drawn in place: each non-empty bucket's `y`
+    /// against the bucket's latest sample time.
+    Track(&'a Timeline, fn(&BucketView) -> f64),
+    /// A delivered-bytes track drawn in place as its goodput in Gbps:
+    /// [`rate_gbps`] of its series.
+    Goodput(&'a Timeline),
+}
+
+/// One polyline of a chart: a legend label and its points.
+#[derive(Debug, Clone)]
+pub(crate) struct Line<'a> {
+    label: String,
+    points: Points<'a>,
+}
+
+impl<'a> Line<'a> {
+    /// A line drawn from `track` in place: `y` of each non-empty bucket.
+    pub(crate) fn track(label: String, track: &'a Timeline, y: fn(&BucketView) -> f64) -> Self {
+        Line {
+            label,
+            points: Points::Track(track, y),
+        }
+    }
+
+    /// A line drawn in place as the goodput of a delivered-bytes track.
+    pub(crate) fn goodput(label: String, track: &'a Timeline) -> Self {
+        Line {
+            label,
+            points: Points::Goodput(track),
+        }
+    }
+
+    /// How many points the line has at most; builds nothing.
+    fn len(&self) -> usize {
+        match &self.points {
+            Points::Owned(points) => points.len(),
+            Points::Track(track, _) => track.points(),
+            Points::Goodput(track) => track.points().saturating_sub(1),
+        }
+    }
+
+    /// Hands each `(x, y)` point to `f` in order; builds nothing.
+    fn each(&self, mut f: impl FnMut(f64, f64) -> io::Result<()>) -> io::Result<()> {
+        match &self.points {
+            Points::Owned(points) => points.iter().try_for_each(|&(x, y)| f(x, y)),
+            Points::Track(track, y) => track
+                .buckets()
+                .try_for_each(|b| f(b.last.as_micros_f64(), y(&b))),
+            Points::Goodput(track) => {
+                let bytes = track.buckets().map(|b| (b.last, track.representative(&b)));
+                rate_gbps(bytes).try_for_each(|(t, v)| f(t.as_micros_f64(), v))
+            }
+        }
+    }
+}
+
+impl From<Series> for Line<'_> {
+    fn from(s: Series) -> Self {
+        Line {
+            label: s.label,
+            points: Points::Owned(s.points),
+        }
+    }
+}
+
 /// Panel body variants.
 #[derive(Debug, Clone)]
-enum Body {
-    /// A line chart: y-axis label plus one polyline per series.
+enum Body<'a> {
+    /// A line chart: y-axis label plus one polyline per line.
     Chart {
         y_label: String,
-        series: Vec<Series>,
+        lines: Vec<Line<'a>>,
     },
     /// Horizontal 100%-stacked bars: one row per entity, one colored
     /// segment per category.
@@ -47,17 +121,18 @@ enum Body {
 
 /// One titled panel of a [`Dashboard`].
 #[derive(Debug, Clone)]
-struct Panel {
+struct Panel<'a> {
     title: String,
-    body: Body,
+    body: Body<'a>,
 }
 
-/// A renderable dashboard. See the module docs.
+/// A renderable dashboard, borrowing the tracks it draws in place. See
+/// the module docs.
 #[derive(Debug, Clone, Default)]
-pub struct Dashboard {
+pub struct Dashboard<'a> {
     title: String,
     facts: Vec<(String, String)>,
-    panels: Vec<Panel>,
+    panels: Vec<Panel<'a>>,
 }
 
 /// Line/segment color palette (cycled when a panel has more series).
@@ -155,9 +230,9 @@ fn nice_step(range: f64) -> f64 {
     factor * mag
 }
 
-impl Dashboard {
+impl<'a> Dashboard<'a> {
     /// A new dashboard with the given page title.
-    pub fn new(title: &str) -> Dashboard {
+    pub fn new(title: &str) -> Dashboard<'a> {
         Dashboard {
             title: title.to_string(),
             ..Dashboard::default()
@@ -172,11 +247,17 @@ impl Dashboard {
     /// Adds a line-chart panel. Series render in the given order with
     /// the fixed palette.
     pub fn chart(&mut self, title: &str, y_label: &str, series: Vec<Series>) {
+        self.lines(title, y_label, series.into_iter().map(Line::from).collect());
+    }
+
+    /// Adds a line-chart panel of owned or borrowed lines, rendered as
+    /// [`Dashboard::chart`] renders its series.
+    pub(crate) fn lines(&mut self, title: &str, y_label: &str, lines: Vec<Line<'a>>) {
         self.panels.push(Panel {
             title: title.to_string(),
             body: Body::Chart {
                 y_label: y_label.to_string(),
-                series,
+                lines,
             },
         });
     }
@@ -223,10 +304,10 @@ impl Dashboard {
         for panel in &self.panels {
             n += 16 + panel.title.len();
             n += match &panel.body {
-                Body::Chart { y_label, series } => {
-                    let lines = series
+                Body::Chart { y_label, lines } => {
+                    let lines = lines
                         .iter()
-                        .map(|s| 160 + s.label.len() + POINT_BYTES * s.points.len());
+                        .map(|l| 160 + l.label.len() + POINT_BYTES * l.len());
                     CHART_BYTES + y_label.len() + lines.sum::<usize>()
                 }
                 Body::Stacked { categories, rows } => {
@@ -269,7 +350,7 @@ impl Dashboard {
         for panel in &self.panels {
             writeln!(sink, "<h2>{}</h2>", Esc(&panel.title))?;
             match &panel.body {
-                Body::Chart { y_label, series } => write_chart(sink, y_label, series)?,
+                Body::Chart { y_label, lines } => write_chart(sink, y_label, lines)?,
                 Body::Stacked { categories, rows } => write_stacked(sink, categories, rows)?,
                 Body::Table { rows } => {
                     sink.write_all(b"<table>\n")?;
@@ -288,22 +369,24 @@ impl Dashboard {
 fn write_chart<S: io::Write + ?Sized>(
     out: &mut S,
     y_label: &str,
-    series: &[Series],
+    lines: &[Line<'_>],
 ) -> io::Result<()> {
-    let points: usize = series.iter().map(|s| s.points.len()).sum();
-    if points == 0 {
-        return out.write_all(b"<p><i>no data</i></p>\n");
-    }
     // Data bounds. x in µs; switch the axis to ms past 100 000 µs.
     let (mut x0, mut x1) = (f64::INFINITY, f64::NEG_INFINITY);
     let (mut y0, mut y1) = (0.0f64, f64::NEG_INFINITY);
-    for s in series {
-        for &(x, y) in &s.points {
+    let mut points = 0usize;
+    for line in lines {
+        line.each(|x, y| {
+            points += 1;
             x0 = x0.min(x);
             x1 = x1.max(x);
             y0 = y0.min(y);
             y1 = y1.max(y);
-        }
+            Ok(())
+        })?;
+    }
+    if points == 0 {
+        return out.write_all(b"<p><i>no data</i></p>\n");
     }
     // `<=` also catches the NaN/empty case (both bounds infinite).
     if x1 <= x0 {
@@ -397,30 +480,33 @@ fn write_chart<S: io::Write + ?Sized>(
         Esc(y_label)
     )?;
     // Polylines, point by point into the sink.
-    for (i, s) in series.iter().enumerate() {
-        if s.points.is_empty() {
-            continue;
-        }
+    for (i, line) in lines.iter().enumerate() {
         let color = PALETTE[i % PALETTE.len()];
-        write!(
-            out,
-            "<polyline fill=\"none\" stroke=\"{color}\" stroke-width=\"1.5\" points=\""
-        )?;
-        for (j, &(x, y)) in s.points.iter().enumerate() {
-            let sep = if j == 0 { "" } else { " " };
-            write!(out, "{sep}{:.2},{:.2}", sx(x), sy(y))?;
+        let mut sep = None;
+        line.each(|x, y| {
+            if sep.is_none() {
+                write!(
+                    out,
+                    "<polyline fill=\"none\" stroke=\"{color}\" stroke-width=\"1.5\" points=\""
+                )?;
+            }
+            write!(out, "{}{:.2},{:.2}", sep.unwrap_or(""), sx(x), sy(y))?;
+            sep = Some(" ");
+            Ok(())
+        })?;
+        if sep.is_some() {
+            out.write_all(b"\"/>\n")?;
         }
-        out.write_all(b"\"/>\n")?;
     }
     out.write_all(b"</svg>\n")?;
     // Legend under the chart.
     out.write_all(b"<p class=\"legend\">")?;
-    for (i, s) in series.iter().enumerate() {
+    for (i, line) in lines.iter().enumerate() {
         let color = PALETTE[i % PALETTE.len()];
         write!(
             out,
             "<span style=\"color:{color}\">\u{25ac} {}</span>",
-            Esc(&s.label)
+            Esc(&line.label)
         )?;
     }
     out.write_all(b"</p>\n")
@@ -493,7 +579,7 @@ fn write_stacked<S: io::Write + ?Sized>(
 mod tests {
     use super::*;
 
-    fn small() -> Dashboard {
+    fn small() -> Dashboard<'static> {
         let mut d = Dashboard::new("test <run>");
         d.fact("seed", "42");
         d.chart(

@@ -86,7 +86,7 @@ impl FlightRecorder {
         }
         let events = match self.rings.get(node.0) {
             // simlint: allow(hot-alloc) a dump is taken only on a violation or QP teardown, at most MAX_DUMPS times
-            Some(ring) => ring.iter().copied().collect(),
+            Some(ring) => ring.iter().collect(),
             // simlint: allow(hot-alloc) same dump; an empty Vec does not allocate
             None => Vec::new(),
         };

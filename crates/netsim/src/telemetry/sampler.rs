@@ -3,10 +3,10 @@
 //! the look-ups and dashboard charts that read them back. Registration
 //! (name formatting, track allocation) is cold; the tick is index
 //! arithmetic plus integer adds — no map lookups, no allocation beyond a
-//! track's budget-capped growth (its sample vector doubling, then the
-//! grid once at the fold).
+//! track's budget-capped growth (its value vector doubling, a time column
+//! once if its cadence breaks, then the grid once at the fold).
 
-use super::dash::{Dashboard, Series};
+use super::dash::{Dashboard, Line};
 use super::registry::CounterId;
 use super::timeline::{
     BucketView, Timeline, TimelineSet, TrackId, TrackKind, DEFAULT_POINT_BUDGET,
@@ -239,20 +239,15 @@ impl Sampler {
 
     /// Adds one chart per sampled track family that has taps: queue
     /// depth, CC rate, goodput, counter rates.
-    pub(crate) fn charts(&self, d: &mut Dashboard) {
-        // One line per tap: `y` of each bucket against the bucket's time.
-        let line = |label: String, track, y: fn(&BucketView) -> f64| Series {
-            label,
-            points: self
-                .timelines
-                .get(track)
-                .buckets()
-                .map(|b| (b.last.as_micros_f64(), y(&b)))
-                .collect(),
+    pub(crate) fn charts<'a>(&'a self, d: &mut Dashboard<'a>) {
+        // One line per tap, drawn from its track in place: `y` of each
+        // bucket against the bucket's time.
+        let line = |label: String, track, y: fn(&BucketView) -> f64| {
+            Line::track(label, self.timelines.get(track), y)
         };
-        let mut chart = |title: &str, unit, series: Vec<Series>| {
-            if !series.is_empty() {
-                d.chart(title, unit, series);
+        let mut chart = |title: &str, unit, lines: Vec<Line<'a>>| {
+            if !lines.is_empty() {
+                d.lines(title, unit, lines);
             }
         };
 
@@ -286,16 +281,7 @@ impl Sampler {
             if gseries.len() >= 8 {
                 continue;
             }
-            let rates = tl.series().to_rate_gbps();
-            gseries.push(Series {
-                label: format!("flow {i}"),
-                points: rates
-                    .times
-                    .iter()
-                    .zip(&rates.values)
-                    .map(|(t, v)| (t.as_micros_f64(), *v))
-                    .collect(),
-            });
+            gseries.push(Line::goodput(format!("flow {i}"), tl));
         }
         if sampled_flows > 8 {
             let title = format!("goodput (first 8 of {sampled_flows} flows)");

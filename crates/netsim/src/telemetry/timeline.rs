@@ -11,12 +11,15 @@
 //! (pinned by the proptests in `tests/timeline.rs`).
 //!
 //! A track stores that grid one of two ways, in one direction. While its
-//! samples fit the budget it keeps them as sorted `(t, v)` pairs (16 B
-//! each) and groups them into buckets as they are read. The sample that
-//! would pass the budget folds them into the dense grid (48 B a slot,
-//! the whole budget at once), where adjacent bucket pairs merge and the
-//! width doubles as the horizon grows: resolution halves, but memory
-//! stays `O(budget)` for **any** horizon.
+//! samples fit the budget it keeps them sorted by time and groups them
+//! into buckets as they are read. Each sample stores its value (8 B); its
+//! time is computed as `first + step·i` while every sample so far lies on
+//! one progression (a sampler's cadence, read from the first two
+//! samples), and listed (8 B more) from the first sample that breaks it.
+//! The sample that would pass the budget folds them into the dense grid
+//! (48 B a slot, the whole budget at once), where adjacent bucket pairs
+//! merge and the width doubles as the horizon grows: resolution halves,
+//! but memory stays `O(budget)` for **any** horizon.
 //!
 //! Values are recorded as integers (`u64` raw ticks). A per-track `unit`
 //! gives the value of one tick, so fractional quantities (a rate in
@@ -190,21 +193,98 @@ impl Grid {
     }
 }
 
+/// Each stored sample's time (module docs).
+#[derive(Debug, Clone)]
+enum Times {
+    /// Sample `i` is at `first + step·i`. The second sample sets `step`.
+    Cadence { first: u64, step: u64 },
+    /// Each sample's time, listed from the first that broke the cadence.
+    Listed(Vec<u64>),
+}
+
+/// A track's samples before the fold, sorted by time; at most `budget`.
+#[derive(Debug, Clone)]
+struct Samples {
+    times: Times,
+    values: Vec<u64>,
+}
+
+impl Samples {
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The time of sample `i`: the one reader of the time column.
+    #[inline]
+    fn time_of(&self, i: usize) -> u64 {
+        match &self.times {
+            Times::Cadence { first, step } => first + step * i as u64,
+            Times::Listed(times) => times[i],
+        }
+    }
+
+    /// Stores one sample in time order: a value append while `t` keeps
+    /// the cadence (a sampler tick is never earlier than the one before
+    /// it), a listed time from the first sample that does not.
+    #[inline]
+    fn insert(&mut self, t: u64, v: u64) {
+        let n = self.len();
+        if let Times::Cadence { first, step } = &mut self.times {
+            let on_cadence = match n {
+                0 => {
+                    *first = t;
+                    true
+                }
+                _ => match t.checked_sub(*first + *step * (n as u64 - 1)) {
+                    Some(gap) if n == 1 => {
+                        *step = gap;
+                        true
+                    }
+                    gap => gap == Some(*step),
+                },
+            };
+            if on_cadence {
+                self.values.push(v);
+                return;
+            }
+            self.list_times();
+        }
+        if let Times::Listed(times) = &mut self.times {
+            let at = match times.last() {
+                Some(&last) if last > t => times.partition_point(|&s| s <= t),
+                _ => n,
+            };
+            times.insert(at, t);
+            self.values.insert(at, v);
+        }
+    }
+
+    /// `t` broke the cadence: writes out every time so far, once per
+    /// track lifetime.
+    #[cold]
+    fn list_times(&mut self) {
+        let mut times = Vec::with_capacity(self.values.capacity());
+        times.extend((0..self.len()).map(|i| self.time_of(i)));
+        self.times = Times::Listed(times);
+    }
+}
+
 /// How a track holds its data (module docs): the samples while they fit
 /// the budget, the grid from the fold on.
 #[derive(Debug, Clone)]
 enum Store {
-    /// Every sample as `(t_ps, v)`, sorted by time; at most `budget`.
-    Samples(Vec<(u64, u64)>),
+    Samples(Samples),
     Grid(Grid),
 }
 
 /// The non-empty buckets of a track as `(index, aggregate)` in time
 /// order, whichever way the track stores them.
 enum Slots<'a> {
-    /// Runs of consecutive samples sharing `t >> width_log2`.
+    /// Runs of consecutive samples sharing `t >> width_log2`, from
+    /// sample `next` on.
     Samples {
-        rest: &'a [(u64, u64)],
+        samples: &'a Samples,
+        next: usize,
         width_log2: u32,
     },
     Grid(std::iter::Enumerate<std::slice::Iter<'a, Bucket>>),
@@ -215,18 +295,22 @@ impl Iterator for Slots<'_> {
 
     fn next(&mut self) -> Option<(u64, Bucket)> {
         match self {
-            Slots::Samples { rest, width_log2 } => {
+            Slots::Samples {
+                samples,
+                next,
+                width_log2,
+            } => {
                 let w = *width_log2;
-                let idx = rest.first()?.0 >> w;
-                let n = rest
-                    .iter()
-                    .position(|&(t, _)| t >> w != idx)
-                    .unwrap_or(rest.len());
+                let idx = (*next < samples.len()).then(|| samples.time_of(*next) >> w)?;
                 let mut b = Bucket::EMPTY;
-                for &(t, v) in &rest[..n] {
-                    b.observe(Time(t), v);
+                while *next < samples.len() {
+                    let t = samples.time_of(*next);
+                    if t >> w != idx {
+                        break;
+                    }
+                    b.observe(Time(t), samples.values[*next]);
+                    *next += 1;
                 }
-                *rest = &rest[n..];
                 Some((idx, b))
             }
             Slots::Grid(it) => it.find(|(_, b)| b.count > 0).map(|(i, b)| (i as u64, *b)),
@@ -260,25 +344,22 @@ impl Timeline {
             kind,
             unit,
             budget: budget.max(2),
-            store: Store::Samples(Vec::new()),
+            store: Store::Samples(Samples {
+                times: Times::Cadence { first: 0, step: 0 },
+                values: Vec::new(),
+            }),
             total: Bucket::EMPTY,
         }
     }
 
     /// Records one raw-tick sample. Hot path: an append while the
-    /// samples fit the budget (a sampler tick is never earlier than the
-    /// one before it), a grid index plus integer adds after the fold.
+    /// samples fit the budget, a grid index plus integer adds after the
+    /// fold.
     #[inline]
     pub fn record(&mut self, t: Time, v: u64) {
         match &mut self.store {
             Store::Grid(grid) => grid.record(t, v, self.budget),
-            Store::Samples(samples) if samples.len() < self.budget => match samples.last() {
-                Some(&(last, _)) if last > t.0 => {
-                    let at = samples.partition_point(|&(s, _)| s <= t.0);
-                    samples.insert(at, (t.0, v));
-                }
-                _ => samples.push((t.0, v)),
-            },
+            Store::Samples(samples) if samples.len() < self.budget => samples.insert(t.0, v),
             Store::Samples(_) => self.fold(t, v),
         }
         self.total.observe(t, v);
@@ -294,8 +375,8 @@ impl Timeline {
             buckets: Vec::with_capacity(self.budget),
         };
         if let Store::Samples(samples) = &self.store {
-            for &(s, sv) in samples {
-                grid.record(Time(s), sv, self.budget);
+            for (i, &sv) in samples.values.iter().enumerate() {
+                grid.record(Time(samples.time_of(i)), sv, self.budget);
             }
         }
         grid.record(t, v, self.budget);
@@ -358,7 +439,8 @@ impl Timeline {
     fn slots(&self) -> Slots<'_> {
         match &self.store {
             Store::Samples(samples) => Slots::Samples {
-                rest: samples,
+                samples,
+                next: 0,
                 width_log2: self.width_log2(),
             },
             Store::Grid(grid) => Slots::Grid(grid.buckets.iter().enumerate()),
@@ -433,8 +515,8 @@ impl Timeline {
 
     /// The track as a plain [`TimeSeries`]: one point per non-empty
     /// bucket, stamped at the bucket's latest sample time, valued at its
-    /// representative. The bridge to the legacy series consumers
-    /// (`to_rate_gbps`, trace tables); exact while buckets hold single
+    /// representative. The bridge to plain series consumers (figure
+    /// tables, fig. 7's dashboard); exact while buckets hold single
     /// samples.
     pub fn series(&self) -> TimeSeries {
         let mut out = TimeSeries::default();
@@ -707,9 +789,11 @@ mod tests {
         for i in 0..5u64 {
             tl.record(Time::from_micros(i * 100), i * 500_000);
         }
-        let r = tl.series().to_rate_gbps();
-        assert_eq!(r.values.len(), 4);
-        for v in &r.values {
+        let s = tl.series();
+        let points = s.times.iter().copied().zip(s.values.iter().copied());
+        let r: Vec<f64> = crate::stats::rate_gbps(points).map(|(_, v)| v).collect();
+        assert_eq!(r.len(), 4);
+        for v in &r {
             assert!((v - 40.0).abs() < 1e-9);
         }
     }

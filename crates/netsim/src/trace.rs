@@ -85,13 +85,79 @@ pub struct TraceEvent {
     pub detail: u64,
 }
 
+/// A [`TraceEvent`] as a [`Ring`] stores it, 32 B rather than 40: node
+/// and flow as `u32`, with `FlowId(u64::MAX)` (no flow) as `u32::MAX`.
+/// `NetworkBuilder::build` and `Network::add_flow` refuse a node count or
+/// flow id that does not fit ([`check_node_count`], [`check_flow_id`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Record {
+    at: Time,
+    detail: u64,
+    node: u32,
+    flow: u32,
+    kind: TraceKind,
+}
+
+impl Record {
+    /// Narrows `e`: the one place a trace event loses width. The no-flow
+    /// id saturates to `u32::MAX`; the checks at build and `add_flow`
+    /// keep every other id below it, and saturating (never wrapping)
+    /// keeps a missed check from folding one id onto another.
+    #[inline]
+    fn new(e: TraceEvent) -> Record {
+        Record {
+            at: e.at,
+            detail: e.detail,
+            node: u32::try_from(e.node.0).unwrap_or(u32::MAX),
+            flow: u32::try_from(e.flow.0).unwrap_or(u32::MAX),
+            kind: e.kind,
+        }
+    }
+
+    /// Widens the record back into the event it stored.
+    #[inline]
+    fn event(self) -> TraceEvent {
+        let flow = match self.flow {
+            u32::MAX => FlowId(u64::MAX),
+            id => FlowId(u64::from(id)),
+        };
+        // simlint: allow(owner) reads back an event Ctx::record_trace recorded; records nothing new
+        TraceEvent {
+            at: self.at,
+            node: NodeId(self.node as usize),
+            flow,
+            kind: self.kind,
+            detail: self.detail,
+        }
+    }
+}
+
+/// Panics unless every id of an `n`-node network fits a trace
+/// [`Record`]'s `u32`.
+pub(crate) fn check_node_count(n: usize) {
+    assert!(
+        u32::try_from(n).is_ok(),
+        "network: {n} nodes do not fit a trace record's u32 node id"
+    );
+}
+
+/// Panics unless `flow` fits a trace [`Record`]'s `u32` below its
+/// no-flow value `u32::MAX`.
+pub(crate) fn check_flow_id(flow: FlowId) {
+    assert!(
+        flow.0 < u64::from(u32::MAX),
+        "add_flow: flow id {} does not fit a trace record's u32 flow id",
+        flow.0
+    );
+}
+
 /// A bounded ring of trace events, oldest evicted first: the one ring
 /// behind both the [`Tracer`] and each node of the flight recorder
 /// (`telemetry::recorder`). A ring of capacity 0 retains nothing, at
 /// the cost of one branch per push.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Ring {
-    events: Vec<TraceEvent>,
+    records: Vec<Record>,
     capacity: usize,
     head: usize,
 }
@@ -101,7 +167,7 @@ impl Ring {
     /// nothing until the first push.
     pub(crate) fn new(capacity: usize) -> Ring {
         Ring {
-            events: Vec::new(),
+            records: Vec::new(),
             capacity,
             head: 0,
         }
@@ -112,18 +178,19 @@ impl Ring {
         if self.capacity == 0 {
             return;
         }
-        if self.events.len() < self.capacity {
-            self.events.push(event);
+        let record = Record::new(event);
+        if self.records.len() < self.capacity {
+            self.records.push(record);
         } else {
-            self.events[self.head] = event;
+            self.records[self.head] = record;
             self.head = (self.head + 1) % self.capacity;
         }
     }
 
     /// The retained events, oldest first.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        let (newer, older) = self.events.split_at(self.head);
-        older.iter().chain(newer.iter())
+    pub(crate) fn iter(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        let (newer, older) = self.records.split_at(self.head);
+        older.iter().chain(newer).map(|r| r.event())
     }
 }
 
@@ -144,7 +211,7 @@ impl Tracer {
     /// the tracer is reset to its disabled state.
     pub fn enable(&mut self, capacity: usize) {
         self.ring = Ring::new(capacity);
-        self.ring.events.reserve(capacity.min(1 << 20));
+        self.ring.records.reserve(capacity.min(1 << 20));
     }
 
     /// Is tracing on?
@@ -159,23 +226,23 @@ impl Tracer {
     }
 
     /// The recorded events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub fn iter(&self) -> impl Iterator<Item = TraceEvent> + '_ {
         self.ring.iter()
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.ring.events.len()
+        self.ring.records.len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.ring.events.is_empty()
+        self.ring.records.is_empty()
     }
 
     /// Events of one kind, oldest first.
     pub fn of_kind(&self, kind: TraceKind) -> Vec<TraceEvent> {
-        self.iter().filter(|e| e.kind == kind).copied().collect()
+        self.iter().filter(|e| e.kind == kind).collect()
     }
 }
 
@@ -191,6 +258,53 @@ mod tests {
             kind,
             detail: t,
         }
+    }
+
+    #[test]
+    fn records_read_back_unchanged() {
+        let mut t = Tracer::disabled();
+        t.enable(4);
+        // The largest ids `check_node_count` and `check_flow_id` admit.
+        let (node, flow) = (u32::MAX as usize - 1, u64::from(u32::MAX) - 1);
+        let edges = [(0, FlowId(0)), (node, FlowId(flow))];
+        for (node, flow) in edges.into_iter().chain([(7, FlowId(u64::MAX))]) {
+            let e = TraceEvent {
+                at: Time(u64::MAX),
+                node: NodeId(node),
+                flow,
+                kind: TraceKind::WatchdogTrip,
+                detail: u64::MAX,
+            };
+            t.record(e);
+        }
+        let read: Vec<_> = t.iter().map(|e| (e.node, e.flow, e.at, e.detail)).collect();
+        let max = (Time(u64::MAX), u64::MAX);
+        assert_eq!(
+            read,
+            [
+                (NodeId(0), FlowId(0), max.0, max.1),
+                (NodeId(node), FlowId(flow), max.0, max.1),
+                (NodeId(7), FlowId(u64::MAX), max.0, max.1),
+            ],
+            "the no-flow id survives the u32 record"
+        );
+    }
+
+    #[test]
+    fn ids_past_a_record_fail_where_they_are_made() {
+        check_node_count(u32::MAX as usize);
+        check_flow_id(FlowId(u64::from(u32::MAX) - 1));
+        let nodes = std::panic::catch_unwind(|| check_node_count(u32::MAX as usize + 1));
+        let flows = std::panic::catch_unwind(|| check_flow_id(FlowId(u64::from(u32::MAX))));
+        let message = |r: std::thread::Result<()>| *r.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(
+            message(nodes),
+            "network: 4294967296 nodes do not fit a trace record's u32 node id"
+        );
+        assert_eq!(
+            message(flows),
+            "add_flow: flow id 4294967295 does not fit a trace record's u32 flow id"
+        );
     }
 
     #[test]

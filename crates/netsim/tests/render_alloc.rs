@@ -1,17 +1,21 @@
 //! What an observed run's artifacts cost in memory, measured rather than
 //! argued: a counting global allocator tracks live bytes and calls while
-//! a Chrome trace and a dashboard are rendered and while a timeline
-//! fills.
+//! a Chrome trace and a dashboard are rendered, while a sampled run's
+//! dashboard is built and rendered, and while a timeline fills.
 
 mod counting;
 
 use counting::{measured, LIVE};
 use netsim::event::{NodeId, PortId};
+use netsim::network::Network;
 use netsim::packet::FlowId;
+use netsim::prelude::{HostConfig, NoCc, SwitchConfig, DATA_PRIORITY};
+use netsim::stats::SamplerConfig;
 use netsim::telemetry::{
     Dashboard, HopSpan, PauseEdge, Series, SpanState, Spans, Timeline, TrackKind,
 };
-use netsim::units::Time;
+use netsim::topology::{star, LinkParams};
+use netsim::units::{Duration, Time};
 use std::sync::atomic::Ordering::Relaxed;
 
 /// A recorder holding `hops` hop spans over 8 switch ports, a PAUSE or
@@ -49,6 +53,49 @@ fn recorded(hops: u64) -> Spans {
     }
     assert_eq!(s.dropped_spans(), 0);
     s
+}
+
+/// A 2:1 incast on a 3-host star with 12 tracks sampled every 1 µs for
+/// 2 ms: all three queues, both flows' delivered bytes and CC rates, and
+/// five counters, each track 2 000 samples on one cadence.
+fn sampled() -> Network {
+    let mut s = star(
+        3,
+        LinkParams::default(),
+        HostConfig {
+            cnp_interval: None,
+            ..HostConfig::default()
+        },
+        SwitchConfig::paper_default(),
+        7,
+    );
+    let flows: Vec<FlowId> = (0..2)
+        .map(|i| {
+            let f = s.net.add_flow(s.hosts[i], s.hosts[2], DATA_PRIORITY, |l| {
+                Box::new(NoCc::new(l))
+            });
+            s.net.send_message(f, u64::MAX, Time::ZERO);
+            f
+        })
+        .collect();
+    s.net.enable_sampling(
+        Duration::from_micros(1),
+        SamplerConfig {
+            queues: (0..3).map(|p| (s.switch, PortId(p))).collect(),
+            all_flows: true,
+            rate_flows: flows,
+            counters: vec![
+                "forwarded",
+                "pause_tx",
+                "pause_rx",
+                "resume_tx",
+                "ecn_marks",
+            ],
+            ..SamplerConfig::default()
+        },
+    );
+    s.net.run_until(Time::from_millis(2));
+    s.net
 }
 
 #[test]
@@ -106,12 +153,45 @@ fn rendering_costs_its_output_and_a_timeline_holds_its_samples() {
         "{calls} allocations to render {points} points"
     );
 
+    // --- A sampled run's dashboard: its output, and no copy of a track.
+    let net = sampled();
+    let points: usize = net
+        .sampler()
+        .timelines()
+        .iter()
+        .map(|(_, tl)| tl.points())
+        .sum();
+    assert_eq!(points, 12 * 2_000, "one sample a bucket");
+    let (html, calls, peak) = measured(|| net.dashboard("sampled").render());
+    assert!(html.len() > 10 * points, "every point is in the file");
+    assert!(
+        peak <= html.capacity() + (16 << 10),
+        "building and rendering {} bytes held {peak} live",
+        html.capacity()
+    );
+    assert!(
+        calls < points / 100,
+        "{calls} allocations to draw {points} points"
+    );
+
+    // --- A timeline on one cadence: its values only. ---
+    let mut on = Timeline::new(TrackKind::Gauge, 1.0);
+    let budget = on.budget() as u64;
+    let live = LIVE.load(Relaxed);
+    for i in 1..=budget {
+        on.record(Time(i * 10_000_000), i);
+        let held = LIVE.load(Relaxed) - live;
+        assert!(
+            held <= 2 * 8 * i as usize + 64,
+            "{i} samples on one cadence held {held} B"
+        );
+    }
+
     // --- A timeline: its samples while they fit, then the grid once. ---
     let mut tl = Timeline::new(TrackKind::Gauge, 1.0);
     // 10 µs cadence from one interval in, as the sampler ticks; then
     // sparser and sparser, so the grid halves again and again.
     let t = |i: u64| Time(i * i * 1_000 + i * 10_000_000);
-    let budget = tl.budget() as u64;
     let live = LIVE.load(Relaxed);
     for i in 1..=budget {
         tl.record(t(i), i);

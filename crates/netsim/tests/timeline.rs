@@ -95,63 +95,33 @@ proptest! {
     }
 }
 
-/// The dense grid every track used to be, kept as the obviously-correct
-/// reference for the samples state: each sample lands in bucket
-/// `t >> width_log2` of a grid that halves whenever a sample would land
-/// past the budget, and every read walks the grid.
-struct Dense {
-    kind: TrackKind,
-    budget: usize,
-    width_log2: u32,
-    /// `(count, sum, min, max, t_max)` per grid slot.
-    buckets: Vec<(u64, u128, u64, u64, u64)>,
-    total: (u64, u128, u64, u64, u64),
-}
+/// One bucket's raw aggregates: `(count, sum, min, max, t_max)`.
+type Agg = (u64, u128, u64, u64, u64);
 
-const EMPTY: (u64, u128, u64, u64, u64) = (0, 0, u64::MAX, 0, 0);
+const EMPTY: Agg = (0, 0, u64::MAX, 0, 0);
 
-fn observe(b: &mut (u64, u128, u64, u64, u64), t: u64, v: u64) {
+fn observe(b: &mut Agg, t: u64, v: u64) {
     *b = (b.0 + 1, b.1 + v as u128, b.2.min(v), b.3.max(v), b.4.max(t));
 }
 
-impl Dense {
-    fn new(kind: TrackKind, budget: usize) -> Dense {
-        Dense {
-            kind,
-            budget: budget.max(2),
-            width_log2: 0,
-            buckets: Vec::new(),
-            total: EMPTY,
-        }
-    }
-
-    fn record(&mut self, t: u64, v: u64) {
-        while (t >> self.width_log2) as usize >= self.budget {
-            let merged = self.buckets.chunks(2).map(|pair| {
-                let mut m = pair[0];
-                if let Some(&(c, s, lo, hi, tm)) = pair.get(1) {
-                    m = (m.0 + c, m.1 + s, m.2.min(lo), m.3.max(hi), m.4.max(tm));
-                }
-                m
-            });
-            self.buckets = merged.collect();
-            self.width_log2 += 1;
-        }
-        let idx = (t >> self.width_log2) as usize;
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, EMPTY);
-        }
-        observe(&mut self.buckets[idx], t, v);
-        observe(&mut self.total, t, v);
-    }
+/// An obviously-correct model of a track. Each model says only which
+/// buckets it holds; every read a [`Timeline`] offers is derived here
+/// once, from those raw aggregates.
+trait Reference {
+    fn kind(&self) -> TrackKind;
+    fn budget(&self) -> usize;
+    fn width_log2(&self) -> u32;
+    /// The non-empty buckets as `(index, aggregates)`, in time order.
+    fn slots(&self) -> Vec<(u64, Agg)>;
+    fn total(&self) -> Agg;
 
     fn buckets(&self) -> Vec<BucketView> {
-        let w = 1u64 << self.width_log2;
-        let filled = self.buckets.iter().enumerate().filter(|(_, b)| b.0 > 0);
-        filled
-            .map(|(i, &(count, sum, min, max, t_max))| BucketView {
-                start: Time(i as u64 * w),
-                end: Time((i as u64 + 1).saturating_mul(w)),
+        let w = 1u64 << self.width_log2();
+        let slots = self.slots().into_iter();
+        slots
+            .map(|(i, (count, sum, min, max, t_max))| BucketView {
+                start: Time(i * w),
+                end: Time((i + 1).saturating_mul(w)),
                 last: Time(t_max),
                 count,
                 sum: sum as f64,
@@ -162,7 +132,7 @@ impl Dense {
     }
 
     fn representative(&self, b: &BucketView) -> f64 {
-        match self.kind {
+        match self.kind() {
             TrackKind::Counter => b.sum,
             TrackKind::Gauge => b.mean(),
             TrackKind::Cumulative => b.max,
@@ -175,10 +145,10 @@ impl Dense {
     }
 
     fn mean_from(&self, from: Time) -> f64 {
-        let w = 1u64 << self.width_log2;
+        let w = 1u64 << self.width_log2();
         let (mut sum, mut count) = (0u128, 0u64);
-        for (i, b) in self.buckets.iter().enumerate() {
-            if b.0 > 0 && Time(i as u64 * w) >= from {
+        for (i, b) in self.slots() {
+            if Time(i * w) >= from {
                 sum += b.1;
                 count += b.0;
             }
@@ -214,16 +184,16 @@ impl Dense {
     }
 
     fn summary(&self) -> String {
-        let (count, sum, min, max, t_max) = self.total;
+        let (count, sum, min, max, t_max) = self.total();
         let mean = if count == 0 {
             0.0
         } else {
             sum as f64 / count as f64
         };
         Json::obj(vec![
-            ("bucket_width_ps", Json::UInt(1u64 << self.width_log2)),
+            ("bucket_width_ps", Json::UInt(1u64 << self.width_log2())),
             ("count", Json::UInt(count)),
-            ("kind", Json::from(self.kind.name())),
+            ("kind", Json::from(self.kind().name())),
             ("last_ps", Json::UInt(t_max)),
             ("max", Json::Float(max as f64)),
             ("mean", Json::Float(mean)),
@@ -231,10 +201,136 @@ impl Dense {
                 "min",
                 Json::Float(if count == 0 { 0.0 } else { min as f64 }),
             ),
-            ("points", Json::UInt(self.buckets().len() as u64)),
+            ("points", Json::UInt(self.slots().len() as u64)),
             ("sum", Json::Float(sum as f64)),
         ])
         .render()
+    }
+}
+
+/// The dense grid every track used to be, kept as the obviously-correct
+/// reference for the samples state: each sample lands in bucket
+/// `t >> width_log2` of a grid that halves whenever a sample would land
+/// past the budget, and every read walks the grid.
+struct Dense {
+    kind: TrackKind,
+    budget: usize,
+    width_log2: u32,
+    buckets: Vec<Agg>,
+    total: Agg,
+}
+
+impl Dense {
+    fn new(kind: TrackKind, budget: usize) -> Dense {
+        Dense {
+            kind,
+            budget: budget.max(2),
+            width_log2: 0,
+            buckets: Vec::new(),
+            total: EMPTY,
+        }
+    }
+
+    fn record(&mut self, t: u64, v: u64) {
+        while (t >> self.width_log2) as usize >= self.budget {
+            let merged = self.buckets.chunks(2).map(|pair| {
+                let mut m = pair[0];
+                if let Some(&(c, s, lo, hi, tm)) = pair.get(1) {
+                    m = (m.0 + c, m.1 + s, m.2.min(lo), m.3.max(hi), m.4.max(tm));
+                }
+                m
+            });
+            self.buckets = merged.collect();
+            self.width_log2 += 1;
+        }
+        let idx = (t >> self.width_log2) as usize;
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, EMPTY);
+        }
+        observe(&mut self.buckets[idx], t, v);
+        observe(&mut self.total, t, v);
+    }
+}
+
+impl Reference for Dense {
+    fn kind(&self) -> TrackKind {
+        self.kind
+    }
+    fn budget(&self) -> usize {
+        self.budget
+    }
+    fn width_log2(&self) -> u32 {
+        self.width_log2
+    }
+    fn slots(&self) -> Vec<(u64, Agg)> {
+        let filled = self.buckets.iter().enumerate().filter(|(_, b)| b.0 > 0);
+        filled.map(|(i, &b)| (i as u64, b)).collect()
+    }
+    fn total(&self) -> Agg {
+        self.total
+    }
+}
+
+/// Every sample as a `(t, v)` pair kept sorted by time: the reference
+/// for a track's time column, whichever way the track stores it. The
+/// bucket width is the smallest power of two that puts the latest
+/// sample in a bucket below the budget.
+struct Pairs {
+    kind: TrackKind,
+    budget: usize,
+    pairs: Vec<(u64, u64)>,
+}
+
+impl Pairs {
+    fn new(kind: TrackKind, budget: usize) -> Pairs {
+        let budget = budget.max(2);
+        Pairs {
+            kind,
+            budget,
+            pairs: Vec::new(),
+        }
+    }
+
+    fn record(&mut self, t: u64, v: u64) {
+        let at = self.pairs.partition_point(|&(s, _)| s <= t);
+        self.pairs.insert(at, (t, v));
+    }
+}
+
+impl Reference for Pairs {
+    fn kind(&self) -> TrackKind {
+        self.kind
+    }
+    fn budget(&self) -> usize {
+        self.budget
+    }
+    fn width_log2(&self) -> u32 {
+        let t_max = self.total().4;
+        (0..64)
+            .find(|&w| (t_max >> w) < self.budget as u64)
+            .unwrap_or(64)
+    }
+    fn slots(&self) -> Vec<(u64, Agg)> {
+        let w = self.width_log2();
+        let mut slots: Vec<(u64, Agg)> = Vec::new();
+        for &(t, v) in &self.pairs {
+            match slots.last_mut() {
+                Some((i, b)) if *i == t >> w => observe(b, t, v),
+                _ => {
+                    let mut b = EMPTY;
+                    observe(&mut b, t, v);
+                    slots.push((t >> w, b));
+                }
+            }
+        }
+        slots
+    }
+    fn total(&self) -> Agg {
+        let mut total = EMPTY;
+        for &(t, v) in &self.pairs {
+            observe(&mut total, t, v);
+        }
+        total
     }
 }
 
@@ -246,12 +342,12 @@ fn bits(b: &BucketView) -> (u64, u64, u64, u64, u64, u64, u64) {
 }
 
 /// Every read of `tl` equals the reference's, bit for bit, at `probes`.
-fn same_reads(tl: &Timeline, reference: &Dense, probes: &[Time]) {
+fn same_reads(tl: &Timeline, reference: &impl Reference, probes: &[Time]) {
     let ours: Vec<_> = tl.buckets().map(|b| bits(&b)).collect();
     let theirs: Vec<_> = reference.buckets().iter().map(bits).collect();
     prop_assert_eq!(ours, theirs);
     prop_assert_eq!(tl.points(), reference.buckets().len());
-    prop_assert_eq!(tl.bucket_width().0, 1u64 << reference.width_log2);
+    prop_assert_eq!(tl.bucket_width().0, 1u64 << reference.width_log2());
     prop_assert_eq!(tl.summary_json().render(), reference.summary());
     let series = tl.series();
     let want = reference.buckets();
@@ -277,7 +373,7 @@ fn same_reads(tl: &Timeline, reference: &Dense, probes: &[Time]) {
             reference.weighted_percentile(p, t).to_bits()
         );
     }
-    prop_assert!(tl.capacity_used() <= reference.budget);
+    prop_assert!(tl.capacity_used() <= reference.budget());
 }
 
 proptest! {
@@ -339,6 +435,127 @@ proptest! {
             same_reads(&tl, &reference, &probes);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A track's time column reads exactly like sorted `(t, v)` pairs,
+    /// whether its times are computed from a cadence or listed: samples
+    /// on one cadence, after a missed tick, a little early or late, out
+    /// of order, at a repeated time, on a new cadence mid-run, and past
+    /// the fold. `mode` 0 keeps every sample on the first cadence.
+    #[test]
+    fn time_column_reads_like_sorted_pairs(
+        start in 0u64..3_000_000,
+        step in 0u64..50_000,
+        mode in 0u8..3,
+        draws in prop::collection::vec((0u8..16, 0u64..=u64::MAX), 1..300),
+        budget in 2usize..400,
+        kind in 0u8..3,
+        probes in prop::collection::vec((0u8..4, 0u64..=u64::MAX), 6),
+    ) {
+        let kind = [TrackKind::Counter, TrackKind::Gauge, TrackKind::Cumulative][kind as usize];
+        let (mut step, mut latest) = (step, None::<u64>);
+        let mut samples = Vec::new();
+        for &(shape, raw) in &draws {
+            let next = latest.map_or(start, |l| l + step);
+            let t = match if mode == 0 { 0 } else { shape } {
+                10 => next + step,
+                11 => next + 1 + raw % 3,
+                12 => next.saturating_sub(1),
+                13 => raw % (next + 1),
+                14 => {
+                    step = raw % 50_000;
+                    latest.map_or(start, |l| l + step)
+                }
+                15 => latest.unwrap_or(start),
+                _ => next,
+            };
+            latest = latest.max(Some(t));
+            samples.push((t, raw % 1_000_000));
+        }
+        let probes: Vec<Time> = probes
+            .iter()
+            .map(|&(shape, raw)| {
+                let near = samples[raw as usize % samples.len()].0;
+                Time(match shape {
+                    0 => raw % (near + 1_000_000),
+                    1 => near,
+                    2 => near + 1,
+                    _ => near.saturating_sub(1),
+                })
+            })
+            .collect();
+        let mut tl = Timeline::with_budget(kind, 1.0, budget);
+        let mut reference = Pairs::new(kind, budget);
+        for &(t, v) in &samples {
+            tl.record(Time(t), v);
+            reference.record(t, v);
+            same_reads(&tl, &reference, &probes);
+        }
+    }
+}
+
+/// `enable_sampling` a second time with a new interval moves every
+/// track off its first cadence mid-run: each still reads like sorted
+/// `(t, v)` pairs, at the ticks the two intervals give.
+#[test]
+fn a_new_sampling_interval_reads_like_sorted_pairs() {
+    let mut s = star(
+        3,
+        LinkParams::default(),
+        HostConfig {
+            cnp_interval: None,
+            ..HostConfig::default()
+        },
+        SwitchConfig::paper_default(),
+        11,
+    );
+    for i in 0..2 {
+        let f = s.net.add_flow(s.hosts[i], s.hosts[2], DATA_PRIORITY, |l| {
+            Box::new(NoCc::new(l))
+        });
+        s.net.send_message(f, u64::MAX, Time::ZERO);
+    }
+    let config = SamplerConfig {
+        all_flows: true,
+        queues: vec![(s.switch, PortId(2))],
+        counters: vec!["forwarded", "pause_tx"],
+        ..SamplerConfig::default()
+    };
+    s.net
+        .enable_sampling(Duration::from_micros(20), config.clone());
+    s.net.run_until(Time::from_millis(1));
+    s.net.enable_sampling(Duration::from_micros(30), config);
+    s.net.run_until(Time::from_millis(2));
+
+    let timelines = s.net.sampler().timelines();
+    assert_eq!(timelines.len(), 5, "one queue, two flows, two counters");
+    let mut ticks = None;
+    for (name, tl) in timelines.iter() {
+        // Well under one sample per bucket: each bucket is one sample.
+        assert!(tl.bucket_width() < Duration::from_micros(10), "{name}");
+        let samples: Vec<(u64, u64)> = tl.buckets().map(|b| (b.last.0, b.sum as u64)).collect();
+        assert_eq!(samples.len() as u64, tl.count(), "{name}");
+        let mut reference = Pairs::new(tl.kind(), tl.budget());
+        for &(t, v) in &samples {
+            reference.record(t, v);
+        }
+        let probes: Vec<Time> = samples.iter().map(|&(t, _)| Time(t + 1)).collect();
+        same_reads(tl, &reference, &probes);
+        let times: Vec<u64> = samples.iter().map(|&(t, _)| t).collect();
+        assert_eq!(*ticks.get_or_insert_with(|| times.clone()), times, "{name}");
+    }
+    // 20 µs ticks through 1 ms, then 30 µs ticks.
+    let ticks = ticks.expect("tracks");
+    let us = Time::from_micros(1).0;
+    let gaps: Vec<u64> = ticks.windows(2).map(|w| (w[1] - w[0]) / us).collect();
+    let first = gaps.iter().take_while(|&&g| g == 20).count();
+    assert_eq!(ticks[0], 20 * us);
+    assert!((49..=50).contains(&first), "{first} 20 µs gaps");
+    assert!(gaps[first..].iter().all(|&g| g == 30), "{gaps:?}");
+    assert!(gaps.len() - first >= 32, "{gaps:?}");
 }
 
 /// A deterministic 2:1 incast fixture with queues, rates, bytes and
