@@ -4,8 +4,6 @@
 //!
 //! * [`dctcp`] — DCTCP, the window-based ECN scheme (§6.3 / Figure 19 and
 //!   the §7 multi-bottleneck discussion),
-//! * [`qcn`] — the QCN (802.1Qau) reaction point, DCQCN's L2 ancestor
-//!   (§2.3),
 //! * [`hostmodel`] — the analytic TCP-vs-RDMA host-stack cost model that
 //!   stands in for the Figure 1 hardware measurement,
 //! * [`timely`] — the RTT-gradient scheme §3.3 contrasts DCQCN against,
@@ -13,7 +11,6 @@
 
 pub mod dctcp;
 pub mod hostmodel;
-pub mod qcn;
 pub mod timely;
 
 /// Common imports.
@@ -23,7 +20,6 @@ pub mod prelude {
         latency_us, rdma_client_stack, rdma_send_stack, rdma_server_stack, tcp_stack, throughput,
         Machine, StackProfile, FIG1_SIZES,
     };
-    pub use crate::qcn::{qcn, QcnParams, QcnRp};
     pub use crate::timely::{timely, timely_host_config, Timely, TimelyParams};
     pub use netsim::cc::NoCc;
 }

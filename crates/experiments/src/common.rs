@@ -2,14 +2,13 @@
 //! and host configuration per scheme, and table printing.
 
 use baselines::dctcp::{Dctcp, DctcpParams};
-use baselines::qcn::{QcnParams, QcnRp};
 use baselines::timely::{timely_host_config, Timely, TimelyParams};
 use dcqcn::params::DcqcnParams;
 use dcqcn::rp::DcqcnRp;
 use netsim::cc::{CongestionControl, NoCc};
 use netsim::ecn::RedConfig;
 use netsim::host::HostConfig;
-use netsim::switch::{QcnCpConfig, SwitchConfig};
+use netsim::switch::SwitchConfig;
 use netsim::telemetry::{Json, SpanState, NUM_SPAN_STATES};
 use netsim::units::{Bandwidth, Duration};
 
@@ -22,8 +21,6 @@ pub enum CcChoice {
     Dcqcn(DcqcnParams),
     /// DCTCP (window-based ECN).
     Dctcp(DctcpParams),
-    /// QCN (quantized feedback) — baseline.
-    Qcn(QcnParams),
     /// TIMELY (RTT-gradient) — the §3.3 contrast.
     Timely(TimelyParams),
 }
@@ -41,7 +38,6 @@ impl CcChoice {
                 CcChoice::None => Box::new(NoCc::new(line)),
                 CcChoice::Dcqcn(p) => Box::new(DcqcnRp::new(line, p)),
                 CcChoice::Dctcp(p) => Box::new(Dctcp::new(line, p)),
-                CcChoice::Qcn(p) => Box::new(QcnRp::new(line, p)),
                 CcChoice::Timely(p) => Box::new(Timely::new(line, p)),
             }
         }
@@ -53,7 +49,6 @@ impl CcChoice {
             CcChoice::None => RedConfig::disabled(),
             CcChoice::Dcqcn(_) => dcqcn::params::red_deployed(),
             CcChoice::Dctcp(_) => dcqcn::params::red_cutoff_dctcp_40g(),
-            CcChoice::Qcn(_) => RedConfig::disabled(),
             CcChoice::Timely(_) => RedConfig::disabled(),
         }
     }
@@ -82,9 +77,6 @@ impl CcChoice {
     /// higher — so PFC fires before ECN).
     pub fn switch_config(&self, pfc: bool, misconfigured: bool) -> SwitchConfig {
         let mut cfg = SwitchConfig::paper_default().with_red(self.red());
-        if let CcChoice::Qcn(_) = self {
-            cfg.qcn = Some(QcnCpConfig::default());
-        }
         if !pfc {
             cfg = cfg.without_pfc();
         }
@@ -102,7 +94,6 @@ impl CcChoice {
             CcChoice::None => "No DCQCN",
             CcChoice::Dcqcn(_) => "DCQCN",
             CcChoice::Dctcp(_) => "DCTCP",
-            CcChoice::Qcn(_) => "QCN",
             CcChoice::Timely(_) => "TIMELY",
         }
     }
@@ -223,10 +214,6 @@ mod tests {
         assert_eq!(
             CcChoice::Dctcp(DctcpParams::default_40g()).factory()(line).name(),
             "dctcp"
-        );
-        assert_eq!(
-            CcChoice::Qcn(QcnParams::standard()).factory()(line).name(),
-            "qcn"
         );
     }
 

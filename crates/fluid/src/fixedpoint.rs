@@ -5,13 +5,14 @@
 //! probability `p*`, which this module solves by bisection:
 //!
 //! * from `dα/dt = 0`:  `α* = 1 − (1−p)^{τ R}`
-//! * from `dR_T/dt = 0`: `R_T − R_C = τ·R_AI·[(1−p)^{F·B} ν_B + (1−p)^{F·T·R} ν_T] / w(p)`
+//! * from `dR_T/dt = 0`: `R_T − R_C = τ·R_AI·[(1−p)^{F·B} ν_B + (1−p)^{F·T·R} ν_T] / α*`
 //! * substitute both into `dR_C/dt = 0` and solve for `p`.
 //!
 //! The paper verifies `p*` is unique and "less than 1% for reasonable
 //! settings", and that the fixed-point queue sits roughly an order of
 //! magnitude above K_min — both asserted in the tests.
 
+use crate::model::rhs;
 use crate::params::FluidParams;
 
 /// The fixed point of the model for `n` flows.
@@ -36,70 +37,40 @@ impl FixedPoint {
     }
 }
 
-fn pow1p(p: f64, n: f64) -> f64 {
-    if p <= 0.0 {
-        1.0
-    } else if p >= 1.0 {
-        0.0
-    } else {
-        (n * (1.0 - p).ln()).exp()
-    }
-}
-
-fn event_rate(r: f64, p: f64, w: f64) -> f64 {
-    if p < 1e-14 {
-        return r / w;
-    }
-    let denom = (-w * (1.0 - p).ln()).exp_m1();
-    if denom.is_finite() && denom > 0.0 {
-        r * p / denom
-    } else {
-        0.0
-    }
-}
-
-/// `dR_C/dt` at the candidate fixed point, as a function of `p` only
-/// (positive means the rate would still grow).
-fn drc_at(params: &FluidParams, n: usize, p: f64) -> f64 {
+/// Equations 7–9 at the fair share `R_C = C/n` under marking
+/// probability `p`, with α and `R_T − R_C` at their stationary values:
+/// `α*` is the cut term (`dα/dt = 0`), and since `dR_T/dt` is linear in
+/// the gap, its value at `R_T = R_C` gives the gap where it vanishes.
+/// Returns `(α*, R_T − R_C, dR_C/dt)`; a positive `dR_C/dt` means the
+/// rate would still grow.
+fn stationary(params: &FluidParams, n: usize, p: f64) -> (f64, f64, f64) {
     let r = params.capacity_pps / n as f64;
-    let tau = params.tau_cnp;
-    let w = 1.0 - pow1p(p, tau * r);
-    let alpha = w; // dα/dt = 0
-    let nu_b = event_rate(r, p, params.byte_counter_pkts);
-    let nu_t = event_rate(r, p, params.timer * r);
-    let ai = params.rai_pps
-        * (pow1p(p, params.f_steps * params.byte_counter_pkts) * nu_b
-            + pow1p(p, params.f_steps * params.timer * r) * nu_t);
-    // dR_T/dt = 0  ⇒  R_T − R_C = τ·ai / w.
-    let rt_gap = if w > 0.0 { tau * ai / w } else { f64::INFINITY };
-    // dR_C/dt with the substitutions.
-    -(r * alpha) / (2.0 * tau) * w + rt_gap / 2.0 * (nu_b + nu_t)
+    let at_rc = rhs(params, p, r, r, 0.0, 0.0);
+    let alpha = at_rc.cut;
+    let gap = if alpha > 0.0 {
+        params.tau_cnp * at_rc.d_rt / alpha
+    } else {
+        f64::INFINITY
+    };
+    (alpha, gap, rhs(params, p, r, r, gap, alpha).d_rc)
 }
 
 /// Solves for the fixed point of the `n`-flow model by bisection on `p`.
 pub fn solve(params: &FluidParams, n: usize) -> FixedPoint {
     let mut lo = 1e-9;
     let mut hi = 1.0 - 1e-9;
-    // drc is positive for tiny p (pure increase) and negative for large p
+    // dR_C/dt is positive for tiny p (pure increase) and negative for large p
     // (pure decrease); bisect on the sign change.
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        if drc_at(params, n, mid) > 0.0 {
+        if stationary(params, n, mid).2 > 0.0 {
             lo = mid;
         } else {
             hi = mid;
         }
     }
     let p = 0.5 * (lo + hi);
-    let r = params.capacity_pps / n as f64;
-    let tau = params.tau_cnp;
-    let w = 1.0 - pow1p(p, tau * r);
-    let nu_b = event_rate(r, p, params.byte_counter_pkts);
-    let nu_t = event_rate(r, p, params.timer * r);
-    let ai = params.rai_pps
-        * (pow1p(p, params.f_steps * params.byte_counter_pkts) * nu_b
-            + pow1p(p, params.f_steps * params.timer * r) * nu_t);
-    let rt_gap = if w > 0.0 { tau * ai / w } else { 0.0 };
+    let (alpha, rt_gap, _) = stationary(params, n, p);
     // Invert Equation 5 for the queue.
     let queue_pkts = if params.kmax_pkts > params.kmin_pkts {
         params.kmin_pkts + p / params.pmax * (params.kmax_pkts - params.kmin_pkts)
@@ -108,9 +79,9 @@ pub fn solve(params: &FluidParams, n: usize) -> FixedPoint {
     };
     FixedPoint {
         p,
-        alpha: w,
+        alpha,
         rt_gap_pps: rt_gap,
-        rate_pps: r,
+        rate_pps: params.capacity_pps / n as f64,
         queue_pkts,
     }
 }
@@ -172,8 +143,8 @@ mod tests {
     #[test]
     fn drc_brackets_the_root() {
         let params = FluidParams::paper_40g();
-        assert!(drc_at(&params, 2, 1e-9) > 0.0, "tiny p: rate grows");
-        assert!(drc_at(&params, 2, 0.5) < 0.0, "huge p: rate shrinks");
+        assert!(stationary(&params, 2, 1e-9).2 > 0.0, "tiny p: rate grows");
+        assert!(stationary(&params, 2, 0.5).2 < 0.0, "huge p: rate shrinks");
     }
 
     #[test]

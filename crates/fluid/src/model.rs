@@ -125,6 +125,38 @@ fn pow1p(p: f64, n: f64) -> f64 {
     }
 }
 
+/// One flow's derivatives under Equations 7–9.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rhs {
+    /// The cut term `1 − (1−p̂)^{τ R̂c}` the three equations share.
+    pub(crate) cut: f64,
+    /// `dα/dt` (Equation 7).
+    pub(crate) d_alpha: f64,
+    /// `dR_T/dt` (Equation 8).
+    pub(crate) d_rt: f64,
+    /// `dR_C/dt` (Equation 9).
+    pub(crate) d_rc: f64,
+}
+
+/// The right-hand sides of Equations 7–9 for a flow at rate `rc` with
+/// target gap `gap = R_T − R_C` and reduction factor `alpha`, seeing the
+/// delayed marking probability `p_hat` at its delayed rate `rc_hat`. The
+/// one transcription of §5's equations: [`FluidSim::step`] integrates it
+/// and the fixed point (Equation 10) solves it.
+pub(crate) fn rhs(pr: &FluidParams, p_hat: f64, rc_hat: f64, rc: f64, gap: f64, alpha: f64) -> Rhs {
+    let cut = 1.0 - pow1p(p_hat, pr.tau_cnp * rc_hat);
+    let nu_b = event_rate(rc_hat, p_hat, pr.byte_counter_pkts);
+    let nu_t = event_rate(rc_hat, p_hat, pr.timer * rc_hat);
+    Rhs {
+        cut,
+        d_alpha: pr.g / pr.tau_alpha * (cut - alpha),
+        d_rt: -gap / pr.tau_cnp * cut
+            + pr.rai_pps * pow1p(p_hat, pr.f_steps * pr.byte_counter_pkts) * nu_b
+            + pr.rai_pps * pow1p(p_hat, pr.f_steps * pr.timer * rc_hat) * nu_t,
+        d_rc: -(rc * alpha) / (2.0 * pr.tau_cnp) * cut + gap / 2.0 * nu_b + gap / 2.0 * nu_t,
+    }
+}
+
 /// The fluid simulator: explicit Euler with a history ring buffer serving
 /// the delayed terms.
 pub struct FluidSim {
@@ -194,22 +226,12 @@ impl FluidSim {
             sum_rc += f.rc;
             // Delayed own-rate: before history exists use current.
             let rc_hat = rc_hats.map_or(f.rc, |v| v[i]);
-            let cutw = 1.0 - pow1p(p_hat, pr.tau_cnp * rc_hat);
-            let nu_b = event_rate(rc_hat, p_hat, pr.byte_counter_pkts);
-            let nu_t = event_rate(rc_hat, p_hat, pr.timer * rc_hat);
-
-            let d_alpha = pr.g / pr.tau_alpha * (cutw - f.alpha);
-            let d_rt = -(f.rt - f.rc) / pr.tau_cnp * cutw
-                + pr.rai_pps * pow1p(p_hat, pr.f_steps * pr.byte_counter_pkts) * nu_b
-                + pr.rai_pps * pow1p(p_hat, pr.f_steps * pr.timer * rc_hat) * nu_t;
-            let d_rc = -(f.rc * f.alpha) / (2.0 * pr.tau_cnp) * cutw
-                + (f.rt - f.rc) / 2.0 * nu_b
-                + (f.rt - f.rc) / 2.0 * nu_t;
+            let d = rhs(pr, p_hat, rc_hat, f.rc, f.rt - f.rc, f.alpha);
 
             let nf = &mut new_flows[i];
-            nf.alpha = (f.alpha + d_alpha * self.dt).clamp(0.0, 1.0);
-            nf.rt = (f.rt + d_rt * self.dt).clamp(pr.min_rate_pps, pr.capacity_pps);
-            nf.rc = (f.rc + d_rc * self.dt).clamp(pr.min_rate_pps, pr.capacity_pps);
+            nf.alpha = (f.alpha + d.d_alpha * self.dt).clamp(0.0, 1.0);
+            nf.rt = (f.rt + d.d_rt * self.dt).clamp(pr.min_rate_pps, pr.capacity_pps);
+            nf.rc = (f.rc + d.d_rc * self.dt).clamp(pr.min_rate_pps, pr.capacity_pps);
         }
         // Queue evolution (Equations 6 / 11), clamped at empty.
         self.q = (self.q + (sum_rc - pr.capacity_pps) * self.dt).max(0.0);
@@ -277,6 +299,32 @@ mod tests {
         assert_eq!(pow1p(0.0, 100.0), 1.0);
         assert_eq!(pow1p(1.0, 100.0), 0.0);
         assert!((pow1p(0.01, 2.0) - 0.9801).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rhs_transcribes_equations_7_to_9() {
+        // A hand-worked point: p̂ = 1/2 and every window (τ·R̂c, B, T·R̂c)
+        // one packet, so the cut term is 1/2, both event rates are
+        // R̂c·p̂/((1−p̂)^{−1} − 1) = 2 and (1−p̂)^{F·B} = (1−p̂)^{F·T·R̂c} = 1/4.
+        let pr = FluidParams {
+            g: 0.5,
+            tau_cnp: 0.25,
+            tau_alpha: 0.25,
+            timer: 0.25,
+            byte_counter_pkts: 1.0,
+            f_steps: 2.0,
+            rai_pps: 8.0,
+            ..FluidParams::paper_40g()
+        };
+        let d = rhs(&pr, 0.5, 4.0, 2.0, 1.0, 0.25);
+        let close = |got: f64, want: f64| (got - want).abs() < 1e-12;
+        assert!(close(d.cut, 0.5), "cut {}", d.cut);
+        // (7): g/τ'·(cut − α) = 2·(0.5 − 0.25).
+        assert!(close(d.d_alpha, 0.5), "dα/dt {}", d.d_alpha);
+        // (8): −gap/τ·cut + R_AI·¼·ν_B + R_AI·¼·ν_T = −2 + 4 + 4.
+        assert!(close(d.d_rt, 6.0), "dR_T/dt {}", d.d_rt);
+        // (9): −(R_C·α)/(2τ)·cut + gap/2·ν_B + gap/2·ν_T = −0.5 + 1 + 1.
+        assert!(close(d.d_rc, 1.5), "dR_C/dt {}", d.d_rc);
     }
 
     #[test]

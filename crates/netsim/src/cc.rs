@@ -1,9 +1,9 @@
 //! The pluggable congestion-control interface between a host NIC and a
-//! per-flow algorithm (DCQCN's RP, QCN's RP, DCTCP, or nothing).
+//! per-flow algorithm (DCQCN's RP, DCTCP, TIMELY, or nothing).
 //!
 //! Algorithms come in two styles and the trait supports both:
 //!
-//! * **rate-based** (DCQCN, QCN): the NIC paces each flow at
+//! * **rate-based** (DCQCN, TIMELY): the NIC paces each flow at
 //!   [`CongestionControl::rate`]; `window` returns `None`.
 //! * **window-based** (DCTCP): `window` returns the congestion window in
 //!   bytes and the NIC sends at line rate while un-ACKed bytes fit in it.
@@ -89,9 +89,6 @@ pub trait CongestionControl: Send {
         _actions: &mut CcActions,
     ) {
     }
-
-    /// A QCN feedback message with quantized value `fb` arrived.
-    fn on_qcn_feedback(&mut self, _now: Time, _fb: u8, _actions: &mut CcActions) {}
 
     /// The NIC put `bytes` of this flow on the wire (drives byte counters).
     fn on_send(&mut self, _now: Time, _bytes: u64, _actions: &mut CcActions) {}

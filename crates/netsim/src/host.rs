@@ -135,11 +135,6 @@ impl Host {
                     self.cc_call(ctx, i, |cc, a| cc.on_cnp(now, a));
                 }
             }
-            PacketKind::QcnFeedback { fb } => {
-                if let Some(&i) = self.flow_ids.get(&pkt.flow) {
-                    self.cc_call(ctx, i, |cc, a| cc.on_qcn_feedback(now, fb, a));
-                }
-            }
         }
         self.update_spans(ctx);
     }

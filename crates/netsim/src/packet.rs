@@ -93,12 +93,6 @@ pub enum PacketKind {
         /// PAUSE (true) or RESUME (false).
         pause: bool,
     },
-    /// QCN congestion notification message carrying the quantized feedback
-    /// value Fb (used only by the QCN baseline).
-    QcnFeedback {
-        /// Quantized 6-bit congestion feedback.
-        fb: u8,
-    },
 }
 
 /// A packet in flight or queued. All-POD and `Copy`: moving packets
@@ -222,19 +216,6 @@ impl Packet {
         }
     }
 
-    /// Builds a QCN feedback message (baseline only).
-    pub(crate) fn qcn_feedback(src: NodeId, dst: NodeId, flow: FlowId, fb: u8) -> Packet {
-        Packet {
-            kind: PacketKind::QcnFeedback { fb },
-            src,
-            dst,
-            flow,
-            priority: CONTROL_PRIORITY,
-            wire_bytes: CONTROL_WIRE,
-            ecn: Ecn::NotEct,
-        }
-    }
-
     /// Bytes this frame occupies on the wire and in buffers, widened for
     /// the `u64` byte counters: the one way they read [`Packet::wire_bytes`].
     #[inline]
@@ -328,8 +309,6 @@ mod tests {
             pause: true,
         };
         assert_eq!((p.kind, p.src, p.dst), (want, src, dst));
-        let p = Packet::qcn_feedback(src, dst, flow, u8::MAX);
-        assert_eq!(p.kind, PacketKind::QcnFeedback { fb: u8::MAX });
     }
 
     #[test]

@@ -26,29 +26,7 @@ use crate::routing::RouteTable;
 use crate::stats::SwitchStats;
 use crate::telemetry::spans::PauseEdge;
 use crate::trace::TraceKind;
-use crate::units::checked::{bytes_to_f64, checked_accum};
 use crate::units::{Duration, Time};
-
-/// QCN congestion-point configuration (used only by the QCN baseline).
-#[derive(Debug, Clone, Copy)]
-pub struct QcnCpConfig {
-    /// Equilibrium egress queue length in bytes (`Q_eq`).
-    pub(crate) q_eq_bytes: u64,
-    /// Weight of the queue derivative in Fb.
-    pub w: f64,
-    /// Sample a packet for feedback every this many egress bytes.
-    pub(crate) sample_bytes: u64,
-}
-
-impl Default for QcnCpConfig {
-    fn default() -> QcnCpConfig {
-        QcnCpConfig {
-            q_eq_bytes: 66 * 1500, // QCN spec default ~ 66 frames
-            w: 2.0,
-            sample_bytes: 150 * 1024, // 150 KB sampling interval
-        }
-    }
-}
 
 /// PFC storm watchdog parameters: a port class paused *continuously* for
 /// `threshold` trips the watchdog — the switch stops honoring PAUSE for
@@ -90,8 +68,6 @@ pub struct SwitchConfig {
     /// Which priority classes are lossless (PFC-protected). Ignored when
     /// `pfc_enabled` is false.
     pub(crate) lossless: [bool; NUM_PRIORITIES],
-    /// QCN congestion point (baseline only).
-    pub qcn: Option<QcnCpConfig>,
     /// PFC storm watchdog (`None` = no watchdog, the paper-era default).
     pub watchdog: Option<PfcWatchdogConfig>,
 }
@@ -111,7 +87,6 @@ impl SwitchConfig {
             red: RedConfig::disabled(),
             pfc_enabled: true,
             lossless,
-            qcn: None,
             watchdog: None,
         }
     }
@@ -135,15 +110,6 @@ impl SwitchConfig {
     }
 }
 
-/// Per-egress-port QCN sampling state.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct QcnPortState {
-    /// Bytes seen since the last sampled packet.
-    pub(crate) bytes_since_sample: u64,
-    /// Queue length at the previous sample (for q_delta).
-    pub(crate) q_old: u64,
-}
-
 /// A switch instance.
 pub struct Switch {
     /// This switch's node id.
@@ -158,8 +124,6 @@ pub struct Switch {
     pub routes: RouteTable,
     /// Counters.
     pub stats: SwitchStats,
-    /// QCN per-port sampling state.
-    qcn_state: Vec<QcnPortState>,
     /// Ingress (port, priority) pairs we have currently paused — kept
     /// explicitly so RESUME can be re-evaluated on *any* buffer release
     /// (the dynamic threshold rises as the pool drains, so a pause can
@@ -187,7 +151,6 @@ impl Switch {
             id,
             ports: (0..nports).map(|_| Port::new()).collect(),
             buffer: SharedBuffer::new(buf_cfg),
-            qcn_state: vec![QcnPortState::default(); nports],
             config,
             routes: RouteTable::new(),
             stats: SwitchStats::default(),
@@ -275,35 +238,6 @@ impl Switch {
         {
             self.stats.ecn_marks += 1;
             ctx.record_trace(self.id, pkt.flow, TraceKind::Marked, egress_depth);
-        }
-
-        // QCN congestion point (baseline): sample and send feedback.
-        if pkt.is_data() {
-            if let Some(qcn) = self.config.qcn {
-                let st = &mut self.qcn_state[out.0];
-                let ok = checked_accum(&mut st.bytes_since_sample, wire);
-                debug_assert!(ok, "qcn byte counter overflow");
-                if st.bytes_since_sample >= qcn.sample_bytes {
-                    st.bytes_since_sample = 0;
-                    let q = bytes_to_f64(egress_depth);
-                    let q_prev = bytes_to_f64(st.q_old);
-                    let q_off = q - bytes_to_f64(qcn.q_eq_bytes);
-                    let q_delta = q - q_prev;
-                    st.q_old = egress_depth;
-                    let fb = -(q_off + qcn.w * q_delta);
-                    if fb < 0.0 {
-                        // Quantize |Fb| to 6 bits against the maximum
-                        // |Fb| = (1 + 2w) * q_eq.
-                        let fb_max = (1.0 + 2.0 * qcn.w) * bytes_to_f64(qcn.q_eq_bytes);
-                        let quantized = (((-fb) / fb_max).min(1.0) * 63.0).round() as u8;
-                        if quantized > 0 {
-                            let fb_pkt =
-                                Packet::qcn_feedback(self.id, pkt.src, pkt.flow, quantized);
-                            self.forward_control(ctx, in_port, fb_pkt);
-                        }
-                    }
-                }
-            }
         }
 
         // 5. Lossy-mode egress cap.
@@ -399,14 +333,6 @@ impl Switch {
             TraceKind::WatchdogTrip,
             class as u64,
         );
-    }
-
-    /// Injects a switch-originated control packet (QCN feedback) toward its
-    /// destination via normal routing, without shared-buffer accounting.
-    fn forward_control(&mut self, ctx: &mut Ctx, fallback_port: PortId, pkt: Packet) {
-        let out = self.route(&pkt, ctx.ecmp_salt).unwrap_or(fallback_port);
-        self.ports[out.0].enqueue(Queued::new(pkt, None));
-        self.try_transmit(ctx, out);
     }
 
     /// Starts transmission on `pid` if the transmitter is idle and a packet
@@ -600,8 +526,5 @@ mod tests {
             .without_pfc();
         assert_eq!(c.red.kmin_bytes, 1000);
         assert!(!c.pfc_enabled);
-        assert!(c.qcn.is_none());
-        let q = QcnCpConfig::default();
-        assert!(q.q_eq_bytes > 0 && q.sample_bytes > 0);
     }
 }

@@ -12,6 +12,7 @@
 //! tails).
 
 use super::Json;
+use crate::stats::nearest_rank;
 
 /// Number of log2 buckets: one for zero plus one per bit of a `u64`.
 pub(crate) const NUM_BUCKETS: usize = 65;
@@ -109,7 +110,7 @@ impl Histogram {
         if self.count == 0 {
             return 0;
         }
-        let rank = ((p.clamp(0.0, 100.0) / 100.0 * self.count as f64).ceil() as u64).max(1);
+        let rank = nearest_rank(self.count, p);
         let mut cum = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
             cum += c;
@@ -137,7 +138,7 @@ impl Histogram {
         if self.count == 0 {
             return 0.0;
         }
-        let rank = ((p.clamp(0.0, 100.0) / 100.0 * self.count as f64).ceil() as u64).max(1);
+        let rank = nearest_rank(self.count, p);
         let mut cum = 0u64;
         let mut bucket = NUM_BUCKETS - 1;
         for (i, &c) in self.buckets.iter().enumerate() {

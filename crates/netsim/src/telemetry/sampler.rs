@@ -29,7 +29,8 @@ pub struct SamplerConfig {
     /// Flows whose cumulative delivered bytes to record. Empty = all flows.
     /// Track `flow_bytes/<id>`, kind `Cumulative`.
     pub flows: Vec<FlowId>,
-    /// Record all flows when `flows` is empty.
+    /// Record every flow even when `flows` lists some. An empty `flows`
+    /// records every flow whatever this says.
     pub all_flows: bool,
     /// Flows whose instantaneous CC rate (Gbps) to record (Fig 10/13 style
     /// rate traces). Track `flow_rate_gbps/<id>`, kind `Gauge`.

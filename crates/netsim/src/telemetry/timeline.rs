@@ -43,7 +43,7 @@
 //! (name lookup, allocation) is cold, the per-sample record path is an
 //! array index plus integer adds.
 
-use crate::stats::TimeSeries;
+use crate::stats::{nearest_rank, TimeSeries};
 use crate::telemetry::Json;
 use crate::units::{Duration, Time};
 
@@ -560,7 +560,7 @@ impl Timeline {
         if total == 0 {
             return 0.0;
         }
-        let rank = ((p.clamp(0.0, 100.0) / 100.0 * total as f64).ceil() as u64).max(1);
+        let rank = nearest_rank(total, p);
         let mut cum = 0u64;
         for &(v, c) in &pairs {
             cum += c;

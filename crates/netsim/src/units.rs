@@ -235,7 +235,7 @@ impl Bandwidth {
     pub fn scale(self, f: f64) -> Bandwidth {
         Bandwidth((self.0 as f64 * f).max(0.0).round() as u64)
     }
-    /// Midpoint of two rates (used by QCN/DCQCN fast recovery). Rounds up
+    /// Midpoint of two rates (used by DCQCN's fast recovery). Rounds up
     /// so repeated halving toward a target actually reaches it.
     pub fn midpoint(self, other: Bandwidth) -> Bandwidth {
         Bandwidth((self.0 + other.0).div_ceil(2))
@@ -325,8 +325,6 @@ pub(crate) mod checked {
     /// `u64::MAX` saturate. The result is always a sane byte count.
     #[inline]
     pub(crate) fn scale_bytes(bytes: u64, factor: f64) -> u64 {
-        // Plain cast, not `bytes_to_f64`: this helper's contract is to
-        // clamp pathological inputs, not assert them away.
         let v = bytes as f64 * factor;
         if v.is_nan() || v <= 0.0 {
             0
@@ -335,19 +333,6 @@ pub(crate) mod checked {
         } else {
             v as u64
         }
-    }
-
-    /// A byte count as `f64` for rate/threshold math. Exact for every
-    /// count below 2^53 bytes (≈ 9 PB) — far beyond any buffer or queue
-    /// this simulator models; the debug assertion keeps that promise
-    /// honest.
-    #[inline]
-    pub(crate) fn bytes_to_f64(bytes: u64) -> f64 {
-        debug_assert!(
-            bytes < (1u64 << 53),
-            "byte count {bytes} loses precision as f64"
-        );
-        bytes as f64
     }
 }
 
@@ -509,10 +494,5 @@ mod tests {
         assert_eq!(scale_bytes(u64::MAX / 2, 1e30), u64::MAX);
         // The paper's dynamic threshold: β/8 · free with β = 8 is identity.
         assert_eq!(scale_bytes(123_456, 8.0 / 8.0), 123_456);
-    }
-
-    #[test]
-    fn conversion_helpers() {
-        assert_eq!(checked::bytes_to_f64(12_000_000), 12_000_000.0);
     }
 }

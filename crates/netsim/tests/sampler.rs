@@ -110,37 +110,41 @@ fn tick_records_each_tap_kind() {
     assert_eq!((fwd.count(), fwd.sum(), fwd.min()), (2, 9.0, 2.0));
 }
 
+/// Every flow gets a bytes track, one added later too, whenever `flows`
+/// is empty: with `all_flows` set and in the default config alike.
 #[test]
 fn flow_added_while_sampling_all_flows_gets_a_track() {
-    let (nodes, mut flows, mut ctx) = fabric();
-    let mut s = Sampler::default();
-    // Before sampling is on, a new flow binds nothing.
-    s.flow_added(FlowId(0));
-    assert!(s.flow_bytes(FlowId(0)).is_none());
     let all = SamplerConfig {
         all_flows: true,
         ..SamplerConfig::default()
     };
-    configure(&mut s, TICK, all, &flows, &nodes, &mut ctx);
-    run_tick(&mut s, &nodes, &mut ctx);
+    for config in [all, SamplerConfig::default()] {
+        let (nodes, mut flows, mut ctx) = fabric();
+        let mut s = Sampler::default();
+        // Before sampling is on, a new flow binds nothing.
+        s.flow_added(FlowId(0));
+        assert!(s.flow_bytes(FlowId(0)).is_none());
+        configure(&mut s, TICK, config, &flows, &nodes, &mut ctx);
+        run_tick(&mut s, &nodes, &mut ctx);
 
-    flows.push((NodeId(1), 1));
-    ctx.stats(FlowId(1)).delivered_bytes = 300;
-    s.flow_added(FlowId(1));
-    run_tick(&mut s, &nodes, &mut ctx);
-    assert_eq!(s.flow_bytes(FlowId(0)).expect("first flow").count(), 2);
-    let late = s.flow_bytes(FlowId(1)).expect("late flow has a track");
-    assert_eq!((late.count(), late.max()), (1, 300.0));
+        flows.push((NodeId(1), 1));
+        ctx.stats(FlowId(1)).delivered_bytes = 300;
+        s.flow_added(FlowId(1));
+        run_tick(&mut s, &nodes, &mut ctx);
+        assert_eq!(s.flow_bytes(FlowId(0)).expect("first flow").count(), 2);
+        let late = s.flow_bytes(FlowId(1)).expect("late flow has a track");
+        assert_eq!((late.count(), late.max()), (1, 300.0));
 
-    // With an explicit flow list, newcomers stay unsampled.
-    let only_first = SamplerConfig {
-        flows: vec![FlowId(0)],
-        ..SamplerConfig::default()
-    };
-    configure(&mut s, TICK, only_first, &flows, &nodes, &mut ctx);
-    s.flow_added(FlowId(2));
-    assert!(s.flow_bytes(FlowId(2)).is_none());
-    assert!(s.flow_bytes(FlowId(1)).is_none(), "dropped by reconfigure");
+        // With an explicit flow list, newcomers stay unsampled.
+        let only_first = SamplerConfig {
+            flows: vec![FlowId(0)],
+            ..SamplerConfig::default()
+        };
+        configure(&mut s, TICK, only_first, &flows, &nodes, &mut ctx);
+        s.flow_added(FlowId(2));
+        assert!(s.flow_bytes(FlowId(2)).is_none());
+        assert!(s.flow_bytes(FlowId(1)).is_none(), "dropped by reconfigure");
+    }
 }
 
 #[test]

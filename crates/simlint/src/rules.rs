@@ -375,7 +375,7 @@ fn counter_arith(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
                     line,
                     msg: format!(
                         "{kind} on a byte/occupancy counter; use netsim::units::checked \
-                         (checked_accum, checked_drain, scale_bytes, bytes_to_f64) or a \
+                         (checked_accum, checked_drain, scale_bytes) or a \
                          saturating_* method"
                     ),
                     chain: None,
@@ -856,7 +856,7 @@ const PAPER: &str = "src/|crates/netsim/src/|crates/dcqcn/src/|crates/fluid/src/
                      crates/baselines/src/|crates/experiments/src/|crates/workloads/src/";
 
 /// One copy of each mechanism: where each one lives, and why.
-pub const OWNERS: [Owner; 14] = [
+pub const OWNERS: [Owner; 16] = [
     Owner {
         pattern: "Event :: TxDone|Deliver {…} !=>",
         scope: SURFACE,
@@ -952,6 +952,18 @@ pub const OWNERS: [Owner; 14] = [
         ],
         why: "§4's arithmetic divides the shared pool only in dcqcn::thresholds (and the dynamic \
               t_PFC in SharedBuffer), and a static t_PFC is its call, not a typed number",
+    },
+    Owner {
+        pattern: "clamp ( 0.0 , 100.0 )",
+        scope: "crates/netsim/src/",
+        owners: &["crates/netsim/src/stats.rs"],
+        why: "one quantile definition: every percentile reads its rank from stats::nearest_rank",
+    },
+    Owner {
+        pattern: "Queued :: new",
+        scope: "crates/netsim/src/switch.rs",
+        owners: &["Switch::receive (crates/netsim/src/switch.rs)"],
+        why: "every frame a switch queues was admitted by its shared buffer",
     },
 ];
 

@@ -414,7 +414,7 @@ fn unused_pub_only_audits_netsim() {
 /// One `(file, source)` case where the row fires and one where it stays
 /// quiet, for each row of `OWNERS`, in table order.
 type OwnerCase = ((&'static str, &'static str), (&'static str, &'static str));
-const OWNER_CASES: [OwnerCase; 14] = [
+const OWNER_CASES: [OwnerCase; 16] = [
     (
         (
             "crates/netsim/src/switch.rs",
@@ -544,6 +544,26 @@ const OWNER_CASES: [OwnerCase; 14] = [
         (
             "crates/experiments/src/common.rs",
             "fn f(cfg: &mut C) { cfg.buffer.threshold = PfcThreshold::Static(static_pfc_bound(&cfg.buffer)); }\n",
+        ),
+    ),
+    (
+        (
+            "crates/netsim/src/telemetry/hist.rs",
+            "fn rank(n: u64, p: f64) -> u64 { ((p.clamp(0.0, 100.0) / 100.0 * n as f64).ceil() as u64).max(1) }\n",
+        ),
+        (
+            "crates/netsim/src/stats.rs",
+            "fn rank(n: u64, p: f64) -> u64 { ((p.clamp(0.0, 100.0) / 100.0 * n as f64).ceil() as u64).max(1) }\n",
+        ),
+    ),
+    (
+        (
+            "crates/netsim/src/switch.rs",
+            "impl Switch { fn inject(&mut self, pkt: Packet) { self.ports[0].enqueue(Queued::new(pkt, None)); } }\n",
+        ),
+        (
+            "crates/netsim/src/switch.rs",
+            "impl Switch { fn receive(&mut self, pkt: Packet) { self.ports[0].enqueue(Queued::new(pkt, None)); } }\n",
         ),
     ),
 ];

@@ -10,7 +10,7 @@
 //!   shared-buffer switches, RED/ECN, ECMP, go-back-N RoCE transport),
 //! * [`dcqcn`] — the protocol itself (CP/NP/RP state machines, §4 buffer
 //!   threshold engineering, Figure 14 parameters),
-//! * [`baselines`] — DCTCP, QCN, PFC-only, and the TCP-vs-RDMA host model,
+//! * [`baselines`] — DCTCP, TIMELY, PFC-only, and the TCP-vs-RDMA host model,
 //! * [`fluid`] — the §5 fluid model (DDE integrator, fixed point, sweeps),
 //! * [`workloads`] — trace-like synthetic traffic,
 //! * [`experiments`] — one runnable module per paper figure/table.

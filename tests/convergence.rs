@@ -1,10 +1,8 @@
 //! Congestion-control convergence and fairness across the schemes.
 
 use baselines::dctcp::{dctcp, DctcpParams};
-use baselines::qcn::{qcn, QcnParams};
 use dcqcn::prelude::*;
 use netsim::prelude::*;
-use netsim::switch::QcnCpConfig;
 use netsim::topology::{star, LinkParams};
 
 /// Jain's fairness index.
@@ -14,89 +12,51 @@ fn jain(xs: &[f64]) -> f64 {
     sum * sum / (xs.len() as f64 * sq)
 }
 
-fn incast_goodputs(
-    n: usize,
+/// Four flows incast into one host of a star under `cc` for 120 ms; over
+/// the second half they share the link fairly and fill it.
+fn incast_is_fair_and_efficient(
     host: HostConfig,
-    sw: SwitchConfig,
+    red: RedConfig,
     cc: impl Fn(Bandwidth) -> Box<dyn netsim::cc::CongestionControl>,
-    millis: u64,
-) -> Vec<f64> {
-    let mut s = star(n + 1, LinkParams::default(), host, sw, 3);
-    let dst = s.hosts[n];
-    let flows: Vec<FlowId> = (0..n)
+) {
+    const N: usize = 4;
+    let sw = SwitchConfig::paper_default().with_red(red);
+    let mut s = star(N + 1, LinkParams::default(), host, sw, 3);
+    let dst = s.hosts[N];
+    let flows: Vec<FlowId> = (0..N)
         .map(|i| s.net.add_flow(s.hosts[i], dst, DATA_PRIORITY, &cc))
         .collect();
     for &f in &flows {
         s.net.send_message(f, u64::MAX, Time::ZERO);
     }
-    s.net.enable_sampling(
-        Duration::from_micros(500),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
-    let end = Time::from_millis(millis);
+    s.net
+        .enable_sampling(Duration::from_micros(500), SamplerConfig::default());
+    let end = Time::from_millis(120);
     s.net.run_until(end);
-    flows
+    let g: Vec<f64> = flows
         .iter()
-        .map(|&f| s.net.goodput_gbps(f, Time::from_millis(millis / 2), end))
-        .collect()
+        .map(|&f| s.net.goodput_gbps(f, Time::from_millis(60), end))
+        .collect();
+    let total: f64 = g.iter().sum();
+    assert!(jain(&g) > 0.95, "fairness {:.3} over {g:?}", jain(&g));
+    assert!(total > 32.0, "utilization {total:.1} Gbps");
 }
 
 #[test]
 fn dcqcn_incast_is_fair_and_efficient() {
     let p = DcqcnParams::paper();
-    let g = incast_goodputs(
-        4,
-        dcqcn_host_config(p),
-        SwitchConfig::paper_default().with_red(red_deployed()),
-        dcqcn(p),
-        120,
-    );
-    let total: f64 = g.iter().sum();
-    assert!(jain(&g) > 0.95, "fairness {:.3} over {g:?}", jain(&g));
-    assert!(total > 32.0, "utilization {total:.1} Gbps");
+    incast_is_fair_and_efficient(dcqcn_host_config(p), red_deployed(), dcqcn(p));
 }
 
 #[test]
 fn dctcp_incast_is_fair_and_efficient() {
-    let g = incast_goodputs(
-        4,
-        HostConfig {
-            cnp_interval: None,
-            ack_every: 2,
-            ..HostConfig::default()
-        },
-        SwitchConfig::paper_default().with_red(red_cutoff_dctcp_40g()),
-        dctcp(DctcpParams::default_40g()),
-        120,
-    );
-    let total: f64 = g.iter().sum();
-    assert!(jain(&g) > 0.95, "fairness {:.3} over {g:?}", jain(&g));
-    assert!(total > 32.0, "utilization {total:.1} Gbps");
-}
-
-#[test]
-fn qcn_incast_converges_on_l2() {
-    // QCN works on a single L2 switch (its congestion point lives there);
-    // §2.3's objection is that it cannot cross IP routers, not that it
-    // fails on one hop.
-    let mut sw = SwitchConfig::paper_default();
-    sw.qcn = Some(QcnCpConfig::default());
-    let g = incast_goodputs(
-        4,
-        HostConfig {
-            cnp_interval: None,
-            ..HostConfig::default()
-        },
-        sw,
-        qcn(QcnParams::standard()),
-        200,
-    );
-    let total: f64 = g.iter().sum();
-    assert!(total > 25.0, "QCN sustains utilization: {total:.1} Gbps");
-    assert!(jain(&g) > 0.8, "rough fairness {:.3} over {g:?}", jain(&g));
+    let host = HostConfig {
+        cnp_interval: None,
+        ack_every: 2,
+        ..HostConfig::default()
+    };
+    let dctcp = dctcp(DctcpParams::default_40g());
+    incast_is_fair_and_efficient(host, red_cutoff_dctcp_40g(), dctcp);
 }
 
 /// DCQCN's hyper-fast start: a single flow with no competition never sees
