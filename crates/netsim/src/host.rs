@@ -13,10 +13,10 @@
 use crate::cc::{CcActions, CongestionControl};
 use crate::event::{NodeId, PortId, TimerKind};
 use crate::network::Ctx;
-use crate::packet::{Ecn, FlowId, Packet, PacketKind, Priority};
+use crate::packet::{Ecn, FlowId, Packet, PacketKind, Priority, NUM_PRIORITIES};
 use crate::port::{Port, Queued};
 use crate::qp::{QpRx, QpTx, Reply, Rto};
-use crate::trace::TraceKind;
+use crate::trace::{check_flow_id, TraceKind};
 use crate::units::{Bandwidth, Duration, Time};
 use std::collections::HashMap;
 
@@ -72,8 +72,8 @@ impl Host {
     /// Creates a host.
     ///
     /// # Panics
-    /// Panics on a `config` whose MTU or `ack_every` packets cannot
-    /// carry, naming the field and its value.
+    /// Panics on a `config` whose MTU, `ack_every` or `ack_priority`
+    /// packets cannot carry, naming the field and its value.
     pub fn new(id: NodeId, config: HostConfig) -> Host {
         Host {
             id,
@@ -96,6 +96,10 @@ impl Host {
     }
 
     /// Registers a new outgoing flow; returns its local index.
+    ///
+    /// # Panics
+    /// Panics when `priority` is not below `NUM_PRIORITIES`, or when `id`
+    /// would not fit the `u32` flow id of a trace record or queued frame.
     pub fn add_flow(
         &mut self,
         id: FlowId,
@@ -103,6 +107,11 @@ impl Host {
         priority: Priority,
         cc: Box<dyn CongestionControl>,
     ) -> usize {
+        assert!(
+            usize::from(priority) < NUM_PRIORITIES,
+            "add_flow: priority {priority} is outside 0..{NUM_PRIORITIES}"
+        );
+        check_flow_id(id);
         self.flows.push(Flow {
             id,
             dst,

@@ -31,7 +31,7 @@ use crate::telemetry::profile::Profiler;
 use crate::telemetry::recorder::{FlightDump, FlightRecorder};
 use crate::telemetry::spans::Spans;
 use crate::telemetry::{Metrics, Sampler};
-use crate::trace::{check_flow_id, TraceEvent, TraceKind, Tracer};
+use crate::trace::{TraceEvent, TraceKind, Tracer};
 use crate::units::{Bandwidth, Duration, Time};
 
 /// A node is either a switch or a host.
@@ -237,7 +237,7 @@ impl Network {
     /// line rate and returns the flow's congestion-control instance.
     ///
     /// # Panics
-    /// Panics when the new flow's id would not fit a trace record's `u32`.
+    /// As [`Host::add_flow`] does.
     pub fn add_flow(
         &mut self,
         src: NodeId,
@@ -246,7 +246,6 @@ impl Network {
         make_cc: impl FnOnce(Bandwidth) -> Box<dyn CongestionControl>,
     ) -> FlowId {
         let id = FlowId(self.flows.len() as u64);
-        check_flow_id(id);
         let line = self.line_rate(src);
         let idx = self
             .host_mut(src)
@@ -591,6 +590,15 @@ mod tests {
         let (mut net, h1, h2) = tiny();
         net.add_flow(h1, h2, DATA_PRIORITY, |l| Box::new(NoCc::new(l)));
         net.send_message(crate::packet::FlowId(7), 1000, Time::ZERO);
+    }
+
+    /// A class the ports have no queue for fails where it enters, not at
+    /// the flow's first send.
+    #[test]
+    #[should_panic(expected = "add_flow: priority 8 is outside 0..8")]
+    fn add_flow_rejects_a_priority_without_a_queue() {
+        let (mut net, h1, h2) = tiny();
+        net.add_flow(h1, h2, 8, |l| Box::new(NoCc::new(l)));
     }
 
     #[test]

@@ -48,8 +48,9 @@ impl NetworkBuilder {
     /// Adds a host.
     ///
     /// # Panics
-    /// Panics on a `config` whose MTU or `ack_every` packets cannot
-    /// carry, naming the field and its value (as [`Host::new`] does).
+    /// Panics on a `config` whose MTU, `ack_every` or `ack_priority`
+    /// packets cannot carry, naming the field and its value (as
+    /// [`Host::new`] does).
     pub fn host(&mut self, config: HostConfig) -> NodeId {
         config.checked_mtu();
         self.nodes.push(NodeSpec::Host(config));
@@ -206,9 +207,10 @@ mod tests {
         assert_eq!(host.line_rate(), Bandwidth::gbps(40));
     }
 
-    /// A host config whose values packets cannot carry is refused at both
-    /// doors, `NetworkBuilder::host` and `Host::new`, with one line naming
-    /// the field and the value; the largest values packets can carry pass.
+    /// A host config whose values packets cannot carry (or whose ACK
+    /// class has no queue) is refused at both doors, `NetworkBuilder::host`
+    /// and `Host::new`, with one line naming the field and the value; the
+    /// largest values packets can carry pass.
     #[test]
     fn host_configs_packets_cannot_carry_fail_at_the_door() {
         let with = |mtu_payload, ack_every| HostConfig {
@@ -222,6 +224,13 @@ mod tests {
             (with(largest + 1, 4), "mtu_payload 4294967232 is outside"),
             (with(1436, 0), "ack_every 0 is outside 1..=65535"),
             (with(1436, 65_536), "ack_every 65536 is outside 1..=65535"),
+            (
+                HostConfig {
+                    ack_priority: 8,
+                    ..with(1436, 4)
+                },
+                "ack_priority 8 is outside 0..8",
+            ),
         ];
         for (config, want) in rows {
             let doors: [&dyn Fn(); 2] = [
@@ -243,7 +252,10 @@ mod tests {
                 );
             }
         }
-        let edge = with(largest, u32::from(u16::MAX));
+        let edge = HostConfig {
+            ack_priority: 7,
+            ..with(largest, u32::from(u16::MAX))
+        };
         NetworkBuilder::new(1).host(edge);
         Host::new(NodeId(0), edge);
     }

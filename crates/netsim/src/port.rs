@@ -6,7 +6,7 @@
 
 use crate::event::{Event, LinkId, NodeId, PortId};
 use crate::network::Ctx;
-use crate::packet::{Packet, NUM_PRIORITIES};
+use crate::packet::{Ecn, FlowId, Packet, PacketKind, Priority, NUM_PRIORITIES};
 use crate::slab::{Slab, NIL};
 use crate::telemetry::spans::HopSpan;
 use crate::units::checked::{checked_accum, checked_drain};
@@ -40,9 +40,9 @@ const NO_RELEASE: u32 = u32::MAX;
 pub const MAX_PORTS: usize = (NO_RELEASE >> PRIO_BITS) as usize;
 
 /// A queued packet plus the ingress attribution needed to release shared
-/// buffer space when it finally leaves the switch. It is copied into the
-/// port's slab, into `current` and out again on every hop, so it is kept
-/// at one 64-byte cache line.
+/// buffer space when it finally leaves the switch. It is packed into the
+/// port's slab (as a 48 B `Stored`), unpacked into `current` and moved
+/// out again on every hop, so it is kept at one 64-byte cache line.
 #[derive(Debug, Clone, Copy)]
 pub struct Queued {
     /// The packet.
@@ -95,6 +95,67 @@ impl Queued {
     }
 }
 
+/// A [`Queued`] as its port's slab stores it, 48 B rather than 64: node
+/// and flow ids as `u32`, with `FlowId(u64::MAX)` (no flow) as
+/// `u32::MAX`, and no `counted` flag, since every slab entry is counted.
+#[derive(Debug, Clone, Copy)]
+struct Stored {
+    kind: PacketKind,
+    enqueued_at: Time,
+    src: u32,
+    dst: u32,
+    flow: u32,
+    wire_bytes: u32,
+    release: u32,
+    priority: Priority,
+    ecn: Ecn,
+}
+
+impl Stored {
+    /// Narrows `q`: the one place a queued frame loses width. The no-flow
+    /// id saturates to `u32::MAX`; the checks at build and `add_flow`
+    /// keep every other id below it, and saturating (never wrapping)
+    /// keeps a missed check from folding one id onto another.
+    #[inline]
+    fn new(q: Queued) -> Stored {
+        Stored {
+            kind: q.pkt.kind,
+            enqueued_at: q.enqueued_at,
+            src: u32::try_from(q.pkt.src.0).unwrap_or(u32::MAX),
+            dst: u32::try_from(q.pkt.dst.0).unwrap_or(u32::MAX),
+            flow: u32::try_from(q.pkt.flow.0).unwrap_or(u32::MAX),
+            wire_bytes: q.pkt.wire_bytes,
+            release: q.release,
+            priority: q.pkt.priority,
+            ecn: q.pkt.ecn,
+        }
+    }
+
+    /// Widens the record back into the counted entry it stored.
+    #[inline]
+    fn queued(self) -> Queued {
+        let flow = match self.flow {
+            u32::MAX => FlowId(u64::MAX),
+            id => FlowId(u64::from(id)),
+        };
+        let pkt = Packet {
+            kind: self.kind,
+            src: NodeId(self.src as usize),
+            dst: NodeId(self.dst as usize),
+            flow,
+            priority: self.priority,
+            wire_bytes: self.wire_bytes,
+            ecn: self.ecn,
+        };
+        Queued {
+            pkt,
+            release: self.release,
+            enqueued_at: self.enqueued_at,
+            counted: true,
+        }
+    }
+}
+
 /// A transmit port with strict-priority scheduling across `NUM_PRIORITIES`
 /// classes, plus a dedicated always-first queue for link-local PFC frames
 /// (which must never be blocked or reordered behind data).
@@ -109,7 +170,7 @@ pub struct Port {
     /// Every queued entry of all eight classes. One recycled slab per
     /// port, so queue memory is the port's peak of concurrently queued
     /// packets and the slot just transmitted is the next one enqueued into.
-    slab: Slab<Queued>,
+    slab: Slab<Stored>,
     /// Oldest and newest slab slot of each priority's FIFO, threaded
     /// through the slab's links (`NIL` when the class is empty).
     heads: [u32; NUM_PRIORITIES],
@@ -163,12 +224,11 @@ impl Port {
     }
 
     /// Enqueues a packet on its priority class.
-    pub fn enqueue(&mut self, mut q: Queued) {
+    pub fn enqueue(&mut self, q: Queued) {
         let prio = q.pkt.priority as usize;
-        q.counted = true;
         let ok = checked_accum(&mut self.queued_bytes[prio], q.pkt.wire());
         debug_assert!(ok, "queued_bytes overflow");
-        let i = self.slab.insert(q);
+        let i = self.slab.insert(Stored::new(q));
         match std::mem::replace(&mut self.tails[prio], i) {
             NIL => self.heads[prio] = i,
             tail => self.slab.set_next(tail, i),
@@ -201,7 +261,7 @@ impl Port {
             let (mut i, mut last) = (self.heads[prio], NIL);
             // The bound turns a (corrupt) cyclic list into a count mismatch.
             while i != NIL && listed <= self.slab.peak() {
-                bytes = bytes.saturating_add(self.slab.get(i).pkt.wire());
+                bytes = bytes.saturating_add(u64::from(self.slab.get(i).wire_bytes));
                 listed += 1;
                 last = i;
                 i = self.slab.next(i);
@@ -240,7 +300,7 @@ impl Port {
             if self.heads[prio] == NIL {
                 self.tails[prio] = NIL;
             }
-            return Some(self.slab.take(i));
+            return Some(self.slab.take(i).queued());
         }
         None
     }
@@ -397,14 +457,16 @@ mod tests {
         Queued::new(p, Some((2, prio as usize)))
     }
 
-    /// Each hop copies a `Packet` and a `Queued` several times (port slab,
+    /// Each hop copies a `Packet` and a `Queued` several times (`enqueue`,
     /// `current`, packet pool), so every byte added here is copied on
-    /// every hop of every packet.
+    /// every hop of every packet; a standing queue holds one `Stored`
+    /// per frame, so every byte added there is held by every queued frame.
     #[test]
     fn a_hop_moves_a_48_byte_packet_in_a_64_byte_entry() {
         assert_eq!(std::mem::size_of::<Packet>(), 48);
         assert_eq!(std::mem::size_of::<Queued>(), 64);
         assert_eq!(std::mem::size_of::<Option<Queued>>(), 64);
+        assert_eq!(std::mem::size_of::<Stored>(), 48);
     }
 
     /// The tracer and every flight-recorder ring store this record.

@@ -7,7 +7,7 @@
 //! records; nothing here schedules, sends or counts.
 
 use crate::cc::{NpState, CNP_INTERVAL};
-use crate::packet::{Priority, CONTROL_PRIORITY, HEADER_BYTES, MAX_PAYLOAD};
+use crate::packet::{Priority, CONTROL_PRIORITY, HEADER_BYTES, MAX_PAYLOAD, NUM_PRIORITIES};
 use crate::stats::Completion;
 use crate::units::{Duration, Time};
 use std::collections::VecDeque;
@@ -73,14 +73,20 @@ impl HostConfig {
     /// # Panics
     /// With one line naming the field and its value when `mtu_payload` is
     /// 0 (every packet would be header-only and no message would finish)
-    /// or its frame does not fit a packet's `u32` wire size, or when
-    /// `ack_every` is outside `1..=u16::MAX` (an ACK's `u16` count).
+    /// or its frame does not fit a packet's `u32` wire size, when
+    /// `ack_every` is outside `1..=u16::MAX` (an ACK's `u16` count), or
+    /// when `ack_priority` is not below `NUM_PRIORITIES`.
     pub(crate) fn checked_mtu(&self) -> u32 {
         let ack_every = self.ack_every;
         assert!(
             (1..=u32::from(u16::MAX)).contains(&ack_every),
             "host config: ack_every {ack_every} is outside 1..={}",
             u16::MAX
+        );
+        let ack_priority = self.ack_priority;
+        assert!(
+            usize::from(ack_priority) < NUM_PRIORITIES,
+            "host config: ack_priority {ack_priority} is outside 0..{NUM_PRIORITIES}"
         );
         match u32::try_from(self.mtu_payload) {
             Ok(mtu @ 1..=MAX_PAYLOAD) => mtu,

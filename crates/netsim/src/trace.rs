@@ -87,7 +87,7 @@ pub struct TraceEvent {
 
 /// A [`TraceEvent`] as a [`Ring`] stores it, 32 B rather than 40: node
 /// and flow as `u32`, with `FlowId(u64::MAX)` (no flow) as `u32::MAX`.
-/// `NetworkBuilder::build` and `Network::add_flow` refuse a node count or
+/// `NetworkBuilder::build` and `Host::add_flow` refuse a node count or
 /// flow id that does not fit ([`check_node_count`], [`check_flow_id`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Record {

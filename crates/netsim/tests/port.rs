@@ -2,11 +2,13 @@
 //! share.
 //!
 //! * Queues: a differential test of the slab-backed storage — random
-//!   enqueue / dequeue / `tx_done` / PFC sequences against the
+//!   enqueue / dequeue / `tx_done` / PFC sequences of frames of every
+//!   kind, with every field at its range edges, against the
 //!   obviously-correct layout it replaced (one `VecDeque` per priority
-//!   and a linear scan), checking dequeue order, release keys, byte
-//!   accounting and eligibility after every step, plus the memory
-//!   contract: slab slots = peak of concurrently queued entries.
+//!   and a linear scan), checking every field of each dequeued frame,
+//!   its stamp and release key, byte accounting and eligibility after
+//!   every step, plus the memory contract: slab slots = peak of
+//!   concurrently queued entries.
 //! * Transmitter and PFC receiver: `start_tx` / `tx_done` / `rx_pfc` over
 //!   a hand-built [`Ctx`] (no `Network`), event by event.
 //! * The two things a `Switch` adds around them that have one code path
@@ -16,7 +18,7 @@ use netsim::audit::Auditor;
 use netsim::buffer::PfcThreshold;
 use netsim::event::{Event, EventQueue, LinkId, NodeId, PortId};
 use netsim::network::Ctx;
-use netsim::packet::{FlowId, Packet, PacketKind, DATA_PRIORITY, NUM_PRIORITIES};
+use netsim::packet::{Ecn, FlowId, Packet, PacketKind, DATA_PRIORITY, NUM_PRIORITIES};
 use netsim::port::{Attachment, Port, Queued, MAX_PORTS};
 use netsim::rng::SplitMix64;
 use netsim::slab::PacketPool;
@@ -35,37 +37,50 @@ type Ingress = Option<(usize, usize)>;
 /// bytes)` a switch must release, if any.
 type Release = Option<(usize, usize, u64)>;
 
+/// A frame as the reference model keeps it: the packet, where its
+/// buffer bytes go back, and its enqueue stamp.
+#[derive(Clone, Copy)]
+struct Entry {
+    pkt: Packet,
+    ingress: Ingress,
+    stamp: Time,
+}
+
 /// The reference model: the old `Port` storage and scan.
 #[derive(Default)]
 struct RefPort {
     pfc_queue: VecDeque<Packet>,
-    queues: [VecDeque<(Packet, Ingress)>; NUM_PRIORITIES],
+    queues: [VecDeque<Entry>; NUM_PRIORITIES],
     queued_bytes: [u64; NUM_PRIORITIES],
     rx_paused: [bool; NUM_PRIORITIES],
-    /// The frame in flight, its release, and whether `queued_bytes`
-    /// counts it.
-    current: Option<(Packet, Ingress, bool)>,
+    /// The frame in flight, and whether `queued_bytes` counts it.
+    current: Option<(Entry, bool)>,
     /// Most entries ever held in `queues` at once.
     max_queued: usize,
 }
 
 impl RefPort {
-    fn enqueue(&mut self, pkt: Packet, ingress: Ingress) {
-        let prio = pkt.priority as usize;
-        self.queued_bytes[prio] += pkt.wire();
-        self.queues[prio].push_back((pkt, ingress));
+    fn enqueue(&mut self, entry: Entry) {
+        let prio = entry.pkt.priority as usize;
+        self.queued_bytes[prio] += entry.pkt.wire();
+        self.queues[prio].push_back(entry);
         let queued = self.queues.iter().map(VecDeque::len).sum();
         self.max_queued = self.max_queued.max(queued);
     }
 
-    fn dequeue_next(&mut self) -> Option<(Packet, Ingress, bool)> {
+    fn dequeue_next(&mut self) -> Option<(Entry, bool)> {
         if let Some(pkt) = self.pfc_queue.pop_front() {
-            return Some((pkt, None, false));
+            let pfc = Entry {
+                pkt,
+                ingress: None,
+                stamp: Time::ZERO,
+            };
+            return Some((pfc, false));
         }
         (0..NUM_PRIORITIES)
             .filter(|&p| !self.rx_paused[p])
             .find_map(|p| self.queues[p].pop_front())
-            .map(|(pkt, ingress)| (pkt, ingress, true))
+            .map(|entry| (entry, true))
     }
 
     fn has_eligible(&self) -> bool {
@@ -74,23 +89,85 @@ impl RefPort {
     }
 
     /// The frame in flight leaves: returns it with its release.
-    fn tx_done(&mut self) -> Option<(Packet, Release)> {
-        let (pkt, ingress, counted) = self.current.take()?;
+    fn tx_done(&mut self) -> Option<(Entry, Release)> {
+        let (entry, counted) = self.current.take()?;
+        let wire = entry.pkt.wire();
         if counted {
-            self.queued_bytes[pkt.priority as usize] -= pkt.wire();
+            self.queued_bytes[entry.pkt.priority as usize] -= wire;
         }
-        Some((pkt, ingress.map(|(port, prio)| (port, prio, pkt.wire()))))
+        Some((entry, entry.ingress.map(|(port, prio)| (port, prio, wire))))
     }
 }
 
-/// What identifies a frame in a comparison: kind (PSN for data), class
-/// and size. `Packet` deliberately has no `PartialEq`.
-fn key(pkt: &Packet) -> (Option<u64>, u8, u64) {
-    let psn = match pkt.kind {
-        PacketKind::Data { psn, .. } => Some(psn),
-        _ => None,
+/// Every field of a frame, for comparing two field for field (`Packet`
+/// deliberately has no `PartialEq`). Destructured, so a field added to
+/// `Packet` must be added here.
+fn fields(pkt: &Packet) -> (PacketKind, NodeId, NodeId, FlowId, u8, u32, Ecn) {
+    let Packet {
+        kind,
+        src,
+        dst,
+        flow,
+        priority,
+        wire_bytes,
+        ecn,
+    } = *pkt;
+    (kind, src, dst, flow, priority, wire_bytes, ecn)
+}
+
+/// 0, `max`, or anything between, each often enough that a range edge
+/// is drawn in every run.
+fn edge(rng: &mut SplitMix64, max: u64) -> u64 {
+    let x = rng.next_u64();
+    match x % 4 {
+        0 => 0,
+        1 => max,
+        _ if max == u64::MAX => x,
+        _ => x % (max + 1),
+    }
+}
+
+/// A frame of class `class` whose every other field is drawn from `seed`:
+/// any kind, PSNs over the whole `u64`, payload and wire size up to
+/// `u32::MAX`, ACK counts up to `u16::MAX`, every ECN codepoint, node and
+/// flow ids up to `u32::MAX − 1` (the largest a network admits) and the
+/// no-flow `FlowId(u64::MAX)`.
+fn frame(class: u8, seed: u64) -> Packet {
+    let rng = &mut SplitMix64::new(seed);
+    let largest_id = u64::from(u32::MAX) - 1;
+    let kind = match rng.below(5) {
+        0 => PacketKind::Data {
+            psn: edge(rng, u64::MAX),
+            payload: edge(rng, u32::MAX.into()) as u32,
+            eom: rng.below(2) == 1,
+        },
+        1 => PacketKind::Ack {
+            cum_psn: edge(rng, u64::MAX),
+            acked: edge(rng, u16::MAX.into()) as u16,
+            marked: edge(rng, u16::MAX.into()) as u16,
+        },
+        2 => PacketKind::Nack {
+            expected_psn: edge(rng, u64::MAX),
+        },
+        3 => PacketKind::Cnp,
+        _ => PacketKind::Pfc {
+            class: rng.below(NUM_PRIORITIES as u64) as u8,
+            pause: rng.below(2) == 1,
+        },
     };
-    (psn, pkt.priority, pkt.wire())
+    let flow = match rng.below(4) {
+        0 => FlowId(u64::MAX),
+        _ => FlowId(edge(rng, largest_id)),
+    };
+    Packet {
+        kind,
+        src: NodeId(edge(rng, largest_id) as usize),
+        dst: NodeId(edge(rng, largest_id) as usize),
+        flow,
+        priority: class,
+        wire_bytes: edge(rng, u32::MAX.into()) as u32,
+        ecn: *rng.pick(&[Ecn::NotEct, Ecn::Ect, Ecn::Ce]),
+    }
 }
 
 fn check_views(port: &Port, model: &RefPort) {
@@ -104,23 +181,25 @@ fn check_views(port: &Port, model: &RefPort) {
     port.check_conservation(&mut |what| panic!("{what}"));
 }
 
-/// One generated step: `(op, class, wire bytes, ingress)`, where ingress
-/// 0 is none, 1 is port 0 and 2 the widest port a switch can have.
-type Op = (u8, u8, u32, u8);
+/// One generated step: `(op, class, ingress, seed)`, where ingress 0 is
+/// none, 1 is port 0 and 2 the widest port a switch can have, and `seed`
+/// draws the frame ([`frame`]) and its enqueue stamp.
+type Op = (u8, u8, u8, u64);
 
-/// Applies one generated op to both ports. `psn` numbers the data frames
-/// so that dequeue order is compared exactly.
-fn apply(port: &mut Port, model: &mut RefPort, ctx: &mut Ctx, op: Op, psn: u64) {
-    let (op, class, bytes, ingress) = op;
+/// Applies one generated op to both ports.
+fn apply(port: &mut Port, model: &mut RefPort, ctx: &mut Ctx, op: Op) {
+    let (op, class, ingress, seed) = op;
     match op {
         // Enqueue is the most common op so that queues build up.
         0..=3 => {
-            let mut pkt = Packet::data(NodeId(0), NodeId(1), FlowId(0), class, psn, 0);
-            pkt.wire_bytes = bytes;
             let c = class as usize;
-            let ingress = [None, Some((0, c)), Some((MAX_PORTS - 1, c))][ingress as usize];
-            port.enqueue(Queued::new(pkt, ingress).at(Time(psn)));
-            model.enqueue(pkt, ingress);
+            let entry = Entry {
+                pkt: frame(class, seed),
+                ingress: [None, Some((0, c)), Some((MAX_PORTS - 1, c))][ingress as usize],
+                stamp: Time(seed.rotate_left(32)),
+            };
+            port.enqueue(Queued::new(entry.pkt, entry.ingress).at(entry.stamp));
+            model.enqueue(entry);
         }
         // Start the next frame if the transmitter is idle.
         4..=5 => {
@@ -129,20 +208,34 @@ fn apply(port: &mut Port, model: &mut RefPort, ctx: &mut Ctx, op: Op, psn: u64) 
                 model.current = model.dequeue_next();
             }
         }
-        // The frame in flight leaves: the same release key, and its
-        // `Deliver` carries the same frame.
+        // The frame in flight leaves: the same release key, its
+        // `Deliver` carries the same frame, and a data frame's hop span
+        // the same enqueue stamp.
         6 => {
+            // Far enough on that even a `u32::MAX`-byte frame has
+            // serialized since the clock's start.
+            advance(ctx, ctx.queue.now() + Duration::from_millis(1000));
+            let hops = ctx.spans.hops().len();
             let left = model.tx_done();
             let released = port.tx_done(ctx, HERE.0, HERE.1);
             assert_eq!(released, left.and_then(|(_, release)| release));
             let delivered = ctx.queue.pop().map(|(_, event)| match event {
-                Event::Deliver { pkt, .. } => key(&ctx.pool.take(pkt)),
+                Event::Deliver { pkt, .. } => fields(&ctx.pool.take(pkt)),
                 other => panic!("expected Deliver, got {other:?}"),
             });
-            assert_eq!(delivered, left.map(|(pkt, _)| key(&pkt)));
+            assert_eq!(delivered, left.map(|(entry, _)| fields(&entry.pkt)));
+            let stamped = ctx.spans.hops()[hops..]
+                .iter()
+                .map(|h| (h.flow, h.enqueued));
+            let data = left.filter(|(entry, _)| matches!(entry.pkt.kind, PacketKind::Data { .. }));
+            let want = data.map(|(entry, _)| (entry.pkt.flow, entry.stamp));
+            assert!(
+                stamped.eq(want),
+                "one hop span per data frame, stamped as enqueued"
+            );
         }
         7 => {
-            let pause = bytes % 2 == 0;
+            let pause = seed % 2 == 0;
             port.apply_pfc(class, pause, Time::ZERO);
             model.rx_paused[class as usize] = pause;
         }
@@ -157,29 +250,33 @@ fn apply(port: &mut Port, model: &mut RefPort, ctx: &mut Ctx, op: Op, psn: u64) 
             model.pfc_queue.clear();
         }
     }
-    let in_flight = port.current.as_ref().map(|q| key(&q.pkt));
-    assert_eq!(in_flight, model.current.as_ref().map(|(p, ..)| key(p)));
+    let in_flight = port.current.as_ref().map(|q| fields(&q.pkt));
+    assert_eq!(
+        in_flight,
+        model.current.map(|(entry, _)| fields(&entry.pkt))
+    );
 }
 
 proptest! {
     #[test]
     fn port_matches_the_vecdeque_reference(
         ops in prop::collection::vec(
-            (0u8..10, 0u8..NUM_PRIORITIES as u8, 64u32..9000, 0u8..3),
+            (0u8..10, 0u8..NUM_PRIORITIES as u8, 0u8..3, 0..=u64::MAX),
             1..400,
         ),
     ) {
         let (mut port, mut model, mut ctx) = (attached(), RefPort::default(), bare_ctx(1));
-        for (psn, &op) in ops.iter().enumerate() {
-            apply(&mut port, &mut model, &mut ctx, op, psn as u64);
+        ctx.spans.enable(16);
+        for &op in &ops {
+            apply(&mut port, &mut model, &mut ctx, op);
             check_views(&port, &model);
         }
         // Drain with every class released: both sides empty in the same
         // order and the accounting returns to zero.
-        apply(&mut port, &mut model, &mut ctx, (9, 0, 0, 0), 0);
+        apply(&mut port, &mut model, &mut ctx, (9, 0, 0, 0));
         while port.has_eligible() || port.current.is_some() {
-            apply(&mut port, &mut model, &mut ctx, (6, 0, 0, 0), 0);
-            apply(&mut port, &mut model, &mut ctx, (4, 0, 0, 0), 0);
+            apply(&mut port, &mut model, &mut ctx, (6, 0, 0, 0));
+            apply(&mut port, &mut model, &mut ctx, (4, 0, 0, 0));
             check_views(&port, &model);
         }
         prop_assert_eq!(port.total_queued_bytes(), 0);
@@ -270,7 +367,7 @@ fn start_tx_schedules_one_tx_done_and_only_when_idle() {
 
     port.start_tx(&mut ctx, HERE.0, HERE.1);
     assert!(port.busy);
-    assert_eq!(port.current.map(|q| key(&q.pkt)), Some(key(&data(0))));
+    assert_eq!(port.current.map(|q| fields(&q.pkt)), Some(fields(&data(0))));
     // Busy: the second frame waits, nothing more is scheduled.
     port.start_tx(&mut ctx, HERE.0, HERE.1);
     assert_eq!(ctx.queue.len(), 1);
@@ -331,7 +428,7 @@ fn tx_done_puts_the_frame_on_the_wire_and_returns_the_release_key() {
         panic!("expected Deliver, got {event:?}");
     };
     assert_eq!((node, p), PEER);
-    assert_eq!(key(&ctx.pool.take(pkt)), key(&data(0)));
+    assert_eq!(fields(&ctx.pool.take(pkt)), fields(&data(0)));
 
     // One hop span for the data frame: queued, then serialized.
     let hops = ctx.spans.hops();
