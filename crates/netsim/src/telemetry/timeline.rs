@@ -12,9 +12,10 @@
 //!
 //! A track stores that grid one of two ways, in one direction. While its
 //! samples fit the budget it keeps them sorted by time and groups them
-//! into buckets as they are read. Each sample stores its value (8 B); its
-//! time is computed as `first + step·i` while every sample so far lies on
-//! one progression (a sampler's cadence, read from the first two
+//! into buckets as they are read. Each sample stores its value, 4 B while
+//! every value so far fits a `u32` and 8 B from the first that does not;
+//! its time is computed as `first + step·i` while every sample so far
+//! lies on one progression (a sampler's cadence, read from the first two
 //! samples), and listed (8 B more) from the first sample that breaks it.
 //! The sample that would pass the budget folds them into the dense grid
 //! (48 B a slot, the whole budget at once), where adjacent bucket pairs
@@ -202,11 +203,69 @@ enum Times {
     Listed(Vec<u64>),
 }
 
+/// Each stored sample's value (module docs).
+#[derive(Debug, Clone)]
+enum Values {
+    /// Every value so far fits a `u32`.
+    Narrow(Vec<u32>),
+    /// From the first value that does not.
+    Wide(Vec<u64>),
+}
+
+impl Values {
+    fn len(&self) -> usize {
+        match self {
+            Values::Narrow(values) => values.len(),
+            Values::Wide(values) => values.len(),
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        match self {
+            Values::Narrow(values) => values.capacity(),
+            Values::Wide(values) => values.capacity(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        match self {
+            Values::Narrow(values) => u64::from(values[i]),
+            Values::Wide(values) => values[i],
+        }
+    }
+
+    /// Stores `v` at index `at`, widening first if `v` needs 64 bits.
+    #[inline]
+    fn insert(&mut self, at: usize, v: u64) {
+        if let Values::Narrow(values) = self {
+            match u32::try_from(v) {
+                Ok(v) => return values.insert(at, v),
+                Err(_) => self.widen(),
+            }
+        }
+        if let Values::Wide(values) = self {
+            values.insert(at, v);
+        }
+    }
+
+    /// A value needs 64 bits: copies the column to 8 B a value, once per
+    /// track lifetime, keeping its capacity.
+    #[cold]
+    fn widen(&mut self) {
+        if let Values::Narrow(narrow) = self {
+            let mut wide = Vec::with_capacity(narrow.capacity());
+            wide.extend(narrow.iter().map(|&v| u64::from(v)));
+            *self = Values::Wide(wide);
+        }
+    }
+}
+
 /// A track's samples before the fold, sorted by time; at most `budget`.
 #[derive(Debug, Clone)]
 struct Samples {
     times: Times,
-    values: Vec<u64>,
+    values: Values,
 }
 
 impl Samples {
@@ -244,7 +303,7 @@ impl Samples {
                 },
             };
             if on_cadence {
-                self.values.push(v);
+                self.values.insert(n, v);
                 return;
             }
             self.list_times();
@@ -308,7 +367,7 @@ impl Iterator for Slots<'_> {
                     if t >> w != idx {
                         break;
                     }
-                    b.observe(Time(t), samples.values[*next]);
+                    b.observe(Time(t), samples.values.get(*next));
                     *next += 1;
                 }
                 Some((idx, b))
@@ -346,7 +405,7 @@ impl Timeline {
             budget: budget.max(2),
             store: Store::Samples(Samples {
                 times: Times::Cadence { first: 0, step: 0 },
-                values: Vec::new(),
+                values: Values::Narrow(Vec::new()),
             }),
             total: Bucket::EMPTY,
         }
@@ -375,8 +434,8 @@ impl Timeline {
             buckets: Vec::with_capacity(self.budget),
         };
         if let Store::Samples(samples) = &self.store {
-            for (i, &sv) in samples.values.iter().enumerate() {
-                grid.record(Time(samples.time_of(i)), sv, self.budget);
+            for i in 0..samples.len() {
+                grid.record(Time(samples.time_of(i)), samples.values.get(i), self.budget);
             }
         }
         grid.record(t, v, self.budget);
@@ -432,6 +491,18 @@ impl Timeline {
         match &self.store {
             Store::Samples(samples) => samples.len(),
             Store::Grid(grid) => grid.buckets.len(),
+        }
+    }
+
+    /// Bytes reserved for sample values (0 after the fold).
+    #[cfg(test)]
+    fn value_bytes(&self) -> usize {
+        match &self.store {
+            Store::Samples(Samples { values, .. }) => match values {
+                Values::Narrow(values) => values.capacity() * 4,
+                Values::Wide(values) => values.capacity() * 8,
+            },
+            Store::Grid(_) => 0,
         }
     }
 
@@ -709,6 +780,27 @@ mod tests {
         assert_eq!(tl.sum(), 45.0);
         assert_eq!(tl.min(), 0.0);
         assert_eq!(tl.max(), 9.0);
+    }
+
+    /// A 100 µs sampler's 2 000 values below 2^32 take 4 B each (plus
+    /// `Vec` slack); the first value that needs 64 bits widens the column
+    /// to 8 B a value, once, keeping its capacity.
+    #[test]
+    fn a_value_takes_four_bytes_until_one_needs_eight() {
+        let mut tl = Timeline::new(TrackKind::Gauge, 1.0);
+        let top = u64::from(u32::MAX);
+        for i in 0..2_000u64 {
+            tl.record(Time::from_micros(100 * i), top - i % 3);
+        }
+        assert!(tl.value_bytes() <= 2_048 * 4, "{} B", tl.value_bytes());
+        tl.record(Time::from_micros(200_000), top + 1);
+        assert_eq!(tl.value_bytes(), 2_048 * 8);
+        assert_eq!(tl.max(), 2f64.powi(32));
+        assert_eq!(tl.min(), f64::from(u32::MAX - 2), "narrow values kept");
+
+        let mut wide = Timeline::new(TrackKind::Gauge, 1.0);
+        wide.record(Time(0), u64::MAX);
+        assert_eq!(wide.value_bytes(), 4 * 8, "widens at the first value");
     }
 
     #[test]

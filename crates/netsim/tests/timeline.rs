@@ -497,6 +497,73 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A track stores values in 4 B while they fit a `u32` and widens to
+    /// 8 B at the first that does not; either way it reads exactly like
+    /// `(t, v)` pairs that keep every value in 64 bits. Values near 0,
+    /// near `u32::MAX` and past it; the first past it at sample
+    /// `widen_at` (0: the first sample; past the end: never); samples
+    /// on-cadence, off it, after a missed tick and out of order; and
+    /// past the fold. `same_reads` compares the summary, every bucket
+    /// view, `value_at` and the series, which are what the dashboard
+    /// draws.
+    #[test]
+    fn narrow_and_wide_values_read_like_u64_pairs(
+        start in 0u64..3_000_000,
+        step in 1u64..50_000,
+        draws in prop::collection::vec((0u8..8, 0u8..8, 0u64..=u64::MAX), 1..300),
+        widen_at in 0usize..320,
+        budget in 2usize..400,
+        kind in 0u8..3,
+        probes in prop::collection::vec((0u8..4, 0u64..=u64::MAX), 6),
+    ) {
+        let kind = [TrackKind::Counter, TrackKind::Gauge, TrackKind::Cumulative][kind as usize];
+        let top = u64::from(u32::MAX);
+        let mut latest = None::<u64>;
+        let mut samples = Vec::new();
+        for (i, &(time, value, raw)) in draws.iter().enumerate() {
+            let next = latest.map_or(start, |l| l + step);
+            let t = match time {
+                5 => next + 1 + raw % 3,
+                6 => raw % (next + 1),
+                7 => next + step,
+                _ => next,
+            };
+            latest = latest.max(Some(t));
+            let v = match (value, i.cmp(&widen_at)) {
+                (_, std::cmp::Ordering::Equal) => top + 1 + raw % 4,
+                (0..=2, _) => raw % 4,
+                (3 | 4, _) => top - raw % 4,
+                (5, std::cmp::Ordering::Greater) => top + 1 + raw % 4,
+                (6, std::cmp::Ordering::Greater) => u64::MAX - raw % 4,
+                _ => raw % (top + 1),
+            };
+            samples.push((t, v));
+        }
+        let probes: Vec<Time> = probes
+            .iter()
+            .map(|&(shape, raw)| {
+                let near = samples[raw as usize % samples.len()].0;
+                Time(match shape {
+                    0 => raw % (near + 1_000_000),
+                    1 => near,
+                    2 => near + 1,
+                    _ => near.saturating_sub(1),
+                })
+            })
+            .collect();
+        let mut tl = Timeline::with_budget(kind, 1.0, budget);
+        let mut reference = Pairs::new(kind, budget);
+        for &(t, v) in &samples {
+            tl.record(Time(t), v);
+            reference.record(t, v);
+            same_reads(&tl, &reference, &probes);
+        }
+    }
+}
+
 /// `enable_sampling` a second time with a new interval moves every
 /// track off its first cadence mid-run: each still reads like sorted
 /// `(t, v)` pairs, at the ticks the two intervals give.
