@@ -580,12 +580,18 @@ pub struct CampaignOutcome {
     pub repro_files: Vec<PathBuf>,
 }
 
-/// Runs a campaign: generate, execute in parallel, shrink failures,
-/// write repro files. Pure function of `(seed, cases, quick)` except
-/// for the files it writes under `out_dir`.
-pub fn campaign(seed: u64, cases: u64, quick: bool, out_dir: &Path) -> CampaignOutcome {
+/// Runs a campaign: generate, execute on up to `threads` workers, shrink
+/// failures, write repro files. Pure function of `(seed, cases, quick)`
+/// except for the files it writes under `out_dir`.
+pub fn campaign(
+    seed: u64,
+    cases: u64,
+    quick: bool,
+    threads: usize,
+    out_dir: &Path,
+) -> CampaignOutcome {
     let specs: Vec<ChaosCase> = (0..cases).map(|i| generate_case(seed, i, quick)).collect();
-    let results = runner::par_map(&specs, execute);
+    let results = runner::par_map(threads, &specs, execute);
 
     let mut summary = String::new();
     summary.push_str(&format!(
@@ -660,9 +666,10 @@ fn usage_error(msg: &str) -> i32 {
     2
 }
 
-/// The `repro chaos` entry point. Returns the process exit status:
-/// 0 = all cases converged, 1 = at least one failure, 2 = usage error.
-pub fn cli(args: &[String]) -> i32 {
+/// The `repro chaos` entry point, running cases on up to `threads`
+/// workers. Returns the process exit status: 0 = all cases converged,
+/// 1 = at least one failure, 2 = usage error.
+pub fn cli(args: &[String], threads: usize) -> i32 {
     let mut seed: u64 = 1;
     let mut cases: u64 = 25;
     let mut quick = false;
@@ -712,7 +719,7 @@ pub fn cli(args: &[String]) -> i32 {
         };
     }
 
-    let outcome = campaign(seed, cases, quick, &out_dir);
+    let outcome = campaign(seed, cases, quick, threads, &out_dir);
     print!("{}", outcome.summary);
     i32::from(!outcome.repro_files.is_empty() || outcome.summary.contains("-> FAIL"))
 }

@@ -13,17 +13,17 @@
 //! Nothing is simulated here that Figures 4 and 9 do not simulate: this
 //! is their [`attribution`] pass, printed side by side.
 
-use crate::common::{breakdown_json, print_breakdown, CcChoice, RunScale};
-use crate::report::{self, Artifact};
+use crate::common::{breakdown_json, print_breakdown, CcChoice};
+use crate::report::{Artifact, Run};
 use crate::scenarios::attribution;
 use netsim::telemetry::Json;
 use netsim::units::Duration;
 
 /// Runs the experiment.
-pub fn run(quick: bool) {
+pub fn run(run: &mut Run) {
     let mut schemes = Vec::new();
     for cc in [CcChoice::None, CcChoice::dcqcn_paper()] {
-        let att = attribution(cc, RunScale { quick });
+        let att = attribution(cc, run.scale());
 
         println!(
             "{}: victim (VS→VR) 1 MB message, 2 senders under T3:",
@@ -61,8 +61,8 @@ pub fn run(quick: bool) {
         // Export the PFC-only run's Chrome trace: it is the one whose
         // per-port PAUSE instants show the congestion spreading.
         if matches!(cc, CcChoice::None) {
-            report::write(Artifact::Trace, |out| att.chrome_trace().write_to(out));
+            run.write(Artifact::Trace, |out| att.chrome_trace().write_to(out));
         }
     }
-    report::put("schemes", Json::Arr(schemes));
+    run.put("schemes", Json::Arr(schemes));
 }

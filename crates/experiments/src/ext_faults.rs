@@ -2,8 +2,8 @@
 //! break. Neither figure exists in the paper — §6.3's PFC storm anecdote
 //! and the deployment experience in §7 motivate both.
 
-use crate::common::{CcChoice, RunScale};
-use crate::report;
+use crate::common::CcChoice;
+use crate::report::Run;
 use crate::runner::par_map;
 use crate::scenarios::{link_flap_run, pause_storm_victim_run};
 use netsim::switch::PfcWatchdogConfig;
@@ -15,13 +15,13 @@ use netsim::units::{Duration, Time};
 /// about one RTO and recovers on the surviving ECMP member; without it,
 /// the flows hashed onto the dead next-hop back off exponentially and
 /// abort, permanently losing their share.
-pub fn link_flap(quick: bool) {
-    let scale = RunScale { quick };
+pub fn link_flap(run: &mut Run) {
+    let scale = run.scale();
     let duration = scale.dur(16, 24);
     let down_at = Time::from_millis(4);
     let up_at = Time::ZERO + duration - Duration::from_millis(6);
     let variants = [("failover", true), ("static routes", false)];
-    let results = par_map(&variants, |&(_, failover)| {
+    let results = par_map(run.threads, &variants, |&(_, failover)| {
         link_flap_run(CcChoice::None, failover, 7, down_at, up_at, duration)
     });
     let nbins = results[0].bins.len();
@@ -63,21 +63,21 @@ pub fn link_flap(quick: bool) {
         results[1].aborts > 0,
         "telemetry qp_teardowns: static routes must strand QPs"
     );
-    report::put(
+    run.put(
         "variants",
         Json::Arr(
             variants
                 .iter()
-                .zip(&results)
+                .zip(results)
                 .map(|(&(label, failover), r)| {
                     Json::obj(vec![
                         ("label", Json::from(label)),
                         ("failover", Json::from(failover)),
-                        ("goodput_gbps_per_ms", Json::from(r.bins.clone())),
+                        ("goodput_gbps_per_ms", Json::from(r.bins)),
                         ("aborts", Json::from(r.aborts)),
                         ("reroutes", Json::from(r.reroutes)),
                         ("link_drops", Json::from(r.link_drops)),
-                        ("telemetry", r.telemetry.clone()),
+                        ("telemetry", r.telemetry),
                     ])
                 })
                 .collect::<Vec<_>>(),
@@ -92,8 +92,8 @@ pub fn link_flap(quick: bool) {
 /// (the §6.3/§7 failure mode). The storm freezes its ToR's egress port,
 /// and PFC backpressure spreads hop by hop until a victim flow two pods
 /// away stalls — unless a storm watchdog breaks the chain at its root.
-pub fn pause_storm(quick: bool) {
-    let scale = RunScale { quick };
+pub fn pause_storm(run: &mut Run) {
+    let scale = run.scale();
     let duration = scale.dur(12, 20);
     let storm_from = Time::from_millis(2);
     let storm_until = Time::ZERO + duration - Duration::from_millis(4);
@@ -107,7 +107,7 @@ pub fn pause_storm(quick: bool) {
         ("DCQCN", CcChoice::dcqcn_paper(), None),
         ("DCQCN+watchdog", CcChoice::dcqcn_paper(), Some(wd)),
     ];
-    let results = par_map(&grid, |&(_, cc, watchdog)| {
+    let results = par_map(run.threads, &grid, |&(_, cc, watchdog)| {
         pause_storm_victim_run(cc, watchdog, 11, storm_from, storm_until, duration)
     });
     println!(
@@ -145,11 +145,11 @@ pub fn pause_storm(quick: bool) {
             );
         }
     }
-    report::put(
+    run.put(
         "variants",
         Json::Arr(
             grid.iter()
-                .zip(&results)
+                .zip(results)
                 .map(|((label, _, watchdog), r)| {
                     Json::obj(vec![
                         ("label", Json::from(*label)),
@@ -159,7 +159,7 @@ pub fn pause_storm(quick: bool) {
                         ("spine_pause_rx", Json::from(r.spine_pause_rx)),
                         ("watchdog_trips", Json::from(r.watchdog_trips)),
                         ("watchdog_restores", Json::from(r.watchdog_restores)),
-                        ("telemetry", r.telemetry.clone()),
+                        ("telemetry", r.telemetry),
                     ])
                 })
                 .collect::<Vec<_>>(),

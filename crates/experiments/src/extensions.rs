@@ -1,7 +1,8 @@
 //! Extensions beyond the paper's figures: the ablations DESIGN.md calls
 //! out and the §5.2/§7 claims that have no figure of their own.
 
-use crate::common::{mean, CcChoice, RunScale};
+use crate::common::{mean, CcChoice};
+use crate::report::Run;
 use crate::runner::par_map;
 use dcqcn::params::DcqcnParams;
 use netsim::buffer::PfcThreshold;
@@ -13,8 +14,8 @@ use netsim::topology::{star, LinkParams};
 
 /// §5.2's closing claim: the deployed R_AI copes with 16:1 incast;
 /// halving R_AI trades convergence speed for stability at 32:1.
-pub fn rai_scaling(quick: bool) {
-    let scale = RunScale { quick };
+pub fn rai_scaling(run: &mut Run) {
+    let scale = run.scale();
     let duration = scale.dur(150, 400);
     println!(
         "{:>8} {:>8} | {:>10} {:>10} {:>10}",
@@ -24,7 +25,7 @@ pub fn rai_scaling(quick: bool) {
         .iter()
         .flat_map(|&k| [(k, 40u64, "40M"), (k, 20, "20M")])
         .collect();
-    let results = par_map(&grid, |&(k, rai_mbps, _)| {
+    let results = par_map(run.threads, &grid, |&(k, rai_mbps, _)| {
         let params = DcqcnParams {
             rai: Bandwidth::mbps(rai_mbps),
             ..DcqcnParams::paper()
@@ -76,8 +77,8 @@ pub fn rai_scaling(quick: bool) {
 
 /// §4 ablation: dynamic-β vs static PFC thresholds under an uncontrolled
 /// incast — the dynamic threshold pauses later when the buffer is empty.
-pub fn beta_ablation(quick: bool) {
-    let scale = RunScale { quick };
+pub fn beta_ablation(run: &mut Run) {
+    let scale = run.scale();
     let duration = scale.dur(20, 60);
     let t_pfc = dcqcn::thresholds::static_pfc_bound(&BufferConfig::trident2());
     let configs: Vec<(&str, PfcThreshold)> = vec![
@@ -90,7 +91,7 @@ pub fn beta_ablation(quick: bool) {
         "{:<17} | {:>9} {:>9} {:>10} {:>7}",
         "threshold", "pause_tx", "resume_tx", "total Gbps", "drops"
     );
-    let results = par_map(&configs, |&(_, threshold)| {
+    let results = par_map(run.threads, &configs, |&(_, threshold)| {
         let mut sw = SwitchConfig::paper_default();
         sw.buffer.threshold = threshold;
         let mut s = star(
@@ -139,8 +140,8 @@ pub fn beta_ablation(quick: bool) {
 
 /// §8 direction: PFC priority classes isolate traffic types even without
 /// congestion control.
-pub fn priority_isolation(quick: bool) {
-    let scale = RunScale { quick };
+pub fn priority_isolation(run: &mut Run) {
+    let scale = run.scale();
     let duration = scale.dur(20, 50);
     let mut s = star(
         7,
@@ -184,9 +185,9 @@ pub fn priority_isolation(quick: bool) {
 /// estimation like TIMELY." A forward flow's path is uncongested; heavy
 /// reverse traffic floods the link its ACKs return on. TIMELY reads the
 /// inflated RTT and throttles; DCQCN does not.
-pub fn reverse_path_sensitivity(quick: bool) {
+pub fn reverse_path_sensitivity(run: &mut Run) {
     use baselines::timely::TimelyParams;
-    let scale = RunScale { quick };
+    let scale = run.scale();
     let duration = scale.dur(60, 150);
     println!(
         "{:<8} | {:>14} {:>14}",
@@ -196,7 +197,7 @@ pub fn reverse_path_sensitivity(quick: bool) {
         CcChoice::dcqcn_paper(),
         CcChoice::Timely(TimelyParams::default_40g()),
     ];
-    let results = par_map(&ccs, |&cc| {
+    let results = par_map(run.threads, &ccs, |&cc| {
         let mut s = star(
             6,
             LinkParams::default(),
@@ -237,9 +238,8 @@ pub fn reverse_path_sensitivity(quick: bool) {
 /// congestion" — DCTCP-style slow start penalizes exactly the bursty
 /// storage transfers the paper's workloads are made of. Measure transfer
 /// completion time on an idle fabric.
-pub fn fast_start(quick: bool) {
+pub fn fast_start(run: &mut Run) {
     use baselines::dctcp::DctcpParams;
-    let _ = quick;
     println!(
         "{:>9} | {:>13} {:>13} | {:>7}",
         "size", "DCQCN (µs)", "DCTCP (µs)", "ratio"
@@ -253,7 +253,7 @@ pub fn fast_start(quick: bool) {
         .iter()
         .flat_map(|&bytes| ccs.iter().map(move |&cc| (bytes, cc)))
         .collect();
-    let times = par_map(&grid, |&(bytes, cc)| {
+    let times = par_map(run.threads, &grid, |&(bytes, cc)| {
         let mut s = star(
             2,
             LinkParams::default(),
@@ -288,16 +288,16 @@ pub fn fast_start(quick: bool) {
 /// tree under random-permutation traffic (every host sends greedily to a
 /// distinct host). PFC-only suffers the same congestion spreading; DCQCN
 /// keeps the fabric clean and fair.
-pub fn fat_tree_scale(quick: bool) {
+pub fn fat_tree_scale(run: &mut Run) {
     use netsim::topology::fat_tree;
-    let scale = RunScale { quick };
+    let scale = run.scale();
     let duration = scale.dur(60, 200);
     println!(
         "{:<9} | {:>11} {:>9} {:>9} | {:>9} {:>7}",
         "scheme", "total Gbps", "min flow", "max flow", "pauses", "drops"
     );
     let ccs = [CcChoice::None, CcChoice::dcqcn_paper()];
-    let results = par_map(&ccs, |&cc| {
+    let results = par_map(run.threads, &ccs, |&cc| {
         let mut ft = fat_tree(
             4,
             LinkParams::default(),
@@ -359,9 +359,9 @@ pub fn fat_tree_scale(quick: bool) {
 /// The paper's stated future work: stability analysis of the fluid model
 /// (§5.2). Perturb the system at its fixed point and classify the
 /// response, across g and incast depth.
-pub fn stability(quick: bool) {
+pub fn stability(run: &mut Run) {
     use fluid::stability::stability_map;
-    let horizon = if quick { 0.15 } else { 0.3 };
+    let horizon = if run.quick { 0.15 } else { 0.3 };
     let gs = [1.0 / 16.0, 1.0 / 256.0, 1.0 / 1024.0];
     let ns = [2usize, 4, 8, 16];
     println!(
@@ -373,7 +373,7 @@ pub fn stability(quick: bool) {
         .iter()
         .flat_map(|&g| ns.iter().map(move |&n| (g, n)))
         .collect();
-    let points = par_map(&grid, |&(g, n)| {
+    let points = par_map(run.threads, &grid, |&(g, n)| {
         stability_map(&[g], &[n], horizon).remove(0)
     });
     for (g, n, rep) in points {

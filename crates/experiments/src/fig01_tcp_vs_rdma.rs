@@ -2,13 +2,14 @@
 //! function of message size — from the host-stack cost model (the
 //! hardware measurement is substituted; see DESIGN.md).
 
+use crate::report::Run;
 use baselines::hostmodel::{
     latency_us, rdma_client_stack, rdma_send_stack, rdma_server_stack, tcp_stack, throughput,
     Machine, FIG1_SIZES,
 };
 
 /// Runs the experiment.
-pub fn run(_quick: bool) {
+pub fn run(_run: &mut Run) {
     let m = Machine::paper_testbed();
     println!("(a,b) throughput and mean CPU utilization:");
     println!(

@@ -3,11 +3,12 @@
 //! tests).
 
 use crate::common::CcChoice;
+use crate::report::Run;
 use crate::scenarios::testbed;
 use netsim::network::Node;
 
 /// Runs the experiment.
-pub fn run(_quick: bool) {
+pub fn run(_run: &mut Run) {
     let tb = testbed(CcChoice::dcqcn_paper(), true, false, 5, 1);
     let (mut switches, mut hosts) = (0, 0);
     for n in &tb.net.nodes {

@@ -3,22 +3,26 @@
 //! H4, alone on its ingress port at T4, beats H1–H3, who share T4's two
 //! uplinks depending on the ECMP draw (the parking-lot problem).
 
-use crate::common::{breakdown_json, mmm, print_breakdown, CcChoice, RunScale};
-use crate::report::{self, Artifact};
-use crate::runner::par_runs;
+use crate::common::{breakdown_json, mmm, print_breakdown, CcChoice};
+use crate::report::{Artifact, Run};
+use crate::runner::par_map;
 use crate::scenarios::{testbed_window, unfairness_attribution, unfairness_scenario};
 use netsim::telemetry::{Json, SpanState};
 use netsim::units::Time;
 use workloads::traffic::flow_goodputs;
 
 /// Runs the scenario across seeds and prints per-host min/median/max.
-pub fn run_with(cc: CcChoice, scale: RunScale) {
+pub fn run_with(run: &mut Run, cc: CcChoice) {
+    let scale = run.scale();
     let seeds = scale.seeds(3, 9);
     let (duration, warmup) = testbed_window(cc, scale);
-    let runs = par_runs(&seeds, |seed| {
+    // Per-run telemetry is built only for a `--json` report, its one
+    // consumer.
+    let telemetry = run.enabled(Artifact::Report);
+    let runs = par_map(run.threads, &seeds, |&seed| {
         let (tb, flows) = unfairness_scenario(cc, seed, duration);
         let goodputs = flow_goodputs(&tb.net, &flows, Time::ZERO + warmup, Time::ZERO + duration);
-        (goodputs, tb.net.telemetry_report())
+        (goodputs, telemetry.then(|| tb.net.telemetry_report()))
     });
     let mut per_host: Vec<Vec<f64>> = vec![Vec::new(); 4];
     for (g, _) in &runs {
@@ -26,8 +30,8 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
             per_host[h].push(v);
         }
     }
-    report::put("scheme", Json::from(cc.label()));
-    report::put(
+    run.put("scheme", Json::from(cc.label()));
+    run.put(
         "per_host_goodput_gbps",
         Json::Arr(
             per_host
@@ -36,22 +40,12 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
                 .collect::<Vec<_>>(),
         ),
     );
-    if report::enabled(Artifact::Report) {
-        report::put(
-            "runs",
-            Json::Arr(
-                seeds
-                    .iter()
-                    .zip(&runs)
-                    .map(|(&seed, (_, telemetry))| {
-                        Json::obj(vec![
-                            ("seed", Json::from(seed)),
-                            ("telemetry", telemetry.clone()),
-                        ])
-                    })
-                    .collect::<Vec<_>>(),
-            ),
-        );
+    if telemetry {
+        let runs = seeds.iter().zip(runs).map(|(&seed, (_, telemetry))| {
+            let telemetry = telemetry.expect("built for the report");
+            Json::obj(vec![("seed", Json::from(seed)), ("telemetry", telemetry)])
+        });
+        run.put("runs", Json::Arr(runs.collect()));
     }
     println!(
         "per-sender goodput across {} ECMP draws (Gbps):",
@@ -103,10 +97,10 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
         ),
         _ => {}
     }
-    report::put("h1_breakdown_us", breakdown_json(&bd));
+    run.put("h1_breakdown_us", breakdown_json(&bd));
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) {
-    run_with(CcChoice::None, RunScale { quick });
+pub fn run(run: &mut Run) {
+    run_with(run, CcChoice::None);
 }

@@ -2,15 +2,16 @@
 //! no link with the incast bottleneck still collapses, because PAUSEs
 //! cascade from T4 up through the spines and down to T1's uplinks.
 
-use crate::common::{breakdown_json, mmm, print_breakdown, CcChoice, RunScale};
-use crate::report::{self, Artifact};
+use crate::common::{breakdown_json, mmm, print_breakdown, CcChoice};
+use crate::report::{Artifact, Run};
 use crate::runner::par_map;
 use crate::scenarios::{attribution, testbed_window, victim_run};
 use netsim::telemetry::{Json, SpanState};
 
 /// Runs the scenario and prints the victim's median goodput per
 /// T3-sender count.
-pub fn run_with(cc: CcChoice, scale: RunScale) {
+pub fn run_with(run: &mut Run, cc: CcChoice) {
+    let scale = run.scale();
     let seeds = scale.seeds(3, 15);
     let (duration, warmup) = testbed_window(cc, scale);
     // Fan the whole (t3 × seed) grid out at once so threads stay busy
@@ -20,9 +21,11 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
         .iter()
         .flat_map(|&t3| seeds.iter().map(move |&s| (t3, s)))
         .collect();
-    let results = par_map(&grid, |&(t3, s)| victim_run(cc, t3, s, duration, warmup));
+    let results = par_map(run.threads, &grid, |&(t3, s)| {
+        victim_run(cc, t3, s, duration, warmup)
+    });
     println!("victim (VS→VR) goodput vs number of senders under T3 (Gbps):");
-    report::put("scheme", Json::from(cc.label()));
+    run.put("scheme", Json::from(cc.label()));
     let mut rows = Vec::new();
     for (row, t3) in t3_counts.iter().enumerate() {
         let g = &results[row * seeds.len()..(row + 1) * seeds.len()];
@@ -32,7 +35,7 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
             ("victim_goodput_gbps", Json::from(g.to_vec())),
         ]));
     }
-    report::put("rows", Json::Arr(rows));
+    run.put("rows", Json::Arr(rows));
 
     // Causal attribution (serial, one seed): decompose the victim's FCT
     // into named causes with the worst-case incast (2 senders under T3)
@@ -69,13 +72,13 @@ pub fn run_with(cc: CcChoice, scale: RunScale) {
             att.tree.victims.len()
         );
     }
-    report::put("victim_fct_us", Json::from(att.fct.as_micros_f64()));
-    report::put("victim_breakdown_us", breakdown_json(&att.breakdown));
-    report::put("congestion_tree", att.tree.to_json());
-    report::write(Artifact::Trace, |out| att.chrome_trace().write_to(out));
+    run.put("victim_fct_us", Json::from(att.fct.as_micros_f64()));
+    run.put("victim_breakdown_us", breakdown_json(&att.breakdown));
+    run.put("congestion_tree", att.tree.to_json());
+    run.write(Artifact::Trace, |out| att.chrome_trace().write_to(out));
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) {
-    run_with(CcChoice::None, RunScale { quick });
+pub fn run(run: &mut Run) {
+    run_with(run, CcChoice::None);
 }

@@ -1,9 +1,10 @@
 //! Figure 5: the switch packet-marking (RED) probability curve.
 
+use crate::report::Run;
 use dcqcn::params::{red_cutoff_strawman, red_deployed};
 
 /// Runs the experiment.
-pub fn run(_quick: bool) {
+pub fn run(_run: &mut Run) {
     let dep = red_deployed();
     let cut = red_cutoff_strawman();
     println!(

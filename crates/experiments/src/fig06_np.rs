@@ -1,11 +1,12 @@
 //! Figure 6: the NP state machine — CNP pacing demonstrated on a
 //! synthetic stream of marked packets.
 
+use crate::report::Run;
 use dcqcn::np::NpState;
 use netsim::units::Time;
 
 /// Runs the experiment.
-pub fn run(_quick: bool) {
+pub fn run(_run: &mut Run) {
     let mut np = NpState::paper();
     let mut cnps = Vec::new();
     // A congested period: every arriving packet marked, one per µs.

@@ -1,7 +1,7 @@
 //! Figure 7: the RP state machine — a deterministic trace through rate
 //! cut, fast recovery, and additive increase.
 
-use crate::report::{self, Artifact};
+use crate::report::{Artifact, Run};
 use dcqcn::params::DcqcnParams;
 use dcqcn::rp::{DcqcnRp, TIMER_RATE};
 use netsim::cc::{CcActions, CongestionControl};
@@ -10,7 +10,7 @@ use netsim::telemetry::{Dashboard, Series};
 use netsim::units::{Bandwidth, Time};
 
 /// Runs the experiment.
-pub fn run(_quick: bool) {
+pub fn run(run: &mut Run) {
     let params = DcqcnParams::paper();
     let mut rp = DcqcnRp::new(Bandwidth::gbps(40), params);
     let mut a = CcActions::default();
@@ -51,7 +51,7 @@ pub fn run(_quick: bool) {
         };
         row(&format!("T#{i}"), t, &rp, phase);
     }
-    if report::enabled(Artifact::Dash) {
+    if run.enabled(Artifact::Dash) {
         let mut dash = Dashboard::new("fig7: RP state machine trace");
         dash.fact("events", "13");
         dash.fact("params", "paper");
@@ -73,6 +73,6 @@ pub fn run(_quick: bool) {
             vec![series_of(tls.get(rc), "R_C"), series_of(tls.get(rt), "R_T")],
         );
         dash.chart("alpha", "alpha", vec![series_of(tls.get(al), "alpha")]);
-        report::dashboard(|| dash);
+        run.dashboard(|| dash);
     }
 }

@@ -3,7 +3,7 @@
 //! the packet simulator and the DDE model.
 
 use crate::common::{mean, CcChoice};
-use crate::report;
+use crate::report::Run;
 use fluid::model::{FlowState, FluidSim};
 use fluid::params::FluidParams;
 use netsim::packet::DATA_PRIORITY;
@@ -17,8 +17,8 @@ const JOIN_MS: u64 = 100;
 const END_MS: u64 = 600;
 
 /// Runs the experiment.
-pub fn run(quick: bool) {
-    let end_ms = if quick { 300 } else { END_MS };
+pub fn run(run: &mut Run) {
+    let end_ms = if run.quick { 300 } else { END_MS };
 
     // --- packet simulator ---
     let cc = CcChoice::dcqcn_paper();
@@ -42,7 +42,7 @@ pub fn run(quick: bool) {
         },
     );
     s.net.run_until(Time::from_millis(end_ms));
-    report::dashboard(|| s.net.dashboard("fig10: joining sender (packet sim)"));
+    run.dashboard(|| s.net.dashboard("fig10: joining sender (packet sim)"));
     let sim = s.net.sampler().flow_rate(f2).expect("sampled").series();
 
     // --- fluid model ---
@@ -62,7 +62,7 @@ pub fn run(quick: bool) {
         "{:>8} | {:>10} | {:>10}",
         "t (ms)", "sim Gbps", "fluid Gbps"
     );
-    let step = if quick { 20 } else { 25 };
+    let step = if run.quick { 20 } else { 25 };
     let mut sim_tail = Vec::new();
     let mut fluid_tail = Vec::new();
     for ms in (0..end_ms).step_by(step) {

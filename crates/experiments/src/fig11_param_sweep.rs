@@ -3,6 +3,7 @@
 //! paper's surfaces is the two-flow throughput difference over time;
 //! lower is better.
 
+use crate::report::Run;
 use crate::runner::par_map;
 use fluid::sweep::{sweep_byte_counter, sweep_kmax, sweep_pmax, sweep_timer, SweepPoint};
 
@@ -36,24 +37,24 @@ fn print_points(title: &str, unit: &str, pts: &[SweepPoint]) {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) {
-    let horizon = if quick { 0.2 } else { 0.3 };
-    let bc: &[u64] = if quick {
+pub fn run(run: &mut Run) {
+    let horizon = if run.quick { 0.2 } else { 0.3 };
+    let bc: &[u64] = if run.quick {
         &[150, 10_000]
     } else {
         &[150, 500, 1_500, 5_000, 10_000]
     };
-    let timer: &[u64] = if quick {
+    let timer: &[u64] = if run.quick {
         &[55, 1_500]
     } else {
         &[55, 150, 300, 500, 1_500]
     };
-    let kmax: &[u64] = if quick {
+    let kmax: &[u64] = if run.quick {
         &[40, 200]
     } else {
         &[40, 80, 200, 400, 1_000]
     };
-    let pmax: &[f64] = if quick {
+    let pmax: &[f64] = if run.quick {
         &[1.0, 0.01]
     } else {
         &[1.0, 0.5, 0.2, 0.1, 0.01]
@@ -83,7 +84,7 @@ pub fn run(quick: bool) {
             Box::new(move || sweep_pmax(pmax, horizon)),
         ),
     ];
-    let results = par_map(&jobs, |(_, _, job)| job());
+    let results = par_map(run.threads, &jobs, |(_, _, job)| job());
     for ((title, unit, _), pts) in jobs.iter().zip(&results) {
         print_points(title, unit, pts);
     }

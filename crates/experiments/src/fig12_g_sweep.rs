@@ -1,13 +1,14 @@
 //! Figure 12: choosing g — queue length and stability under 2:1 and 16:1
 //! incast for different α-gains (fluid model).
 
+use crate::report::Run;
 use crate::runner::par_map;
 use fluid::sweep::{g_queue_trace, queue_stats};
 
 /// Runs the experiment.
-pub fn run(quick: bool) {
-    let horizon = if quick { 0.25 } else { 0.5 };
-    let gs: &[(f64, &str)] = if quick {
+pub fn run(run: &mut Run) {
+    let horizon = if run.quick { 0.25 } else { 0.5 };
+    let gs: &[(f64, &str)] = if run.quick {
         &[(1.0 / 16.0, "1/16"), (1.0 / 256.0, "1/256")]
     } else {
         &[
@@ -26,7 +27,7 @@ pub fn run(quick: bool) {
         .iter()
         .flat_map(|&(g, _)| [(g, 2usize), (g, 16usize)])
         .collect();
-    let traces = par_map(&grid, |&(g, n)| g_queue_trace(g, n, horizon));
+    let traces = par_map(run.threads, &grid, |&(g, n)| g_queue_trace(g, n, horizon));
     for (i, &(_, label)) in gs.iter().enumerate() {
         let t2 = &traces[2 * i];
         let t16 = &traces[2 * i + 1];

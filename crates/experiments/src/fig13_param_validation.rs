@@ -9,7 +9,7 @@
 //!   and stable.
 
 use crate::common::{mean, stddev, CcChoice};
-use crate::report::{self, Artifact};
+use crate::report::{Artifact, Run};
 use crate::runner::par_map;
 use dcqcn::params::{red_cutoff_strawman, red_deployed, DcqcnParams};
 use netsim::ecn::RedConfig;
@@ -94,14 +94,14 @@ fn run_one(params: DcqcnParams, red: RedConfig, end: Duration, seed: u64) -> [(f
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) {
-    let end = Duration::from_millis(if quick { 300 } else { 600 });
+pub fn run(run: &mut Run) {
+    let end = Duration::from_millis(if run.quick { 300 } else { 600 });
     println!(
         "{:<26} | {:>8} {:>8} | {:>8} | {:>8}",
         "configuration", "f1 Gbps", "f2 Gbps", "|diff|", "f1 sd"
     );
     let configs = configs();
-    let results = par_map(&configs, |c| run_one(c.params, c.red, end, 31));
+    let results = par_map(run.threads, &configs, |c| run_one(c.params, c.red, end, 31));
     for (c, &[(m1, s1), (m2, _)]) in configs.iter().zip(&results) {
         println!(
             "{:<26} | {:>8.2} {:>8.2} | {:>8.2} | {:>8.2}",
@@ -114,12 +114,12 @@ pub fn run(quick: bool) {
     }
     println!("paper: (a) unfair; (b) fair; (c) fair but unstable (randomness of");
     println!("marking); (d) deployed combination — fair and stable.");
-    if report::enabled(Artifact::Dash) {
+    if run.enabled(Artifact::Dash) {
         // Serial representative rerun of the deployed configuration (d),
         // on the dispatch thread, so the dashboard bytes cannot depend on
         // REPRO_THREADS.
         let d = &configs[3];
         let (s, _) = sim_run(d.params, d.red, end, 31);
-        report::dashboard(|| s.net.dashboard("fig13 (d): fast timer + RED-ECN"));
+        run.dashboard(|| s.net.dashboard("fig13 (d): fast timer + RED-ECN"));
     }
 }

@@ -1,9 +1,10 @@
 //! Figure 14: the deployed DCQCN parameter table.
 
+use crate::report::Run;
 use dcqcn::params::{red_deployed, DcqcnParams};
 
 /// Runs the experiment.
-pub fn run(_quick: bool) {
+pub fn run(_run: &mut Run) {
     let p = DcqcnParams::paper();
     let r = red_deployed();
     println!("  rate-increase timer T : {}", p.rate_timer);

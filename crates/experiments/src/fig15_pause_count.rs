@@ -2,16 +2,17 @@
 //! traffic, with and without DCQCN — DCQCN nearly eliminates
 //! congestion-spreading.
 
-use crate::common::{CcChoice, RunScale};
+use crate::common::CcChoice;
+use crate::report::Run;
 use crate::runner::par_map;
 use crate::scenarios::{benchmark_run, BenchmarkConfig};
 
 /// Runs the experiment.
-pub fn run(quick: bool) {
-    let scale = RunScale { quick };
+pub fn run(run: &mut Run) {
+    let scale = run.scale();
     let duration = scale.dur(300, 1000);
     let ccs = [CcChoice::None, CcChoice::dcqcn_paper()];
-    let results = par_map(&ccs, |&cc| {
+    let results = par_map(run.threads, &ccs, |&cc| {
         benchmark_run(&BenchmarkConfig {
             cc,
             pairs: 20,

@@ -2,19 +2,19 @@
 //! of user and incast (disk-rebuild) flows as the incast degree grows,
 //! with and without DCQCN.
 
-use crate::common::{CcChoice, RunScale};
-use crate::report;
+use crate::common::CcChoice;
+use crate::report::Run;
 use crate::runner::par_map;
 use crate::scenarios::{benchmark_run, BenchmarkConfig};
 use netsim::stats::percentile;
 use netsim::telemetry::Json;
 
 /// Runs the experiment.
-pub fn run(quick: bool) {
-    let scale = RunScale { quick };
+pub fn run(run: &mut Run) {
+    let scale = run.scale();
     let duration = scale.dur(300, 800);
     let seeds = scale.seeds(1, 3);
-    let degrees: &[usize] = if quick {
+    let degrees: &[usize] = if run.quick {
         &[2, 6, 10]
     } else {
         &[2, 4, 6, 8, 10]
@@ -34,7 +34,7 @@ pub fn run(quick: bool) {
                 .flat_map(move |&cc| seeds.iter().map(move |&seed| (deg, cc, seed)))
         })
         .collect();
-    let runs = par_map(&grid, |&(deg, cc, seed)| {
+    let runs = par_map(run.threads, &grid, |&(deg, cc, seed)| {
         benchmark_run(&BenchmarkConfig {
             cc,
             pairs: 20,
@@ -84,7 +84,7 @@ pub fn run(quick: bool) {
             ("aborted_flows", Json::from(aborted)),
         ]));
     }
-    report::put("rows", Json::Arr(rows));
+    run.put("rows", Json::Arr(rows));
     println!("paper: without DCQCN user throughput collapses as degree grows (PAUSE");
     println!("cascades); with DCQCN it is flat, and incast tail gets its fair share");
     println!("(~40/degree Gbps).");

@@ -2,7 +2,8 @@
 //! user-transfer goodput distribution with 5 pairs and no DCQCN matches
 //! (or is beaten by) 80 pairs with DCQCN.
 
-use crate::common::{CcChoice, RunScale};
+use crate::common::CcChoice;
+use crate::report::Run;
 use crate::runner::par_map;
 use crate::scenarios::{benchmark_run, BenchmarkConfig};
 use netsim::stats::percentile;
@@ -20,14 +21,14 @@ fn cdf_row(label: &str, v: &[f64]) {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) {
-    let scale = RunScale { quick };
+pub fn run(run: &mut Run) {
+    let scale = run.scale();
     let duration = scale.dur(300, 800);
     let configs = [
         ("No DCQCN, 5 pairs", CcChoice::None, 5usize),
         ("DCQCN, 80 pairs", CcChoice::dcqcn_paper(), 80),
     ];
-    let results = par_map(&configs, |&(_, cc, pairs)| {
+    let results = par_map(run.threads, &configs, |&(_, cc, pairs)| {
         benchmark_run(&BenchmarkConfig {
             cc,
             pairs,

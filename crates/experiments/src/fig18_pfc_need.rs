@@ -7,14 +7,15 @@
 //! * DCQCN with misconfigured thresholds (PFC fires before ECN),
 //! * DCQCN proper.
 
-use crate::common::{CcChoice, RunScale};
+use crate::common::CcChoice;
+use crate::report::Run;
 use crate::runner::par_map;
 use crate::scenarios::{benchmark_run, BenchmarkConfig};
 use netsim::stats::percentile;
 
 /// Runs the experiment.
-pub fn run(quick: bool) {
-    let scale = RunScale { quick };
+pub fn run(run: &mut Run) {
+    let scale = run.scale();
     let duration = scale.dur(300, 800);
     // (label, cc, pfc, misconfigured, NAK-capable receiver)
     let configs: [(&str, CcChoice, bool, bool, bool); 5] = [
@@ -46,7 +47,7 @@ pub fn run(quick: bool) {
         "{:<22} | {:>9} {:>11} | {:>7} {:>7} {:>9} {:>6}",
         "configuration", "user 10th", "incast 10th", "drops", "retx", "pauses", "dead"
     );
-    let results = par_map(&configs, |&(_, cc, pfc, misconfig, nack)| {
+    let results = par_map(run.threads, &configs, |&(_, cc, pfc, misconfig, nack)| {
         benchmark_run(&BenchmarkConfig {
             cc,
             pairs: 20,

@@ -5,8 +5,8 @@
 //! parameters operate at the K_max cliff (the fluid fixed point wants
 //! p* > P_max), so the DCQCN tail grows.
 
-use crate::common::{CcChoice, RunScale};
-use crate::report::{self, Artifact};
+use crate::common::CcChoice;
+use crate::report::{Artifact, Run};
 use crate::runner::par_map;
 use baselines::dctcp::DctcpParams;
 use netsim::event::PortId;
@@ -61,15 +61,15 @@ fn queue_stats(cc: CcChoice, n: usize, duration: Duration, seed: u64) -> [f64; 4
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) {
-    let scale = RunScale { quick };
+pub fn run(run: &mut Run) {
+    let scale = run.scale();
     let duration = scale.dur(150, 400);
     println!(
         "{:>6} {:<8} | {:>8} {:>8} {:>8} {:>8}",
         "incast", "scheme", "p50 KB", "p90 KB", "p99 KB", "mean KB"
     );
     let mut p90 = Vec::new();
-    let depths: &[usize] = if quick { &[2] } else { &[2, 4, 8, 20] };
+    let depths: &[usize] = if run.quick { &[2] } else { &[2, 4, 8, 20] };
     let ccs = [
         CcChoice::dcqcn_paper(),
         CcChoice::Dctcp(DctcpParams::default_40g()),
@@ -78,7 +78,9 @@ pub fn run(quick: bool) {
         .iter()
         .flat_map(|&n| ccs.iter().map(move |&cc| (n, cc)))
         .collect();
-    let stats = par_map(&grid, |&(n, cc)| queue_stats(cc, n, duration, 3));
+    let stats = par_map(run.threads, &grid, |&(n, cc)| {
+        queue_stats(cc, n, duration, 3)
+    });
     for (&(n, cc), &[p50, p90v, p99, mean]) in grid.iter().zip(&stats) {
         println!(
             "{:>4}:1 {:<8} | {:>8.1} {:>8.1} {:>8.1} {:>8.1}",
@@ -99,10 +101,10 @@ pub fn run(quick: bool) {
     );
     println!("DCTCP rides its 160 KB cut-off threshold; DCQCN's hardware pacing");
     println!("permits the shallow 5 KB K_min and a far shorter queue.");
-    if report::enabled(Artifact::Dash) {
+    if run.enabled(Artifact::Dash) {
         // Serial representative rerun (2:1 DCQCN) on the dispatch thread,
         // so the dashboard bytes cannot depend on REPRO_THREADS.
         let (s, _) = incast_sim(CcChoice::dcqcn_paper(), 2, duration, 3);
-        report::dashboard(|| s.net.dashboard("fig19: 2:1 incast, DCQCN"));
+        run.dashboard(|| s.net.dashboard("fig19: 2:1 incast, DCQCN"));
     }
 }

@@ -3,6 +3,7 @@
 //! twice as likely to be marked); RED-like marking mitigates this.
 
 use crate::common::CcChoice;
+use crate::report::Run;
 use crate::runner::par_map;
 use dcqcn::params::{red_deployed, DcqcnParams};
 use netsim::ecn::RedConfig;
@@ -34,8 +35,8 @@ fn run_one(red: RedConfig, duration: Duration, seed: u64) -> [f64; 3] {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) {
-    let duration = Duration::from_millis(if quick { 300 } else { 700 });
+pub fn run(run: &mut Run) {
+    let duration = Duration::from_millis(if run.quick { 300 } else { 700 });
     println!("f1: one bottleneck (SW1->SW2); f2: BOTH; f3: one (SW2->R2).");
     println!("max-min fair share: 20 Gbps each.");
     println!(
@@ -47,7 +48,9 @@ pub fn run(quick: bool) {
         ("cut-off (Kmin=Kmax)", cutoff),
         ("RED-like (deployed)", red_deployed()),
     ];
-    let results = par_map(&markings, |&(_, red)| run_one(red, duration, 17));
+    let results = par_map(run.threads, &markings, |&(_, red)| {
+        run_one(red, duration, 17)
+    });
     let mut f2_rates = Vec::new();
     for ((label, _), &[g1, g2, g3]) in markings.iter().zip(&results) {
         println!("{label:<22} | {g1:>8.2} {g2:>8.2} {g3:>8.2}");

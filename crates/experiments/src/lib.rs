@@ -42,11 +42,14 @@ pub mod fig19_queue_cdf;
 pub mod fig20_multibottleneck;
 pub mod sec4_thresholds;
 
+use netsim::telemetry::Json;
+use report::Run;
+
 /// One experiment: its id, its banner title and its entry point (which
-/// takes `quick`). An experiment is one row of [`ALL`] or [`EXT`] and
-/// nothing else — `repro list`, the usage text, id validation, the banner
-/// and [`dispatch`] all read the row.
-pub type Experiment = (&'static str, &'static str, fn(bool));
+/// runs on the invocation's [`Run`]). An experiment is one row of [`ALL`]
+/// or [`EXT`] and nothing else — `repro list`, the usage text, id
+/// validation, the banner and [`dispatch`] all read the row.
+pub type Experiment = (&'static str, &'static str, fn(&mut Run));
 
 /// The paper's tables and figures, in paper order.
 #[rustfmt::skip]
@@ -89,28 +92,14 @@ pub const EXT: &[Experiment] = &[
     ("ext-attribution", "causal FCT attribution of the Fig. 4 victim", ext_attribution::run),
 ];
 
-/// Runs one experiment by id: prints its banner, then runs its row.
-/// Returns false for unknown ids.
-///
-/// When a [`report`] sink is active (the `--json` flag or a test
-/// capture), each dispatched id produces one finalized report; `ext`
-/// re-dispatches its members so every extension gets its own.
-pub fn dispatch(id: &str, quick: bool) -> bool {
-    if id == "ext" {
-        for (sub, ..) in EXT {
-            dispatch(sub, quick);
-        }
-        return true;
-    }
-    let Some(&(_, title, run)) = ALL.iter().chain(EXT).find(|row| row.0 == id) else {
-        return false;
-    };
-    report::begin(id);
+/// Runs one experiment by id on `run`: prints its banner, then runs its
+/// row. Returns the finished report (also written to `<dir>/<id>.json`
+/// under a `--json` sink), or `None` for an unknown id.
+pub fn dispatch(run: &mut Run, id: &str) -> Option<Json> {
+    let &(id, title, entry) = ALL.iter().chain(EXT).find(|row| row.0 == id)?;
     println!();
     println!("=== {id}: {title} ===");
-    run(quick);
-    report::finish(id, quick);
-    true
+    Some(run.dispatched(id, entry))
 }
 
 #[cfg(test)]
@@ -119,16 +108,23 @@ mod tests {
 
     #[test]
     fn unknown_ids_are_rejected() {
-        assert!(!dispatch("fig99", true));
-        assert!(!dispatch("", true));
+        let mut run = Run::new(true, 1);
+        assert!(dispatch(&mut run, "fig99").is_none());
+        assert!(dispatch(&mut run, "").is_none());
+        assert!(
+            dispatch(&mut run, "ext").is_none(),
+            "`ext` is repro's, not a row"
+        );
     }
 
     #[test]
     fn cheap_ids_dispatch() {
         // The closed-form experiments; the simulation-heavy ones are
         // covered by the integration suite and the repro binary.
+        let mut run = Run::new(true, 1);
         for id in ["fig1", "fig2", "fig5", "fig6", "fig7", "fig14", "sec4"] {
-            assert!(dispatch(id, true), "{id} should dispatch");
+            let report = dispatch(&mut run, id).expect("a known id reports");
+            assert_eq!(report.get("id"), Some(&Json::from(id)));
         }
     }
 

@@ -22,7 +22,7 @@
 //! are deterministic byte-for-byte across `REPRO_THREADS` settings
 //! (see DESIGN.md, "Telemetry" and "Causal tracing").
 
-use experiments::report::{self, Artifact};
+use experiments::report::{Artifact, Run};
 use std::path::Path;
 use std::time::Instant;
 
@@ -48,27 +48,27 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // A bad thread count fails the invocation before any id or campaign
     // runs, not at the first experiment that fans out.
-    if let Err(msg) = experiments::runner::threads_from_env() {
+    let threads = experiments::runner::threads_from_env().unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
         std::process::exit(2);
-    }
+    });
     // `chaos` owns its flag vocabulary (--seed, --cases, --replay, …),
     // so it parses its own arguments instead of the shared loop below.
     if args.first().map(String::as_str) == Some("chaos") {
-        std::process::exit(experiments::chaos::cli(&args[1..]));
+        std::process::exit(experiments::chaos::cli(&args[1..], threads));
     }
     // `compare` likewise owns its flags.
     if args.first().map(String::as_str) == Some("compare") {
         std::process::exit(experiments::compare::cli(&args[1..]));
     }
-    let mut quick = false;
+    let mut run = Run::new(false, threads);
     let mut ids: Vec<&str> = Vec::new();
     // Output directory per artifact kind, indexed by `Artifact`.
     let mut dirs: [Option<&str>; 3] = [None; 3];
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => quick = true,
+            "--quick" => run.quick = true,
             flag if flag.starts_with("--") => {
                 let Some(kind) = Artifact::from_flag(flag) else {
                     eprintln!("unknown flag '{flag}'");
@@ -117,7 +117,7 @@ fn main() {
         let Some(dir) = dirs[kind as usize] else {
             continue;
         };
-        if let Err(e) = report::set_dir(kind, Path::new(dir)) {
+        if let Err(e) = run.set_dir(kind, Path::new(dir)) {
             eprintln!("cannot create output directory {dir}: {e}");
             std::process::exit(1);
         }
@@ -126,21 +126,27 @@ fn main() {
     let t0 = Instant::now();
     let many = ids.len() > 1 || ids.contains(&"all") || ids.contains(&"ext");
     for id in &ids {
+        let t = Instant::now();
         match *id {
             "all" => {
                 for (id, ..) in experiments::ALL {
                     let t = Instant::now();
-                    experiments::dispatch(id, quick);
+                    experiments::dispatch(&mut run, id);
                     eprintln!("[{id} took {:.1}s]", t.elapsed().as_secs_f64());
+                }
+            }
+            "ext" => {
+                for (id, ..) in experiments::EXT {
+                    experiments::dispatch(&mut run, id);
                 }
             }
             id => {
-                let t = Instant::now();
-                experiments::dispatch(id, quick);
-                if many {
-                    eprintln!("[{id} took {:.1}s]", t.elapsed().as_secs_f64());
-                }
+                experiments::dispatch(&mut run, id);
             }
+        }
+        // `all` timed each of its ids.
+        if many && *id != "all" {
+            eprintln!("[{id} took {:.1}s]", t.elapsed().as_secs_f64());
         }
     }
     if many {
@@ -148,7 +154,7 @@ fn main() {
     }
     // Each unwritable file was reported as it happened (`error: …`); a
     // requested artifact that is missing fails the invocation.
-    if report::failed_writes() > 0 {
+    if run.failed_writes() > 0 {
         std::process::exit(1);
     }
 }

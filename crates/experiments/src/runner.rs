@@ -11,9 +11,12 @@
 //! tables are byte-identical to a serial run — a property
 //! `tests/determinism.rs` asserts.
 //!
-//! Thread count: `min(available cores, number of runs)`, overridable with
-//! the `REPRO_THREADS` environment variable (`REPRO_THREADS=1` forces the
-//! serial path; useful for timing comparisons and debugging).
+//! Thread count: the caller passes it. `repro` reads it once, with
+//! [`threads_from_env`] — `REPRO_THREADS`, or all cores when that is unset
+//! (`REPRO_THREADS=1` forces the serial path; useful for timing
+//! comparisons and debugging) — into its [`crate::report::Run`], and
+//! experiments pass `run.threads`. [`par_map`] uses at most one worker per
+//! run.
 //!
 //! This is plain `std::thread::scope` rather than rayon: the container
 //! this repo builds in has no crates.io access, and a work-stealing pool
@@ -22,31 +25,16 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// How many worker threads [`par_map`] uses for `runs` independent runs.
-///
-/// `REPRO_THREADS` (≥ 1) overrides the detected core count. An invalid
-/// value (`0`, empty, or unparseable) aborts the process with a clear
-/// error instead of silently falling back to all cores: someone setting
-/// `REPRO_THREADS=0` while chasing a determinism bug means "serial", and
-/// granting them 32 threads instead is the worst possible surprise.
-pub fn thread_count(runs: usize) -> usize {
-    let cores = match threads_from_env() {
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-    cores.min(runs.max(1))
-}
-
-/// The `REPRO_THREADS` override: `None` when unset, `Err` with a
-/// one-line message when invalid. `repro` checks it before anything runs.
-pub fn threads_from_env() -> Result<Option<usize>, String> {
-    parse_repro_threads(std::env::var("REPRO_THREADS").ok().as_deref())
+/// The worker count `repro` runs with: `REPRO_THREADS` (≥ 1) when set,
+/// else the detected core count. `Err` carries a one-line message for an
+/// invalid value (`0`, empty, or unparseable), which `repro` turns into
+/// exit 2 before anything runs instead of silently falling back to all
+/// cores: someone setting `REPRO_THREADS=0` while chasing a determinism
+/// bug means "serial", and granting them 32 threads instead is the worst
+/// possible surprise. The only reader of `REPRO_THREADS`.
+pub fn threads_from_env() -> Result<usize, String> {
+    let set = parse_repro_threads(std::env::var("REPRO_THREADS").ok().as_deref())?;
+    Ok(set.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())))
 }
 
 /// Parses a `REPRO_THREADS` value: `None` when unset (use detected
@@ -66,20 +54,21 @@ fn parse_repro_threads(var: Option<&str>) -> Result<Option<usize>, String> {
     }
 }
 
-/// Runs `f` over every item, in parallel, returning results in item order.
+/// Runs `f` over every item on up to `threads` workers, returning results
+/// in item order.
 ///
 /// Results are reassembled by input index, so the output is identical to
 /// `items.iter().map(f).collect()` no matter how threads interleave. `f`
 /// must be a pure function of its item (all the experiment runs are: they
 /// build a fresh `Network` from config + seed and consume it).
-pub fn par_map<I, T, F>(items: &[I], f: F) -> Vec<T>
+pub fn par_map<I, T, F>(threads: usize, items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    let threads = thread_count(items.len());
-    if threads <= 1 || items.len() <= 1 {
+    let threads = threads.min(items.len());
+    if threads <= 1 {
         return items.iter().map(f).collect();
     }
 
@@ -107,16 +96,6 @@ where
         .collect()
 }
 
-/// Runs `f` once per seed, in parallel, returning results in seed order —
-/// the common "repeat the experiment across ECMP draws" shape.
-pub fn par_runs<T, F>(seeds: &[u64], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    par_map(seeds, |&s| f(s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,35 +103,40 @@ mod tests {
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..64).collect();
-        let out = par_map(&items, |&x| x * 3);
+        let out = par_map(4, &items, |&x| x * 3);
         assert_eq!(out, (0..64).map(|x| x * 3).collect::<Vec<_>>());
     }
 
     #[test]
-    fn par_runs_matches_serial_map() {
+    fn par_map_matches_serial_map() {
         let seeds: Vec<u64> = (1..=20).collect();
         // A seed-dependent computation with enough work to actually
         // interleave threads.
-        let run = |seed: u64| {
+        let run = |&seed: &u64| {
             let mut rng = netsim::rng::SplitMix64::new(seed);
             (0..10_000).map(|_| rng.next_u64() & 0xFF).sum::<u64>()
         };
-        let serial: Vec<u64> = seeds.iter().map(|&s| run(s)).collect();
-        assert_eq!(par_runs(&seeds, run), serial);
+        let serial: Vec<u64> = seeds.iter().map(run).collect();
+        assert_eq!(par_map(4, &seeds, run), serial);
     }
 
     #[test]
     fn handles_empty_and_single() {
         let empty: Vec<u64> = Vec::new();
-        assert_eq!(par_runs(&empty, |s| s).len(), 0);
-        assert_eq!(par_runs(&[7], |s| s + 1), vec![8]);
+        assert_eq!(par_map(4, &empty, |&s| s).len(), 0);
+        assert_eq!(par_map(4, &[7], |&s| s + 1), vec![8]);
     }
 
     #[test]
     fn thread_count_is_bounded_by_runs() {
-        assert_eq!(thread_count(1), 1);
-        assert!(thread_count(1000) >= 1);
-        assert!(thread_count(2) <= 2);
+        let me = std::thread::current().id();
+        let on = |threads, runs: &[u8]| par_map(threads, runs, |_| std::thread::current().id());
+        // One thread, or one run, takes the serial path on the caller.
+        assert!(on(1, &[0, 1, 2]).iter().all(|&id| id == me));
+        assert_eq!(on(8, &[0]), [me]);
+        // More threads than runs: each run still runs once, on a worker.
+        let ids = on(8, &[0, 1]);
+        assert!(ids.len() == 2 && ids.iter().all(|&id| id != me));
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! §4: buffer-threshold engineering — reproduces the paper's arithmetic
 //! for `t_flight`, `t_PFC` and `t_ECN` on the Trident II switch.
 
+use crate::report::Run;
 use dcqcn::thresholds::{dynamic_ecn_bound, report};
-use netsim::buffer::BufferConfig;
+use netsim::buffer::{BufferConfig, MTU_BYTES};
 
 /// Runs the experiment.
-pub fn run(_quick: bool) {
+pub fn run(_run: &mut Run) {
     let cfg = BufferConfig::trident2();
     let r = report(&cfg, 8.0);
     println!(
         "switch: {} MB shared buffer, {} ports, 8 PFC priorities, MTU {}",
         cfg.total_bytes / 1_000_000,
         cfg.num_ports,
-        cfg.mtu_bytes
+        MTU_BYTES
     );
     println!(
         "  t_flight (headroom/port/priority) : {:.1} KB  (paper: 22.4)",

@@ -1,24 +1,13 @@
 //! The chaos campaign contract, end to end: campaign summaries are
-//! byte-identical across `REPRO_THREADS` settings, a deliberately broken
+//! byte-identical at every thread count, a deliberately broken
 //! recovery path (a wedged PFC watchdog) is caught by the convergence
 //! auditor, and the shrinker reduces it to a minimal replayable case
 //! file that still reproduces the failure.
-
-use std::sync::Mutex;
 
 use experiments::chaos::{campaign, case_json, execute, replay, shrink_case};
 use netsim::audit::ViolationKind;
 use netsim::chaos::{generate_case, CcName, ChaosCase, ChaosFlow, FaultSpec, TopoPick};
 use netsim::packet::DATA_PRIORITY;
-
-/// Serializes tests that mutate `REPRO_THREADS` — the test harness runs
-/// `#[test]` functions concurrently in one process, and the environment
-/// is process-global.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn set_threads(n: usize) {
-    std::env::set_var("REPRO_THREADS", n.to_string());
-}
 
 /// A hand-built case whose only fault is the test-only watchdog wedge —
 /// the "firmware bug" the generator never emits. It can never converge.
@@ -64,15 +53,12 @@ fn wedged_case() -> ChaosCase {
 
 #[test]
 fn campaign_summary_is_byte_identical_across_thread_counts() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let dir = std::env::temp_dir().join("chaos_campaign_test_threads");
-    set_threads(1);
-    let serial = campaign(1, 12, true, &dir);
-    set_threads(4);
-    let parallel = campaign(1, 12, true, &dir);
+    let serial = campaign(1, 12, true, 1, &dir);
+    let parallel = campaign(1, 12, true, 4, &dir);
     assert_eq!(
         serial.summary, parallel.summary,
-        "summary must not depend on REPRO_THREADS"
+        "summary must not depend on the thread count"
     );
     assert_eq!(
         serial.summary,

@@ -5,24 +5,13 @@
 //! (the Clos unfairness scenario), not a toy closure, so they also pin the
 //! underlying property that a run is a pure function of config + seed.
 
-use std::sync::Mutex;
-
 use experiments::common::CcChoice;
-use experiments::runner::{par_map, par_runs};
+use experiments::runner::par_map;
 use experiments::scenarios::{link_flap_run, unfairness_run};
 use netsim::units::{Duration, Time};
 
-/// Serializes tests that mutate `REPRO_THREADS` — the test harness runs
-/// `#[test]` functions concurrently in one process, and the environment
-/// is process-global.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn set_threads(n: usize) {
-    std::env::set_var("REPRO_THREADS", n.to_string());
-}
-
 /// One short-but-real run: 20 flows over the 3-tier Clos testbed.
-fn run(seed: u64) -> Vec<f64> {
+fn run(&seed: &u64) -> Vec<f64> {
     unfairness_run(
         CcChoice::None,
         seed,
@@ -44,26 +33,23 @@ fn assert_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
 
 #[test]
 fn parallel_reproduces_serial_run_for_run() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let seeds: Vec<u64> = vec![11, 23, 31];
 
     // Ground truth: a plain serial map, no harness involved.
-    let serial: Vec<Vec<f64>> = seeds.iter().map(|&s| run(s)).collect();
+    let serial: Vec<Vec<f64>> = seeds.iter().map(run).collect();
 
     // The harness on one thread takes its serial fast path…
-    set_threads(1);
-    let harness_serial = par_runs(&seeds, run);
-    assert_bits_eq(&serial, &harness_serial, "REPRO_THREADS=1 vs plain map");
+    let harness_serial = par_map(1, &seeds, run);
+    assert_bits_eq(&serial, &harness_serial, "1 thread vs plain map");
 
     // …and on many threads (more workers than this box has cores, so the
     // scheduler genuinely interleaves) must still be bit-identical and in
     // seed order.
-    set_threads(4);
-    let parallel = par_runs(&seeds, run);
-    assert_bits_eq(&serial, &parallel, "REPRO_THREADS=4 vs plain map");
+    let parallel = par_map(4, &seeds, run);
+    assert_bits_eq(&serial, &parallel, "4 threads vs plain map");
 
     // Run-to-run: a second parallel pass agrees with the first.
-    let again = par_runs(&seeds, run);
+    let again = par_map(4, &seeds, run);
     assert_bits_eq(&parallel, &again, "repeated parallel runs");
 }
 
@@ -73,8 +59,7 @@ fn parallel_reproduces_serial_run_for_run() {
 /// timeline bit-for-bit.
 #[test]
 fn faulted_runs_are_deterministic_under_parallelism() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let faulted = |seed: u64| -> Vec<f64> {
+    let faulted = |&seed: &u64| -> Vec<f64> {
         let r = link_flap_run(
             CcChoice::None,
             true,
@@ -90,26 +75,23 @@ fn faulted_runs_are_deterministic_under_parallelism() {
         out
     };
     let seeds: Vec<u64> = vec![7, 19];
-    let serial: Vec<Vec<f64>> = seeds.iter().map(|&s| faulted(s)).collect();
+    let serial: Vec<Vec<f64>> = seeds.iter().map(faulted).collect();
     assert!(
         serial.iter().all(|r| r[r.len() - 1] > 0.0),
         "the flap really dropped packets on the wire"
     );
-    set_threads(4);
-    let parallel = par_runs(&seeds, faulted);
-    assert_bits_eq(&serial, &parallel, "faulted REPRO_THREADS=4 vs plain map");
-    let again = par_runs(&seeds, faulted);
+    let parallel = par_map(4, &seeds, faulted);
+    assert_bits_eq(&serial, &parallel, "faulted 4 threads vs plain map");
+    let again = par_map(4, &seeds, faulted);
     assert_bits_eq(&parallel, &again, "repeated faulted parallel runs");
 }
 
 #[test]
 fn par_map_preserves_input_order_under_contention() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    set_threads(8);
     // Unequal work per item so fast items finish while slow ones are still
     // running — completion order is scrambled, output order must not be.
     let items: Vec<(u64, u32)> = (0..32).map(|i| (i, (i % 7) as u32)).collect();
-    let out = par_map(&items, |&(seed, extra)| {
+    let out = par_map(8, &items, |&(seed, extra)| {
         let mut rng = netsim::rng::SplitMix64::new(seed);
         let spins = 1_000 + extra as usize * 10_000;
         (0..spins).map(|_| rng.next_u64() & 0xF).sum::<u64>()

@@ -22,6 +22,16 @@
 use crate::packet::NUM_PRIORITIES;
 use crate::units::checked::{checked_accum, checked_drain, scale_bytes};
 
+/// The switch MTU in bytes, used for the resume hysteresis (resume at
+/// `t_PFC − 2·MTU`).
+pub const MTU_BYTES: u64 = 1500;
+
+/// Dynamic-alpha factor for the lossy-mode (PFC off) per-egress-queue
+/// drop limit: a queue may hold at most `LOSSY_ALPHA · (B − s)` bytes.
+/// Broadcom-style lossy configs default to small fractions; 1/16 of the
+/// free pool approximates a production lossy profile.
+const LOSSY_ALPHA: f64 = 1.0 / 16.0;
+
 /// PFC threshold policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PfcThreshold {
@@ -47,14 +57,6 @@ pub struct BufferConfig {
     pub headroom_bytes: u64,
     /// PFC threshold policy.
     pub threshold: PfcThreshold,
-    /// MTU in bytes, used for the resume hysteresis (resume at
-    /// `t_PFC − 2·MTU`).
-    pub mtu_bytes: u64,
-    /// Dynamic-alpha factor for the lossy-mode (PFC off) per-egress-queue
-    /// drop limit: a queue may hold at most `lossy_alpha · (B − s)` bytes.
-    /// Broadcom-style lossy configs default to small fractions; 1/16 of
-    /// the free pool approximates a production lossy profile.
-    pub lossy_alpha: f64,
 }
 
 impl BufferConfig {
@@ -66,8 +68,6 @@ impl BufferConfig {
             num_ports: 32,
             headroom_bytes: 22_400,
             threshold: PfcThreshold::Dynamic { beta: 8.0 },
-            mtu_bytes: 1500,
-            lossy_alpha: 1.0 / 16.0,
         }
     }
 
@@ -196,14 +196,14 @@ impl SharedBuffer {
     /// falls below `t_PFC` by two MTU".
     pub(crate) fn should_resume(&self, port: usize, prio: usize) -> bool {
         let t = self.pfc_threshold();
-        self.ingress[port][prio].saturating_add(2 * self.config.mtu_bytes) <= t
+        self.ingress[port][prio].saturating_add(2 * MTU_BYTES) <= t
     }
 
     /// Per-egress-queue drop limit when PFC is disabled (lossy mode):
     /// a dynamic-alpha style cap of the remaining free pool.
     pub(crate) fn lossy_egress_limit(&self) -> u64 {
         let free = self.config.total_bytes.saturating_sub(self.occupied);
-        scale_bytes(free, self.config.lossy_alpha)
+        scale_bytes(free, LOSSY_ALPHA)
     }
 }
 

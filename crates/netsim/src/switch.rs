@@ -19,7 +19,7 @@ use crate::buffer::{BufferConfig, SharedBuffer};
 use crate::ecn::RedConfig;
 use crate::event::{Event, NodeId, PortId};
 use crate::network::Ctx;
-use crate::packet::{FlowId, Packet, PacketKind, NUM_PRIORITIES};
+use crate::packet::{FlowId, Packet, PacketKind, CONTROL_PRIORITY};
 use crate::port::{Port, Queued, MAX_PORTS};
 use crate::rng::mix64;
 use crate::routing::RouteTable;
@@ -63,11 +63,9 @@ pub struct SwitchConfig {
     pub buffer: BufferConfig,
     /// RED/ECN marking parameters (the DCQCN CP).
     pub red: RedConfig,
-    /// Is PFC enabled at all?
+    /// Is PFC enabled at all? It then protects every class but
+    /// `CONTROL_PRIORITY`.
     pub pfc_enabled: bool,
-    /// Which priority classes are lossless (PFC-protected). Ignored when
-    /// `pfc_enabled` is false.
-    pub(crate) lossless: [bool; NUM_PRIORITIES],
     /// PFC storm watchdog (`None` = no watchdog, the paper-era default).
     pub watchdog: Option<PfcWatchdogConfig>,
 }
@@ -80,13 +78,10 @@ impl SwitchConfig {
     /// ACKs/CNPs "with high priority") is served by strict priority and
     /// is not PFC-paused.
     pub fn paper_default() -> SwitchConfig {
-        let mut lossless = [true; NUM_PRIORITIES];
-        lossless[crate::packet::CONTROL_PRIORITY as usize] = false;
         SwitchConfig {
             buffer: BufferConfig::trident2(),
             red: RedConfig::disabled(),
             pfc_enabled: true,
-            lossless,
             watchdog: None,
         }
     }
@@ -158,9 +153,10 @@ impl Switch {
         }
     }
 
-    /// Is `prio` PFC-protected on this switch?
+    /// Is `prio` PFC-protected on this switch? With PFC on, every class
+    /// but the control class is.
     pub(crate) fn is_lossless(&self, prio: usize) -> bool {
-        self.config.pfc_enabled && self.config.lossless[prio]
+        self.config.pfc_enabled && prio != CONTROL_PRIORITY as usize
     }
 
     /// Picks the ECMP egress port for `pkt`, or `None` when unroutable.

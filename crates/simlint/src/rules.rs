@@ -856,7 +856,7 @@ const PAPER: &str = "src/|crates/netsim/src/|crates/dcqcn/src/|crates/fluid/src/
                      crates/baselines/src/|crates/experiments/src/|crates/workloads/src/";
 
 /// One copy of each mechanism: where each one lives, and why.
-pub const OWNERS: [Owner; 16] = [
+pub const OWNERS: [Owner; 17] = [
     Owner {
         pattern: "Event :: TxDone|Deliver {…} !=>",
         scope: SURFACE,
@@ -964,6 +964,13 @@ pub const OWNERS: [Owner; 16] = [
         scope: "crates/netsim/src/switch.rs",
         owners: &["Switch::receive (crates/netsim/src/switch.rs)"],
         why: "every frame a switch queues was admitted by its shared buffer",
+    },
+    Owner {
+        pattern: "env :: set_var|remove_var",
+        scope: "src/|crates/",
+        owners: &[],
+        why: "the process environment is read-only: repro reads REPRO_THREADS once, and \
+              tests hand the harness a thread count",
     },
 ];
 

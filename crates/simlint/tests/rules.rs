@@ -414,7 +414,7 @@ fn unused_pub_only_audits_netsim() {
 /// One `(file, source)` case where the row fires and one where it stays
 /// quiet, for each row of `OWNERS`, in table order.
 type OwnerCase = ((&'static str, &'static str), (&'static str, &'static str));
-const OWNER_CASES: [OwnerCase; 16] = [
+const OWNER_CASES: [OwnerCase; 17] = [
     (
         (
             "crates/netsim/src/switch.rs",
@@ -564,6 +564,16 @@ const OWNER_CASES: [OwnerCase; 16] = [
         (
             "crates/netsim/src/switch.rs",
             "impl Switch { fn receive(&mut self, pkt: Packet) { self.ports[0].enqueue(Queued::new(pkt, None)); } }\n",
+        ),
+    ),
+    (
+        (
+            "crates/experiments/src/runner.rs",
+            "fn serial() { std::env::set_var(\"REPRO_THREADS\", \"1\"); }\n",
+        ),
+        (
+            "crates/experiments/src/runner.rs",
+            "fn threads() -> Option<String> { std::env::var(\"REPRO_THREADS\").ok() }\n",
         ),
     ),
 ];
