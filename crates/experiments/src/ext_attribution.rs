@@ -11,11 +11,12 @@
 //! (its own CNP-driven rate limiter, not someone else's PAUSE).
 //!
 //! Nothing is simulated here that Figures 4 and 9 do not simulate: this
-//! is their [`attribution`] pass, printed side by side.
+//! is their [`crate::scenarios::attribution`] pass, printed side by
+//! side. A run that dispatched either figure first hands its pass over
+//! ([`Run::attribution`]) rather than simulating it again.
 
 use crate::common::{breakdown_json, print_breakdown, CcChoice};
 use crate::report::{Artifact, Run};
-use crate::scenarios::attribution;
 use netsim::telemetry::Json;
 use netsim::units::Duration;
 
@@ -23,7 +24,7 @@ use netsim::units::Duration;
 pub fn run(run: &mut Run) {
     let mut schemes = Vec::new();
     for cc in [CcChoice::None, CcChoice::dcqcn_paper()] {
-        let att = attribution(cc, run.scale());
+        let att = run.attribution(cc);
 
         println!(
             "{}: victim (VS→VR) 1 MB message, 2 senders under T3:",

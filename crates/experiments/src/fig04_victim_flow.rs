@@ -5,7 +5,7 @@
 use crate::common::{breakdown_json, mmm, print_breakdown, CcChoice};
 use crate::report::{Artifact, Run};
 use crate::runner::par_map;
-use crate::scenarios::{attribution, testbed_window, victim_run};
+use crate::scenarios::{testbed_window, victim_run};
 use netsim::telemetry::{Json, SpanState};
 
 /// Runs the scenario and prints the victim's median goodput per
@@ -42,7 +42,7 @@ pub fn run_with(run: &mut Run, cc: CcChoice) {
     // and check the scheme's signature — PFC alone leaves the victim
     // pause-blocked; an end-to-end scheme shifts that time into
     // rate-limiter throttling.
-    let att = attribution(cc, scale);
+    let att = run.attribution(cc);
     assert!(att.completed, "victim's finite message must complete");
     println!(
         "victim FCT attribution (2 senders under T3, seed {}):",

@@ -18,11 +18,13 @@
 //! Nothing here is global: a test builds its own `Run` with the thread
 //! count and sinks it wants.
 
-use crate::common::RunScale;
+use crate::common::{CcChoice, RunScale};
+use crate::scenarios::{attribution, AttributionResult};
 use netsim::telemetry::{Dashboard, Json};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
 /// The three files a dispatched experiment can leave behind, each with
 /// one `repro` flag naming its output directory and one sink here.
@@ -68,6 +70,9 @@ pub struct Run {
     id: &'static str,
     /// The open report's top-level keys, in insertion order.
     pairs: Vec<(String, Json)>,
+    /// The attribution passes run so far, by scheme (its `Debug` form):
+    /// Figures 4 and 9 run one each, and `ext-attribution` prints both.
+    attributions: Vec<(String, Rc<AttributionResult>)>,
 }
 
 impl Run {
@@ -80,7 +85,21 @@ impl Run {
             failed_writes: 0,
             id: "",
             pairs: Vec::new(),
+            attributions: Vec::new(),
         }
+    }
+
+    /// The [`attribution`] pass of `cc` at this run's scale: simulated on
+    /// the first request, then shared by every experiment of the run that
+    /// asks for the same scheme.
+    pub fn attribution(&mut self, cc: CcChoice) -> Rc<AttributionResult> {
+        let key = format!("{cc:?}");
+        if let Some((_, att)) = self.attributions.iter().find(|(k, _)| *k == key) {
+            return Rc::clone(att);
+        }
+        let att = Rc::new(attribution(cc, self.scale()));
+        self.attributions.push((key, Rc::clone(&att)));
+        att
     }
 
     /// The run-length knobs `--quick` picks.

@@ -18,6 +18,11 @@
 //! pending-event high-water mark plus a fixed, lazily touched wheel. Pop
 //! order is exactly the old heap's `(time, insertion-seq)` order; see
 //! DESIGN.md for the argument.
+//!
+//! A caller may take an insertion seq now ([`EventQueue::reserve`]) and
+//! insert the event under it later ([`EventQueue::schedule_reserved`]):
+//! the event pops exactly where scheduling it at reservation time would
+//! have put it, without being pending in between.
 
 use crate::slab::{PacketRef, Slab, NIL};
 use crate::units::Time;
@@ -53,12 +58,11 @@ pub enum TimerKind {
     },
     /// The NIC asked to be woken when the earliest flow becomes eligible.
     NicWakeup,
-    /// A new message is injected into a flow's send queue (workload arrival).
+    /// The front message of a flow's filed arrivals is injected into its
+    /// send queue (workload arrival; the host keeps the bytes).
     MessageArrival {
         /// Local flow index on the host.
         flow: usize,
-        /// Message size in bytes.
-        bytes: u64,
     },
 }
 
@@ -165,10 +169,11 @@ const LEAF_WORDS: usize = NUM_BUCKETS / 64;
 const SUMMARY_WORDS: usize = LEAF_WORDS / 64;
 
 /// Pending events a new queue has room for before its slab and overflow
-/// heap reallocate (152 KB, untouched until used). Set-up schedules every
-/// message arrival up front; from empty, the slab would reach a testbed
-/// workload's size through nine reallocations, each copying it into
-/// fresh memory and leaving the old copy behind as a hole.
+/// heap reallocate (152 KB, untouched until used, so a small run pays for
+/// none of it). Pending events are bounded by the fabric; at seed 1 they
+/// peak at 98 on `clos_pfc_incast`, 225 on `clos_dcqcn_mixed` and 2 151
+/// on `fattree_k8_permutation`, which doubles the slab once (room for
+/// 4 096 left its `peak_rss_mb` within run-to-run spread).
 const INITIAL_EVENTS: usize = 2048;
 
 /// Bits of a key's low word that name the slab slot; the seq takes the
@@ -348,6 +353,12 @@ impl EventQueue {
         self.slab.peak()
     }
 
+    /// Every pending event, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> impl Iterator<Item = &Event> {
+        self.slab.live_values().map(|slot| &slot.event)
+    }
+
     /// The cohorts `pop` has sorted so far (all zero without `--features
     /// profile`).
     pub(crate) fn cohort_stats(&self) -> CohortStats {
@@ -383,13 +394,32 @@ impl EventQueue {
     // Inlined, the event is stored straight into its slab slot.
     #[inline(always)]
     pub fn schedule(&mut self, at: Time, event: Event) {
+        let seq = self.reserve();
+        self.schedule_reserved(at, seq, event);
+    }
+
+    /// Takes the next insertion seq without scheduling anything: an event
+    /// later given it by [`EventQueue::schedule_reserved`] pops where one
+    /// scheduled now would.
+    #[inline]
+    pub fn reserve(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Schedules `event` at `at` under `seq`, taken earlier from
+    /// [`EventQueue::reserve`] and given to no other event.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past, like [`EventQueue::schedule`].
+    #[inline(always)]
+    pub fn schedule_reserved(&mut self, at: Time, seq: u64, event: Event) {
         assert!(
             at >= self.now,
             "scheduled event at {at} before current time {}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
+        debug_assert!(seq < self.seq, "seq {seq} was never reserved");
         let tie = tie_of(seq, self.slab.vacant());
         let i = self.slab.insert(Slot { at, tie, event });
         let tick = tick_of(at);
@@ -410,10 +440,10 @@ impl EventQueue {
         self.overflow.push(Reverse(key));
     }
 
-    /// Inserts `key` into the due cohort, keeping it sorted. A new event
-    /// carries the highest seq, so among equal times it belongs at the
-    /// front of the equal run in the descending layout — which is where
-    /// `partition_point` on strict `>` lands it.
+    /// Inserts `key` into the due cohort, keeping it sorted descending.
+    /// Keys are unique, so `partition_point` on strict `>` lands it in its
+    /// one place; a new event carries the highest seq and goes to the
+    /// front of its equal-time run.
     #[inline(never)]
     fn insert_near(&mut self, key: Key) {
         let idx = self.near.partition_point(|&k| k > key);
@@ -541,15 +571,25 @@ impl EventQueue {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
+        self.pop_until(Time::NEVER)
+    }
+
+    /// Pops the next event if it is due at or before `until`, advancing
+    /// the clock to its timestamp.
+    pub fn pop_until(&mut self, until: Time) -> Option<(Time, Event)> {
         if !self.promote() {
             return None;
         }
-        let Some(key) = self.near.pop() else {
+        let Some(&key) = self.near.last() else {
             debug_assert!(false, "promote() returned true on an empty queue");
             return None;
         };
         let at = key.at();
+        if at > until {
+            return None;
+        }
         debug_assert!(at >= self.now);
+        self.near.pop();
         self.now = at;
         self.popped += 1;
         Some((at, self.slab.take(key.slot()).event))
@@ -559,9 +599,11 @@ impl EventQueue {
     /// timestamp (if that timestamp is ≤ `until`) into `out`, in exact
     /// `(time, seq)` order, and returns the cohort's timestamp. The clock
     /// advances to it. Equivalent to repeated `pop` while the head time is
-    /// unchanged — batching only skips re-entering the scheduler between
-    /// same-timestamp events, which cannot reorder anything because events
-    /// scheduled *during* their dispatch always carry higher seqs.
+    /// unchanged as long as events scheduled *during* the cohort's
+    /// dispatch carry higher seqs, which `schedule` guarantees. An event
+    /// given a reserved seq at the cohort's own time may belong inside the
+    /// drained cohort, so a caller that does that pops one event at a time
+    /// ([`EventQueue::pop_until`]).
     pub fn pop_batch(&mut self, until: Time, out: &mut Vec<Event>) -> Option<Time> {
         if !self.promote() {
             return None;

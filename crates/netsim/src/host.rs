@@ -11,14 +11,14 @@
 //! per-packet granularity" (§3.3).
 
 use crate::cc::{CcActions, CongestionControl};
-use crate::event::{NodeId, PortId, TimerKind};
+use crate::event::{Event, NodeId, PortId, TimerKind};
 use crate::network::Ctx;
 use crate::packet::{Ecn, FlowId, Packet, PacketKind, Priority, NUM_PRIORITIES};
 use crate::port::{Port, Queued};
 use crate::qp::{QpRx, QpTx, Reply, Rto};
 use crate::trace::{check_flow_id, TraceKind};
 use crate::units::{Bandwidth, Duration, Time};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 pub use crate::qp::HostConfig;
 
@@ -43,6 +43,56 @@ pub struct Flow {
     next_eligible: Time,
     /// Armed CC timers: id → deadline.
     cc_timers: Vec<(u32, Time)>,
+    /// Workload messages filed by `Network::send_message`, not yet due.
+    arrivals: Arrivals,
+}
+
+/// A flow's filed message arrivals as `(at, seq, bytes)`, in `(at, seq)`
+/// order. Each keeps the event-queue seq reserved when it was filed, so it
+/// pops exactly where an event scheduled then would have. Only the first
+/// `queued` are in the event queue: one, unless an arrival was filed in
+/// front of a queued one.
+#[derive(Debug, Default)]
+struct Arrivals {
+    due: VecDeque<(Time, u64, u64)>,
+    queued: usize,
+}
+
+impl Arrivals {
+    /// Files `bytes` due at `at` under `seq`, the highest seq yet reserved;
+    /// true when the arrival must go into the event queue now.
+    fn file(&mut self, at: Time, seq: u64, bytes: u64) -> bool {
+        let i = match self.due.back() {
+            Some(&(last, ..)) if last > at => {
+                let i = self.due.partition_point(|&(due, ..)| due <= at);
+                self.due.insert(i, (at, seq, bytes));
+                i
+            }
+            _ => {
+                self.due.push_back((at, seq, bytes));
+                self.due.len() - 1
+            }
+        };
+        let now = self.queued == 0 || i < self.queued;
+        self.queued += usize::from(now);
+        now
+    }
+
+    /// Takes the front arrival, the one that fired (queued arrivals pop in
+    /// key order): its bytes, and the next arrival's `(at, seq)` when that
+    /// one must go into the event queue now.
+    fn take(&mut self) -> Option<(u64, Option<(Time, u64)>)> {
+        let (_, _, bytes) = self.due.pop_front()?;
+        self.queued -= 1;
+        let next = match self.due.front() {
+            Some(&(at, seq, _)) if self.queued == 0 => {
+                self.queued = 1;
+                Some((at, seq))
+            }
+            _ => None,
+        };
+        Some((bytes, next))
+    }
 }
 
 /// An end host with one NIC port.
@@ -120,6 +170,7 @@ impl Host {
             tx: QpTx::default(),
             next_eligible: Time::ZERO,
             cc_timers: Vec::new(),
+            arrivals: Arrivals::default(),
         });
         self.flow_ids.insert(id, self.flows.len() - 1);
         self.flows.len() - 1
@@ -272,14 +323,16 @@ impl Host {
                             // simlint: allow(hot-alloc) only when transport retries are exhausted (QP error)
                             .dump(self.id, now, &format!("qp_teardown flow={}", f.id.0));
                     }
-                    Rto::Resend(deadline) => {
+                    Rto::Resend(check) => {
                         let una = f.tx.psns().0;
                         ctx.stats(f.id).timeouts += 1;
                         ctx.record_trace(self.id, f.id, TraceKind::Timeout, una);
                         // The stall that just ended was RTO wait:
                         // re-attribute it before the resend is observed.
                         ctx.spans.on_timeout(f.id, now);
-                        ctx.schedule_timer(deadline, self.id, kind);
+                        if let Some(at) = check {
+                            ctx.schedule_timer(at, self.id, kind);
+                        }
                         self.cc_call(ctx, flow, |cc, a| cc.on_loss(now, a));
                         self.try_send(ctx);
                     }
@@ -291,11 +344,37 @@ impl Host {
                 }
                 self.try_send(ctx);
             }
-            TimerKind::MessageArrival { flow, bytes } => {
+            TimerKind::MessageArrival { flow } => {
+                let Some((bytes, next)) = self.flows[flow].arrivals.take() else {
+                    unreachable!("an arrival fired with none filed");
+                };
+                if let Some((at, seq)) = next {
+                    self.queue_arrival(ctx, flow, at, seq);
+                }
                 self.inject_message(ctx, flow, bytes);
             }
         }
         self.update_spans(ctx);
+    }
+
+    /// Files a message of `bytes` for flow `flow`, due at `at` (not before
+    /// now). It takes its event-queue seq now, but enters the queue only
+    /// when it is the flow's next arrival, so a flow given a long schedule
+    /// up front keeps one arrival pending, not the whole schedule.
+    pub(crate) fn file_message(&mut self, ctx: &mut Ctx, flow: usize, at: Time, bytes: u64) {
+        let seq = ctx.queue.reserve();
+        if self.flows[flow].arrivals.file(at, seq, bytes) {
+            self.queue_arrival(ctx, flow, at, seq);
+        }
+    }
+
+    fn queue_arrival(&self, ctx: &mut Ctx, flow: usize, at: Time, seq: u64) {
+        let kind = TimerKind::MessageArrival { flow };
+        let event = Event::Timer {
+            node: self.id,
+            kind,
+        };
+        ctx.queue.schedule_reserved(at, seq, event);
     }
 
     /// Hands `bytes` to flow `flow` for transmission, resetting congestion

@@ -167,9 +167,6 @@ pub struct Network {
     /// How many recorded auditor violations have already triggered a
     /// flight-recorder dump (cursor into `audit.violations()`).
     dumped_violations: usize,
-    /// Reusable buffer for same-timestamp event cohorts (see `run_until`);
-    /// held on the network so the allocation survives across calls.
-    batch: Vec<Event>,
 }
 
 impl Network {
@@ -257,12 +254,16 @@ impl Network {
     }
 
     /// Schedules `bytes` to be handed to `flow` at time `at` (clamped to
-    /// now). Use `u64::MAX` for a greedy, never-ending flow.
+    /// now). Use `u64::MAX` for a greedy, never-ending flow. The message
+    /// is filed on the flow, which keeps one arrival in the event queue.
     pub fn send_message(&mut self, flow: FlowId, bytes: u64, at: Time) {
         let (host, idx) = self.flows[flow.0 as usize];
         let at = at.max(self.ctx.queue.now());
-        self.ctx
-            .schedule_timer(at, host, TimerKind::MessageArrival { flow: idx, bytes });
+        let Network { nodes, ctx, .. } = self;
+        match &mut nodes[host.0] {
+            Node::Host(h) => h.file_message(ctx, idx, at, bytes),
+            Node::Switch(_) => unreachable!("flows start at hosts"),
+        }
     }
 
     /// A flow's counters.
@@ -405,34 +406,27 @@ impl Network {
 
     /// Runs the simulation until (and including) events at `until`.
     pub fn run_until(&mut self, until: Time) {
-        // Events sharing a timestamp are drained from the queue as one
-        // cohort and dispatched back-to-back, skipping the scheduler's
-        // bucket/heap machinery between them. Order is unchanged: anything
-        // a dispatch schedules at the same timestamp gets a higher seq
-        // than the whole drained cohort and forms the *next* cohort.
-        // The buffer is taken out of `self` so `dispatch` (which may run
-        // arbitrary hooks) can borrow the network freely.
-        let mut batch = std::mem::take(&mut self.batch);
-        while let Some(t) = self.ctx.queue.pop_batch(until, &mut batch) {
-            for event in batch.drain(..) {
-                self.ctx.audit.on_event(t);
-                let kind = if Profiler::enabled() {
-                    event.kind_index()
-                } else {
-                    0
-                };
-                // `mark` is `()` without the profile feature.
-                #[allow(clippy::let_unit_value)]
-                let mark = self.profiler.mark();
-                self.dispatch(event);
-                self.profiler.on_event(kind, mark);
-                if self.ctx.audit.buffer_check_due() {
-                    self.audit_buffers_now();
-                }
-                self.dump_new_violations();
+        // One event at a time, not a drained same-timestamp cohort: a
+        // message arrival inserts its flow's next one under the seq
+        // reserved at `send_message`, and when both share a timestamp that
+        // seq can sort before events of the current cohort.
+        while let Some((t, event)) = self.ctx.queue.pop_until(until) {
+            self.ctx.audit.on_event(t);
+            let kind = if Profiler::enabled() {
+                event.kind_index()
+            } else {
+                0
+            };
+            // `mark` is `()` without the profile feature.
+            #[allow(clippy::let_unit_value)]
+            let mark = self.profiler.mark();
+            self.dispatch(event);
+            self.profiler.on_event(kind, mark);
+            if self.ctx.audit.buffer_check_due() {
+                self.audit_buffers_now();
             }
+            self.dump_new_violations();
         }
-        self.batch = batch;
         // The loop leaves the clock at the last *popped* event, which may
         // fall well short of `until` (or never move at all in an idle
         // window). Land on the horizon itself so spans, telemetry
@@ -647,6 +641,80 @@ mod tests {
     fn switch_accessor_rejects_hosts() {
         let (net, h1, _) = tiny();
         let _ = net.switch(h1);
+    }
+
+    /// A flow handed 1 000 future messages, idle between each so that its
+    /// QP arms a new deadline 1 000 times inside one RTO, keeps at most
+    /// one arrival and one retransmission check pending.
+    #[test]
+    fn a_flow_keeps_one_arrival_and_one_check_pending() {
+        let (mut net, h1, h2) = tiny();
+        let f = net.add_flow(h1, h2, DATA_PRIORITY, |l| Box::new(NoCc::new(l)));
+        let period = Duration::from_micros(10);
+        for k in 0..1000 {
+            net.send_message(f, 1000, Time::ZERO + period * k);
+        }
+        let pending = |net: &Network| {
+            let timers = net.ctx.queue.pending().filter_map(|e| match e {
+                Event::Timer { kind, .. } => Some(kind),
+                _ => None,
+            });
+            timers.fold((0, 0), |(arrivals, checks), kind| match kind {
+                TimerKind::MessageArrival { .. } => (arrivals + 1, checks),
+                TimerKind::Retransmit { .. } => (arrivals, checks + 1),
+                _ => (arrivals, checks),
+            })
+        };
+        assert_eq!(pending(&net), (1, 0));
+        let mut peak = (0, 0);
+        for k in 0..1000 {
+            // 8 µs into each period the message is delivered and ACKed.
+            net.run_until(Time::ZERO + period * k + Duration::from_micros(8));
+            assert!(net.host(h1).flows[0].tx.is_idle(), "idle at period {k}");
+            let (arrivals, checks) = pending(&net);
+            peak = (peak.0.max(arrivals), peak.1.max(checks));
+        }
+        assert_eq!(net.flow_stats(f).completions.len(), 1000);
+        assert_eq!(peak, (1, 1));
+        // The arrival, the check and the one frame on the wire.
+        assert_eq!(net.ctx.queue.peak_pending(), 3);
+    }
+
+    /// A wedge (a trip outside the check chain) with a check pending,
+    /// then a link reset and a new PAUSE: the class still has one check
+    /// pending, the old one, which re-arms to the new pause.
+    #[test]
+    fn a_watchdog_class_keeps_one_check_pending() {
+        use crate::packet::Packet;
+        use crate::switch::{PfcWatchdogConfig, SwitchConfig};
+        let mut b = NetworkBuilder::new(1);
+        let wd = PfcWatchdogConfig::default();
+        let sw = b.switch(SwitchConfig::paper_default().with_watchdog(wd));
+        let h1 = b.host(crate::host::HostConfig::default());
+        b.connect(h1, sw, Bandwidth::gbps(40), Duration::from_micros(1));
+        let mut net = b.build();
+        let pause = Packet::pfc(h1, sw, DATA_PRIORITY, true);
+        let class = usize::from(DATA_PRIORITY);
+        let Network { nodes, ctx, .. } = &mut net;
+        let Node::Switch(s) = &mut nodes[sw.0] else {
+            unreachable!("node {} is the switch", sw.0)
+        };
+        s.receive(ctx, PortId(0), pause);
+        s.wedge_watchdog(ctx, PortId(0), class);
+        s.ports[0].reset_pfc();
+        s.receive(ctx, PortId(0), pause);
+        let checks = ctx
+            .queue
+            .pending()
+            .filter(|e| matches!(e, Event::Watchdog { restore: false, .. }))
+            .count();
+        assert_eq!(checks, 1);
+        net.run_until(Time::ZERO + wd.threshold * 2);
+        assert_eq!(
+            net.switch(sw).stats.watchdog_trips,
+            2,
+            "the wedge, then the check"
+        );
     }
 
     #[test]

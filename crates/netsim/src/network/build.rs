@@ -179,7 +179,6 @@ impl NetworkBuilder {
             hooks: Vec::new(),
             profiler: Profiler::new(),
             dumped_violations: 0,
-            batch: Vec::new(),
         };
         net.install_routes();
         net

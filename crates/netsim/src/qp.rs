@@ -137,20 +137,23 @@ pub struct TxPacket {
     pub eom: bool,
     /// A go-back-N resend of an already-sent PSN.
     pub retx: bool,
-    /// The retransmission deadline this packet armed (the QP was disarmed).
+    /// A retransmission check to schedule: this packet armed the QP's
+    /// deadline, and no check waits at or before it.
     pub arm_rto: Option<Time>,
 }
 
 /// What a fired retransmission timer means, from [`QpTx::on_rto`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rto {
-    /// Disarmed or nothing outstanding: the timer chain ends.
+    /// Disarmed, nothing outstanding, or the deadline moved out to where
+    /// another check already waits: this chain ends.
     Ignore,
     /// The deadline moved out since the timer was set: fire again then.
     Rearm(Time),
     /// A stall: the QP rewound to its oldest unacked PSN and backed off;
-    /// the next timer is due at the given deadline.
-    Resend(Time),
+    /// the next check is due at the given deadline (`None`: another one
+    /// already waits at or before it).
+    Resend(Option<Time>),
     /// The retry budget is exhausted: the QP is dead.
     Teardown,
 }
@@ -171,6 +174,12 @@ pub struct QpTx {
     inflight_wire: u64,
     /// Armed RTO deadline (`None` = disarmed).
     rto_deadline: Option<Time>,
+    /// When the last retransmission check asked for is due (`None` once it
+    /// fired). A deadline at or after it gets no check of its own: the
+    /// check re-arms to it. So one check is pending however often the QP
+    /// goes idle and busy again; only a deadline set ahead of a backed-off
+    /// check leaves that one pending beside the new one.
+    rto_check: Option<Time>,
     /// Last send or ACK activity (drives the idle restart).
     last_activity: Time,
     /// Consecutive retransmission timeouts without ACK progress.
@@ -238,6 +247,8 @@ impl QpTx {
     /// message (`None` when there is none). A disarmed QP arms its
     /// deadline at `now + rto`: a sender that keeps transmitting but gets
     /// no ACK back does time out — the black hole go-back-N must cover.
+    /// The packet asks for a check at the deadline only when none waits
+    /// at or before it.
     #[inline]
     pub fn next_packet(&mut self, now: Time, mtu: u32, rto: Duration) -> Option<TxPacket> {
         let (psn, payload, eom, retx) = if self.send < self.next {
@@ -266,8 +277,14 @@ impl QpTx {
         };
         self.send += 1;
         self.last_activity = now;
-        let arm_rto = self.rto_deadline.is_none().then_some(now + rto);
-        self.rto_deadline = self.rto_deadline.or(arm_rto);
+        let arm_rto = match self.rto_deadline {
+            Some(_) => None,
+            None => {
+                let deadline = now + rto;
+                self.rto_deadline = Some(deadline);
+                self.file_check(deadline)
+            }
+        };
         Some(TxPacket {
             psn,
             payload,
@@ -339,16 +356,31 @@ impl QpTx {
         in_window
     }
 
-    /// The retransmission timer fired at `now`. The k-th consecutive
-    /// timeout of a stalled QP rewinds it to `una` and waits
+    /// A retransmission check due at `at` to schedule, unless the last one
+    /// asked for waits at or before it (it re-arms to `at` when it fires).
+    fn file_check(&mut self, at: Time) -> Option<Time> {
+        if self.rto_check.is_some_and(|check| check <= at) {
+            return None;
+        }
+        self.rto_check = Some(at);
+        Some(at)
+    }
+
+    /// A retransmission check fired at `now`. Every check acts on the
+    /// deadline it finds, so the QP resends exactly when it would if each
+    /// arm had scheduled a check of its own. The k-th consecutive timeout
+    /// of a stalled QP rewinds it to `una` and waits
     /// `rto · min(2^(k−1), rto_backoff_cap)`; ACK progress resets k.
     /// Timeout `max_retries + 1` tears the QP down.
     pub fn on_rto(&mut self, now: Time, config: &HostConfig) -> Rto {
+        if self.rto_check == Some(now) {
+            self.rto_check = None;
+        }
         let Some(deadline) = self.rto_deadline else {
             return Rto::Ignore;
         };
         if deadline > now {
-            return Rto::Rearm(deadline);
+            return self.file_check(deadline).map_or(Rto::Ignore, Rto::Rearm);
         }
         self.rto_deadline = None;
         if self.una == self.next {
@@ -364,7 +396,7 @@ impl QpTx {
         let factor = (1u64 << shift).min(u64::from(config.rto_backoff_cap.max(1)));
         let deadline = now + config.rto.saturating_mul(factor);
         self.rto_deadline = Some(deadline);
-        Rto::Resend(deadline)
+        Rto::Resend(self.file_check(deadline))
     }
 }
 

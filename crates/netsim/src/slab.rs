@@ -131,6 +131,16 @@ impl<T: Copy> Slab<T> {
     pub(crate) fn live(&self) -> usize {
         self.next.iter().filter(|&&n| n & FREE == 0).count()
     }
+
+    /// The live entries, in slot order.
+    #[cfg(test)]
+    pub(crate) fn live_values(&self) -> impl Iterator<Item = &T> {
+        let live = self.next.iter().map(|&n| n & FREE == 0);
+        self.slots
+            .iter()
+            .zip(live)
+            .filter_map(|(v, live)| live.then_some(v))
+    }
 }
 
 /// Handle to a packet parked in a [`PacketPool`].

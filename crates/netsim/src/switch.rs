@@ -285,7 +285,9 @@ impl Switch {
                 .schedule(trip_at, self.watchdog_event(pid, class, false));
             return;
         }
-        // Trip: ignore PAUSE, resume transmitting, schedule recovery.
+        // Trip: the chain ends here. Ignore PAUSE, resume transmitting,
+        // schedule recovery.
+        port.wd_armed[class] = false;
         self.trip_watchdog(ctx, pid, class);
         ctx.queue
             .schedule(now + wd.recovery, self.watchdog_event(pid, class, true));
@@ -315,10 +317,11 @@ impl Switch {
     }
 
     /// The state change of a watchdog trip: `(pid, class)` stops honoring
-    /// PAUSE, and the trip is counted and traced.
+    /// PAUSE, and the trip is counted and traced. A pending check stays
+    /// armed (`wd_armed`) and ends its chain when it fires, so a class
+    /// never has two.
     fn trip_watchdog(&mut self, ctx: &mut Ctx, pid: PortId, class: usize) {
         let port = &mut self.ports[pid.0];
-        port.wd_armed[class] = false;
         port.pfc_ignore[class] = true;
         port.rx_paused[class] = false;
         port.rx_paused_since[class] = Time::NEVER;

@@ -1,7 +1,8 @@
 //! Differential test for the calendar-queue event core: random
-//! interleavings of `schedule`/`pop`/`pop_batch` against a plain
-//! binary-heap reference model, checking the exact `(time, seq)` pop
-//! order contract the simulator's determinism rests on.
+//! interleavings of `schedule`/`pop`/`pop_batch`, and of seqs reserved
+//! now and inserted later, against a plain binary-heap reference model,
+//! checking the exact `(time, seq)` pop order contract the simulator's
+//! determinism rests on.
 
 use netsim::event::{Event, EventQueue, SPAN_PS, TICK_PS};
 use netsim::rng::SplitMix64;
@@ -32,6 +33,9 @@ impl HeapModel {
         self.heap.push(Reverse((at, s)));
         self.max_pending = self.max_pending.max(self.heap.len());
         s
+    }
+    fn head(&self) -> Option<(Time, u64)> {
+        self.heap.peek().map(|&Reverse(key)| key)
     }
     fn pop(&mut self) -> Option<(Time, u64)> {
         let Reverse((at, s)) = self.heap.pop()?;
@@ -215,8 +219,77 @@ fn fresh_and_drained_queues_start_clean() {
     assert_eq!(q.len(), 3);
 }
 
+/// Reserves a seq in both queues for an event at `at`: the model
+/// schedules it at once, the real queue gets it later, from `deferred`.
+fn reserve(q: &mut EventQueue, m: &mut HeapModel, deferred: &mut Vec<(Time, u64)>, at: Time) {
+    let seq = q.reserve();
+    assert_eq!(seq, m.schedule(at), "both queues hand out the same seqs");
+    deferred.push((at, seq));
+}
+
+/// Gives the real queue the deferred event at index `k`.
+fn insert_deferred(q: &mut EventQueue, deferred: &mut Vec<(Time, u64)>, k: usize) {
+    let (at, seq) = deferred.swap_remove(k);
+    q.schedule_reserved(at, seq, Event::Hook { id: seq as usize });
+}
+
+/// `pop_until(until)` on both queues, the real one given a deferred event
+/// just in time: when the model pops it next, after everything before it
+/// (including events at its own time) has popped.
+fn check_pop_until(
+    q: &mut EventQueue,
+    m: &mut HeapModel,
+    deferred: &mut Vec<(Time, u64)>,
+    until: Time,
+) {
+    if let Some((_, seq)) = m.head() {
+        if let Some(k) = deferred.iter().position(|&(_, s)| s == seq) {
+            insert_deferred(q, deferred, k);
+        }
+    }
+    let got = q.pop_until(until).map(|(t, e)| match e {
+        Event::Hook { id } => (t, id as u64),
+        _ => unreachable!(),
+    });
+    let want = m.head().filter(|&(at, _)| at <= until);
+    if want.is_some() {
+        m.pop();
+    }
+    assert_eq!(got, want, "pop order must match the heap model");
+    assert_eq!(q.len() + deferred.len(), m.heap.len());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Seqs reserved now and inserted later — just in time, early, at the
+    /// current instant in front of events already due, or past the wheel
+    /// horizon — pop exactly where scheduling them at reservation would
+    /// have put them, under random `pop_until` bounds.
+    #[test]
+    fn reserved_inserts_pop_in_model_order(
+        ops in prop::collection::vec((0u8..7, 0u64..4_000_000), 1..200),
+    ) {
+        let (mut q, mut m, mut deferred) = (EventQueue::new(), HeapModel::default(), Vec::new());
+        for &(op, dt) in &ops {
+            let now = q.now();
+            match op {
+                0 => apply_schedule(&mut q, &mut m, now + Duration(dt)),
+                1 => reserve(&mut q, &mut m, &mut deferred, now + Duration(dt)),
+                2 => reserve(&mut q, &mut m, &mut deferred, now),
+                3 => reserve(&mut q, &mut m, &mut deferred, now + Duration(3_000_000_000 + dt)),
+                4 if !deferred.is_empty() => {
+                    let k = dt as usize % deferred.len();
+                    insert_deferred(&mut q, &mut deferred, k);
+                }
+                _ => check_pop_until(&mut q, &mut m, &mut deferred, now + Duration(dt / 4)),
+            }
+        }
+        while !m.heap.is_empty() {
+            check_pop_until(&mut q, &mut m, &mut deferred, Time::NEVER);
+        }
+        prop_assert!(q.is_empty() && deferred.is_empty());
+    }
+
     /// Random schedule/pop interleavings — same-timestamp bursts,
     /// schedule-at-now, and far-future overflow times — pop identically
     /// to the reference heap.

@@ -39,7 +39,7 @@ fn black_hole(tx: &mut QpTx, first: Time, config: &HostConfig) -> (Time, Rto) {
     let mut at = first;
     loop {
         match tx.on_rto(at, config) {
-            Rto::Resend(deadline) => at = deadline,
+            Rto::Resend(Some(deadline)) => at = deadline,
             other => return (at, other),
         }
     }
@@ -177,8 +177,10 @@ fn run_lossy(config: &HostConfig, drop_once: &[u64]) -> (u64, Time) {
             Ev::Rto => match tx.on_rto(now, config) {
                 Rto::Ignore => {}
                 Rto::Rearm(at) => push(&mut queue, at, Ev::Rto),
-                Rto::Resend(deadline) => {
-                    push(&mut queue, deadline, Ev::Rto);
+                Rto::Resend(check) => {
+                    if let Some(at) = check {
+                        push(&mut queue, at, Ev::Rto);
+                    }
                     kick = true;
                 }
                 Rto::Teardown => panic!("one loss episode exhausted the retries"),
@@ -221,7 +223,7 @@ fn backoff_schedule_then_teardown() {
     let mut at = send(&mut tx, 1)[0].arm_rto.unwrap();
     assert_eq!(at, Time::ZERO + config.rto);
     let mut waits_ms = Vec::new();
-    while let Rto::Resend(deadline) = tx.on_rto(at, &config) {
+    while let Rto::Resend(Some(deadline)) = tx.on_rto(at, &config) {
         assert_eq!(tx.psns(), (0, 0, 1), "rewound to una");
         let p = tx.next_packet(at, MTU, config.rto).unwrap();
         assert_eq!((p.psn, p.retx, p.arm_rto), (0, true, None));
@@ -380,4 +382,203 @@ fn naks_are_paced_per_episode() {
         QpRx::new(None).on_data(2, false, false, us(1), &off).reply,
         Reply::None
     );
+}
+
+/// The reference retransmission timer for `one_check_matches_one_per_arm`:
+/// every arm, re-arm and resend schedules a check at its deadline, and
+/// every check that fires acts on the deadline it finds. A PSN-level copy
+/// of `QpTx`'s deadline rules, without its one-check bookkeeping.
+#[derive(Default)]
+struct PerArmChain {
+    una: u64,
+    send: u64,
+    next: u64,
+    deadline: Option<Time>,
+    timeouts: u32,
+    dead: bool,
+    /// Pending checks as `(due, insertion seq)`.
+    checks: Vec<(Time, u64)>,
+    seq: u64,
+}
+
+impl PerArmChain {
+    fn schedule(&mut self, at: Time) {
+        self.checks.push((at, self.seq));
+        self.seq += 1;
+    }
+
+    fn send(&mut self, now: Time, rto: Duration) {
+        if self.send == self.next {
+            self.next += 1;
+        }
+        self.send += 1;
+        if self.deadline.is_none() {
+            self.deadline = Some(now + rto);
+            self.schedule(now + rto);
+        }
+    }
+
+    fn on_ack(&mut self, cum_psn: u64, now: Time, rto: Duration) {
+        let una = cum_psn.clamp(self.una, self.next);
+        let progress = una > self.una;
+        self.una = una;
+        self.send = self.send.max(una);
+        if progress {
+            self.timeouts = 0;
+        }
+        if self.una == self.next {
+            self.deadline = None;
+        } else if progress {
+            self.deadline = Some(now + rto);
+        }
+    }
+
+    fn rewind(&mut self, psn: u64) {
+        if (self.una..self.next).contains(&psn) {
+            self.send = psn;
+        }
+    }
+
+    fn on_rto(&mut self, now: Time, config: &HostConfig) -> Rto {
+        let Some(deadline) = self.deadline else {
+            return Rto::Ignore;
+        };
+        if deadline > now {
+            self.schedule(deadline);
+            return Rto::Rearm(deadline);
+        }
+        self.deadline = None;
+        if self.una == self.next {
+            return Rto::Ignore;
+        }
+        self.timeouts += 1;
+        if self.timeouts > config.max_retries {
+            self.dead = true;
+            return Rto::Teardown;
+        }
+        self.send = self.una;
+        let factor = (1u64 << (self.timeouts - 1).min(31)).min(u64::from(config.rto_backoff_cap));
+        let deadline = now + config.rto.saturating_mul(factor);
+        self.deadline = Some(deadline);
+        self.schedule(deadline);
+        Rto::Resend(Some(deadline))
+    }
+}
+
+/// Takes the earliest pending check due at or before `until`.
+fn due_check(checks: &mut Vec<(Time, u64)>, until: Time) -> Option<Time> {
+    let k = (0..checks.len()).min_by_key(|&k| checks[k])?;
+    (checks[k].0 <= until).then(|| checks.swap_remove(k).0)
+}
+
+/// When each resend (`false`) and teardown (`true`) happened.
+type Acts = Vec<(Time, bool)>;
+
+/// Runs `ops` against `QpTx` and against the reference, firing each one's
+/// due checks before every op. Returns the resends and teardowns of each,
+/// and the most checks either held pending at once.
+fn run_rto_chains(ops: &[(u8, u64)], config: &HostConfig) -> (Acts, Acts, [usize; 2]) {
+    let (mut tx, mut model) = (QpTx::default(), PerArmChain::default());
+    let (mut checks, mut seq) = (Vec::new(), 0u64);
+    let (mut acts, mut model_acts, mut peak) = (Vec::new(), Vec::new(), [0; 2]);
+    let mut now = Time::ZERO;
+    for &(op, arg) in ops {
+        // Time steps at every scale the timer cares about: the same
+        // instant, ns, ms, and a backed-off RTO's 16–200 ms.
+        now += match op % 4 {
+            0 => Duration::ZERO,
+            1 => Duration::from_nanos(arg % 50_000),
+            2 => Duration::from_micros(arg % 20_000),
+            _ => Duration::from_micros(arg % 200_000),
+        };
+        while let Some(at) = due_check(&mut checks, now) {
+            let next = match tx.on_rto(at, config) {
+                Rto::Ignore => None,
+                Rto::Rearm(due) => Some(due),
+                Rto::Resend(due) => {
+                    acts.push((at, false));
+                    due
+                }
+                Rto::Teardown => {
+                    acts.push((at, true));
+                    None
+                }
+            };
+            if let Some(due) = next {
+                checks.push((due, seq));
+                seq += 1;
+            }
+        }
+        while let Some(at) = due_check(&mut model.checks, now) {
+            match model.on_rto(at, config) {
+                Rto::Resend(_) => model_acts.push((at, false)),
+                Rto::Teardown => model_acts.push((at, true)),
+                Rto::Ignore | Rto::Rearm(_) => {}
+            }
+        }
+        let window = model.next - model.una;
+        match op / 4 % 4 {
+            // Send a packet: a go-back-N resend, or a new one.
+            0 | 1 if !tx.is_dead() => {
+                if !tx.has_data() {
+                    tx.push_message(mtus(1), now);
+                }
+                let p = tx.next_packet(now, MTU, config.rto).expect("a packet");
+                if let Some(due) = p.arm_rto {
+                    checks.push((due, seq));
+                    seq += 1;
+                }
+                model.send(now, config.rto);
+            }
+            // A cumulative ACK: none, some or all of the window (or past it).
+            2 => {
+                let cum = model.una + arg % (window + 2);
+                tx.on_ack(cum, now, config.rto);
+                model.on_ack(cum, now, config.rto);
+            }
+            // A NAK: the ACK half, then the rewind.
+            3 => {
+                let psn = model.una + arg % (window + 1);
+                tx.on_ack(psn, now, config.rto);
+                model.on_ack(psn, now, config.rto);
+                tx.rewind(psn);
+                model.rewind(psn);
+            }
+            _ => {}
+        }
+        assert_eq!(tx.psns(), (model.una, model.send, model.next));
+        assert_eq!(tx.is_dead(), model.dead);
+        peak[0] = peak[0].max(checks.len());
+        peak[1] = peak[1].max(model.checks.len());
+    }
+    (acts, model_acts, peak)
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+    /// Random sends, ACKs, NAKs, idle gaps and backoffs: a QP that asks
+    /// for a check only when none waits at or before its deadline resends
+    /// and tears down at exactly the instants a check per arm did, and
+    /// never holds more checks.
+    #[test]
+    fn one_check_matches_one_per_arm(
+        ops in proptest::prelude::prop::collection::vec((0u8..16, 0u64..u64::MAX), 1..300),
+    ) {
+        let config = HostConfig::default();
+        let (acts, model_acts, [peak, model_peak]) = run_rto_chains(&ops, &config);
+        proptest::prop_assert_eq!(acts, model_acts);
+        proptest::prop_assert!(peak <= model_peak);
+    }
+}
+
+/// Busy, idle and busy again, a thousand times inside one RTO: a check per
+/// arm piles up a thousand pending checks, the QP keeps one.
+#[test]
+fn idle_busy_cycles_keep_one_check() {
+    let ops: Vec<(u8, u64)> = (0..1000)
+        .flat_map(|_| [(2, 5), (8, 1)]) // 5 µs on, send; then ACK it
+        .collect();
+    let (acts, model_acts, [peak, model_peak]) = run_rto_chains(&ops, &HostConfig::default());
+    assert!(acts.is_empty() && model_acts.is_empty());
+    assert_eq!((peak, model_peak), (1, 1000));
 }
