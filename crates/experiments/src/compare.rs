@@ -6,9 +6,9 @@
 //! differs beyond the configured tolerances. Everything in a default
 //! build's report is deterministic and diffs exact by default. A
 //! `--features profile` build adds a `profile` section; its
-//! `peak_pending_events`, `peak_inflight_packets` and `peak_queued_packets`
-//! are properties of the event-queue, packet-pool and port-queue
-//! implementations rather than of the simulated work and are ignored by
+//! `peak_pending_events`, `peak_inflight_packets`, `peak_queued_packets`
+//! and `port_slab_bytes` are properties of the event-queue, packet-pool
+//! and port-queue implementations rather than of the simulated work and are ignored by
 //! default, and its
 //! host-clock fields (`wall_us`, `run_wall_us`) differ on every run, so
 //! compare such reports with `--ignore profile`. Exit status: 0 when the
@@ -20,10 +20,11 @@ use netsim::telemetry::Json;
 
 /// Keys ignored by default wherever they appear: values that depend on
 /// the simulator's implementation, not on the simulated work.
-pub const DEFAULT_IGNORE: [&str; 3] = [
+pub const DEFAULT_IGNORE: [&str; 4] = [
     "peak_pending_events",
     "peak_inflight_packets",
     "peak_queued_packets",
+    "port_slab_bytes",
 ];
 
 /// Numeric and key-ignore tolerances for [`diff`].

@@ -496,7 +496,11 @@ impl Host {
         }
         self.cc_call(ctx, i, |cc, a| cc.on_send(now, wire, a));
 
-        self.port.enqueue(Queued::new(pkt, None).at(now));
+        let mut q = Queued::new(pkt, None);
+        if ctx.spans.is_enabled() {
+            q = q.at(now);
+        }
+        self.port.enqueue(q);
         self.port.start_tx(ctx, self.id, PortId(0));
     }
 

@@ -356,7 +356,9 @@ impl Network {
 
     /// Enables span-based causal tracing (see `telemetry::spans`): up to
     /// `capacity` closed spans per flow plus bounded hop spans and
-    /// PAUSE-propagation edges. A `capacity` of 0 disables it.
+    /// PAUSE-propagation edges. A `capacity` of 0 disables it. Frames
+    /// are stamped on enqueue only while it is on, so enable it before
+    /// the run: a frame queued earlier spans from `Time::ZERO`.
     pub fn enable_spans(&mut self, capacity: usize) {
         self.ctx.spans.enable(capacity);
     }
@@ -715,6 +717,28 @@ mod tests {
             2,
             "the wedge, then the check"
         );
+    }
+
+    /// Only the hop spans read a frame's enqueue stamp, so with spans off
+    /// no port allocates a stamp column; with them on the ports that
+    /// queued data have one.
+    #[test]
+    fn a_run_without_spans_allocates_no_stamp_column() {
+        for spans in [false, true] {
+            let (mut net, h1, h2) = tiny();
+            if spans {
+                net.enable_spans(16);
+            }
+            for (src, dst) in [(h1, h2), (h2, h1)] {
+                let f = net.add_flow(src, dst, DATA_PRIORITY, |l| Box::new(NoCc::new(l)));
+                net.send_message(f, 100_000, Time::ZERO);
+            }
+            net.run_until(Time::from_millis(1));
+            let ports = || net.nodes.iter().flat_map(Node::ports);
+            assert!(ports().all(|p| p.peak_queued() > 0), "every port queued");
+            let stamped = ports().filter(|p| p.stamped_slots() > 0).count();
+            assert_eq!(stamped, if spans { 4 } else { 0 }, "spans {spans}");
+        }
     }
 
     #[test]

@@ -124,11 +124,12 @@ impl Network {
             ("sim_time_us", Json::Float(now.as_micros_f64())),
             ("timelines", self.sampler.timelines().summary_json()),
         ]);
-        let ports = self.nodes.iter().flat_map(Node::ports);
+        let ports = || self.nodes.iter().flat_map(Node::ports);
         if let Some(profile) = self.profiler.report(
             self.ctx.queue.peak_pending(),
             self.ctx.pool.capacity(),
-            ports.map(Port::peak_queued).sum(),
+            ports().map(Port::peak_queued).sum(),
+            ports().map(Port::slab_bytes).sum(),
             self.ctx.queue.cohort_stats(),
         ) {
             report.push("profile", profile);

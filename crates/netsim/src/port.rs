@@ -41,8 +41,9 @@ pub const MAX_PORTS: usize = (NO_RELEASE >> PRIO_BITS) as usize;
 
 /// A queued packet plus the ingress attribution needed to release shared
 /// buffer space when it finally leaves the switch. It is packed into the
-/// port's slab (as a 48 B `Stored`), unpacked into `current` and moved
-/// out again on every hop, so it is kept at one 64-byte cache line.
+/// port's slab (as a 40 B `Stored`, its stamp in the port's stamp
+/// column), unpacked into `current` and moved out again on every hop, so
+/// it is kept at one 64-byte cache line.
 #[derive(Debug, Clone, Copy)]
 pub struct Queued {
     /// The packet.
@@ -52,7 +53,8 @@ pub struct Queued {
     /// (host-generated, or switch-local control).
     release: u32,
     /// When the packet entered this egress queue (`Time::ZERO` when not
-    /// stamped). Feeds the causal tracer's per-hop residency spans.
+    /// stamped). Feeds the causal tracer's per-hop residency spans, its
+    /// only reader, so callers stamp only with spans on.
     pub(crate) enqueued_at: Time,
     /// Whether this entry is counted in `queued_bytes` (PFC frames from
     /// the dedicated queue are not).
@@ -78,7 +80,9 @@ impl Queued {
     }
 
     /// Stamps the enqueue time (builder-style, for call sites that know
-    /// the clock).
+    /// the clock). A stamp costs its port a stamp column
+    /// ([`Port::enqueue`]), so switches and hosts stamp only while span
+    /// tracing is on.
     pub fn at(mut self, now: Time) -> Queued {
         self.enqueued_at = now;
         self
@@ -95,13 +99,13 @@ impl Queued {
     }
 }
 
-/// A [`Queued`] as its port's slab stores it, 48 B rather than 64: node
+/// A [`Queued`] as its port's slab stores it, 40 B rather than 64: node
 /// and flow ids as `u32`, with `FlowId(u64::MAX)` (no flow) as
-/// `u32::MAX`, and no `counted` flag, since every slab entry is counted.
+/// `u32::MAX`, no `counted` flag, since every slab entry is counted, and
+/// no enqueue stamp, which the port keeps apart (`Port::stamps`).
 #[derive(Debug, Clone, Copy)]
 struct Stored {
     kind: PacketKind,
-    enqueued_at: Time,
     src: u32,
     dst: u32,
     flow: u32,
@@ -120,7 +124,6 @@ impl Stored {
     fn new(q: Queued) -> Stored {
         Stored {
             kind: q.pkt.kind,
-            enqueued_at: q.enqueued_at,
             src: u32::try_from(q.pkt.src.0).unwrap_or(u32::MAX),
             dst: u32::try_from(q.pkt.dst.0).unwrap_or(u32::MAX),
             flow: u32::try_from(q.pkt.flow.0).unwrap_or(u32::MAX),
@@ -131,9 +134,10 @@ impl Stored {
         }
     }
 
-    /// Widens the record back into the counted entry it stored.
+    /// Widens the record back into the counted entry it stored, stamped
+    /// `enqueued_at`.
     #[inline]
-    fn queued(self) -> Queued {
+    fn queued(self, enqueued_at: Time) -> Queued {
         let flow = match self.flow {
             u32::MAX => FlowId(u64::MAX),
             id => FlowId(u64::from(id)),
@@ -150,7 +154,7 @@ impl Stored {
         Queued {
             pkt,
             release: self.release,
-            enqueued_at: self.enqueued_at,
+            enqueued_at,
             counted: true,
         }
     }
@@ -171,6 +175,10 @@ pub struct Port {
     /// port, so queue memory is the port's peak of concurrently queued
     /// packets and the slot just transmitted is the next one enqueued into.
     slab: Slab<Stored>,
+    /// Enqueue stamp of each slab slot, for the hop spans. Empty until a
+    /// stamped frame is queued, so a run without span tracing never
+    /// allocates it; past its end a slot's stamp is `Time::ZERO`.
+    stamps: Vec<Time>,
     /// Oldest and newest slab slot of each priority's FIFO, threaded
     /// through the slab's links (`NIL` when the class is empty).
     heads: [u32; NUM_PRIORITIES],
@@ -211,6 +219,7 @@ impl Port {
             busy: false,
             pfc_queue: VecDeque::new(),
             slab: Slab::new(),
+            stamps: Vec::new(),
             heads: [NIL; NUM_PRIORITIES],
             tails: [NIL; NUM_PRIORITIES],
             queued_bytes: [0; NUM_PRIORITIES],
@@ -229,6 +238,16 @@ impl Port {
         let ok = checked_accum(&mut self.queued_bytes[prio], q.pkt.wire());
         debug_assert!(ok, "queued_bytes overflow");
         let i = self.slab.insert(Stored::new(q));
+        // A reused slot's stamp is overwritten even by `Time::ZERO`: it
+        // belongs to the frame that left it.
+        match self.stamps.get_mut(i as usize) {
+            Some(stamp) => *stamp = q.enqueued_at,
+            None if q.enqueued_at != Time::ZERO => {
+                self.stamps.resize(i as usize, Time::ZERO);
+                self.stamps.push(q.enqueued_at);
+            }
+            None => {}
+        }
         match std::mem::replace(&mut self.tails[prio], i) {
             NIL => self.heads[prio] = i,
             tail => self.slab.set_next(tail, i),
@@ -244,6 +263,18 @@ impl Port {
     /// concurrently queued packets.
     pub fn peak_queued(&self) -> usize {
         self.slab.peak()
+    }
+
+    /// Heap bytes the queue storage holds: the slab's slots and links
+    /// plus the stamp column, at their allocated capacity.
+    pub(crate) fn slab_bytes(&self) -> usize {
+        self.slab.bytes() + self.stamps.capacity() * std::mem::size_of::<Time>()
+    }
+
+    /// Slots the stamp column covers (0 until a stamped frame is queued).
+    #[cfg(test)]
+    pub(crate) fn stamped_slots(&self) -> usize {
+        self.stamps.len()
     }
 
     /// The `sanitize` audit of the queue structure: the wire bytes on each
@@ -300,7 +331,8 @@ impl Port {
             if self.heads[prio] == NIL {
                 self.tails[prio] = NIL;
             }
-            return Some(self.slab.take(i).queued());
+            let stamp = self.stamps.get(i as usize).copied();
+            return Some(self.slab.take(i).queued(stamp.unwrap_or(Time::ZERO)));
         }
         None
     }
@@ -466,7 +498,26 @@ mod tests {
         assert_eq!(std::mem::size_of::<Packet>(), 48);
         assert_eq!(std::mem::size_of::<Queued>(), 64);
         assert_eq!(std::mem::size_of::<Option<Queued>>(), 64);
-        assert_eq!(std::mem::size_of::<Stored>(), 48);
+        assert_eq!(std::mem::size_of::<Stored>(), 40);
+    }
+
+    /// `port_slab_bytes` counts 44 B a slot (a `Stored` and its link) at
+    /// the slab's capacity, and 8 B a slot of stamp column only once a
+    /// stamped frame is queued: the column then reaches that frame's slot.
+    #[test]
+    fn slab_bytes_count_the_stamp_column_only_once_stamped() {
+        let mut port = Port::new();
+        assert_eq!(port.slab_bytes(), 0);
+        for _ in 0..5 {
+            port.enqueue(data(3, 1500));
+        }
+        let unstamped = port.slab_bytes();
+        assert!(unstamped >= 5 * 44 && unstamped.is_multiple_of(44));
+        assert_eq!(port.stamped_slots(), 0);
+        port.enqueue(data(3, 1500).at(Time::from_micros(1)));
+        let column = port.slab_bytes() - port.slab.bytes();
+        assert_eq!(port.stamped_slots(), 6);
+        assert!(column >= 6 * 8 && column.is_multiple_of(8));
     }
 
     /// The tracer and every flight-recorder ring store this record.

@@ -127,6 +127,12 @@ impl<T: Copy> Slab<T> {
         self.slots.len()
     }
 
+    /// Heap bytes allocated for slots and links (capacity, not length).
+    pub(crate) fn bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<T>()
+            + self.next.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// Entries currently live. A scan of the links, for audits and tests.
     pub(crate) fn live(&self) -> usize {
         self.next.iter().filter(|&&n| n & FREE == 0).count()

@@ -247,7 +247,12 @@ impl Switch {
 
         // 6. Enqueue and (maybe) start transmitting.
         self.stats.forwarded += 1;
-        self.ports[out.0].enqueue(Queued::new(pkt, Some((in_port.0, prio))).at(now));
+        // Only the hop spans read the enqueue stamp.
+        let mut q = Queued::new(pkt, Some((in_port.0, prio)));
+        if ctx.spans.is_enabled() {
+            q = q.at(now);
+        }
+        self.ports[out.0].enqueue(q);
         self.try_transmit(ctx, out);
     }
 

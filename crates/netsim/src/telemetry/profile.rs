@@ -99,13 +99,15 @@ impl Profiler {
     /// The profile report as JSON, or `None` when compiled out.
     /// `peak_pending`, `peak_inflight` and `peak_queued` are the high-water
     /// marks the event queue's, the packet pool's and (summed) the ports'
-    /// slabs grew to; `cohorts` is how the queue's wheel handed out its
-    /// events.
+    /// slabs grew to; `port_slab_bytes` is the heap those port slabs and
+    /// their stamp columns hold; `cohorts` is how the queue's wheel handed
+    /// out its events.
     pub fn report(
         &self,
         peak_pending: usize,
         peak_inflight: usize,
         peak_queued: usize,
+        port_slab_bytes: usize,
         cohorts: CohortStats,
     ) -> Option<Json> {
         #[cfg(feature = "profile")]
@@ -132,6 +134,7 @@ impl Profiler {
                 ("peak_inflight_packets", Json::UInt(peak_inflight as u64)),
                 ("peak_pending_events", Json::UInt(peak_pending as u64)),
                 ("peak_queued_packets", Json::UInt(peak_queued as u64)),
+                ("port_slab_bytes", Json::UInt(port_slab_bytes as u64)),
                 ("promotions", Json::UInt(cohorts.promotions)),
                 (
                     "run_wall_us",
@@ -141,7 +144,13 @@ impl Profiler {
         }
         #[cfg(not(feature = "profile"))]
         {
-            let _ = (peak_pending, peak_inflight, peak_queued, cohorts);
+            let _ = (
+                peak_pending,
+                peak_inflight,
+                peak_queued,
+                port_slab_bytes,
+                cohorts,
+            );
             None
         }
     }
@@ -165,18 +174,19 @@ mod tests {
         };
         if Profiler::enabled() {
             let r = p
-                .report(3, 2, 5, cohorts)
+                .report(3, 2, 5, 440, cohorts)
                 .expect("report present with feature");
             let text = r.render();
             assert!(text.contains("\"peak_pending_events\": 3"));
             assert!(text.contains("\"peak_inflight_packets\": 2"));
             assert!(text.contains("\"peak_queued_packets\": 5"));
+            assert!(text.contains("\"port_slab_bytes\": 440"));
             assert!(text.contains("\"events_by_kind\""));
             assert!(text.contains("\"promotions\": 4"));
             assert!(text.contains("\"events_per_promotion\": 2.5"));
             assert!(text.contains("\"max_cohort\": 6"));
         } else {
-            assert!(p.report(3, 2, 5, cohorts).is_none());
+            assert!(p.report(3, 2, 5, 440, cohorts).is_none());
         }
     }
 

@@ -8,7 +8,9 @@
 //!   and a linear scan), checking every field of each dequeued frame,
 //!   its stamp and release key, byte accounting and eligibility after
 //!   every step, plus the memory contract: slab slots = peak of
-//!   concurrently queued entries.
+//!   concurrently queued entries. A second draw interleaves stamped and
+//!   unstamped (`Time::ZERO`) frames, so a slot changes between the two
+//!   and every hop span must still carry its own frame's stamp.
 //! * Transmitter and PFC receiver: `start_tx` / `tx_done` / `rx_pfc` over
 //!   a hand-built [`Ctx`] (no `Network`), event by event.
 //! * The two things a `Switch` adds around them that have one code path
@@ -183,7 +185,8 @@ fn check_views(port: &Port, model: &RefPort) {
 
 /// One generated step: `(op, class, ingress, seed)`, where ingress 0 is
 /// none, 1 is port 0 and 2 the widest port a switch can have, and `seed`
-/// draws the frame ([`frame`]) and its enqueue stamp.
+/// draws the frame ([`frame`]) and its enqueue stamp. Ops 0–3 enqueue a
+/// stamped frame, ops 10 and above an unstamped one.
 type Op = (u8, u8, u8, u64);
 
 /// Applies one generated op to both ports.
@@ -191,14 +194,19 @@ fn apply(port: &mut Port, model: &mut RefPort, ctx: &mut Ctx, op: Op) {
     let (op, class, ingress, seed) = op;
     match op {
         // Enqueue is the most common op so that queues build up.
-        0..=3 => {
+        0..=3 | 10.. => {
             let c = class as usize;
             let entry = Entry {
                 pkt: frame(class, seed),
                 ingress: [None, Some((0, c)), Some((MAX_PORTS - 1, c))][ingress as usize],
-                stamp: Time(seed.rotate_left(32)),
+                stamp: if op < 10 {
+                    Time(seed.rotate_left(32))
+                } else {
+                    Time::ZERO
+                },
             };
-            port.enqueue(Queued::new(entry.pkt, entry.ingress).at(entry.stamp));
+            let q = Queued::new(entry.pkt, entry.ingress);
+            port.enqueue(if op < 10 { q.at(entry.stamp) } else { q });
             model.enqueue(entry);
         }
         // Start the next frame if the transmitter is idle.
@@ -244,7 +252,7 @@ fn apply(port: &mut Port, model: &mut RefPort, ctx: &mut Ctx, op: Op) {
             port.pfc_queue.push_back(frame);
             model.pfc_queue.push_back(frame);
         }
-        _ => {
+        9 => {
             port.reset_pfc();
             model.rx_paused = [false; NUM_PRIORITIES];
             model.pfc_queue.clear();
@@ -257,6 +265,25 @@ fn apply(port: &mut Port, model: &mut RefPort, ctx: &mut Ctx, op: Op) {
     );
 }
 
+/// Runs `ops` on a port and the reference, then drains both with every
+/// class released: they empty in the same order and the accounting
+/// returns to zero.
+fn run_against_reference(ops: &[Op]) {
+    let (mut port, mut model, mut ctx) = (attached(), RefPort::default(), bare_ctx(1));
+    ctx.spans.enable(16);
+    for &op in ops {
+        apply(&mut port, &mut model, &mut ctx, op);
+        check_views(&port, &model);
+    }
+    apply(&mut port, &mut model, &mut ctx, (9, 0, 0, 0));
+    while port.has_eligible() || port.current.is_some() {
+        apply(&mut port, &mut model, &mut ctx, (6, 0, 0, 0));
+        apply(&mut port, &mut model, &mut ctx, (4, 0, 0, 0));
+        check_views(&port, &model);
+    }
+    assert_eq!(port.total_queued_bytes(), 0);
+}
+
 proptest! {
     #[test]
     fn port_matches_the_vecdeque_reference(
@@ -265,22 +292,54 @@ proptest! {
             1..400,
         ),
     ) {
-        let (mut port, mut model, mut ctx) = (attached(), RefPort::default(), bare_ctx(1));
-        ctx.spans.enable(16);
-        for &op in &ops {
-            apply(&mut port, &mut model, &mut ctx, op);
-            check_views(&port, &model);
-        }
-        // Drain with every class released: both sides empty in the same
-        // order and the accounting returns to zero.
-        apply(&mut port, &mut model, &mut ctx, (9, 0, 0, 0));
-        while port.has_eligible() || port.current.is_some() {
-            apply(&mut port, &mut model, &mut ctx, (6, 0, 0, 0));
-            apply(&mut port, &mut model, &mut ctx, (4, 0, 0, 0));
-            check_views(&port, &model);
-        }
-        prop_assert_eq!(port.total_queued_bytes(), 0);
+        run_against_reference(&ops);
     }
+
+    /// Stamped and unstamped frames share one port's slots: a stamped
+    /// frame lands where an unstamped one was, and the other way round,
+    /// and each hop span carries its own frame's stamp (`Time::ZERO` when
+    /// none), never the slot's previous one.
+    #[test]
+    fn stamped_and_unstamped_frames_keep_their_own_stamps(
+        ops in prop::collection::vec(
+            (0u8..14, 0u8..NUM_PRIORITIES as u8, 0u8..3, 0..=u64::MAX),
+            1..400,
+        ),
+    ) {
+        run_against_reference(&ops);
+    }
+}
+
+/// The slot cases by hand: slot 0 holds a stamped frame, then an
+/// unstamped one, then a stamped one again; an unstamped frame first in
+/// a fresh port, and one past the end of the stamp column, read
+/// `Time::ZERO`.
+#[test]
+fn a_reused_slot_carries_the_new_frames_stamp() {
+    let mut ctx = bare_ctx(1);
+    ctx.spans.enable(16);
+    let mut port = attached();
+    let mut send = |port: &mut Port, q: Queued| {
+        port.enqueue(q);
+        port.start_tx(&mut ctx, HERE.0, HERE.1);
+        ctx.queue.pop().unwrap(); // its TxDone
+        port.tx_done(&mut ctx, HERE.0, HERE.1);
+        ctx.queue.pop().unwrap(); // its Deliver
+        ctx.spans.hops().last().unwrap().enqueued
+    };
+    let q = |psn| Queued::new(data(psn), None);
+    let (t1, t2) = (Time::from_micros(1), Time::from_micros(2));
+    assert_eq!(send(&mut port, q(0)), Time::ZERO, "fresh port, no stamp");
+    assert_eq!(send(&mut port, q(1).at(t1)), t1);
+    assert_eq!(send(&mut port, q(2)), Time::ZERO, "not the old stamp");
+    assert_eq!(send(&mut port, q(3).at(t2)), t2);
+    // With one frame always waiting, each send fills the slot the last
+    // one left and transmits the frame queued before it: q(5) goes to
+    // slot 1, past the column's end, q(6) to slot 0, q(7) to slot 1.
+    port.enqueue(q(4).at(t1));
+    assert_eq!(send(&mut port, q(5)), t1);
+    assert_eq!(send(&mut port, q(6).at(t2)), Time::ZERO, "q(5), slot 1");
+    assert_eq!(send(&mut port, q(7)), t2, "q(6), slot 0");
 }
 
 /// A standing queue of 16 cycled a million times needs 16 slots: not one
