@@ -47,7 +47,7 @@ pub fn link_flap(run: &mut Run) {
             r.aborts, r.reroutes, r.link_drops
         );
     }
-    // The headline claims, checked against the telemetry registry (the
+    // The headline claims, checked against the telemetry counters (the
     // counters the scenario now reads directly, not the packet trace):
     // the flap really dropped frames in both variants, failover kept
     // every QP alive, and static routing tore down the stranded ones.
@@ -125,7 +125,7 @@ pub fn pause_storm(run: &mut Run) {
             r.watchdog_restores
         );
     }
-    // Checked against the telemetry registry's watchdog counters: every
+    // Checked against the telemetry's watchdog counters: every
     // watchdog-equipped variant trips (and later restores), and no
     // watchdog-less variant can.
     for ((label, _, watchdog), r) in grid.iter().zip(&results) {

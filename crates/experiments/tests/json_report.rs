@@ -2,7 +2,7 @@
 //! experiment's config + seeds, so it must be byte-identical no matter
 //! how many worker threads the runs fan out across — the same property
 //! `tests/determinism.rs` pins for raw results, extended here through the
-//! telemetry registry and the JSON renderer. Every test dispatches on a
+//! telemetry counters and the JSON renderer. Every test dispatches on a
 //! `Run` of its own, so no sink outlives the test that set it.
 
 use experiments::report::{Artifact, Run};
@@ -51,7 +51,7 @@ fn fig3_report_is_byte_identical_across_thread_counts() {
         "fig3 report differs between 1 and 8 threads"
     );
     // And it is a real report, not an empty shell: stamped with its id
-    // and carrying per-run telemetry from the registry.
+    // and carrying per-run telemetry counters.
     assert!(serial.contains("\"id\": \"fig3\""));
     assert!(serial.contains("\"per_host_goodput_gbps\""));
     assert!(serial.contains("\"queue_depth_bytes\""));

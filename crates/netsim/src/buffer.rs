@@ -86,6 +86,8 @@ pub struct SharedBuffer {
     config: BufferConfig,
     /// Total bytes currently buffered (`s` in the paper's formula).
     occupied: u64,
+    /// The highest `occupied` any admit reached.
+    peak: u64,
     /// Ingress bytes per (port, priority).
     ingress: Vec<[u64; NUM_PRIORITIES]>,
 }
@@ -96,6 +98,7 @@ impl SharedBuffer {
         SharedBuffer {
             ingress: vec![[0; NUM_PRIORITIES]; config.num_ports],
             occupied: 0,
+            peak: 0,
             config,
         }
     }
@@ -108,6 +111,12 @@ impl SharedBuffer {
     /// Bytes currently occupied (the paper's `s`).
     pub fn occupied(&self) -> u64 {
         self.occupied
+    }
+
+    /// The highest occupancy an admit reached: the run's buffer
+    /// high-water mark (the report's `peak_buffer_bytes`).
+    pub fn peak(&self) -> u64 {
+        self.peak
     }
 
     /// Current ingress occupancy of one (port, priority) queue.
@@ -164,6 +173,7 @@ impl SharedBuffer {
         match self.occupied.checked_add(bytes) {
             Some(total) if total <= self.config.total_bytes => {
                 self.occupied = total;
+                self.peak = self.peak.max(total);
                 // Bounded by `occupied ≤ total_bytes`, so this cannot
                 // actually overflow; checked anyway per counter policy.
                 let ok = checked_accum(&mut self.ingress[port][prio], bytes);
@@ -242,6 +252,19 @@ mod tests {
         assert_eq!(b.pfc_threshold(), kb(24));
         b.admit(0, 3, mb(6));
         assert_eq!(b.pfc_threshold(), kb(24));
+    }
+
+    #[test]
+    fn peak_is_the_high_water_of_admits() {
+        let mut cfg = BufferConfig::trident2();
+        cfg.total_bytes = 4000;
+        let mut b = SharedBuffer::new(cfg);
+        assert!(b.admit(0, 3, 3000));
+        b.release(0, 3, 3000);
+        assert!(b.admit(0, 3, 1000));
+        assert_eq!(b.peak(), 3000, "a release does not lower the peak");
+        assert!(!b.admit(0, 3, 3500), "over the pool");
+        assert_eq!(b.peak(), 3000, "a refused admit does not raise it");
     }
 
     #[test]

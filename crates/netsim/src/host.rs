@@ -215,8 +215,9 @@ impl Host {
         // The CNP goes ahead of the ACK/NAK.
         if let Some(gap) = out.cnp {
             if let Some(gap) = gap {
-                let h = ctx.metrics.h.cnp_interarrival_us;
-                ctx.metrics.observe(h, gap.as_micros_f64() as u64);
+                ctx.metrics
+                    .cnp_interarrival_us
+                    .observe(gap.as_micros_f64() as u64);
             }
             ctx.stats(flow).cnps_sent += 1;
             ctx.record_trace(host, flow, TraceKind::CnpSent, 0);

@@ -10,10 +10,9 @@
 mod build;
 mod converge;
 mod faults;
-mod report;
+pub(crate) mod report;
 
 pub use build::NetworkBuilder;
-pub use report::counter;
 
 use crate::audit::Auditor;
 use crate::cc::CongestionControl;
@@ -82,8 +81,9 @@ pub struct Ctx {
     /// Runtime invariant auditor (active only with the `sanitize`
     /// feature; otherwise every call is an inlined no-op).
     pub audit: Auditor,
-    /// The telemetry metrics registry. Hot-path updates go through the
-    /// `Copy` handles in `metrics.h` — one array index, no hashing.
+    /// The counters and histograms no switch, flow or fault engine owns.
+    /// A hot-path update is one field or one array index through the
+    /// `Copy` handles in `metrics.h` — no hashing.
     pub metrics: Metrics,
     /// Per-node flight recorder (disabled by default; auto-enabled when
     /// the sanitize auditor is compiled in).

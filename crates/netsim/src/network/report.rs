@@ -8,71 +8,102 @@ use crate::packet::FlowId;
 use crate::port::Port;
 use crate::stats::{FlowStats, SwitchStats};
 use crate::telemetry::spans::{ChromeTrace, CongestionTree, SpanState, NUM_SPAN_STATES};
-use crate::telemetry::{CounterId, Dashboard, Histogram, Json};
+use crate::telemetry::{Dashboard, Histogram, Json, Metrics};
 use crate::units::Duration;
 
-/// The run total of counter `id`, and the one place that knows who owns
-/// which count. A standard counter kept by a switch, a flow or the fault
-/// engine is the sum of that field over its owners (its registry slot is
-/// never written); any other counter is its registry slot.
-pub fn counter(nodes: &[Node], ctx: &Ctx, faults: &FaultStats, id: CounterId) -> u64 {
-    let switches = |field: fn(&SwitchStats) -> u64| -> u64 {
-        let stats = nodes.iter().filter_map(|node| match node {
+/// Everything a reported counter is read from: the switches, the flows'
+/// stats, the fault engine's tallies and the simulator's own [`Metrics`].
+pub(crate) struct Counts<'a> {
+    nodes: &'a [Node],
+    flows: &'a [FlowStats],
+    faults: &'a FaultStats,
+    metrics: &'a Metrics,
+}
+
+impl<'a> Counts<'a> {
+    pub(crate) fn new(nodes: &'a [Node], ctx: &'a Ctx, faults: &'a FaultStats) -> Counts<'a> {
+        Counts {
+            nodes,
+            flows: &ctx.flow_stats,
+            faults,
+            metrics: &ctx.metrics,
+        }
+    }
+
+    fn switches(&self, field: fn(&SwitchStats) -> u64) -> u64 {
+        let stats = self.nodes.iter().filter_map(|node| match node {
             Node::Switch(s) => Some(&s.stats),
             Node::Host(_) => None,
         });
         stats.map(field).sum()
-    };
-    let flows = |field: fn(&FlowStats) -> u64| -> u64 { ctx.flow_stats.iter().map(field).sum() };
-    let h = &ctx.metrics.h;
-    match id {
-        _ if id == h.ecn_marks => switches(|s| s.ecn_marks),
-        _ if id == h.pause_tx => switches(|s| s.pause_tx),
-        _ if id == h.pause_rx => switches(|s| s.pause_rx),
-        _ if id == h.resume_tx => switches(|s| s.resume_tx),
-        _ if id == h.drops_pool => switches(|s| s.drops_pool),
-        _ if id == h.drops_lossy => switches(|s| s.drops_lossy),
-        _ if id == h.forwarded => switches(|s| s.forwarded),
-        _ if id == h.watchdog_trips => switches(|s| s.watchdog_trips),
-        _ if id == h.watchdog_restores => switches(|s| s.watchdog_restores),
-        _ if id == h.retx_pkts => flows(|f| f.retx_pkts),
-        _ if id == h.timeouts => flows(|f| f.timeouts),
-        _ if id == h.nacks_sent => flows(|f| f.nacks_sent),
-        _ if id == h.cnps_sent => flows(|f| f.cnps_sent),
-        _ if id == h.completions => flows(|f| f.completions.len() as u64),
-        _ if id == h.qp_teardowns => flows(|f| u64::from(f.aborted)),
-        _ if id == h.fault_drops => faults.link_drops + faults.crc_drops,
-        _ if id == h.link_transitions => faults.transitions,
-        _ if id == h.storm_pauses => faults.storm_pauses,
-        _ => ctx.metrics.registry.counter_get(id),
+    }
+
+    fn flows(&self, field: fn(&FlowStats) -> u64) -> u64 {
+        self.flows.iter().map(field).sum()
     }
 }
 
+/// How one reported counter's run total is read from its owner.
+pub(crate) type ReadCount = fn(&Counts<'_>) -> u64;
+
+/// Every reported counter, in report order, beside the owner that counts
+/// it: the sum of a `SwitchStats` or `FlowStats` field over all switches
+/// or flows, a `FaultStats` tally, or one of the two convergence counts
+/// in [`Metrics`]. The one place that knows who owns which count.
+pub(crate) const COUNTERS: [(&str, ReadCount); 20] = [
+    ("ecn_marks", |c| c.switches(|s| s.ecn_marks)),
+    ("pause_tx", |c| c.switches(|s| s.pause_tx)),
+    ("pause_rx", |c| c.switches(|s| s.pause_rx)),
+    ("resume_tx", |c| c.switches(|s| s.resume_tx)),
+    ("drops_pool", |c| c.switches(|s| s.drops_pool)),
+    ("drops_lossy", |c| c.switches(|s| s.drops_lossy)),
+    ("fault_drops", |c| c.faults.link_drops + c.faults.crc_drops),
+    ("forwarded", |c| c.switches(|s| s.forwarded)),
+    ("retx_pkts", |c| c.flows(|f| f.retx_pkts)),
+    ("timeouts", |c| c.flows(|f| f.timeouts)),
+    ("nacks_sent", |c| c.flows(|f| f.nacks_sent)),
+    ("cnps_sent", |c| c.flows(|f| f.cnps_sent)),
+    ("watchdog_trips", |c| c.switches(|s| s.watchdog_trips)),
+    ("watchdog_restores", |c| c.switches(|s| s.watchdog_restores)),
+    ("qp_teardowns", |c| c.flows(|f| u64::from(f.aborted))),
+    ("completions", |c| c.flows(|f| f.completions.len() as u64)),
+    ("link_transitions", |c| c.faults.transitions),
+    ("storm_pauses", |c| c.faults.storm_pauses),
+    ("convergence_checks", |c| {
+        c.metrics.get(c.metrics.h.convergence_checks)
+    }),
+    ("convergence_violations", |c| {
+        c.metrics.get(c.metrics.h.convergence_violations)
+    }),
+];
+
+/// The reader of the counter named `name` (`None` for an unknown name).
+pub(crate) fn find_counter(name: &str) -> Option<ReadCount> {
+    COUNTERS
+        .iter()
+        .find(|&&(n, _)| n == name)
+        .map(|&(_, read)| read)
+}
+
 impl Network {
-    /// Cold name-based counter lookup: the run total of a registered
-    /// counter (see [`counter`]). The hot path never uses this.
+    /// Cold name-based counter lookup: the run total of a reported
+    /// counter (see `COUNTERS`). The hot path never uses this.
     ///
     /// # Panics
-    /// Panics when no counter is registered under `name`: a typo must not
+    /// Panics when no counter is reported under `name`: a typo must not
     /// read as a silently wrong 0.
     pub fn metric(&self, name: &str) -> u64 {
-        let id = self
-            .ctx
-            .metrics
-            .registry
-            .counter_id(name)
-            .unwrap_or_else(|| panic!("metric: unknown counter '{name}'"));
-        counter(&self.nodes, &self.ctx, &self.faults.stats(), id)
+        let read = find_counter(name).unwrap_or_else(|| panic!("metric: unknown counter '{name}'"));
+        read(&Counts::new(&self.nodes, &self.ctx, &self.faults.stats()))
     }
 
-    /// Every registered counter as `(name, run total)`, in registration
+    /// Every reported counter as `(name, run total)`, in [`COUNTERS`]
     /// order: the report's `counters` section and the dashboard's table.
     fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         let faults = self.faults.stats();
-        let registry = &self.ctx.metrics.registry;
-        registry
-            .counters()
-            .map(move |(name, id)| (name, counter(&self.nodes, &self.ctx, &faults, id)))
+        COUNTERS
+            .iter()
+            .map(move |&(name, read)| (name, read(&Counts::new(&self.nodes, &self.ctx, &faults))))
     }
 
     /// A flow's per-state attributed time as of the current simulation
@@ -94,15 +125,15 @@ impl Network {
         self.ctx.spans.chrome_trace(self.now())
     }
 
-    /// Builds the machine-readable run report: every registered counter,
-    /// gauge and histogram, per-flow stats, fault/audit tallies, and (with
-    /// `--features profile`) the event-loop profile. Deterministic for a
-    /// deterministic run — same topology, workload and seed ⇒ identical
-    /// JSON (the profile section is host-clock data and is only present
-    /// when that feature is compiled in).
+    /// Builds the machine-readable run report: every reported counter,
+    /// the peak shared-buffer occupancy, the histograms, per-flow stats,
+    /// fault/audit tallies, and (with `--features profile`) the
+    /// event-loop profile. Deterministic for a deterministic run — same
+    /// topology, workload and seed ⇒ identical JSON (the profile section
+    /// is host-clock data and is only present when that feature is
+    /// compiled in).
     pub fn telemetry_report(&self) -> Json {
         let now = self.now();
-        let reg = &self.ctx.metrics.registry;
         let secs = now.as_secs_f64();
         let flows = self
             .flow_ids()
@@ -119,7 +150,7 @@ impl Network {
             ("events_executed", Json::UInt(self.events_executed())),
             ("faults", self.faults.stats().report()),
             ("flows", Json::Arr(flows)),
-            ("gauges", reg.gauges_json()),
+            ("gauges", self.gauges_json()),
             ("histograms", self.histograms_json()),
             ("sim_time_us", Json::Float(now.as_micros_f64())),
             ("timelines", self.sampler.timelines().summary_json()),
@@ -137,21 +168,32 @@ impl Network {
         report
     }
 
-    /// The report's `histograms` section: each registry slot, except that
-    /// `fct_us` is folded from its owner, every flow's `completions` (a
+    /// The report's `gauges` section: the highest shared-buffer
+    /// occupancy any switch reached.
+    fn gauges_json(&self) -> Json {
+        let peaks = self.nodes.iter().map(|node| match node {
+            Node::Switch(s) => s.buffer.peak(),
+            Node::Host(_) => 0,
+        });
+        let peak = peaks.max().unwrap_or(0);
+        Json::obj(vec![("peak_buffer_bytes", Json::UInt(peak))])
+    }
+
+    /// The report's `histograms` section: the three [`Metrics`] histograms
+    /// and `fct_us`, folded from its owner, every flow's `completions` (a
     /// log2 histogram does not depend on sample order).
     fn histograms_json(&self) -> Json {
         let mut fct = Histogram::new();
         for c in self.ctx.flow_stats.iter().flat_map(|s| &s.completions) {
             fct.observe(c.at.saturating_since(c.started).as_micros_f64() as u64);
         }
-        let reg = &self.ctx.metrics.registry;
-        let fct_slot = reg.hist_get(self.ctx.metrics.h.fct_us);
-        let hists = reg.histograms().map(|(name, h)| {
-            let h = if std::ptr::eq(h, fct_slot) { &fct } else { h };
-            (name, h.summary_json())
-        });
-        Json::obj(hists.collect())
+        let m = &self.ctx.metrics;
+        Json::obj(vec![
+            ("queue_depth_bytes", m.queue_depth_bytes.summary_json()),
+            ("cnp_interarrival_us", m.cnp_interarrival_us.summary_json()),
+            ("fct_us", fct.summary_json()),
+            ("pause_duration_us", m.pause_duration_us.summary_json()),
+        ])
     }
 
     /// Builds the run's dashboard: one chart per sampled track family
@@ -192,7 +234,7 @@ impl Network {
             }
         }
 
-        // End-of-run counter totals (nonzero only, registration order).
+        // End-of-run counter totals (nonzero only, `COUNTERS` order).
         let totals: Vec<(String, String)> = self
             .counters()
             .filter(|&(_, v)| v > 0)
@@ -202,5 +244,44 @@ impl Network {
             d.table("counters", totals);
         }
         d
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::COUNTERS;
+
+    #[test]
+    fn counter_names_are_unique_and_in_report_order() {
+        let names = COUNTERS.map(|(name, _)| name);
+        assert_eq!(
+            names,
+            [
+                "ecn_marks",
+                "pause_tx",
+                "pause_rx",
+                "resume_tx",
+                "drops_pool",
+                "drops_lossy",
+                "fault_drops",
+                "forwarded",
+                "retx_pkts",
+                "timeouts",
+                "nacks_sent",
+                "cnps_sent",
+                "watchdog_trips",
+                "watchdog_restores",
+                "qp_teardowns",
+                "completions",
+                "link_transitions",
+                "storm_pauses",
+                "convergence_checks",
+                "convergence_violations",
+            ]
+        );
+        let mut unique = names.to_vec();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len());
     }
 }

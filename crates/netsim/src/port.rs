@@ -433,10 +433,8 @@ impl Port {
         let paused_since = self.rx_paused_since[class as usize];
         let released = self.apply_pfc(class, pause, now);
         if released && paused_since != Time::NEVER {
-            ctx.metrics.observe(
-                ctx.metrics.h.pause_duration_us,
-                now.saturating_since(paused_since).as_micros_f64() as u64,
-            );
+            let held = now.saturating_since(paused_since).as_micros_f64() as u64;
+            ctx.metrics.pause_duration_us.observe(held);
         }
         released
     }

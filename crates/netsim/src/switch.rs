@@ -202,8 +202,6 @@ impl Switch {
             self.record_drop(ctx, &pkt, 0);
             return;
         }
-        ctx.metrics
-            .set_max(ctx.metrics.h.peak_buffer_bytes, self.buffer.occupied());
 
         // 2. PFC threshold check on the ingress queue.
         if self.is_lossless(prio)
@@ -227,8 +225,7 @@ impl Switch {
         // 4. ECN marking on the instantaneous egress queue depth.
         let egress_depth = self.ports[out.0].queued_bytes[prio];
         if pkt.is_data() {
-            ctx.metrics
-                .observe(ctx.metrics.h.queue_depth_bytes, egress_depth);
+            ctx.metrics.queue_depth_bytes.observe(egress_depth);
         }
         if pkt.is_data() && self.config.red.should_mark(egress_depth, &mut ctx.rng) && pkt.mark_ce()
         {

@@ -1,16 +1,16 @@
-//! Telemetry subsystem: metrics registry, HDR-style histograms, flight
-//! recorder, deterministic JSON, and an optional event-loop profiler.
+//! Telemetry subsystem: the simulator's own metrics, HDR-style histograms,
+//! flight recorder, deterministic JSON, and an optional event-loop profiler.
 //!
 //! The paper's evaluation (§5) is measurement: per-flow throughput,
 //! pause-frame counts, queue-depth CDFs, mark/drop/retransmit tallies.
 //! This module family makes every run produce those measurables
 //! natively, with hot-path costs suitable for the packet pipeline:
 //!
-//! * [`registry`] — named counters, gauges and log2-bucket histograms
-//!   registered **once** at build time and updated through `Copy`
-//!   handles, so an update is a single array index (no hashing, no
+//! * [`registry`] — [`Metrics`]: the two convergence counters behind
+//!   `Copy` handles and the three histograms the packet pipeline
+//!   samples, each update one array index or one field (no hashing, no
 //!   allocation per event).
-//! * [`hist`] — the allocation-free [`Histogram`] backing the registry:
+//! * [`hist`] — the allocation-free [`Histogram`] behind those metrics:
 //!   65 log2 buckets plus exact count/sum/min/max.
 //! * [`recorder`] — the [`FlightRecorder`]: a bounded ring of recent
 //!   trace events per node, snapshotted automatically when the sanitize
@@ -37,10 +37,10 @@
 //!   deterministic file (`repro <id> --dash <dir>`).
 //!
 //! The simulator owns one [`Metrics`] per network (see
-//! `Network::telemetry_report`). A standard counter that a switch, flow
-//! or the fault engine keeps is never stored here a second time:
-//! `Network::metric` and the report read it as the sum over its owners
-//! (`network::counter`).
+//! `Network::telemetry_report`). A counter that a switch, flow or the
+//! fault engine keeps is never stored here a second time:
+//! `network::report::COUNTERS` lists each reported counter with the
+//! owner it reads, and `Network::metric` and the report read it there.
 //!
 //! ```
 //! use netsim::telemetry::Metrics;
@@ -48,9 +48,8 @@
 //! let mut m = Metrics::standard();
 //! let h = m.h; // Copy handles: capture once, use on the hot path
 //! m.inc(h.convergence_checks);
-//! m.observe(h.queue_depth_bytes, 4096);
-//! assert_eq!(m.registry.counter_value("convergence_checks"), Some(1));
-//! assert_eq!(m.registry.hist_get(h.queue_depth_bytes).count(), 1);
+//! m.queue_depth_bytes.observe(4096);
+//! assert_eq!(m.queue_depth_bytes.count(), 1);
 //! ```
 
 pub(crate) mod dash;
@@ -66,7 +65,7 @@ pub use dash::{Dashboard, Series};
 pub use hist::Histogram;
 pub use profile::Profiler;
 pub use recorder::{FlightDump, FlightRecorder};
-pub use registry::{CounterId, GaugeId, HistId, Metrics, Registry, WellKnown};
+pub use registry::{CounterId, Metrics, WellKnown};
 pub use sampler::{Sampler, SamplerConfig};
 pub use simjson::{fmt_f64, Json};
 pub use spans::{

@@ -7,13 +7,13 @@
 //! once if its cadence breaks, then the grid once at the fold).
 
 use super::dash::{Dashboard, Line};
-use super::registry::CounterId;
 use super::timeline::{
     BucketView, Timeline, TimelineSet, TrackId, TrackKind, DEFAULT_POINT_BUDGET,
 };
 use crate::event::{Event, NodeId, PortId};
 use crate::faults::FaultStats;
-use crate::network::{counter, Ctx, Node};
+use crate::network::report::{find_counter, Counts, ReadCount};
+use crate::network::{Ctx, Node};
 use crate::packet::FlowId;
 use crate::units::Duration;
 
@@ -36,10 +36,11 @@ pub struct SamplerConfig {
     /// rate traces). Track `flow_rate_gbps/<id>`, kind `Gauge`.
     pub rate_flows: Vec<FlowId>,
     /// Counters to sample as per-interval deltas of their run totals
-    /// (PAUSE/ECN/drop/CNP rates), read through `network::counter` — a
-    /// standard counter as the sum over the switches, flows or fault
-    /// engine that own it. Track `rate/<name>`, kind `Counter`; the names
-    /// must already be registered (`enable_sampling` panics otherwise).
+    /// (PAUSE/ECN/drop/CNP rates), each read from its owner through
+    /// `network::report::COUNTERS` — the sum over the switches or flows,
+    /// or the fault engine's tally. Track `rate/<name>`, kind `Counter`;
+    /// the names must be reported counters (`enable_sampling` panics
+    /// otherwise).
     pub counters: Vec<&'static str>,
 }
 
@@ -58,7 +59,7 @@ struct RateTap {
 /// `prev` is the counter's run total at the previous tick.
 #[derive(Debug, Clone, Copy)]
 struct CounterTap {
-    id: CounterId,
+    read: ReadCount,
     track: TrackId,
     prev: u64,
 }
@@ -89,7 +90,7 @@ impl Sampler {
     ///
     /// # Panics
     /// Panics when `config.counters` names a counter that is not
-    /// registered — a config typo, caught up front.
+    /// reported — a config typo, caught up front.
     pub fn configure(
         &mut self,
         interval: Duration,
@@ -120,15 +121,14 @@ impl Sampler {
             }
         });
         self.rates = rates.collect();
-        let registry = &ctx.metrics.registry;
+        let counts = Counts::new(nodes, ctx, faults);
         let counters = config.counters.iter().map(|name| {
-            let id = registry
-                .counter_id(name)
+            let read = find_counter(name)
                 .unwrap_or_else(|| panic!("enable_sampling: unknown counter '{name}'"));
             CounterTap {
-                id,
+                read,
                 track: track(format!("rate/{name}"), TrackKind::Counter, 1.0),
-                prev: counter(nodes, ctx, faults, id),
+                prev: read(&counts),
             }
         });
         self.counters = counters.collect();
@@ -198,8 +198,9 @@ impl Sampler {
             };
             timelines.record_f64(tap.track, now, rate);
         }
+        let counts = Counts::new(nodes, ctx, faults);
         for tap in &mut self.counters {
-            let value = counter(nodes, ctx, faults, tap.id);
+            let value = (tap.read)(&counts);
             timelines.record(tap.track, now, value - tap.prev);
             tap.prev = value;
         }

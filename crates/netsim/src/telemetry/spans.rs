@@ -4,7 +4,7 @@
 //! The paper's headline pathologies — PFC unfairness (Fig. 3), the victim
 //! flow (Fig. 4), congestion spreading — are *causal* questions: why was
 //! this flow slow, and who paused whom?  The flat trace ring and the
-//! metrics registry answer aggregate questions only.  This module keeps,
+//! run's counters answer aggregate questions only.  This module keeps,
 //! per flow, a timeline of **attributed states** as seen from the
 //! sender's NIC:
 //!

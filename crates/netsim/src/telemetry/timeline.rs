@@ -40,7 +40,7 @@
 //!   nondecreasing series is exactly the last sample of the interval.
 //!
 //! A [`TimelineSet`] holds named tracks behind `Copy` [`TrackId`]
-//! handles, mirroring the metrics registry discipline: registration
+//! handles, mirroring the `Metrics` counter handles: registration
 //! (name lookup, allocation) is cold, the per-sample record path is an
 //! array index plus integer adds.
 

@@ -76,6 +76,24 @@ fn unknown_metric_names_panic() {
     s.net.metric("no_such_counter");
 }
 
+/// A misspelled sampled counter is caught when sampling is enabled.
+#[test]
+#[should_panic(expected = "enable_sampling: unknown counter 'no_such_counter'")]
+fn unknown_sampled_counter_names_panic() {
+    let mut s = star(
+        2,
+        LinkParams::default(),
+        host_cfg(),
+        SwitchConfig::paper_default(),
+        1,
+    );
+    let config = SamplerConfig {
+        counters: vec!["no_such_counter"],
+        ..SamplerConfig::default()
+    };
+    s.net.enable_sampling(Duration::from_micros(10), config);
+}
+
 /// Message completions feed the completion counter and the FCT histogram.
 #[test]
 fn completions_and_fct_are_observed() {

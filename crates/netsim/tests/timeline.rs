@@ -798,8 +798,8 @@ fn network_sampling_conserves_counters() {
     // ends idle, so nothing happens after the last tick).
     let (tb, flows) = faulted_clos();
     let net = &tb.net;
-    let switches = tb.tors.iter().chain(&tb.leaves).chain(&tb.spines);
-    let switches: Vec<SwitchStats> = switches.map(|&s| net.switch_stats(s)).collect();
+    let switch_ids: Vec<_> = tb.tors.iter().chain(&tb.leaves).chain(&tb.spines).collect();
+    let switches: Vec<SwitchStats> = switch_ids.iter().map(|&&s| net.switch_stats(s)).collect();
     let per_switch = |f: fn(&SwitchStats) -> u64| switches.iter().map(f).sum::<u64>();
     let per_flow = |f: fn(&FlowStats) -> u64| flows.iter().map(|&id| f(net.flow_stats(id))).sum();
     let fs = net.fault_stats();
@@ -833,6 +833,17 @@ fn network_sampling_conserves_counters() {
     for name in OWNED.iter().filter(|&&n| !n.starts_with("drops_")) {
         assert!(net.metric(name) > 0, "{name} never counted");
     }
+
+    // The buffer high-water mark is owned by each switch's buffer; the
+    // report's gauge is the highest of them.
+    let peaks = switch_ids.iter().map(|&&s| net.switch(s).buffer.peak());
+    let peak = peaks.max().expect("switches");
+    assert!(peak > 0, "the incast buffered bytes");
+    let report = net.telemetry_report();
+    let gauge = report
+        .get("gauges")
+        .and_then(|g| g.get("peak_buffer_bytes"));
+    assert_eq!(gauge, Some(&Json::UInt(peak)));
 }
 
 /// The dashboard fixture's exact bytes. Regenerate with

@@ -78,7 +78,7 @@ pub const RULES: [(&str, &str); 11] = [
     ),
     (
         "metric-lookup",
-        "no string-keyed metric registry calls in dispatch-reachable functions",
+        "no by-name counter lookup (`.metric(…)`) in dispatch-reachable functions",
     ),
     (
         "determinism-taint",
@@ -507,26 +507,16 @@ fn metric_lookup(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
                 continue;
             }
             let Some(m) = toks.get(i + 1) else { continue };
-            if m.kind != TokKind::Ident {
-                continue;
-            }
-            let registration = ["counter", "gauge", "histogram"].contains(&m.text.as_str())
-                && matches!(toks.get(i + 2), Some(p) if p.is_punct("("))
-                && matches!(toks.get(i + 3), Some(s) if s.kind == TokKind::Str);
-            let by_name = ["counter_value", "gauge_value", "hist_by_name"]
-                .contains(&m.text.as_str())
-                && matches!(toks.get(i + 2), Some(p) if p.is_punct("("));
-            if registration || by_name {
+            if m.is_ident("metric") && matches!(toks.get(i + 2), Some(p) if p.is_punct("(")) {
                 out.push(Finding {
                     rule: "metric-lookup",
                     file: file.rel.clone(),
                     line: m.line,
-                    msg: format!(
-                        "`.{}(…)` string-keyed metric access in a dispatch-reachable \
-                         function; resolve a CounterId/GaugeId/HistId handle at \
-                         registration and index through it",
-                        m.text
-                    ),
+                    msg: "`.metric(…)` reads a counter by name, scanning the counter \
+                          table, in a dispatch-reachable function; read the owner's \
+                          field, or resolve the reader once at configuration \
+                          (`find_counter`) and call it"
+                        .into(),
                     chain: Some(chain.to_owned()),
                 });
             }
@@ -892,7 +882,7 @@ pub const OWNERS: [Owner; 17] = [
         scope: SURFACE,
         owners: &["Network::check_convergence (crates/netsim/src/network/converge.rs)"],
         why: "one count per event: a switch, flow or fault field owns every other counter, \
-              so the registry stores only the two convergence counters",
+              so Metrics counts only the two convergence counters",
     },
     Owner {
         pattern: "fault_drops",

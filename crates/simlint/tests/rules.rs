@@ -136,7 +136,7 @@ fn metric_lookup_fires_on_bad_and_not_on_good() {
         "{:#?}",
         bad.findings
     );
-    assert_eq!(bad.findings.len(), 2, "registration form + by-name form");
+    assert_eq!(bad.findings.len(), 2, "literal name + name variable");
 
     let good = analyze_one(
         "metric_lookup_good.rs",
@@ -144,7 +144,7 @@ fn metric_lookup_fires_on_bad_and_not_on_good() {
     );
     assert!(
         good.findings.is_empty(),
-        "handle access + cold registration must be clean: {:#?}",
+        "field access + cold by-name read must be clean: {:#?}",
         good.findings
     );
 }
