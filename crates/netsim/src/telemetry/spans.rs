@@ -809,10 +809,17 @@ enum ChromeEvent<'a> {
 }
 
 impl ChromeTrace<'_> {
-    /// Renders the trace to a string (pretty-printed, sorted keys, one
-    /// trailing newline), allocated once from the event count.
+    /// The trace's layout, as the [`Writer`] depth past which containers
+    /// go on one line: the envelope object and its `traceEvents` array
+    /// are indented, and each event is one line with no whitespace inside
+    /// it, so `grep` and `diff` work event by event.
+    pub const ONE_LINE_PAST: usize = 2;
+
+    /// Renders the trace to a string (envelope indented, one event per
+    /// line, sorted keys, one trailing newline), allocated once from the
+    /// event count.
     pub fn render(&self) -> String {
-        let mut w = Writer::new(Vec::with_capacity(self.size_hint()));
+        let mut w = Writer::new(Vec::with_capacity(self.size_hint()), Self::ONE_LINE_PAST);
         self.emit(&mut w);
         w.into_string()
     }
@@ -820,7 +827,7 @@ impl ChromeTrace<'_> {
     /// Writes exactly the bytes of [`ChromeTrace::render`] to `sink`,
     /// one event at a time; hand it a buffered sink.
     pub fn write_to<W: io::Write + ?Sized>(&self, sink: &mut W) -> io::Result<()> {
-        let mut w = Writer::new(sink);
+        let mut w = Writer::new(sink, Self::ONE_LINE_PAST);
         self.emit(&mut w);
         w.finish().map(drop)
     }
@@ -842,15 +849,18 @@ impl ChromeTrace<'_> {
 
     /// Bytes to reserve so `render` does not regrow (and so copy) its
     /// buffer: how many events of each kind there are, times what one
-    /// renders to with timestamps in the tens of milliseconds (measured
-    /// 141–185 / 193–215 / ~330 bytes), plus room for the envelope and
-    /// the port-thread names. A low guess costs one copy of the output,
-    /// never a wrong byte.
+    /// event line renders to with timestamps up to hundreds of
+    /// milliseconds (flow span / hop / PAUSE-RESUME measured 88–108 /
+    /// 104–125 / 171–177 bytes on the fig4 and fig9 `--quick` traces,
+    /// simbench's `clos_dcqcn_observed` and `tests/render_alloc.rs`,
+    /// thread names 78–81), plus room for the envelope and the
+    /// port-thread names. A low guess costs one copy of the output, never
+    /// a wrong byte.
     fn size_hint(&self) -> usize {
         let s = self.spans;
         // Per track: its thread name, its closed spans, its open one.
         let flow_events: usize = s.flows.iter().flatten().map(|t| t.log.len() + 2).sum();
-        4096 + 200 * flow_events + 230 * s.hops.len() + 360 * s.edges.len()
+        4096 + 115 * flow_events + 130 * s.hops.len() + 185 * s.edges.len()
     }
 
     /// The ports that carry a hop span or send a PAUSE/RESUME, by node,
@@ -1329,7 +1339,9 @@ mod tests {
         ] {
             let trace = s.chrome_trace(now);
             let rendered = trace.render();
-            assert_eq!(rendered, trace_tree(&trace).render());
+            let mut tree = Writer::new(Vec::new(), ChromeTrace::ONE_LINE_PAST);
+            tree.json(&trace_tree(&trace));
+            assert_eq!(rendered, tree.into_string());
             let mut bytes = Vec::new();
             trace.write_to(&mut bytes).unwrap();
             assert_eq!(bytes, rendered.as_bytes(), "write_to and render agree");
@@ -1362,7 +1374,7 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.starts_with('{'));
         assert!(a.contains("\"traceEvents\""));
-        assert!(a.contains("\"ph\": \"X\""));
-        assert!(a.contains("\"ph\": \"M\""));
+        assert!(a.contains("\"ph\":\"X\""));
+        assert!(a.contains("\"ph\":\"M\""));
     }
 }

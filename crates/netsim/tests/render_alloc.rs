@@ -110,7 +110,9 @@ fn rendering_costs_its_output_and_a_timeline_holds_its_samples() {
     assert!(events >= 10_000);
     let now = Time::from_millis(11);
     let (rendered, calls, peak) = measured(|| spans.chrome_trace(now).render());
-    assert!(rendered.len() > 190 * events, "every event is in the file");
+    // One line per event; the shortest this trace writes is a flow
+    // span's, measured at 88 bytes (hops 120–125, PAUSE/RESUME 173–177).
+    assert!(rendered.len() > 88 * events, "every event is in the file");
     assert!(
         peak < 2 * rendered.len(),
         "rendering {} bytes held {peak} live",

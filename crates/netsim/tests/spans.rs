@@ -8,9 +8,10 @@ use netsim::host::HostConfig;
 use netsim::network::{Network, NetworkBuilder};
 use netsim::packet::{FlowId, DATA_PRIORITY};
 use netsim::switch::SwitchConfig;
-use netsim::telemetry::{Json, SpanState};
+use netsim::telemetry::{ChromeTrace, Json, SpanState};
 use netsim::units::{Bandwidth, Duration, Time};
 use proptest::prelude::*;
+use simjson::Writer;
 
 fn host_cfg() -> HostConfig {
     HostConfig {
@@ -138,11 +139,18 @@ fn incast(cap: usize) -> (Network, NodeId, Vec<FlowId>) {
     (net, s1, flows)
 }
 
-/// The streamed trace is already in the tree renderer's canonical form
-/// (keys sorted, same float and indent rules): parsing it and rendering
-/// the tree gives the same bytes back, and `write_to` writes them too.
-/// Checked on the dumbbell and on an incast whose trace carries
-/// PAUSE/RESUME instants and whose logs overflowed their capacity.
+/// The tree of a rendered trace, written back in the trace's layout.
+fn in_trace_layout(tree: &Json) -> String {
+    let mut w = Writer::new(Vec::new(), ChromeTrace::ONE_LINE_PAST);
+    w.json(tree);
+    w.into_string()
+}
+
+/// The streamed trace is already in the writer's canonical form (keys
+/// sorted, same float and layout rules): parsing it and writing the tree
+/// back in the trace's layout gives the same bytes, and `write_to`
+/// writes them too. Checked on the dumbbell and on an incast whose trace
+/// carries PAUSE/RESUME instants and whose logs overflowed their capacity.
 #[test]
 fn chrome_trace_is_a_fixpoint_of_parse_and_render() {
     let (dumbbell, _, _) = dumbbell(7, 100_000, 100_000);
@@ -153,15 +161,63 @@ fn chrome_trace_is_a_fixpoint_of_parse_and_render() {
         let trace = net.chrome_trace();
         let rendered = trace.render();
         let tree = Json::parse(&rendered).expect("the trace is JSON");
-        assert!(tree.render() == rendered, "not the canonical rendering");
+        assert!(
+            in_trace_layout(&tree) == rendered,
+            "not the canonical rendering"
+        );
         let mut written = Vec::new();
         trace.write_to(&mut written).unwrap();
         assert!(written == rendered.as_bytes(), "write_to differs");
     }
     let rendered = incast.chrome_trace().render();
-    assert!(rendered.contains("\"name\": \"PAUSE\""));
-    assert!(rendered.contains("\"name\": \"RESUME\""));
+    assert!(rendered.contains("\"name\":\"PAUSE\""));
+    assert!(rendered.contains("\"name\":\"RESUME\""));
     assert!(!rendered.contains("\"dropped_spans\": 0,"));
+}
+
+/// Whether `line` has a space, tab or line break outside its strings.
+fn whitespace_outside_strings(line: &str) -> bool {
+    let (mut quoted, mut escaped) = (false, false);
+    line.chars().any(|c| {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if quoted => escaped = true,
+            '"' => quoted = !quoted,
+            _ => return !quoted && c.is_whitespace(),
+        }
+        false
+    })
+}
+
+/// The trace's layout: the envelope as an indented document has it, then
+/// exactly one line per `traceEvents` element, holding that element and
+/// no whitespace outside its strings.
+#[test]
+fn chrome_trace_has_one_line_per_event() {
+    let (dumbbell, _, _) = dumbbell(7, 100_000, 100_000);
+    let (incast, _, _) = incast(8);
+    for net in [&dumbbell, &incast] {
+        let rendered = net.chrome_trace().render();
+        let tree = Json::parse(&rendered).expect("the trace is JSON");
+        let events = tree.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let lines: Vec<&str> = rendered.lines().collect();
+        assert_eq!(lines.len(), events.len() + 6, "one line per event");
+        let dropped = net.spans().dropped_spans();
+        let envelope = [
+            "{",
+            "  \"displayTimeUnit\": \"ms\",",
+            &format!("  \"dropped_spans\": {dropped},"),
+            "  \"traceEvents\": [",
+        ];
+        assert_eq!(lines[..4], envelope);
+        assert_eq!(lines[lines.len() - 2..], ["  ]", "}"]);
+        for (line, event) in lines[4..lines.len() - 2].iter().zip(events) {
+            let body = line.strip_prefix("    ").expect("an indented event");
+            let body = body.strip_suffix(',').unwrap_or(body);
+            assert!(!whitespace_outside_strings(body), "spaced out: {line}");
+            assert_eq!(&Json::parse(body).unwrap(), event, "{line}");
+        }
+    }
 }
 
 /// An incast through a slow sink produces a congestion tree rooted at

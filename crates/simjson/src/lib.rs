@@ -22,7 +22,11 @@
 //!   `-0.0` normalized to `0.0`, and non-finite values rendered as
 //!   `null` (JSON has no NaN/Inf);
 //! * output is pretty-printed with two-space indentation, `": "` between
-//!   key and value, and `\n` line endings only.
+//!   key and value, and `\n` line endings only — down to a container
+//!   depth the writer is built with, past which each container is written
+//!   on one line with no whitespace inside it. [`Json::render`] and
+//!   [`Json::write_to`] never stop indenting; the Chrome trace stops at
+//!   its events, so a trace has one line per event.
 //!
 //! [`Json::render`] and [`Json::write_to`] walk the tree through that
 //! writer; a producer whose document is large and already sits in its own
@@ -89,10 +93,10 @@ impl Json {
         }
     }
 
-    /// Renders with sorted keys and 2-space indentation, ending in a
-    /// single trailing newline.
+    /// Renders with sorted keys and 2-space indentation at every depth,
+    /// ending in a single trailing newline.
     pub fn render(&self) -> String {
-        let mut w = Writer::new(Vec::new());
+        let mut w = Writer::new(Vec::new(), usize::MAX);
         w.json(self);
         w.into_string()
     }
@@ -101,7 +105,7 @@ impl Json {
     /// produces them, so a document headed for a file is never held as a
     /// string. `sink` should be buffered: every token is one write.
     pub fn write_to<W: io::Write + ?Sized>(&self, sink: &mut W) -> io::Result<()> {
-        let mut w = Writer::new(sink);
+        let mut w = Writer::new(sink, usize::MAX);
         w.json(self);
         w.finish().map(drop)
     }
@@ -420,6 +424,12 @@ struct Frame {
 /// only the open containers and the latest key of each, so its memory
 /// does not grow with the document.
 ///
+/// Its one layout choice is made at construction: containers nested
+/// deeper than `one_line_past` are written on one line, with no space or
+/// line break inside them (the top-level container is at depth one); the
+/// line that holds such a container is indented as usual. Pass
+/// `usize::MAX` to indent everything, `0` for a one-line document.
+///
 /// Structure is the caller's duty and is asserted: values inside an
 /// object need a [`Writer::key`] first, keys must arrive strictly
 /// ascending (the order [`Json::render`] gets by sorting), containers
@@ -430,17 +440,28 @@ struct Frame {
 /// and [`Writer::finish`] returns it.
 ///
 /// ```
-/// let mut w = simjson::Writer::new(Vec::new());
-/// w.begin_object();
-/// w.key("a");
-/// w.u64(1);
-/// w.key("b");
-/// w.begin_array();
-/// w.f64(2.0);
-/// w.end_array();
-/// w.end_object();
-/// let bytes = w.finish().unwrap();
-/// assert_eq!(bytes, b"{\n  \"a\": 1,\n  \"b\": [\n    2.0\n  ]\n}\n");
+/// let doc = |one_line_past| {
+///     let mut w = simjson::Writer::new(Vec::new(), one_line_past);
+///     w.begin_object();
+///     w.key("a");
+///     w.u64(1);
+///     w.key("b");
+///     w.begin_array();
+///     w.begin_object();
+///     w.key("c");
+///     w.f64(2.0);
+///     w.end_object();
+///     w.end_array();
+///     w.end_object();
+///     w.into_string()
+/// };
+/// assert_eq!(
+///     doc(usize::MAX),
+///     "{\n  \"a\": 1,\n  \"b\": [\n    {\n      \"c\": 2.0\n    }\n  ]\n}\n"
+/// );
+/// // One line per element of `b`, as the Chrome trace lays out its events.
+/// assert_eq!(doc(2), "{\n  \"a\": 1,\n  \"b\": [\n    {\"c\":2.0}\n  ]\n}\n");
+/// assert_eq!(doc(0), "{\"a\":1,\"b\":[{\"c\":2.0}]}\n");
 /// ```
 #[derive(Debug)]
 pub struct Writer<W: io::Write> {
@@ -454,11 +475,14 @@ pub struct Writer<W: io::Write> {
     scratch: String,
     /// Whether the top-level value has been written.
     done: bool,
+    /// Containers deeper than this are written on one line.
+    one_line_past: usize,
 }
 
 impl<W: io::Write> Writer<W> {
-    /// A writer at the start of a document.
-    pub fn new(sink: W) -> Writer<W> {
+    /// A writer at the start of a document that indents containers down
+    /// to depth `one_line_past` and writes deeper ones on one line.
+    pub fn new(sink: W, one_line_past: usize) -> Writer<W> {
         Writer {
             sink,
             error: None,
@@ -466,6 +490,7 @@ impl<W: io::Write> Writer<W> {
             keys: String::new(),
             scratch: String::new(),
             done: false,
+            one_line_past,
         }
     }
 
@@ -473,6 +498,11 @@ impl<W: io::Write> Writer<W> {
         if self.error.is_none() {
             self.error = self.sink.write_all(bytes).err();
         }
+    }
+
+    /// Whether the innermost open container is written on one line.
+    fn one_line(&self) -> bool {
+        self.stack.len() > self.one_line_past
     }
 
     /// `\n` plus the indentation of a line inside `depth` containers.
@@ -522,6 +552,7 @@ impl<W: io::Write> Writer<W> {
     /// array the separator and the element's line are.
     fn before_value(&mut self) {
         let depth = self.stack.len();
+        let one_line = self.one_line();
         match self.stack.last_mut() {
             None => {
                 assert!(!self.done, "a JSON document is one value");
@@ -536,7 +567,9 @@ impl<W: io::Write> Writer<W> {
                 if !first {
                     self.put(b",");
                 }
-                self.newline(depth);
+                if !one_line {
+                    self.newline(depth);
+                }
             }
         }
     }
@@ -553,13 +586,14 @@ impl<W: io::Write> Writer<W> {
     }
 
     fn end(&mut self, object: bool) {
+        let one_line = self.one_line();
         let f = self.stack.pop().expect("end without a matching begin");
         assert!(
             f.object == object && !f.keyed,
             "containers close in the order they opened, after the last value"
         );
         self.keys.truncate(f.key_start);
-        if !f.empty {
+        if !f.empty && !one_line {
             self.newline(self.stack.len());
         }
         self.put(if object { b"}" } else { b"]" });
@@ -594,6 +628,7 @@ impl<W: io::Write> Writer<W> {
     /// [`Json::render`] keeps by sorting.
     pub fn key(&mut self, key: &str) {
         let depth = self.stack.len();
+        let one_line = self.one_line();
         let f = self
             .stack
             .last_mut()
@@ -612,9 +647,11 @@ impl<W: io::Write> Writer<W> {
         if !first {
             self.put(b",");
         }
-        self.newline(depth);
+        if !one_line {
+            self.newline(depth);
+        }
         self.escaped(key);
-        self.put(b": ");
+        self.put(if one_line { b":" } else { b": " });
     }
 
     /// Writes `null`.
@@ -1008,10 +1045,30 @@ mod tests {
             let rendered = tree.render();
             prop_assert_eq!(Json::parse(&rendered).unwrap().render(), rendered);
         }
+
+        /// Writing containers on one line past any depth changes the
+        /// layout only: the document parses to the value the indented
+        /// one does, a document past depth 0 is one line, and one past
+        /// the tree's depth is the indented document.
+        #[test]
+        fn one_line_layout_keeps_the_value(tree in (Trees { depth: 4 })) {
+            let value = Json::parse(&tree.render()).unwrap();
+            for one_line_past in 0..6 {
+                let mut w = Writer::new(Vec::new(), one_line_past);
+                w.json(&tree);
+                let laid_out = w.into_string();
+                prop_assert_eq!(&Json::parse(&laid_out).unwrap(), &value);
+                match one_line_past {
+                    0 => prop_assert_eq!(laid_out.matches('\n').count(), 1),
+                    5 => prop_assert_eq!(&laid_out, &tree.render()),
+                    _ => {}
+                }
+            }
+        }
     }
 
     fn panics(f: impl FnOnce(&mut Writer<Vec<u8>>)) -> bool {
-        let mut w = Writer::new(Vec::new());
+        let mut w = Writer::new(Vec::new(), usize::MAX);
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut w))).is_err()
     }
 
@@ -1077,7 +1134,7 @@ mod tests {
             w.u64(1);
             w.u64(2); // two documents
         }));
-        let mut open = Writer::new(Vec::new());
+        let mut open = Writer::new(Vec::new(), usize::MAX);
         open.begin_array();
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| open.finish())).is_err());
     }
