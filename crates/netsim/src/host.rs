@@ -167,7 +167,7 @@ impl Host {
             dst,
             priority,
             cc,
-            tx: QpTx::default(),
+            tx: QpTx::new(self.mtu),
             next_eligible: Time::ZERO,
             cc_timers: Vec::new(),
             arrivals: Arrivals::default(),
@@ -468,11 +468,11 @@ impl Host {
     /// Builds and transmits the next packet of flow `i`.
     fn send_one(&mut self, ctx: &mut Ctx, i: usize) {
         let now = ctx.queue.now();
-        let (mtu, rto) = (self.mtu, self.config.rto);
+        let rto = self.config.rto;
         let f = &mut self.flows[i];
         // `has_data` was checked by the scheduler, so `None` is
         // unreachable; bail (no packet this round) instead of panicking.
-        let Some(p) = f.tx.next_packet(now, mtu, rto) else {
+        let Some(p) = f.tx.next_packet(now, rto) else {
             debug_assert!(false, "send_one without data");
             return;
         };

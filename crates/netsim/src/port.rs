@@ -6,7 +6,7 @@
 
 use crate::event::{Event, LinkId, NodeId, PortId};
 use crate::network::Ctx;
-use crate::packet::{Ecn, FlowId, Packet, PacketKind, Priority, NUM_PRIORITIES};
+use crate::packet::{Ecn, FlowId, Packet, PacketKind, NUM_PRIORITIES};
 use crate::slab::{Slab, NIL};
 use crate::telemetry::spans::HopSpan;
 use crate::units::checked::{checked_accum, checked_drain};
@@ -34,14 +34,17 @@ const PRIO_BITS: u32 = NUM_PRIORITIES.trailing_zeros();
 /// The release key of a frame that never occupied the shared buffer.
 const NO_RELEASE: u32 = u32::MAX;
 
-/// Ports one switch may have: a queued frame's release key packs its
-/// ingress port above the priority bits of a `u32`, and the all-ones key
-/// means "nothing to release". `Switch::new` rejects wider switches.
-pub const MAX_PORTS: usize = (NO_RELEASE >> PRIO_BITS) as usize;
+/// A [`Stored`] ingress port meaning "nothing to release".
+const NO_INGRESS: u16 = u16::MAX;
+
+/// Ports one switch may have: a queued frame's slab record keeps its
+/// ingress port in a `u16` whose all-ones value means "nothing to
+/// release". `Switch::new` rejects wider switches.
+pub const MAX_PORTS: usize = NO_INGRESS as usize;
 
 /// A queued packet plus the ingress attribution needed to release shared
 /// buffer space when it finally leaves the switch. It is packed into the
-/// port's slab (as a 40 B `Stored`, its stamp in the port's stamp
+/// port's slab (as a 32 B `Stored`, its stamp in the port's stamp
 /// column), unpacked into `current` and moved out again on every hop, so
 /// it is kept at one 64-byte cache line.
 #[derive(Debug, Clone, Copy)]
@@ -99,38 +102,95 @@ impl Queued {
     }
 }
 
-/// A [`Queued`] as its port's slab stores it, 40 B rather than 64: node
-/// and flow ids as `u32`, with `FlowId(u64::MAX)` (no flow) as
-/// `u32::MAX`, no `counted` flag, since every slab entry is counted, and
-/// no enqueue stamp, which the port keeps apart (`Port::stamps`).
+/// [`Stored::head`] bits 0–2: the packet kind.
+const TAG: u8 = 0b111;
+const DATA: u8 = 0;
+const ACK: u8 = 1;
+const NACK: u8 = 2;
+const CNP: u8 = 3;
+const PFC: u8 = 4;
+/// [`Stored::head`] bit 3: the kind's flag (Data's `eom`, Pfc's `pause`).
+const FLAG: u8 = 1 << 3;
+/// [`Stored::head`] bits 4–5: the ECN codepoint.
+const ECN_SHIFT: u8 = 4;
+/// A class's three bits in [`Stored::classes`] (priority and release).
+const CLASS: u8 = 0b111;
+const _: () = assert!(NUM_PRIORITIES == 8, "a class fits three bits");
+
+/// A [`Queued`] as its port's slab stores it, 32 B rather than 64 and
+/// 4-byte aligned: node and flow ids as `u32`, with `FlowId(u64::MAX)`
+/// (no flow) as `u32::MAX`; the kind as a tag, its PSN and one `u32`
+/// argument; the release key as a `u16` ingress port and a class; no
+/// `counted` flag, since every slab entry is counted; and no enqueue
+/// stamp, which the port keeps apart (`Port::stamps`).
 #[derive(Debug, Clone, Copy)]
 struct Stored {
-    kind: PacketKind,
     src: u32,
     dst: u32,
     flow: u32,
     wire_bytes: u32,
-    release: u32,
-    priority: Priority,
-    ecn: Ecn,
+    /// Data's payload, Ack's `acked | marked << 16`, Pfc's class; else 0.
+    arg: u32,
+    /// Data's PSN, Ack's `cum_psn`, Nack's `expected_psn`; else 0. Kept
+    /// as bytes so that the record needs no 8-byte alignment.
+    psn: [u8; 8],
+    /// Ingress port of the buffer release ([`NO_INGRESS`]: none).
+    ingress: u16,
+    /// Kind tag, flag and ECN codepoint ([`TAG`], [`FLAG`], [`ECN_SHIFT`]).
+    head: u8,
+    /// Priority (bits 0–2) and release class (bits 3–5).
+    classes: u8,
 }
 
 impl Stored {
     /// Narrows `q`: the one place a queued frame loses width. The no-flow
     /// id saturates to `u32::MAX`; the checks at build and `add_flow`
     /// keep every other id below it, and saturating (never wrapping)
-    /// keeps a missed check from folding one id onto another.
+    /// keeps a missed check from folding one id onto another. The
+    /// priority fits its three bits because `Port::enqueue` indexes its
+    /// class first; an ingress port fits its `u16` below [`NO_INGRESS`]
+    /// because no switch is wider than [`MAX_PORTS`].
     #[inline]
     fn new(q: Queued) -> Stored {
+        let (tag, psn, arg, flag) = match q.pkt.kind {
+            PacketKind::Data { psn, payload, eom } => (DATA, psn, payload, eom),
+            PacketKind::Ack {
+                cum_psn,
+                acked,
+                marked,
+            } => (
+                ACK,
+                cum_psn,
+                u32::from(acked) | u32::from(marked) << 16,
+                false,
+            ),
+            PacketKind::Nack { expected_psn } => (NACK, expected_psn, 0, false),
+            PacketKind::Cnp => (CNP, 0, 0, false),
+            PacketKind::Pfc { class, pause } => (PFC, 0, u32::from(class), pause),
+        };
+        let ecn = match q.pkt.ecn {
+            Ecn::NotEct => 0,
+            Ecn::Ect => 1,
+            Ecn::Ce => 2,
+        };
+        let (ingress, class) = match q.release {
+            NO_RELEASE => (NO_INGRESS, 0),
+            key => (
+                u16::try_from(key >> PRIO_BITS).unwrap_or(NO_INGRESS),
+                key.to_le_bytes()[0] & CLASS,
+            ),
+        };
+        debug_assert!(usize::from(q.pkt.priority) < NUM_PRIORITIES);
         Stored {
-            kind: q.pkt.kind,
             src: u32::try_from(q.pkt.src.0).unwrap_or(u32::MAX),
             dst: u32::try_from(q.pkt.dst.0).unwrap_or(u32::MAX),
             flow: u32::try_from(q.pkt.flow.0).unwrap_or(u32::MAX),
             wire_bytes: q.pkt.wire_bytes,
-            release: q.release,
-            priority: q.pkt.priority,
-            ecn: q.pkt.ecn,
+            arg,
+            psn: psn.to_le_bytes(),
+            ingress,
+            head: tag | (u8::from(flag) * FLAG) | ecn << ECN_SHIFT,
+            classes: q.pkt.priority | class << PRIO_BITS,
         }
     }
 
@@ -138,22 +198,51 @@ impl Stored {
     /// `enqueued_at`.
     #[inline]
     fn queued(self, enqueued_at: Time) -> Queued {
+        let (psn, flag) = (u64::from_le_bytes(self.psn), self.head & FLAG != 0);
+        let [a0, a1, a2, a3] = self.arg.to_le_bytes();
+        let kind = match self.head & TAG {
+            DATA => PacketKind::Data {
+                psn,
+                payload: self.arg,
+                eom: flag,
+            },
+            ACK => PacketKind::Ack {
+                cum_psn: psn,
+                acked: u16::from_le_bytes([a0, a1]),
+                marked: u16::from_le_bytes([a2, a3]),
+            },
+            NACK => PacketKind::Nack { expected_psn: psn },
+            CNP => PacketKind::Cnp,
+            _ => PacketKind::Pfc {
+                class: a0,
+                pause: flag,
+            },
+        };
+        let ecn = match self.head >> ECN_SHIFT {
+            0 => Ecn::NotEct,
+            1 => Ecn::Ect,
+            _ => Ecn::Ce,
+        };
         let flow = match self.flow {
             u32::MAX => FlowId(u64::MAX),
             id => FlowId(u64::from(id)),
         };
         let pkt = Packet {
-            kind: self.kind,
+            kind,
             src: NodeId(self.src as usize),
             dst: NodeId(self.dst as usize),
             flow,
-            priority: self.priority,
+            priority: self.classes & CLASS,
             wire_bytes: self.wire_bytes,
-            ecn: self.ecn,
+            ecn,
+        };
+        let release = match self.ingress {
+            NO_INGRESS => NO_RELEASE,
+            port => u32::from(port) << PRIO_BITS | u32::from(self.classes >> PRIO_BITS),
         };
         Queued {
             pkt,
-            release: self.release,
+            release,
             enqueued_at,
             counted: true,
         }
@@ -496,10 +585,11 @@ mod tests {
         assert_eq!(std::mem::size_of::<Packet>(), 48);
         assert_eq!(std::mem::size_of::<Queued>(), 64);
         assert_eq!(std::mem::size_of::<Option<Queued>>(), 64);
-        assert_eq!(std::mem::size_of::<Stored>(), 40);
+        assert_eq!(std::mem::size_of::<Stored>(), 32);
+        assert_eq!(std::mem::align_of::<Stored>(), 4);
     }
 
-    /// `port_slab_bytes` counts 44 B a slot (a `Stored` and its link) at
+    /// `port_slab_bytes` counts 36 B a slot (a `Stored` and its link) at
     /// the slab's capacity, and 8 B a slot of stamp column only once a
     /// stamped frame is queued: the column then reaches that frame's slot.
     #[test]
@@ -510,7 +600,7 @@ mod tests {
             port.enqueue(data(3, 1500));
         }
         let unstamped = port.slab_bytes();
-        assert!(unstamped >= 5 * 44 && unstamped.is_multiple_of(44));
+        assert!(unstamped >= 5 * 36 && unstamped.is_multiple_of(36));
         assert_eq!(port.stamped_slots(), 0);
         port.enqueue(data(3, 1500).at(Time::from_micros(1)));
         let column = port.slab_bytes() - port.slab.bytes();

@@ -107,23 +107,45 @@ struct PendingMessage {
     arrived: Time,
 }
 
-/// A sent-but-unacknowledged packet, kept for go-back-N resends.
+/// Karn's flag in a [`SentPkt`]: the PSN was resent.
+const RESENT: u64 = 1 << 63;
+
+/// A sent-but-unacknowledged PSN, in 8 B: when it was first put on the
+/// wire, with Karn's flag (RTT samples from resent packets are
+/// discarded) in the top bit. Its payload and eom are not kept: like a
+/// NIC rebuilding a resend from the work request, the QP recomputes them
+/// from how its message was cut ([`QpTx::cut`]).
 #[derive(Debug, Clone, Copy)]
-struct SentPkt {
-    payload: u32,
-    eom: bool,
-    /// When the packet was first put on the wire.
-    sent_at: Time,
-    /// Karn's rule: RTT samples from resent packets are discarded.
-    retransmitted: bool,
-}
+struct SentPkt(u64);
 
 impl SentPkt {
-    /// Its bytes on the wire, widened for the window accounting.
+    /// A PSN first sent at `now`. A clock past 2^63 − 1 ps (106 days of
+    /// simulated time) saturates rather than set the flag.
     #[inline]
-    fn wire(&self) -> u64 {
-        u64::from(self.payload) + HEADER_BYTES
+    fn new(now: Time) -> SentPkt {
+        debug_assert!(now.0 < RESENT, "send time {now:?} overlaps Karn's flag");
+        SentPkt(now.0.min(RESENT - 1))
     }
+
+    #[inline]
+    fn sent_at(self) -> Time {
+        Time(self.0 & !RESENT)
+    }
+
+    #[inline]
+    fn resent(self) -> bool {
+        self.0 & RESENT != 0
+    }
+}
+
+/// Payload of the last packet of a `total`-byte message cut at `mtu`:
+/// `(total − 1) % mtu + 1`, or 0 for an empty message.
+#[inline]
+fn last_payload(total: u64, mtu: u32) -> u32 {
+    total.checked_sub(1).map_or(0, |t| {
+        // The remainder is below `mtu`, so it fits and `+ 1` cannot wrap.
+        u32::try_from(t % u64::from(mtu)).map_or(mtu, |rest| rest + 1)
+    })
 }
 
 /// One data packet to put on the wire, from [`QpTx::next_packet`].
@@ -161,8 +183,10 @@ pub enum Rto {
 /// The sender half of a queue pair: queued messages, the go-back-N PSN
 /// window `una ≤ send ≤ next`, the retransmission timer and the retry
 /// budget.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct QpTx {
+    /// Payload bytes of every packet but a message's last.
+    mtu: u32,
     messages: VecDeque<PendingMessage>,
     /// Lowest unacknowledged PSN.
     una: u64,
@@ -185,14 +209,38 @@ pub struct QpTx {
     /// Consecutive retransmission timeouts without ACK progress.
     consecutive_timeouts: u32,
     dead: bool,
-    /// One entry per PSN in `[una, next)`.
+    /// The send time and Karn flag of each PSN in `[una, next)`, 8 B a
+    /// PSN; its payload and eom come from [`QpTx::cut`].
     unacked: VecDeque<SentPkt>,
     /// Messages fully cut into packets, with their last PSN, awaiting
-    /// cumulative acknowledgement.
+    /// cumulative acknowledgement; where a PSN's payload is read back.
     unfinished: VecDeque<(u64, PendingMessage)>,
 }
 
 impl QpTx {
+    /// An idle QP that cuts messages into packets of `mtu` payload bytes.
+    ///
+    /// # Panics
+    /// When `mtu` is 0: no message would ever be cut to its end.
+    pub fn new(mtu: u32) -> QpTx {
+        assert!(mtu > 0, "QpTx::new: an mtu of 0 never ends a message");
+        QpTx {
+            mtu,
+            messages: VecDeque::new(),
+            una: 0,
+            send: 0,
+            next: 0,
+            inflight_wire: 0,
+            rto_deadline: None,
+            rto_check: None,
+            last_activity: Time::ZERO,
+            consecutive_timeouts: 0,
+            dead: false,
+            unacked: VecDeque::new(),
+            unfinished: VecDeque::new(),
+        }
+    }
+
     /// Queues a message of `bytes` handed to the QP at `now`.
     pub fn push_message(&mut self, bytes: u64, now: Time) {
         self.messages.push_back(PendingMessage {
@@ -243,19 +291,21 @@ impl QpTx {
     }
 
     /// Takes the packet to put on the wire at `now`: a go-back-N resend
-    /// while the QP is rewound, else the next `mtu`-sized cut of the front
+    /// while the QP is rewound, else the next MTU-sized cut of the front
     /// message (`None` when there is none). A disarmed QP arms its
     /// deadline at `now + rto`: a sender that keeps transmitting but gets
     /// no ACK back does time out — the black hole go-back-N must cover.
     /// The packet asks for a check at the deadline only when none waits
     /// at or before it.
     #[inline]
-    pub fn next_packet(&mut self, now: Time, mtu: u32, rto: Duration) -> Option<TxPacket> {
+    pub fn next_packet(&mut self, now: Time, rto: Duration) -> Option<TxPacket> {
         let (psn, payload, eom, retx) = if self.send < self.next {
-            let meta = &mut self.unacked[(self.send - self.una) as usize];
-            meta.retransmitted = true;
-            (self.send, meta.payload, meta.eom, true)
+            let slot = self.slot(self.send);
+            self.unacked[slot].0 |= RESENT;
+            let (payload, eom) = self.cut(self.send);
+            (self.send, payload, eom, true)
         } else {
+            let mtu = self.mtu;
             let msg = self.messages.front_mut()?;
             let payload = u32::try_from(msg.remaining).map_or(mtu, |rest| rest.min(mtu));
             msg.remaining -= u64::from(payload);
@@ -264,15 +314,9 @@ impl QpTx {
                 self.unfinished.push_back((self.next, *msg));
                 self.messages.pop_front();
             }
-            let sent = SentPkt {
-                payload,
-                eom,
-                sent_at: now,
-                retransmitted: false,
-            };
-            self.unacked.push_back(sent);
+            self.unacked.push_back(SentPkt::new(now));
             self.next += 1;
-            self.inflight_wire += sent.wire();
+            self.inflight_wire += u64::from(payload) + HEADER_BYTES;
             (self.next - 1, payload, eom, false)
         };
         self.send += 1;
@@ -304,16 +348,16 @@ impl QpTx {
     #[inline]
     pub fn on_ack(&mut self, cum_psn: u64, now: Time, rto: Duration) -> (u64, Option<Duration>) {
         let (mut bytes, mut rtt) = (0, None);
-        while self.una < cum_psn {
-            let Some(meta) = self.unacked.pop_front() else {
-                break;
-            };
-            let wire = meta.wire();
-            debug_assert!(self.inflight_wire >= wire);
-            self.inflight_wire -= wire;
-            bytes += wire;
-            self.una += 1;
-            rtt = (!meta.retransmitted).then(|| now.saturating_since(meta.sent_at));
+        let end = cum_psn.clamp(self.una, self.next);
+        if end > self.una {
+            bytes = self.wire_between(self.una, end);
+            debug_assert!(self.inflight_wire >= bytes);
+            self.inflight_wire -= bytes;
+            let newest = self.slot(end - 1);
+            let sent = self.unacked[newest];
+            rtt = (!sent.resent()).then(|| now.saturating_since(sent.sent_at()));
+            self.unacked.drain(..=newest);
+            self.una = end;
         }
         self.send = self.send.max(self.una);
         self.last_activity = now;
@@ -343,6 +387,41 @@ impl QpTx {
             started,
             bytes,
         })
+    }
+
+    /// Where PSN `psn` in `[una, next)` sits in `unacked`.
+    #[inline]
+    fn slot(&self, psn: u64) -> usize {
+        usize::try_from(psn - self.una).unwrap_or(usize::MAX)
+    }
+
+    /// Payload and eom of PSN `psn` in `[una, next)`, from how its
+    /// message was cut: every packet but the last carries the MTU, the
+    /// last [`last_payload`]. A PSN past every fully cut message's last
+    /// belongs to the front message, which is cut only in full MTUs so
+    /// far.
+    #[inline]
+    fn cut(&self, psn: u64) -> (u32, bool) {
+        let k = self.unfinished.partition_point(|&(last, _)| last < psn);
+        match self.unfinished.get(k) {
+            Some(&(last, m)) if last == psn => (last_payload(m.total, self.mtu), true),
+            _ => (self.mtu, false),
+        }
+    }
+
+    /// Wire bytes of PSNs `[from, to)` within `[una, next)`: a full frame
+    /// each, less what each message ending among them falls short of one.
+    #[inline]
+    fn wire_between(&self, from: u64, to: u64) -> u64 {
+        let full = (to - from) * (u64::from(self.mtu) + HEADER_BYTES);
+        let k = self.unfinished.partition_point(|&(last, _)| last < from);
+        let short: u64 = self
+            .unfinished
+            .range(k..)
+            .take_while(|&&(last, _)| last < to)
+            .map(|&(_, m)| u64::from(self.mtu - last_payload(m.total, self.mtu)))
+            .sum();
+        full - short
     }
 
     /// The rewind half of a NAK: go back to `expected_psn` when it lies in

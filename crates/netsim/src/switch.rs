@@ -515,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "switch 3 has 536870912 ports; a switch has at most 536870911")]
+    #[should_panic(expected = "switch 3 has 65536 ports; a switch has at most 65535")]
     fn a_switch_wider_than_the_release_key_fails_at_new() {
         let _ = Switch::new(NodeId(3), MAX_PORTS + 1, SwitchConfig::paper_default());
     }

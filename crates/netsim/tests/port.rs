@@ -185,8 +185,8 @@ fn check_views(port: &Port, model: &RefPort) {
 
 /// One generated step: `(op, class, ingress, seed)`, where ingress 0 is
 /// none, 1 is port 0 and 2 the widest port a switch can have, and `seed`
-/// draws the frame ([`frame`]) and its enqueue stamp. Ops 0–3 enqueue a
-/// stamped frame, ops 10 and above an unstamped one.
+/// draws the frame ([`frame`]), its release class and its enqueue stamp.
+/// Ops 0–3 enqueue a stamped frame, ops 10 and above an unstamped one.
 type Op = (u8, u8, u8, u64);
 
 /// Applies one generated op to both ports.
@@ -195,7 +195,9 @@ fn apply(port: &mut Port, model: &mut RefPort, ctx: &mut Ctx, op: Op) {
     match op {
         // Enqueue is the most common op so that queues build up.
         0..=3 | 10.. => {
-            let c = class as usize;
+            // The release class is drawn apart from the frame's class,
+            // so a slab record must keep the two apart.
+            let c = (seed.rotate_right(17) % NUM_PRIORITIES as u64) as usize;
             let entry = Entry {
                 pkt: frame(class, seed),
                 ingress: [None, Some((0, c)), Some((MAX_PORTS - 1, c))][ingress as usize],

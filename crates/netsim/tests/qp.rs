@@ -7,6 +7,7 @@ use netsim::host::HostConfig;
 use netsim::packet::HEADER_BYTES;
 use netsim::qp::{QpRx, QpTx, Reply, Rto, RxOutcome, TxPacket};
 use netsim::units::{Duration, Time};
+use std::collections::VecDeque;
 
 const MTU: u32 = 1000;
 
@@ -21,7 +22,7 @@ fn us(n: u64) -> Time {
 
 /// A sender holding one message of `bytes`, queued at time zero.
 fn qp_with(bytes: u64) -> QpTx {
-    let mut tx = QpTx::default();
+    let mut tx = QpTx::new(MTU);
     tx.push_message(bytes, Time::ZERO);
     tx
 }
@@ -29,7 +30,7 @@ fn qp_with(bytes: u64) -> QpTx {
 /// Puts `n` packets on the wire at time zero.
 fn send(tx: &mut QpTx, n: usize) -> Vec<TxPacket> {
     let rto = HostConfig::default().rto;
-    let sent = (0..n).map(|_| tx.next_packet(Time::ZERO, MTU, rto));
+    let sent = (0..n).map(|_| tx.next_packet(Time::ZERO, rto));
     sent.map(|p| p.expect("a packet is ready")).collect()
 }
 
@@ -58,7 +59,7 @@ fn default_host_config_is_dcqcn_ready() {
 
 #[test]
 fn fresh_qp_is_idle() {
-    let tx = QpTx::default();
+    let tx = QpTx::new(MTU);
     assert!(tx.is_idle() && !tx.has_data() && !tx.is_dead());
     assert_eq!(tx.psns(), (0, 0, 0));
     assert_eq!(tx.idle_for(us(5)), Some(Duration::from_micros(5)));
@@ -141,7 +142,7 @@ fn run_lossy(config: &HostConfig, drop_once: &[u64]) -> (u64, Time) {
         let (now, _, ev) = queue.swap_remove(k);
         let mut kick = false;
         match ev {
-            Ev::Send => match tx.next_packet(now, MTU, config.rto) {
+            Ev::Send => match tx.next_packet(now, config.rto) {
                 Some(p) => {
                     resent += u64::from(p.retx);
                     if let Some(at) = p.arm_rto {
@@ -225,7 +226,7 @@ fn backoff_schedule_then_teardown() {
     let mut waits_ms = Vec::new();
     while let Rto::Resend(Some(deadline)) = tx.on_rto(at, &config) {
         assert_eq!(tx.psns(), (0, 0, 1), "rewound to una");
-        let p = tx.next_packet(at, MTU, config.rto).unwrap();
+        let p = tx.next_packet(at, config.rto).unwrap();
         assert_eq!((p.psn, p.retx, p.arm_rto), (0, true, None));
         waits_ms.push((deadline - at).as_micros_f64() as u64 / 1000);
         at = deadline;
@@ -274,7 +275,7 @@ fn edge_inputs() {
         ("karn's rule", |config, mut tx| {
             tx.on_ack(1, us(4), config.rto);
             assert!(tx.rewind(1));
-            tx.next_packet(us(5), MTU, config.rto);
+            tx.next_packet(us(5), config.rto);
             assert_eq!(tx.on_ack(2, us(9), config.rto).1, None, "resent: no RTT");
         }),
         (
@@ -303,7 +304,7 @@ fn edge_inputs() {
         ("zero-byte message", |config, _| {
             let mut tx = qp_with(0);
             assert!(tx.has_data());
-            let p = tx.next_packet(us(1), MTU, config.rto).unwrap();
+            let p = tx.next_packet(us(1), config.rto).unwrap();
             assert_eq!((p.psn, p.payload, p.eom, p.retx), (0, 0, true, false));
             assert!(!tx.has_data());
             let out = QpRx::new(None).on_data(p.psn, false, p.eom, us(2), config);
@@ -478,7 +479,7 @@ type Acts = Vec<(Time, bool)>;
 /// due checks before every op. Returns the resends and teardowns of each,
 /// and the most checks either held pending at once.
 fn run_rto_chains(ops: &[(u8, u64)], config: &HostConfig) -> (Acts, Acts, [usize; 2]) {
-    let (mut tx, mut model) = (QpTx::default(), PerArmChain::default());
+    let (mut tx, mut model) = (QpTx::new(MTU), PerArmChain::default());
     let (mut checks, mut seq) = (Vec::new(), 0u64);
     let (mut acts, mut model_acts, mut peak) = (Vec::new(), Vec::new(), [0; 2]);
     let mut now = Time::ZERO;
@@ -523,7 +524,7 @@ fn run_rto_chains(ops: &[(u8, u64)], config: &HostConfig) -> (Acts, Acts, [usize
                 if !tx.has_data() {
                     tx.push_message(mtus(1), now);
                 }
-                let p = tx.next_packet(now, MTU, config.rto).expect("a packet");
+                let p = tx.next_packet(now, config.rto).expect("a packet");
                 if let Some(due) = p.arm_rto {
                     checks.push((due, seq));
                     seq += 1;
@@ -581,4 +582,281 @@ fn idle_busy_cycles_keep_one_check() {
     let (acts, model_acts, [peak, model_peak]) = run_rto_chains(&ops, &HostConfig::default());
     assert!(acts.is_empty() && model_acts.is_empty());
     assert_eq!((peak, model_peak), (1, 1000));
+}
+
+/// A sent PSN as the reference keeps it: a copy of its cut.
+#[derive(Clone, Copy)]
+struct RefSent {
+    payload: u32,
+    eom: bool,
+    sent_at: Time,
+    resent: bool,
+}
+
+/// The reference sender for `window_matches_the_per_psn_reference`: the
+/// same go-back-N rules as `QpTx`, but a full `(payload, eom, sent_at,
+/// resent)` record per PSN in `[una, next)`, so a resend or an ACK reads
+/// each packet's cut back instead of recomputing it.
+struct RefQp {
+    mtu: u32,
+    /// Queued messages as `(remaining, total, arrived)`.
+    messages: VecDeque<(u64, u64, Time)>,
+    una: u64,
+    send: u64,
+    next: u64,
+    inflight_wire: u64,
+    deadline: Option<Time>,
+    check: Option<Time>,
+    timeouts: u32,
+    dead: bool,
+    unacked: VecDeque<RefSent>,
+    /// Fully cut messages as `(last PSN, total, arrived)`.
+    unfinished: VecDeque<(u64, u64, Time)>,
+}
+
+impl RefQp {
+    fn new(mtu: u32) -> RefQp {
+        RefQp {
+            mtu,
+            messages: VecDeque::new(),
+            una: 0,
+            send: 0,
+            next: 0,
+            inflight_wire: 0,
+            deadline: None,
+            check: None,
+            timeouts: 0,
+            dead: false,
+            unacked: VecDeque::new(),
+            unfinished: VecDeque::new(),
+        }
+    }
+
+    fn has_data(&self) -> bool {
+        !self.dead && (self.send < self.next || !self.messages.is_empty())
+    }
+
+    fn fits(&self, window: Option<u64>) -> bool {
+        window.is_none_or(|w| self.inflight_wire < w)
+    }
+
+    fn file_check(&mut self, at: Time) -> Option<Time> {
+        if self.check.is_some_and(|check| check <= at) {
+            return None;
+        }
+        self.check = Some(at);
+        Some(at)
+    }
+
+    fn next_packet(&mut self, now: Time, rto: Duration) -> Option<TxPacket> {
+        let (psn, payload, eom, retx) = if self.send < self.next {
+            let sent = &mut self.unacked[usize::try_from(self.send - self.una).unwrap()];
+            sent.resent = true;
+            (self.send, sent.payload, sent.eom, true)
+        } else {
+            let (remaining, total, arrived) = self.messages.front_mut()?;
+            let payload = (*remaining).min(u64::from(self.mtu));
+            *remaining -= payload;
+            let eom = *remaining == 0;
+            if eom {
+                self.unfinished.push_back((self.next, *total, *arrived));
+                self.messages.pop_front();
+            }
+            let payload = u32::try_from(payload).unwrap();
+            self.unacked.push_back(RefSent {
+                payload,
+                eom,
+                sent_at: now,
+                resent: false,
+            });
+            self.inflight_wire += u64::from(payload) + HEADER_BYTES;
+            self.next += 1;
+            (self.next - 1, payload, eom, false)
+        };
+        self.send += 1;
+        let arm_rto = match self.deadline {
+            Some(_) => None,
+            None => {
+                self.deadline = Some(now + rto);
+                self.file_check(now + rto)
+            }
+        };
+        Some(TxPacket {
+            psn,
+            payload,
+            eom,
+            retx,
+            arm_rto,
+        })
+    }
+
+    fn on_ack(&mut self, cum_psn: u64, now: Time, rto: Duration) -> (u64, Option<Duration>) {
+        let (mut bytes, mut rtt) = (0, None);
+        while self.una < cum_psn {
+            let Some(sent) = self.unacked.pop_front() else {
+                break;
+            };
+            let wire = u64::from(sent.payload) + HEADER_BYTES;
+            self.inflight_wire -= wire;
+            bytes += wire;
+            self.una += 1;
+            rtt = (!sent.resent).then(|| Duration(now.0.saturating_sub(sent.sent_at.0)));
+        }
+        self.send = self.send.max(self.una);
+        if bytes > 0 {
+            self.timeouts = 0;
+        }
+        if self.una == self.next {
+            self.deadline = None;
+        } else if bytes > 0 {
+            self.deadline = Some(now + rto);
+        }
+        (bytes, rtt)
+    }
+
+    fn pop_completed(&mut self, now: Time) -> Option<(Time, Time, u64)> {
+        let &(last, total, arrived) = self.unfinished.front()?;
+        if last >= self.una {
+            return None;
+        }
+        self.unfinished.pop_front();
+        Some((now, arrived, total))
+    }
+
+    fn rewind(&mut self, psn: u64) -> bool {
+        let in_window = (self.una..self.next).contains(&psn);
+        if in_window {
+            self.send = psn;
+        }
+        in_window
+    }
+
+    fn on_rto(&mut self, now: Time, config: &HostConfig) -> Rto {
+        if self.check == Some(now) {
+            self.check = None;
+        }
+        let Some(deadline) = self.deadline else {
+            return Rto::Ignore;
+        };
+        if deadline > now {
+            return self.file_check(deadline).map_or(Rto::Ignore, Rto::Rearm);
+        }
+        self.deadline = None;
+        if self.una == self.next {
+            return Rto::Ignore;
+        }
+        self.timeouts += 1;
+        if self.timeouts > config.max_retries {
+            self.dead = true;
+            return Rto::Teardown;
+        }
+        self.send = self.una;
+        let factor = (1u64 << (self.timeouts - 1).min(31)).min(u64::from(config.rto_backoff_cap));
+        let deadline = now + config.rto.saturating_mul(factor);
+        self.deadline = Some(deadline);
+        Rto::Resend(self.file_check(deadline))
+    }
+}
+
+/// The MTUs a case may cut at: one byte, odd, the tests' own, and the
+/// largest a frame carries.
+const CUT_MTUS: [u32; 4] = [1, 7, MTU, u32::MAX - 64];
+
+/// A message size at an edge of `mtu`'s cut, picked by `arg`: empty, one
+/// byte, one short of an MTU, one MTU, one over, a few MTUs, and more
+/// than `u32::MAX` bytes.
+fn edge_message(mtu: u32, arg: u64) -> u64 {
+    let mtu = u64::from(mtu);
+    match arg % 7 {
+        0 => 0,
+        1 => 1,
+        2 => mtu - 1,
+        3 => mtu,
+        4 => mtu + 1,
+        5 => (2 + arg / 7 % 4) * mtu,
+        _ => u64::from(u32::MAX) + 1 + arg / 7 % (2 * mtu),
+    }
+}
+
+/// Runs `ops` on a `QpTx` cutting at `mtu` and on the reference in
+/// lockstep, comparing every outcome and the window after every op.
+fn run_window(mtu: u32, ops: &[(u8, u64)]) {
+    let config = HostConfig::default();
+    let (mut tx, mut model) = (QpTx::new(mtu), RefQp::new(mtu));
+    let mut now = Time::ZERO;
+    for &(op, arg) in ops {
+        now += match op / 8 % 4 {
+            0 => Duration::ZERO,
+            1 => Duration::from_nanos(arg % 50_000),
+            2 => Duration::from_micros(arg % 20_000),
+            _ => Duration::from_micros(arg % 200_000),
+        };
+        let window = model.next - model.una;
+        match op % 8 {
+            // Send, queueing a message first when there is nothing to send.
+            0..=2 => {
+                if !model.has_data() && !model.dead {
+                    let bytes = edge_message(mtu, arg);
+                    tx.push_message(bytes, now);
+                    model.messages.push_back((bytes, bytes, now));
+                }
+                assert_eq!(
+                    tx.next_packet(now, config.rto),
+                    model.next_packet(now, config.rto)
+                );
+            }
+            // Queue a message behind the ones already queued.
+            3 => {
+                let bytes = edge_message(mtu, arg);
+                tx.push_message(bytes, now);
+                model.messages.push_back((bytes, bytes, now));
+            }
+            // A cumulative ACK anywhere from below `una` to past `next`,
+            // then every completion it allows.
+            4 | 5 => {
+                let cum = model.una.saturating_sub(1) + arg % (window + 3);
+                let acked = tx.on_ack(cum, now, config.rto);
+                assert_eq!(acked, model.on_ack(cum, now, config.rto), "ack {cum}");
+                loop {
+                    let done = tx.pop_completed(now).map(|c| (c.at, c.started, c.bytes));
+                    assert_eq!(done, model.pop_completed(now));
+                    if done.is_none() {
+                        break;
+                    }
+                }
+            }
+            // A NAK: the ACK half, then the rewind.
+            6 => {
+                let psn = model.una + arg % (window + 2);
+                let acked = tx.on_ack(psn, now, config.rto);
+                assert_eq!(acked, model.on_ack(psn, now, config.rto), "nak {psn}");
+                assert_eq!(tx.rewind(psn), model.rewind(psn));
+            }
+            _ => assert_eq!(tx.on_rto(now, &config), model.on_rto(now, &config)),
+        }
+        assert_eq!(tx.psns(), (model.una, model.send, model.next));
+        assert_eq!(
+            (tx.has_data(), tx.is_dead()),
+            (model.has_data(), model.dead)
+        );
+        let w = model.inflight_wire;
+        for window in [None, Some(0), Some(w), Some(w + 1), Some(arg)] {
+            assert_eq!(tx.fits(window), model.fits(window), "window {window:?}");
+        }
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+    /// Random sends of messages at every edge of the cut, ACKs, NAKs,
+    /// timeouts and completions: a window that keeps only each PSN's send
+    /// time and Karn flag, and recomputes payloads from the cut, sends,
+    /// acknowledges and completes exactly what a copy per PSN does.
+    #[test]
+    fn window_matches_the_per_psn_reference(
+        mtu in 0usize..4,
+        ops in proptest::prelude::prop::collection::vec((0u8..32, 0u64..u64::MAX), 1..300),
+    ) {
+        run_window(CUT_MTUS[mtu], &ops);
+    }
 }
